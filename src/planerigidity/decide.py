@@ -25,12 +25,14 @@ from .graphs import (
     Edge,
     Graph,
     edge_connectivity,
+    first_cut_vertex,
     is_edge_transitive,
     is_k_connected,
     is_vertex_transitive,
 )
 from .sparsity import (
     EarDecomposition,
+    coloops,
     ear_decomposition,
     is_m22_connected,
     m22_components,
@@ -98,23 +100,6 @@ def _yn(b: bool) -> str:
     return "true" if b else "false"
 
 
-def _first_cut_vertex(G: Graph):
-    for u in range(G.n):
-        rest = [v for v in range(G.n) if v != u]
-        if len(rest) >= 2:
-            H, _ = G.subgraph(rest)
-            if not H.is_connected():
-                return u
-    return None
-
-
-def _circuit_free_edge(G: Graph):
-    for comp in m22_components(G):
-        if len(comp) == 1:
-            return next(iter(comp))
-    return None
-
-
 def is_globally_rigid_analytic(G: Graph) -> RigidityReport:
     """The combinatorial decision with certificates attached.
 
@@ -140,7 +125,7 @@ def is_globally_rigid_analytic(G: Graph) -> RigidityReport:
     report.m22_connected = is_m22_connected(G)
     report.globally_rigid_analytic = report.two_connected and report.m22_connected
     if not report.two_connected:
-        cut = _first_cut_vertex(G)
+        cut = first_cut_vertex(G)
         report.reasons["cut_vertex"] = (
             str(cut) if cut is not None else "disconnected"
         )
@@ -153,13 +138,13 @@ def is_globally_rigid_analytic(G: Graph) -> RigidityReport:
         if G.min_degree() == 0 or G.m < 2:
             report.reasons["degenerate"] = "isolated vertex or fewer than 2 edges"
         else:
-            e = _circuit_free_edge(G)
-            if e is not None:
+            comps = m22_components(G)
+            singleton = next((c for c in comps if len(c) == 1), None)
+            if singleton is not None:
+                (e,) = singleton
                 report.reasons["edge_in_no_circuit"] = f"{e[0]}-{e[1]}"
             else:
-                report.reasons["matroid_disconnected"] = (
-                    f"{len(m22_components(G))} components"
-                )
+                report.reasons["matroid_disconnected"] = f"{len(comps)} components"
     report.sufficient_conditions_hit, notes = sufficient_checks(G)
     report.notices.extend(notes)
     report.euclidean_verdict = is_globally_rigid_euclidean(G)
@@ -201,9 +186,7 @@ def hendrickson_check(G: Graph) -> HendricksonReport:
     edges = G.sorted_edges()
     r = rank2k(edges, 2)
     spanning = r == 2 * G.n - 2 and G.m > 0
-    every_edge = G.m > 0 and all(
-        rank2k(edges[:i] + edges[i + 1:], 2) == r for i in range(G.m)
-    )
+    every_edge = G.m > 0 and not coloops(edges, 2)
     return HendricksonReport(two_conn, spanning, every_edge)
 
 
@@ -285,9 +268,7 @@ def is_globally_rigid_euclidean(G: Graph) -> bool:
     target = 2 * G.n - 3
     if rank2k(edges, 3) != target:
         return False
-    return all(
-        rank2k(edges[:i] + edges[i + 1:], 3) == target for i in range(G.m)
-    )
+    return not coloops(edges, 3)
 
 
 def euclidean_transfer(G: Graph) -> bool:
@@ -334,9 +315,7 @@ def certify(
     edges = G.sorted_edges()
     comb_rank = rank2k(edges, k)
     spanning_tight = comb_rank == 2 * G.n - k
-    no_coloop = all(
-        rank2k(edges[:i] + edges[i + 1:], k) == comb_rank for i in range(G.m)
-    )
+    no_coloop = not coloops(edges, k)
     agree = (inf_rigid_num == spanning_tight) and (
         redundant_num == (spanning_tight and no_coloop)
     )

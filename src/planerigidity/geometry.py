@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Edge, Graph
+from .graphs import Edge, Graph, first_cut_vertex
 
 Coord = tuple  # (x, y) of Fractions or floats
 
@@ -359,14 +359,7 @@ def cut_vertex_counterexample(
     so the cut vertex sits at the origin; x -> -x preserves all edge lengths
     within each side and through the cut vertex.
     """
-    cut = None
-    for u in range(G.n):
-        rest = [v for v in range(G.n) if v != u]
-        if len(rest) >= 2:
-            H, _ = G.subgraph(rest)
-            if not H.is_connected():
-                cut = u
-                break
+    cut = first_cut_vertex(G)
     if cut is None:
         return None
     rest = [v for v in range(G.n) if v != cut]

@@ -186,6 +186,20 @@ def is_k_connected(G: Graph, k: int) -> bool:
     return True
 
 
+def first_cut_vertex(G: Graph) -> int | None:
+    """The smallest vertex whose deletion disconnects G, or None.
+
+    Only deletions that leave at least two vertices count.
+    """
+    for u in range(G.n):
+        rest = [v for v in range(G.n) if v != u]
+        if len(rest) >= 2:
+            H, _ = G.subgraph(rest)
+            if not H.is_connected():
+                return u
+    return None
+
+
 def _min_st_edge_cut(G: Graph, s: int, t: int) -> int:
     """Max-flow with unit edge capacities via repeated BFS augmentation."""
     # residual capacities on directed arcs

@@ -2,10 +2,16 @@
 
 Rank and independence come from the standard pebble game: every vertex
 starts with two pebbles, and an edge is accepted when k+1 pebbles can be
-gathered on its endpoints by reversing directed paths.  On a rejected edge
-the set of vertices reachable from the endpoints spans exactly the
-fundamental circuit, which is what the component and ear-decomposition
-machinery is built from.
+gathered on its endpoints by reversing directed paths.
+
+Every other matroid question is answered from a single game: the basis B
+it accepts and, for each rejected edge f, the fundamental circuit C(f,B),
+read from the pebbles at the moment f is rejected.  The components are the
+classes of "lies in a common fundamental circuit" (the single-basis
+component rule), the coloops are the basis edges in no fundamental
+circuit, G is a circuit when exactly one edge is rejected and its circuit
+is E, and each ear of an ear decomposition is one fundamental circuit of a
+game that plays the previous ears first.
 
 The k = 2 case (rank2k(..., 2), circuits, M(2,2)-components, connectivity,
 ear decompositions) is the one the rigidity theory uses; k = 3 serves the
@@ -94,14 +100,18 @@ class PebbleGame:
     def fundamental_circuit_of_rejected(self, u: int, v: int) -> frozenset[Edge]:
         """Circuit created by the edge uv that insert() just rejected.
 
-        After a failed maximal pebble search the reachable region R is tight
-        and carries exactly the circuit: the accepted edges induced on R
-        plus uv.
+        It must be read before the next insert.  When insert(u, v) fails,
+        u and v hold k pebbles and no other pebble is reachable from them,
+        so the region R reachable from u and v has no out-edge leaving it:
+        its accepted edges are the out-edges of its vertices, 2|R| - k of
+        them, and R is tight.  A tight T that contains u and v holds those
+        k pebbles, so it has no out-edge leaving it either, and R is a
+        subset of T.  So R is the minimal tight set spanning uv, which is
+        V(C), and C is uv plus the out-edges of R.  Later inserts move
+        pebbles and can enlarge R.
         """
         region = self.reach(u, v)
-        circ = {
-            e for e in self.accepted if e[0] in region and e[1] in region
-        }
+        circ = {_norm_edge(x, w) for x in region for w in self.out[x]}
         circ.add(_norm_edge(u, v))
         return frozenset(circ)
 
@@ -110,32 +120,29 @@ class PebbleGame:
         return len(self.accepted)
 
 
-def _run_game(edges, k: int) -> tuple[PebbleGame, list[Edge], list[Edge]]:
-    """Play the game over the edges in the given order.
+def _basis_and_circuits(order, k: int) -> tuple[list[Edge], dict[Edge, frozenset[Edge]]]:
+    """Play one game over the edges in the given order.
 
-    Returns (state, accepted order, rejected order).  Vertex count is taken
-    from the largest label seen.
+    Returns the basis B it accepts, in order, and a dict that maps each
+    rejected edge f, in order, to its fundamental circuit C(f,B).  The
+    circuit is read when f is rejected; it lies in the basis so far plus f,
+    which is inside B + f, so it is C(f,B).
     """
-    edges = [_norm_edge(u, v) for u, v in edges]
-    n = 1 + max((v for e in edges for v in e), default=-1)
-    game = PebbleGame(max(n, 0), k)
-    rejected = []
-    for u, v in edges:
-        if not game.insert(u, v):
-            rejected.append((u, v))
-    return game, list(game.accepted), rejected
+    order = list(dict.fromkeys(_norm_edge(u, v) for u, v in order))
+    game = PebbleGame(1 + max((v for e in order for v in e), default=-1), k)
+    circuits = {}
+    for e in order:
+        if not game.insert(*e):
+            circuits[e] = game.fundamental_circuit_of_rejected(*e)
+    return game.accepted, circuits
 
 
 def rank2k(edges, k: int) -> int:
     """Rank of an edge set in the (2,k)-sparsity matroid."""
-    seen = set()
-    uniq = []
-    for u, v in edges:
-        e = _norm_edge(u, v)
-        if e not in seen:
-            seen.add(e)
-            uniq.append(e)
-    game, _, _ = _run_game(uniq, k)
+    uniq = list(dict.fromkeys(_norm_edge(u, v) for u, v in edges))
+    game = PebbleGame(1 + max((v for e in uniq for v in e), default=-1), k)
+    for e in uniq:
+        game.insert(*e)
     return game.rank
 
 
@@ -155,13 +162,30 @@ def is_circuit22(G: Graph) -> bool:
 
     Equivalent formulations: |E| = 2|V|-1 with every proper subgraph
     (2,2)-sparse, or G dependent with G-e independent for every edge.
+
+    One game decides it: E is a circuit iff it has nullity one and its
+    one circuit is E.  Nullity one means exactly one edge f is rejected,
+    and then the one circuit in E is C(f,B).
     """
     if G.m < 1 or G.min_degree() == 0:
         raise ValueError("needs at least one edge and no isolated vertices")
     if G.m != 2 * G.n - 1:
         return False
-    edges = G.sorted_edges()
-    return all(rank2k(edges[:i] + edges[i + 1:], 2) == G.m - 1 for i in range(G.m))
+    _, circuits = _basis_and_circuits(G.sorted_edges(), 2)
+    return len(circuits) == 1 and next(iter(circuits.values())) == G.edges
+
+
+def coloops(edges, k: int) -> frozenset[Edge]:
+    """The edges that lie in every basis of the (2,k) matroid on edges.
+
+    These are the basis edges of one game that lie in no fundamental
+    circuit.  A basis edge b in C(f,B) is not a coloop, because B - b + f
+    is a basis that avoids b.  If b lies in no C(f,B), every f outside B
+    is spanned by B - b, so E - b has rank |B| - 1 and b is a coloop.
+    """
+    basis, circuits = _basis_and_circuits(edges, k)
+    in_circuit = set().union(*circuits.values())
+    return frozenset(b for b in basis if b not in in_circuit)
 
 
 def fundamental_circuit(base, e: Edge, k: int = 2) -> frozenset[Edge]:
@@ -195,55 +219,30 @@ class _UnionFind:
             x = self.parent[x]
         return x
 
-    def union(self, x, y) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
-
-
-def _component_pass(uf: _UnionFind, edges, k: int) -> bool:
-    """One fundamental-circuit pass over edges in the given order."""
-    n = 1 + max(v for e in edges for v in e)
-    game = PebbleGame(n, k)
-    merged = False
-    for u, v in edges:
-        if not game.insert(u, v):
-            circ = list(game.fundamental_circuit_of_rejected(u, v))
-            for f in circ[1:]:
-                merged |= uf.union(circ[0], f)
-    return merged
+    def union(self, x, y) -> None:
+        self.parent[self.find(x)] = self.find(y)
 
 
 def m22_components(G: Graph) -> list[frozenset[Edge]]:
     """Partition of E into components of the (2,2) matroid.
 
-    Edges sharing a circuit get merged via the fundamental circuits of one
-    basis; passes with differently ordered bases repeat until no pass merges
-    anything, guarding the single-basis characterisation.
+    Single-basis component rule: for any basis B, the components are the
+    classes of the relation "lies in a common fundamental circuit C(f,B)",
+    so the fundamental circuits of one game, merged by union-find, give
+    them (Krogdahl 1977; Oxley, Matroid Theory, section 4.3).
     """
     if G.m < 1 or G.min_degree() == 0:
         raise ValueError("needs at least one edge and no isolated vertices")
     edges = G.sorted_edges()
     uf = _UnionFind(edges)
-    orders = [edges, list(reversed(edges))]
-    i = 0
-    while True:
-        order = orders[i % 2] if i < 2 else _rotated(edges, i)
-        merged = _component_pass(uf, order, 2)
-        i += 1
-        if i >= 2 and not merged:
-            break
+    _, circuits = _basis_and_circuits(edges, 2)
+    for f, circ in circuits.items():
+        for e in circ:
+            uf.union(f, e)
     groups: dict[Edge, set[Edge]] = {}
     for e in edges:
         groups.setdefault(uf.find(e), set()).add(e)
     return sorted((frozenset(g) for g in groups.values()), key=sorted)
-
-
-def _rotated(edges, i):
-    j = i % len(edges)
-    return edges[j:] + edges[:j]
 
 
 def is_m22_connected(G: Graph) -> bool:
@@ -302,58 +301,6 @@ class EarDecomposition:
         return out
 
 
-def _split_basis(edges, dset, k: int):
-    """Basis built with priority to the edges of dset.
-
-    Returns (basis_of_d, basis_rest, rejected_rest, fundamental_circuits),
-    the last mapping each rejected edge to its circuit w.r.t. the basis.
-    """
-    d_edges = sorted(e for e in edges if e in dset)
-    rest = sorted(e for e in edges if e not in dset)
-    n = 1 + max(v for e in edges for v in e)
-    game = PebbleGame(n, k)
-    bd = [e for e in d_edges if game.insert(*e)]
-    bn, rej = [], []
-    circuits = {}
-    for e in rest:
-        if game.insert(*e):
-            bn.append(e)
-        else:
-            rej.append(e)
-            circuits[e] = game.fundamental_circuit_of_rejected(*e)
-    return bd, bn, rej, circuits
-
-
-def _contraction_circuit(f, bn, bd, m_circuit, k: int):
-    """The unique circuit of the contraction M/D inside basis-rest + f.
-
-    m_circuit is the fundamental circuit of f w.r.t. the D-priority basis;
-    the contraction circuit lives inside its part beyond D, which keeps the
-    exchange tests few.
-    """
-    rank_d = len(bd)
-    candidates = [e for e in bn if e in m_circuit]
-
-    def n_rank(edge_set):
-        return rank2k(list(bd) + list(edge_set), k) - rank_d
-
-    full = n_rank(bn)
-    members = [f]
-    for e in candidates:
-        trial = [x for x in bn if x != e] + [f]
-        if n_rank(trial) == full:
-            members.append(e)
-    return frozenset(members)
-
-
-def _unique_circuit(edge_set, k: int) -> frozenset[Edge]:
-    """Circuit of a nullity-one edge set (exactly one insert fails)."""
-    game, _, rejected = _run_game(sorted(edge_set), k)
-    if len(rejected) != 1:
-        raise RuntimeError("edge set does not have nullity one")
-    return game.fundamental_circuit_of_rejected(*rejected[0])
-
-
 def ear_decomposition(G: Graph) -> EarDecomposition | None:
     """An ear decomposition of the (2,2) matroid of G, or None.
 
@@ -362,44 +309,38 @@ def ear_decomposition(G: Graph) -> EarDecomposition | None:
     qualifying circuit, one with the fewest new edges (ties broken by the
     sorted edge list), which makes the output deterministic and gives the
     inclusion-minimality property (E3).
+
+    The first ear is the circuit of the first edge rejected in sorted
+    order.  Each later ear comes from one game over sorted(D) + sorted(E-D),
+    whose basis B splits into B_D (inside D) and B_N.  For a rejected f
+    outside D and e in B_N: e lies in the circuit of f in M/D iff B - e + f
+    is a basis iff e lies in C = C(f,B).  So that contraction circuit is
+    K_f = C - B_D, a circuit of M/D exactly when C meets B_D (otherwise K_f
+    = C is dependent in M).  C is the one circuit inside B_D + K_f, it is
+    the ear, and K_f is its set of new edges.
     """
     if G.n > 0 and G.min_degree() == 0:
         raise ValueError("no isolated vertices allowed")
     if G.m < 2:
         return None
     edges = G.sorted_edges()
-    _, _, rejected = _run_game(edges, 2)
-    if not rejected:
+    _, circuits = _basis_and_circuits(edges, 2)
+    if not circuits:
         return None  # independent: no circuits at all
-    # first ear: fundamental circuit of the first edge rejected in order
-    ears = [_first_circuit(edges)]
+    ears = [next(iter(circuits.values()))]
     covered = set(ears[0])
-    all_edges = set(edges)
-    while covered != all_edges:
-        bd, bn, rej, m_circuits = _split_basis(edges, covered, 2)
-        best = None
-        for f in rej:
-            kf = _contraction_circuit(f, bn, bd, m_circuits[f], 2)
-            if rank2k(kf, 2) != len(kf):
-                continue  # a circuit avoiding D; not a qualifying ear
-            key = (len(kf), tuple(sorted(kf)))
-            if best is None or key < best[0]:
-                best = (key, kf)
-        if best is None:
+    while len(covered) < G.m:
+        basis, circuits = _basis_and_circuits(
+            sorted(covered) + sorted(e for e in edges if e not in covered), 2
+        )
+        bd = covered.intersection(basis)
+        qualifying = [
+            circ for f, circ in circuits.items()
+            if f not in covered and not circ.isdisjoint(bd)
+        ]
+        if not qualifying:
             return None  # matroid disconnected
-        kf = best[1]
-        circ = _unique_circuit(set(bd) | set(kf), 2)
-        ears.append(circ)
-        covered |= circ
+        ear = min(qualifying, key=lambda circ: (len(circ - bd), sorted(circ - bd)))
+        ears.append(ear)
+        covered |= ear
     return EarDecomposition(tuple(ears))
-
-
-def _first_circuit(edges) -> frozenset[Edge]:
-    """Fundamental circuit of the first edge rejected in canonical order."""
-    order = sorted(edges)
-    n = 1 + max(v for e in order for v in e)
-    game = PebbleGame(n, 2)
-    for u, v in order:
-        if not game.insert(u, v):
-            return game.fundamental_circuit_of_rejected(u, v)
-    raise ValueError("edge set is independent; no circuit")

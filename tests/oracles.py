@@ -1,14 +1,18 @@
-"""Independent brute-force oracles the library is checked against.
+"""Independent oracles the library is checked against.
 
-Everything here works straight from the counting definition of
+The brute-force oracles work straight from the counting definition of
 (2,k)-sparsity (|E'| <= 2|V'| - k over all vertex subsets), never through
-the pebble game, so agreement is meaningful.
+the pebble game, so agreement is meaningful.  The reference routines at the
+end are the library's earlier many-game versions of questions it now
+answers from the fundamental circuits of one game; they run on graphs far
+past the brute-force caps.
 """
 
 import itertools
 from functools import lru_cache
 
 from planerigidity.graphs import Graph
+from planerigidity.sparsity import PebbleGame, rank2k
 
 
 def vertices_of(edges):
@@ -131,3 +135,67 @@ def graphs_up_to_iso(n):
             if code not in seen:
                 seen[code] = Graph.from_edges(n, edges)
     return list(seen.values())
+
+
+# ---------------------------------------------------------------------------
+# many-game reference routines
+
+
+def components_multipass(G: Graph):
+    """Matroid components from fundamental-circuit passes over differently
+    ordered bases (sorted, reversed, then rotations), repeated until a pass
+    merges nothing."""
+    edges = G.sorted_edges()
+    parent = {e: e for e in edges}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def one_pass(order):
+        game = PebbleGame(G.n, 2)
+        merged = False
+        for u, v in order:
+            if not game.insert(u, v):
+                circ = list(game.fundamental_circuit_of_rejected(u, v))
+                for f in circ[1:]:
+                    rx, ry = find(circ[0]), find(f)
+                    if rx != ry:
+                        parent[rx] = ry
+                        merged = True
+        return merged
+
+    i = 0
+    while True:
+        if i < 2:
+            order = edges if i == 0 else list(reversed(edges))
+        else:
+            j = i % len(edges)
+            order = edges[j:] + edges[:j]
+        merged = one_pass(order)
+        i += 1
+        if i >= 2 and not merged:
+            break
+    groups = {}
+    for e in edges:
+        groups.setdefault(find(e), set()).add(e)
+    return sorted((frozenset(g) for g in groups.values()), key=sorted)
+
+
+def coloops_leave_one_out(edges, k):
+    """Edges whose deletion lowers the (2,k) rank, one game per edge."""
+    edges = sorted(edges)
+    r = rank2k(edges, k)
+    return frozenset(
+        e for i, e in enumerate(edges) if rank2k(edges[:i] + edges[i + 1:], k) != r
+    )
+
+
+def is_circuit22_leave_one_out(G: Graph):
+    """|E| = 2|V| - 1 and every G - e independent, one game per edge."""
+    if G.m != 2 * G.n - 1:
+        return False
+    edges = G.sorted_edges()
+    return all(rank2k(edges[:i] + edges[i + 1:], 2) == G.m - 1 for i in range(G.m))

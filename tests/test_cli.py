@@ -222,6 +222,18 @@ class TestRandom:
         code, _, err = run(["random", "--model", "gnp", "--seed", "1"])
         assert code == 1 and "required" in err
 
+    def test_gnp_negative_n_is_error_1(self):
+        code, out, err = run(["random", "--model", "gnp", "--n", "-3", "--seed", "1"])
+        assert code == 1 and out == "" and "non-negative" in err
+
+    def test_regular_without_simple_pairing_is_error_1(self):
+        # K8 is the only 7-regular graph on 8 vertices, and the pairing
+        # model draws it too rarely to wait for
+        code, out, err = run(
+            ["random", "--model", "regular", "--n", "8", "--degree", "7", "--seed", "1"]
+        )
+        assert code == 1 and out == "" and "attempts" in err
+
 
 class TestExperiment:
     def test_regular_golden(self):

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planerigidity import catalog as cat
+from planerigidity.formats import parse_graph6
 from planerigidity.graphs import Graph
+from planerigidity.moves import random_m22_graph
 from planerigidity.sparsity import (
     PebbleGame,
+    coloops,
     ear_decomposition,
     fundamental_circuit,
     is_circuit22,
@@ -18,9 +21,13 @@ from planerigidity.sparsity import (
     rank2k,
 )
 
+from corpus import decision_corpus
 from oracles import (
     circuits_brute,
+    coloops_leave_one_out,
     components_brute,
+    components_multipass,
+    is_circuit22_leave_one_out,
     is_sparse_brute,
     rank_brute,
 )
@@ -165,6 +172,11 @@ class TestFundamentalCircuit:
 
 
 class TestComponents:
+    def test_coloops_named_examples(self):
+        assert coloops(cat.k5_minus().edges, 2) == frozenset()
+        assert coloops(cat.wheel_graph(5).edges, 2) == cat.wheel_graph(5).edges
+        assert coloops(cat.complete_graph(4).edges, 3) == frozenset()
+
     def test_named_examples(self):
         assert len(m22_components(cat.k5_minus())) == 1
         assert len(m22_components(cat.complete_graph(4))) == 6
@@ -265,6 +277,47 @@ class TestEarDecomposition:
             ed = ear_decomposition(G)
             assert ed is not None
             check_ear_axioms(G, ed)
+
+    def test_pinned_ears_are_circuits(self):
+        # random_m22_graph(14, 12), n=13, m=32: reading a circuit after
+        # later inserts had moved pebbles once made ear 8 a dependent set
+        # of 21 edges on 11 vertices
+        G = parse_graph6("Lxrg{gAOop|CGB")
+        ed = ear_decomposition(G)
+        assert ed is not None
+        check_ear_axioms(G, ed)
+
+
+class TestAgainstManyGameReferences:
+    """The one-game answers against the routines they replaced."""
+
+    @staticmethod
+    def graphs():
+        out = [G for G in decision_corpus(150, seed=57) if G.m >= 1 and G.min_degree() > 0]
+        # walks well past the brute-force caps of seven vertices
+        out += [random_m22_graph(steps, seed) for seed, steps in enumerate(range(4, 16))]
+        return out
+
+    def test_components(self):
+        for G in self.graphs():
+            assert m22_components(G) == components_multipass(G)
+
+    def test_coloops(self):
+        for G in self.graphs():
+            for k in (2, 3):
+                assert coloops(G.edges, k) == coloops_leave_one_out(G.edges, k)
+
+    def test_is_circuit22(self):
+        graphs = self.graphs()
+        # every ear is a circuit, so these cover the positive answers
+        for G in list(graphs):
+            ed = ear_decomposition(G)
+            for C in ed.circuits if ed is not None else ():
+                vs = sorted({v for e in C for v in e})
+                graphs.append(Graph.from_edges(G.n, C).subgraph(vs)[0])
+        assert any(is_circuit22(G) for G in graphs)
+        for G in graphs:
+            assert is_circuit22(G) == is_circuit22_leave_one_out(G)
 
 
 def check_ear_axioms(G, ed, circuits=None):
