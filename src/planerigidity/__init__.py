@@ -36,6 +36,7 @@ from .geometry import (
     Placement,
     RigidityOperator,
     cut_vertex_counterexample,
+    deletion_ranks,
     is_congruent,
     is_inf_rigid,
     is_redundantly_rigid,

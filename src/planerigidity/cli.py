@@ -118,6 +118,8 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.samples < 0:
+        raise ValueError("--samples must be non-negative")
     ns = [int(x) for x in args.n.split(",")] if args.n else [10]
     if args.model == "m22":
         ns = [None]  # sizes vary with the walk; n is not a parameter

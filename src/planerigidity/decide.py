@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .formats import edge_set_text
 from .geometry import (
     NormedPlane,
     Placement,
+    deletion_ranks,
     random_regular_placement,
-    rank_of,
     rigidity_operator,
 )
 from .graphs import (
@@ -53,6 +54,7 @@ class NumericAgreement:
     inf_rigid_numeric: bool
     redundant_numeric: bool
     matches_combinatorial: bool
+    disagreeing_edges: tuple[Edge, ...] = ()
 
 
 @dataclass
@@ -93,6 +95,11 @@ class RigidityReport:
             lines.append(
                 f"numeric.matches_combinatorial: {_yn(na.matches_combinatorial)}"
             )
+            if not na.matches_combinatorial:
+                lines.append(
+                    "numeric.disagreeing_edges: "
+                    + (edge_set_text(na.disagreeing_edges) or "none")
+                )
         return "\n".join(lines)
 
 
@@ -292,8 +299,11 @@ def certify(
 
     Cross-validates: numeric infinitesimal rigidity against the spanning
     tight subgraph, and numeric redundant rigidity against every edge lying
-    in a circuit plus the spanning tight subgraph.  A placement may be
-    supplied; by default one is sampled from the seed.
+    in a circuit plus the spanning tight subgraph.  When they disagree,
+    the report names the edges whose numeric redundancy (deletion rank at
+    the target) differs from the combinatorial one (spanning tight and in
+    some circuit).  A placement may be supplied; by default one is sampled
+    from the seed.
     """
     report = is_globally_rigid_analytic(G)
     if placement is None:
@@ -301,13 +311,8 @@ def certify(
     op = rigidity_operator(G, placement, plane, scaled=True)
     mode = "exact" if op.is_exact() else "float"
     target = 2 * G.n - plane.trivial_flex_dim
-    rank = rank_of(op, mode)
-    edge_ranks = {}
-    rows = op.matrix
-    for i, e in enumerate(op.edges):
-        sub_rows = rows[:i] + rows[i + 1:]
-        sub = type(op)(sub_rows, op.edges[:i] + op.edges[i + 1:], op.n, op.scaled)
-        edge_ranks[e] = rank_of(sub, mode)
+    rank, row_ranks = deletion_ranks(op, mode)
+    edge_ranks = dict(zip(op.edges, row_ranks))
     inf_rigid_num = rank == target
     redundant_num = all(r == target for r in edge_ranks.values())
 
@@ -315,9 +320,13 @@ def certify(
     edges = G.sorted_edges()
     comb_rank = rank2k(edges, k)
     spanning_tight = comb_rank == 2 * G.n - k
-    no_coloop = not coloops(edges, k)
+    cols = coloops(edges, k)
     agree = (inf_rigid_num == spanning_tight) and (
-        redundant_num == (spanning_tight and no_coloop)
+        redundant_num == (spanning_tight and not cols)
+    )
+    disagreeing = tuple(
+        e for e in op.edges
+        if (edge_ranks[e] == target) != (spanning_tight and e not in cols)
     )
     report.numeric_agreement = NumericAgreement(
         p=plane.p,
@@ -329,5 +338,6 @@ def certify(
         inf_rigid_numeric=inf_rigid_num,
         redundant_numeric=redundant_num,
         matches_combinatorial=agree,
+        disagreeing_edges=disagreeing,
     )
     return report

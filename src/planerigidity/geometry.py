@@ -3,9 +3,17 @@ rank, rigidity predicates, reflections and counterexample placements.
 
 Exponents p with 1 < p < infinity keep the plane smooth and strictly
 convex.  For even integer p and rational coordinates the row-scaled
-operator has exact rational entries, so ranks can be certified by
-fraction-free elimination; everything else falls back to numpy SVD with a
-relative tolerance.
+operator has exact rational entries.  Its rank is then certified by one
+Gauss-Jordan elimination modulo the prime 2^61 - 1 whenever the modular
+rank reaches the bound min(m, 2n - 2); a lower modular rank falls back to
+fraction-free (Bareiss) elimination over the integers.  Everything else
+uses numpy SVD with a relative tolerance.
+
+The same elimination gives the self-stresses (the left kernel), and a row
+can be deleted without losing rank iff some self-stress is nonzero on it.
+So `deletion_ranks` answers the rank of the operator minus each row from
+one modular elimination (exact mode) or one SVD (float mode), and only
+the rows that the modular answer cannot settle are eliminated again.
 """
 
 from __future__ import annotations
@@ -43,8 +51,8 @@ class NormedPlane:
     p: float
 
     def __post_init__(self):
-        if not self.p > 1:
-            raise ValueError("need p > 1 (smooth and strictly convex)")
+        if not (self.p > 1 and math.isfinite(self.p)):
+            raise ValueError("need 1 < p < infinity (smooth and strictly convex)")
 
     @property
     def euclidean(self) -> bool:
@@ -180,18 +188,31 @@ def rigidity_operator(
 # ---------------------------------------------------------------------------
 # rank
 
+# a Mersenne prime; perfbench/reference.py checks ranks modulo 2^31 - 1, so
+# the program and its checker cannot share a prime's blind spot
+_PRIME = (1 << 61) - 1
+
+
+def _integer_rows(rows) -> list[list[int]]:
+    """Each rational row times the lcm of its denominators.
+
+    Positive row scalings change neither the rank of any set of rows nor
+    which rows a self-stress can be nonzero on.
+    """
+    out = []
+    for row in rows:
+        den = math.lcm(*(c.denominator for c in row if c))
+        out.append([c.numerator * (den // c.denominator) if c else 0 for c in row])
+    return out
+
 
 def _bareiss_rank(rows) -> int:
     """Rank by fraction-free elimination over exact integers.
 
-    Rows are scaled to integers first (positive row scalings preserve
-    rank); all arithmetic stays in Python bigints.
+    Rows are scaled to integers first (`_integer_rows`); all arithmetic
+    stays in Python bigints.
     """
-    mat = []
-    for row in rows:
-        fracs = [Fraction(c) for c in row]
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        mat.append([int(f * den) for f in fracs])
+    mat = _integer_rows(rows)
     m = len(mat)
     cols = len(mat[0]) if m else 0
     rank = 0
@@ -214,25 +235,119 @@ def _bareiss_rank(rows) -> int:
     return rank
 
 
+def _modular_profile(rows, cols: int) -> tuple[int, frozenset[int]]:
+    """Rank of an integer matrix modulo _PRIME, and its stressed rows.
+
+    Gauss-Jordan on the transpose: its columns are the rows of the matrix,
+    and each free column j gives the self-stress e_j - sum_k R[k][j] e_pk
+    (pk the pivot column of reduced row k).  These stresses span the left
+    kernel mod p, so a free column is always stressed and a pivot column
+    pk is stressed iff R[k] is nonzero on some free column.  A row is
+    stressed iff deleting it keeps the rank mod p.
+    """
+    P = _PRIME
+    m = len(rows)
+    T = [[row[c] % P for row in rows] for c in range(cols)]
+    pivots = []
+    for j in range(m):
+        r = len(pivots)
+        if r == cols:
+            break
+        piv = next((i for i in range(r, cols) if T[i][j]), None)
+        if piv is None:
+            continue
+        T[r], T[piv] = T[piv], T[r]
+        inv = pow(T[r][j], P - 2, P)
+        prow = T[r] = [x * inv % P for x in T[r]]
+        for i in range(cols):
+            f = T[i][j]
+            if f and i != r:
+                T[i] = [(a - f * b) % P for a, b in zip(T[i], prow)]
+        pivots.append(j)
+    free = set(range(m)).difference(pivots)
+    return len(pivots), frozenset(free).union(
+        pj for k, pj in enumerate(pivots) if any(T[k][j] for j in free)
+    )
+
+
 def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int:
-    """Rank of the operator; exact fraction-free elimination or SVD.
+    """Rank of the operator; exact (modular with a Bareiss fallback) or SVD.
 
     Exact mode requires rational entries (p = 2, or the scaled operator for
-    even integer p with a rational placement).  Float mode counts singular
-    values above tol times the largest.
+    even integer p with a rational placement).  It eliminates modulo the
+    prime p = 2^61 - 1 first.  rank_p <= rank_Q, since a nonzero minor mod
+    p is a nonzero integer minor; and rank_Q <= min(m, 2n - 2), since the
+    translations lie in the kernel.  So a modular rank that reaches
+    min(m, 2n - 2) is the exact rank; anything lower is recomputed by
+    fraction-free elimination (`_bareiss_rank`).  Float mode counts
+    singular values above tol times the largest.
     """
     if not op.matrix:
         return 0
     if mode == "exact":
         if not op.is_exact():
             raise ValueError("exact rank needs rational entries; use float mode")
-        return _bareiss_rank(op.matrix)
+        rows = _integer_rows(op.matrix)
+        rank, _ = _modular_profile(rows, 2 * op.n)
+        if rank == min(len(rows), 2 * op.n - 2):
+            return rank
+        return _bareiss_rank(rows)
     if mode == "float":
         sv = np.linalg.svd(op.as_array(), compute_uv=False)
         if sv.size == 0 or sv[0] == 0.0:
             return 0
         return int(np.sum(sv > tol * sv[0]))
     raise ValueError(f"unknown rank mode {mode!r}")
+
+
+def _without_row(op: RigidityOperator, i: int) -> RigidityOperator:
+    return RigidityOperator(
+        op.matrix[:i] + op.matrix[i + 1:],
+        op.edges[:i] + op.edges[i + 1:],
+        op.n,
+        op.scaled,
+    )
+
+
+def deletion_ranks(
+    op: RigidityOperator, mode: str = "exact", tol: float = 1e-9
+) -> tuple[int, tuple[int, ...]]:
+    """The rank of the operator and the rank with each row deleted.
+
+    Deleting row i keeps the rank r iff some self-stress (left-kernel
+    vector) is nonzero on it; otherwise the rank drops to r - 1.  The rank
+    itself comes from `rank_of`.  When r = m the rows are independent and
+    every deletion rank is m - 1 (in float mode too: the singular values
+    of A - row interlace those of A, so its m - 1 largest stay above tol
+    times its largest).
+
+    Otherwise exact mode reads the stressed rows from one elimination mod
+    p (`_modular_profile`).  When rank_p = r, a row stressed mod p has
+    rank_p(A - row) = r, so rank_Q(A - row) >= r, hence = r.  Any other
+    row (unstressed mod p, or every row when rank_p < r) is confirmed by
+    `rank_of` on the operator without it.
+
+    Float mode runs one SVD of the row-normalised array: row i counts as
+    stressed iff row i of U[:, r:], the left singular vectors beyond the
+    rank, has norm above tol.
+    """
+    m = len(op.matrix)
+    rank = rank_of(op, mode, tol)
+    if rank == m:
+        return rank, (rank - 1,) * m
+    if mode == "float":
+        A = op.as_array()
+        A /= np.linalg.norm(A, axis=1, keepdims=True)
+        U = np.linalg.svd(A)[0]
+        weight = np.linalg.norm(U[:, rank:], axis=1)
+        return rank, tuple(rank if w > tol else rank - 1 for w in weight)
+    r_p, stressed = _modular_profile(_integer_rows(op.matrix), 2 * op.n)
+    if r_p != rank:
+        stressed = frozenset()
+    return rank, tuple(
+        rank if i in stressed else rank_of(_without_row(op, i), mode, tol)
+        for i in range(m)
+    )
 
 
 def _auto_mode(op: RigidityOperator) -> str:
@@ -260,15 +375,8 @@ def is_redundantly_rigid(
         raise ValueError("needs at least two vertices and one edge")
     target = 2 * G.n - plane.trivial_flex_dim
     op = rigidity_operator(G, placement, plane, scaled=True)
-    mode = mode or _auto_mode(op)
-    rows = op.matrix
-    for i in range(len(rows)):
-        sub = RigidityOperator(
-            rows[:i] + rows[i + 1:], op.edges[:i] + op.edges[i + 1:], op.n, op.scaled
-        )
-        if rank_of(sub, mode, tol) != target:
-            return False
-    return True
+    _, ranks = deletion_ranks(op, mode or _auto_mode(op), tol)
+    return all(r == target for r in ranks)
 
 
 def random_regular_placement(G: Graph, plane: NormedPlane, seed: int) -> Placement:

@@ -12,6 +12,8 @@ PAIRING_ATTEMPTS = 10_000  # past this a simple pairing is too rare to wait for
 def gnp_graph(n: int, prob: float, seed: int) -> Graph:
     if n < 0:
         raise ValueError("n must be non-negative")
+    if not 0 <= prob <= 1:
+        raise ValueError("prob must lie in [0, 1]")
     rng = random.Random(seed)
     edges = [
         (u, v)

@@ -4,13 +4,15 @@ The brute-force oracles work straight from the counting definition of
 (2,k)-sparsity (|E'| <= 2|V'| - k over all vertex subsets), never through
 the pebble game, so agreement is meaningful.  The reference routines at the
 end are the library's earlier many-game versions of questions it now
-answers from the fundamental circuits of one game; they run on graphs far
-past the brute-force caps.
+answers from the fundamental circuits of one game, and its earlier m + 1
+eliminations for the deletion ranks of a rigidity operator; they run on
+graphs far past the brute-force caps.
 """
 
 import itertools
 from functools import lru_cache
 
+from planerigidity.geometry import RigidityOperator, _bareiss_rank, rank_of
 from planerigidity.graphs import Graph
 from planerigidity.sparsity import PebbleGame, rank2k
 
@@ -199,3 +201,21 @@ def is_circuit22_leave_one_out(G: Graph):
         return False
     edges = G.sorted_edges()
     return all(rank2k(edges[:i] + edges[i + 1:], 2) == G.m - 1 for i in range(G.m))
+
+
+def deletion_ranks_loop(op: RigidityOperator, mode: str, tol: float = 1e-9):
+    """Rank of the operator and of each single-row deletion, one elimination
+    per row: fraction-free (`_bareiss_rank`) in exact mode, SVD in float."""
+
+    def rank(sub):
+        if mode == "exact":
+            return _bareiss_rank(sub.matrix) if sub.matrix else 0
+        return rank_of(sub, "float", tol)
+
+    rows, edges = op.matrix, op.edges
+    return rank(op), tuple(
+        rank(RigidityOperator(
+            rows[:i] + rows[i + 1:], edges[:i] + edges[i + 1:], op.n, op.scaled
+        ))
+        for i in range(len(rows))
+    )

@@ -195,6 +195,29 @@ class TestCertify:
         )
         assert code == 0 and out == CERTIFY_W5_GOLDEN
 
+    def test_collinear_placement_names_disagreeing_edges(self, tmp_path):
+        ppath = tmp_path / "pl.txt"
+        ppath.write_text("".join(f"{v} {v} {v}\n" for v in range(5)))
+        code, out, _ = run(
+            ["certify", "-", "--p", "4", "--placement", str(ppath)],
+            emit_edgelist(cat.k5_minus()),
+        )
+        assert code == 0
+        assert "numeric.rank: 4/8\n" in out
+        assert out.endswith(
+            "numeric.matches_combinatorial: false\n"
+            "numeric.disagreeing_edges: " + " ".join(
+                f"{u}-{v}" for u, v in sorted(cat.k5_minus().edges)
+            ) + "\n"
+        )
+
+    @pytest.mark.parametrize("cmd, p", [("certify", "inf"), ("rank", "1e400")])
+    def test_infinite_p_is_error_1(self, cmd, p):
+        code, out, err = run(
+            [cmd, "-", "--p", p, "--seed", "1"], emit_edgelist(cat.k5_minus())
+        )
+        assert code == 1 and out == "" and "error:" in err and "infinity" in err
+
 
 class TestRandom:
     def test_m22_deterministic(self):
@@ -225,6 +248,13 @@ class TestRandom:
     def test_gnp_negative_n_is_error_1(self):
         code, out, err = run(["random", "--model", "gnp", "--n", "-3", "--seed", "1"])
         assert code == 1 and out == "" and "non-negative" in err
+
+    @pytest.mark.parametrize("prob", ["-1", "1.5", "nan"])
+    def test_gnp_prob_out_of_range_is_error_1(self, prob):
+        code, out, err = run(
+            ["random", "--model", "gnp", "--n", "4", "--prob", prob, "--seed", "1"]
+        )
+        assert code == 1 and out == "" and "prob" in err
 
     def test_regular_without_simple_pairing_is_error_1(self):
         # K8 is the only 7-regular graph on 8 vertices, and the pairing
@@ -262,6 +292,12 @@ class TestExperiment:
         with pytest.raises(SystemExit) as exc:
             run(["experiment", "--model", "nonsense"])
         assert exc.value.code == 2
+
+    def test_negative_samples_is_error_1(self):
+        code, out, err = run(
+            ["experiment", "--model", "gnp", "--n", "5", "--samples", "-1", "--seed", "1"]
+        )
+        assert code == 1 and out == "" and "--samples" in err
 
 
 class TestUsage:

@@ -11,7 +11,7 @@ from planerigidity.decide import (
     is_globally_rigid_euclidean,
     sufficient_checks,
 )
-from planerigidity.geometry import NormedPlane
+from planerigidity.geometry import NormedPlane, Placement
 from planerigidity.graphs import Graph, is_k_connected
 from planerigidity.sparsity import ear_decomposition, is_m22_connected, rank2k
 
@@ -230,3 +230,29 @@ class TestCertify:
             assert r.numeric_agreement.matches_combinatorial, sorted(G.edges)
             checked += 1
         assert checked >= 40
+
+    def test_degenerate_placement_names_disagreeing_edges(self):
+        # K5 plus a vertex of degree 2, drawn on the line y = x: the rank
+        # collapses to n - 1, so no edge is numerically redundant, while
+        # every K5 edge lies in a circuit; the two edges at vertex 5 are
+        # coloops and agree
+        G = Graph.from_edges(6, cat.complete_graph(5).edges | {(0, 5), (1, 5)})
+        pl = Placement(tuple((v, v) for v in range(6)))
+        r = certify(G, NormedPlane(4), 0, placement=pl)
+        na = r.numeric_agreement
+        assert na.rank == 5 and na.target == 10
+        assert not na.matches_combinatorial
+        assert na.disagreeing_edges == tuple(sorted(cat.complete_graph(5).edges))
+        assert r.to_text().endswith(
+            "numeric.matches_combinatorial: false\n"
+            "numeric.disagreeing_edges: 0-1 0-2 0-3 0-4 1-2 1-3 1-4 2-3 2-4 3-4"
+        )
+
+    def test_no_disagreement_line_when_agreeing(self):
+        for i, G in enumerate(decision_corpus(30, seed=78, max_n=8)):
+            if G.n < 2 or G.m == 0:
+                continue
+            r = certify(G, NormedPlane(4), seed=6100 + i)
+            assert r.numeric_agreement.matches_combinatorial
+            assert r.numeric_agreement.disagreeing_edges == ()
+            assert "disagreeing" not in r.to_text()

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planerigidity import catalog as cat
+from planerigidity import geometry
 from planerigidity.geometry import (
     NormedPlane,
     Placement,
     cut_vertex_counterexample,
+    deletion_ranks,
     equivalent_exactly,
     is_congruent,
     is_inf_rigid,
@@ -22,6 +24,9 @@ from planerigidity.geometry import (
 )
 from planerigidity.graphs import Graph
 from planerigidity.sparsity import rank2k
+
+from corpus import decision_corpus
+from oracles import deletion_ranks_loop
 
 L2 = NormedPlane(2)
 L4 = NormedPlane(4)
@@ -36,6 +41,11 @@ class TestPlane:
     def test_rejects_bad_exponent(self):
         with pytest.raises(ValueError):
             NormedPlane(1.0)
+
+    @pytest.mark.parametrize("p", [math.inf, 1e400, math.nan])
+    def test_rejects_non_finite_exponent(self, p):
+        with pytest.raises(ValueError):
+            NormedPlane(p)
 
 
 class TestSupportFunctional:
@@ -129,6 +139,66 @@ class TestRank:
         op = rigidity_operator(G, pl, NormedPlane(3), scaled=True)
         with pytest.raises(ValueError):
             rank_of(op, "exact")
+
+
+def _corpus_frameworks(p, count=60):
+    plane = NormedPlane(p)
+    for i, G in enumerate(decision_corpus(count, seed=71)):
+        pl = random_regular_placement(G, plane, 700 + i)
+        yield rigidity_operator(G, pl, plane, scaled=True)
+
+
+class TestDeletionRanks:
+    @pytest.mark.parametrize("p, mode", [(2, "exact"), (4, "exact"), (6, "exact"), (3, "float")])
+    def test_matches_one_elimination_per_row(self, p, mode):
+        for op in _corpus_frameworks(p):
+            assert deletion_ranks(op, mode) == deletion_ranks_loop(op, mode), op.edges
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_small_prime_falls_back_to_exact(self, monkeypatch, p):
+        # mod 3 the elimination loses rank on most frameworks, so the
+        # Bareiss fallbacks answer; the results must still be exact
+        calls = []
+        bareiss = geometry._bareiss_rank
+        monkeypatch.setattr(geometry, "_PRIME", 3)
+        monkeypatch.setattr(
+            geometry, "_bareiss_rank", lambda rows: calls.append(1) or bareiss(rows)
+        )
+        for op in _corpus_frameworks(p, count=40):
+            assert deletion_ranks(op, "exact") == deletion_ranks_loop(op, "exact"), op.edges
+        assert len(calls) > 40
+
+    def test_stressed_rows_are_not_eliminated_again(self, monkeypatch):
+        # K6 at a generic placement: the modular rank reaches 2n - 2 and
+        # every row lies in a self-stress, so one rank_of call and no
+        # Bareiss elimination answer all fifteen deletions
+        calls = []
+        monkeypatch.setattr(geometry, "_bareiss_rank", None)
+        monkeypatch.setattr(
+            geometry, "rank_of", lambda *a: calls.append(a) or rank_of(*a)
+        )
+        G = cat.complete_graph(6)
+        op = rigidity_operator(G, random_regular_placement(G, L4, 3), L4, scaled=True)
+        assert deletion_ranks(op, "exact") == (10, (10,) * 15)
+        assert len(calls) == 1
+
+    def test_collinear_placement(self):
+        # every edge direction is (1, 1), so the rank falls to n - 1 = 4
+        G = cat.complete_graph(5)
+        pl = Placement(tuple((Fraction(v), Fraction(v)) for v in range(5)))
+        for p, mode in [(4, "exact"), (3, "float")]:
+            op = rigidity_operator(G, pl, NormedPlane(p), scaled=True)
+            assert deletion_ranks(op, mode) == deletion_ranks_loop(op, mode) == (4, (4,) * 10)
+
+    def test_independent_rows_drop_by_one(self):
+        G = cat.complete_bipartite(3, 3)
+        op = rigidity_operator(G, random_regular_placement(G, L4, 5), L4, scaled=True)
+        assert deletion_ranks(op, "exact") == (9, (8,) * 9)
+
+    def test_empty_operator(self):
+        op = rigidity_operator(Graph.from_edges(3, []), Placement(((0, 0),) * 3), L4, scaled=True)
+        assert deletion_ranks(op, "exact") == (0, ())
+        assert deletion_ranks(op, "float") == (0, ())
 
 
 class TestRigidityPredicates:
