@@ -124,13 +124,15 @@ def _cmd_experiment(args) -> int:
     if args.model == "m22":
         ns = [None]  # sizes vary with the walk; n is not a parameter
     rng = random.Random(args.seed)
-    print(f"seed: {args.seed}")
+    # the lines are printed only once every sample is drawn, so that a
+    # generator error leaves nothing on stdout
+    lines = [f"seed: {args.seed}"]
     if args.model == "regular":
-        print(f"model: regular degree={args.degree}")
+        lines.append(f"model: regular degree={args.degree}")
     elif args.model == "gnp":
-        print(f"model: gnp prob={args.prob:g}")
+        lines.append(f"model: gnp prob={args.prob:g}")
     else:
-        print(f"model: m22 steps={args.steps}")
+        lines.append(f"model: m22 steps={args.steps}")
     for n in ns:
         hits = 0
         misses = []
@@ -155,7 +157,8 @@ def _cmd_experiment(args) -> int:
         )
         if misses and len(misses) <= 5:
             line += " misses=" + ",".join(str(i) for i in misses)
-        print(line)
+        lines.append(line)
+    print("\n".join(lines))
     return 0
 
 

@@ -5,7 +5,8 @@ Exponents p with 1 < p < infinity keep the plane smooth and strictly
 convex.  For even integer p and rational coordinates the row-scaled
 operator has exact rational entries.  Its rank is then certified by one
 Gauss-Jordan elimination modulo the prime 2^61 - 1 whenever the modular
-rank reaches the bound min(m, 2n - 2); a lower modular rank falls back to
+rank reaches the bound min(m, 2n - f), f the plane's trivial flex
+dimension (3 Euclidean, 2 otherwise); a lower modular rank falls back to
 fraction-free (Bareiss) elimination over the integers.  Everything else
 uses numpy SVD with a relative tolerance.
 
@@ -127,13 +128,15 @@ class RigidityOperator:
     its negative in u's columns, so uniform translations are always in the
     kernel.  With `scaled` set, each row is multiplied by |d|^(p-2), turning
     the entries into d_i^(p-1); for even p and rational placements these
-    are exact rationals.
+    are exact rationals.  `trivial_flex_dim` is that of the plane it was
+    built in (2 unless set); it bounds the rank by 2n - trivial_flex_dim.
     """
 
     matrix: tuple[tuple, ...]
     edges: tuple[Edge, ...]
     n: int
     scaled: bool
+    trivial_flex_dim: int = 2
 
     @property
     def shape(self):
@@ -182,7 +185,7 @@ def rigidity_operator(
         row[2 * u], row[2 * u + 1] = -phi[0], -phi[1]
         row[2 * v], row[2 * v + 1] = phi[0], phi[1]
         rows.append(tuple(row))
-    return RigidityOperator(tuple(rows), edges, G.n, scaled)
+    return RigidityOperator(tuple(rows), edges, G.n, scaled, plane.trivial_flex_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +279,14 @@ def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int
     Exact mode requires rational entries (p = 2, or the scaled operator for
     even integer p with a rational placement).  It eliminates modulo the
     prime p = 2^61 - 1 first.  rank_p <= rank_Q, since a nonzero minor mod
-    p is a nonzero integer minor; and rank_Q <= min(m, 2n - 2), since the
-    translations lie in the kernel.  So a modular rank that reaches
-    min(m, 2n - 2) is the exact rank; anything lower is recomputed by
-    fraction-free elimination (`_bareiss_rank`).  Float mode counts
+    p is a nonzero integer minor; and rank_Q <= min(m, 2n - f), with f the
+    operator's `trivial_flex_dim`.  The two translations always lie in the
+    kernel (f = 2).  In the Euclidean plane (f = 3) so does the rotation
+    field v_i = (-y_i, x_i): the row of edge uv is d = p_v - p_u, and
+    d . (J p_v - J p_u) = d . J d = 0.  It is not a translation, because
+    the endpoints of an edge never coincide.  So a modular rank that
+    reaches min(m, 2n - f) is the exact rank; anything lower is recomputed
+    by fraction-free elimination (`_bareiss_rank`).  Float mode counts
     singular values above tol times the largest.
     """
     if not op.matrix:
@@ -289,7 +296,7 @@ def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int
             raise ValueError("exact rank needs rational entries; use float mode")
         rows = _integer_rows(op.matrix)
         rank, _ = _modular_profile(rows, 2 * op.n)
-        if rank == min(len(rows), 2 * op.n - 2):
+        if rank == min(len(rows), 2 * op.n - op.trivial_flex_dim):
             return rank
         return _bareiss_rank(rows)
     if mode == "float":
@@ -306,6 +313,7 @@ def _without_row(op: RigidityOperator, i: int) -> RigidityOperator:
         op.edges[:i] + op.edges[i + 1:],
         op.n,
         op.scaled,
+        op.trivial_flex_dim,
     )
 
 

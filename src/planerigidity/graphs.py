@@ -9,6 +9,7 @@ trivial downstream.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -155,12 +156,80 @@ class Separation:
     nontrivial: bool
 
 
+def _articulation_points(G: Graph, skip: int = -1) -> tuple[bool, list[int]]:
+    """Whether G - skip is connected, and its cut vertices in sorted order.
+
+    One iterative lowpoint DFS (Hopcroft & Tarjan, CACM 16(6), 1973), in
+    O(n + m) time and without recursion; `skip` names a vertex to treat as
+    deleted (-1 for none).  Number the vertices in discovery order and let
+    low(v) be the smallest number reachable from the subtree of v by tree
+    edges down and at most one back edge up.  A DFS of an undirected graph
+    leaves no cross edges, so every non-tree edge joins a vertex to an
+    ancestor.  Hence, for a non-root v with tree child w, the subtree of w
+    stays attached to the rest after deleting v iff some edge leaves that
+    subtree above v, i.e. iff low(w) < num(v): v is a cut vertex iff some
+    child has low(w) >= num(v).  The root is a cut vertex iff it has at
+    least two tree children, since distinct child subtrees are joined only
+    through it.  On a disconnected graph every component gets its own DFS,
+    and the cut vertices are those within the components.
+    """
+    n = G.n
+    adj = G.adj
+    num = [0] * n  # discovery numbers start at 1; 0 marks unvisited
+    low = [0] * n
+    if 0 <= skip < n:
+        # visited but never entered, and above every number: an edge to it
+        # never lowers a lowpoint
+        num[skip] = n + 1
+    cuts = set()
+    roots = 0
+    clock = 0
+    for r in range(n):
+        if num[r]:
+            continue
+        roots += 1
+        clock += 1
+        num[r] = low[r] = clock
+        children = 0
+        stack = [(r, -1, iter(adj[r]))]
+        while stack:
+            v, parent, it = stack[-1]
+            for w in it:
+                if not num[w]:
+                    clock += 1
+                    num[w] = low[w] = clock
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if w != parent and num[w] < low[v]:
+                    low[v] = num[w]
+            else:
+                stack.pop()
+                if parent == r:
+                    children += 1
+                elif parent >= 0:
+                    if low[v] >= num[parent]:
+                        cuts.add(parent)
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+        if children >= 2:
+            cuts.add(r)
+    return roots == 1, sorted(cuts)
+
+
 def is_k_connected(G: Graph, k: int) -> bool:
     """k-connectivity for k in {1,2,3}.
 
     Complete graphs have no vertex cut at all, so they count as k-connected
     for every k here (in particular K2 passes for k=1 and k=2); K1 is only
     1-connected.
+
+    k = 1 and k = 2 take one lowpoint DFS (`_articulation_points`).  k = 3
+    takes n + 1: a non-complete G is 3-connected iff it is 2-connected and
+    G - v is 2-connected for every v.  A 2-connected non-complete G has
+    n >= 4, and each G - a is connected on n - 1 >= 3 vertices.  Deleting
+    {a, b} leaves (G - a) - b, on n - 2 >= 2 vertices, and that is
+    disconnected iff b is a cut vertex of G - a.  So a separating pair
+    exists iff some G - a has a cut vertex, and 3-connectivity is O(n * m).
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
@@ -170,49 +239,59 @@ def is_k_connected(G: Graph, k: int) -> bool:
         return k == 1
     if G.is_complete():
         return True
-    if not G.is_connected():
+    connected, cuts = _articulation_points(G)
+    if not connected:
         return False
     if k == 1:
         return True
-    # brute cut search is plenty fast at the sizes this library targets
-    for size in range(1, k):
-        for cut in itertools.combinations(range(G.n), size):
-            rest = [v for v in range(G.n) if v not in cut]
-            if len(rest) < 2:
-                continue
-            H, _ = G.subgraph(rest)
-            if not H.is_connected():
-                return False
+    if cuts:
+        return False
+    if k == 2:
+        return True
+    for v in range(G.n):
+        connected, cuts = _articulation_points(G, skip=v)
+        if not connected or cuts:
+            return False
     return True
 
 
 def first_cut_vertex(G: Graph) -> int | None:
     """The smallest vertex whose deletion disconnects G, or None.
 
-    Only deletions that leave at least two vertices count.
+    Only deletions that leave at least two vertices count.  On a connected
+    graph these are its articulation points.  On a disconnected graph with
+    n >= 3, deleting a vertex leaves a disconnected graph unless the vertex
+    is isolated and exactly one other component remains: so the answer is
+    vertex 0 when there are at least three components, and otherwise the
+    smallest vertex that has a neighbour.
     """
-    for u in range(G.n):
-        rest = [v for v in range(G.n) if v != u]
-        if len(rest) >= 2:
-            H, _ = G.subgraph(rest)
-            if not H.is_connected():
-                return u
-    return None
+    connected, cuts = _articulation_points(G)
+    if connected:
+        return cuts[0] if cuts else None
+    if G.n < 3:
+        return None
+    if len(G.components()) > 2:
+        return 0
+    return next(u for u in range(G.n) if G.adj[u])
 
 
-def _min_st_edge_cut(G: Graph, s: int, t: int) -> int:
-    """Max-flow with unit edge capacities via repeated BFS augmentation."""
+def _min_st_edge_cut(G: Graph, s: int, t: int, limit: int | None = None) -> int:
+    """Max-flow with unit edge capacities via repeated BFS augmentation.
+
+    With `limit` set, augmentation stops once the flow reaches it, so the
+    result is min(max flow, limit).
+    """
     # residual capacities on directed arcs
     cap = {}
     for u, v in G.edges:
         cap[(u, v)] = 1
         cap[(v, u)] = 1
     flow = 0
-    while True:
+    while flow != limit:
         parent = {s: None}
-        queue = [s]
+        queue = deque([s])
         while queue and t not in parent:
-            u = queue.pop(0)
+            u = queue.popleft()
             for w in G.adj[u]:
                 if w not in parent and cap[(u, w)] > 0:
                     parent[w] = u
@@ -226,13 +305,24 @@ def _min_st_edge_cut(G: Graph, s: int, t: int) -> int:
             cap[(v, u)] += 1
             v = u
         flow += 1
+    return flow
 
 
 def edge_connectivity(G: Graph) -> int:
-    """Size of a minimum edge cut (0 for disconnected or single-vertex)."""
+    """Size of a minimum edge cut (0 for disconnected or single-vertex).
+
+    Every minimum edge cut separates vertex 0 from some t, so the answer is
+    the least s-t flow from 0.  The edges at a vertex of least degree form
+    a cut, and each flow is stopped once it reaches the smallest cut found
+    so far: a flow at least that large cannot lower the minimum, so only
+    min(flow, best) matters, and that is what the bounded flow returns.
+    """
     if G.n < 2 or not G.is_connected():
         return 0
-    return min(_min_st_edge_cut(G, 0, t) for t in range(1, G.n))
+    best = G.min_degree()
+    for t in range(1, G.n):
+        best = _min_st_edge_cut(G, 0, t, best)
+    return best
 
 
 def _part(G: Graph, vertices) -> InducedPart:

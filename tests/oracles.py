@@ -4,16 +4,19 @@ The brute-force oracles work straight from the counting definition of
 (2,k)-sparsity (|E'| <= 2|V'| - k over all vertex subsets), never through
 the pebble game, so agreement is meaningful.  The reference routines at the
 end are the library's earlier many-game versions of questions it now
-answers from the fundamental circuits of one game, and its earlier m + 1
-eliminations for the deletion ranks of a rigidity operator; they run on
-graphs far past the brute-force caps.
+answers from the fundamental circuits of one game, its earlier m + 1
+eliminations for the deletion ranks of a rigidity operator, its cut scans
+for k-connectivity and the first cut vertex (one subgraph per candidate
+cut, where the library now runs lowpoint DFS), and its edge connectivity
+without the bound on each flow; they run on graphs far past the
+brute-force caps.
 """
 
 import itertools
 from functools import lru_cache
 
 from planerigidity.geometry import RigidityOperator, _bareiss_rank, rank_of
-from planerigidity.graphs import Graph
+from planerigidity.graphs import Graph, _min_st_edge_cut
 from planerigidity.sparsity import PebbleGame, rank2k
 
 
@@ -215,7 +218,47 @@ def deletion_ranks_loop(op: RigidityOperator, mode: str, tol: float = 1e-9):
     rows, edges = op.matrix, op.edges
     return rank(op), tuple(
         rank(RigidityOperator(
-            rows[:i] + rows[i + 1:], edges[:i] + edges[i + 1:], op.n, op.scaled
+            rows[:i] + rows[i + 1:], edges[:i] + edges[i + 1:], op.n, op.scaled,
+            op.trivial_flex_dim,
         ))
         for i in range(len(rows))
     )
+
+
+# ---------------------------------------------------------------------------
+# connectivity by cut scans
+
+
+def is_k_connected_cut_scan(G: Graph, k: int) -> bool:
+    """k-connectivity (k in 1..3) by deleting every vertex set of size
+    below k, with the library's conventions: complete graphs pass, K1 is
+    only 1-connected, and only deletions that leave two vertices count."""
+    if G.n == 1:
+        return k == 1
+    if G.is_complete():
+        return True
+    if not G.is_connected():
+        return False
+    for size in range(1, k):
+        for cut in itertools.combinations(range(G.n), size):
+            rest = [v for v in range(G.n) if v not in cut]
+            if len(rest) >= 2 and not G.subgraph(rest)[0].is_connected():
+                return False
+    return True
+
+
+def first_cut_vertex_scan(G: Graph):
+    """The smallest vertex whose deletion leaves a disconnected graph on at
+    least two vertices, one subgraph per vertex; None if there is none."""
+    for u in range(G.n):
+        rest = [v for v in range(G.n) if v != u]
+        if len(rest) >= 2 and not G.subgraph(rest)[0].is_connected():
+            return u
+    return None
+
+
+def edge_connectivity_unpruned(G: Graph) -> int:
+    """Least s-t flow from vertex 0, each flow run to its maximum."""
+    if G.n < 2 or not G.is_connected():
+        return 0
+    return min(_min_st_edge_cut(G, 0, t) for t in range(1, G.n))

@@ -299,6 +299,14 @@ class TestExperiment:
         )
         assert code == 1 and out == "" and "--samples" in err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--model", "gnp", "--n", "5", "--prob", "2", "--samples", "3"], "prob"),
+        (["--model", "regular", "--n", "8", "--degree", "7", "--samples", "3"], "pairing"),
+    ])
+    def test_generator_error_writes_nothing_to_stdout(self, args, message):
+        code, out, err = run(["experiment", *args])
+        assert code == 1 and out == "" and message in err
+
 
 class TestUsage:
     def test_missing_file_is_error_1(self):

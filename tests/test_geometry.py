@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planerigidity import catalog as cat
-from planerigidity import geometry
+from planerigidity import decide, geometry
+from planerigidity.decide import certify
 from planerigidity.geometry import (
     NormedPlane,
     Placement,
@@ -181,6 +183,38 @@ class TestDeletionRanks:
         op = rigidity_operator(G, random_regular_placement(G, L4, 3), L4, scaled=True)
         assert deletion_ranks(op, "exact") == (10, (10,) * 15)
         assert len(calls) == 1
+
+    def test_euclidean_rank_needs_no_bareiss(self, monkeypatch):
+        # the rotation field bounds the Euclidean rank by 2n - 3, which K6
+        # reaches; certify at p = 2 then makes no Bareiss elimination
+        calls = []
+        bareiss = geometry._bareiss_rank
+        monkeypatch.setattr(
+            geometry, "_bareiss_rank", lambda rows: calls.append(1) or bareiss(rows)
+        )
+        G = cat.complete_graph(6)
+        na = certify(G, L2, 3).numeric_agreement
+        assert na.mode == "exact" and na.rank == 9 and na.redundant_numeric
+        assert calls == []
+
+    def test_euclidean_results_unchanged_by_the_flex_bound(self, monkeypatch):
+        # with the bound 2n - 2 of any plane (trivial_flex_dim 2), every
+        # exact p = 2 rank fell back to Bareiss; rank and certify must agree
+        for op in _corpus_frameworks(2):
+            assert op.trivial_flex_dim == 3
+            old = dataclasses.replace(op, trivial_flex_dim=2)
+            assert rank_of(op, "exact") == rank_of(old, "exact")
+            assert deletion_ranks(op, "exact") == deletion_ranks(old, "exact")
+        graphs = decision_corpus(60, seed=71)
+        new = [certify(G, L2, 700 + i).to_text() for i, G in enumerate(graphs)]
+        monkeypatch.setattr(
+            decide, "rigidity_operator",
+            lambda *a, **kw: dataclasses.replace(
+                rigidity_operator(*a, **kw), trivial_flex_dim=2
+            ),
+        )
+        old = [certify(G, L2, 700 + i).to_text() for i, G in enumerate(graphs)]
+        assert new == old
 
     def test_collinear_placement(self):
         # every edge direction is (1, 1), so the rank falls to n - 1 = 4

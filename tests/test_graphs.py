@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,15 +7,27 @@ from hypothesis import given, settings, strategies as st
 from planerigidity import catalog as cat
 from planerigidity.graphs import (
     Graph,
+    _articulation_points,
+    _min_st_edge_cut,
     edge_connectivity,
     enumerate_separations,
+    first_cut_vertex,
     is_edge_transitive,
     is_isomorphic,
     is_k_connected,
     is_vertex_transitive,
 )
+from planerigidity.moves import random_m22_graph
+from planerigidity.randomgraphs import gnp_graph
 
-from corpus import k4_ring_graph
+from corpus import decision_corpus, k4_ring_graph
+from oracles import (
+    all_labeled_graphs,
+    edge_connectivity_unpruned,
+    first_cut_vertex_scan,
+    graphs_up_to_iso,
+    is_k_connected_cut_scan,
+)
 
 
 def small_graphs(max_n=7):
@@ -80,11 +93,109 @@ class TestConnectivity:
         assert is_k_connected(G, k) == expect
 
 
+def _glued(W: Graph, H: Graph, rng: random.Random) -> Graph:
+    """W and H identified at a random vertex of W and vertex 0 of H, then
+    relabelled at random with the shared vertex never at label 0."""
+    g = rng.randrange(W.n)
+    n = W.n + H.n - 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    if perm[g] == 0:
+        j = perm.index(n - 1)
+        perm[g], perm[j] = n - 1, 0
+
+    def h(x):
+        return g if x == 0 else W.n + x - 1
+
+    edges = [(perm[u], perm[v]) for u, v in W.edges]
+    edges += [(perm[h(u)], perm[h(v)]) for u, v in H.edges]
+    return Graph.from_edges(n, edges)
+
+
+def _glued_m22_walks():
+    """m22 walks up to n = 60, each glued at one vertex to a second graph:
+    a smaller walk, a cycle, a path or a G(n, p) sample."""
+    rng = random.Random(31)
+    out = []
+    for i, steps in enumerate(range(4, 48, 3)):
+        W = random_m22_graph(steps, 900 + i)
+        H = [
+            random_m22_graph(i % 4, 950 + i),
+            cat.cycle_graph(3 + i % 5),
+            cat.path_graph(2 + i % 4),
+            gnp_graph(3 + i % 5, 0.5, 970 + i),
+        ][i % 4]
+        out.append(_glued(W, H, rng))
+    return out
+
+
+def _assert_matches_cut_scans(graphs, ks=(1, 2, 3)):
+    for G in graphs:
+        for k in ks:
+            assert is_k_connected(G, k) == is_k_connected_cut_scan(G, k), (k, G)
+        assert first_cut_vertex(G) == first_cut_vertex_scan(G), G
+
+
+class TestAgainstCutScans:
+    def test_every_labelled_graph_up_to_five_vertices(self):
+        for n in range(1, 6):
+            _assert_matches_cut_scans(all_labeled_graphs(n))
+
+    def test_graphs_up_to_iso_six(self):
+        _assert_matches_cut_scans(graphs_up_to_iso(6))
+
+    def test_decision_corpus(self):
+        _assert_matches_cut_scans(decision_corpus(150, seed=57))
+
+    def test_glued_m22_walks(self):
+        graphs = _glued_m22_walks()
+        assert max(G.n for G in graphs) >= 55
+        _assert_matches_cut_scans(graphs)
+        cuts = [first_cut_vertex(G) for G in graphs]
+        assert all(c is not None for c in cuts)
+        assert sum(c != 0 for c in cuts) >= len(cuts) - 2
+
+    def test_m22_walks_three_connectivity(self):
+        walks = [random_m22_graph(steps, 990 + steps) for steps in range(2, 26, 2)]
+        _assert_matches_cut_scans(walks, ks=(2, 3))
+
+    def test_articulation_points_with_a_skipped_vertex(self):
+        # the bowtie minus its centre falls apart; the wheel minus its hub
+        # is a cycle, and C5 minus vertex 0 is the path 1-2-3-4
+        assert _articulation_points(cat.bowtie()) == (True, [0])
+        assert _articulation_points(cat.bowtie(), skip=0) == (False, [])
+        W = cat.wheel_graph(5)
+        hub = max(range(W.n), key=W.degree)
+        assert _articulation_points(W, skip=hub) == (True, [])
+        assert _articulation_points(cat.cycle_graph(5), skip=0) == (True, [2, 3])
+
+    def test_first_cut_vertex_on_disconnected_graphs(self):
+        # an isolated vertex beside one other component is no cut vertex
+        assert first_cut_vertex(Graph.from_edges(4, [(1, 2), (2, 3), (1, 3)])) == 1
+        assert first_cut_vertex(Graph.from_edges(4, [(2, 3)])) == 0
+        assert first_cut_vertex(Graph.from_edges(2, [])) is None
+
+
 class TestEdgeConnectivity:
     def test_examples(self):
         assert edge_connectivity(cat.complete_graph(6)) == 5
         assert edge_connectivity(cat.cycle_graph(5)) == 2
         assert edge_connectivity(cat.k5_minus()) == 3
+
+    def test_pruned_flows_match_unpruned(self):
+        graphs = list(decision_corpus(150, seed=57)) + list(graphs_up_to_iso(6))
+        graphs += [random_m22_graph(steps, 40 + steps) for steps in range(0, 40, 5)]
+        for G in graphs:
+            assert edge_connectivity(G) == edge_connectivity_unpruned(G), G
+
+    def test_bounded_flow_is_capped_maximum(self):
+        for G in decision_corpus(40, seed=58):
+            if not G.is_connected():
+                continue
+            for t in range(1, G.n):
+                full = _min_st_edge_cut(G, 0, t)
+                for limit in range(full + 2):
+                    assert _min_st_edge_cut(G, 0, t, limit) == min(full, limit)
 
     @settings(max_examples=80, deadline=None)
     @given(small_graphs(7))
