@@ -21,7 +21,9 @@ from .formats import (
     parse_graph,
     parse_move_script,
 )
-from .geometry import NormedPlane, random_regular_placement, rank_of, rigidity_operator
+from .geometry import (
+    NormedPlane, _auto_mode, random_regular_placement, rank_of, rigidity_operator,
+)
 from .moves import MoveError, apply, base_graph, random_m22_graph, reduce_to_base
 from .randomgraphs import gnp_graph, random_regular_graph
 
@@ -85,9 +87,7 @@ def _cmd_rank(args) -> int:
     plane = NormedPlane(args.p)
     placement = _placement_for(args, G, plane)
     op = rigidity_operator(G, placement, plane, scaled=True)
-    mode = args.mode
-    if mode == "auto":
-        mode = "exact" if op.is_exact() else "float"
+    mode = _auto_mode(op) if args.mode == "auto" else args.mode
     print(rank_of(op, mode, args.tol))
     return 0
 

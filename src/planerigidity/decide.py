@@ -18,6 +18,7 @@ from .formats import edge_set_text
 from .geometry import (
     NormedPlane,
     Placement,
+    _auto_mode,
     deletion_ranks,
     random_regular_placement,
     rigidity_operator,
@@ -309,7 +310,7 @@ def certify(
     if placement is None:
         placement = random_regular_placement(G, plane, seed)
     op = rigidity_operator(G, placement, plane, scaled=True)
-    mode = "exact" if op.is_exact() else "float"
+    mode = _auto_mode(op)
     target = 2 * G.n - plane.trivial_flex_dim
     rank, row_ranks = deletion_ranks(op, mode)
     edge_ranks = dict(zip(op.edges, row_ranks))

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .geometry import Placement
 from .graphs import Graph
-from .moves import KINDS, Move
+from .moves import Move, MoveError
 
 
 class FormatError(ValueError):
@@ -253,14 +253,14 @@ def parse_move_script(text: str) -> MoveScript:
                 raise FormatError(f"script: line {ln_no}: unknown base {parts[1]!r}")
             base = parts[1]
             continue
-        kind = parts[0]
-        if kind not in KINDS:
-            raise FormatError(f"script: line {ln_no}: unknown move kind {kind!r}")
         try:
             params = tuple(int(x) for x in parts[1:])
         except ValueError:
             raise FormatError(f"script: line {ln_no}: non-integer parameter")
-        moves.append(Move(kind, params))
+        try:  # Move checks the kind and the parameter count
+            moves.append(Move(parts[0], params))
+        except MoveError as exc:
+            raise FormatError(f"script: line {ln_no}: {exc}")
     if base is None:
         raise FormatError("script: missing 'base' header")
     return MoveScript(base, tuple(moves))

@@ -14,7 +14,9 @@ import random
 from dataclasses import dataclass, field
 
 from . import catalog
-from .graphs import Edge, Graph, _norm_edge, enumerate_separations, is_isomorphic
+from .graphs import (
+    Graph, _norm_edge, enumerate_separations, find_isomorphism, is_isomorphic,
+)
 from .sparsity import is_m22_connected
 
 FORWARD_KINDS = (
@@ -30,6 +32,11 @@ REDUCTION_KINDS = (
     "edge-reduction",
 )
 KINDS = FORWARD_KINDS + REDUCTION_KINDS
+# parameter counts (see Move); a split takes at least two
+_ARITY = {
+    "edge-addition": 2, "1-extension": 3, "k4minus-extension": 2, "generalized-vertex-split": 2,
+    "edge-deletion": 2, "1-reduction": 3, "k4minus-reduction": 2, "edge-reduction": 3,
+}
 
 
 class MoveError(ValueError):
@@ -56,6 +63,10 @@ class Move:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise MoveError(f"unknown move kind {self.kind!r}")
+        n, want = len(self.params), _ARITY[self.kind]
+        split = self.kind == "generalized-vertex-split"
+        if n < want or (n > want and not split):
+            raise MoveError(f"{self.kind}: needs {'at least ' * split}{want} parameters, got {n}")
 
 
 def graph_hash(G: Graph) -> str:
@@ -66,10 +77,13 @@ def graph_hash(G: Graph) -> str:
 def _apply_full(G: Graph, move: Move) -> tuple[Graph, dict[int, int] | None]:
     """Apply a move; also return the relabeling map when vertices vanish."""
     kind, p = move.kind, move.params
+    for x in p:
+        if not 0 <= x < G.n:
+            raise MoveError(f"{kind}: vertex {x} does not exist")
 
     if kind == "edge-addition":
         u, v = p
-        if not (0 <= u < G.n and 0 <= v < G.n and u != v):
+        if u == v:
             raise MoveError("edge-addition: endpoints must be distinct existing vertices")
         if G.has_edge(u, v):
             raise MoveError("edge-addition: edge already present")
@@ -85,7 +99,7 @@ def _apply_full(G: Graph, move: Move) -> tuple[Graph, dict[int, int] | None]:
         x, y, z = p
         if not G.has_edge(x, y):
             raise MoveError("1-extension: xy must be an edge")
-        if z in (x, y) or not 0 <= z < G.n:
+        if z in (x, y):
             raise MoveError("1-extension: z must be a third existing vertex")
         w = G.n
         edges = (G.edges - {_norm_edge(x, y)}) | {(x, w), (y, w), (z, w)}
@@ -133,18 +147,13 @@ def _apply_full(G: Graph, move: Move) -> tuple[Graph, dict[int, int] | None]:
         if not n2 <= G.adj[v]:
             raise MoveError("generalized-vertex-split: n2 must be neighbours of v")
         n1 = G.adj[v] - n2
-        if x == v or not 0 <= x < G.n:
+        if x == v:
             raise MoveError("generalized-vertex-split: x must be another existing vertex")
         if x in n1:
             raise MoveError("generalized-vertex-split: x must avoid the part kept at v")
         v2 = G.n
-        edges = set(G.edges)
-        for w in n2:
-            edges.discard(_norm_edge(v, w))
-            edges.add((w, v2) if w < v2 else (v2, w))
-        edges.add((v, v2))
-        edges.add(_norm_edge(v, x))
-        return Graph.from_edges(G.n + 1, edges), None
+        edges = (G.edges - {_norm_edge(v, w) for w in n2}) | {(w, v2) for w in n2}
+        return Graph.from_edges(G.n + 1, edges | {(v, v2), (v, x)}), None
 
     if kind == "edge-reduction":
         a, b, c = p
@@ -155,18 +164,12 @@ def _apply_full(G: Graph, move: Move) -> tuple[Graph, dict[int, int] | None]:
         common = (G.adj[a] & G.adj[b]) - {a, b}
         if not common <= {c}:
             raise MoveError("edge-reduction: a and b may share no neighbour besides c")
-        edges = set(G.edges) - {_norm_edge(a, b), _norm_edge(a, c)}
-        moved = set()
-        for e in edges:
-            if b in e:
-                other = e[0] if e[1] == b else e[1]
-                moved.add((e, _norm_edge(a, other)))
-        for old, new in moved:
-            edges.discard(old)
-            edges.add(new)
-        H0 = Graph.from_edges(G.n, edges)
-        H, relabel = H0.remove_vertices([b])
-        return H, relabel
+        # every edge bw other than ba moves to aw; this re-adds ac if bc is an edge
+        edges = {
+            _norm_edge(a if u == b else u, a if w == b else w)
+            for u, w in G.edges - {_norm_edge(a, b), _norm_edge(a, c)}
+        }
+        return Graph.from_edges(G.n, edges).remove_vertices([b])
 
     raise MoveError(f"unknown move kind {kind!r}")
 
@@ -185,32 +188,44 @@ def inverse(G: Graph, move: Move) -> Move:
     kind, p = move.kind, move.params
     if kind == "edge-addition":
         return Move("edge-deletion", p)
-    if kind == "edge-deletion":
-        return Move("edge-addition", p)
     if kind == "1-extension":
-        x, y, _ = p
-        return Move("1-reduction", (G.n, x, y))
-    if kind == "1-reduction":
-        v, x, y = p
-        _, relabel = _apply_full(G, move)
-        z = next(w for w in G.adj[v] if w not in (x, y))
-        return Move("1-extension", (relabel[x], relabel[y], relabel[z]))
+        return Move("1-reduction", (G.n, p[0], p[1]))
     if kind == "k4minus-extension":
         return Move("k4minus-reduction", (G.n, G.n + 1))
+    if kind == "generalized-vertex-split":
+        return Move("edge-reduction", (p[0], G.n, p[1]))
+    _, relabel = _apply_full(G, move)
+    return _mapped(_undo(G, move), relabel or range(G.n))
+
+
+def _undo(G: Graph, move: Move) -> Move:
+    """The construction move that undoes the reduction `move` of G, in G's
+    labels; it names only vertices that the reduction keeps."""
+    kind, p = move.kind, move.params
+    if kind == "edge-deletion":
+        return Move("edge-addition", p)
+    if kind == "1-reduction":
+        v, x, y = p
+        z = next(w for w in G.adj[v] if w not in (x, y))
+        return Move("1-extension", (x, y, z))
     if kind == "k4minus-reduction":
         u1, u2 = p
-        _, relabel = _apply_full(G, move)
-        v1, v2 = sorted((G.adj[u1] & G.adj[u2]) - {u1, u2})
-        return Move("k4minus-extension", (relabel[v1], relabel[v2]))
-    if kind == "generalized-vertex-split":
-        v, x = p[0], p[1]
-        return Move("edge-reduction", (v, G.n, x))
+        return Move("k4minus-extension", tuple(sorted((G.adj[u1] & G.adj[u2]) - {u1, u2})))
     if kind == "edge-reduction":
         a, b, c = p
-        _, relabel = _apply_full(G, move)
-        n2 = sorted(relabel[w] for w in G.adj[b] if w != a)
-        return Move("generalized-vertex-split", (relabel[a], relabel[c], *n2))
-    raise MoveError(f"unknown move kind {kind!r}")
+        return Move("generalized-vertex-split", (a, c, *(w for w in G.adj[b] if w != a)))
+    raise MoveError(f"unexpected reduction kind {kind!r}")
+
+
+def _mapped(move: Move, f) -> Move:
+    """`move` with every vertex x renamed f[x]; the pair of an edge-addition
+    and the neighbour tail of a split are sorted."""
+    p = tuple(f[x] for x in move.params)
+    if move.kind == "edge-addition":
+        p = tuple(sorted(p))
+    elif move.kind == "generalized-vertex-split":
+        p = (p[0], p[1], *sorted(p[2:]))
+    return Move(move.kind, p)
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +431,21 @@ class ReductionTrace:
     def forward_script(self) -> list[Move]:
         """Construction moves that rebuild the input from the base graph.
 
-        Reduction moves renumber vertices, so the raw inverses of the steps
-        do not compose across the canonical base's labeling.  This walks the
-        trace backwards keeping a map from each intermediate graph's labels
-        into the rebuild's labels and rewrites every inverse move through
-        it.
-        """
-        from .graphs import find_isomorphism
+        Reduction moves renumber vertices, so the raw inverses do not
+        compose.  Walking the trace backwards, σ maps the graph after each
+        step into the rebuild; the step from `prev` emits its `_undo`
+        through τ = σ∘rel, then gives prev's deleted vertices, in increasing
+        order, the next rebuild labels, and σ becomes τ.
 
+        Proof sketch: σ stays an isomorphism onto the rebuild so far; at the
+        base it comes from find_isomorphism.  τ is injective on prev's kept
+        vertices, and the emitted move, read through τ, restores prev's edges
+        among them (it drops what the reduction added and re-adds what it
+        removed) and appends vertices with the deleted ones' neighbourhoods,
+        so the extended τ is one from prev.  The two new vertices of a
+        K4--extension are adjacent to each other and to the same pair, so
+        they are interchangeable and either order works.
+        """
         base = base_graph(self.base)
         sigma = find_isomorphism(self.final, base)
         if sigma is None:
@@ -433,40 +455,14 @@ class ReductionTrace:
         for i in range(len(self.steps) - 1, -1, -1):
             step = self.steps[i]
             prev = self.graph_before(i)
-            m = step.move
-            rel = dict(step.relabel) if step.relabel else {
-                v: v for v in range(prev.n)
-            }
-            if m.kind == "edge-deletion":
-                u, v = m.params
-                out.append(Move("edge-addition",
-                                tuple(sorted((sigma[u], sigma[v])))))
-            elif m.kind == "k4minus-reduction":
-                u1, u2 = m.params
-                v1, v2 = sorted((prev.adj[u1] & prev.adj[u2]) - {u1, u2})
-                out.append(Move("k4minus-extension",
-                                (sigma[rel[v1]], sigma[rel[v2]])))
-                sigma = {w: sigma[rel[w]] for w in rel}
-                sigma[u1], sigma[u2] = n_re, n_re + 1
-                n_re += 2
-            elif m.kind == "edge-reduction":
-                a, b, c = m.params
-                n2 = sorted(sigma[rel[w]] for w in prev.adj[b] if w != a)
-                out.append(Move("generalized-vertex-split",
-                                (sigma[rel[a]], sigma[rel[c]], *n2)))
-                sigma = {w: sigma[rel[w]] for w in rel}
-                sigma[b] = n_re
-                n_re += 1
-            elif m.kind == "1-reduction":
-                v, x, y = m.params
-                z = next(w for w in prev.adj[v] if w not in (x, y))
-                out.append(Move("1-extension",
-                                (sigma[rel[x]], sigma[rel[y]], sigma[rel[z]])))
-                sigma = {w: sigma[rel[w]] for w in rel}
-                sigma[v] = n_re
-                n_re += 1
-            else:
-                raise MoveError(f"unexpected reduction kind {m.kind!r}")
+            rel = dict(step.relabel) if step.relabel else {v: v for v in range(prev.n)}
+            tau = {w: sigma[rel[w]] for w in rel}
+            out.append(_mapped(_undo(prev, step.move), tau))
+            for w in range(prev.n):
+                if w not in tau:
+                    tau[w] = n_re
+                    n_re += 1
+            sigma = tau
         return out
 
 
@@ -545,9 +541,7 @@ def reduce_to_base(G: Graph) -> ReductionTrace:
     trace = ReductionTrace(start=G)
     current = G
     name = base_name_of(current)
-    if name is None and not is_m22_connected(current):
-        raise MoveError("input is not M(2,2)-connected")
-    while name is None:
+    while name is None:  # each search starts with the M(2,2) entry check
         move = find_admissible_reduction(current)
         if move is None:
             raise MoveError("no admissible reduction found")  # cannot happen

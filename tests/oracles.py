@@ -7,16 +7,17 @@ end are the library's earlier many-game versions of questions it now
 answers from the fundamental circuits of one game, its earlier m + 1
 eliminations for the deletion ranks of a rigidity operator, its cut scans
 for k-connectivity and the first cut vertex (one subgraph per candidate
-cut, where the library now runs lowpoint DFS), and its edge connectivity
-without the bound on each flow; they run on graphs far past the
-brute-force caps.
+cut, where the library now runs lowpoint DFS), its edge connectivity
+without the bound on each flow, and its forward scripts with one rule per
+reduction kind; they run on graphs far past the brute-force caps.
 """
 
 import itertools
 from functools import lru_cache
 
 from planerigidity.geometry import RigidityOperator, _bareiss_rank, rank_of
-from planerigidity.graphs import Graph, _min_st_edge_cut
+from planerigidity.graphs import Graph, _min_st_edge_cut, find_isomorphism
+from planerigidity.moves import Move, MoveError, ReductionTrace, base_graph
 from planerigidity.sparsity import PebbleGame, rank2k
 
 
@@ -262,3 +263,50 @@ def edge_connectivity_unpruned(G: Graph) -> int:
     if G.n < 2 or not G.is_connected():
         return 0
     return min(_min_st_edge_cut(G, 0, t) for t in range(1, G.n))
+
+
+# ---------------------------------------------------------------------------
+# forward scripts by per-kind rules
+
+
+def forward_script_per_kind(trace: ReductionTrace) -> list[Move]:
+    """The library's earlier `ReductionTrace.forward_script`: one hand-written
+    undo and relabelling rule per reduction kind, 1-reductions included."""
+    base = base_graph(trace.base)
+    sigma = find_isomorphism(trace.final, base)
+    if sigma is None:
+        raise MoveError("trace does not end at its base graph")
+    n_re = base.n
+    out = []
+    for i in range(len(trace.steps) - 1, -1, -1):
+        step = trace.steps[i]
+        prev = trace.graph_before(i)
+        m = step.move
+        rel = dict(step.relabel) if step.relabel else {v: v for v in range(prev.n)}
+        if m.kind == "edge-deletion":
+            u, v = m.params
+            out.append(Move("edge-addition", tuple(sorted((sigma[u], sigma[v])))))
+        elif m.kind == "k4minus-reduction":
+            u1, u2 = m.params
+            v1, v2 = sorted((prev.adj[u1] & prev.adj[u2]) - {u1, u2})
+            out.append(Move("k4minus-extension", (sigma[rel[v1]], sigma[rel[v2]])))
+            sigma = {w: sigma[rel[w]] for w in rel}
+            sigma[u1], sigma[u2] = n_re, n_re + 1
+            n_re += 2
+        elif m.kind == "edge-reduction":
+            a, b, c = m.params
+            n2 = sorted(sigma[rel[w]] for w in prev.adj[b] if w != a)
+            out.append(Move("generalized-vertex-split", (sigma[rel[a]], sigma[rel[c]], *n2)))
+            sigma = {w: sigma[rel[w]] for w in rel}
+            sigma[b] = n_re
+            n_re += 1
+        elif m.kind == "1-reduction":
+            v, x, y = m.params
+            z = next(w for w in prev.adj[v] if w not in (x, y))
+            out.append(Move("1-extension", (sigma[rel[x]], sigma[rel[y]], sigma[rel[z]])))
+            sigma = {w: sigma[rel[w]] for w in rel}
+            sigma[v] = n_re
+            n_re += 1
+        else:
+            raise MoveError(f"unexpected reduction kind {m.kind!r}")
+    return out

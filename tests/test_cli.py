@@ -1,15 +1,19 @@
 """Golden tests for every CLI path; outputs are byte-stable given --seed."""
 
 import contextlib
+import hashlib
 import io
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planerigidity import catalog as cat
 from planerigidity.cli import main
 from planerigidity.formats import emit_edgelist, parse_graph
 from planerigidity.graphs import is_isomorphic
+from planerigidity.moves import KINDS, random_m22_graph
 
 
 def run(args, stdin_text=None):
@@ -48,6 +52,8 @@ REDUCE_B2_GOLDEN = """\
 base B1
 generalized-vertex-split 1 0 0 4 5
 """
+
+REDUCE_WALKS_SHA256 = "9935df7143a7afc788f65dcf177c2e8375e798406cdba583bd2e5a408f39f7af"
 
 CERTIFY_W5_GOLDEN = """\
 globally_rigid_analytic: false
@@ -122,8 +128,6 @@ class TestReduceBuild:
         assert out2 == out  # byte-stable
 
     def test_build_reduce_roundtrip_corpus(self):
-        from planerigidity.moves import random_m22_graph
-
         for seed in range(6):
             G = random_m22_graph(seed % 4 + 1, seed)
             _, script, _ = run(["reduce", "-"], emit_edgelist(G))
@@ -137,6 +141,65 @@ class TestReduceBuild:
     def test_build_rejects_inapplicable_move(self):
         code, _, err = run(["build", "-"], "base B1\nedge-addition 0 1\n")
         assert code == 1 and "already present" in err
+
+    def test_reduce_scripts_of_walks_are_unchanged(self):
+        # SHA-256 of the `reduce` output of 40 walks, recorded before the
+        # forward script was rewritten on the shared undo rule
+        digest = hashlib.sha256()
+        for seed in range(40):
+            G = random_m22_graph(seed % 8 + 1, seed)
+            code, out, _ = run(["reduce", "-"], emit_edgelist(G))
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == REDUCE_WALKS_SHA256
+
+    @pytest.mark.parametrize("script, message", [
+        ("generalized-vertex-split 0", "line 2: generalized-vertex-split: needs at least 2"),
+        ("1-reduction 99 0 1", "vertex 99 does not exist"),
+        ("1-extension 0 1 2\n1-reduction -1 0 1", "vertex -1 does not exist"),
+        ("edge-addition 0", "line 2: edge-addition: needs 2 parameters, got 1"),
+        ("edge-deletion 0 1\nk4minus-extension 0 1 2", "line 3: k4minus-extension: needs 2"),
+    ])
+    def test_build_rejects_malformed_move(self, script, message):
+        code, out, err = run(["build", "-"], f"base K5-\n{script}\n")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(["K5-", "B1"]), st.lists(
+        st.tuples(st.sampled_from(KINDS), st.lists(st.integers(-3, 12), max_size=6)),
+        max_size=8,
+    ))
+    def test_build_fuzz_exits_0_or_1(self, base, lines):
+        _build_exits_cleanly(base, lines)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(["K5-", "B1"]), st.lists(
+        st.tuples(st.sampled_from(KINDS), st.lists(st.integers(-1, 8), min_size=5, max_size=5)),
+        max_size=6,
+    ))
+    def test_build_fuzz_well_formed_lines_exit_0_or_1(self, base, lines):
+        # each line has its kind's parameter count (a split takes 2 to 5),
+        # so the moves get past parsing to every precondition of apply
+        _build_exits_cleanly(base, [(kind, params[:SCRIPT_ARITY[kind]]) for kind, params in lines])
+
+
+SCRIPT_ARITY = {
+    "edge-addition": 2, "edge-deletion": 2, "1-extension": 3, "1-reduction": 3,
+    "k4minus-extension": 2, "k4minus-reduction": 2, "generalized-vertex-split": 5,
+    "edge-reduction": 3,
+}
+
+
+def _build_exits_cleanly(base, lines):
+    script = f"base {base}\n" + "".join(
+        kind + "".join(f" {x}" for x in params) + "\n" for kind, params in lines
+    )
+    code, out, err = run(["build", "-"], script)
+    if code == 0:
+        assert err == "" and parse_graph(out).n >= 5
+    else:
+        assert code == 1 and out == "" and err.startswith("error: ")
 
 
 class TestRank:

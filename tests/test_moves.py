@@ -1,14 +1,24 @@
+import contextlib
+import io
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
 from planerigidity import catalog as cat
 from planerigidity.graphs import Graph, is_isomorphic
 from planerigidity.moves import (
+    REDUCTION_KINDS,
     Move,
     MoveError,
+    ReductionTrace,
+    TraceStep,
+    _apply_full,
     apply,
+    base_name_of,
     find_admissible_reduction,
+    graph_hash,
     inverse,
     join,
     random_m22_graph,
@@ -19,6 +29,7 @@ from planerigidity.moves import (
 from planerigidity.sparsity import is_circuit22, is_m22_connected
 
 from corpus import k4_ring_graph
+from oracles import forward_script_per_kind
 
 
 class TestApply:
@@ -55,6 +66,33 @@ class TestApply:
             apply(cat.b1(), Move("edge-addition", (0, 1)))
         with pytest.raises(MoveError, match="no neighbour besides"):
             apply(cat.complete_graph(4), Move("edge-reduction", (0, 1, 2)))
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("edge-addition", (0,), "needs 2 parameters, got 1"),
+        ("edge-deletion", (0, 1, 2), "needs 2 parameters, got 3"),
+        ("1-reduction", (0, 1), "needs 3 parameters"),
+        ("k4minus-extension", (), "needs 2 parameters"),
+        ("generalized-vertex-split", (0,), "needs at least 2 parameters"),
+    ])
+    def test_parameter_count_checked_at_construction(self, kind, params, message):
+        with pytest.raises(MoveError, match=message):
+            Move(kind, params)
+
+    def test_split_takes_any_number_of_neighbours(self):
+        assert Move("generalized-vertex-split", (0, 1)).params == (0, 1)
+        assert len(Move("generalized-vertex-split", (0, 1, 2, 3, 4)).params) == 5
+
+    @pytest.mark.parametrize("kind, params", [
+        ("1-reduction", (99, 0, 1)),
+        ("1-reduction", (-1, 0, 1)),  # would read as the last vertex
+        ("edge-deletion", (0, 5)),
+        ("edge-reduction", (0, 1, -2)),
+        ("generalized-vertex-split", (0, 1, 7)),
+        ("1-extension", (0, 1, 5)),
+    ])
+    def test_every_vertex_must_exist(self, kind, params):
+        with pytest.raises(MoveError, match="does not exist"):
+            apply(cat.k5_minus(), Move(kind, params))
 
     def test_inverse_roundtrip_all_kinds(self):
         cases = [
@@ -255,6 +293,131 @@ class TestReductionEngine:
             assert find_admissible_reduction(G) is not None
             found += 1
         assert found >= 15
+
+
+def _walk_trace(seed: int, sort_pairs: bool = True) -> ReductionTrace:
+    """A hand-built trace that undoes a random construction walk.
+
+    The walk grows a base graph by all four construction moves.  The trace
+    starts at the grown graph under a random relabelling and applies the
+    walk's inverses in reverse order, renamed into the current labels, so
+    it holds 1-reductions, which the engine never chooses, and deletes
+    vertices that are not the last labels.  With sort_pairs false the pair
+    of a K4--reduction is left in random order.
+    """
+    rng = random.Random(seed)
+    G = cat.k5_minus() if rng.random() < 0.5 else cat.b1()
+    walk = []
+    for _ in range(rng.randint(1, 7)):
+        kind = rng.choice(["edge-addition", "1-extension", "k4minus-extension",
+                           "generalized-vertex-split"])
+        x, y = rng.choice(G.sorted_edges())
+        if kind == "edge-addition":
+            non_edges = [(u, v) for u in range(G.n) for v in range(u + 1, G.n)
+                         if not G.has_edge(u, v)]
+            if not non_edges:
+                continue
+            mv = Move(kind, rng.choice(non_edges))
+        elif kind == "1-extension":
+            mv = Move(kind, (x, y, rng.choice([w for w in range(G.n) if w not in (x, y)])))
+        elif kind == "k4minus-extension":
+            mv = Move(kind, (x, y))
+        else:
+            n2 = rng.sample(sorted(G.adj[x]), rng.randint(2, G.degree(x) - 1))
+            n1 = G.adj[x] - set(n2)
+            z = rng.choice([w for w in range(G.n) if w != x and w not in n1])
+            mv = Move(kind, (x, z, *n2))
+        walk.append((G, mv))
+        G = apply(G, mv)
+    pi = list(range(G.n))  # walk labels -> trace labels
+    rng.shuffle(pi)
+    current = Graph.from_edges(G.n, {(pi[u], pi[v]) for u, v in G.edges})
+    trace = ReductionTrace(start=current)
+    for H, mv in reversed(walk):
+        red = inverse(H, mv)  # deletes only labels >= H.n of the walk
+        params = [pi[x] for x in red.params]
+        if red.kind == "k4minus-reduction" and (sort_pairs or rng.random() < 0.5):
+            params.sort()
+        move = Move(red.kind, tuple(params))
+        nxt, relabel = _apply_full(current, move)
+        trace.steps.append(TraceStep(
+            move, graph_hash(nxt), tuple(sorted(relabel.items())) if relabel else None, nxt
+        ))
+        pi = [relabel[pi[w]] if relabel else pi[w] for w in range(H.n)]
+        current = nxt
+    trace.base = base_name_of(current)
+    return trace
+
+
+DEMO_02_GOLDEN = """\
+grown graph: n=18, m=35
+reduces to B1 in 10 moves:
+  k4minus-reduction      (11, 12)           -> n=16 m=31  [4e0e0648d3c1b7ea]
+  k4minus-reduction      (13, 14)           -> n=14 m=27  [5326a88f8507e2c8]
+  edge-reduction         (0, 2, 1)          -> n=13 m=25  [179c50391dff4ac1]
+  edge-reduction         (0, 4, 2)          -> n=12 m=23  [dbb2ea47bac25b6c]
+  edge-reduction         (0, 1, 3)          -> n=11 m=21  [79262fc87dda5a28]
+  edge-reduction         (1, 6, 0)          -> n=10 m=19  [4d41fa08e6e2eba0]
+  edge-reduction         (0, 1, 6)          -> n= 9 m=17  [d55025e1046a925e]
+  edge-reduction         (1, 7, 0)          -> n= 8 m=15  [b5248d9109bc384d]
+  edge-reduction         (1, 7, 0)          -> n= 7 m=13  [94299ae10f37a5be]
+  edge-reduction         (1, 2, 0)          -> n= 6 m=11  [7b947b7255e8317e]
+
+replaying the forward script from the base:
+  rebuilt graph: n=18, m=35
+  isomorphic to the original: True
+
+the forward script itself (what `planerigidity reduce` emits):
+  base B1
+  generalized-vertex-split 1 0 0 2
+  generalized-vertex-split 1 0 0 3 6
+  generalized-vertex-split 1 0 0 4 5
+  generalized-vertex-split 0 4 4 5 8
+  generalized-vertex-split 9 0 0 5 8
+  generalized-vertex-split 0 1 1 9
+  generalized-vertex-split 0 9 3 4 6 10
+  generalized-vertex-split 0 11 1 2 11 12
+  k4minus-extension 2 3
+  k4minus-extension 11 1
+"""
+
+
+class TestForwardScript:
+    """The undo rule against the earlier per-kind forward script."""
+
+    def test_matches_per_kind_oracle_on_reduction_walks(self):
+        for seed in range(100):
+            trace = reduce_to_base(random_m22_graph(seed % 10 + 1, 900 + seed))
+            assert trace.forward_script() == forward_script_per_kind(trace), seed
+
+    def test_matches_per_kind_oracle_on_hand_built_traces(self):
+        kinds = set()
+        for seed in range(200):
+            trace = _walk_trace(seed)
+            kinds |= {s.move.kind for s in trace.steps}
+            assert trace.base in ("K5-", "B1")
+            assert trace.forward_script() == forward_script_per_kind(trace), seed
+            assert is_isomorphic(rebuild_from_trace(trace), trace.start), seed
+        assert kinds == set(REDUCTION_KINDS)
+
+    def test_k4minus_pair_order_does_not_matter(self):
+        # the two vertices a K4--extension makes are interchangeable
+        reversed_pairs = 0
+        for seed in range(80):
+            trace = _walk_trace(seed, sort_pairs=False)
+            reversed_pairs += sum(
+                s.move.kind == "k4minus-reduction" and s.move.params[0] > s.move.params[1]
+                for s in trace.steps
+            )
+            assert is_isomorphic(rebuild_from_trace(trace), trace.start), seed
+        assert reversed_pairs > 0
+
+    def test_demo_02_output_is_unchanged(self):
+        demo = Path(__file__).resolve().parent.parent / "demos" / "02_construct_and_reduce.py"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(demo), run_name="__main__")
+        assert out.getvalue() == DEMO_02_GOLDEN
 
 
 class TestRandomGenerator:
