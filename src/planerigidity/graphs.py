@@ -56,9 +56,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
     def min_degree(self) -> int:
         return min((self.degree(v) for v in range(self.n)), default=0)
 
@@ -75,9 +72,6 @@ class Graph:
         if e not in self.edges:
             raise ValueError(f"edge ({u},{v}) not present")
         return Graph(self.n, self.edges - {e})
-
-    def add_vertex(self) -> "Graph":
-        return Graph(self.n + 1, self.edges)
 
     def remove_vertices(self, drop) -> tuple["Graph", dict[int, int]]:
         """Delete the given vertices; return the renumbered graph and the
@@ -343,30 +337,45 @@ def enumerate_separations(G: Graph, kind: str) -> list[Separation]:
     """All 2-vertex- or 3-edge-separations, exhaustively.
 
     kind: "vertex-cut-2" or "edge-cut-3".  Each separation is reported once
-    up to part order.
+    up to part order: each cut is visited once, and `_bipartitions` yields
+    each unordered split of its components once.
+
+    vertex-cut-2 runs one lowpoint DFS per vertex a and builds the subgraph
+    G - a - b only for the pairs that can separate.  Proof sketch: G - a has
+    n - 1 >= 3 vertices; if it is connected, G - a - b (n - 2 >= 2
+    vertices) is disconnected iff b is a cut vertex of G - a.  So a pair
+    {a, b} with G - a connected and b no cut vertex of it is no cut, and is
+    skipped; the other pairs are scanned in increasing order.
+
+    edge-cut-3 is brute force: it builds G minus each of the C(m, 3) edge
+    triples and finds its components, so the cost grows as m^3 (n + m).
+    Keep it to m of about 50 or less (about 0.1 s at m = 30 and 1 s at
+    m = 56 on a 2-core Xeon).
     """
     if G.n < 4:
         raise ValueError("separation enumeration needs n >= 4")
     out = []
     if kind == "vertex-cut-2":
-        for a, b in itertools.combinations(range(G.n), 2):
-            rest = [v for v in range(G.n) if v not in (a, b)]
-            H, back = G.subgraph(rest)
-            comps = H.components()
-            if len(comps) < 2:
-                continue
-            inv = {new: old for old, new in back.items()}
-            comps_old = [{inv[v] for v in c} for c in comps]
-            for left, right in _bipartitions(comps_old):
-                v1 = set().union(*left) | {a, b}
-                v2 = set().union(*right) | {a, b}
-                p1, p2 = _part(G, v1), _part(G, v2)
-                nontriv = not (
-                    _is_k4_part(G, v1) or _is_k4_part(G, v2)
-                )
-                out.append(
-                    Separation("vertex-cut-2", (p1, p2), (a, b), nontriv)
-                )
+        for a in range(G.n):
+            connected, cuts = _articulation_points(G, skip=a)
+            cuts = set(cuts)
+            for b in range(a + 1, G.n):
+                if connected and b not in cuts:
+                    continue
+                rest = [v for v in range(G.n) if v not in (a, b)]
+                H, back = G.subgraph(rest)
+                comps = H.components()
+                if len(comps) < 2:
+                    continue
+                inv = {new: old for old, new in back.items()}
+                comps_old = [{inv[v] for v in c} for c in comps]
+                for left, right in _bipartitions(comps_old):
+                    v1 = set().union(*left) | {a, b}
+                    v2 = set().union(*right) | {a, b}
+                    nontriv = not (_is_k4_part(G, v1) or _is_k4_part(G, v2))
+                    out.append(Separation(
+                        "vertex-cut-2", (_part(G, v1), _part(G, v2)), (a, b), nontriv
+                    ))
     elif kind == "edge-cut-3":
         edges = G.sorted_edges()
         for cut in itertools.combinations(edges, 3):
@@ -390,15 +399,7 @@ def enumerate_separations(G: Graph, kind: str) -> list[Separation]:
                 )
     else:
         raise ValueError(f"unknown separation kind {kind!r}")
-    # dedupe unordered part pairs
-    seen = set()
-    uniq = []
-    for s in out:
-        key = frozenset((s.parts[0].vertices, s.parts[1].vertices)), s.cut
-        if key not in seen:
-            seen.add(key)
-            uniq.append(s)
-    return uniq
+    return out
 
 
 def _is_k4_part(G: Graph, vertices) -> bool:
@@ -409,10 +410,10 @@ def _is_k4_part(G: Graph, vertices) -> bool:
 # isomorphism
 
 
-def _wl_colors(G: Graph, init=None, rounds: int | None = None) -> list[int]:
+def _wl_colors(G: Graph) -> list[int]:
     """Iterated neighbourhood color refinement (1-WL)."""
-    color = list(init) if init is not None else [G.degree(v) for v in range(G.n)]
-    for _ in range(rounds if rounds is not None else G.n):
+    color = [G.degree(v) for v in range(G.n)]
+    for _ in range(G.n):
         sig = [
             (color[v], tuple(sorted(color[w] for w in G.adj[v])))
             for v in range(G.n)

@@ -241,6 +241,12 @@ def join(G1: Graph, G2: Graph, j: int, gluing) -> Graph:
       2: ((a1, b1, c1, d1), (a2, b2, c2, d2))   K4 of each side, deg-3 c_i, d_i
       3: ((v1, (a1, b1, c1)), (v2, (a2, b2, c2)))  degree-3 vertices, paired
                                         neighbours a1-a2, b1-b2, c1-c2
+
+    All three are one `_glue`.  A 2-join glues G1 - {c1, d1} to
+    G2 - {c2, d2} at a and b, where the two copies of ab become one edge.
+    A 1-join glues all of G1 to G2 - {c2, d2} the same way and then removes
+    ab.  A 3-join glues G1 - v1 to G2 - v2 at no vertex and then adds the
+    three paired edges.
     """
     if j == 1:
         (a1, b1), (a2, b2, c2, d2) = gluing
@@ -249,15 +255,8 @@ def join(G1: Graph, G2: Graph, j: int, gluing) -> Graph:
         _require_k4(G2, (a2, b2, c2, d2), "1-join")
         if G2.degree(c2) != 3 or G2.degree(d2) != 3:
             raise MoveError("1-join: c and d must have degree 3 in G2")
-        keep2 = [v for v in range(G2.n) if v not in (a2, b2, c2, d2)]
-        lab2 = {v: G1.n + i for i, v in enumerate(keep2)}
-        lab2[a2], lab2[b2] = a1, b1
-        f2 = set(_all_pairs((a2, b2, c2, d2)))
-        edges = set(G1.edges) - {_norm_edge(a1, b1)}
-        edges |= {
-            _norm_edge(lab2[u], lab2[v]) for u, v in G2.edges if (u, v) not in f2
-        }
-        return Graph.from_edges(G1.n + len(keep2), edges)
+        G, _, _ = _glue(G1, (), G2, (c2, d2), {a2: a1, b2: b1})
+        return G.remove_edge(a1, b1)  # G1 keeps its labels
 
     if j == 2:
         (a1, b1, c1, d1), (a2, b2, c2, d2) = gluing
@@ -266,21 +265,7 @@ def join(G1: Graph, G2: Graph, j: int, gluing) -> Graph:
         for H, (c, d), name in ((G1, (c1, d1), "G1"), (G2, (c2, d2), "G2")):
             if H.degree(c) != 3 or H.degree(d) != 3:
                 raise MoveError(f"2-join: c and d must have degree 3 in {name}")
-        keep1 = [v for v in range(G1.n) if v not in (c1, d1)]
-        lab1 = {v: i for i, v in enumerate(keep1)}
-        keep2 = [v for v in range(G2.n) if v not in (a2, b2, c2, d2)]
-        lab2 = {v: len(keep1) + i for i, v in enumerate(keep2)}
-        lab2[a2], lab2[b2] = lab1[a1], lab1[b1]
-        f1 = set(_all_pairs((a1, b1, c1, d1)))
-        f2 = set(_all_pairs((a2, b2, c2, d2)))
-        edges = {
-            _norm_edge(lab1[u], lab1[v]) for u, v in G1.edges if (u, v) not in f1
-        }
-        edges |= {
-            _norm_edge(lab2[u], lab2[v]) for u, v in G2.edges if (u, v) not in f2
-        }
-        edges.add(_norm_edge(lab1[a1], lab1[b1]))
-        return Graph.from_edges(len(keep1) + len(keep2), edges)
+        return _glue(G1, (c1, d1), G2, (c2, d2), {a2: a1, b2: b1})[0]
 
     if j == 3:
         (v1, (a1, b1, c1)), (v2, (a2, b2, c2)) = gluing
@@ -288,34 +273,31 @@ def join(G1: Graph, G2: Graph, j: int, gluing) -> Graph:
             (G1, v1, (a1, b1, c1), "G1"),
             (G2, v2, (a2, b2, c2), "G2"),
         ):
+            for x in (v, *nbrs):
+                if not 0 <= x < H.n:
+                    raise MoveError(f"3-join: vertex {x} does not exist")
             if H.adj[v] != frozenset(nbrs):
                 raise MoveError(f"3-join: v must have exactly those neighbours in {name}")
-        keep1 = [v for v in range(G1.n) if v != v1]
-        lab1 = {v: i for i, v in enumerate(keep1)}
-        keep2 = [v for v in range(G2.n) if v != v2]
-        lab2 = {v: len(keep1) + i for i, v in enumerate(keep2)}
-        edges = {
-            _norm_edge(lab1[u], lab1[w]) for u, w in G1.edges if v1 not in (u, w)
-        }
-        edges |= {
-            _norm_edge(lab2[u], lab2[w]) for u, w in G2.edges if v2 not in (u, w)
-        }
-        edges |= {
-            _norm_edge(lab1[a1], lab2[a2]),
-            _norm_edge(lab1[b1], lab2[b2]),
-            _norm_edge(lab1[c1], lab2[c2]),
-        }
-        return Graph.from_edges(len(keep1) + len(keep2), edges)
+        G, lab1, lab2 = _glue(G1, (v1,), G2, (v2,), {})
+        pairs = ((a1, a2), (b1, b2), (c1, c2))
+        return Graph.from_edges(G.n, G.edges | {(lab1[x], lab2[y]) for x, y in pairs})
 
     raise MoveError("j must be 1, 2 or 3")
 
 
-def _all_pairs(vs):
-    out = []
-    for i in range(len(vs)):
-        for k in range(i + 1, len(vs)):
-            out.append(_norm_edge(vs[i], vs[k]))
-    return out
+def _glue(G1: Graph, drop1, G2: Graph, drop2, ident: dict[int, int]):
+    """G1 - drop1 and G2 - drop2 side by side, with each G2 vertex in `ident`
+    merged into its G1 image; also the label maps of both sides.
+
+    G1's kept vertices come first, in order, then G2's kept and unmerged
+    ones.  Edges that coincide after the merge are one edge.
+    """
+    H1, lab1 = G1.remove_vertices(drop1)
+    keep2 = [v for v in range(G2.n) if v not in drop2 and v not in ident]
+    lab2 = {v: H1.n + i for i, v in enumerate(keep2)}
+    lab2.update((v, lab1[w]) for v, w in ident.items())
+    edges = {(lab2[u], lab2[w]) for u, w in G2.edges if u in lab2 and w in lab2}
+    return Graph.from_edges(H1.n + len(keep2), H1.edges | edges), lab1, lab2
 
 
 def _require_k4(G: Graph, vs, ctx: str):
@@ -328,6 +310,11 @@ def _require_k4(G: Graph, vs, ctx: str):
 def separations_of(G: Graph, j: int) -> list[tuple[Graph, Graph]]:
     """All j-separations of G, as pairs of completed (relabeled) graphs.
 
+    Each part is completed by `_completed`: for j = 1 the first part gains
+    the edge ab of the cut {a, b} and the second the K4 on a, b and two new
+    vertices; for j = 2 both parts gain that K4 (ab is already there); for
+    j = 3 each part gains an apex joined to its ends of the three cut edges.
+
     For j = 1 both orderings of each underlying 2-vertex-separation are
     produced, since the K4 completion is attached to the second part only.
     j = 2 and j = 3 are symmetric and each underlying separation appears
@@ -335,65 +322,44 @@ def separations_of(G: Graph, j: int) -> list[tuple[Graph, Graph]]:
     """
     out = []
     if j in (1, 2):
+        c, d = G.n, G.n + 1
         for sep in enumerate_separations(G, "vertex-cut-2"):
             a, b = sep.cut
-            has_ab = G.has_edge(a, b)
-            if (j == 1 and has_ab) or (j == 2 and not has_ab):
+            if G.has_edge(a, b) != (j == 2):
                 continue
-            p1, p2 = sep.parts
+            p1, p2 = (p.vertices for p in sep.parts)
+            k4 = [(a, b), (a, c), (a, d), (b, c), (b, d), (c, d)]
             if j == 1:
-                out.append(_one_separation(G, p1, p2, a, b))
-                out.append(_one_separation(G, p2, p1, a, b))
+                out.append((_completed(G, p1, k4[:1]), _completed(G, p2, k4)))
+                out.append((_completed(G, p2, k4[:1]), _completed(G, p1, k4)))
             else:
-                out.append(_two_separation(G, p1, p2, a, b))
+                out.append((_completed(G, p1, k4[1:]), _completed(G, p2, k4[1:])))
     elif j == 3:
+        # brute force over the C(m, 3) edge triples, cost m^3 (n + m): about
+        # 1 s at m = 56, so keep m to about 50 (see enumerate_separations)
         for sep in enumerate_separations(G, "edge-cut-3"):
-            if not sep.nontrivial:
-                continue
-            out.append(_three_separation(G, sep))
+            if sep.nontrivial:
+                # the apex G.n meets each part at its ends of the cut edges
+                out.append(tuple(
+                    _completed(G, vs, [(x if x in vs else y, G.n) for x, y in sep.cut])
+                    for vs in (p.vertices for p in sep.parts)
+                ))
     else:
         raise MoveError("j must be 1, 2 or 3")
     return out
 
 
-def _one_separation(G, p1, p2, a, b):
-    H1, lab1 = G.subgraph(p1.vertices)
-    G1 = H1.add_edge(lab1[a], lab1[b])
-    H2, lab2 = G.subgraph(p2.vertices)
-    c, d = H2.n, H2.n + 1
-    edges = set(H2.edges) | {
-        (lab2[a], lab2[b]), (lab2[a], c), (lab2[a], d),
-        (lab2[b], c), (lab2[b], d), (c, d),
-    }
-    G2 = Graph.from_edges(H2.n + 2, {_norm_edge(u, v) for u, v in edges})
-    return G1, G2
+def _completed(G: Graph, part, extra) -> Graph:
+    """The subgraph of G induced on `part`, plus the `extra` edges.
 
-
-def _two_separation(G, p1, p2, a, b):
-    def complete(part):
-        H, lab = G.subgraph(part.vertices)
-        c, d = H.n, H.n + 1
-        edges = set(H.edges) | {
-            (lab[a], c), (lab[a], d), (lab[b], c), (lab[b], d), (c, d),
-        }
-        return Graph.from_edges(H.n + 2, {_norm_edge(u, v) for u, v in edges})
-
-    return complete(p1), complete(p2)
-
-
-def _three_separation(G, sep):
-    p1, p2 = sep.parts
-
-    def complete(part):
-        H, lab = G.subgraph(part.vertices)
-        apex = H.n
-        ends = [
-            e[0] if e[0] in set(part.vertices) else e[1] for e in sep.cut
-        ]
-        edges = set(H.edges) | {(lab[x], apex) for x in ends}
-        return Graph.from_edges(H.n + 1, {_norm_edge(u, v) for u, v in edges})
-
-    return complete(p1), complete(p2)
+    Extra edges join part vertices and at most two new vertices, which they
+    name G.n and G.n + 1 (the first new vertex is always G.n); the new
+    vertices are numbered after the part's.
+    """
+    H, lab = G.subgraph(part)
+    lab[G.n], lab[G.n + 1] = H.n, H.n + 1
+    new = {x for e in extra for x in e if x >= G.n}
+    return Graph.from_edges(H.n + len(new), H.edges | {(lab[u], lab[w]) for u, w in extra})
 
 
 # ---------------------------------------------------------------------------

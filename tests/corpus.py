@@ -2,11 +2,12 @@
 
 import itertools
 import random
+from functools import lru_cache
 
 from planerigidity import catalog as cat
 from planerigidity.graphs import Graph
 from planerigidity.randomgraphs import gnp_graph, random_regular_graph
-from planerigidity.moves import random_m22_graph
+from planerigidity.moves import join, random_m22_graph
 
 
 def k4_ring_graph() -> Graph:
@@ -71,3 +72,62 @@ def decision_corpus(count: int, seed: int, max_n: int = 10) -> list[Graph]:
             base = gnp_graph(n, 0.6, rng.randrange(2**32))
             out.append(base)
     return out[:count]
+
+
+def join_pool() -> list[Graph]:
+    """Graphs to glue: K5-, B1, B2, K4, K5, the prism and seeded M(2,2)
+    walks on at most 10 vertices."""
+    walks = [random_m22_graph(seed % 4 + 1, 400 + seed) for seed in range(12)]
+    return [
+        cat.k5_minus(), cat.b1(), cat.b2(), cat.complete_graph(4),
+        cat.complete_graph(5), cat.prism_graph(),
+    ] + [G for G in walks if G.n <= 10]
+
+
+@lru_cache(maxsize=None)
+def gluing_sides(G: Graph):
+    """The valid sides of a gluing in G, in every order: its edges (a, b),
+    its K4s (a, b, c, d) with c and d of degree 3, and its degree-3
+    vertices with their neighbours (v, (a, b, c))."""
+    edges = [p for e in G.sorted_edges() for p in (e, e[::-1])]
+    k4s = []
+    for vs in itertools.combinations(range(G.n), 4):
+        if len(G.induced_edges(vs)) == 6:
+            for c, d in itertools.permutations([v for v in vs if G.degree(v) == 3], 2):
+                a, b = [v for v in vs if v not in (c, d)]
+                k4s += [(a, b, c, d), (b, a, c, d)]
+    nodes = [
+        (v, nbrs)
+        for v in range(G.n) if G.degree(v) == 3
+        for nbrs in itertools.permutations(sorted(G.adj[v]))
+    ]
+    return edges, k4s, nodes
+
+
+def random_gluing(G1: Graph, G2: Graph, j: int, rng: random.Random):
+    """A random valid gluing of G1 and G2 for a j-join, or None."""
+    e1, k1, v1 = gluing_sides(G1)
+    _, k2, v2 = gluing_sides(G2)
+    left, right = {1: (e1, k2), 2: (k1, k2), 3: (v1, v2)}[j]
+    if not left or not right:
+        return None
+    return rng.choice(left), rng.choice(right)
+
+
+def joined_graphs(count: int, seed: int, max_n: int = 10) -> list[Graph]:
+    """Seeded 1-, 2- and 3-joins on at most max_n vertices; each result
+    joins the pool, so joins of joins appear too."""
+    rng = random.Random(seed)
+    pool = join_pool()
+    out = []
+    while len(out) < count:
+        G1, G2 = rng.choice(pool), rng.choice(pool)
+        j = rng.choice((1, 2, 3))
+        gluing = random_gluing(G1, G2, j, rng)
+        if gluing is None:
+            continue
+        G = join(G1, G2, j, gluing)
+        if G.n <= max_n:
+            out.append(G)
+            pool.append(G)
+    return out

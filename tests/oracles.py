@@ -8,15 +8,20 @@ answers from the fundamental circuits of one game, its earlier m + 1
 eliminations for the deletion ranks of a rigidity operator, its cut scans
 for k-connectivity and the first cut vertex (one subgraph per candidate
 cut, where the library now runs lowpoint DFS), its edge connectivity
-without the bound on each flow, and its forward scripts with one rule per
-reduction kind; they run on graphs far past the brute-force caps.
+without the bound on each flow, its forward scripts with one rule per
+reduction kind, its joins and separations with one relabel-and-union or
+completion rule per kind, and its 2-vertex-separation scan (one subgraph
+per vertex pair); they run on graphs far past the brute-force caps.
 """
 
 import itertools
 from functools import lru_cache
 
 from planerigidity.geometry import RigidityOperator, _bareiss_rank, rank_of
-from planerigidity.graphs import Graph, _min_st_edge_cut, find_isomorphism
+from planerigidity.graphs import (
+    Graph, Separation, _bipartitions, _is_k4_part, _min_st_edge_cut, _norm_edge, _part,
+    enumerate_separations, find_isomorphism,
+)
 from planerigidity.moves import Move, MoveError, ReductionTrace, base_graph
 from planerigidity.sparsity import PebbleGame, rank2k
 
@@ -310,3 +315,192 @@ def forward_script_per_kind(trace: ReductionTrace) -> list[Move]:
         else:
             raise MoveError(f"unexpected reduction kind {m.kind!r}")
     return out
+
+
+# ---------------------------------------------------------------------------
+# joins and separations by per-kind rules
+
+
+def _all_pairs(vs):
+    return [_norm_edge(x, y) for x, y in itertools.combinations(vs, 2)]
+
+
+def _require_k4(G: Graph, vs, ctx: str):
+    if len(set(vs)) != 4 or any(not 0 <= v < G.n for v in vs):
+        raise MoveError(f"{ctx}: need four distinct vertices")
+    if len(G.induced_edges(vs)) != 6:
+        raise MoveError(f"{ctx}: the four vertices must induce a K4")
+
+
+def join_per_kind(G1: Graph, G2: Graph, j: int, gluing) -> Graph:
+    """The library's earlier `moves.join`: one hand-written relabel-and-union
+    rule per kind, with the vertex range check of the 3-join added."""
+    if j == 1:
+        (a1, b1), (a2, b2, c2, d2) = gluing
+        if not G1.has_edge(a1, b1):
+            raise MoveError("1-join: a1b1 must be an edge of G1")
+        _require_k4(G2, (a2, b2, c2, d2), "1-join")
+        if G2.degree(c2) != 3 or G2.degree(d2) != 3:
+            raise MoveError("1-join: c and d must have degree 3 in G2")
+        keep2 = [v for v in range(G2.n) if v not in (a2, b2, c2, d2)]
+        lab2 = {v: G1.n + i for i, v in enumerate(keep2)}
+        lab2[a2], lab2[b2] = a1, b1
+        f2 = set(_all_pairs((a2, b2, c2, d2)))
+        edges = set(G1.edges) - {_norm_edge(a1, b1)}
+        edges |= {
+            _norm_edge(lab2[u], lab2[v]) for u, v in G2.edges if (u, v) not in f2
+        }
+        return Graph.from_edges(G1.n + len(keep2), edges)
+
+    if j == 2:
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = gluing
+        _require_k4(G1, (a1, b1, c1, d1), "2-join")
+        _require_k4(G2, (a2, b2, c2, d2), "2-join")
+        for H, (c, d), name in ((G1, (c1, d1), "G1"), (G2, (c2, d2), "G2")):
+            if H.degree(c) != 3 or H.degree(d) != 3:
+                raise MoveError(f"2-join: c and d must have degree 3 in {name}")
+        keep1 = [v for v in range(G1.n) if v not in (c1, d1)]
+        lab1 = {v: i for i, v in enumerate(keep1)}
+        keep2 = [v for v in range(G2.n) if v not in (a2, b2, c2, d2)]
+        lab2 = {v: len(keep1) + i for i, v in enumerate(keep2)}
+        lab2[a2], lab2[b2] = lab1[a1], lab1[b1]
+        f1 = set(_all_pairs((a1, b1, c1, d1)))
+        f2 = set(_all_pairs((a2, b2, c2, d2)))
+        edges = {
+            _norm_edge(lab1[u], lab1[v]) for u, v in G1.edges if (u, v) not in f1
+        }
+        edges |= {
+            _norm_edge(lab2[u], lab2[v]) for u, v in G2.edges if (u, v) not in f2
+        }
+        edges.add(_norm_edge(lab1[a1], lab1[b1]))
+        return Graph.from_edges(len(keep1) + len(keep2), edges)
+
+    if j == 3:
+        (v1, (a1, b1, c1)), (v2, (a2, b2, c2)) = gluing
+        for H, v, nbrs, name in (
+            (G1, v1, (a1, b1, c1), "G1"),
+            (G2, v2, (a2, b2, c2), "G2"),
+        ):
+            for x in (v, *nbrs):
+                if not 0 <= x < H.n:
+                    raise MoveError(f"3-join: vertex {x} does not exist")
+            if H.adj[v] != frozenset(nbrs):
+                raise MoveError(f"3-join: v must have exactly those neighbours in {name}")
+        keep1 = [v for v in range(G1.n) if v != v1]
+        lab1 = {v: i for i, v in enumerate(keep1)}
+        keep2 = [v for v in range(G2.n) if v != v2]
+        lab2 = {v: len(keep1) + i for i, v in enumerate(keep2)}
+        edges = {
+            _norm_edge(lab1[u], lab1[w]) for u, w in G1.edges if v1 not in (u, w)
+        }
+        edges |= {
+            _norm_edge(lab2[u], lab2[w]) for u, w in G2.edges if v2 not in (u, w)
+        }
+        edges |= {
+            _norm_edge(lab1[a1], lab2[a2]),
+            _norm_edge(lab1[b1], lab2[b2]),
+            _norm_edge(lab1[c1], lab2[c2]),
+        }
+        return Graph.from_edges(len(keep1) + len(keep2), edges)
+
+    raise MoveError("j must be 1, 2 or 3")
+
+
+def separations_of_per_kind(G: Graph, j: int) -> list[tuple[Graph, Graph]]:
+    """The library's earlier `moves.separations_of`: one completion helper
+    per kind."""
+    out = []
+    if j in (1, 2):
+        for sep in enumerate_separations(G, "vertex-cut-2"):
+            a, b = sep.cut
+            has_ab = G.has_edge(a, b)
+            if (j == 1 and has_ab) or (j == 2 and not has_ab):
+                continue
+            p1, p2 = sep.parts
+            if j == 1:
+                out.append(_one_separation(G, p1, p2, a, b))
+                out.append(_one_separation(G, p2, p1, a, b))
+            else:
+                out.append(_two_separation(G, p1, p2, a, b))
+    elif j == 3:
+        for sep in enumerate_separations(G, "edge-cut-3"):
+            if not sep.nontrivial:
+                continue
+            out.append(_three_separation(G, sep))
+    else:
+        raise MoveError("j must be 1, 2 or 3")
+    return out
+
+
+def _one_separation(G, p1, p2, a, b):
+    H1, lab1 = G.subgraph(p1.vertices)
+    G1 = H1.add_edge(lab1[a], lab1[b])
+    H2, lab2 = G.subgraph(p2.vertices)
+    c, d = H2.n, H2.n + 1
+    edges = set(H2.edges) | {
+        (lab2[a], lab2[b]), (lab2[a], c), (lab2[a], d),
+        (lab2[b], c), (lab2[b], d), (c, d),
+    }
+    G2 = Graph.from_edges(H2.n + 2, {_norm_edge(u, v) for u, v in edges})
+    return G1, G2
+
+
+def _two_separation(G, p1, p2, a, b):
+    def complete(part):
+        H, lab = G.subgraph(part.vertices)
+        c, d = H.n, H.n + 1
+        edges = set(H.edges) | {
+            (lab[a], c), (lab[a], d), (lab[b], c), (lab[b], d), (c, d),
+        }
+        return Graph.from_edges(H.n + 2, {_norm_edge(u, v) for u, v in edges})
+
+    return complete(p1), complete(p2)
+
+
+def _three_separation(G, sep):
+    p1, p2 = sep.parts
+
+    def complete(part):
+        H, lab = G.subgraph(part.vertices)
+        apex = H.n
+        ends = [
+            e[0] if e[0] in set(part.vertices) else e[1] for e in sep.cut
+        ]
+        edges = set(H.edges) | {(lab[x], apex) for x in ends}
+        return Graph.from_edges(H.n + 1, {_norm_edge(u, v) for u, v in edges})
+
+    return complete(p1), complete(p2)
+
+
+def enumerate_separations_scan(G: Graph) -> list[Separation]:
+    """The library's earlier `enumerate_separations(G, "vertex-cut-2")`: one
+    subgraph and component search per vertex pair, then a dedupe pass."""
+    if G.n < 4:
+        raise ValueError("separation enumeration needs n >= 4")
+    out = []
+    for a, b in itertools.combinations(range(G.n), 2):
+        rest = [v for v in range(G.n) if v not in (a, b)]
+        H, back = G.subgraph(rest)
+        comps = H.components()
+        if len(comps) < 2:
+            continue
+        inv = {new: old for old, new in back.items()}
+        comps_old = [{inv[v] for v in c} for c in comps]
+        for left, right in _bipartitions(comps_old):
+            v1 = set().union(*left) | {a, b}
+            v2 = set().union(*right) | {a, b}
+            p1, p2 = _part(G, v1), _part(G, v2)
+            nontriv = not (
+                _is_k4_part(G, v1) or _is_k4_part(G, v2)
+            )
+            out.append(
+                Separation("vertex-cut-2", (p1, p2), (a, b), nontriv)
+            )
+    seen = set()
+    uniq = []
+    for s in out:
+        key = frozenset((s.parts[0].vertices, s.parts[1].vertices)), s.cut
+        if key not in seen:
+            seen.add(key)
+            uniq.append(s)
+    return uniq

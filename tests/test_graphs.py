@@ -20,10 +20,11 @@ from planerigidity.graphs import (
 from planerigidity.moves import random_m22_graph
 from planerigidity.randomgraphs import gnp_graph
 
-from corpus import decision_corpus, k4_ring_graph
+from corpus import decision_corpus, joined_graphs, k4_ring_graph
 from oracles import (
     all_labeled_graphs,
     edge_connectivity_unpruned,
+    enumerate_separations_scan,
     first_cut_vertex_scan,
     graphs_up_to_iso,
     is_k_connected_cut_scan,
@@ -233,6 +234,31 @@ class TestSeparations:
                         assert set(p1.vertices) & set(p2.vertices) == set(sep.cut)
                     assert edges == set(G.edges)
                     assert set(p1.vertices) | set(p2.vertices) == set(range(G.n))
+
+
+class TestSeparationsAgainstScan:
+    def test_vertex_cuts_match_the_pair_scan(self):
+        graphs = [G for G in decision_corpus(150, seed=57) if G.n >= 4]
+        graphs += joined_graphs(100, seed=11)
+        graphs += [random_m22_graph(steps, 60 + steps) for steps in range(10, 40, 5)]
+        found = 0
+        for G in graphs:
+            seps = enumerate_separations(G, "vertex-cut-2")
+            assert seps == enumerate_separations_scan(G), G
+            found += len(seps)
+        assert found >= 200
+
+    def test_each_separation_once(self):
+        # each cut is visited once and each split of its components made once
+        for G in decision_corpus(60, seed=57) + joined_graphs(20, seed=11):
+            if G.n < 4:
+                continue
+            for kind in ("vertex-cut-2", "edge-cut-3"):
+                keys = [
+                    (frozenset(p.vertices for p in s.parts), s.cut)
+                    for s in enumerate_separations(G, kind)
+                ]
+                assert len(keys) == len(set(keys))
 
 
 class TestIsomorphism:

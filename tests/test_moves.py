@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import random
 import runpy
 from pathlib import Path
@@ -28,8 +29,8 @@ from planerigidity.moves import (
 )
 from planerigidity.sparsity import is_circuit22, is_m22_connected
 
-from corpus import k4_ring_graph
-from oracles import forward_script_per_kind
+from corpus import decision_corpus, join_pool, joined_graphs, k4_ring_graph, random_gluing
+from oracles import forward_script_per_kind, join_per_kind, separations_of_per_kind
 
 
 class TestApply:
@@ -241,6 +242,87 @@ class TestSeparations:
         host3 = join(cat.k5_minus(), cat.b1(), 3, ((3, (0, 1, 2)), (2, (0, 1, 3))))
         for a, b in separations_of(host3, 3):
             assert is_m22_connected(a) and is_m22_connected(b)
+
+
+def _outcome(f, *args):
+    """The graph f returns, or the message of the MoveError it raises."""
+    try:
+        return "graph", f(*args)
+    except MoveError as e:
+        return "error", str(e)
+
+
+def _spoiled(gluing, j, n, rng):
+    """`gluing` with one of its vertices replaced by a random label in
+    -2..n+1 (so it may name no vertex at all)."""
+    k = rng.randrange(6 if j == 1 else 8)
+    count = itertools.count()
+
+    def put(x):
+        if isinstance(x, tuple):
+            return tuple(put(y) for y in x)
+        return rng.randint(-2, n + 1) if next(count) == k else x
+
+    return put(gluing)
+
+
+class TestGluingRule:
+    """One gluing and one completion rule against the per-kind versions."""
+
+    def test_join_matches_per_kind_oracle(self):
+        rng = random.Random(23)
+        pool = join_pool()
+        valid, invalid = set(), {}
+        trials = 0
+        while len(valid) < 500 or trials < 1000:
+            G1, G2 = rng.choice(pool), rng.choice(pool)
+            j = rng.choice((1, 2, 3))
+            gluing = random_gluing(G1, G2, j, rng)
+            if gluing is None:
+                continue
+            if rng.random() < 0.3:
+                gluing = _spoiled(gluing, j, max(G1.n, G2.n), rng)
+            kind, result = _outcome(join, G1, G2, j, gluing)
+            assert (kind, result) == _outcome(join_per_kind, G1, G2, j, gluing), (j, gluing)
+            if kind == "graph":
+                valid.add((G1, G2, j, gluing))
+            else:
+                invalid[G1, G2, j, gluing] = result
+            trials += 1
+        assert len(invalid) >= 100
+        assert any("does not exist" in m for m in invalid.values())
+        assert any("must induce a K4" in m for m in invalid.values())
+
+    def test_separations_match_per_kind_oracle(self):
+        graphs = [G for G in decision_corpus(150, seed=57) if G.n >= 4]
+        graphs += joined_graphs(100, seed=11)
+        found = {1: 0, 2: 0, 3: 0}
+        for G in graphs:
+            for j in (1, 2, 3):
+                got = separations_of(G, j)
+                assert got == separations_of_per_kind(G, j), (G, j)
+                found[j] += len(got)
+        assert min(found.values()) >= 50
+
+    def test_3_join_checks_that_every_vertex_exists(self):
+        # -1 would read the last vertex's neighbours, 99 would be an IndexError
+        K = cat.k5_minus()
+        for gluing, x in [
+            (((-1, (0, 1, 2)), (4, (0, 1, 2))), -1),
+            (((99, (0, 1, 2)), (4, (0, 1, 2))), 99),
+            (((4, (0, 1, 2)), (4, (0, 1, -5))), -5),
+        ]:
+            with pytest.raises(MoveError) as info:
+                join(K, K, 3, gluing)
+            assert str(info.value) == f"3-join: vertex {x} does not exist"
+        G = join(K, K, 3, ((4, (0, 1, 2)), (4, (0, 1, 2))))
+        assert (G.n, G.m) == (8, 15)
+
+    def test_join_needs_j_from_one_to_three(self):
+        with pytest.raises(MoveError, match="j must be 1, 2 or 3"):
+            join(cat.b1(), cat.b1(), 4, ((0, 1), (0, 1, 2, 3)))
+        with pytest.raises(MoveError, match="j must be 1, 2 or 3"):
+            separations_of(cat.b1(), 0)
 
 
 class TestReductionEngine:
