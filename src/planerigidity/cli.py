@@ -21,9 +21,7 @@ from .formats import (
     parse_graph,
     parse_move_script,
 )
-from .geometry import (
-    NormedPlane, _auto_mode, random_regular_placement, rank_of, rigidity_operator,
-)
+from .geometry import NormedPlane, random_regular_placement, rank_of, rigidity_operator
 from .moves import MoveError, apply, base_graph, random_m22_graph, reduce_to_base
 from .randomgraphs import gnp_graph, random_regular_graph
 
@@ -86,8 +84,8 @@ def _cmd_rank(args) -> int:
     G = _load_graph(args.graph, args.format)
     plane = NormedPlane(args.p)
     placement = _placement_for(args, G, plane)
-    op = rigidity_operator(G, placement, plane, scaled=True)
-    mode = _auto_mode(op) if args.mode == "auto" else args.mode
+    op = rigidity_operator(G, placement, plane)
+    mode = ("exact" if op.exact else "float") if args.mode == "auto" else args.mode
     print(rank_of(op, mode, args.tol))
     return 0
 

@@ -18,7 +18,6 @@ from .formats import edge_set_text
 from .geometry import (
     NormedPlane,
     Placement,
-    _auto_mode,
     deletion_ranks,
     random_regular_placement,
     rigidity_operator,
@@ -309,8 +308,8 @@ def certify(
     report = is_globally_rigid_analytic(G)
     if placement is None:
         placement = random_regular_placement(G, plane, seed)
-    op = rigidity_operator(G, placement, plane, scaled=True)
-    mode = _auto_mode(op)
+    op = rigidity_operator(G, placement, plane)
+    mode = "exact" if op.exact else "float"
     target = 2 * G.n - plane.trivial_flex_dim
     rank, row_ranks = deletion_ranks(op, mode)
     edge_ranks = dict(zip(op.edges, row_ranks))

@@ -10,6 +10,7 @@ by one `kind i j [k ...]` line per move.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -173,11 +174,14 @@ def _parse_coord(tok: str, where: str):
         except (ValueError, ZeroDivisionError):
             raise FormatError(f"{where}: bad rational {tok!r}")
     try:
-        if "." in tok or "e" in tok or "E" in tok:
-            return float(tok)
-        return Fraction(int(tok))
+        if not ("." in tok or "e" in tok or "E" in tok):
+            return Fraction(int(tok))
+        value = float(tok)
     except ValueError:
         raise FormatError(f"{where}: bad coordinate {tok!r}")
+    if not math.isfinite(value):
+        raise FormatError(f"{where}: non-finite coordinate {tok!r}")
+    return value
 
 
 def parse_placement(text: str) -> Placement:

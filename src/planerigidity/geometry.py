@@ -2,19 +2,22 @@
 rank, rigidity predicates, reflections and counterexample placements.
 
 Exponents p with 1 < p < infinity keep the plane smooth and strictly
-convex.  For even integer p and rational coordinates the row-scaled
-operator has exact rational entries.  Its rank is then certified by one
-Gauss-Jordan elimination modulo the prime 2^61 - 1 whenever the modular
-rank reaches the bound min(m, 2n - f), f the plane's trivial flex
-dimension (3 Euclidean, 2 otherwise); a lower modular rank falls back to
-fraction-free (Bareiss) elimination over the integers.  Everything else
-uses numpy SVD with a relative tolerance.
+convex.  The operator is built row-scaled, with entries d_i^(p-1).  For
+even integer p and a rational placement its rows are Python ints, built
+once with one common denominator cleared, and capped at EXACT_ENTRY_BITS
+bits per entry.  Their rank is certified by one Gauss-Jordan elimination
+modulo the prime 2^61 - 1 whenever the modular rank reaches the bound
+min(m, 2n - f), f the plane's trivial flex dimension (3 Euclidean, 2
+otherwise); a lower modular rank falls back to fraction-free (Bareiss)
+elimination over the integers.  Everything else uses numpy SVD with a
+relative tolerance.
 
 The same elimination gives the self-stresses (the left kernel), and a row
 can be deleted without losing rank iff some self-stress is nonzero on it.
-So `deletion_ranks` answers the rank of the operator minus each row from
-one modular elimination (exact mode) or one SVD (float mode), and only
-the rows that the modular answer cannot settle are eliminated again.
+So `deletion_ranks` answers the rank of the operator and of the operator
+minus each row from that one elimination (exact mode) or one SVD (float
+mode), and only the rows that the modular answer cannot settle are
+eliminated again.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ class NormedPlane:
 
     @property
     def exactable(self) -> bool:
-        """Whether the scaled operator has exact rational entries."""
+        """Whether the row-scaled operator of a rational placement is exact."""
         return self.p == 2 or (self.p == int(self.p) and int(self.p) % 2 == 0)
 
     def isometry_linear_parts(self):
@@ -121,31 +124,35 @@ def support_functional(x, plane: NormedPlane):
 
 @dataclass(frozen=True)
 class RigidityOperator:
-    """|E| x 2n matrix of support functionals of edge difference vectors.
+    """|E| x 2n matrix of row-scaled support functionals of edge vectors.
 
     Row order is the sorted edge list.  For the row of edge (u, v) with
-    u < v and d = p_v - p_u, the functional of d lands in v's columns and
-    its negative in u's columns, so uniform translations are always in the
-    kernel.  With `scaled` set, each row is multiplied by |d|^(p-2), turning
-    the entries into d_i^(p-1); for even p and rational placements these
-    are exact rationals.  `trivial_flex_dim` is that of the plane it was
-    built in (2 unless set); it bounds the rank by 2n - trivial_flex_dim.
+    u < v and d = p_v - p_u, the support functional of d times |d|^(p-2),
+    that is (sign(d_i) |d_i|^(p-1))_i, lands in v's columns and its
+    negative in u's columns, so uniform translations are always in the
+    kernel.  Positive row scalings change neither the rank of any set of
+    rows nor which rows a self-stress is nonzero on.
+
+    `exact` is set when the plane is exactable and the placement rational.
+    The entries are then Python ints: every coordinate is multiplied by D,
+    the lcm of all coordinate denominators, so every row is the rational
+    one times the same D^(p-1), and one elimination of these rows gives
+    the rank and the stressed rows (`_exact_profile`).  An entry may have
+    at most EXACT_ENTRY_BITS bits, so an even p such as 1e20 is refused.
+    Otherwise the entries are floats.  `trivial_flex_dim` is that of the
+    plane it was built in (2 unless set); it bounds the rank by
+    2n - trivial_flex_dim.
     """
 
     matrix: tuple[tuple, ...]
     edges: tuple[Edge, ...]
     n: int
-    scaled: bool
+    exact: bool
     trivial_flex_dim: int = 2
 
     @property
     def shape(self):
         return (len(self.matrix), 2 * self.n)
-
-    def is_exact(self) -> bool:
-        return all(
-            isinstance(c, (Fraction, int)) for row in self.matrix for c in row
-        )
 
     def as_array(self) -> np.ndarray:
         return np.array(
@@ -160,32 +167,60 @@ class RigidityOperator:
         )
 
 
+# exact entries are capped at this many bits: the Bareiss fallback grows
+# with the entry size (one rank of a 40 x 40 rank-deficient operator took
+# 2 s at 2000 bits and 8 s at 4000 on a 2-core Xeon), and an even p such
+# as 1e20 would never finish building its rows
+EXACT_ENTRY_BITS = 1 << 12
+
+
+def _float_functional(d, plane: NormedPlane) -> tuple[float, float]:
+    """The support functional of d times |d|^(p-2), in floating point."""
+    try:
+        phi = support_functional(d, plane)
+        s = plane.norm(d) ** (plane.p - 2)
+        phi = (phi[0] * s, phi[1] * s)
+    except ArithmeticError:
+        phi = (math.nan, math.nan)
+    if not (math.isfinite(phi[0]) and math.isfinite(phi[1])):
+        raise ValueError(
+            f"p = {plane.p:g}: operator entries out of floating-point range"
+        )
+    return phi
+
+
 def rigidity_operator(
-    G: Graph, placement: Placement, plane: NormedPlane, scaled: bool = False
+    G: Graph, placement: Placement, plane: NormedPlane
 ) -> RigidityOperator:
+    """The row-scaled operator (see `RigidityOperator`); exact entries past
+    EXACT_ENTRY_BITS bits and float entries that overflow raise ValueError."""
     if placement.n != G.n:
         raise ValueError("placement size does not match the graph")
     rows = []
     edges = tuple(G.sorted_edges())
-    exact_ok = scaled and plane.exactable and placement.exact
+    exact = plane.exactable and placement.exact
+    coords = placement.coords
+    if exact:
+        q = int(plane.p) - 1
+        D = math.lcm(*(c.denominator for xy in coords for c in xy))
+        coords = [tuple(c.numerator * (D // c.denominator) for c in xy) for xy in coords]
+        # a difference of two coordinates of at most b bits has at most b + 1
+        bits = max((abs(c).bit_length() for xy in coords for c in xy), default=0)
+        if q * (bits + 1) > EXACT_ENTRY_BITS:
+            raise ValueError(
+                f"p = {plane.p:g}: exact operator entries would exceed {EXACT_ENTRY_BITS} bits"
+            )
     for u, v in edges:
-        pu, pv = placement.coords[u], placement.coords[v]
+        pu, pv = coords[u], coords[v]
         d = (pv[0] - pu[0], pv[1] - pu[1])
-        if d == (0, 0) or (float(d[0]) == 0.0 and float(d[1]) == 0.0):
+        if d == (0, 0):
             raise ValueError(f"coincident endpoints on edge ({u},{v})")
-        if exact_ok:
-            q = int(plane.p) - 1
-            phi = (Fraction(d[0]) ** q, Fraction(d[1]) ** q)
-        else:
-            phi = support_functional(d, plane)
-            if scaled:
-                s = plane.norm(d) ** (plane.p - 2)
-                phi = (phi[0] * s, phi[1] * s)
+        phi = (d[0] ** q, d[1] ** q) if exact else _float_functional(d, plane)
         row = [0] * (2 * G.n)
         row[2 * u], row[2 * u + 1] = -phi[0], -phi[1]
         row[2 * v], row[2 * v + 1] = phi[0], phi[1]
         rows.append(tuple(row))
-    return RigidityOperator(tuple(rows), edges, G.n, scaled, plane.trivial_flex_dim)
+    return RigidityOperator(tuple(rows), edges, G.n, exact, plane.trivial_flex_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -196,26 +231,9 @@ def rigidity_operator(
 _PRIME = (1 << 61) - 1
 
 
-def _integer_rows(rows) -> list[list[int]]:
-    """Each rational row times the lcm of its denominators.
-
-    Positive row scalings change neither the rank of any set of rows nor
-    which rows a self-stress can be nonzero on.
-    """
-    out = []
-    for row in rows:
-        den = math.lcm(*(c.denominator for c in row if c))
-        out.append([c.numerator * (den // c.denominator) if c else 0 for c in row])
-    return out
-
-
 def _bareiss_rank(rows) -> int:
-    """Rank by fraction-free elimination over exact integers.
-
-    Rows are scaled to integers first (`_integer_rows`); all arithmetic
-    stays in Python bigints.
-    """
-    mat = _integer_rows(rows)
+    """Rank of integer rows by fraction-free elimination in Python bigints."""
+    mat = [list(row) for row in rows]
     m = len(mat)
     cols = len(mat[0]) if m else 0
     rank = 0
@@ -273,32 +291,43 @@ def _modular_profile(rows, cols: int) -> tuple[int, frozenset[int]]:
     )
 
 
-def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int:
-    """Rank of the operator; exact (modular with a Bareiss fallback) or SVD.
+def _exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int]]:
+    """The exact rank of an integer operator, and rows known to be stressed.
 
-    Exact mode requires rational entries (p = 2, or the scaled operator for
-    even integer p with a rational placement).  It eliminates modulo the
-    prime p = 2^61 - 1 first.  rank_p <= rank_Q, since a nonzero minor mod
-    p is a nonzero integer minor; and rank_Q <= min(m, 2n - f), with f the
-    operator's `trivial_flex_dim`.  The two translations always lie in the
-    kernel (f = 2).  In the Euclidean plane (f = 3) so does the rotation
-    field v_i = (-y_i, x_i): the row of edge uv is d = p_v - p_u, and
+    One elimination modulo p = 2^61 - 1 (`_modular_profile`).
+    rank_p <= rank_Q, since a nonzero minor mod p is a nonzero integer
+    minor; and rank_Q <= min(m, 2n - f), with f the operator's
+    `trivial_flex_dim`.  The two translations always lie in the kernel
+    (f = 2).  In the Euclidean plane (f = 3) so does the rotation field
+    v_i = (-y_i, x_i): the row of edge uv is d = p_v - p_u, and
     d . (J p_v - J p_u) = d . J d = 0.  It is not a translation, because
     the endpoints of an edge never coincide.  So a modular rank that
-    reaches min(m, 2n - f) is the exact rank; anything lower is recomputed
-    by fraction-free elimination (`_bareiss_rank`).  Float mode counts
-    singular values above tol times the largest.
+    reaches min(m, 2n - f) is the exact rank; a lower one is recomputed by
+    fraction-free elimination (`_bareiss_rank`).  Whenever rank_p equals
+    the exact rank r, a row stressed mod p keeps it, since
+    r >= rank_Q(A - row) >= rank_p(A - row) = r; otherwise no row is
+    known to be stressed.
+    """
+    if not op.exact:
+        raise ValueError("exact rank needs rational entries; use float mode")
+    rank_p, stressed = _modular_profile(op.matrix, 2 * op.n)
+    if rank_p == min(len(op.matrix), 2 * op.n - op.trivial_flex_dim):
+        return rank_p, stressed
+    rank = _bareiss_rank(op.matrix)
+    return rank, stressed if rank == rank_p else frozenset()
+
+
+def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int:
+    """Rank of the operator; exact (`_exact_profile`) or SVD.
+
+    Exact mode requires an exact operator (an exactable plane and a
+    rational placement).  Float mode counts singular values above tol
+    times the largest.
     """
     if not op.matrix:
         return 0
     if mode == "exact":
-        if not op.is_exact():
-            raise ValueError("exact rank needs rational entries; use float mode")
-        rows = _integer_rows(op.matrix)
-        rank, _ = _modular_profile(rows, 2 * op.n)
-        if rank == min(len(rows), 2 * op.n - op.trivial_flex_dim):
-            return rank
-        return _bareiss_rank(rows)
+        return _exact_profile(op)[0]
     if mode == "float":
         sv = np.linalg.svd(op.as_array(), compute_uv=False)
         if sv.size == 0 or sv[0] == 0.0:
@@ -312,7 +341,7 @@ def _without_row(op: RigidityOperator, i: int) -> RigidityOperator:
         op.matrix[:i] + op.matrix[i + 1:],
         op.edges[:i] + op.edges[i + 1:],
         op.n,
-        op.scaled,
+        op.exact,
         op.trivial_flex_dim,
     )
 
@@ -323,24 +352,24 @@ def deletion_ranks(
     """The rank of the operator and the rank with each row deleted.
 
     Deleting row i keeps the rank r iff some self-stress (left-kernel
-    vector) is nonzero on it; otherwise the rank drops to r - 1.  The rank
-    itself comes from `rank_of`.  When r = m the rows are independent and
-    every deletion rank is m - 1 (in float mode too: the singular values
-    of A - row interlace those of A, so its m - 1 largest stay above tol
-    times its largest).
+    vector) is nonzero on it; otherwise the rank drops to r - 1.  When
+    r = m the rows are independent and every deletion rank is m - 1 (in
+    float mode too: the singular values of A - row interlace those of A,
+    so its m - 1 largest stay above tol times its largest).
 
-    Otherwise exact mode reads the stressed rows from one elimination mod
-    p (`_modular_profile`).  When rank_p = r, a row stressed mod p has
-    rank_p(A - row) = r, so rank_Q(A - row) >= r, hence = r.  Any other
-    row (unstressed mod p, or every row when rank_p < r) is confirmed by
+    Exact mode takes the rank and the stressed rows from one elimination
+    (`_exact_profile`); any row it does not find stressed is confirmed by
     `rank_of` on the operator without it.
 
-    Float mode runs one SVD of the row-normalised array: row i counts as
-    stressed iff row i of U[:, r:], the left singular vectors beyond the
-    rank, has norm above tol.
+    Float mode takes the rank from `rank_of` and runs one SVD of the
+    row-normalised array: row i counts as stressed iff row i of U[:, r:],
+    the left singular vectors beyond the rank, has norm above tol.
     """
     m = len(op.matrix)
-    rank = rank_of(op, mode, tol)
+    if mode == "exact":
+        rank, stressed = _exact_profile(op)
+    else:
+        rank = rank_of(op, mode, tol)
     if rank == m:
         return rank, (rank - 1,) * m
     if mode == "float":
@@ -349,17 +378,10 @@ def deletion_ranks(
         U = np.linalg.svd(A)[0]
         weight = np.linalg.norm(U[:, rank:], axis=1)
         return rank, tuple(rank if w > tol else rank - 1 for w in weight)
-    r_p, stressed = _modular_profile(_integer_rows(op.matrix), 2 * op.n)
-    if r_p != rank:
-        stressed = frozenset()
     return rank, tuple(
         rank if i in stressed else rank_of(_without_row(op, i), mode, tol)
         for i in range(m)
     )
-
-
-def _auto_mode(op: RigidityOperator) -> str:
-    return "exact" if op.is_exact() else "float"
 
 
 def is_inf_rigid(
@@ -369,8 +391,8 @@ def is_inf_rigid(
     """Rank test for infinitesimal rigidity: 2n-3 Euclidean, 2n-2 otherwise."""
     if G.n < 2:
         raise ValueError("needs at least two vertices")
-    op = rigidity_operator(G, placement, plane, scaled=True)
-    mode = mode or _auto_mode(op)
+    op = rigidity_operator(G, placement, plane)
+    mode = mode or ("exact" if op.exact else "float")
     return rank_of(op, mode, tol) == 2 * G.n - plane.trivial_flex_dim
 
 
@@ -382,8 +404,8 @@ def is_redundantly_rigid(
     if G.n < 2 or G.m < 1:
         raise ValueError("needs at least two vertices and one edge")
     target = 2 * G.n - plane.trivial_flex_dim
-    op = rigidity_operator(G, placement, plane, scaled=True)
-    _, ranks = deletion_ranks(op, mode or _auto_mode(op), tol)
+    op = rigidity_operator(G, placement, plane)
+    _, ranks = deletion_ranks(op, mode or ("exact" if op.exact else "float"), tol)
     return all(r == target for r in ranks)
 
 

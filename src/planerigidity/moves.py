@@ -278,6 +278,8 @@ def join(G1: Graph, G2: Graph, j: int, gluing) -> Graph:
                     raise MoveError(f"3-join: vertex {x} does not exist")
             if H.adj[v] != frozenset(nbrs):
                 raise MoveError(f"3-join: v must have exactly those neighbours in {name}")
+            if len(set(nbrs)) != 3:
+                raise MoveError(f"3-join: the three neighbours must be distinct in {name}")
         G, lab1, lab2 = _glue(G1, (v1,), G2, (v2,), {})
         pairs = ((a1, a2), (b1, b2), (c1, c2))
         return Graph.from_edges(G.n, G.edges | {(lab1[x], lab2[y]) for x, y in pairs})

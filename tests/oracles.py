@@ -224,7 +224,7 @@ def deletion_ranks_loop(op: RigidityOperator, mode: str, tol: float = 1e-9):
     rows, edges = op.matrix, op.edges
     return rank(op), tuple(
         rank(RigidityOperator(
-            rows[:i] + rows[i + 1:], edges[:i] + edges[i + 1:], op.n, op.scaled,
+            rows[:i] + rows[i + 1:], edges[:i] + edges[i + 1:], op.n, op.exact,
             op.trivial_flex_dim,
         ))
         for i in range(len(rows))
@@ -334,7 +334,8 @@ def _require_k4(G: Graph, vs, ctx: str):
 
 def join_per_kind(G1: Graph, G2: Graph, j: int, gluing) -> Graph:
     """The library's earlier `moves.join`: one hand-written relabel-and-union
-    rule per kind, with the vertex range check of the 3-join added."""
+    rule per kind, with the vertex range and distinct-neighbour checks of
+    the 3-join added."""
     if j == 1:
         (a1, b1), (a2, b2, c2, d2) = gluing
         if not G1.has_edge(a1, b1):
@@ -386,6 +387,8 @@ def join_per_kind(G1: Graph, G2: Graph, j: int, gluing) -> Graph:
                     raise MoveError(f"3-join: vertex {x} does not exist")
             if H.adj[v] != frozenset(nbrs):
                 raise MoveError(f"3-join: v must have exactly those neighbours in {name}")
+            if len(set(nbrs)) != 3:
+                raise MoveError(f"3-join: the three neighbours must be distinct in {name}")
         keep1 = [v for v in range(G1.n) if v != v1]
         lab1 = {v: i for i, v in enumerate(keep1)}
         keep2 = [v for v in range(G2.n) if v != v2]

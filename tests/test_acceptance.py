@@ -164,7 +164,7 @@ def test_criterion_6_rank_agreement_100_graphs():
             continue
         checked += 1
         placement = random_regular_placement(G, L4, seed=3000 + i)
-        op = rigidity_operator(G, placement, L4, scaled=True)
+        op = rigidity_operator(G, placement, L4)
         if rank_of(op, "exact") == rank2k(G.edges, 2):
             agree += 1
     elapsed = time.time() - t0
@@ -179,13 +179,13 @@ def test_criterion_6_rank_agreement_100_graphs():
 def test_criterion_7_euclidean_contrast():
     k33 = cat.complete_bipartite(3, 3)
     pl2 = random_regular_placement(k33, L2, 41)
-    r2 = rank_of(rigidity_operator(k33, pl2, L2, scaled=True), "exact")
+    r2 = rank_of(rigidity_operator(k33, pl2, L2), "exact")
     pl4 = random_regular_placement(k33, L4, 43)
-    r4 = rank_of(rigidity_operator(k33, pl4, L4, scaled=True), "exact")
+    r4 = rank_of(rigidity_operator(k33, pl4, L4), "exact")
     two = cat.two_k4_shared_vertex()
     plt = random_regular_placement(two, L4, 47)
-    t4 = rank_of(rigidity_operator(two, plt, L4, scaled=True), "exact")
-    t2 = rank_of(rigidity_operator(two, plt, L2, scaled=True), "exact")
+    t4 = rank_of(rigidity_operator(two, plt, L4), "exact")
+    t2 = rank_of(rigidity_operator(two, plt, L2), "exact")
     ok = (
         r2 == 2 * 6 - 3
         and r4 == 9 < 2 * 6 - 2

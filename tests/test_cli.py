@@ -3,7 +3,10 @@
 import contextlib
 import hashlib
 import io
+import os
 import sys
+import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +205,23 @@ def _build_exits_cleanly(base, lines):
         assert code == 1 and out == "" and err.startswith("error: ")
 
 
+# vertex labels, integers, rationals, decimals (huge and tiny ones too) and junk
+PLACEMENT_TOKENS = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.integers(-10**30, 10**30).map(str),
+    st.tuples(st.integers(-50, 50), st.integers(-3, 50)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e200", "-1e400", "1e-320", "nan", "inf", "x", "1/", "#"]),
+)
+
+
+def _exited_cleanly(code, out, err):
+    if code == 0:
+        assert err == "" and out
+    else:
+        assert code == 1 and out == "" and err.startswith("error: ")
+
+
 class TestRank:
     def test_k33_exact(self):
         code, out, _ = run(
@@ -280,6 +300,67 @@ class TestCertify:
             [cmd, "-", "--p", p, "--seed", "1"], emit_edgelist(cat.k5_minus())
         )
         assert code == 1 and out == "" and "error:" in err and "infinity" in err
+
+    @pytest.mark.parametrize("cmd", ["rank", "certify"])
+    @pytest.mark.parametrize("p, message", [
+        # an even integer: the exact entries would have 10^20 - 1 powers
+        ("1e20", "p = 1e+20: exact operator entries would exceed 4096 bits"),
+        ("1e300", "p = 1e+300: exact operator entries would exceed 4096 bits"),
+        ("401", "p = 401: operator entries out of floating-point range"),
+    ])
+    def test_huge_p_is_error_1(self, cmd, p, message):
+        start = time.perf_counter()
+        code, out, err = run(
+            [cmd, "-", "--p", p, "--seed", "1"], emit_edgelist(cat.cycle_graph(3))
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("cmd", ["rank", "certify"])
+    @pytest.mark.parametrize("coord, message", [
+        ("1e200", "error: p = 4: operator entries out of floating-point range\n"),
+        ("1e400", "error: placement: line 1: non-finite coordinate '1e400'\n"),
+        ("-1E999", "error: placement: line 1: non-finite coordinate '-1E999'\n"),
+    ])
+    def test_huge_coordinate_is_error_1(self, tmp_path, cmd, coord, message):
+        ppath = tmp_path / "pl.txt"
+        ppath.write_text(f"0 {coord} 0\n1 1 2\n2 3 5\n")
+        code, out, err = run(
+            [cmd, "-", "--p", "4", "--placement", str(ppath)],
+            emit_edgelist(cat.cycle_graph(3)),
+        )
+        assert code == 1 and out == "" and err == message
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["rank", "certify"]),
+        st.sampled_from(["2", "3", "4", "6", "401", "1e20"]),
+        st.lists(st.lists(PLACEMENT_TOKENS, max_size=4), max_size=7),
+    )
+    def test_placement_fuzz_exits_0_or_1(self, cmd, p, lines):
+        _placement_exits_cleanly(cmd, p, [" ".join(tokens) for tokens in lines])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["rank", "certify"]),
+        st.sampled_from(["2", "3", "4", "6", "401", "1e20"]),
+        st.lists(st.tuples(PLACEMENT_TOKENS, PLACEMENT_TOKENS), min_size=5, max_size=5),
+    )
+    def test_placement_fuzz_well_formed_lines_exit_0_or_1(self, cmd, p, coords):
+        # one 'v x y' line for each vertex of K5-, so the coordinates reach
+        # the operator
+        _placement_exits_cleanly(cmd, p, [f"{v} {x} {y}" for v, (x, y) in enumerate(coords)])
+
+
+def _placement_exits_cleanly(cmd, p, lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pl.txt")
+        with open(path, "w") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        code, out, err = run(
+            [cmd, "-", "--p", p, "--placement", path], emit_edgelist(cat.k5_minus())
+        )
+    _exited_cleanly(code, out, err)
 
 
 class TestRandom:
@@ -369,6 +450,27 @@ class TestExperiment:
     def test_generator_error_writes_nothing_to_stdout(self, args, message):
         code, out, err = run(["experiment", *args])
         assert code == 1 and out == "" and message in err
+
+
+class TestCheckFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=127), max_size=30),
+           st.sampled_from(["auto", "graph6"]))
+    def test_graph6_fuzz_exits_0_or_1(self, text, fmt):
+        _exited_cleanly(*run(["check", "-", "--format", fmt], text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.integers(-2, 12).map(str), st.sampled_from(["", "x", "3.5", "# c"])),
+        st.lists(st.one_of(
+            st.tuples(st.integers(-2, 13), st.integers(-2, 13)).map(lambda e: f"{e[0]} {e[1]}"),
+            st.sampled_from(["", "# comment", "1", "0 1 2", "a b", "1.0 2"]),
+        ), max_size=30),
+        st.sampled_from(["auto", "edgelist"]),
+    )
+    def test_edgelist_fuzz_exits_0_or_1(self, header, lines, fmt):
+        text = "\n".join([header, *lines]) + "\n"
+        _exited_cleanly(*run(["check", "-", "--format", fmt], text))
 
 
 class TestUsage:

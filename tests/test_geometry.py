@@ -93,13 +93,47 @@ class TestOperator:
     def test_p4_scaled_cubes(self):
         G = Graph.from_edges(2, [(0, 1)])
         pl = Placement(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))))
-        op = rigidity_operator(G, pl, L4, scaled=True)
+        op = rigidity_operator(G, pl, L4)
         assert op.matrix == ((Fraction(-1), Fraction(-8), Fraction(1), Fraction(8)),)
+
+    def test_exact_rows_clear_one_common_denominator(self):
+        # D = lcm(2, 3, 4) = 12 turns the coordinates into (0, 0), (6, 4)
+        # and (3, 12), and each row into the cubes of an integer difference
+        G = cat.cycle_graph(3)
+        pl = Placement((
+            (Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 4), Fraction(1)),
+        ))
+        op = rigidity_operator(G, pl, L4)
+        assert op.exact
+        assert op.matrix == (
+            (-216, -64, 216, 64, 0, 0),
+            (-27, -1728, 0, 0, 27, 1728),
+            (0, 0, 27, -512, -27, 512),
+        )
+        assert all(type(c) is int for row in op.matrix for c in row)
+
+    def test_exact_entry_cap(self):
+        # coordinates of one bit: differences of at most two bits, so the
+        # cap allows p - 1 up to EXACT_ENTRY_BITS / 2, and p = 2048 is the
+        # largest even exponent it allows
+        G = Graph.from_edges(2, [(0, 1)])
+        pl = Placement(((0, 0), (1, 1)))
+        assert geometry.EXACT_ENTRY_BITS == 4096
+        assert rigidity_operator(G, pl, NormedPlane(2048)).matrix == ((-1, -1, 1, 1),)
+        with pytest.raises(ValueError, match="p = 2050: exact operator entries"):
+            rigidity_operator(G, pl, NormedPlane(2050))
+
+    def test_float_overflow_is_value_error(self):
+        G = Graph.from_edges(2, [(0, 1)])
+        for pl, p in [(((0.0, 0.0), (1e200, 1.0)), 3), (((0.0, 0.0), (1e-200, 0.0)), 3),
+                      (((0.0, 0.0), (10.0, 1.0)), 401)]:
+            with pytest.raises(ValueError, match="out of floating-point range"):
+                rigidity_operator(G, Placement(pl), NormedPlane(p))
 
     def test_translation_kernel_exact(self):
         for G in [cat.k5_minus(), cat.complete_bipartite(3, 3)]:
             pl = random_regular_placement(G, L4, 17)
-            op = rigidity_operator(G, pl, L4, scaled=True)
+            op = rigidity_operator(G, pl, L4)
             tx = [1, 0] * G.n
             ty = [0, 1] * G.n
             assert all(v == 0 for v in op.apply(tx))
@@ -116,29 +150,26 @@ class TestRank:
     def test_k4_p4_exact(self):
         G = cat.complete_graph(4)
         pl = random_regular_placement(G, L4, 5)
-        op = rigidity_operator(G, pl, L4, scaled=True)
+        op = rigidity_operator(G, pl, L4)
         assert rank_of(op, "exact") == 6 == rank2k(G.edges, 2)
 
     def test_k33_contrast(self):
         G = cat.complete_bipartite(3, 3)
         pl = random_regular_placement(G, L2, 5)
-        assert rank_of(rigidity_operator(G, pl, L2, scaled=True), "exact") == 9
+        assert rank_of(rigidity_operator(G, pl, L2), "exact") == 9
         pl4 = random_regular_placement(G, L4, 5)
-        assert rank_of(rigidity_operator(G, pl4, L4, scaled=True), "exact") == 9
+        assert rank_of(rigidity_operator(G, pl4, L4), "exact") == 9
         assert 9 < 2 * G.n - 2  # flexible in the non-Euclidean plane
 
     def test_scaling_invariance_float(self):
         for seed, G in enumerate([cat.k5_minus(), cat.wheel_graph(5), cat.b1()]):
-            pl = random_regular_placement(G, L4, seed)
-            a = rank_of(rigidity_operator(G, pl, L4, scaled=False), "float")
-            b = rank_of(rigidity_operator(G, pl, L4, scaled=True), "float")
-            c = rank_of(rigidity_operator(G, pl, L4, scaled=True), "exact")
-            assert a == b == c
+            op = rigidity_operator(G, random_regular_placement(G, L4, seed), L4)
+            assert rank_of(op, "float") == rank_of(op, "exact")
 
     def test_exact_mode_rejects_floats(self):
         G = Graph.from_edges(2, [(0, 1)])
         pl = Placement(((0.0, 0.0), (1.0, 2.0)))
-        op = rigidity_operator(G, pl, NormedPlane(3), scaled=True)
+        op = rigidity_operator(G, pl, NormedPlane(3))
         with pytest.raises(ValueError):
             rank_of(op, "exact")
 
@@ -147,7 +178,7 @@ def _corpus_frameworks(p, count=60):
     plane = NormedPlane(p)
     for i, G in enumerate(decision_corpus(count, seed=71)):
         pl = random_regular_placement(G, plane, 700 + i)
-        yield rigidity_operator(G, pl, plane, scaled=True)
+        yield rigidity_operator(G, pl, plane)
 
 
 class TestDeletionRanks:
@@ -172,15 +203,16 @@ class TestDeletionRanks:
 
     def test_stressed_rows_are_not_eliminated_again(self, monkeypatch):
         # K6 at a generic placement: the modular rank reaches 2n - 2 and
-        # every row lies in a self-stress, so one rank_of call and no
-        # Bareiss elimination answer all fifteen deletions
+        # every row lies in a self-stress, so one modular elimination and
+        # no Bareiss elimination answer the rank and all fifteen deletions
         calls = []
+        profile = geometry._modular_profile
         monkeypatch.setattr(geometry, "_bareiss_rank", None)
         monkeypatch.setattr(
-            geometry, "rank_of", lambda *a: calls.append(a) or rank_of(*a)
+            geometry, "_modular_profile", lambda *a: calls.append(a) or profile(*a)
         )
         G = cat.complete_graph(6)
-        op = rigidity_operator(G, random_regular_placement(G, L4, 3), L4, scaled=True)
+        op = rigidity_operator(G, random_regular_placement(G, L4, 3), L4)
         assert deletion_ranks(op, "exact") == (10, (10,) * 15)
         assert len(calls) == 1
 
@@ -221,16 +253,40 @@ class TestDeletionRanks:
         G = cat.complete_graph(5)
         pl = Placement(tuple((Fraction(v), Fraction(v)) for v in range(5)))
         for p, mode in [(4, "exact"), (3, "float")]:
-            op = rigidity_operator(G, pl, NormedPlane(p), scaled=True)
+            op = rigidity_operator(G, pl, NormedPlane(p))
             assert deletion_ranks(op, mode) == deletion_ranks_loop(op, mode) == (4, (4,) * 10)
 
-    def test_independent_rows_drop_by_one(self):
+    def test_stresses_kept_when_the_fallback_confirms_the_modular_rank(self, monkeypatch):
+        # collinear K5: the modular rank 4 is below 2n - 2, so Bareiss runs
+        # once; it confirms 4, so every row stays stressed and none is
+        # eliminated again
+        calls = []
+        profile, bareiss = geometry._modular_profile, geometry._bareiss_rank
+        monkeypatch.setattr(
+            geometry, "_modular_profile", lambda *a: calls.append("p") or profile(*a)
+        )
+        monkeypatch.setattr(
+            geometry, "_bareiss_rank", lambda rows: calls.append("b") or bareiss(rows)
+        )
+        G = cat.complete_graph(5)
+        pl = Placement(tuple((Fraction(v), Fraction(v)) for v in range(5)))
+        assert deletion_ranks(rigidity_operator(G, pl, L4), "exact") == (4, (4,) * 10)
+        assert calls == ["p", "b"]
+
+    def test_independent_rows_drop_by_one(self, monkeypatch):
+        # the modular rank reaches m, so its one elimination answers all
+        calls = []
+        profile = geometry._modular_profile
+        monkeypatch.setattr(
+            geometry, "_modular_profile", lambda *a: calls.append(a) or profile(*a)
+        )
         G = cat.complete_bipartite(3, 3)
-        op = rigidity_operator(G, random_regular_placement(G, L4, 5), L4, scaled=True)
+        op = rigidity_operator(G, random_regular_placement(G, L4, 5), L4)
         assert deletion_ranks(op, "exact") == (9, (8,) * 9)
+        assert len(calls) == 1
 
     def test_empty_operator(self):
-        op = rigidity_operator(Graph.from_edges(3, []), Placement(((0, 0),) * 3), L4, scaled=True)
+        op = rigidity_operator(Graph.from_edges(3, []), Placement(((0, 0),) * 3), L4)
         assert deletion_ranks(op, "exact") == (0, ())
         assert deletion_ranks(op, "float") == (0, ())
 
@@ -273,7 +329,7 @@ class TestPlacementSampling:
     def test_rank_equals_matroid_rank(self):
         G = cat.k5_minus()
         pl = random_regular_placement(G, L4, 41)
-        op = rigidity_operator(G, pl, L4, scaled=True)
+        op = rigidity_operator(G, pl, L4)
         assert rank_of(op, "exact") == 8 == rank2k(G.edges, 2)
 
     def test_rank_matches_matroid_at_p6(self):
@@ -287,8 +343,8 @@ class TestPlacementSampling:
             if G.m == 0:
                 continue
             pl = random_regular_placement(G, L6, seed=1900 + i)
-            op = rigidity_operator(G, pl, L6, scaled=True)
-            assert op.is_exact()
+            op = rigidity_operator(G, pl, L6)
+            assert op.exact
             assert rank_of(op, "exact") == rank2k(G.edges, 2)
 
     def test_euclidean_rank_matches_23_matroid_on_independent_graphs(self):
@@ -301,7 +357,7 @@ class TestPlacementSampling:
             if rank2k(G.edges, 3) != G.m:
                 continue
             pl = random_regular_placement(G, L2, 60 + seed)
-            op = rigidity_operator(G, pl, L2, scaled=True)
+            op = rigidity_operator(G, pl, L2)
             assert rank_of(op, "exact") == G.m
 
 

@@ -318,6 +318,13 @@ class TestGluingRule:
         G = join(K, K, 3, ((4, (0, 1, 2)), (4, (0, 1, 2))))
         assert (G.n, G.m) == (8, 15)
 
+    def test_3_join_needs_three_distinct_neighbours(self):
+        # vertex 0 of C5 has degree 2 and neighbours {1, 4}, which the list
+        # (1, 1, 4) names with a repeat
+        with pytest.raises(MoveError) as info:
+            join(cat.cycle_graph(5), cat.k5_minus(), 3, ((0, (1, 1, 4)), (4, (0, 1, 2))))
+        assert str(info.value) == "3-join: the three neighbours must be distinct in G1"
+
     def test_join_needs_j_from_one_to_three(self):
         with pytest.raises(MoveError, match="j must be 1, 2 or 3"):
             join(cat.b1(), cat.b1(), 4, ((0, 1), (0, 1, 2, 3)))
