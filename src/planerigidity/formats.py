@@ -3,8 +3,9 @@
 graph6 follows the standard 63-offset byte encoding (upper triangle read
 columnwise, six bits per byte); the long form for 63 <= n <= 258047 is
 supported on both ends.  Edge lists are `n` on the first line then `u v`
-lines.  Placements are one `v x y` line per vertex with rational `num/den`
-or decimal coordinates.  Move scripts are a `base K5-|B1` header followed
+lines, with 0 <= n <= MAX_VERTICES (258047, graph6's own limit).
+Placements are one `v x y` line per vertex with rational `num/den` or
+decimal coordinates.  Move scripts are a `base K5-|B1` header followed
 by one `kind i j [k ...]` line per move.
 """
 
@@ -23,6 +24,12 @@ class FormatError(ValueError):
     """Malformed input; the message carries the position."""
 
 
+# the most vertices either graph format holds: the end of graph6's long form.
+# An edge-list header names n without listing the vertices, and every vertex
+# costs an adjacency set, so a short header could otherwise ask for any memory.
+MAX_VERTICES = 258047
+
+
 # ---------------------------------------------------------------------------
 # graph6
 
@@ -30,7 +37,7 @@ class FormatError(ValueError):
 def _g6_size_bytes(n: int) -> list[int]:
     if n <= 62:
         return [n + 63]
-    if n <= 258047:
+    if n <= MAX_VERTICES:
         return [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
     raise FormatError("graph6: vertex count too large")
 
@@ -108,6 +115,10 @@ def parse_edgelist(text: str) -> Graph:
         n = int(lines[idx].strip())
     except ValueError:
         raise FormatError(f"edgelist: line {idx + 1}: expected vertex count")
+    if not 0 <= n <= MAX_VERTICES:
+        raise FormatError(
+            f"edgelist: line {idx + 1}: vertex count {n} is outside 0..{MAX_VERTICES}"
+        )
     edges = []
     for ln_no in range(idx + 1, len(lines)):
         raw = lines[ln_no].strip()

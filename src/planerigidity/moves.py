@@ -509,7 +509,9 @@ def reduce_to_base(G: Graph) -> ReductionTrace:
     trace = ReductionTrace(start=G)
     current = G
     name = base_name_of(current)
-    while name is None:  # each search starts with the M(2,2) entry check
+    # each search starts with the M(2,2) entry check; on the graph the last
+    # search accepted, the one-slot memo of is_m22_connected answers it
+    while name is None:
         move = find_admissible_reduction(current)
         if move is None:
             raise MoveError("no admissible reduction found")  # cannot happen

@@ -369,8 +369,9 @@ class TestRandom:
         b = run(["random", "--model", "m22", "--steps", "3", "--seed", "5"])
         assert a == b and a[0] == 0
         G = parse_graph(a[1])
-        from planerigidity.sparsity import is_m22_connected
+        from planerigidity.sparsity import clear_m22_memo, is_m22_connected
 
+        clear_m22_memo()  # decide G afresh, not from the generator's memo
         assert is_m22_connected(G)
 
     def test_gnp_and_regular(self):
@@ -471,6 +472,17 @@ class TestCheckFuzz:
     def test_edgelist_fuzz_exits_0_or_1(self, header, lines, fmt):
         text = "\n".join([header, *lines]) + "\n"
         _exited_cleanly(*run(["check", "-", "--format", fmt], text))
+
+    @pytest.mark.parametrize("cmd", ["check", "rank"])
+    @pytest.mark.parametrize("count", ["-3", "100000000"])
+    def test_vertex_count_out_of_range_is_error_1(self, cmd, count):
+        # the header alone would size the graph: a negative one or one past
+        # the cap is refused before any vertex is allocated
+        start = time.perf_counter()
+        code, out, err = run([cmd, "-", "--format", "edgelist"], f"\n{count}\n0 1\n")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err == f"error: edgelist: line 2: vertex count {count} is outside 0..258047\n"
 
 
 class TestUsage:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from planerigidity import catalog as cat
+from planerigidity import moves, sparsity
 from planerigidity.graphs import Graph, is_isomorphic
 from planerigidity.moves import (
     REDUCTION_KINDS,
@@ -27,7 +28,7 @@ from planerigidity.moves import (
     reduce_to_base,
     separations_of,
 )
-from planerigidity.sparsity import is_circuit22, is_m22_connected
+from planerigidity.sparsity import clear_m22_memo, is_circuit22, is_m22_connected
 
 from corpus import decision_corpus, join_pool, joined_graphs, k4_ring_graph, random_gluing
 from oracles import forward_script_per_kind, join_per_kind, separations_of_per_kind
@@ -333,6 +334,25 @@ class TestGluingRule:
 
 
 class TestReductionEngine:
+    def test_entry_checks_after_the_first_are_free(self, monkeypatch):
+        # every search starts by checking the graph the previous search
+        # accepted; only the first one (the input) needs the component pass
+        walks = [random_m22_graph(steps, 880 + steps) for steps in range(2, 23, 4)]
+        checks, components = [], []
+        real_check, real_components = moves.is_m22_connected, sparsity.m22_components
+        monkeypatch.setattr(moves, "is_m22_connected", lambda G: checks.append(G) or real_check(G))
+        monkeypatch.setattr(
+            sparsity, "m22_components", lambda G: components.append(G) or real_components(G)
+        )
+        for G in walks:
+            checks.clear()
+            components.clear()
+            clear_m22_memo()
+            steps = len(reduce_to_base(G).steps)
+            assert steps > 0
+            candidates = len(checks) - steps
+            assert len(components) == candidates + 1
+
     def test_k4ring_reduction_sequence(self):
         trace = reduce_to_base(k4_ring_graph())
         kinds = [s.move.kind for s in trace.steps]
@@ -367,6 +387,7 @@ class TestReductionEngine:
             trace = reduce_to_base(G)
             assert len(trace.steps) <= G.n + G.m - 14
             for step in trace.steps:
+                clear_m22_memo()  # decide each step afresh, not from the engine's memo
                 assert is_m22_connected(step.result)
             assert is_isomorphic(rebuild_from_trace(trace), G)
 
@@ -518,6 +539,7 @@ class TestRandomGenerator:
     def test_outputs_connected(self):
         for seed in range(10):
             G = random_m22_graph(seed % 5 + 1, seed)
+            clear_m22_memo()  # the generator's last accepted split may be G
             assert is_m22_connected(G)
 
     def test_move_preservation_seeded(self):

@@ -1,15 +1,20 @@
 import itertools
+import os
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from planerigidity import catalog as cat
+from planerigidity import sparsity
 from planerigidity.formats import parse_graph6
 from planerigidity.graphs import Graph
-from planerigidity.moves import random_m22_graph
+from planerigidity.moves import random_m22_graph, reduce_to_base
 from planerigidity.sparsity import (
     PebbleGame,
+    clear_m22_memo,
     coloops,
     ear_decomposition,
     fundamental_circuit,
@@ -75,6 +80,34 @@ class TestRank:
             ru, ri = rank2k(a | b, 2), rank2k(a & b, 2) if a & b else 0
             assert ra <= ru and rb <= ru
             assert ru + ri <= ra + rb
+
+
+class TestPebbleSearch:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_every_insert_against_brute_force(self, data):
+        # the search may stop at any free pebble it reaches; the invariant,
+        # the greedy basis and each circuit read at a rejection must not care
+        n = data.draw(st.integers(2, 6))
+        pairs = list(itertools.combinations(range(n), 2))
+        order = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        k = data.draw(st.integers(0, 3))
+        game = PebbleGame(n, k)
+        greedy = []
+        brute = None
+        for f in order:
+            accepted = game.insert(*f)
+            assert accepted == is_sparse_brute(greedy + [f], k)
+            if accepted:
+                greedy.append(f)
+            assert game.accepted == greedy
+            assert all(game.pebbles[v] + len(game.out[v]) == 2 for v in range(n))
+            if not accepted and k == 2:
+                if brute is None:
+                    brute = circuits_brute(Graph.from_edges(n, order))
+                inside = set(greedy) | {f}
+                circ = game.fundamental_circuit_of_rejected(*f)
+                assert [c for c in brute if c <= inside] == [circ]
 
 
 class TestSparseTight:
@@ -222,6 +255,74 @@ class TestM22Connected:
             assert is_m22_connected(G)
             assert rank2k(G.edges, 2) == 2 * G.n - 2
             assert G.min_degree() >= 3
+
+
+class TestM22Memo:
+    def test_memo_answers_only_for_an_equal_graph(self, monkeypatch):
+        calls = []
+        real = sparsity.m22_components
+        monkeypatch.setattr(sparsity, "m22_components", lambda G: calls.append(G) or real(G))
+        clear_m22_memo()
+        G = cat.b1()  # a circuit, so every G - e is independent
+        H = Graph.from_edges(G.n, [((u + 1) % G.n, (v + 1) % G.n) for u, v in G.edges])
+        assert H != G
+        assert is_m22_connected(G) and calls == [G]
+        assert is_m22_connected(G) and calls == [G]  # answered by the memo
+        for e in G.sorted_edges():
+            assert not is_m22_connected(G.remove_edge(*e))
+        assert not is_m22_connected(Graph(G.n + 1, G.edges))  # isolated vertex
+        assert is_m22_connected(H) and calls == [G, H]
+        assert is_m22_connected(G) and calls == [G, H, G]
+
+    def test_memo_against_no_memo(self):
+        graphs = decision_corpus(150, seed=57)
+        for G in [random_m22_graph(steps, 5700 + steps) for steps in range(1, 19, 3)]:
+            graphs += [G] + [step.result for step in reduce_to_base(G).steps]
+        clear_m22_memo()
+        warm = [is_m22_connected(G) for G in graphs for _ in range(2)]
+        cold = []
+        for G in graphs:
+            for _ in range(2):
+                clear_m22_memo()
+                cold.append(is_m22_connected(G))
+        assert warm == cold
+        assert warm[::2] == [
+            G.m >= 2 and G.min_degree() > 0 and len(components_multipass(G)) == 1
+            for G in graphs
+        ]
+
+    def test_threads_read_only_verdicts_that_passed(self):
+        graphs = decision_corpus(40, seed=58)
+        want = []
+        for G in graphs:
+            clear_m22_memo()
+            want.append(is_m22_connected(G))
+        assert 0 < sum(want) < len(want)
+        errors = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(150):
+                    j = rng.randrange(len(graphs))
+                    if is_m22_connected(graphs[j]) != want[j]:
+                        errors.append(j)
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        workers = min((os.cpu_count() or 1) + 1, 9)
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 class TestEarDecomposition:
