@@ -9,6 +9,7 @@ error.  All randomness is driven by --seed, so outputs are reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -161,7 +162,13 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared.
+
+    Sharing is safe: parse_args reads the parser and fills a new Namespace
+    on every call, so no argument of one call reaches the next.
+    """
     parser = argparse.ArgumentParser(
         prog="planerigidity",
         description="Global rigidity of graphs in analytic normed planes.",

@@ -222,7 +222,10 @@ def sufficient_checks(G: Graph) -> tuple[list[str], list[str]]:
         fired.append("edge_connectivity_4")
     if delta >= max(4, G.n / 2):
         fired.append("min_degree_half_order")
-    if G.n >= 3 and all(
+    # rank(G - v) <= |E(G - v)| = m - deg(v), so rank 2(n-1) - 2 at every v
+    # needs m - Delta >= 2n - 4; without it some G - v fails, so the n games
+    # would give False anyway
+    if G.n >= 3 and G.m - Delta >= 2 * G.n - 4 and all(
         rank2k(G.subgraph([w for w in range(G.n) if w != v])[0].edges, 2)
         == 2 * (G.n - 1) - 2
         for v in range(G.n)

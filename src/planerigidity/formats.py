@@ -3,7 +3,8 @@
 graph6 follows the standard 63-offset byte encoding (upper triangle read
 columnwise, six bits per byte); the long form for 63 <= n <= 258047 is
 supported on both ends.  Edge lists are `n` on the first line then `u v`
-lines, with 0 <= n <= MAX_VERTICES (258047, graph6's own limit).
+lines, with 0 <= n <= MAX_VERTICES (258047, graph6's own limit); blank
+lines and `#` comment lines may stand anywhere.
 Placements are one `v x y` line per vertex with rational `num/den` or
 decimal coordinates.  Move scripts are a `base K5-|B1` header followed
 by one `kind i j [k ...]` line per move.
@@ -107,7 +108,8 @@ def emit_edgelist(G: Graph) -> str:
 def parse_edgelist(text: str) -> Graph:
     lines = [ln for ln in text.splitlines()]
     idx = 0
-    while idx < len(lines) and not lines[idx].strip():
+    # blank lines and '#' comments may precede the header, as they may follow it
+    while idx < len(lines) and lines[idx].strip()[:1] in ("", "#"):
         idx += 1
     if idx == len(lines):
         raise FormatError("edgelist: empty input")
@@ -143,8 +145,11 @@ def parse_graph(text: str, format: str = "auto") -> Graph:
     if format == "edgelist":
         return parse_edgelist(text)
     if format == "auto":
+        # '#' and '-' lie outside graph6's bytes 63..126, so a first line
+        # starting with either is an edge list (a comment, a negative count)
         s = text.strip()
-        if s and (s.splitlines()[0].strip().isdigit()):
+        first = s.splitlines()[0].strip() if s else ""
+        if first.isdigit() or first[:1] in ("#", "-"):
             return parse_edgelist(text)
         return parse_graph6(text)
     raise FormatError(f"unknown graph format {format!r}")

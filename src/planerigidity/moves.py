@@ -17,7 +17,7 @@ from . import catalog
 from .graphs import (
     Graph, _norm_edge, enumerate_separations, find_isomorphism, is_isomorphic,
 )
-from .sparsity import is_m22_connected
+from .sparsity import is_m22_connected, m22_memo_game
 
 FORWARD_KINDS = (
     "edge-addition",
@@ -457,47 +457,51 @@ def find_admissible_reduction(G: Graph) -> Move | None:
 
     Candidates are tried in a fixed order (deletions, then K4--reductions,
     then edge-reductions, parameters sorted) so reductions are reproducible.
-    Cheap degree filters run before the full connectivity check.
+    Cheap degree filters run before the full connectivity check, which is
+    warm: each candidate's game starts from G's final game when the memo of
+    is_m22_connected holds it (G passed a warm check, as every graph a
+    search accepts did), relabelled by the move, and from empty otherwise
+    (see is_m22_connected).
     """
     if not is_m22_connected(G):
         raise MoveError("input is not M(2,2)-connected")
     if base_name_of(G) is not None:
         return None
+    parent = m22_memo_game(G)
+    for move in _reduction_candidates(G):
+        H, relabel = _apply_full(G, move)
+        if is_m22_connected(H, seed=(parent, relabel)):
+            return move
+    return None
 
+
+def _reduction_candidates(G: Graph):
+    """The reductions find_admissible_reduction tries, in its order, after
+    the degree filters; the degrees are looked up once."""
+    adj = G.adj
+    deg = [len(nbrs) for nbrs in adj]
     edges = G.sorted_edges()
 
     if G.m >= 2 * G.n:  # a deletion can only survive with |E|-1 >= 2n-1
         for u, v in edges:
-            if G.degree(u) < 4 or G.degree(v) < 4:
-                continue
-            if is_m22_connected(G.remove_edge(u, v)):
-                return Move("edge-deletion", (u, v))
+            if deg[u] >= 4 and deg[v] >= 4:
+                yield Move("edge-deletion", (u, v))
 
     for u1, u2 in edges:
-        if G.degree(u1) != 3 or G.degree(u2) != 3:
+        if deg[u1] != 3 or deg[u2] != 3:
             continue
-        common = sorted((G.adj[u1] & G.adj[u2]) - {u1, u2})
-        if len(common) != 2 or G.has_edge(*common):
-            continue
-        move = Move("k4minus-reduction", (u1, u2))
-        if is_m22_connected(apply(G, move)):
-            return move
+        common = sorted((adj[u1] & adj[u2]) - {u1, u2})
+        if len(common) == 2 and not G.has_edge(*common):
+            yield Move("k4minus-reduction", (u1, u2))
 
     for u, v in edges:
         for a, b in ((u, v), (v, u)):
-            common = (G.adj[a] & G.adj[b]) - {a, b}
-            if len(common) > 1:
+            common = (adj[a] & adj[b]) - {a, b}
+            if len(common) > 1 or deg[a] + deg[b] - 3 < 3:
                 continue
-            if G.degree(a) + G.degree(b) - 3 < 3:
-                continue
-            cs = sorted(common) if common else sorted(G.adj[a] - {b})
-            for c in cs:
-                if G.degree(c) - 1 < 3:
-                    continue
-                move = Move("edge-reduction", (a, b, c))
-                if is_m22_connected(apply(G, move)):
-                    return move
-    return None
+            for c in sorted(common) if common else sorted(adj[a] - {b}):
+                if deg[c] - 1 >= 3:
+                    yield Move("edge-reduction", (a, b, c))
 
 
 def reduce_to_base(G: Graph) -> ReductionTrace:

@@ -11,7 +11,9 @@ classes of "lies in a common fundamental circuit" (the single-basis
 component rule), the coloops are the basis edges in no fundamental
 circuit, G is a circuit when exactly one edge is rejected and its circuit
 is E, and each ear of an ear decomposition is one fundamental circuit of a
-game that plays the previous ears first.
+game that plays the previous ears first.  A game may also start from the
+final orientation of another game (PebbleGame.seed), which is how the
+reduction engine checks each candidate from its parent's game.
 
 The k = 2 case (rank2k(..., 2), circuits, M(2,2)-components, connectivity,
 ear decompositions) is the one the rigidity theory uses; k = 3 serves the
@@ -84,6 +86,39 @@ class PebbleGame:
         self.accepted.append(_norm_edge(u, v))
         return True
 
+    def seed(self, parent: PebbleGame, relabel, edges) -> None:
+        """Accept, without a search, each basis edge of `parent` whose image
+        is in `edges`, oriented as in `parent`.
+
+        `relabel` maps parent vertices to this game's (a dict that omits the
+        deleted vertices, or None for the identity); call this on a fresh
+        game.  Proof that the result is a valid game state: the seeds are
+        part of parent's independent set, and the map is injective on the
+        vertices it keeps, so their images are distinct edges forming an
+        isomorphic copy of an independent set, hence independent.  Each
+        image keeps its orientation, so outdeg(v) here is at most outdeg of
+        v's preimage in parent, at most 2, and pebbles = 2 - outdeg keeps
+        the invariant with no negative count.  The accept and reject proofs
+        of insert() and fundamental_circuit_of_rejected() use only that
+        invariant and the independence of the accepted set, so the game
+        played on from here is as sound as one played from empty (Lee and
+        Streinu, "Pebble game algorithms and sparse graphs", 2008).
+        """
+        pebbles, out, accepted = self.pebbles, self.out, self.accepted
+        for x, heads in enumerate(parent.out):
+            fx = x if relabel is None else relabel.get(x)
+            if fx is None:
+                continue
+            for w in heads:
+                fw = w if relabel is None else relabel.get(w)
+                if fw is None:
+                    continue
+                e = (fx, fw) if fx < fw else (fw, fx)
+                if e in edges:
+                    out[fx].add(fw)
+                    pebbles[fx] -= 1
+                    accepted.append(e)
+
     def reach(self, u: int, v: int) -> set[int]:
         seen = {u, v}
         stack = [u, v]
@@ -118,19 +153,28 @@ class PebbleGame:
         return len(self.accepted)
 
 
-def _basis_and_circuits(order, k: int) -> tuple[list[Edge], dict[Edge, frozenset[Edge]]]:
+def _basis_and_circuits(
+    order, k: int, game: PebbleGame | None = None
+) -> tuple[list[Edge], dict[Edge, frozenset[Edge]]]:
     """Play one game over the edges in the given order.
 
     Returns the basis B it accepts, in order, and a dict that maps each
     rejected edge f, in order, to its fundamental circuit C(f,B).  The
     circuit is read when f is rejected; it lies in the basis so far plus f,
     which is inside B + f, so it is C(f,B).
+
+    A seeded `game` (see PebbleGame.seed) is played on instead of a fresh
+    one: its accepted edges are skipped, and B is the seeds followed by the
+    edges it accepts.  The argument above holds unchanged, since the seeds
+    are in the basis before any edge is rejected.
     """
     order = list(dict.fromkeys(_norm_edge(u, v) for u, v in order))
-    game = PebbleGame(1 + max((v for e in order for v in e), default=-1), k)
+    if game is None:
+        game = PebbleGame(1 + max((v for e in order for v in e), default=-1), k)
+    seeded = set(game.accepted)
     circuits = {}
     for e in order:
-        if not game.insert(*e):
+        if e not in seeded and not game.insert(*e):
             circuits[e] = game.fundamental_circuit_of_rejected(*e)
     return game.accepted, circuits
 
@@ -207,53 +251,68 @@ def fundamental_circuit(base, e: Edge, k: int = 2) -> frozenset[Edge]:
 # matroid components
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y) -> None:
-        self.parent[self.find(x)] = self.find(y)
-
-
 def m22_components(G: Graph) -> list[frozenset[Edge]]:
     """Partition of E into components of the (2,2) matroid.
 
     Single-basis component rule: for any basis B, the components are the
     classes of the relation "lies in a common fundamental circuit C(f,B)",
-    so the fundamental circuits of one game, merged by union-find, give
-    them (Krogdahl 1977; Oxley, Matroid Theory, section 4.3).
+    so the fundamental circuits of one game give them (Krogdahl 1977;
+    Oxley, Matroid Theory, section 4.3).
     """
     if G.m < 1 or G.min_degree() == 0:
         raise ValueError("needs at least one edge and no isolated vertices")
     edges = G.sorted_edges()
-    uf = _UnionFind(edges)
     _, circuits = _basis_and_circuits(edges, 2)
-    for f, circ in circuits.items():
-        for e in circ:
-            uf.union(f, e)
-    groups: dict[Edge, set[Edge]] = {}
-    for e in edges:
-        groups.setdefault(uf.find(e), set()).add(e)
-    return sorted((frozenset(g) for g in groups.values()), key=sorted)
+    return sorted((frozenset(c) for c in _circuit_classes(edges, circuits)), key=sorted)
 
 
-# the last graph is_m22_connected found M(2,2)-connected, or None
-_last_m22_connected: Graph | None = None
+def _circuit_classes(edges, circuits) -> list[set[Edge]]:
+    """The classes of "lies in a common fundamental circuit" on `edges`,
+    the circuits being all the C(f,B) of one basis B.
+
+    Each circuit in turn absorbs every class it meets, so the classes stay
+    disjoint and are the connected pieces of the circuits seen so far; the
+    edges in no circuit (the coloops) are then a class each.  The work is
+    set operations on the circuits and the classes, not a step per edge,
+    which keeps the reduction engine's warm checks (a circuit or two per
+    candidate) cheap.
+    """
+    classes: list[set[Edge]] = []
+    for circ in circuits.values():
+        merged = set(circ)
+        rest = []
+        for cl in classes:
+            if cl.isdisjoint(circ):
+                rest.append(cl)
+            else:
+                merged |= cl
+        rest.append(merged)
+        classes = rest
+    coloops = set(edges).difference(*classes)
+    return classes + [{e} for e in coloops]
+
+
+# (G, game): the last graph is_m22_connected found M(2,2)-connected and the
+# final game that decided it (None when the cold path did), or None
+_m22_memo: tuple[Graph, PebbleGame | None] | None = None
 
 
 def clear_m22_memo() -> None:
     """Empty the one-slot memo of is_m22_connected."""
-    global _last_m22_connected
-    _last_m22_connected = None
+    global _m22_memo
+    _m22_memo = None
 
 
-def is_m22_connected(G: Graph) -> bool:
+def m22_memo_game(G: Graph) -> PebbleGame | None:
+    """The final game of the warm check that found G M(2,2)-connected, if
+    the memo holds G and that game; None otherwise.  Do not mutate it."""
+    memo = _m22_memo
+    return memo[1] if memo is not None and G == memo[0] else None
+
+
+def is_m22_connected(
+    G: Graph, seed: tuple[PebbleGame | None, dict[int, int] | None] | None = None
+) -> bool:
     """Every pair of edges lies in a common (2,2)-circuit.
 
     Requires no isolated vertices and at least two edges.  Cheap necessary
@@ -261,34 +320,62 @@ def is_m22_connected(G: Graph) -> bool:
     component computation since this sits on the reduction engine's hot
     path.
 
-    One-slot memo: the last graph found M(2,2)-connected is kept, and a call
-    on an equal graph (`Graph` is a frozen dataclass, so `==` compares n and
-    the edge set) returns True at once.  Sound, because the verdict depends
-    only on (n, E) and the slot only ever holds a graph that passed the full
-    check.  Setting one reference is atomic, so another thread reads the old
-    graph or the new one, and both passed.  `reduce_to_base` starts every
-    search with this check on the graph the previous search just accepted,
-    so about half of its calls are such repeats.  The memo sits here and
-    not in `moves`, so every search still makes its entry check through
-    this function, and a count of its calls per search (the benchmark's
-    trace derives the candidates tried that way) stays true.
+    Cold path (no seed): `rank2k`, then `m22_components`.
+
+    Warm path: `seed` is (parent, relabel), with `parent` the final game of
+    a graph G was derived from (or None) and `relabel` the map of its kept
+    vertices into G's labels (None for the identity).  One game decides:
+    it starts from parent's basis edges whose images are edges of G (see
+    PebbleGame.seed; none when parent is None) and inserts the rest.  Its
+    basis B has size rank(E), so rank 2n - 2 is |B| = 2n - 2; and each
+    circuit it reads is C(f,B) for its final B (see _basis_and_circuits),
+    so the single-basis component rule of m22_components applies to its
+    circuits, through the same _circuit_classes.  The verdict is that of
+    the cold path.
+
+    One-slot memo: the last graph found M(2,2)-connected is kept together
+    with the final game of a warm check (None after a cold one), as one
+    tuple, and a call on an equal graph (`Graph` is a frozen dataclass, so
+    `==` compares n and the edge set) returns True at once.  Sound, because
+    the verdict depends only on (n, E) and the slot only ever holds a graph
+    that passed the full check.  Setting one reference is atomic, so
+    another thread reads the old pair or the new one, and both passed; a
+    stored game is never mutated (seeding a child only reads it), so the
+    game read with a graph is the one that decided it.  `reduce_to_base`
+    starts every search with this check on the graph the previous search
+    just accepted, so about half of its calls are such repeats, and the
+    search seeds its candidates from the stored game (m22_memo_game).  The
+    memo sits here and not in `moves`, so every search still makes its
+    entry check through this function, and a count of its calls per search
+    (the benchmark's trace derives the candidates tried that way) stays
+    true.
     """
-    global _last_m22_connected
-    last = _last_m22_connected
-    if last is not None and G == last:
+    global _m22_memo
+    memo = _m22_memo
+    if memo is not None and G == memo[0]:
         return True
-    if G.n == 0 or G.m < 2 or G.min_degree() == 0:
-        return False
-    if G.min_degree() < 3:
+    if G.n == 0 or G.m < 2 or G.min_degree() < 3:
         return False
     if G.m < 2 * G.n - 1:
         return False
     edges = G.sorted_edges()
-    if rank2k(edges, 2) != 2 * G.n - 2:
-        return False
-    if len(m22_components(G)) != 1:
-        return False
-    _last_m22_connected = G
+    if seed is None:
+        if rank2k(edges, 2) != 2 * G.n - 2:
+            return False
+        if len(m22_components(G)) != 1:
+            return False
+        game = None
+    else:
+        parent, relabel = seed
+        game = PebbleGame(G.n, 2)
+        if parent is not None:
+            game.seed(parent, relabel, G.edges)
+        basis, circuits = _basis_and_circuits(edges, 2, game)
+        if len(basis) != 2 * G.n - 2:
+            return False
+        if len(_circuit_classes(edges, circuits)) != 1:
+            return False
+    _m22_memo = (G, game)
     return True
 
 

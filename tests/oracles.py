@@ -8,7 +8,8 @@ answers from the fundamental circuits of one game, its earlier m + 1
 eliminations for the deletion ranks of a rigidity operator, its cut scans
 for k-connectivity and the first cut vertex (one subgraph per candidate
 cut, where the library now runs lowpoint DFS), its edge connectivity
-without the bound on each flow, its forward scripts with one rule per
+without the bound on each flow, its vertex-deletion test without the
+edge-count filter, its forward scripts with one rule per
 reduction kind, its joins and separations with one relabel-and-union or
 completion rule per kind, and its 2-vertex-separation scan (one subgraph
 per vertex pair); they run on graphs far past the brute-force caps.
@@ -268,6 +269,15 @@ def edge_connectivity_unpruned(G: Graph) -> int:
     if G.n < 2 or not G.is_connected():
         return 0
     return min(_min_st_edge_cut(G, 0, t) for t in range(1, G.n))
+
+
+def vertex_deletion_rigid_games(G: Graph) -> bool:
+    """rank(G - v) = 2(n - 1) - 2 for every v, one game per v, with no
+    edge-count filter first."""
+    return all(
+        rank2k(G.subgraph([w for w in range(G.n) if w != v])[0].edges, 2) == 2 * (G.n - 1) - 2
+        for v in range(G.n)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planerigidity import catalog as cat
+from planerigidity import cli
 from planerigidity.cli import main
 from planerigidity.formats import emit_edgelist, parse_graph
 from planerigidity.graphs import is_isomorphic
@@ -483,6 +484,46 @@ class TestCheckFuzz:
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert err == f"error: edgelist: line 2: vertex count {count} is outside 0..258047\n"
+
+
+class TestAutoFormat:
+    def test_edge_list_starting_with_a_comment(self):
+        plain = run(["check", "-"], "5\n0 1\n")
+        assert plain[0] == 0
+        for fmt in ("auto", "edgelist"):
+            assert run(["check", "-", "--format", fmt], "# c\n5\n0 1\n") == plain
+
+    def test_negative_count_is_read_as_an_edge_list(self):
+        # '#' and '-' are not graph6 bytes, so this is not a graph6 error
+        code, out, err = run(["check", "-"], "-3\n0 1\n")
+        assert code == 1 and out == ""
+        assert err == "error: edgelist: line 1: vertex count -3 is outside 0..258047\n"
+
+
+class TestParserCache:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def _fresh(self, args, stdin_text):
+        cli.build_parser.cache_clear()
+        return run(args, stdin_text)
+
+    def test_flags_do_not_carry_over(self):
+        text = emit_edgelist(cat.complete_bipartite(3, 6))
+        code, out, _ = run(["check", "-", "--certificate"], text)
+        assert code == 0 and "ear.1: " in out
+        second = run(["check", "-"], text)
+        assert "ear." not in second[1]
+        assert second == self._fresh(["check", "-"], text)
+
+    def test_usage_error_leaves_the_parser_as_new(self):
+        text = emit_edgelist(cat.b1())
+        with pytest.raises(SystemExit) as exc:
+            run(["check", "-", "--format", "nonsense"], text)
+        assert exc.value.code == 2
+        after_error = run(["check", "-", "--certificate"], text)
+        assert after_error == self._fresh(["check", "-", "--certificate"], text)
+        assert after_error[0] == 0 and "ear.1: " in after_error[1]
 
 
 class TestUsage:

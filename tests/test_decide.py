@@ -16,6 +16,7 @@ from planerigidity.graphs import Graph, is_k_connected
 from planerigidity.sparsity import ear_decomposition, is_m22_connected, rank2k
 
 from corpus import decision_corpus, named_graphs
+from oracles import vertex_deletion_rigid_games
 
 
 class TestMainDecision:
@@ -126,6 +127,22 @@ class TestSufficientConditions:
         G = cat.complete_bipartite(7, 7)  # n = 14 > cap, min degree 7
         fired, notes = sufficient_checks(G)
         assert any("skipped" in n for n in notes)
+
+    def test_vertex_deletion_filter_against_the_games(self):
+        # m - Delta < 2n - 4 skips the n games; the condition must fire
+        # exactly when every G - v is rigid
+        graphs = decision_corpus(300, seed=5) + [
+            cat.complete_graph(6), cat.complete_bipartite(4, 5), cat.wheel_graph(7)
+        ]
+        filtered = fired = 0
+        for G in graphs:
+            if G.n < 3 or G.m == 0:
+                continue
+            want = vertex_deletion_rigid_games(G)
+            assert ("vertex_deletion_rigid" in sufficient_checks(G)[0]) == want
+            filtered += G.m - max(G.degree(v) for v in range(G.n)) < 2 * G.n - 4
+            fired += want
+        assert filtered > 50 and fired > 10
 
     def test_soundness_on_corpus(self):
         count = 0

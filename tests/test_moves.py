@@ -336,22 +336,64 @@ class TestGluingRule:
 class TestReductionEngine:
     def test_entry_checks_after_the_first_are_free(self, monkeypatch):
         # every search starts by checking the graph the previous search
-        # accepted; only the first one (the input) needs the component pass
+        # accepted; only the first one (the input) plays games, its cold
+        # rank and component pass, and each candidate plays one warm game
         walks = [random_m22_graph(steps, 880 + steps) for steps in range(2, 23, 4)]
-        checks, components = [], []
+        checks, components, games = [], [], []
         real_check, real_components = moves.is_m22_connected, sparsity.m22_components
-        monkeypatch.setattr(moves, "is_m22_connected", lambda G: checks.append(G) or real_check(G))
+        real_init = sparsity.PebbleGame.__init__
+        monkeypatch.setattr(
+            moves, "is_m22_connected", lambda G, **kw: checks.append(kw) or real_check(G, **kw)
+        )
         monkeypatch.setattr(
             sparsity, "m22_components", lambda G: components.append(G) or real_components(G)
+        )
+        monkeypatch.setattr(
+            sparsity.PebbleGame, "__init__", lambda self, *a: games.append(a) or real_init(self, *a)
         )
         for G in walks:
             checks.clear()
             components.clear()
+            games.clear()
             clear_m22_memo()
             steps = len(reduce_to_base(G).steps)
             assert steps > 0
-            candidates = len(checks) - steps
-            assert len(components) == candidates + 1
+            candidates = sum(1 for kw in checks if kw)
+            assert len(checks) - candidates == steps  # one entry check per search
+            assert components == [G]
+            assert len(games) == 2 + candidates
+
+    def test_warm_checks_match_cold_on_every_candidate(self, monkeypatch):
+        # each candidate is decided again from scratch, rejected ones too;
+        # the memo is put back so that the search goes on as it would have
+        verdicts, seeded, inserts = [], [], []
+        real_check, real_insert = moves.is_m22_connected, sparsity.PebbleGame.insert
+
+        def warm_and_cold(G, **kw):
+            before = len(inserts)
+            warm = real_check(G, **kw)
+            if kw:
+                if kw["seed"][0] is not None:
+                    seeded.append((G.m, len(inserts) - before))
+                memo = sparsity._m22_memo
+                clear_m22_memo()
+                verdicts.append((warm, real_check(G)))
+                sparsity._m22_memo = memo
+            return warm
+
+        monkeypatch.setattr(moves, "is_m22_connected", warm_and_cold)
+        monkeypatch.setattr(
+            sparsity.PebbleGame, "insert", lambda *a: inserts.append(1) or real_insert(*a)
+        )
+        for s in range(150):
+            clear_m22_memo()
+            reduce_to_base(random_m22_graph(s % 30 + 5, 9000 + s))
+        warm, cold = map(list, zip(*verdicts))
+        assert warm == cold
+        assert warm.count(False) > 100 and len(seeded) > len(verdicts) // 2
+        # the seeds carry most of each graph: a seeded game inserts few edges
+        edges, played = map(sum, zip(*seeded))
+        assert played * 4 < edges
 
     def test_k4ring_reduction_sequence(self):
         trace = reduce_to_base(k4_ring_graph())

@@ -32,6 +32,7 @@ from oracles import (
     coloops_leave_one_out,
     components_brute,
     components_multipass,
+    is_circuit_brute,
     is_circuit22_leave_one_out,
     is_sparse_brute,
     rank_brute,
@@ -108,6 +109,76 @@ class TestPebbleSearch:
                 inside = set(greedy) | {f}
                 circ = game.fundamental_circuit_of_rejected(*f)
                 assert [c for c in brute if c <= inside] == [circ]
+
+
+class TestWarmCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_seeds_keep_the_invariant_and_the_game_stays_exact(self, data):
+        # a parent game, a move's relabelling (some vertices dropped, the rest
+        # renumbered injectively) and a child edge set holding some images
+        n = data.draw(st.integers(3, 6))
+        k = data.draw(st.integers(0, 3))
+        order = data.draw(st.lists(
+            st.sampled_from(list(itertools.combinations(range(n), 2))), min_size=1, unique=True
+        ))
+        parent = PebbleGame(n, k)
+        for e in order:
+            parent.insert(*e)
+        if data.draw(st.booleans()):
+            relabel, n_child = None, n
+        else:
+            kept = data.draw(st.lists(st.sampled_from(range(n)), min_size=2, unique=True))
+            n_child = data.draw(st.integers(len(kept), 6))
+            relabel = dict(zip(kept, data.draw(st.permutations(range(n_child)))))
+        f = (lambda x: x) if relabel is None else relabel.get
+        images = sorted(
+            tuple(sorted((f(u), f(v)))) for u, v in parent.accepted
+            if f(u) is not None and f(v) is not None
+        )
+        pairs = list(itertools.combinations(range(n_child), 2))
+        edges = data.draw(st.sets(st.sampled_from(images))) if images else set()
+        edges |= data.draw(st.sets(st.sampled_from(pairs), max_size=8))
+
+        game = PebbleGame(n_child, k)
+        game.seed(parent, relabel, frozenset(edges))
+        seeds = list(game.accepted)
+        assert sorted(seeds) == [e for e in images if e in edges]
+        assert is_sparse_brute(seeds, k)
+        assert all(game.pebbles[v] + len(game.out[v]) == 2 for v in range(n_child))
+        assert min(game.pebbles) >= 0
+
+        # played on, the game gives a maximal independent set containing the
+        # seeds and, for each rejected f, the circuit inside that set plus f
+        basis, circuits = sparsity._basis_and_circuits(sorted(edges), k, game)
+        assert basis[:len(seeds)] == seeds
+        assert is_sparse_brute(basis, k)
+        assert sorted(basis + list(circuits)) == sorted(edges)
+        for f, circ in circuits.items():
+            assert f in circ and circ - {f} <= set(basis)
+            assert is_circuit_brute(sorted(circ), k)
+        assert all(game.pebbles[v] + len(game.out[v]) == 2 for v in range(n_child))
+
+    def test_classes_of_any_basis_are_the_components(self):
+        # the warm check reads the classes off the basis a seeded game ends
+        # with, not the one m22_components plays; by the single-basis rule
+        # the circuits of any basis give the components
+        a, b, x = frozenset("pq"), frozenset("rs"), frozenset("qr")
+        # x joins the two classes that a and b started; t is a coloop
+        assert sorted(map(sorted, sparsity._circuit_classes("pqrst", {1: a, 2: b, 3: x}))) == [
+            ["p", "q", "r", "s"], ["t"]
+        ]
+        rng = random.Random(59)
+        graphs = [G for G in decision_corpus(200, seed=59) if G.m > 0 and G.min_degree() > 0]
+        split = 0
+        for G in graphs:
+            edges = G.sorted_edges()
+            order = rng.sample(edges, len(edges))
+            _, circuits = sparsity._basis_and_circuits(order, 2)
+            classes = sorted(sparsity._circuit_classes(edges, circuits), key=sorted)
+            assert classes == components_multipass(G)
+            split += bool(circuits) and len(classes) > 1
+        assert split > 10 and sum(len(m22_components(G)) == 1 for G in graphs) > 10
 
 
 class TestSparseTight:
