@@ -100,19 +100,20 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _cmd_random(args) -> int:
+def _sample(args, n, seed):
+    """One graph of args.model drawn from the seed; n is the vertex count
+    of gnp and regular, and None where it was not given."""
+    if args.model == "m22":
+        return random_m22_graph(args.steps, seed)
+    if n is None:
+        raise MoveError(f"--n is required for model {args.model}")
     if args.model == "gnp":
-        if args.n is None:
-            raise MoveError("--n is required for model gnp")
-        G = gnp_graph(args.n, args.prob, args.seed)
-    elif args.model == "regular":
-        if args.n is None:
-            raise MoveError("--n is required for model regular")
-        G = random_regular_graph(args.n, args.degree, args.seed)
-    elif args.model == "m22":
-        G = random_m22_graph(args.steps, args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise MoveError(f"unknown model {args.model!r}")
+        return gnp_graph(n, args.prob, seed)
+    return random_regular_graph(n, args.degree, seed)
+
+
+def _cmd_random(args) -> int:
+    G = _sample(args, args.n, args.seed)
     sys.stdout.write(emit_graph(G, args.format))
     return 0
 
@@ -137,14 +138,7 @@ def _cmd_experiment(args) -> int:
         hits = 0
         misses = []
         for i in range(args.samples):
-            sample_seed = rng.randrange(2**63)
-            if args.model == "regular":
-                G = random_regular_graph(n, args.degree, sample_seed)
-            elif args.model == "gnp":
-                G = gnp_graph(n, args.prob, sample_seed)
-            else:
-                G = random_m22_graph(args.steps, sample_seed)
-            report = is_globally_rigid_analytic(G)
+            report = is_globally_rigid_analytic(_sample(args, n, rng.randrange(2**63)))
             if report.globally_rigid_analytic:
                 hits += 1
             else:

@@ -33,11 +33,11 @@ from .graphs import (
 )
 from .sparsity import (
     EarDecomposition,
-    coloops,
     ear_decomposition,
     is_m22_connected,
     m22_components,
     rank2k,
+    rank_and_coloops,
 )
 
 TRANSITIVITY_CAP = 12  # brute-force automorphism search beyond this is skipped
@@ -122,12 +122,10 @@ def is_globally_rigid_analytic(G: Graph) -> RigidityReport:
         m22_connected=False,
     )
     if G.n < 5:
-        report.m22_connected = False
         report.reasons["small_graph"] = (
             "fewer than 5 vertices; the smallest M(2,2)-connected graph is K5-"
         )
         report.euclidean_verdict = is_globally_rigid_euclidean(G)
-        report.sufficient_conditions_hit = []
         return report
     report.m22_connected = is_m22_connected(G)
     report.globally_rigid_analytic = report.two_connected and report.m22_connected
@@ -190,10 +188,9 @@ def hendrickson_check(G: Graph) -> HendricksonReport:
     if G.n < 2:
         raise ValueError("needs at least 2 vertices")
     two_conn = is_k_connected(G, 2)
-    edges = G.sorted_edges()
-    r = rank2k(edges, 2)
+    r, cols = rank_and_coloops(G.sorted_edges(), 2)
     spanning = r == 2 * G.n - 2 and G.m > 0
-    every_edge = G.m > 0 and not coloops(edges, 2)
+    every_edge = G.m > 0 and not cols
     return HendricksonReport(two_conn, spanning, every_edge)
 
 
@@ -225,7 +222,7 @@ def sufficient_checks(G: Graph) -> tuple[list[str], list[str]]:
     # rank(G - v) <= |E(G - v)| = m - deg(v), so rank 2(n-1) - 2 at every v
     # needs m - Delta >= 2n - 4; without it some G - v fails, so the n games
     # would give False anyway
-    if G.n >= 3 and G.m - Delta >= 2 * G.n - 4 and all(
+    if G.m - Delta >= 2 * G.n - 4 and all(
         rank2k(G.subgraph([w for w in range(G.n) if w != v])[0].edges, 2)
         == 2 * (G.n - 1) - 2
         for v in range(G.n)
@@ -274,11 +271,8 @@ def is_globally_rigid_euclidean(G: Graph) -> bool:
         return G.is_complete()
     if not is_k_connected(G, 3):
         return False
-    edges = G.sorted_edges()
-    target = 2 * G.n - 3
-    if rank2k(edges, 3) != target:
-        return False
-    return not coloops(edges, 3)
+    rank, cols = rank_and_coloops(G.sorted_edges(), 3)
+    return rank == 2 * G.n - 3 and not cols
 
 
 def euclidean_transfer(G: Graph) -> bool:
@@ -320,10 +314,8 @@ def certify(
     redundant_num = all(r == target for r in edge_ranks.values())
 
     k = 3 if plane.euclidean else 2
-    edges = G.sorted_edges()
-    comb_rank = rank2k(edges, k)
+    comb_rank, cols = rank_and_coloops(G.sorted_edges(), k)
     spanning_tight = comb_rank == 2 * G.n - k
-    cols = coloops(edges, k)
     agree = (inf_rigid_num == spanning_tight) and (
         redundant_num == (spanning_tight and not cols)
     )

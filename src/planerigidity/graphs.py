@@ -426,11 +426,11 @@ def _wl_colors(G: Graph) -> list[int]:
     return color
 
 
-def _extend_isomorphism(G: Graph, H: Graph, cg, ch, mapping, used, order):
+def _extend_isomorphism(G: Graph, H: Graph, cg, ch, pins, mapping, used, order):
     if len(mapping) == G.n:
         return dict(mapping)
     v = order[len(mapping)]
-    for w in range(H.n):
+    for w in (pins[v],) if v in pins else range(H.n):
         if w in used or ch[w] != cg[v]:
             continue
         ok = True
@@ -441,7 +441,7 @@ def _extend_isomorphism(G: Graph, H: Graph, cg, ch, mapping, used, order):
         if ok:
             mapping[v] = w
             used.add(w)
-            res = _extend_isomorphism(G, H, cg, ch, mapping, used, order)
+            res = _extend_isomorphism(G, H, cg, ch, pins, mapping, used, order)
             if res is not None:
                 return res
             del mapping[v]
@@ -449,62 +449,57 @@ def _extend_isomorphism(G: Graph, H: Graph, cg, ch, mapping, used, order):
     return None
 
 
+def _isomorphism(G: Graph, H: Graph, pins: dict[int, int]) -> dict[int, int] | None:
+    """An edge-preserving bijection G -> H extending the partial map `pins`,
+    or None.
+
+    Backtracking over WL color classes.  The pinned vertices come first in
+    the order and each tries only its pin, so a repeated image or a pinned
+    edge that is not preserved fails there; a pin of the wrong color fails
+    before the search.  The other vertices follow, rarest color first.
+    With no pins this is the plain search of find_isomorphism.  A search
+    for automorphisms (H is G) skips the invariant checks, which it passes
+    trivially.
+    """
+    if H is G:
+        cg = ch = _wl_colors(G)
+    else:
+        if G.n != H.n or G.m != H.m:
+            return None
+        if sorted(G.degree(v) for v in range(G.n)) != sorted(
+            H.degree(v) for v in range(H.n)
+        ):
+            return None
+        cg, ch = _wl_colors(G), _wl_colors(H)
+        if sorted(cg) != sorted(ch):
+            return None
+    if any(cg[v] != ch[w] for v, w in pins.items()):
+        return None  # the usual failure of a transitivity pin, caught before the sort
+    # match rarest colors first to cut the branching early
+    freq = {c: cg.count(c) for c in set(cg)}
+    order = list(pins) + sorted(
+        (v for v in range(G.n) if v not in pins),
+        key=lambda v: (freq[cg[v]], -G.degree(v), v),
+    )
+    return _extend_isomorphism(G, H, cg, ch, pins, {}, set(), order)
+
+
 def find_isomorphism(G: Graph, H: Graph) -> dict[int, int] | None:
     """An edge-preserving bijection G -> H, or None.
 
-    Backtracking over WL color classes; intended for the small graphs this
-    library works with (roughly n <= 60 for the structured inputs here).
+    Intended for the small graphs this library works with (roughly n <= 60
+    for the structured inputs here); see _isomorphism.
     """
-    if G.n != H.n or G.m != H.m:
-        return None
-    if sorted(G.degree(v) for v in range(G.n)) != sorted(
-        H.degree(v) for v in range(H.n)
-    ):
-        return None
-    cg = _wl_colors(G)
-    ch = _wl_colors(H)
-    if sorted(cg) != sorted(ch):
-        return None
-    # match rarest colors first to cut the branching early
-    freq = {c: cg.count(c) for c in set(cg)}
-    order = sorted(range(G.n), key=lambda v: (freq[cg[v]], -G.degree(v), v))
-    return _extend_isomorphism(G, H, cg, ch, {}, set(), order)
+    return _isomorphism(G, H, {})
 
 
 def is_isomorphic(G: Graph, H: Graph) -> bool:
     return find_isomorphism(G, H) is not None
 
 
-def _automorphism_with(G: Graph, pins: dict[int, int]) -> dict[int, int] | None:
-    """An automorphism of G extending the pinned partial map, or None."""
-    c = _wl_colors(G)
-    for v, w in pins.items():
-        if c[v] != c[w]:
-            return None
-    freq = {x: c.count(x) for x in set(c)}
-    order = list(pins) + sorted(
-        (v for v in range(G.n) if v not in pins),
-        key=lambda v: (freq[c[v]], -G.degree(v), v),
-    )
-    mapping = {}
-    used = set()
-    for v in pins:
-        w = pins[v]
-        if w in used:
-            return None
-        mapping[v] = w
-        used.add(w)
-    # re-check pin consistency on edges among pinned vertices
-    for u in pins:
-        for v in pins:
-            if u < v and G.has_edge(u, v) != G.has_edge(pins[u], pins[v]):
-                return None
-    return _extend_isomorphism(G, G, c, c, mapping, used, order)
-
-
 def is_vertex_transitive(G: Graph) -> bool:
     return all(
-        _automorphism_with(G, {0: v}) is not None for v in range(1, G.n)
+        _isomorphism(G, G, {0: v}) is not None for v in range(1, G.n)
     )
 
 
@@ -514,7 +509,7 @@ def is_edge_transitive(G: Graph) -> bool:
         return True
     a, b = edges[0]
     for e in edges[1:]:
-        if _automorphism_with(G, {a: e[0], b: e[1]}) is None and \
-           _automorphism_with(G, {a: e[1], b: e[0]}) is None:
+        if _isomorphism(G, G, {a: e[0], b: e[1]}) is None and \
+           _isomorphism(G, G, {a: e[1], b: e[0]}) is None:
             return False
     return True

@@ -370,10 +370,18 @@ def _completed(G: Graph, part, extra) -> Graph:
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One reduction step: the move, the map of the kept vertices into the
+    result's labels (sorted (old, new) pairs, or None when no vertex
+    vanished) and the reduced graph."""
+
     move: Move
-    result_hash: str
     relabel: tuple[tuple[int, int], ...] | None
     result: Graph
+
+    @property
+    def result_hash(self) -> str:
+        """graph_hash of the result, computed when read."""
+        return graph_hash(self.result)
 
 
 @dataclass
@@ -451,9 +459,10 @@ def base_graph(name: str) -> Graph:
     raise MoveError(f"unknown base graph {name!r}")
 
 
-def find_admissible_reduction(G: Graph) -> Move | None:
-    """An edge-deletion, K4--reduction or edge-reduction keeping the graph
-    M(2,2)-connected; None exactly on the base graphs.
+def find_admissible_reduction(G: Graph) -> TraceStep | None:
+    """The first edge-deletion, K4--reduction or edge-reduction that keeps
+    the graph M(2,2)-connected, as the step it makes (the move, the
+    relabelling and the reduced graph); None exactly on the base graphs.
 
     Candidates are tried in a fixed order (deletions, then K4--reductions,
     then edge-reductions, parameters sorted) so reductions are reproducible.
@@ -461,7 +470,8 @@ def find_admissible_reduction(G: Graph) -> Move | None:
     warm: each candidate's game starts from G's final game when the memo of
     is_m22_connected holds it (G passed a warm check, as every graph a
     search accepts did), relabelled by the move, and from empty otherwise
-    (see is_m22_connected).
+    (see is_m22_connected).  The accepted candidate is applied once, and the
+    step handed back is that application.
     """
     if not is_m22_connected(G):
         raise MoveError("input is not M(2,2)-connected")
@@ -471,7 +481,7 @@ def find_admissible_reduction(G: Graph) -> Move | None:
     for move in _reduction_candidates(G):
         H, relabel = _apply_full(G, move)
         if is_m22_connected(H, seed=(parent, relabel)):
-            return move
+            return TraceStep(move, tuple(sorted(relabel.items())) if relabel else None, H)
     return None
 
 
@@ -508,7 +518,8 @@ def reduce_to_base(G: Graph) -> ReductionTrace:
     """Reduce an M(2,2)-connected graph to K5- or B1 move by move.
 
     Every intermediate graph is M(2,2)-connected; each move strictly
-    decreases |V| + |E|, so the loop terminates.
+    decreases |V| + |E|, so the loop terminates.  Each step is the one
+    find_admissible_reduction hands back, so no move is applied twice.
     """
     trace = ReductionTrace(start=G)
     current = G
@@ -516,19 +527,11 @@ def reduce_to_base(G: Graph) -> ReductionTrace:
     # each search starts with the M(2,2) entry check; on the graph the last
     # search accepted, the one-slot memo of is_m22_connected answers it
     while name is None:
-        move = find_admissible_reduction(current)
-        if move is None:
+        step = find_admissible_reduction(current)
+        if step is None:
             raise MoveError("no admissible reduction found")  # cannot happen
-        nxt, relabel = _apply_full(current, move)
-        trace.steps.append(
-            TraceStep(
-                move=move,
-                result_hash=graph_hash(nxt),
-                relabel=tuple(sorted(relabel.items())) if relabel else None,
-                result=nxt,
-            )
-        )
-        current = nxt
+        trace.steps.append(step)
+        current = step.result
         name = base_name_of(current)
     trace.base = name
     return trace

@@ -217,17 +217,19 @@ def is_circuit22(G: Graph) -> bool:
     return len(circuits) == 1 and next(iter(circuits.values())) == G.edges
 
 
-def coloops(edges, k: int) -> frozenset[Edge]:
-    """The edges that lie in every basis of the (2,k) matroid on edges.
+def rank_and_coloops(edges, k: int) -> tuple[int, frozenset[Edge]]:
+    """The rank of the (2,k) matroid on edges, and its coloops (the edges
+    that lie in every basis), from one game.
 
-    These are the basis edges of one game that lie in no fundamental
-    circuit.  A basis edge b in C(f,B) is not a coloop, because B - b + f
-    is a basis that avoids b.  If b lies in no C(f,B), every f outside B
-    is spanned by B - b, so E - b has rank |B| - 1 and b is a coloop.
+    The rank is the size of the game's basis B.  The coloops are the edges
+    of B that lie in no fundamental circuit.  A basis edge b in C(f,B) is
+    not a coloop, because B - b + f is a basis that avoids b.  If b lies in
+    no C(f,B), every f outside B is spanned by B - b, so E - b has rank
+    |B| - 1 and b is a coloop.
     """
     basis, circuits = _basis_and_circuits(edges, k)
     in_circuit = set().union(*circuits.values())
-    return frozenset(b for b in basis if b not in in_circuit)
+    return len(basis), frozenset(b for b in basis if b not in in_circuit)
 
 
 def fundamental_circuit(base, e: Edge, k: int = 2) -> frozenset[Edge]:

@@ -9,8 +9,8 @@ eliminations for the deletion ranks of a rigidity operator, its cut scans
 for k-connectivity and the first cut vertex (one subgraph per candidate
 cut, where the library now runs lowpoint DFS), its edge connectivity
 without the bound on each flow, its vertex-deletion test without the
-edge-count filter, its forward scripts with one rule per
-reduction kind, its joins and separations with one relabel-and-union or
+edge-count filter, its automorphism search with its own pin setup, its
+forward scripts with one rule per reduction kind, its joins and separations with one relabel-and-union or
 completion rule per kind, and its 2-vertex-separation scan (one subgraph
 per vertex pair); they run on graphs far past the brute-force caps.
 """
@@ -21,7 +21,7 @@ from functools import lru_cache
 from planerigidity.geometry import RigidityOperator, _bareiss_rank, rank_of
 from planerigidity.graphs import (
     Graph, Separation, _bipartitions, _is_k4_part, _min_st_edge_cut, _norm_edge, _part,
-    enumerate_separations, find_isomorphism,
+    _wl_colors, enumerate_separations, find_isomorphism,
 )
 from planerigidity.moves import Move, MoveError, ReductionTrace, base_graph
 from planerigidity.sparsity import PebbleGame, rank2k
@@ -278,6 +278,56 @@ def vertex_deletion_rigid_games(G: Graph) -> bool:
         rank2k(G.subgraph([w for w in range(G.n) if w != v])[0].edges, 2) == 2 * (G.n - 1) - 2
         for v in range(G.n)
     )
+
+
+# ---------------------------------------------------------------------------
+# automorphisms by a search of their own
+
+
+def automorphism_with_pins(G: Graph, pins: dict[int, int]):
+    """The library's earlier automorphism search: an automorphism of G
+    extending the pinned partial map, or None.  The pins are checked for
+    color, repeated images and pinned edges up front, then placed, and the
+    search extends them over the other vertices, rarest color first."""
+    c = _wl_colors(G)
+    for v, w in pins.items():
+        if c[v] != c[w]:
+            return None
+    freq = {x: c.count(x) for x in set(c)}
+    order = list(pins) + sorted(
+        (v for v in range(G.n) if v not in pins),
+        key=lambda v: (freq[c[v]], -G.degree(v), v),
+    )
+    mapping = {}
+    used = set()
+    for v, w in pins.items():
+        if w in used:
+            return None
+        mapping[v] = w
+        used.add(w)
+    for u in pins:
+        for v in pins:
+            if u < v and G.has_edge(u, v) != G.has_edge(pins[u], pins[v]):
+                return None
+    return _extend_automorphism(G, c, mapping, used, order)
+
+
+def _extend_automorphism(G: Graph, c, mapping, used, order):
+    if len(mapping) == G.n:
+        return dict(mapping)
+    v = order[len(mapping)]
+    for w in range(G.n):
+        if w in used or c[w] != c[v]:
+            continue
+        if all(G.has_edge(u, v) == G.has_edge(img, w) for u, img in mapping.items()):
+            mapping[v] = w
+            used.add(w)
+            res = _extend_automorphism(G, c, mapping, used, order)
+            if res is not None:
+                return res
+            del mapping[v]
+            used.remove(w)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,10 @@ class TestRandom:
         code, _, err = run(["random", "--model", "gnp", "--seed", "1"])
         assert code == 1 and "required" in err
 
+    def test_regular_requires_n(self):
+        code, out, err = run(["random", "--model", "regular", "--seed", "1"])
+        assert (code, out, err) == (1, "", "error: --n is required for model regular\n")
+
     def test_gnp_negative_n_is_error_1(self):
         code, out, err = run(["random", "--model", "gnp", "--n", "-3", "--seed", "1"])
         assert code == 1 and out == "" and "non-negative" in err

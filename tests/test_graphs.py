@@ -8,6 +8,7 @@ from planerigidity import catalog as cat
 from planerigidity.graphs import (
     Graph,
     _articulation_points,
+    _isomorphism,
     _min_st_edge_cut,
     edge_connectivity,
     enumerate_separations,
@@ -23,6 +24,7 @@ from planerigidity.randomgraphs import gnp_graph
 from corpus import decision_corpus, joined_graphs, k4_ring_graph
 from oracles import (
     all_labeled_graphs,
+    automorphism_with_pins,
     edge_connectivity_unpruned,
     enumerate_separations_scan,
     first_cut_vertex_scan,
@@ -299,3 +301,21 @@ class TestTransitivity:
         # triangle edges sit in triangles, matching edges do not
         assert not is_edge_transitive(cat.prism_graph())
         assert is_edge_transitive(cat.complete_graph(5))
+
+    def test_pinned_search_matches_the_old_automorphism_search(self):
+        # pins of the shapes the transitivity tests use: one vertex onto any
+        # vertex, and an edge onto either orientation of an edge; on six
+        # vertices every edge pair is pinned, on the corpus the first edge
+        # onto every edge, as is_edge_transitive pins them
+        small = graphs_up_to_iso(6)
+        checked = 0
+        for G in small + decision_corpus(100, seed=61):
+            pins = [{}] + [{u: v} for u in range(G.n) for v in range(G.n)]
+            edges = G.sorted_edges()
+            sources = edges if G in small else edges[:1]
+            pins += [{a: x, b: y} for a, b in sources for e in edges for x, y in (e, e[::-1])]
+            for pin in pins:
+                found = _isomorphism(G, G, pin)
+                assert found == automorphism_with_pins(G, pin)
+                checked += found is not None
+        assert checked > 1000

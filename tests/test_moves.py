@@ -20,7 +20,6 @@ from planerigidity.moves import (
     apply,
     base_name_of,
     find_admissible_reduction,
-    graph_hash,
     inverse,
     join,
     random_m22_graph,
@@ -395,6 +394,38 @@ class TestReductionEngine:
         edges, played = map(sum, zip(*seeded))
         assert played * 4 < edges
 
+    def test_each_search_hands_back_its_move_applied(self):
+        # the step a search returns is the move applied to the graph it
+        # searched, with the relabelling of that application
+        for seed in range(40):
+            G = random_m22_graph(seed % 9 + 1, 4100 + seed)
+            while (step := find_admissible_reduction(G)) is not None:
+                H, relabel = _apply_full(G, step.move)
+                assert step.result == H
+                assert step.relabel == (tuple(sorted(relabel.items())) if relabel else None)
+                G = step.result
+            assert base_name_of(G) is not None
+
+    def test_each_candidate_is_applied_once(self, monkeypatch):
+        # the accepted candidate's application is the step, so reduce_to_base
+        # applies no move beyond the candidates its searches try
+        applied, candidates = [], []
+        real_apply, real_check = moves._apply_full, moves.is_m22_connected
+        monkeypatch.setattr(
+            moves, "_apply_full", lambda G, mv: applied.append(mv) or real_apply(G, mv)
+        )
+        monkeypatch.setattr(
+            moves, "is_m22_connected",
+            lambda G, **kw: (kw and candidates.append(G)) or real_check(G, **kw),
+        )
+        for steps in range(2, 23, 4):
+            G = random_m22_graph(steps, 890 + steps)
+            applied.clear()
+            candidates.clear()
+            trace = reduce_to_base(G)
+            assert trace.steps
+            assert len(applied) == len(candidates)
+
     def test_k4ring_reduction_sequence(self):
         trace = reduce_to_base(k4_ring_graph())
         kinds = [s.move.kind for s in trace.steps]
@@ -408,9 +439,10 @@ class TestReductionEngine:
         assert trace.base == "B1"
 
     def test_b2_single_edge_reduction(self):
-        mv = find_admissible_reduction(cat.b2())
-        assert mv is not None and mv.kind == "edge-reduction"
-        assert is_isomorphic(apply(cat.b2(), mv), cat.b1())
+        step = find_admissible_reduction(cat.b2())
+        assert step is not None and step.move.kind == "edge-reduction"
+        assert step.result == apply(cat.b2(), step.move)
+        assert is_isomorphic(step.result, cat.b1())
         trace = reduce_to_base(cat.b2())
         assert len(trace.steps) == 1 and trace.base == "B1"
 
@@ -493,7 +525,7 @@ def _walk_trace(seed: int, sort_pairs: bool = True) -> ReductionTrace:
         move = Move(red.kind, tuple(params))
         nxt, relabel = _apply_full(current, move)
         trace.steps.append(TraceStep(
-            move, graph_hash(nxt), tuple(sorted(relabel.items())) if relabel else None, nxt
+            move, tuple(sorted(relabel.items())) if relabel else None, nxt
         ))
         pi = [relabel[pi[w]] if relabel else pi[w] for w in range(H.n)]
         current = nxt

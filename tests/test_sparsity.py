@@ -15,7 +15,6 @@ from planerigidity.moves import random_m22_graph, reduce_to_base
 from planerigidity.sparsity import (
     PebbleGame,
     clear_m22_memo,
-    coloops,
     ear_decomposition,
     fundamental_circuit,
     is_circuit22,
@@ -24,6 +23,7 @@ from planerigidity.sparsity import (
     is_tight,
     m22_components,
     rank2k,
+    rank_and_coloops,
 )
 
 from corpus import decision_corpus
@@ -277,9 +277,10 @@ class TestFundamentalCircuit:
 
 class TestComponents:
     def test_coloops_named_examples(self):
-        assert coloops(cat.k5_minus().edges, 2) == frozenset()
-        assert coloops(cat.wheel_graph(5).edges, 2) == cat.wheel_graph(5).edges
-        assert coloops(cat.complete_graph(4).edges, 3) == frozenset()
+        W = cat.wheel_graph(5)
+        assert rank_and_coloops(cat.k5_minus().edges, 2) == (8, frozenset())
+        assert rank_and_coloops(W.edges, 2) == (W.m, W.edges)
+        assert rank_and_coloops(cat.complete_graph(4).edges, 3) == (5, frozenset())
 
     def test_named_examples(self):
         assert len(m22_components(cat.k5_minus())) == 1
@@ -477,7 +478,10 @@ class TestAgainstManyGameReferences:
     def test_coloops(self):
         for G in self.graphs():
             for k in (2, 3):
-                assert coloops(G.edges, k) == coloops_leave_one_out(G.edges, k)
+                rank, cols = rank_and_coloops(G.edges, k)
+                assert cols == coloops_leave_one_out(G.edges, k)
+                # the subset search of rank_brute is affordable up to six vertices
+                assert rank == (rank_brute(G.edges, k) if G.n <= 6 else rank2k(G.edges, k))
 
     def test_is_circuit22(self):
         graphs = self.graphs()
