@@ -1,0 +1,8 @@
+"""`python -m planerigidity ...` runs the command-line interface (see cli)."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -317,13 +317,23 @@ def _exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int]]:
     return rank, stressed if rank == rank_p else frozenset()
 
 
+def _check_tol(tol: float) -> None:
+    """A relative tolerance must be finite and strictly between 0 and 1:
+    NaN or tol >= 1 counts no singular value above tol times the largest,
+    and tol <= 0 counts rounding noise too, so none of them gives a rank."""
+    if not (math.isfinite(tol) and 0 < tol < 1):
+        raise ValueError(f"tol = {tol!r}: needs a finite tolerance with 0 < tol < 1")
+
+
 def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int:
     """Rank of the operator; exact (`_exact_profile`) or SVD.
 
     Exact mode requires an exact operator (an exactable plane and a
     rational placement).  Float mode counts singular values above tol
-    times the largest.
+    times the largest.  Raises ValueError unless 0 < tol < 1 (finite), in
+    either mode.
     """
+    _check_tol(tol)
     if not op.matrix:
         return 0
     if mode == "exact":
@@ -363,8 +373,10 @@ def deletion_ranks(
 
     Float mode takes the rank from `rank_of` and runs one SVD of the
     row-normalised array: row i counts as stressed iff row i of U[:, r:],
-    the left singular vectors beyond the rank, has norm above tol.
+    the left singular vectors beyond the rank, has norm above tol.  Raises
+    ValueError unless 0 < tol < 1 (finite), as rank_of does.
     """
+    _check_tol(tol)
     m = len(op.matrix)
     if mode == "exact":
         rank, stressed = _exact_profile(op)

@@ -449,7 +449,9 @@ def _extend_isomorphism(G: Graph, H: Graph, cg, ch, pins, mapping, used, order):
     return None
 
 
-def _isomorphism(G: Graph, H: Graph, pins: dict[int, int]) -> dict[int, int] | None:
+def _isomorphism(
+    G: Graph, H: Graph, pins: dict[int, int], colors: list[int] | None = None
+) -> dict[int, int] | None:
     """An edge-preserving bijection G -> H extending the partial map `pins`,
     or None.
 
@@ -459,10 +461,11 @@ def _isomorphism(G: Graph, H: Graph, pins: dict[int, int]) -> dict[int, int] | N
     before the search.  The other vertices follow, rarest color first.
     With no pins this is the plain search of find_isomorphism.  A search
     for automorphisms (H is G) skips the invariant checks, which it passes
-    trivially.
+    trivially, and uses `colors` as the colouring of G when given, so that a
+    transitivity test colours G once for all its searches.
     """
     if H is G:
-        cg = ch = _wl_colors(G)
+        cg = ch = _wl_colors(G) if colors is None else colors
     else:
         if G.n != H.n or G.m != H.m:
             return None
@@ -498,8 +501,9 @@ def is_isomorphic(G: Graph, H: Graph) -> bool:
 
 
 def is_vertex_transitive(G: Graph) -> bool:
+    colors = _wl_colors(G)
     return all(
-        _isomorphism(G, G, {0: v}) is not None for v in range(1, G.n)
+        _isomorphism(G, G, {0: v}, colors) is not None for v in range(1, G.n)
     )
 
 
@@ -508,8 +512,9 @@ def is_edge_transitive(G: Graph) -> bool:
     if not edges:
         return True
     a, b = edges[0]
+    colors = _wl_colors(G)
     for e in edges[1:]:
-        if _isomorphism(G, G, {a: e[0], b: e[1]}) is None and \
-           _isomorphism(G, G, {a: e[1], b: e[0]}) is None:
+        if _isomorphism(G, G, {a: e[0], b: e[1]}, colors) is None and \
+           _isomorphism(G, G, {a: e[1], b: e[0]}, colors) is None:
             return False
     return True

@@ -10,8 +10,8 @@ read from the pebbles at the moment f is rejected.  The components are the
 classes of "lies in a common fundamental circuit" (the single-basis
 component rule), the coloops are the basis edges in no fundamental
 circuit, G is a circuit when exactly one edge is rejected and its circuit
-is E, and each ear of an ear decomposition is one fundamental circuit of a
-game that plays the previous ears first.  A game may also start from the
+is E, and each ear of an ear decomposition is one of the fundamental
+circuits of the game over the sorted edges.  A game may also start from the
 final orientation of another game (PebbleGame.seed), which is how the
 reduction engine checks each candidate from its parent's game.
 
@@ -427,36 +427,53 @@ def ear_decomposition(G: Graph) -> EarDecomposition | None:
     inclusion-minimality property (E3).
 
     The first ear is the circuit of the first edge rejected in sorted
-    order.  Each later ear comes from one game over sorted(D) + sorted(E-D),
-    whose basis B splits into B_D (inside D) and B_N.  For a rejected f
-    outside D and e in B_N: e lies in the circuit of f in M/D iff B - e + f
-    is a basis iff e lies in C = C(f,B).  So that contraction circuit is
-    K_f = C - B_D, a circuit of M/D exactly when C meets B_D (otherwise K_f
-    = C is dependent in M).  C is the one circuit inside B_D + K_f, it is
-    the ear, and K_f is its set of new edges.
+    order.  Each later ear is read off B, the greedy basis for the order
+    sorted(D) + sorted(E-D), split into B_D (inside D) and B_N.  For f
+    outside D and B, and e in B_N: e lies in the circuit of f in M/D iff
+    B - e + f is a basis iff e lies in C = C(f,B).  So that contraction
+    circuit is K_f = C - B_D, a circuit of M/D exactly when C meets B_D
+    (otherwise K_f = C is dependent in M).  C is the one circuit inside
+    B_D + K_f, it is the ear, and K_f is its set of new edges.  Two
+    candidates f, g with equal K_f are equal, since f and g both lie in
+    K_f and C(f,B) - f is inside B; so the choice never depends on the
+    order the candidates are seen in.
+
+    One game, over the sorted edges, serves every ear: its basis B0 is B
+    at every step, so its circuits C(g,B0), read once, are all the
+    candidates.  Proof: a basis is the greedy basis for an order iff each
+    edge g outside it comes last, in that order, in its fundamental
+    circuit (Edmonds' greedy algorithm; Oxley, Matroid Theory, section
+    1.8).  In sorted order g is spanned by the basis edges before it, so g
+    is the largest edge of C(g,B0).  In sorted(D) + sorted(E-D), an
+    uncovered g still comes after the rest of C(g,B0): the edges of D come
+    first, and the others are smaller than g.  By induction each earlier
+    ear is C(f,B0) for its f, with every other edge in B0; so a covered g
+    outside B0 is such an f, and C(g,B0), its ear, lies in D, where it
+    keeps its sorted order.  So B0 meets the criterion for every D.  B_D
+    is D minus the ears' rejected edges, and no C(g,B0) of an uncovered g
+    holds one of those, so K_g = C(g,B0) - D and C(g,B0) qualifies iff it
+    meets D.
     """
     if G.n > 0 and G.min_degree() == 0:
         raise ValueError("no isolated vertices allowed")
     if G.m < 2:
         return None
-    edges = G.sorted_edges()
-    _, circuits = _basis_and_circuits(edges, 2)
+    _, circuits = _basis_and_circuits(G.sorted_edges(), 2)
     if not circuits:
         return None  # independent: no circuits at all
-    ears = [next(iter(circuits.values()))]
-    covered = set(ears[0])
-    while len(covered) < G.m:
-        basis, circuits = _basis_and_circuits(
-            sorted(covered) + sorted(e for e in edges if e not in covered), 2
-        )
-        bd = covered.intersection(basis)
+    f, ear = next(iter(circuits.items()))
+    ears, covered = [], set()
+    while True:
+        ears.append(ear)
+        del circuits[f]
+        covered |= ear
         qualifying = [
-            circ for f, circ in circuits.items()
-            if f not in covered and not circ.isdisjoint(bd)
+            (g, circ - covered) for g, circ in circuits.items() if not circ.isdisjoint(covered)
         ]
         if not qualifying:
-            return None  # matroid disconnected
-        ear = min(qualifying, key=lambda circ: (len(circ - bd), sorted(circ - bd)))
-        ears.append(ear)
-        covered |= ear
+            break
+        f, _ = min(qualifying, key=lambda item: (len(item[1]), sorted(item[1])))
+        ear = circuits[f]
+    if len(covered) < G.m:
+        return None  # matroid disconnected
     return EarDecomposition(tuple(ears))

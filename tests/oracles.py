@@ -4,7 +4,9 @@ The brute-force oracles work straight from the counting definition of
 (2,k)-sparsity (|E'| <= 2|V'| - k over all vertex subsets), never through
 the pebble game, so agreement is meaningful.  The reference routines at the
 end are the library's earlier many-game versions of questions it now
-answers from the fundamental circuits of one game, its earlier m + 1
+answers from the fundamental circuits of one game, its ear decomposition
+with one game per ear (the library now reads every ear off the one game
+over the sorted edges), its earlier m + 1
 eliminations for the deletion ranks of a rigidity operator, its cut scans
 for k-connectivity and the first cut vertex (one subgraph per candidate
 cut, where the library now runs lowpoint DFS), its edge connectivity
@@ -24,7 +26,7 @@ from planerigidity.graphs import (
     _wl_colors, enumerate_separations, find_isomorphism,
 )
 from planerigidity.moves import Move, MoveError, ReductionTrace, base_graph
-from planerigidity.sparsity import PebbleGame, rank2k
+from planerigidity.sparsity import EarDecomposition, PebbleGame, _basis_and_circuits, rank2k
 
 
 def vertices_of(edges):
@@ -194,6 +196,41 @@ def components_multipass(G: Graph):
     for e in edges:
         groups.setdefault(find(e), set()).add(e)
     return sorted((frozenset(g) for g in groups.values()), key=sorted)
+
+
+def ear_decomposition_games(G: Graph):
+    """The ear decomposition with one game per ear: ear i + 1 is chosen
+    from a game over sorted(D_i) + sorted(E - D_i), whose basis B splits
+    into B_D (inside D_i) and B_N.  For a rejected f outside D_i and e in
+    B_N: e lies in the circuit of f in M/D_i iff B - e + f is a basis iff
+    e lies in C(f,B).  So that contraction circuit is K_f = C(f,B) - B_D, a
+    circuit of M/D_i exactly when C(f,B) meets B_D, and C(f,B) is the ear
+    with new edges K_f."""
+    if G.n > 0 and G.min_degree() == 0:
+        raise ValueError("no isolated vertices allowed")
+    if G.m < 2:
+        return None
+    edges = G.sorted_edges()
+    _, circuits = _basis_and_circuits(edges, 2)
+    if not circuits:
+        return None
+    ears = [next(iter(circuits.values()))]
+    covered = set(ears[0])
+    while len(covered) < G.m:
+        basis, circuits = _basis_and_circuits(
+            sorted(covered) + sorted(e for e in edges if e not in covered), 2
+        )
+        bd = covered.intersection(basis)
+        qualifying = [
+            circ for f, circ in circuits.items()
+            if f not in covered and not circ.isdisjoint(bd)
+        ]
+        if not qualifying:
+            return None
+        ear = min(qualifying, key=lambda circ: (len(circ - bd), sorted(circ - bd)))
+        ears.append(ear)
+        covered |= ear
+    return EarDecomposition(tuple(ears))
 
 
 def coloops_leave_one_out(edges, k):

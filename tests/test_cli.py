@@ -7,6 +7,7 @@ import os
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from planerigidity import catalog as cat
 from planerigidity import cli
 from planerigidity.cli import main
-from planerigidity.formats import emit_edgelist, parse_graph
+from planerigidity.formats import emit_edgelist, parse_graph, parse_graph6
 from planerigidity.graphs import is_isomorphic
 from planerigidity.moves import KINDS, random_m22_graph
 
@@ -116,6 +117,37 @@ class TestCheck:
             edges = [tuple(map(int, tok.split("-"))) for tok in line.split()[1:]]
             assert edges == sorted(edges)
             assert rank2k(edges, 2) == len(edges) - 1
+
+
+    def test_certificates_are_unchanged(self):
+        # SHA-256 of each `check --certificate` output, recorded before the
+        # ear decomposition moved onto one maintained game
+        want = dict(
+            line.split() for line in CERTIFICATE_DIGESTS.read_text().splitlines()
+        )
+        got = {}
+        for name, G in certificate_inputs().items():
+            code, out, _ = run(["check", "-", "--certificate"], emit_edgelist(G))
+            assert code == 0
+            got[name] = hashlib.sha256(out.encode()).hexdigest()
+        assert got == want
+
+
+CERTIFICATE_DIGESTS = Path(__file__).with_name("certificate_digests.txt")
+
+
+def certificate_inputs():
+    """30 seeded walks (15 to 142 edges) and the named graphs of the ear
+    decomposition tests."""
+    graphs = {f"walk-{i}": random_m22_graph(2 + 2 * i, 7000 + i) for i in range(30)}
+    graphs.update({
+        "K5-": cat.k5_minus(), "B1": cat.b1(), "B2": cat.b2(),
+        "K36": cat.complete_bipartite(3, 6), "K46": cat.complete_bipartite(4, 6),
+        "K6": cat.complete_graph(6), "K7": cat.complete_graph(7),
+        "W5": cat.wheel_graph(5), "K4": cat.complete_graph(4),
+        "2K4v": cat.two_k4_shared_vertex(), "pinned": parse_graph6("Lxrg{gAOop|CGB"),
+    })
+    return graphs
 
 
 class TestReduceBuild:
@@ -269,6 +301,16 @@ class TestRank:
             emit_edgelist(cat.k5_minus()),
         )
         assert code == 1 and "error:" in err
+
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1"])
+    def test_meaningless_tolerance_is_refused(self, tol):
+        code, out, err = run(
+            ["rank", "-", "--p", "3", "--mode", "float", "--tol", tol],
+            emit_edgelist(cat.complete_graph(5)),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: tol = ") and "0 < tol < 1" in err
 
 
 class TestCertify:

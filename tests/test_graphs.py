@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planerigidity import catalog as cat
+from planerigidity import graphs
 from planerigidity.graphs import (
     Graph,
     _articulation_points,
@@ -301,6 +302,17 @@ class TestTransitivity:
         # triangle edges sit in triangles, matching edges do not
         assert not is_edge_transitive(cat.prism_graph())
         assert is_edge_transitive(cat.complete_graph(5))
+
+    def test_one_colouring_per_test(self, monkeypatch):
+        calls = []
+        real = graphs._wl_colors
+        monkeypatch.setattr(graphs, "_wl_colors", lambda G: calls.append(G) or real(G))
+        for G in [cat.complete_graph(6), cat.cycle_graph(6), cat.wheel_graph(5),
+                  cat.complete_bipartite(3, 4), cat.prism_graph(), cat.complete_graph(5)]:
+            for test in (is_vertex_transitive, is_edge_transitive):
+                calls.clear()
+                test(G)
+                assert calls == [G]
 
     def test_pinned_search_matches_the_old_automorphism_search(self):
         # pins of the shapes the transitivity tests use: one vertex onto any

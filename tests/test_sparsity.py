@@ -12,6 +12,7 @@ from planerigidity import sparsity
 from planerigidity.formats import parse_graph6
 from planerigidity.graphs import Graph
 from planerigidity.moves import random_m22_graph, reduce_to_base
+from planerigidity.randomgraphs import gnp_graph
 from planerigidity.sparsity import (
     PebbleGame,
     clear_m22_memo,
@@ -32,6 +33,7 @@ from oracles import (
     coloops_leave_one_out,
     components_brute,
     components_multipass,
+    ear_decomposition_games,
     is_circuit_brute,
     is_circuit22_leave_one_out,
     is_sparse_brute,
@@ -435,6 +437,15 @@ class TestEarDecomposition:
         assert ear_decomposition(cat.complete_graph(4)) is None
         assert ear_decomposition(cat.two_k4_shared_vertex()) is None
 
+    def test_disconnected_matroid_without_coloops(self):
+        # two K5- sharing a vertex: every edge lies in a circuit, yet no
+        # circuit meets both
+        K = cat.k5_minus()
+        G = Graph.from_edges(9, list(K.edges) + [(u + 4, v + 4) for u, v in K.edges])
+        assert rank_and_coloops(G.edges, 2)[1] == frozenset()
+        assert len(m22_components(G)) == 2
+        assert ear_decomposition(G) is None
+
     def test_rejects_isolated_vertices(self):
         G = Graph.from_edges(6, cat.k5_minus().edges)
         with pytest.raises(ValueError):
@@ -494,6 +505,66 @@ class TestAgainstManyGameReferences:
         assert any(is_circuit22(G) for G in graphs)
         for G in graphs:
             assert is_circuit22(G) == is_circuit22_leave_one_out(G)
+
+
+class TestOneGameEars:
+    """The one-game ear decomposition against the game-per-ear routine it
+    replaced."""
+
+    def test_same_ears_as_one_game_per_ear(self):
+        graphs = [G for G in decision_corpus(300, seed=5) if G.m >= 1 and G.min_degree() > 0]
+        graphs += [random_m22_graph(steps, 300 + steps) for steps in range(1, 41)]
+        rng = random.Random(12)
+        gnp = [
+            gnp_graph(rng.randint(6, 13), rng.choice((0.4, 0.5, 0.6, 0.7)), seed)
+            for seed in range(200)
+        ]
+        graphs += [G for G in gnp if G.min_degree() > 0]
+        graphs.append(parse_graph6("Lxrg{gAOop|CGB"))
+        found = 0
+        for G in graphs:
+            ed = ear_decomposition(G)
+            assert ed == ear_decomposition_games(G)
+            found += ed is not None and ed.t > 1
+        assert found > 200
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_the_sorted_game_serves_every_ear(self, data):
+        # the basis B0 and circuits of the one game over the sorted edges are
+        # those of the game over sorted(D) + sorted(E - D) for every union D
+        # of the ears, and each held circuit is a circuit inside B0 + g
+        n = data.draw(st.integers(5, 7))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = sorted(data.draw(st.sets(st.sampled_from(pairs), min_size=2 * n)))
+        G = Graph.from_edges(n, edges)
+        if G.min_degree() == 0:
+            return
+        basis, circuits = sparsity._basis_and_circuits(edges, 2)
+        ed = ear_decomposition(G)
+        for D in ed.unions()[:-1] if ed is not None else ():
+            order = sorted(D) + sorted(set(edges) - D)
+            basis_d, circuits_d = sparsity._basis_and_circuits(order, 2)
+            assert set(basis_d) == set(basis)
+            for g, circ in circuits_d.items():
+                if g not in D:
+                    assert circ == circuits[g]
+        for g, circ in circuits.items():
+            assert g == max(circ) and circ - {g} <= set(basis)
+            assert is_circuit_brute(sorted(circ))
+
+    def test_one_game_per_decomposition(self, monkeypatch):
+        games = []
+        init = PebbleGame.__init__
+        monkeypatch.setattr(
+            PebbleGame, "__init__", lambda self, *a: games.append(a) or init(self, *a)
+        )
+        for G in [cat.complete_bipartite(3, 6), cat.wheel_graph(5), cat.complete_graph(7),
+                  random_m22_graph(40, 9), parse_graph6("Lxrg{gAOop|CGB")]:
+            games.clear()
+            ed = ear_decomposition(G)
+            assert games == [(G.n, 2)]
+            assert (ed is None) == (G == cat.wheel_graph(5))
 
 
 def check_ear_axioms(G, ed, circuits=None):
