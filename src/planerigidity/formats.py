@@ -2,7 +2,8 @@
 
 graph6 follows the standard 63-offset byte encoding (upper triangle read
 columnwise, six bits per byte); the long form for 63 <= n <= 258047 is
-supported on both ends.  Edge lists are `n` on the first line then `u v`
+supported on both ends, and the data must be exactly the bytes n needs.
+Edge lists are `n` on the first line then `u v`
 lines, with 0 <= n <= MAX_VERTICES (258047, graph6's own limit); blank
 lines and `#` comment lines may stand anywhere.
 Placements are one `v x y` line per vertex with rational `num/den` or
@@ -77,12 +78,12 @@ def parse_graph6(text: str) -> Graph:
         n = data[0]
         body = data[1:]
     need = (n * (n - 1) // 2 + 5) // 6
-    if len(body) < need:
+    if len(body) != need:
         raise FormatError(
             f"graph6: expected {need} data bytes for n={n}, got {len(body)}"
         )
     bits = []
-    for val in body[:need]:
+    for val in body:
         for k in range(5, -1, -1):
             bits.append(val >> k & 1)
     edges = []

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Edge, Graph, first_cut_vertex
+from .graphs import Edge, Graph, _lowpoint_dfs, first_cut_vertex
 
 Coord = tuple  # (x, y) of Fractions or floats
 
@@ -512,11 +512,7 @@ def cut_vertex_counterexample(
     cut = first_cut_vertex(G)
     if cut is None:
         return None
-    rest = [v for v in range(G.n) if v != cut]
-    H, back = G.subgraph(rest)
-    comps = H.components()
-    inv = {new: old for old, new in back.items()}
-    keep = {inv[v] for v in comps[0]} | {cut}
+    keep = _lowpoint_dfs(G, (cut,))[0][0] | {cut}
     px, py = placement.coords[cut]
     shifted = placement.translated(-px, -py)
     coords = tuple(

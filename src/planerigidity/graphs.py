@@ -8,7 +8,6 @@ trivial downstream.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -103,23 +102,7 @@ class Graph:
         return self.m == self.n * (self.n - 1) // 2
 
     def components(self) -> list[set[int]]:
-        seen = [False] * self.n
-        out = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = {s}
-            seen[s] = True
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for w in self.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.add(w)
-                        stack.append(w)
-            out.append(comp)
-        return out
+        return _lowpoint_dfs(self)[0]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
@@ -150,40 +133,41 @@ class Separation:
     nontrivial: bool
 
 
-def _articulation_points(G: Graph, skip: int = -1) -> tuple[bool, list[int]]:
-    """Whether G - skip is connected, and its cut vertices in sorted order.
+def _lowpoint_dfs(G: Graph, drop=()) -> tuple[list[set[int]], list[int], list[Edge]]:
+    """The components, cut vertices and bridges of G minus `drop`.
 
-    One iterative lowpoint DFS (Hopcroft & Tarjan, CACM 16(6), 1973), in
-    O(n + m) time and without recursion; `skip` names a vertex to treat as
-    deleted (-1 for none).  Number the vertices in discovery order and let
-    low(v) be the smallest number reachable from the subtree of v by tree
-    edges down and at most one back edge up.  A DFS of an undirected graph
-    leaves no cross edges, so every non-tree edge joins a vertex to an
-    ancestor.  Hence, for a non-root v with tree child w, the subtree of w
-    stays attached to the rest after deleting v iff some edge leaves that
-    subtree above v, i.e. iff low(w) < num(v): v is a cut vertex iff some
-    child has low(w) >= num(v).  The root is a cut vertex iff it has at
-    least two tree children, since distinct child subtrees are joined only
-    through it.  On a disconnected graph every component gets its own DFS,
-    and the cut vertices are those within the components.
+    Components are vertex sets in G's labels, ordered by their smallest
+    vertex (the roots are tried in increasing order); cut vertices and
+    bridges are sorted.  One iterative lowpoint DFS in O(n + m) (Hopcroft &
+    Tarjan, CACM 16(6), 1973; Tarjan, IPL 2(6), 1974).  A dropped vertex is
+    marked visited above every discovery number: it is never entered and
+    never lowers a lowpoint.  low(v) is the smallest number reachable from
+    the subtree of v by tree edges down and at most one back edge up.  A
+    DFS leaves no cross edges, so every non-tree edge joins a vertex to an
+    ancestor, lies on a cycle and is no bridge.  For a tree edge (p, v):
+    deleting p cuts off the subtree of v iff no edge leaves it above p,
+    i.e. low(v) >= num(p), which makes a non-root p a cut vertex; and pv is
+    a bridge iff no other edge leaves that subtree at all, i.e. low(v) >
+    num(p).  The root is a cut vertex iff it has two tree children, since
+    distinct child subtrees are joined only through it.
     """
     n = G.n
     adj = G.adj
     num = [0] * n  # discovery numbers start at 1; 0 marks unvisited
     low = [0] * n
-    if 0 <= skip < n:
-        # visited but never entered, and above every number: an edge to it
-        # never lowers a lowpoint
-        num[skip] = n + 1
+    for x in drop:
+        num[x] = n + 1
+    comps = []
     cuts = set()
-    roots = 0
+    bridges = []
     clock = 0
     for r in range(n):
         if num[r]:
             continue
-        roots += 1
         clock += 1
         num[r] = low[r] = clock
+        comp = {r}
+        add = comp.add
         children = 0
         stack = [(r, -1, iter(adj[r]))]
         while stack:
@@ -192,6 +176,7 @@ def _articulation_points(G: Graph, skip: int = -1) -> tuple[bool, list[int]]:
                 if not num[w]:
                     clock += 1
                     num[w] = low[w] = clock
+                    add(w)
                     stack.append((w, v, iter(adj[w])))
                     break
                 if w != parent and num[w] < low[v]:
@@ -200,14 +185,21 @@ def _articulation_points(G: Graph, skip: int = -1) -> tuple[bool, list[int]]:
                 stack.pop()
                 if parent == r:
                     children += 1
+                    if low[v] > num[r]:
+                        bridges.append(_norm_edge(r, v))
                 elif parent >= 0:
-                    if low[v] >= num[parent]:
+                    # low(v) >= num(p) >= low(p) leaves low(p) as it is
+                    lv = low[v]
+                    if lv >= num[parent]:
                         cuts.add(parent)
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
+                        if lv > num[parent]:
+                            bridges.append(_norm_edge(parent, v))
+                    elif lv < low[parent]:
+                        low[parent] = lv
         if children >= 2:
             cuts.add(r)
-    return roots == 1, sorted(cuts)
+        comps.append(comp)
+    return comps, sorted(cuts), sorted(bridges)
 
 
 def is_k_connected(G: Graph, k: int) -> bool:
@@ -217,7 +209,7 @@ def is_k_connected(G: Graph, k: int) -> bool:
     for every k here (in particular K2 passes for k=1 and k=2); K1 is only
     1-connected.
 
-    k = 1 and k = 2 take one lowpoint DFS (`_articulation_points`).  k = 3
+    k = 1 and k = 2 take one lowpoint DFS (`_lowpoint_dfs`).  k = 3
     takes n + 1: a non-complete G is 3-connected iff it is 2-connected and
     G - v is 2-connected for every v.  A 2-connected non-complete G has
     n >= 4, and each G - a is connected on n - 1 >= 3 vertices.  Deleting
@@ -233,8 +225,8 @@ def is_k_connected(G: Graph, k: int) -> bool:
         return k == 1
     if G.is_complete():
         return True
-    connected, cuts = _articulation_points(G)
-    if not connected:
+    comps, cuts, _ = _lowpoint_dfs(G)
+    if len(comps) != 1:
         return False
     if k == 1:
         return True
@@ -243,8 +235,8 @@ def is_k_connected(G: Graph, k: int) -> bool:
     if k == 2:
         return True
     for v in range(G.n):
-        connected, cuts = _articulation_points(G, skip=v)
-        if not connected or cuts:
+        comps, cuts, _ = _lowpoint_dfs(G, (v,))
+        if len(comps) != 1 or cuts:
             return False
     return True
 
@@ -259,12 +251,12 @@ def first_cut_vertex(G: Graph) -> int | None:
     vertex 0 when there are at least three components, and otherwise the
     smallest vertex that has a neighbour.
     """
-    connected, cuts = _articulation_points(G)
-    if connected:
+    comps, cuts, _ = _lowpoint_dfs(G)
+    if len(comps) == 1:
         return cuts[0] if cuts else None
     if G.n < 3:
         return None
-    if len(G.components()) > 2:
+    if len(comps) > 2:
         return 0
     return next(u for u in range(G.n) if G.adj[u])
 
@@ -340,36 +332,32 @@ def enumerate_separations(G: Graph, kind: str) -> list[Separation]:
     up to part order: each cut is visited once, and `_bipartitions` yields
     each unordered split of its components once.
 
-    vertex-cut-2 runs one lowpoint DFS per vertex a and builds the subgraph
-    G - a - b only for the pairs that can separate.  Proof sketch: G - a has
-    n - 1 >= 3 vertices; if it is connected, G - a - b (n - 2 >= 2
+    vertex-cut-2 runs one lowpoint DFS per vertex a, and one more on
+    G - a - b only for the pairs that can separate.  Proof sketch: G - a
+    has n - 1 >= 3 vertices; if it is connected, G - a - b (n - 2 >= 2
     vertices) is disconnected iff b is a cut vertex of G - a.  So a pair
     {a, b} with G - a connected and b no cut vertex of it is no cut, and is
     skipped; the other pairs are scanned in increasing order.
 
-    edge-cut-3 is brute force: it builds G minus each of the C(m, 3) edge
-    triples and finds its components, so the cost grows as m^3 (n + m).
-    Keep it to m of about 50 or less (about 0.1 s at m = 30 and 1 s at
-    m = 56 on a 2-core Xeon).
+    edge-cut-3 runs one lowpoint DFS per edge pair e < f, on G - e - f.
+    If G - e - f is connected, then G - {e, f, g} is disconnected iff g is
+    a bridge of G - e - f; so only its bridges g > f are tried as the third
+    edge, or every g > f when G - e - f is already disconnected.  The
+    triples skipped leave G connected and give no separation.  g runs over
+    sorted edges greater than f, so the triples come in
+    `itertools.combinations` order, and the cost is O(m^2 (n + m)).
     """
     if G.n < 4:
         raise ValueError("separation enumeration needs n >= 4")
     out = []
     if kind == "vertex-cut-2":
         for a in range(G.n):
-            connected, cuts = _articulation_points(G, skip=a)
+            comps, cuts, _ = _lowpoint_dfs(G, (a,))
             cuts = set(cuts)
             for b in range(a + 1, G.n):
-                if connected and b not in cuts:
+                if len(comps) == 1 and b not in cuts:
                     continue
-                rest = [v for v in range(G.n) if v not in (a, b)]
-                H, back = G.subgraph(rest)
-                comps = H.components()
-                if len(comps) < 2:
-                    continue
-                inv = {new: old for old, new in back.items()}
-                comps_old = [{inv[v] for v in c} for c in comps]
-                for left, right in _bipartitions(comps_old):
+                for left, right in _bipartitions(_lowpoint_dfs(G, (a, b))[0]):
                     v1 = set().union(*left) | {a, b}
                     v2 = set().union(*right) | {a, b}
                     nontriv = not (_is_k4_part(G, v1) or _is_k4_part(G, v2))
@@ -378,25 +366,23 @@ def enumerate_separations(G: Graph, kind: str) -> list[Separation]:
                     ))
     elif kind == "edge-cut-3":
         edges = G.sorted_edges()
-        for cut in itertools.combinations(edges, 3):
-            rem = Graph(G.n, G.edges - set(cut))
-            comps = rem.components()
-            if len(comps) < 2:
-                continue
-            for left, right in _bipartitions(comps):
-                v1 = set().union(*left)
-                v2 = set().union(*right)
-                crossing = {
-                    e for e in cut
-                    if (e[0] in v1) != (e[1] in v1)
-                }
-                if len(crossing) != 3:
-                    continue
-                ends = [x for e in cut for x in e]
-                nontriv = len(set(ends)) == 6
-                out.append(
-                    Separation("edge-cut-3", (_part(G, v1), _part(G, v2)), cut, nontriv)
-                )
+        for i, e in enumerate(edges):
+            for j in range(i + 1, len(edges)):
+                f = edges[j]
+                H = Graph(G.n, G.edges - {e, f})
+                comps, _, bridges = _lowpoint_dfs(H)
+                thirds = edges[j + 1:] if len(comps) > 1 else [g for g in bridges if g > f]
+                for g in thirds:
+                    cut = (e, f, g)
+                    for left, right in _bipartitions(Graph(G.n, H.edges - {g}).components()):
+                        v1 = set().union(*left)
+                        v2 = set().union(*right)
+                        if not all((x in v1) != (y in v1) for x, y in cut):
+                            continue
+                        nontriv = len({x for c in cut for x in c}) == 6
+                        out.append(
+                            Separation("edge-cut-3", (_part(G, v1), _part(G, v2)), cut, nontriv)
+                        )
     else:
         raise ValueError(f"unknown separation kind {kind!r}")
     return out

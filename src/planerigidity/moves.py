@@ -337,8 +337,8 @@ def separations_of(G: Graph, j: int) -> list[tuple[Graph, Graph]]:
             else:
                 out.append((_completed(G, p1, k4[1:]), _completed(G, p2, k4[1:])))
     elif j == 3:
-        # brute force over the C(m, 3) edge triples, cost m^3 (n + m): about
-        # 1 s at m = 56, so keep m to about 50 (see enumerate_separations)
+        # one lowpoint DFS per edge pair, cost m^2 (n + m) (see
+        # enumerate_separations)
         for sep in enumerate_separations(G, "edge-cut-3"):
             if sep.nontrivial:
                 # the apex G.n meets each part at its ends of the cut edges

@@ -180,10 +180,19 @@ def _basis_and_circuits(
 
 
 def rank2k(edges, k: int) -> int:
-    """Rank of an edge set in the (2,k)-sparsity matroid."""
+    """Rank of an edge set in the (2,k)-sparsity matroid.
+
+    The game stops once it holds 2n - k edges, with n = 1 + the largest
+    label: a (2,k)-sparse set on n vertices has at most 2n - k edges, so
+    every later insert would be rejected.  If some label has no edge the
+    bound is never reached, and every edge is played.
+    """
     uniq = list(dict.fromkeys(_norm_edge(u, v) for u, v in edges))
     game = PebbleGame(1 + max((v for e in uniq for v in e), default=-1), k)
+    bound = 2 * game.n - k
     for e in uniq:
+        if game.rank == bound:
+            break
         game.insert(*e)
     return game.rank
 

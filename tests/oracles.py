@@ -13,8 +13,9 @@ cut, where the library now runs lowpoint DFS), its edge connectivity
 without the bound on each flow, its vertex-deletion test without the
 edge-count filter, its automorphism search with its own pin setup, its
 forward scripts with one rule per reduction kind, its joins and separations with one relabel-and-union or
-completion rule per kind, and its 2-vertex-separation scan (one subgraph
-per vertex pair); they run on graphs far past the brute-force caps.
+completion rule per kind, its 2-vertex-separation scan (one subgraph
+per vertex pair) and its 3-edge-separation scan (one graph per edge
+triple); they run on graphs far past the brute-force caps.
 """
 
 import itertools
@@ -289,6 +290,28 @@ def is_k_connected_cut_scan(G: Graph, k: int) -> bool:
             if len(rest) >= 2 and not G.subgraph(rest)[0].is_connected():
                 return False
     return True
+
+
+def components_search(G: Graph) -> list[set[int]]:
+    """The library's earlier `Graph.components`: one plain graph search per
+    unvisited vertex, in increasing order."""
+    seen = [False] * G.n
+    out = []
+    for s in range(G.n):
+        if seen[s]:
+            continue
+        comp = {s}
+        seen[s] = True
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in G.adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.add(w)
+                    stack.append(w)
+        out.append(comp)
+    return out
 
 
 def first_cut_vertex_scan(G: Graph):
@@ -604,3 +627,32 @@ def enumerate_separations_scan(G: Graph) -> list[Separation]:
             seen.add(key)
             uniq.append(s)
     return uniq
+
+
+def edge_cuts_triple_scan(G: Graph) -> list[Separation]:
+    """The library's earlier `enumerate_separations(G, "edge-cut-3")`: one
+    graph and component search for each of the C(m, 3) edge triples."""
+    if G.n < 4:
+        raise ValueError("separation enumeration needs n >= 4")
+    out = []
+    edges = G.sorted_edges()
+    for cut in itertools.combinations(edges, 3):
+        rem = Graph(G.n, G.edges - set(cut))
+        comps = rem.components()
+        if len(comps) < 2:
+            continue
+        for left, right in _bipartitions(comps):
+            v1 = set().union(*left)
+            v2 = set().union(*right)
+            crossing = {
+                e for e in cut
+                if (e[0] in v1) != (e[1] in v1)
+            }
+            if len(crossing) != 3:
+                continue
+            ends = [x for e in cut for x in e]
+            nontriv = len(set(ends)) == 6
+            out.append(
+                Separation("edge-cut-3", (_part(G, v1), _part(G, v2)), cut, nontriv)
+            )
+    return out

@@ -546,6 +546,13 @@ class TestAutoFormat:
         assert err == "error: edgelist: line 1: vertex count -3 is outside 0..258047\n"
 
 
+    def test_graph6_with_trailing_data_bytes_is_rejected(self):
+        # C~ is K4; the three bytes after it used to be ignored
+        code, out, err = run(["check", "-"], "C~~~~")
+        assert code == 1 and out == ""
+        assert err == "error: graph6: expected 1 data bytes for n=4, got 4\n"
+
+
 class TestParserCache:
     def test_built_once(self):
         assert cli.build_parser() is cli.build_parser()

@@ -50,6 +50,15 @@ class TestGraph6:
         with pytest.raises(FormatError, match="data bytes"):
             parse_graph6("I")  # claims n=10 with no body
 
+    def test_trailing_data_bytes_rejected(self):
+        with pytest.raises(FormatError, match="expected 1 data bytes for n=4, got 4"):
+            parse_graph6("C~~~~")
+        with pytest.raises(FormatError, match="expected 1 data bytes for n=4, got 2"):
+            parse_graph6(">>graph6<<C~?\n")
+        G = gnp_graph(70, 0.1, 5)
+        with pytest.raises(FormatError, match="data bytes for n=70"):
+            parse_graph6(emit_graph6(G) + "?")
+
 
 class TestEdgelist:
     def test_path(self):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -8,8 +9,8 @@ from planerigidity import catalog as cat
 from planerigidity import graphs
 from planerigidity.graphs import (
     Graph,
-    _articulation_points,
     _isomorphism,
+    _lowpoint_dfs,
     _min_st_edge_cut,
     edge_connectivity,
     enumerate_separations,
@@ -26,7 +27,9 @@ from corpus import decision_corpus, joined_graphs, k4_ring_graph
 from oracles import (
     all_labeled_graphs,
     automorphism_with_pins,
+    components_search,
     edge_connectivity_unpruned,
+    edge_cuts_triple_scan,
     enumerate_separations_scan,
     first_cut_vertex_scan,
     graphs_up_to_iso,
@@ -166,12 +169,43 @@ class TestAgainstCutScans:
     def test_articulation_points_with_a_skipped_vertex(self):
         # the bowtie minus its centre falls apart; the wheel minus its hub
         # is a cycle, and C5 minus vertex 0 is the path 1-2-3-4
-        assert _articulation_points(cat.bowtie()) == (True, [0])
-        assert _articulation_points(cat.bowtie(), skip=0) == (False, [])
+        # (the connected flag is one component; the bridges and components
+        # are checked along with the cut vertices)
+        comps, cuts, bridges = _lowpoint_dfs(cat.bowtie())
+        assert (len(comps) == 1, cuts) == (True, [0])
+        assert comps == [{0, 1, 2, 3, 4}] and bridges == []
+        comps, cuts, bridges = _lowpoint_dfs(cat.bowtie(), (0,))
+        assert (len(comps) == 1, cuts) == (False, [])
+        assert comps == [{1, 2}, {3, 4}] and bridges == [(1, 2), (3, 4)]
         W = cat.wheel_graph(5)
         hub = max(range(W.n), key=W.degree)
-        assert _articulation_points(W, skip=hub) == (True, [])
-        assert _articulation_points(cat.cycle_graph(5), skip=0) == (True, [2, 3])
+        comps, cuts, bridges = _lowpoint_dfs(W, (hub,))
+        assert (len(comps) == 1, cuts) == (True, [])
+        assert comps == [{1, 2, 3, 4, 5}] and bridges == []
+        comps, cuts, bridges = _lowpoint_dfs(cat.cycle_graph(5), (0,))
+        assert (len(comps) == 1, cuts) == (True, [2, 3])
+        assert comps == [{1, 2, 3, 4}] and bridges == [(1, 2), (2, 3), (3, 4)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(8), st.data())
+    def test_lowpoint_dfs_against_deletions(self, G, data):
+        # with the vertices in `drop` deleted: the components are those of
+        # the relabelled subgraph, a bridge is an edge whose deletion adds a
+        # component, and a cut vertex a vertex whose deletion adds one
+        drop = data.draw(st.sets(st.integers(0, G.n - 1), max_size=3))
+        comps, cuts, bridges = _lowpoint_dfs(G, drop)
+        H, relabel = G.remove_vertices(drop)
+        back = {new: old for old, new in relabel.items()}
+        base = components_search(H)
+        assert comps == [{back[v] for v in c} for c in base]
+        assert bridges == sorted(
+            (back[u], back[v]) for u, v in H.edges
+            if len(components_search(H.remove_edge(u, v))) > len(base)
+        )
+        assert cuts == [
+            back[v] for v in range(H.n)
+            if len(components_search(H.remove_vertices([v])[0])) > len(base)
+        ]
 
     def test_first_cut_vertex_on_disconnected_graphs(self):
         # an isolated vertex beside one other component is no cut vertex
@@ -250,6 +284,34 @@ class TestSeparationsAgainstScan:
             assert seps == enumerate_separations_scan(G), G
             found += len(seps)
         assert found >= 200
+
+    def test_edge_cuts_match_the_triple_scan(self):
+        graphs = [G for G in decision_corpus(150, seed=57) if G.n >= 4]
+        graphs += joined_graphs(100, seed=11)
+        walks = [random_m22_graph(steps, 60 + steps) for steps in (10, 16, 22, 27)]
+        assert max(G.m for G in walks) >= 60
+        found = 0
+        for G in graphs + walks:
+            seps = enumerate_separations(G, "edge-cut-3")
+            assert seps == edge_cuts_triple_scan(G), G
+            found += len(seps)
+        assert found >= 1000
+
+    def test_edge_cuts_build_one_graph_per_pair_and_disconnecting_triple(self, monkeypatch):
+        # G - {e, f, g} is disconnected iff G - e - f is, or g is one of its
+        # bridges: exactly the triples whose graph is built
+        G = random_m22_graph(15, 75)
+        assert G.m >= 40
+        disconnecting = sum(
+            len(components_search(Graph(G.n, G.edges - set(cut)))) > 1
+            for cut in itertools.combinations(G.sorted_edges(), 3)
+        )
+        built = []
+        real = Graph.__post_init__
+        monkeypatch.setattr(Graph, "__post_init__", lambda self: built.append(self) or real(self))
+        seps = enumerate_separations(G, "edge-cut-3")
+        assert len(built) == math.comb(G.m, 2) + disconnecting
+        assert len({s.cut for s in seps}) <= disconnecting < math.comb(G.m, 3) // 100
 
     def test_each_separation_once(self):
         # each cut is visited once and each split of its components made once

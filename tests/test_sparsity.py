@@ -47,6 +47,22 @@ class TestRank:
         assert rank2k(cat.k5_minus().edges, 2) == 8
         assert rank2k(cat.complete_bipartite(3, 3).edges, 3) == 9
 
+    def test_game_stops_at_the_rank_bound(self, monkeypatch):
+        # K8 reaches 2n - 2 = 14 edges before its 28 edges are played; with
+        # label 7 left without an edge the bound 16 is never reached
+        inserts = []
+        insert = PebbleGame.insert
+        monkeypatch.setattr(
+            PebbleGame, "insert", lambda self, u, v: inserts.append((u, v)) or insert(self, u, v)
+        )
+        K8 = cat.complete_graph(8).sorted_edges()
+        assert rank2k(K8, 2) == 14
+        assert len(inserts) < len(K8)
+        inserts.clear()
+        gapped = [(u, 8 if v == 7 else v) for u, v in K8]
+        assert rank2k(gapped, 2) == 14
+        assert len(inserts) == len(gapped)
+
     def test_pebble_invariant(self):
         game = PebbleGame(5, 2)
         for e in sorted(cat.k5_minus().edges):
