@@ -221,10 +221,9 @@ def sufficient_checks(G: Graph) -> tuple[list[str], list[str]]:
         fired.append("min_degree_half_order")
     # rank(G - v) <= |E(G - v)| = m - deg(v), so rank 2(n-1) - 2 at every v
     # needs m - Delta >= 2n - 4; without it some G - v fails, so the n games
-    # would give False anyway
+    # would give False anyway; G - v keeps G's labels, v left without an edge
     if G.m - Delta >= 2 * G.n - 4 and all(
-        rank2k(G.subgraph([w for w in range(G.n) if w != v])[0].edges, 2)
-        == 2 * (G.n - 1) - 2
+        rank2k([e for e in G.edges if v not in e], 2) == 2 * (G.n - 1) - 2
         for v in range(G.n)
     ):
         fired.append("vertex_deletion_rigid")

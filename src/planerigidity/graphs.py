@@ -72,18 +72,30 @@ class Graph:
             raise ValueError(f"edge ({u},{v}) not present")
         return Graph(self.n, self.edges - {e})
 
+    def edit(self, drop=(), remove=(), add=(), grow=0) -> tuple["Graph", dict[int, int] | None]:
+        """One edit: delete the edges in `remove`, insert those in `add`
+        (which may name the new vertices n .. n + grow - 1), then delete the
+        vertices in `drop` with their edges; the survivors keep their order.
+        Returns the graph and the old-label -> new-label map of the
+        survivors, or None when no vertex is dropped.  That map is
+        increasing, so normalised edges stay normalised under it.
+        """
+        edges = self.edges.difference(_norm_edge(u, v) for u, v in remove)
+        edges = edges.union(_norm_edge(u, v) for u, v in add)
+        n, drop = self.n + grow, set(drop)
+        if not drop:
+            return Graph(n, edges), None
+        relabel = {old: new for new, old in enumerate(v for v in range(n) if v not in drop)}
+        edges = frozenset(
+            (relabel[u], relabel[v]) for u, v in edges if u in relabel and v in relabel
+        )
+        return Graph(len(relabel), edges), relabel
+
     def remove_vertices(self, drop) -> tuple["Graph", dict[int, int]]:
         """Delete the given vertices; return the renumbered graph and the
         old-label -> new-label map for the survivors."""
-        drop = set(drop)
-        keep = [v for v in range(self.n) if v not in drop]
-        relabel = {old: new for new, old in enumerate(keep)}
-        edges = frozenset(
-            _norm_edge(relabel[u], relabel[v])
-            for u, v in self.edges
-            if u not in drop and v not in drop
-        )
-        return Graph(len(keep), edges), relabel
+        H, relabel = self.edit(drop=drop)
+        return H, {v: v for v in range(self.n)} if relabel is None else relabel
 
     def induced_edges(self, vertices) -> frozenset[Edge]:
         vs = set(vertices)
@@ -91,12 +103,7 @@ class Graph:
 
     def subgraph(self, vertices) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph on the given vertices, renumbered densely."""
-        keep = sorted(set(vertices))
-        relabel = {old: new for new, old in enumerate(keep)}
-        edges = frozenset(
-            _norm_edge(relabel[u], relabel[v]) for u, v in self.induced_edges(keep)
-        )
-        return Graph(len(keep), edges), relabel
+        return self.remove_vertices(set(range(self.n)).difference(vertices))
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2

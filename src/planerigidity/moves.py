@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import catalog
 from .graphs import (
-    Graph, _norm_edge, enumerate_separations, find_isomorphism, is_isomorphic,
+    Graph, enumerate_separations, find_isomorphism, is_isomorphic,
 )
 from .sparsity import is_m22_connected, m22_memo_game
 
@@ -75,7 +75,7 @@ def graph_hash(G: Graph) -> str:
 
 
 def _apply_full(G: Graph, move: Move) -> tuple[Graph, dict[int, int] | None]:
-    """Apply a move; also return the relabeling map when vertices vanish."""
+    """Apply a move as one `Graph.edit`; also return its relabeling map."""
     kind, p = move.kind, move.params
     for x in p:
         if not 0 <= x < G.n:
@@ -87,13 +87,13 @@ def _apply_full(G: Graph, move: Move) -> tuple[Graph, dict[int, int] | None]:
             raise MoveError("edge-addition: endpoints must be distinct existing vertices")
         if G.has_edge(u, v):
             raise MoveError("edge-addition: edge already present")
-        return G.add_edge(u, v), None
+        return G.edit(add=[p])
 
     if kind == "edge-deletion":
         u, v = p
         if not G.has_edge(u, v):
             raise MoveError("edge-deletion: edge not present")
-        return G.remove_edge(u, v), None
+        return G.edit(remove=[p])
 
     if kind == "1-extension":
         x, y, z = p
@@ -101,9 +101,7 @@ def _apply_full(G: Graph, move: Move) -> tuple[Graph, dict[int, int] | None]:
             raise MoveError("1-extension: xy must be an edge")
         if z in (x, y):
             raise MoveError("1-extension: z must be a third existing vertex")
-        w = G.n
-        edges = (G.edges - {_norm_edge(x, y)}) | {(x, w), (y, w), (z, w)}
-        return Graph.from_edges(G.n + 1, edges), None
+        return G.edit(remove=[(x, y)], add=[(x, G.n), (y, G.n), (z, G.n)], grow=1)
 
     if kind == "1-reduction":
         v, x, y = p
@@ -113,18 +111,15 @@ def _apply_full(G: Graph, move: Move) -> tuple[Graph, dict[int, int] | None]:
             raise MoveError("1-reduction: x and y must be distinct neighbours of v")
         if G.has_edge(x, y):
             raise MoveError("1-reduction: xy must not already be an edge")
-        H, relabel = G.remove_vertices([v])
-        return H.add_edge(relabel[x], relabel[y]), relabel
+        return G.edit(drop=[v], add=[(x, y)])
 
     if kind == "k4minus-extension":
         u, v = p
         if not G.has_edge(u, v):
             raise MoveError("k4minus-extension: uv must be an edge")
         w1, w2 = G.n, G.n + 1
-        edges = (G.edges - {_norm_edge(u, v)}) | {
-            (u, w1), (u, w2), (v, w1), (v, w2), (w1, w2)
-        }
-        return Graph.from_edges(G.n + 2, edges), None
+        gadget = [(u, w1), (u, w2), (v, w1), (v, w2), (w1, w2)]
+        return G.edit(remove=[p], add=gadget, grow=2)
 
     if kind == "k4minus-reduction":
         u1, u2 = p
@@ -138,8 +133,7 @@ def _apply_full(G: Graph, move: Move) -> tuple[Graph, dict[int, int] | None]:
         v1, v2 = common
         if G.has_edge(v1, v2):
             raise MoveError("k4minus-reduction: completing edge already present")
-        H, relabel = G.remove_vertices([u1, u2])
-        return H.add_edge(relabel[v1], relabel[v2]), relabel
+        return G.edit(drop=[u1, u2], add=[(v1, v2)])
 
     if kind == "generalized-vertex-split":
         v, x = p[0], p[1]
@@ -152,8 +146,8 @@ def _apply_full(G: Graph, move: Move) -> tuple[Graph, dict[int, int] | None]:
         if x in n1:
             raise MoveError("generalized-vertex-split: x must avoid the part kept at v")
         v2 = G.n
-        edges = (G.edges - {_norm_edge(v, w) for w in n2}) | {(w, v2) for w in n2}
-        return Graph.from_edges(G.n + 1, edges | {(v, v2), (v, x)}), None
+        moved = [(w, v2) for w in n2] + [(v, v2), (v, x)]
+        return G.edit(remove=[(v, w) for w in n2], add=moved, grow=1)
 
     if kind == "edge-reduction":
         a, b, c = p
@@ -164,12 +158,9 @@ def _apply_full(G: Graph, move: Move) -> tuple[Graph, dict[int, int] | None]:
         common = (G.adj[a] & G.adj[b]) - {a, b}
         if not common <= {c}:
             raise MoveError("edge-reduction: a and b may share no neighbour besides c")
-        # every edge bw other than ba moves to aw; this re-adds ac if bc is an edge
-        edges = {
-            _norm_edge(a if u == b else u, a if w == b else w)
-            for u, w in G.edges - {_norm_edge(a, b), _norm_edge(a, c)}
-        }
-        return Graph.from_edges(G.n, edges).remove_vertices([b])
+        # every edge bw other than ba moves to aw; this re-adds ac if bc is an
+        # edge, and no other aw exists, since N(a) ∩ N(b) ⊆ {c}
+        return G.edit(drop=[b], remove=[(a, b), (a, c)], add=[(a, w) for w in G.adj[b] if w != a])
 
     raise MoveError(f"unknown move kind {kind!r}")
 
@@ -282,7 +273,7 @@ def join(G1: Graph, G2: Graph, j: int, gluing) -> Graph:
                 raise MoveError(f"3-join: the three neighbours must be distinct in {name}")
         G, lab1, lab2 = _glue(G1, (v1,), G2, (v2,), {})
         pairs = ((a1, a2), (b1, b2), (c1, c2))
-        return Graph.from_edges(G.n, G.edges | {(lab1[x], lab2[y]) for x, y in pairs})
+        return G.edit(add=[(lab1[x], lab2[y]) for x, y in pairs])[0]
 
     raise MoveError("j must be 1, 2 or 3")
 
@@ -358,10 +349,8 @@ def _completed(G: Graph, part, extra) -> Graph:
     name G.n and G.n + 1 (the first new vertex is always G.n); the new
     vertices are numbered after the part's.
     """
-    H, lab = G.subgraph(part)
-    lab[G.n], lab[G.n + 1] = H.n, H.n + 1
-    new = {x for e in extra for x in e if x >= G.n}
-    return Graph.from_edges(H.n + len(new), H.edges | {(lab[u], lab[w]) for u, w in extra})
+    grow = len({x for e in extra for x in e if x >= G.n})
+    return G.edit(drop=set(range(G.n)).difference(part), add=extra, grow=grow)[0]
 
 
 # ---------------------------------------------------------------------------

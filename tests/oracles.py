@@ -12,7 +12,8 @@ for k-connectivity and the first cut vertex (one subgraph per candidate
 cut, where the library now runs lowpoint DFS), its edge connectivity
 without the bound on each flow, its vertex-deletion test without the
 edge-count filter, its automorphism search with its own pin setup, its
-forward scripts with one rule per reduction kind, its joins and separations with one relabel-and-union or
+forward scripts with one rule per reduction kind, its moves with one
+construction and relabelling per kind, its joins and separations with one relabel-and-union or
 completion rule per kind, its 2-vertex-separation scan (one subgraph
 per vertex pair) and its 3-edge-separation scan (one graph per edge
 triple); they run on graphs far past the brute-force caps.
@@ -435,6 +436,66 @@ def forward_script_per_kind(trace: ReductionTrace) -> list[Move]:
         else:
             raise MoveError(f"unexpected reduction kind {m.kind!r}")
     return out
+
+
+def _remove_vertices(G: Graph, drop):
+    """The library's earlier `Graph.remove_vertices`."""
+    drop = set(drop)
+    keep = [v for v in range(G.n) if v not in drop]
+    relabel = {old: new for new, old in enumerate(keep)}
+    edges = frozenset(
+        _norm_edge(relabel[u], relabel[v])
+        for u, v in G.edges
+        if u not in drop and v not in drop
+    )
+    return Graph(len(keep), edges), relabel
+
+
+def apply_per_kind(G: Graph, move: Move):
+    """The library's earlier constructions in `moves._apply_full`, one per
+    kind, for a move whose preconditions hold: the graph and the
+    relabelling map (None when no vertex vanishes).  Vertex deletions
+    renumber through the earlier `Graph.remove_vertices`."""
+    kind, p = move.kind, move.params
+    if kind == "edge-addition":
+        return G.add_edge(*p), None
+    if kind == "edge-deletion":
+        return G.remove_edge(*p), None
+    if kind == "1-extension":
+        x, y, z = p
+        w = G.n
+        edges = (G.edges - {_norm_edge(x, y)}) | {(x, w), (y, w), (z, w)}
+        return Graph.from_edges(G.n + 1, edges), None
+    if kind == "1-reduction":
+        v, x, y = p
+        H, relabel = _remove_vertices(G, [v])
+        return H.add_edge(relabel[x], relabel[y]), relabel
+    if kind == "k4minus-extension":
+        u, v = p
+        w1, w2 = G.n, G.n + 1
+        edges = (G.edges - {_norm_edge(u, v)}) | {
+            (u, w1), (u, w2), (v, w1), (v, w2), (w1, w2)
+        }
+        return Graph.from_edges(G.n + 2, edges), None
+    if kind == "k4minus-reduction":
+        u1, u2 = p
+        v1, v2 = sorted((G.adj[u1] & G.adj[u2]) - {u1, u2})
+        H, relabel = _remove_vertices(G, [u1, u2])
+        return H.add_edge(relabel[v1], relabel[v2]), relabel
+    if kind == "generalized-vertex-split":
+        v, x = p[0], p[1]
+        n2 = set(p[2:])
+        v2 = G.n
+        edges = (G.edges - {_norm_edge(v, w) for w in n2}) | {(w, v2) for w in n2}
+        return Graph.from_edges(G.n + 1, edges | {(v, v2), (v, x)}), None
+    if kind == "edge-reduction":
+        a, b, c = p
+        edges = {
+            _norm_edge(a if u == b else u, a if w == b else w)
+            for u, w in G.edges - {_norm_edge(a, b), _norm_edge(a, c)}
+        }
+        return _remove_vertices(Graph.from_edges(G.n, edges), [b])
+    raise MoveError(f"unknown move kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -491,6 +491,12 @@ class TestExperiment:
         )
         assert code == 1 and out == "" and "--samples" in err
 
+    @pytest.mark.parametrize("sizes", ["3,", "a", "4,,5"])
+    def test_bad_size_list_names_the_option(self, sizes):
+        code, out, err = run(["experiment", "--model", "gnp", "--n", sizes, "--samples", "1"])
+        assert code == 1 and out == ""
+        assert err == f"error: --n must be comma-separated integers, got {sizes!r}\n"
+
     @pytest.mark.parametrize("args, message", [
         (["--model", "gnp", "--n", "5", "--prob", "2", "--samples", "3"], "prob"),
         (["--model", "regular", "--n", "8", "--degree", "7", "--samples", "3"], "pairing"),

@@ -144,6 +144,18 @@ class TestSufficientConditions:
             fired += want
         assert filtered > 50 and fired > 10
 
+    def test_vertex_deletion_builds_no_graph(self, monkeypatch):
+        # each G - v is G's edge list without v, played in G's labels
+        graphs = [
+            G for G in decision_corpus(100, seed=5) + [cat.complete_bipartite(4, 5)]
+            if G.n >= 3 and G.m - max(G.degree(v) for v in range(G.n)) >= 2 * G.n - 4
+        ]
+        built = []
+        real = Graph.__post_init__
+        monkeypatch.setattr(Graph, "__post_init__", lambda self: built.append(1) or real(self))
+        fired = sum("vertex_deletion_rigid" in sufficient_checks(G)[0] for G in graphs)
+        assert built == [] and fired > 5
+
     def test_soundness_on_corpus(self):
         count = 0
         for G in decision_corpus(500, seed=31):

@@ -69,6 +69,44 @@ class TestGraphBasics:
         assert H.n == 4 and H.m == 6
         assert relabel[4] == 2
 
+    def test_deleting_nothing_keeps_the_labels(self):
+        G = cat.b1()
+        identity = {v: v for v in range(G.n)}
+        assert G.remove_vertices([]) == (G, identity)
+        assert G.subgraph(range(G.n)) == (G, identity)
+        assert G.edit() == (G, None)
+
+
+def _pairs(n):
+    """Pairs of distinct vertices of 0..n-1, in either order."""
+    return st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+
+
+class TestEdit:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_set_arithmetic(self, data):
+        # (E - R) | A, then induced on the survivors and renumbered by rank
+        n = data.draw(st.integers(2, 9))
+        grow = data.draw(st.integers(0, 2))
+        E = data.draw(st.sets(_pairs(n)))
+        remove = data.draw(st.lists(_pairs(n)))
+        add = data.draw(st.lists(_pairs(n + grow)))
+        drop = data.draw(st.lists(st.integers(0, n + grow - 1)))
+        G = Graph.from_edges(n, E)
+        H, relabel = G.edit(drop=drop, remove=remove, add=add, grow=grow)
+
+        def norm(es):
+            return {tuple(sorted(e)) for e in es}
+
+        edges = (norm(E) - norm(remove)) | norm(add)
+        keep = [v for v in range(n + grow) if v not in drop]
+        rank = {v: i for i, v in enumerate(keep)}
+        assert H == Graph(len(keep), frozenset(
+            (rank[u], rank[v]) for u, v in edges if u in rank and v in rank
+        ))
+        assert relabel == (rank if drop else None)
+
 
 class TestConnectivity:
     def test_named_examples(self):

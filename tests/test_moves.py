@@ -11,6 +11,7 @@ from planerigidity import catalog as cat
 from planerigidity import moves, sparsity
 from planerigidity.graphs import Graph, is_isomorphic
 from planerigidity.moves import (
+    KINDS,
     REDUCTION_KINDS,
     Move,
     MoveError,
@@ -30,7 +31,27 @@ from planerigidity.moves import (
 from planerigidity.sparsity import clear_m22_memo, is_circuit22, is_m22_connected
 
 from corpus import decision_corpus, join_pool, joined_graphs, k4_ring_graph, random_gluing
-from oracles import forward_script_per_kind, join_per_kind, separations_of_per_kind
+from oracles import (
+    apply_per_kind, forward_script_per_kind, join_per_kind, separations_of_per_kind,
+)
+
+
+def _one_move_of_each_kind():
+    """(graph, move) for every move kind, each move valid on its graph."""
+    cases = [
+        (cat.b1(), Move("edge-deletion", (2, 3))),
+        (cat.k5_minus(), Move("edge-addition", (3, 4))),
+        (cat.b1(), Move("1-extension", (0, 1, 4))),
+        (cat.k5_minus(), Move("k4minus-extension", (0, 1))),
+        (cat.b1(), Move("generalized-vertex-split", (1, 2, 2, 3))),
+        (cat.b2(), Move("edge-reduction", (1, 4, 0))),
+    ]
+    # a 1-reduction and k4minus-reduction need suitable hosts
+    host = apply(cat.b1(), Move("1-extension", (0, 1, 2)))  # vertex 6 deg 3
+    cases.append((host, Move("1-reduction", (6, 0, 1))))
+    host2 = apply(cat.k5_minus(), Move("k4minus-extension", (0, 1)))
+    cases.append((host2, Move("k4minus-reduction", (5, 6))))
+    return cases
 
 
 class TestApply:
@@ -96,23 +117,56 @@ class TestApply:
             apply(cat.k5_minus(), Move(kind, params))
 
     def test_inverse_roundtrip_all_kinds(self):
-        cases = [
-            (cat.b1(), Move("edge-deletion", (2, 3))),
-            (cat.k5_minus(), Move("edge-addition", (3, 4))),
-            (cat.b1(), Move("1-extension", (0, 1, 4))),
-            (cat.k5_minus(), Move("k4minus-extension", (0, 1))),
-            (cat.b1(), Move("generalized-vertex-split", (1, 2, 2, 3))),
-            (cat.b2(), Move("edge-reduction", (1, 4, 0))),
-        ]
-        # a 1-reduction and k4minus-reduction need suitable hosts
-        host = apply(cat.b1(), Move("1-extension", (0, 1, 2)))  # vertex 6 deg 3
-        cases.append((host, Move("1-reduction", (6, 0, 1))))
-        host2 = apply(cat.k5_minus(), Move("k4minus-extension", (0, 1)))
-        cases.append((host2, Move("k4minus-reduction", (5, 6))))
-        for G, mv in cases:
+        for G, mv in _one_move_of_each_kind():
             H = apply(G, mv)
             back = apply(H, inverse(G, mv))
             assert is_isomorphic(back, G), mv.kind
+
+
+class TestOneEdit:
+    """Each move is one `Graph.edit`, against the earlier per-kind
+    constructions."""
+
+    def test_matches_per_kind_oracle(self, monkeypatch):
+        # every candidate the searches of 150 walks try (the accepted steps
+        # among them), every move of their forward scripts, and seeded
+        # 1-reductions with the 1-extensions that undo them
+        calls = []
+        real = moves._apply_full
+
+        def recorded(G, mv):
+            out = real(G, mv)
+            calls.append((G, mv, out))
+            return out
+
+        monkeypatch.setattr(moves, "_apply_full", recorded)
+        rng = random.Random(14)
+        for s in range(150):
+            G = random_m22_graph(s % 30 + 5, 9000 + s)
+            clear_m22_memo()
+            rebuild_from_trace(reduce_to_base(G))
+            for v in rng.sample(range(G.n), G.n):
+                if G.degree(v) != 3:
+                    continue
+                x, y = rng.sample(sorted(G.adj[v]), 2)
+                if not G.has_edge(x, y):
+                    one = Move("1-reduction", (v, x, y))
+                    apply(apply(G, one), inverse(G, one))
+                    break
+        for G, mv, out in calls:
+            assert out == apply_per_kind(G, mv), mv
+        assert {mv.kind for _, mv, _ in calls} == set(KINDS)
+
+    def test_one_graph_per_move(self, monkeypatch):
+        cases = _one_move_of_each_kind()
+        built = []
+        real = Graph.__post_init__
+        monkeypatch.setattr(Graph, "__post_init__", lambda self: built.append(1) or real(self))
+        for G, mv in cases:
+            built.clear()
+            _apply_full(G, mv)
+            assert len(built) == 1, mv.kind
+        assert {mv.kind for _, mv in cases} == set(KINDS)
 
 
 class TestJoins:

@@ -49,7 +49,7 @@ class TestRank:
 
     def test_game_stops_at_the_rank_bound(self, monkeypatch):
         # K8 reaches 2n - 2 = 14 edges before its 28 edges are played; with
-        # label 7 left without an edge the bound 16 is never reached
+        # label 7 left without an edge the bound counts the 8 labels in use
         inserts = []
         insert = PebbleGame.insert
         monkeypatch.setattr(
@@ -61,7 +61,7 @@ class TestRank:
         inserts.clear()
         gapped = [(u, 8 if v == 7 else v) for u, v in K8]
         assert rank2k(gapped, 2) == 14
-        assert len(inserts) == len(gapped)
+        assert len(inserts) < len(gapped)
 
     def test_pebble_invariant(self):
         game = PebbleGame(5, 2)
