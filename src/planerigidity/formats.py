@@ -216,6 +216,8 @@ def parse_placement(text: str) -> Placement:
             raise FormatError(f"placement: line {ln_no}: bad vertex {parts[0]!r}")
         x = _parse_coord(parts[1], f"placement: line {ln_no}")
         y = _parse_coord(parts[2], f"placement: line {ln_no}")
+        if v in entries:
+            raise FormatError(f"placement: line {ln_no}: vertex {v} listed twice")
         entries[v] = (x, y)
     if not entries or sorted(entries) != list(range(len(entries))):
         raise FormatError("placement: vertices must be exactly 0..n-1")

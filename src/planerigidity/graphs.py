@@ -273,20 +273,20 @@ def _min_st_edge_cut(G: Graph, s: int, t: int, limit: int | None = None) -> int:
 
     With `limit` set, augmentation stops once the flow reaches it, so the
     result is min(max flow, limit).
+
+    The flow is the set of arcs that carry a unit: the residual capacity of
+    u->w is 1 - f(u,w), f antisymmetric in {-1, 0, 1}, so it is 0 exactly
+    when (u, w) is in the set, and a push along u->w removes (w, u) if it
+    is there and adds (u, w) otherwise.
     """
-    # residual capacities on directed arcs
-    cap = {}
-    for u, v in G.edges:
-        cap[(u, v)] = 1
-        cap[(v, u)] = 1
-    flow = 0
+    adj, used, flow = G.adj, set(), 0
     while flow != limit:
         parent = {s: None}
         queue = deque([s])
         while queue and t not in parent:
             u = queue.popleft()
-            for w in G.adj[u]:
-                if w not in parent and cap[(u, w)] > 0:
+            for w in adj[u]:
+                if w not in parent and (u, w) not in used:
                     parent[w] = u
                     queue.append(w)
         if t not in parent:
@@ -294,8 +294,10 @@ def _min_st_edge_cut(G: Graph, s: int, t: int, limit: int | None = None) -> int:
         v = t
         while parent[v] is not None:
             u = parent[v]
-            cap[(u, v)] -= 1
-            cap[(v, u)] += 1
+            if (v, u) in used:
+                used.remove((v, u))
+            else:
+                used.add((u, v))
             v = u
         flow += 1
     return flow
@@ -304,14 +306,13 @@ def _min_st_edge_cut(G: Graph, s: int, t: int, limit: int | None = None) -> int:
 def edge_connectivity(G: Graph) -> int:
     """Size of a minimum edge cut (0 for disconnected or single-vertex).
 
-    Every minimum edge cut separates vertex 0 from some t, so the answer is
-    the least s-t flow from 0.  The edges at a vertex of least degree form
-    a cut, and each flow is stopped once it reaches the smallest cut found
-    so far: a flow at least that large cannot lower the minimum, so only
-    min(flow, best) matters, and that is what the bounded flow returns.
+    Every minimum edge cut (empty if G is disconnected) separates vertex 0
+    from some t, so the answer is the least s-t flow from 0.  The edges at a
+    vertex of least degree form a cut, and each flow is stopped once it
+    reaches the smallest cut found so far: a flow at least that large cannot
+    lower the minimum, so only min(flow, best) matters, and that is what the
+    bounded flow returns.  For n < 2 there is no t.
     """
-    if G.n < 2 or not G.is_connected():
-        return 0
     best = G.min_degree()
     for t in range(1, G.n):
         best = _min_st_edge_cut(G, 0, t, best)

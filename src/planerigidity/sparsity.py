@@ -43,13 +43,15 @@ class PebbleGame:
         self.pebbles = [2] * n
         self.out: list[set[int]] = [set() for _ in range(n)]
         self.accepted: list[Edge] = []
+        self.rejected = None  # (uv, seen_u, seen_v) if the last insert failed
 
-    def _grab_pebble(self, root: int, keep: tuple[int, int]) -> bool:
+    def _grab_pebble(self, root: int, keep: tuple[int, int]) -> dict | None:
         """Pull one pebble to `root` along a reversed directed path.
 
         Pebbles sitting on the two endpoints in `keep` are off limits; they
         are the ones being gathered.  Each vertex is tested when it is first
         reached, so the search stops at the first free pebble it sees.
+        Returns None if it pulls one, else the `parent` map it visited.
         """
         pebbles, out = self.pebbles, self.out
         parent = {root: None}
@@ -68,17 +70,22 @@ class PebbleGame:
                         out[w].add(u)
                         w = u
                     pebbles[root] += 1
-                    return True
+                    return None
                 stack.append(w)
-        return False
+        return parent
 
     def insert(self, u: int, v: int) -> bool:
-        """Try to accept edge uv; return whether it stays independent."""
+        """Try to accept edge uv; return whether it stays independent.  A
+        rejection is recorded for fundamental_circuit_of_rejected."""
         if u == v:
             raise ValueError("loops are not allowed")
         pebbles, need, keep = self.pebbles, self.k + 1, (u, v)
+        self.rejected = None
         while pebbles[u] + pebbles[v] < need:
-            if not (self._grab_pebble(u, keep) or self._grab_pebble(v, keep)):
+            seen_u = self._grab_pebble(u, keep)
+            seen_v = seen_u and self._grab_pebble(v, keep)  # a map holds its root
+            if seen_v:
+                self.rejected = (_norm_edge(u, v), seen_u, seen_v)
                 return False
         tail, head = (u, v) if pebbles[u] > 0 else (v, u)
         pebbles[tail] -= 1
@@ -105,6 +112,7 @@ class PebbleGame:
         Streinu, "Pebble game algorithms and sparse graphs", 2008).
         """
         pebbles, out, accepted = self.pebbles, self.out, self.accepted
+        self.rejected = None
         for x, heads in enumerate(parent.out):
             fx = x if relabel is None else relabel.get(x)
             if fx is None:
@@ -119,33 +127,26 @@ class PebbleGame:
                     pebbles[fx] -= 1
                     accepted.append(e)
 
-    def reach(self, u: int, v: int) -> set[int]:
-        seen = {u, v}
-        stack = [u, v]
-        while stack:
-            x = stack.pop()
-            for w in self.out[x]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
     def fundamental_circuit_of_rejected(self, u: int, v: int) -> frozenset[Edge]:
-        """Circuit created by the edge uv that insert() just rejected.
+        """Circuit created by the edge uv that the last insert() rejected.
 
-        It must be read before the next insert.  When insert(u, v) fails,
-        u and v hold k pebbles and no other pebble is reachable from them,
-        so the region R reachable from u and v has no out-edge leaving it:
-        its accepted edges are the out-edges of its vertices, 2|R| - k of
-        them, and R is tight.  A tight T that contains u and v holds those
-        k pebbles, so it has no out-edge leaving it either, and R is a
-        subset of T.  So R is the minimal tight set spanning uv, which is
-        V(C), and C is uv plus the out-edges of R.  Later inserts move
-        pebbles and can enlarge R.
+        A failed search moves no pebble and stops early only at a free
+        one, so the two searches that rejected uv ran on one state and each
+        visited every vertex reachable from its root: their union is the
+        region R reachable from u and v.  u and v hold k pebbles and no other
+        pebble is reachable from them, so R has no out-edge leaving it: its
+        accepted edges are the out-edges of its vertices, 2|R| - k of them,
+        and R is tight.  A tight T that contains u and v holds those k
+        pebbles, so no out-edge leaves it either, and R is a subset of T.
+        So R is the minimal tight set spanning uv, which is V(C), and C is
+        uv plus the out-edges of R.  Later inserts can enlarge R, so each
+        replaces the record, and a read of any other edge raises ValueError.
         """
-        region = self.reach(u, v)
-        circ = {_norm_edge(x, w) for x in region for w in self.out[x]}
-        circ.add(_norm_edge(u, v))
+        uv, seen_u, seen_v = self.rejected or (None, {}, {})
+        if uv != _norm_edge(u, v):
+            raise ValueError(f"({u},{v}) is not the edge the last insert rejected")
+        circ = {_norm_edge(x, w) for x in seen_u.keys() | seen_v.keys() for w in self.out[x]}
+        circ.add(uv)
         return frozenset(circ)
 
     @property
@@ -156,7 +157,7 @@ class PebbleGame:
 def _basis_and_circuits(
     order, k: int, game: PebbleGame | None = None
 ) -> tuple[list[Edge], dict[Edge, frozenset[Edge]]]:
-    """Play one game over the edges in the given order.
+    """Play one game over distinct normalised edges in the given order.
 
     Returns the basis B it accepts, in order, and a dict that maps each
     rejected edge f, in order, to its fundamental circuit C(f,B).  The
@@ -168,7 +169,6 @@ def _basis_and_circuits(
     edges it accepts.  The argument above holds unchanged, since the seeds
     are in the basis before any edge is rejected.
     """
-    order = list(dict.fromkeys(_norm_edge(u, v) for u, v in order))
     if game is None:
         game = PebbleGame(1 + max((v for e in order for v in e), default=-1), k)
     seeded = set(game.accepted)
@@ -237,7 +237,7 @@ def rank_and_coloops(edges, k: int) -> tuple[int, frozenset[Edge]]:
     no C(f,B), every f outside B is spanned by B - b, so E - b has rank
     |B| - 1 and b is a coloop.
     """
-    basis, circuits = _basis_and_circuits(edges, k)
+    basis, circuits = _basis_and_circuits(list(dict.fromkeys(_norm_edge(*e) for e in edges)), k)
     in_circuit = set().union(*circuits.values())
     return len(basis), frozenset(b for b in basis if b not in in_circuit)
 
@@ -247,16 +247,13 @@ def fundamental_circuit(base, e: Edge, k: int = 2) -> frozenset[Edge]:
 
     Raises if base is dependent or if base + e stays independent.
     """
-    base = [_norm_edge(u, v) for u, v in base]
-    e = _norm_edge(*e)
-    n = 1 + max(max((v for d in base for v in d), default=-1), e[1])
-    game = PebbleGame(n, k)
-    for u, v in base:
-        if not game.insert(u, v):
-            raise ValueError("base edge set is not independent")
-    if game.insert(*e):
+    base, e = [_norm_edge(u, v) for u, v in base], _norm_edge(*e)
+    basis, circuits = _basis_and_circuits(base + [e], k)
+    if basis[:len(base)] != base:
+        raise ValueError("base edge set is not independent")
+    if e not in circuits:
         raise ValueError("base + e is independent; no circuit")
-    return game.fundamental_circuit_of_rejected(*e)
+    return circuits[e]
 
 
 # ---------------------------------------------------------------------------

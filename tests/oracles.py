@@ -6,25 +6,29 @@ the pebble game, so agreement is meaningful.  The reference routines at the
 end are the library's earlier many-game versions of questions it now
 answers from the fundamental circuits of one game, its ear decomposition
 with one game per ear (the library now reads every ear off the one game
-over the sorted edges), its earlier m + 1
-eliminations for the deletion ranks of a rigidity operator, its cut scans
-for k-connectivity and the first cut vertex (one subgraph per candidate
-cut, where the library now runs lowpoint DFS), its edge connectivity
-without the bound on each flow, its vertex-deletion test without the
-edge-count filter, its automorphism search with its own pin setup, its
-forward scripts with one rule per reduction kind, its moves with one
-construction and relabelling per kind, its joins and separations with one relabel-and-union or
-completion rule per kind, its 2-vertex-separation scan (one subgraph
-per vertex pair) and its 3-edge-separation scan (one graph per edge
-triple); they run on graphs far past the brute-force caps.
+over the sorted edges), its earlier m + 1 eliminations for the deletion
+ranks of a rigidity operator, its cut scans for k-connectivity and the
+first cut vertex (one subgraph per candidate cut, where the library now
+runs lowpoint DFS), its edge connectivity without the bound on each flow,
+its unit flow with a residual map over every arc (the library keeps only
+the arcs the flow uses), its circuit read by walking the reachable region
+again after a rejected insert (the library keeps what the rejecting
+searches visited), its vertex-deletion test without the edge-count filter,
+its automorphism search with its own pin setup, its forward scripts with
+one rule per reduction kind, its moves with one construction and
+relabelling per kind, its joins and separations with one relabel-and-union
+or completion rule per kind, its 2-vertex-separation scan (one subgraph per
+vertex pair) and its 3-edge-separation scan (one graph per edge triple);
+they run on graphs far past the brute-force caps.
 """
 
 import itertools
+from collections import deque
 from functools import lru_cache
 
 from planerigidity.geometry import RigidityOperator, _bareiss_rank, rank_of
 from planerigidity.graphs import (
-    Graph, Separation, _bipartitions, _is_k4_part, _min_st_edge_cut, _norm_edge, _part,
+    Graph, Separation, _bipartitions, _is_k4_part, _norm_edge, _part,
     _wl_colors, enumerate_separations, find_isomorphism,
 )
 from planerigidity.moves import Move, MoveError, ReductionTrace, base_graph
@@ -329,7 +333,57 @@ def edge_connectivity_unpruned(G: Graph) -> int:
     """Least s-t flow from vertex 0, each flow run to its maximum."""
     if G.n < 2 or not G.is_connected():
         return 0
-    return min(_min_st_edge_cut(G, 0, t) for t in range(1, G.n))
+    return min(min_st_edge_cut_residual(G, 0, t) for t in range(1, G.n))
+
+
+def min_st_edge_cut_residual(G: Graph, s: int, t: int, limit: int | None = None) -> int:
+    """Max-flow with unit edge capacities via repeated BFS augmentation.
+
+    With `limit` set, augmentation stops once the flow reaches it, so the
+    result is min(max flow, limit).
+    """
+    # residual capacities on directed arcs
+    cap = {}
+    for u, v in G.edges:
+        cap[(u, v)] = 1
+        cap[(v, u)] = 1
+    flow = 0
+    while flow != limit:
+        parent = {s: None}
+        queue = deque([s])
+        while queue and t not in parent:
+            u = queue.popleft()
+            for w in G.adj[u]:
+                if w not in parent and cap[(u, w)] > 0:
+                    parent[w] = u
+                    queue.append(w)
+        if t not in parent:
+            return flow
+        v = t
+        while parent[v] is not None:
+            u = parent[v]
+            cap[(u, v)] -= 1
+            cap[(v, u)] += 1
+            v = u
+        flow += 1
+    return flow
+
+
+def circuit_by_reach(game: PebbleGame, u: int, v: int) -> frozenset:
+    """The circuit of the edge uv that game.insert just rejected, read by
+    walking the region reachable from u and v again and taking uv plus its
+    out-edges; right only while nothing has been inserted since."""
+    seen = {u, v}
+    stack = [u, v]
+    while stack:
+        x = stack.pop()
+        for w in game.out[x]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    circ = {_norm_edge(x, w) for x in seen for w in game.out[x]}
+    circ.add(_norm_edge(u, v))
+    return frozenset(circ)
 
 
 def vertex_deletion_rigid_games(G: Graph) -> bool:

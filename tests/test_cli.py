@@ -374,6 +374,22 @@ class TestCertify:
         )
         assert code == 1 and out == "" and err == message
 
+    @pytest.mark.parametrize("cmd", ["rank", "certify"])
+    @pytest.mark.parametrize("lines, message", [
+        # K5- has vertices 0..4; a second line for vertex 0 used to win
+        (["0 0 0", "0 7 1", "1 1 0", "2 0 1", "3 2 3", "4 3 5"],
+         "error: placement: line 2: vertex 0 listed twice\n"),
+        # vertex 3 twice and vertex 4 missing used to read as a coverage error
+        (["0 0 0", "1 1 0", "2 0 1", "3 2 3", "3 3 5"],
+         "error: placement: line 5: vertex 3 listed twice\n"),
+    ])
+    def test_repeated_placement_vertex_is_error_1(self, tmp_path, cmd, lines, message):
+        gpath, ppath = tmp_path / "g.txt", tmp_path / "pl.txt"
+        gpath.write_text(emit_edgelist(cat.k5_minus()))
+        ppath.write_text("".join(line + "\n" for line in lines))
+        code, out, err = run([cmd, str(gpath), "--p", "4", "--placement", str(ppath)])
+        assert code == 1 and out == "" and err == message
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.sampled_from(["rank", "certify"]),

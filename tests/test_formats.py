@@ -97,6 +97,13 @@ class TestPlacement:
         with pytest.raises(FormatError):
             parse_placement("0 1 2\n2 3 4\n")
 
+    def test_repeated_vertex_names_its_line(self):
+        with pytest.raises(FormatError, match="^placement: line 2: vertex 0 listed twice$"):
+            parse_placement("0 1 2\n0 3 4\n1 5 6\n")
+        # a repeat that also leaves a vertex out is named as the repeat
+        with pytest.raises(FormatError, match="^placement: line 4: vertex 2 listed twice$"):
+            parse_placement("0 0 0\n# comment\n2 1 0\n2 0 1\n")
+
 
 class TestMoveScript:
     def test_roundtrip(self):

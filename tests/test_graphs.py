@@ -34,6 +34,7 @@ from oracles import (
     first_cut_vertex_scan,
     graphs_up_to_iso,
     is_k_connected_cut_scan,
+    min_st_edge_cut_residual,
 )
 
 
@@ -261,8 +262,17 @@ class TestEdgeConnectivity:
     def test_pruned_flows_match_unpruned(self):
         graphs = list(decision_corpus(150, seed=57)) + list(graphs_up_to_iso(6))
         graphs += [random_m22_graph(steps, 40 + steps) for steps in range(0, 40, 5)]
-        for G in graphs:
+        # disconnected, with no connectivity test before the flows: K5 plus
+        # an isolated vertex, and two disjoint K4s
+        K4_pairs = list(itertools.combinations(range(4), 2))
+        disconnected = [
+            cat.complete_graph(5).edit(grow=1)[0],
+            Graph.from_edges(8, K4_pairs + [(u + 4, v + 4) for u, v in K4_pairs]),
+        ]
+        assert not any(G.is_connected() for G in disconnected)
+        for G in graphs + disconnected:
             assert edge_connectivity(G) == edge_connectivity_unpruned(G), G
+        assert [edge_connectivity(G) for G in disconnected] == [0, 0]
 
     def test_bounded_flow_is_capped_maximum(self):
         for G in decision_corpus(40, seed=58):
@@ -272,6 +282,15 @@ class TestEdgeConnectivity:
                 full = _min_st_edge_cut(G, 0, t)
                 for limit in range(full + 2):
                     assert _min_st_edge_cut(G, 0, t, limit) == min(full, limit)
+
+    def test_arc_set_flow_equals_the_residual_map_flow(self):
+        graphs = list(graphs_up_to_iso(6)) + list(decision_corpus(60, seed=5))
+        for G in graphs:
+            for s, t in itertools.permutations(range(G.n), 2):
+                for limit in (None, 0, 1, 2, 3, 4):
+                    assert _min_st_edge_cut(G, s, t, limit) == min_st_edge_cut_residual(
+                        G, s, t, limit
+                    ), (G, s, t, limit)
 
     @settings(max_examples=80, deadline=None)
     @given(small_graphs(7))

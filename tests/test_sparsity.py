@@ -29,6 +29,7 @@ from planerigidity.sparsity import (
 
 from corpus import decision_corpus
 from oracles import (
+    circuit_by_reach,
     circuits_brute,
     coloops_leave_one_out,
     components_brute,
@@ -127,6 +128,77 @@ class TestPebbleSearch:
                 inside = set(greedy) | {f}
                 circ = game.fundamental_circuit_of_rejected(*f)
                 assert [c for c in brute if c <= inside] == [circ]
+
+
+class TestCircuitRecord:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_read_equals_the_reach_walk_and_is_a_circuit(self, data):
+        # fresh games and games seeded from another game's orientation; the
+        # circuit is read from the searches that rejected the edge, and the
+        # earlier walk of the reachable region must give the same set
+        n = data.draw(st.integers(2, 8))
+        k = data.draw(st.integers(0, 3))
+        pairs = list(itertools.combinations(range(n), 2))
+        game = PebbleGame(n, k)
+        if data.draw(st.booleans()):
+            parent = PebbleGame(n, k)
+            for e in data.draw(st.permutations(pairs))[:data.draw(st.integers(0, len(pairs)))]:
+                parent.insert(*e)
+            relabel = dict(enumerate(data.draw(st.permutations(range(n)))))
+            dropped = data.draw(st.sets(st.sampled_from(range(n))))
+            relabel = {x: y for x, y in relabel.items() if x not in dropped}
+            game.seed(parent, relabel, frozenset(pairs))
+        for e in data.draw(st.permutations(pairs)):
+            if e in game.accepted or game.insert(*e):
+                continue
+            circ = game.fundamental_circuit_of_rejected(*e)
+            assert circ == circuit_by_reach(game, *e)
+            assert e in circ and circ - {e} <= set(game.accepted)
+            assert is_circuit_brute(sorted(circ), k)
+
+    @staticmethod
+    def _k5_minus_rejected():
+        # K4 on 0..3 plus 04 and 14 is tight (2n - 2 = 8 edges), so 24 is
+        # rejected and closes the circuit K5 - 34; vertex 5 leaves room for 45
+        game = PebbleGame(6, 2)
+        for e in list(itertools.combinations(range(4), 2)) + [(0, 4), (1, 4)]:
+            assert game.insert(*e)
+        assert not game.insert(4, 2)
+        return game
+
+    def test_read_of_the_rejected_edge(self):
+        game = self._k5_minus_rejected()
+        K5_minus = frozenset(itertools.combinations(range(5), 2)) - {(3, 4)}
+        assert game.fundamental_circuit_of_rejected(2, 4) == K5_minus
+        assert game.fundamental_circuit_of_rejected(4, 2) == K5_minus
+
+    def test_read_on_a_fresh_game_raises(self):
+        with pytest.raises(ValueError, match="not the edge the last insert rejected"):
+            PebbleGame(4, 2).fundamental_circuit_of_rejected(0, 1)
+
+    def test_read_of_an_accepted_edge_raises(self):
+        game = PebbleGame(4, 2)
+        assert game.insert(0, 1)
+        with pytest.raises(ValueError, match="not the edge the last insert rejected"):
+            game.fundamental_circuit_of_rejected(0, 1)
+        game = self._k5_minus_rejected()
+        with pytest.raises(ValueError, match="not the edge the last insert rejected"):
+            game.fundamental_circuit_of_rejected(1, 4)
+
+    def test_read_after_a_later_accepted_insert_raises(self):
+        game = self._k5_minus_rejected()
+        assert game.insert(4, 5)
+        with pytest.raises(ValueError, match="not the edge the last insert rejected"):
+            game.fundamental_circuit_of_rejected(2, 4)
+
+    def test_read_after_a_later_rejected_insert_raises(self):
+        game = self._k5_minus_rejected()
+        assert not game.insert(3, 4)
+        with pytest.raises(ValueError, match="not the edge the last insert rejected"):
+            game.fundamental_circuit_of_rejected(2, 4)
+        circ = game.fundamental_circuit_of_rejected(3, 4)
+        assert circ == circuit_by_reach(game, 3, 4) and is_circuit_brute(sorted(circ))
 
 
 class TestWarmCheck:
