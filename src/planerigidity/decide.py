@@ -33,10 +33,10 @@ from .graphs import (
 )
 from .sparsity import (
     EarDecomposition,
+    PebbleGame,
     ear_decomposition,
     is_m22_connected,
     m22_components,
-    rank2k,
     rank_and_coloops,
 )
 
@@ -220,12 +220,8 @@ def sufficient_checks(G: Graph) -> tuple[list[str], list[str]]:
     if delta >= max(4, G.n / 2):
         fired.append("min_degree_half_order")
     # rank(G - v) <= |E(G - v)| = m - deg(v), so rank 2(n-1) - 2 at every v
-    # needs m - Delta >= 2n - 4; without it some G - v fails, so the n games
-    # would give False anyway; G - v keeps G's labels, v left without an edge
-    if G.m - Delta >= 2 * G.n - 4 and all(
-        rank2k([e for e in G.edges if v not in e], 2) == 2 * (G.n - 1) - 2
-        for v in range(G.n)
-    ):
+    # needs m - Delta >= 2n - 4; without it some G - v fails
+    if G.m - Delta >= 2 * G.n - 4 and _vertex_deletion_rigid(G):
         fired.append("vertex_deletion_rigid")
     if delta >= 4 and G.is_connected():
         if G.n <= TRANSITIVITY_CAP:
@@ -244,6 +240,56 @@ def sufficient_checks(G: Graph) -> tuple[list[str], list[str]]:
         if mu > 4.0 / (delta + 1) + 1e-9:
             fired.append("spectral_gap")
     return fired, notes
+
+
+def _vertex_deletion_rigid(G: Graph) -> bool:
+    """Whether rank(G - v) = 2(n - 1) - 2 in the (2,2) matroid for every v.
+
+    One game on G gives a basis B; it stops at 2n - 2 edges, the most a
+    (2,2)-sparse set on n vertices holds.  If |B| < 2n - 2, G is not rigid,
+    and then some G - v is not rigid either: for n >= 3, were every G - v
+    rigid, some v would have degree >= 2 (n = 3 has no rigid G - v at all,
+    and for n >= 4 a rigid G - v has at least 2n - 4 > n/2 edges, more than
+    a graph of maximum degree 1 holds), and adding v with
+    two of its edges to a basis of G - v is a 0-extension, which keeps it
+    independent, so rank(G) = 2n - 2.  Otherwise B - v, the edges of B not
+    at v, is independent and lies in G - v, whose rank is at most
+    2(n - 1) - 2 = 2n - 4.  A v with deg_B(v) <= 2 leaves |B - v| >= 2n - 4,
+    so G - v is rigid at once.  For every other v a game is seeded with
+    B - v in B's own orientation (PebbleGame.seed, sound because B - v is a
+    subset of the independent set it is read from) and plays on with the
+    edges outside B that avoid v, until it holds 2n - 4 edges.  Every edge
+    of G - v is in B - v or among those, so its final basis is a basis of
+    G - v.  G - v keeps G's labels, v left without an edge, and no Graph
+    is built.
+    """
+    n, edges = G.n, G.sorted_edges()
+    game = PebbleGame(n, 2)
+    for e in edges:
+        if game.rank == 2 * n - 2:
+            break
+        game.insert(*e)
+    basis = set(game.accepted)
+    if len(basis) < 2 * n - 2:
+        return False
+    deg = [0] * n
+    for u, v in basis:
+        deg[u] += 1
+        deg[v] += 1
+    rest = [e for e in edges if e not in basis]
+    for v in range(n):
+        if deg[v] <= 2:
+            continue
+        sub = PebbleGame(n, 2)
+        sub.seed(game, None, {e for e in basis if v not in e})
+        for e in rest:
+            if sub.rank == 2 * n - 4:
+                break
+            if v not in e:
+                sub.insert(*e)
+        if sub.rank < 2 * n - 4:
+            return False
+    return True
 
 
 def _algebraic_connectivity(G: Graph) -> float:

@@ -4,8 +4,9 @@ graph6 follows the standard 63-offset byte encoding (upper triangle read
 columnwise, six bits per byte); the long form for 63 <= n <= 258047 is
 supported on both ends, and the data must be exactly the bytes n needs.
 Edge lists are `n` on the first line then `u v`
-lines, with 0 <= n <= MAX_VERTICES (258047, graph6's own limit); blank
-lines and `#` comment lines may stand anywhere.
+lines, with 0 <= n <= MAX_VERTICES (258047, graph6's own limit) and each
+edge listed once, in either orientation; blank lines and `#` comment lines
+may stand anywhere.
 Placements are one `v x y` line per vertex with rational `num/den` or
 decimal coordinates.  Move scripts are a `base K5-|B1` header followed
 by one `kind i j [k ...]` line per move.
@@ -122,7 +123,7 @@ def parse_edgelist(text: str) -> Graph:
         raise FormatError(
             f"edgelist: line {idx + 1}: vertex count {n} is outside 0..{MAX_VERTICES}"
         )
-    edges = []
+    edges = set()
     for ln_no in range(idx + 1, len(lines)):
         raw = lines[ln_no].strip()
         if not raw or raw.startswith("#"):
@@ -136,8 +137,11 @@ def parse_edgelist(text: str) -> Graph:
             raise FormatError(f"edgelist: line {ln_no + 1}: non-integer endpoint")
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise FormatError(f"edgelist: line {ln_no + 1}: bad edge ({u},{v})")
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
+        e = (u, v) if u < v else (v, u)
+        if e in edges:
+            raise FormatError(f"edgelist: line {ln_no + 1}: edge ({u},{v}) listed twice")
+        edges.add(e)
+    return Graph(n, frozenset(edges))
 
 
 def parse_graph(text: str, format: str = "auto") -> Graph:

@@ -306,16 +306,37 @@ def _min_st_edge_cut(G: Graph, s: int, t: int, limit: int | None = None) -> int:
 def edge_connectivity(G: Graph) -> int:
     """Size of a minimum edge cut (0 for disconnected or single-vertex).
 
-    Every minimum edge cut (empty if G is disconnected) separates vertex 0
-    from some t, so the answer is the least s-t flow from 0.  The edges at a
-    vertex of least degree form a cut, and each flow is stopped once it
-    reaches the smallest cut found so far: a flow at least that large cannot
-    lower the minimum, so only min(flow, best) matters, and that is what the
-    bounded flow returns.  For n < 2 there is no t.
+    The answer is min(delta, the least flow from vertex 0 to a vertex of
+    D - {0}), with delta the least degree and D the greedy dominating set
+    that holds 0: the vertices, in label order, that have no neighbour in D
+    so far (Matula, "Determining edge connectivity in O(nm)", FOCS 1987).
+    The edges at a vertex of least degree form a cut, and every s-t flow
+    is at least the edge connectivity lambda, so the answer is at least
+    lambda and at most delta.  When lambda < delta, let S be one side of a
+    minimum cut.  If |S| = 1 the cut is one vertex's edges and lambda >=
+    delta, so |S| >= 2; counting degrees, delta |S| <= |S| (|S| - 1) +
+    lambda < |S| (|S| - 1) + delta, so |S| > delta > lambda.  If every
+    vertex of S had a neighbour outside S the cut would have at least
+    |S| > lambda edges; so some x in S has all its neighbours in S, and the
+    member of D that dominates x (x itself or a neighbour) lies in S.  The
+    same holds for the other side, so D meets both sides, 0 lies on one,
+    and the flow from 0 to a member of D on the other is lambda.  A
+    disconnected G with delta > 0 is the case lambda = 0, with a component
+    as a side.
+    Each flow is stopped once it reaches the smallest cut found so far: a
+    flow at least that large cannot lower the minimum, so only min(flow,
+    best) matters, and that is what the bounded flow returns.  For n < 2
+    there is no flow to run.
     """
-    best = G.min_degree()
-    for t in range(1, G.n):
-        best = _min_st_edge_cut(G, 0, t, best)
+    adj, best = G.adj, G.min_degree()
+    dominated = set()
+    for d in range(G.n):
+        if d in dominated:
+            continue
+        dominated.add(d)
+        dominated.update(adj[d])
+        if d:
+            best = _min_st_edge_cut(G, 0, d, best)
     return best
 
 

@@ -19,6 +19,7 @@ from planerigidity.cli import main
 from planerigidity.formats import emit_edgelist, parse_graph, parse_graph6
 from planerigidity.graphs import is_isomorphic
 from planerigidity.moves import KINDS, random_m22_graph
+from planerigidity.randomgraphs import gnp_graph
 
 
 def run(args, stdin_text=None):
@@ -121,7 +122,9 @@ class TestCheck:
 
     def test_certificates_are_unchanged(self):
         # SHA-256 of each `check --certificate` output, recorded before the
-        # ear decomposition moved onto one maintained game
+        # ear decomposition moved onto one maintained game; the gnp-* ones
+        # before the flows went only to a dominating set and the vertex-
+        # deleted ranks came from one basis
         want = dict(
             line.split() for line in CERTIFICATE_DIGESTS.read_text().splitlines()
         )
@@ -134,12 +137,17 @@ class TestCheck:
 
 
 CERTIFICATE_DIGESTS = Path(__file__).with_name("certificate_digests.txt")
+GNP_PROBS = (0.55, 0.6, 0.65, 0.7, 0.75, 0.8)
 
 
 def certificate_inputs():
-    """30 seeded walks (15 to 142 edges) and the named graphs of the ear
-    decomposition tests."""
+    """30 seeded walks (15 to 142 edges), the named graphs of the ear
+    decomposition tests, and 20 dense G(n,p) graphs (n 8-14, p 0.55-0.8)
+    on which sufficient conditions fire: the walks have minimum degree 3,
+    so edge_connectivity_4 never fires on them."""
     graphs = {f"walk-{i}": random_m22_graph(2 + 2 * i, 7000 + i) for i in range(30)}
+    for i in range(3, 23):
+        graphs[f"gnp-{i}"] = gnp_graph(8 + i % 7, GNP_PROBS[i % 6], 8000 + i)
     graphs.update({
         "K5-": cat.k5_minus(), "B1": cat.b1(), "B2": cat.b2(),
         "K36": cat.complete_bipartite(3, 6), "K46": cat.complete_bipartite(4, 6),
@@ -560,6 +568,14 @@ class TestAutoFormat:
         assert plain[0] == 0
         for fmt in ("auto", "edgelist"):
             assert run(["check", "-", "--format", fmt], "# c\n5\n0 1\n") == plain
+
+    @pytest.mark.parametrize("cmd", ["check", "rank", "reduce"])
+    @pytest.mark.parametrize("second", ["0 1", "1 0"])
+    def test_repeated_edge_is_error_1(self, cmd, second):
+        # the repeat used to be merged, and the answer was about one edge
+        code, out, err = run([cmd, "-"], f"5\n0 1\n{second}\n")
+        assert code == 1 and out == ""
+        assert err == f"error: edgelist: line 3: edge ({second.replace(' ', ',')}) listed twice\n"
 
     def test_negative_count_is_read_as_an_edge_list(self):
         # '#' and '-' are not graph6 bytes, so this is not a graph6 error

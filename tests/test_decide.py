@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planerigidity import catalog as cat
 from planerigidity.decide import (
+    _vertex_deletion_rigid,
     certify,
     euclidean_transfer,
     hendrickson_check,
@@ -13,10 +16,20 @@ from planerigidity.decide import (
 )
 from planerigidity.geometry import NormedPlane, Placement
 from planerigidity.graphs import Graph, is_k_connected
-from planerigidity.sparsity import ear_decomposition, is_m22_connected, rank2k
+from planerigidity.randomgraphs import gnp_graph
+from planerigidity.sparsity import PebbleGame, ear_decomposition, is_m22_connected, rank2k
 
 from corpus import decision_corpus, named_graphs
 from oracles import vertex_deletion_rigid_games
+
+
+@st.composite
+def dense_graphs(draw):
+    """Complete graphs on 3..9 vertices with up to a third of the edges gone."""
+    n = draw(st.integers(3, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    dropped = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs) // 3))
+    return Graph.from_edges(n, [e for e in pairs if e not in dropped])
 
 
 class TestMainDecision:
@@ -143,6 +156,47 @@ class TestSufficientConditions:
             filtered += G.m - max(G.degree(v) for v in range(G.n)) < 2 * G.n - 4
             fired += want
         assert filtered > 50 and fired > 10
+
+    def test_vertex_deletion_shortcut_against_the_games(self, monkeypatch):
+        # one basis B of G, then a game seeded with B - v only where
+        # deg_B(v) > 2; compared without the edge-count filter in front
+        rng = random.Random(12)
+        dense = [
+            gnp_graph(rng.randint(6, 13), rng.uniform(0.45, 0.85), rng.randrange(10**6))
+            for _ in range(150)
+        ]
+        K6, K7 = cat.complete_graph(6), cat.complete_graph(7)
+        nonrigid = [
+            K7.edit(add=[(0, 7)], grow=1)[0],  # a pendant vertex
+            K7.edit(add=[(0, 7), (1, 8), (7, 8)], grow=2)[0],  # a hanging triangle
+            K6.edit(add=[(u + 6, v + 6) for u, v in K6.edges] + [(0, 6)], grow=6)[0],
+            cat.complete_bipartite(3, 3),
+            cat.cycle_graph(8),
+        ]
+        seeded = []
+        real_seed = PebbleGame.seed
+        monkeypatch.setattr(
+            PebbleGame, "seed", lambda *args: seeded.append(1) or real_seed(*args)
+        )
+        want_counts = {True: 0, False: 0}
+        rigid_but_not = 0
+        for G in decision_corpus(300, seed=5) + dense + nonrigid:
+            if G.n < 3:
+                continue
+            want = vertex_deletion_rigid_games(G)
+            assert _vertex_deletion_rigid(G) == want, sorted(G.edges)
+            want_counts[want] += 1
+            rigid_but_not += not want and rank2k(G.edges, 2) == 2 * G.n - 2
+        for G in nonrigid:
+            assert rank2k(G.edges, 2) < 2 * G.n - 2 and not _vertex_deletion_rigid(G)
+        # the seeded games ran, and they rejected rigid graphs as well as passed them
+        assert want_counts[True] > 100 and want_counts[False] > 100
+        assert rigid_but_not > 50 and len(seeded) > 100
+
+    @settings(max_examples=150, deadline=None)
+    @given(dense_graphs())
+    def test_vertex_deletion_shortcut_property(self, G):
+        assert _vertex_deletion_rigid(G) == vertex_deletion_rigid_games(G)
 
     def test_vertex_deletion_builds_no_graph(self, monkeypatch):
         # each G - v is G's edge list without v, played in G's labels

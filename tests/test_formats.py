@@ -75,6 +75,13 @@ class TestEdgelist:
         with pytest.raises(FormatError, match="line 3"):
             parse_edgelist("3\n0 1\nbad line\n")
 
+    def test_repeated_edge_names_its_line(self):
+        # a repeat used to be merged into one edge, in either orientation
+        with pytest.raises(FormatError, match=r"^edgelist: line 3: edge \(1,0\) listed twice$"):
+            parse_edgelist("5\n0 1\n1 0\n")
+        with pytest.raises(FormatError, match=r"^edgelist: line 5: edge \(1,2\) listed twice$"):
+            parse_edgelist("# c\n3\n1 2\n\n1 2\n")
+
     def test_auto_detection(self):
         assert parse_graph("3\n0 1\n1 2\n").n == 3
         assert parse_graph("C~").n == 4

@@ -38,6 +38,37 @@ from oracles import (
 )
 
 
+def two_cliques(k, j):
+    """K_k on 0..k-1 and on k..2k-1, joined by the j disjoint edges (i, k + i)."""
+    pairs = list(itertools.combinations(range(k), 2))
+    cross = [(i, k + i) for i in range(j)]
+    return Graph.from_edges(2 * k, pairs + [(u + k, v + k) for u, v in pairs] + cross)
+
+
+@st.composite
+def joined_blobs(draw):
+    """Two dense random blobs joined by up to three edges, labels shuffled."""
+    a, b = draw(st.integers(3, 7)), draw(st.integers(3, 7))
+    n = a + b
+    edges = set()
+    for lo, hi in ((0, a), (a, n)):
+        pairs = list(itertools.combinations(range(lo, hi), 2))
+        dropped = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs) // 4))
+        edges.update(e for e in pairs if e not in dropped)
+    edges |= draw(st.sets(st.tuples(st.integers(0, a - 1), st.integers(a, n - 1)), max_size=3))
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def greedy_dominating_set(G):
+    """The vertices, in label order, with no neighbour among those before."""
+    D = []
+    for v in range(G.n):
+        if not G.adj[v] & set(D):
+            D.append(v)
+    return D
+
+
 def small_graphs(max_n=7):
     return st.integers(2, max_n).flatmap(
         lambda n: st.sets(
@@ -291,6 +322,51 @@ class TestEdgeConnectivity:
                     assert _min_st_edge_cut(G, s, t, limit) == min_st_edge_cut_residual(
                         G, s, t, limit
                     ), (G, s, t, limit)
+
+    def test_min_cut_between_two_cliques(self):
+        # two K_k joined by j < k - 1 disjoint edges: lambda = j < delta = k - 1,
+        # and the minimum cut is at no single vertex; relabelled at random so
+        # that vertex 0 and the dominating set fall anywhere
+        rng = random.Random(59)
+        for k in range(3, 9):
+            for j in range(k - 1):
+                G = two_cliques(k, j)
+                perm = list(range(G.n))
+                for _ in range(3):
+                    H = Graph.from_edges(G.n, [(perm[u], perm[v]) for u, v in G.edges])
+                    assert edge_connectivity(H) == edge_connectivity_unpruned(H) == j
+                    assert H.min_degree() == k - 1
+                    rng.shuffle(perm)
+
+    @settings(max_examples=120, deadline=None)
+    @given(joined_blobs())
+    def test_joined_blobs_match_unpruned(self, G):
+        assert edge_connectivity(G) == edge_connectivity_unpruned(G)
+
+    def test_flows_go_only_to_the_dominating_set(self, monkeypatch):
+        # one bounded flow per member of D - {0}, D the greedy dominating set
+        real, calls = graphs._min_st_edge_cut, []
+
+        def counted(G, s, t, limit=None):
+            calls.append(t)
+            return real(G, s, t, limit)
+
+        monkeypatch.setattr(graphs, "_min_st_edge_cut", counted)
+        rng = random.Random(60)
+        cases = [two_cliques(k, j) for k in (4, 6, 8) for j in (0, 1, 2)]
+        cases += [
+            gnp_graph(rng.randint(8, 16), rng.uniform(0.3, 0.9), rng.randrange(10**6))
+            for _ in range(40)
+        ]
+        cases += list(decision_corpus(60, seed=61))
+        for G in cases:
+            calls.clear()
+            lam = edge_connectivity(G)
+            D = greedy_dominating_set(G)
+            assert D[0] == 0 and all(v in D or G.adj[v] & set(D) for v in range(G.n))
+            assert len(calls) <= len(D) - 1 and set(calls) <= set(D) - {0}
+            assert lam == edge_connectivity_unpruned(G)
+            assert len(calls) < G.n - 1
 
     @settings(max_examples=80, deadline=None)
     @given(small_graphs(7))
