@@ -34,10 +34,11 @@ from .graphs import (
 from .sparsity import (
     EarDecomposition,
     PebbleGame,
+    _coloop_rule,
+    _sorted_game,
     ear_decomposition,
     is_m22_connected,
     m22_components,
-    rank_and_coloops,
 )
 
 TRANSITIVITY_CAP = 12  # brute-force automorphism search beyond this is skipped
@@ -112,7 +113,9 @@ def is_globally_rigid_analytic(G: Graph) -> RigidityReport:
 
     True iff 2-connected and M(2,2)-connected; the report carries either an
     ear decomposition (connectivity certificate for the matroid) or a
-    witness for failure (cut vertex / an edge in no circuit).
+    witness for failure (cut vertex / an edge in no circuit).  Every stage
+    reads G's one lowpoint DFS (Graph._lowpoint_dfs) and its one sorted
+    (2,2) game (sparsity._sorted_game), each computed once per graph.
     """
     if G.n < 2:
         raise ValueError("decision defined for graphs on at least 2 vertices")
@@ -188,10 +191,16 @@ def hendrickson_check(G: Graph) -> HendricksonReport:
     if G.n < 2:
         raise ValueError("needs at least 2 vertices")
     two_conn = is_k_connected(G, 2)
-    r, cols = rank_and_coloops(G.sorted_edges(), 2)
+    r, cols = _rank_and_coloops(G, 2)
     spanning = r == 2 * G.n - 2 and G.m > 0
     every_edge = G.m > 0 and not cols
     return HendricksonReport(two_conn, spanning, every_edge)
+
+
+def _rank_and_coloops(G: Graph, k: int) -> tuple[int, frozenset[Edge]]:
+    """rank_and_coloops(G.sorted_edges(), k), read off G's sorted game."""
+    game, circuits = _sorted_game(G, k)
+    return _coloop_rule(game.accepted, circuits)
 
 
 # ---------------------------------------------------------------------------
@@ -245,30 +254,30 @@ def sufficient_checks(G: Graph) -> tuple[list[str], list[str]]:
 def _vertex_deletion_rigid(G: Graph) -> bool:
     """Whether rank(G - v) = 2(n - 1) - 2 in the (2,2) matroid for every v.
 
-    One game on G gives a basis B; it stops at 2n - 2 edges, the most a
-    (2,2)-sparse set on n vertices holds.  If |B| < 2n - 2, G is not rigid,
-    and then some G - v is not rigid either: for n >= 3, were every G - v
-    rigid, some v would have degree >= 2 (n = 3 has no rigid G - v at all,
-    and for n >= 4 a rigid G - v has at least 2n - 4 > n/2 edges, more than
-    a graph of maximum degree 1 holds), and adding v with
-    two of its edges to a basis of G - v is a 0-extension, which keeps it
-    independent, so rank(G) = 2n - 2.  Otherwise B - v, the edges of B not
-    at v, is independent and lies in G - v, whose rank is at most
-    2(n - 1) - 2 = 2n - 4.  A v with deg_B(v) <= 2 leaves |B - v| >= 2n - 4,
-    so G - v is rigid at once.  For every other v a game is seeded with
-    B - v in B's own orientation (PebbleGame.seed, sound because B - v is a
-    subset of the independent set it is read from) and plays on with the
-    edges outside B that avoid v, until it holds 2n - 4 edges.  Every edge
-    of G - v is in B - v or among those, so its final basis is a basis of
-    G - v.  G - v keeps G's labels, v left without an edge, and no Graph
-    is built.
+    B is the basis of G's sorted game (sparsity._sorted_game): the greedy
+    basis of the sorted order, which the M(2,2) check, the components and
+    the ears read too, so the game is played at most once per graph.  The
+    edges outside B are the keys of its circuits, in sorted order.  A
+    (2,2)-sparse set on n vertices holds at most 2n - 2 edges.  If
+    |B| < 2n - 2, G is not rigid, and then some G - v is not rigid either:
+    for n >= 3, were every G - v rigid, some v would have degree >= 2
+    (n = 3 has no rigid G - v at all, and for n >= 4 a rigid G - v has at
+    least 2n - 4 > n/2 edges, more than a graph of maximum degree 1 holds),
+    and adding v with two of its edges to a basis of G - v is a
+    0-extension, which keeps it independent, so rank(G) = 2n - 2.
+    Otherwise B - v, the edges of B not at v, is independent and lies in
+    G - v, whose rank is at most 2(n - 1) - 2 = 2n - 4.  A v with
+    deg_B(v) <= 2 leaves |B - v| >= 2n - 4, so G - v is rigid at once.  For
+    every other v a fresh game is seeded with B - v in the orientation the
+    sorted game ended with (PebbleGame.seed, sound because B - v is a
+    subset of the independent set it is read from; the sorted game itself
+    is only read) and plays on with the edges outside B that avoid v,
+    until it holds 2n - 4 edges.  Every edge of G - v is in B - v or among
+    those, so its final basis is a basis of G - v.  G - v keeps G's
+    labels, v left without an edge, and no Graph is built.
     """
-    n, edges = G.n, G.sorted_edges()
-    game = PebbleGame(n, 2)
-    for e in edges:
-        if game.rank == 2 * n - 2:
-            break
-        game.insert(*e)
+    n = G.n
+    game, circuits = _sorted_game(G)
     basis = set(game.accepted)
     if len(basis) < 2 * n - 2:
         return False
@@ -276,13 +285,12 @@ def _vertex_deletion_rigid(G: Graph) -> bool:
     for u, v in basis:
         deg[u] += 1
         deg[v] += 1
-    rest = [e for e in edges if e not in basis]
     for v in range(n):
         if deg[v] <= 2:
             continue
         sub = PebbleGame(n, 2)
         sub.seed(game, None, {e for e in basis if v not in e})
-        for e in rest:
+        for e in circuits:
             if sub.rank == 2 * n - 4:
                 break
             if v not in e:
@@ -316,7 +324,7 @@ def is_globally_rigid_euclidean(G: Graph) -> bool:
         return G.is_complete()
     if not is_k_connected(G, 3):
         return False
-    rank, cols = rank_and_coloops(G.sorted_edges(), 3)
+    rank, cols = _rank_and_coloops(G, 3)
     return rank == 2 * G.n - 3 and not cols
 
 
@@ -359,7 +367,7 @@ def certify(
     redundant_num = all(r == target for r in edge_ranks.values())
 
     k = 3 if plane.euclidean else 2
-    comb_rank, cols = rank_and_coloops(G.sorted_edges(), k)
+    comb_rank, cols = _rank_and_coloops(G, k)
     spanning_tight = comb_rank == 2 * G.n - k
     agree = (inf_rigid_num == spanning_tight) and (
         redundant_num == (spanning_tight and not cols)

@@ -45,6 +45,22 @@ class Graph:
             nbr[v].add(u)
         return tuple(frozenset(s) for s in nbr)
 
+    # Per-instance facts, computed at most once for each Graph: like `adj`
+    # they live in the instance's __dict__, not in the fields, so == and
+    # hash ignore them, and an equal graph built elsewhere computes its own.
+
+    @cached_property
+    def _lowpoint_dfs(self) -> tuple[list[set[int]], list[int], list[Edge]]:
+        """The module's `_lowpoint_dfs` of the whole graph.  Read only:
+        `components()` hands out copies of its sets."""
+        return _lowpoint_dfs(self)
+
+    @cached_property
+    def _sorted_games(self) -> dict:
+        """k -> the game over the sorted edges and its circuits, filled
+        by `sparsity._sorted_game`."""
+        return {}
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -109,10 +125,10 @@ class Graph:
         return self.m == self.n * (self.n - 1) // 2
 
     def components(self) -> list[set[int]]:
-        return _lowpoint_dfs(self)[0]
+        return [set(c) for c in self._lowpoint_dfs[0]]
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or len(self._lowpoint_dfs[0]) == 1
 
 
 @dataclass(frozen=True)
@@ -216,13 +232,14 @@ def is_k_connected(G: Graph, k: int) -> bool:
     for every k here (in particular K2 passes for k=1 and k=2); K1 is only
     1-connected.
 
-    k = 1 and k = 2 take one lowpoint DFS (`_lowpoint_dfs`).  k = 3
-    takes n + 1: a non-complete G is 3-connected iff it is 2-connected and
-    G - v is 2-connected for every v.  A 2-connected non-complete G has
-    n >= 4, and each G - a is connected on n - 1 >= 3 vertices.  Deleting
-    {a, b} leaves (G - a) - b, on n - 2 >= 2 vertices, and that is
-    disconnected iff b is a cut vertex of G - a.  So a separating pair
-    exists iff some G - a has a cut vertex, and 3-connectivity is O(n * m).
+    k = 1 and k = 2 read G's one lowpoint DFS (`Graph._lowpoint_dfs`, run
+    once per graph).  k = 3 adds n more: a non-complete G is 3-connected
+    iff it is 2-connected and G - v is 2-connected for every v.  A
+    2-connected non-complete G has n >= 4, and each G - a is connected on
+    n - 1 >= 3 vertices.  Deleting {a, b} leaves (G - a) - b, on n - 2 >= 2
+    vertices, and that is disconnected iff b is a cut vertex of G - a.  So
+    a separating pair exists iff some G - a has a cut vertex, and
+    3-connectivity is O(n * m).
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
@@ -232,7 +249,7 @@ def is_k_connected(G: Graph, k: int) -> bool:
         return k == 1
     if G.is_complete():
         return True
-    comps, cuts, _ = _lowpoint_dfs(G)
+    comps, cuts, _ = G._lowpoint_dfs
     if len(comps) != 1:
         return False
     if k == 1:
@@ -258,7 +275,7 @@ def first_cut_vertex(G: Graph) -> int | None:
     vertex 0 when there are at least three components, and otherwise the
     smallest vertex that has a neighbour.
     """
-    comps, cuts, _ = _lowpoint_dfs(G)
+    comps, cuts, _ = G._lowpoint_dfs
     if len(comps) == 1:
         return cuts[0] if cuts else None
     if G.n < 3:

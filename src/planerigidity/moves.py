@@ -456,11 +456,11 @@ def find_admissible_reduction(G: Graph) -> TraceStep | None:
     Candidates are tried in a fixed order (deletions, then K4--reductions,
     then edge-reductions, parameters sorted) so reductions are reproducible.
     Cheap degree filters run before the full connectivity check, which is
-    warm: each candidate's game starts from G's final game when the memo of
-    is_m22_connected holds it (G passed a warm check, as every graph a
-    search accepts did), relabelled by the move, and from empty otherwise
-    (see is_m22_connected).  The accepted candidate is applied once, and the
-    step handed back is that application.
+    warm: each candidate's game starts from the game the entry check left
+    in the memo of is_m22_connected, relabelled by the move.  That is the
+    warm game of the search that accepted G or, for an input checked cold,
+    G's sorted game (see is_m22_connected).  The accepted candidate is
+    applied once, and the step handed back is that application.
     """
     if not is_m22_connected(G):
         raise MoveError("input is not M(2,2)-connected")

@@ -11,8 +11,11 @@ classes of "lies in a common fundamental circuit" (the single-basis
 component rule), the coloops are the basis edges in no fundamental
 circuit, G is a circuit when exactly one edge is rejected and its circuit
 is E, and each ear of an ear decomposition is one of the fundamental
-circuits of the game over the sorted edges.  A game may also start from the
-final orientation of another game (PebbleGame.seed), which is how the
+circuits of the game over the sorted edges.  That game is played once per
+Graph instance and kept on it (_sorted_game), so the components, the
+circuit test, the ear decomposition, the cold M(2,2) check and the
+callers in `decide` all read the same game.  A game may also start from
+the final orientation of another game (PebbleGame.seed), which is how the
 reduction engine checks each candidate from its parent's game.
 
 The k = 2 case (rank2k(..., 2), circuits, M(2,2)-components, connectivity,
@@ -179,6 +182,26 @@ def _basis_and_circuits(
     return game.accepted, circuits
 
 
+def _sorted_game(G: Graph, k: int = 2) -> tuple[PebbleGame, dict[Edge, frozenset[Edge]]]:
+    """The (2,k) game over G.sorted_edges() and the circuit C(f,B) of each
+    edge f it rejects (see _basis_and_circuits), played once per Graph
+    instance and kept on it (Graph._sorted_games).
+
+    Every reader of the sorted-order game of G shares this pair, so no
+    caller may mutate either: a reader that edits the circuits copies the
+    dict first, and PebbleGame.seed only reads the game it seeds from.
+    Sound, because the pair depends only on (n, E) and k, which a frozen
+    Graph never changes; it is kept on the instance, not keyed by graph
+    equality, so each command's work still depends only on the graphs it
+    builds.
+    """
+    games = G._sorted_games
+    if k not in games:
+        game = PebbleGame(G.n, k)
+        games[k] = (game, _basis_and_circuits(G.sorted_edges(), k, game)[1])
+    return games[k]
+
+
 def rank2k(edges, k: int) -> int:
     """Rank of an edge set in the (2,k)-sparsity matroid.
 
@@ -223,21 +246,28 @@ def is_circuit22(G: Graph) -> bool:
         raise ValueError("needs at least one edge and no isolated vertices")
     if G.m != 2 * G.n - 1:
         return False
-    _, circuits = _basis_and_circuits(G.sorted_edges(), 2)
+    _, circuits = _sorted_game(G)
     return len(circuits) == 1 and next(iter(circuits.values())) == G.edges
 
 
 def rank_and_coloops(edges, k: int) -> tuple[int, frozenset[Edge]]:
     """The rank of the (2,k) matroid on edges, and its coloops (the edges
-    that lie in every basis), from one game.
+    that lie in every basis), from one game (see _coloop_rule)."""
+    return _coloop_rule(
+        *_basis_and_circuits(list(dict.fromkeys(_norm_edge(*e) for e in edges)), k)
+    )
 
-    The rank is the size of the game's basis B.  The coloops are the edges
-    of B that lie in no fundamental circuit.  A basis edge b in C(f,B) is
-    not a coloop, because B - b + f is a basis that avoids b.  If b lies in
-    no C(f,B), every f outside B is spanned by B - b, so E - b has rank
-    |B| - 1 and b is a coloop.
+
+def _coloop_rule(basis, circuits) -> tuple[int, frozenset[Edge]]:
+    """The rank and the coloops of a matroid, given one basis B and the
+    circuit C(f,B) of every edge f outside it.
+
+    The rank is |B|.  The coloops are the edges of B that lie in no
+    fundamental circuit.  A basis edge b in C(f,B) is not a coloop,
+    because B - b + f is a basis that avoids b.  If b lies in no C(f,B),
+    every f outside B is spanned by B - b, so E - b has rank |B| - 1 and b
+    is a coloop.
     """
-    basis, circuits = _basis_and_circuits(list(dict.fromkeys(_norm_edge(*e) for e in edges)), k)
     in_circuit = set().union(*circuits.values())
     return len(basis), frozenset(b for b in basis if b not in in_circuit)
 
@@ -265,14 +295,13 @@ def m22_components(G: Graph) -> list[frozenset[Edge]]:
 
     Single-basis component rule: for any basis B, the components are the
     classes of the relation "lies in a common fundamental circuit C(f,B)",
-    so the fundamental circuits of one game give them (Krogdahl 1977;
-    Oxley, Matroid Theory, section 4.3).
+    so the fundamental circuits of one game, G's sorted game, give them
+    (Krogdahl 1977; Oxley, Matroid Theory, section 4.3).
     """
     if G.m < 1 or G.min_degree() == 0:
         raise ValueError("needs at least one edge and no isolated vertices")
-    edges = G.sorted_edges()
-    _, circuits = _basis_and_circuits(edges, 2)
-    return sorted((frozenset(c) for c in _circuit_classes(edges, circuits)), key=sorted)
+    _, circuits = _sorted_game(G)
+    return sorted((frozenset(c) for c in _circuit_classes(G.edges, circuits)), key=sorted)
 
 
 def _circuit_classes(edges, circuits) -> list[set[Edge]]:
@@ -302,8 +331,8 @@ def _circuit_classes(edges, circuits) -> list[set[Edge]]:
 
 
 # (G, game): the last graph is_m22_connected found M(2,2)-connected and the
-# final game that decided it (None when the cold path did), or None
-_m22_memo: tuple[Graph, PebbleGame | None] | None = None
+# game that decided it (after a cold check, G's sorted game), or None
+_m22_memo: tuple[Graph, PebbleGame] | None = None
 
 
 def clear_m22_memo() -> None:
@@ -313,8 +342,8 @@ def clear_m22_memo() -> None:
 
 
 def m22_memo_game(G: Graph) -> PebbleGame | None:
-    """The final game of the warm check that found G M(2,2)-connected, if
-    the memo holds G and that game; None otherwise.  Do not mutate it."""
+    """The final game of the check that found G M(2,2)-connected, if the
+    memo holds G; None otherwise.  Do not mutate it."""
     memo = _m22_memo
     return memo[1] if memo is not None and G == memo[0] else None
 
@@ -329,7 +358,8 @@ def is_m22_connected(
     component computation since this sits on the reduction engine's hot
     path.
 
-    Cold path (no seed): `rank2k`, then `m22_components`.
+    Cold path (no seed): `rank2k`, then `m22_components`, which reads G's
+    sorted game (_sorted_game); that game is the one the memo keeps.
 
     Warm path: `seed` is (parent, relabel), with `parent` the final game of
     a graph G was derived from (or None) and `relabel` the map of its kept
@@ -343,8 +373,8 @@ def is_m22_connected(
     the cold path.
 
     One-slot memo: the last graph found M(2,2)-connected is kept together
-    with the final game of a warm check (None after a cold one), as one
-    tuple, and a call on an equal graph (`Graph` is a frozen dataclass, so
+    with the game that decided it (the warm game, or G's sorted game after
+    a cold check), as one tuple, and a call on an equal graph (`Graph` is a frozen dataclass, so
     `==` compares n and the edge set) returns True at once.  Sound, because
     the verdict depends only on (n, E) and the slot only ever holds a graph
     that passed the full check.  Setting one reference is atomic, so
@@ -373,7 +403,7 @@ def is_m22_connected(
             return False
         if len(m22_components(G)) != 1:
             return False
-        game = None
+        game = _sorted_game(G)[0]
     else:
         parent, relabel = seed
         game = PebbleGame(G.n, 2)
@@ -445,8 +475,8 @@ def ear_decomposition(G: Graph) -> EarDecomposition | None:
     K_f and C(f,B) - f is inside B; so the choice never depends on the
     order the candidates are seen in.
 
-    One game, over the sorted edges, serves every ear: its basis B0 is B
-    at every step, so its circuits C(g,B0), read once, are all the
+    One game, G's sorted game (_sorted_game), serves every ear: its basis
+    B0 is B at every step, so its circuits C(g,B0), read once, are all the
     candidates.  Proof: a basis is the greedy basis for an order iff each
     edge g outside it comes last, in that order, in its fundamental
     circuit (Edmonds' greedy algorithm; Oxley, Matroid Theory, section
@@ -465,7 +495,7 @@ def ear_decomposition(G: Graph) -> EarDecomposition | None:
         raise ValueError("no isolated vertices allowed")
     if G.m < 2:
         return None
-    _, circuits = _basis_and_circuits(G.sorted_edges(), 2)
+    circuits = dict(_sorted_game(G)[1])  # a copy: the loop deletes from it
     if not circuits:
         return None  # independent: no circuits at all
     f, ear = next(iter(circuits.items()))

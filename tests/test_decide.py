@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from planerigidity import catalog as cat
 from planerigidity.decide import (
+    _rank_and_coloops,
     _vertex_deletion_rigid,
     certify,
     euclidean_transfer,
@@ -15,12 +18,33 @@ from planerigidity.decide import (
     sufficient_checks,
 )
 from planerigidity.geometry import NormedPlane, Placement
-from planerigidity.graphs import Graph, is_k_connected
+from planerigidity.graphs import Graph, first_cut_vertex, is_k_connected
+from planerigidity.moves import find_admissible_reduction, random_m22_graph
 from planerigidity.randomgraphs import gnp_graph
-from planerigidity.sparsity import PebbleGame, ear_decomposition, is_m22_connected, rank2k
+from planerigidity.sparsity import (
+    PebbleGame,
+    _sorted_game,
+    clear_m22_memo,
+    ear_decomposition,
+    is_circuit22,
+    is_m22_connected,
+    m22_components,
+    m22_memo_game,
+    rank2k,
+    rank_and_coloops,
+)
 
 from corpus import decision_corpus, named_graphs
-from oracles import vertex_deletion_rigid_games
+from oracles import (
+    coloops_leave_one_out,
+    components_multipass,
+    components_search,
+    ear_decomposition_games,
+    first_cut_vertex_scan,
+    is_circuit22_leave_one_out,
+    is_k_connected_cut_scan,
+    vertex_deletion_rigid_games,
+)
 
 
 @st.composite
@@ -339,3 +363,133 @@ class TestCertify:
             assert r.numeric_agreement.matches_combinatorial
             assert r.numeric_agreement.disagreeing_edges == ()
             assert "disagreeing" not in r.to_text()
+
+
+class TestPerGraphFacts:
+    """G's sorted (2,2) game and its lowpoint DFS are computed once per
+    Graph instance and read by every stage of the decision."""
+
+    @staticmethod
+    def positives():
+        walks = [random_m22_graph(steps, 700 + steps) for steps in (3, 12, 30)]
+        return [cat.k5_minus(), cat.b1(), cat.complete_bipartite(3, 6)] + walks
+
+    def test_one_sorted_game_per_decision(self, monkeypatch):
+        # a full sorted game inserts every edge of G in sorted order; the
+        # rank2k game of the cold check stops before the last edge, which a
+        # positive graph's earlier edges always span
+        played = {}
+        insert = PebbleGame.insert
+
+        def record(game, u, v):
+            played.setdefault(id(game), (game, []))[1].append((u, v))
+            return insert(game, u, v)
+
+        monkeypatch.setattr(PebbleGame, "insert", record)
+        for G in self.positives():
+            G = Graph(G.n, G.edges)  # fresh: nothing computed on it yet
+            clear_m22_memo()
+            played.clear()
+
+            def full_games():
+                return sum(
+                    game.k == 2 and seq == G.sorted_edges() for game, seq in played.values()
+                )
+
+            assert is_globally_rigid_analytic(G).globally_rigid_analytic
+            assert full_games() == 1
+            certify(G, NormedPlane(4), 3)
+            assert full_games() == 1
+
+    def test_no_reader_mutates_the_sorted_game(self, monkeypatch):
+        parents = []
+        seed = PebbleGame.seed
+
+        def record(game, parent, *args):
+            parents.append(parent)
+            return seed(game, parent, *args)
+
+        monkeypatch.setattr(PebbleGame, "seed", record)
+        for G in self.positives()[2:]:  # K5- and B1 are base graphs: no search
+            G = Graph(G.n, G.edges)
+            clear_m22_memo()
+            game, circuits = _sorted_game(G)
+            before = copy.deepcopy((vars(game), circuits))
+            ear_decomposition(G)
+            ear_decomposition(G)
+            m22_components(G)
+            assert is_m22_connected(G)  # cold: the memo keeps G's sorted game
+            assert m22_memo_game(G) is game
+            parents.clear()
+            find_admissible_reduction(G)
+            assert parents and all(p is game for p in parents)
+            assert _sorted_game(G)[0] is game
+            assert (vars(game), _sorted_game(G)[1]) == before
+
+    @staticmethod
+    def readers(G):
+        """Every reader of the per-graph facts that applies to G, by name,
+        in the order a decision reads them."""
+        out = {
+            "k1": lambda H: is_k_connected(H, 1),
+            "k2": lambda H: is_k_connected(H, 2),
+            "k3": lambda H: is_k_connected(H, 3),
+            "cut": first_cut_vertex,
+            "components": Graph.components,
+            "connected": Graph.is_connected,
+            "m22": is_m22_connected,
+            "coloops2": lambda H: _rank_and_coloops(H, 2),
+            "coloops3": lambda H: _rank_and_coloops(H, 3),
+            "vertex_deletion": _vertex_deletion_rigid,
+            "hendrickson": hendrickson_check,
+            "euclidean": is_globally_rigid_euclidean,
+            "report": lambda H: is_globally_rigid_analytic(H).to_text(),
+        }
+        if G.m >= 1 and G.min_degree() > 0:
+            out.update(m22_components=m22_components, circuit=is_circuit22, ears=ear_decomposition)
+        return out
+
+    def test_every_reader_against_a_fresh_copy_and_the_oracles(self):
+        for G in [G for G in decision_corpus(300, seed=5) if G.n >= 3]:
+            readers = self.readers(G)
+            cached = {}
+            for _ in range(2):  # the second pass reads what the first stored
+                for key, read in readers.items():
+                    clear_m22_memo()
+                    got = read(G)
+                    assert cached.setdefault(key, got) == got, key
+            for key, read in readers.items():
+                clear_m22_memo()  # each reader alone, on a graph that holds nothing yet
+                assert read(Graph(G.n, G.edges)) == cached[key], key
+            for k in (1, 2, 3):
+                assert cached[f"k{k}"] == is_k_connected_cut_scan(G, k)
+            assert cached["cut"] == first_cut_vertex_scan(G)
+            assert cached["components"] == components_search(G)
+            assert cached["connected"] == (len(components_search(G)) == 1)
+            if "ears" in cached:
+                assert cached["m22_components"] == components_multipass(G)
+                assert cached["circuit"] == is_circuit22_leave_one_out(G)
+                assert cached["ears"] == ear_decomposition_games(G)
+            for k in (2, 3):
+                rank, cols = cached[f"coloops{k}"]
+                assert (rank, cols) == rank_and_coloops(G.edges, k)
+                assert cols == coloops_leave_one_out(G.sorted_edges(), k)
+            assert cached["vertex_deletion"] == vertex_deletion_rigid_games(G)
+
+    def test_components_hands_out_copies(self):
+        G = cat.bowtie()
+        comps = G.components()
+        comps[0].add(99)
+        comps.append({7})
+        assert G.components() == [{0, 1, 2, 3, 4}]
+        assert is_k_connected(G, 1) and first_cut_vertex(G) == 0
+
+    def test_equality_and_hash_ignore_the_facts(self):
+        G = cat.complete_bipartite(3, 6)
+        H = Graph(G.n, G.edges)
+        certify(G, NormedPlane(4), 3)
+        assert {"_lowpoint_dfs", "_sorted_games"} <= vars(G).keys()
+        assert not {"_lowpoint_dfs", "_sorted_games"} & vars(H).keys()
+        assert G == H and hash(G) == hash(H) and {H: 1}[G] == 1
+        assert repr(G) == repr(H)
+        assert [f.name for f in dataclasses.fields(G)] == ["n", "edges"]

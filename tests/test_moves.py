@@ -390,8 +390,13 @@ class TestReductionEngine:
     def test_entry_checks_after_the_first_are_free(self, monkeypatch):
         # every search starts by checking the graph the previous search
         # accepted; only the first one (the input) plays games, its cold
-        # rank and component pass, and each candidate plays one warm game
-        walks = [random_m22_graph(steps, 880 + steps) for steps in range(2, 23, 4)]
+        # rank and component pass, and each candidate plays one warm game.
+        # Each walk is reduced as a fresh Graph: the generator's last check
+        # may have left its sorted game on the instance it returns
+        walks = [
+            Graph(G.n, G.edges)
+            for G in (random_m22_graph(steps, 880 + steps) for steps in range(2, 23, 4))
+        ]
         checks, components, games = [], [], []
         real_check, real_components = moves.is_m22_connected, sparsity.m22_components
         real_init = sparsity.PebbleGame.__init__
