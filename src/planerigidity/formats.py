@@ -2,7 +2,8 @@
 
 graph6 follows the standard 63-offset byte encoding (upper triangle read
 columnwise, six bits per byte); the long form for 63 <= n <= 258047 is
-supported on both ends, and the data must be exactly the bytes n needs.
+supported on both ends, the 8-byte form for larger n is refused, and the
+data must be exactly the bytes n needs.
 Edge lists are `n` on the first line then `u v`
 lines, with 0 <= n <= MAX_VERTICES (258047, graph6's own limit) and each
 edge listed once, in either orientation; blank lines and `#` comment lines
@@ -60,7 +61,20 @@ def emit_graph6(G: Graph) -> str:
     return "".join(chr(c) for c in out)
 
 
+# the offsets of the set bits of a 6-bit graph6 data value, high bit first
+_G6_SET_BITS = tuple(
+    tuple(k for k in range(6) if val >> (5 - k) & 1) for val in range(64)
+)
+
+
 def parse_graph6(text: str) -> Graph:
+    """Decode graph6; only the set bits of the data are visited.
+
+    Bit i of the data (high bit of each byte first) is the pair (u, v),
+    u < v, with i = v(v - 1)/2 + u, so v is the largest integer with
+    v(v - 1)/2 <= i: v = (1 + isqrt(8i + 1)) // 2.  Padding bits past
+    n(n - 1)/2 are ignored.
+    """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -71,6 +85,11 @@ def parse_graph6(text: str) -> Graph:
         if not 0 <= val <= 63:
             raise FormatError(f"graph6: invalid byte at position {pos}")
     if data[0] == 63:
+        if len(data) > 1 and data[1] == 63:
+            raise FormatError(
+                f"graph6: the 8-byte size form '~~' names n above {MAX_VERTICES}, "
+                "the most vertices a graph file holds"
+            )
         if len(data) < 4:
             raise FormatError("graph6: truncated long-form size")
         n = (data[1] << 12) | (data[2] << 6) | data[3]
@@ -78,22 +97,20 @@ def parse_graph6(text: str) -> Graph:
     else:
         n = data[0]
         body = data[1:]
-    need = (n * (n - 1) // 2 + 5) // 6
+    total = n * (n - 1) // 2
+    need = (total + 5) // 6
     if len(body) != need:
         raise FormatError(
             f"graph6: expected {need} data bytes for n={n}, got {len(body)}"
         )
-    bits = []
-    for val in body:
-        for k in range(5, -1, -1):
-            bits.append(val >> k & 1)
     edges = []
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
+    for pos, val in enumerate(body):
+        for k in _G6_SET_BITS[val]:
+            i = 6 * pos + k
+            if i >= total:
+                break
+            v = (1 + math.isqrt(8 * i + 1)) >> 1
+            edges.append((i - v * (v - 1) // 2, v))
     return Graph.from_edges(n, edges)
 
 

@@ -5,12 +5,13 @@ Exponents p with 1 < p < infinity keep the plane smooth and strictly
 convex.  The operator is built row-scaled, with entries d_i^(p-1).  For
 even integer p and a rational placement its rows are Python ints, built
 once with one common denominator cleared, and capped at EXACT_ENTRY_BITS
-bits per entry.  Their rank is certified by one Gauss-Jordan elimination
-modulo the prime 2^61 - 1 whenever the modular rank reaches the bound
-min(m, 2n - f), f the plane's trivial flex dimension (3 Euclidean, 2
-otherwise); a lower modular rank falls back to fraction-free (Bareiss)
-elimination over the integers.  Everything else uses numpy SVD with a
-relative tolerance.
+bits per entry.  Their rank is certified by one sparse Gauss-Jordan
+elimination modulo the prime 2^30 - 35 whenever the modular rank reaches
+the bound min(m, 2n - f), f the plane's trivial flex dimension (3
+Euclidean, 2 otherwise); a lower modular rank falls back to fraction-free
+(Bareiss) elimination over the integers.  2^30 - 35 is the largest prime
+below 2^30, so every residue is a single 30-bit digit of a Python int.
+Everything else uses numpy SVD with a relative tolerance.
 
 The same elimination gives the self-stresses (the left kernel), and a row
 can be deleted without losing rank iff some self-stress is nonzero on it.
@@ -226,9 +227,12 @@ def rigidity_operator(
 # ---------------------------------------------------------------------------
 # rank
 
-# a Mersenne prime; perfbench/reference.py checks ranks modulo 2^31 - 1, so
-# the program and its checker cannot share a prime's blind spot
-_PRIME = (1 << 61) - 1
+# 2^30 - 35, the largest prime below 2^30: every residue is one 30-bit
+# digit of a Python int, which keeps the elimination's arithmetic cheap.  Any
+# prime gives exact answers (see _exact_profile); a small one only falls back
+# to Bareiss more often.  perfbench/reference.py checks ranks modulo
+# 2^31 - 1, so the program and its checker cannot share a prime's blind spot
+_PRIME = (1 << 30) - 35
 
 
 def _bareiss_rank(rows) -> int:
@@ -265,36 +269,63 @@ def _modular_profile(rows, cols: int) -> tuple[int, frozenset[int]]:
     kernel mod p, so a free column is always stressed and a pivot column
     pk is stressed iff R[k] is nonzero on some free column.  A row is
     stressed iff deleting it keeps the rank mod p.
+
+    The transpose is kept sparse: row c of it is a dict {row index:
+    residue} of column c's nonzeros.  Each pivot updates only the rows
+    that hold its column, and only at the pivot row's keys, and a residue
+    that cancels is removed.  The rank mod p and the stressed rows do not
+    depend on which row holding column j becomes its pivot, so the
+    shortest unused one is taken, which keeps the fill-in small.  After
+    the last pivot every pivot column is zero outside its own pivot row,
+    so a pivot row's keys are its pivot column and free columns only: pk
+    is stressed iff R[k] has more than one key.
     """
     P = _PRIME
     m = len(rows)
-    T = [[row[c] % P for row in rows] for c in range(cols)]
-    pivots = []
+    T = [{} for _ in range(cols)]
+    for j, row in enumerate(rows):
+        for c, a in enumerate(row):
+            a %= P
+            if a:
+                T[c][j] = a
+    free = set(range(m))
+    unused = set(range(cols))
+    pivot_rows = []
     for j in range(m):
-        r = len(pivots)
-        if r == cols:
+        if not unused:
             break
-        piv = next((i for i in range(r, cols) if T[i][j]), None)
-        if piv is None:
+        holders = [i for i, row in enumerate(T) if j in row]
+        candidates = unused.intersection(holders)
+        if not candidates:
             continue
-        T[r], T[piv] = T[piv], T[r]
-        inv = pow(T[r][j], P - 2, P)
-        prow = T[r] = [x * inv % P for x in T[r]]
-        for i in range(cols):
-            f = T[i][j]
-            if f and i != r:
-                T[i] = [(a - f * b) % P for a, b in zip(T[i], prow)]
-        pivots.append(j)
-    free = set(range(m)).difference(pivots)
-    return len(pivots), frozenset(free).union(
-        pj for k, pj in enumerate(pivots) if any(T[k][j] for j in free)
+        k = min(candidates, key=lambda i: len(T[i]))
+        prow = T[k]
+        inv = pow(prow[j], -1, P)
+        items = [(key, b * inv % P) for key, b in prow.items()]
+        prow.update(items)
+        for i in holders:
+            if i != k:
+                row = T[i]
+                f = row[j]
+                for key, b in items:
+                    # f * b is nonzero mod p, so a cancelled key was present
+                    x = (row.get(key, 0) - f * b) % P
+                    if x:
+                        row[key] = x
+                    else:
+                        del row[key]
+        unused.remove(k)
+        free.remove(j)
+        pivot_rows.append((j, prow))
+    return len(pivot_rows), frozenset(free).union(
+        j for j, prow in pivot_rows if len(prow) > 1
     )
 
 
 def _exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int]]:
     """The exact rank of an integer operator, and rows known to be stressed.
 
-    One elimination modulo p = 2^61 - 1 (`_modular_profile`).
+    One sparse elimination modulo p = _PRIME (`_modular_profile`).
     rank_p <= rank_Q, since a nonzero minor mod p is a nonzero integer
     minor; and rank_Q <= min(m, 2n - f), with f the operator's
     `trivial_flex_dim`.  The two translations always lie in the kernel
@@ -306,7 +337,10 @@ def _exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int]]:
     fraction-free elimination (`_bareiss_rank`).  Whenever rank_p equals
     the exact rank r, a row stressed mod p keeps it, since
     r >= rank_Q(A - row) >= rank_p(A - row) = r; otherwise no row is
-    known to be stressed.
+    known to be stressed.  None of this depends on which prime p is, so p
+    is 2^30 - 35, the largest prime below 2^30, for speed: every residue
+    is one 30-bit Python digit.  A smaller prime can only make the
+    fallback run more often, never change an answer.
     """
     if not op.exact:
         raise ValueError("exact rank needs rational entries; use float mode")

@@ -7,8 +7,9 @@ end are the library's earlier many-game versions of questions it now
 answers from the fundamental circuits of one game, its ear decomposition
 with one game per ear (the library now reads every ear off the one game
 over the sorted edges), its earlier m + 1 eliminations for the deletion
-ranks of a rigidity operator, its cut scans for k-connectivity and the
-first cut vertex (one subgraph per candidate cut, where the library now
+ranks of a rigidity operator, its dense modular elimination (the library
+now eliminates a sparse transpose), its cut scans for k-connectivity and
+the first cut vertex (one subgraph per candidate cut, where the library now
 runs lowpoint DFS), its edge connectivity without the bound on each flow,
 its unit flow with a residual map over every arc (the library keeps only
 the arcs the flow uses), its circuit read by walking the reachable region
@@ -254,6 +255,38 @@ def is_circuit22_leave_one_out(G: Graph):
         return False
     edges = G.sorted_edges()
     return all(rank2k(edges[:i] + edges[i + 1:], 2) == G.m - 1 for i in range(G.m))
+
+
+def modular_profile_dense(rows, cols: int, prime: int):
+    """Rank of an integer matrix modulo prime and its stressed rows, by dense
+    Gauss-Jordan on the transpose: every pivot updates whole list rows, and
+    the first unused row holding the column is its pivot.  A free column j
+    gives the self-stress e_j - sum_k R[k][j] e_pk, so the stressed rows are
+    the free columns and each pivot column whose reduced row is nonzero on
+    a free column."""
+    P = prime
+    m = len(rows)
+    T = [[row[c] % P for row in rows] for c in range(cols)]
+    pivots = []
+    for j in range(m):
+        r = len(pivots)
+        if r == cols:
+            break
+        piv = next((i for i in range(r, cols) if T[i][j]), None)
+        if piv is None:
+            continue
+        T[r], T[piv] = T[piv], T[r]
+        inv = pow(T[r][j], P - 2, P)
+        prow = T[r] = [x * inv % P for x in T[r]]
+        for i in range(cols):
+            f = T[i][j]
+            if f and i != r:
+                T[i] = [(a - f * b) % P for a, b in zip(T[i], prow)]
+        pivots.append(j)
+    free = set(range(m)).difference(pivots)
+    return len(pivots), frozenset(free).union(
+        pj for k, pj in enumerate(pivots) if any(T[k][j] for j in free)
+    )
 
 
 def deletion_ranks_loop(op: RigidityOperator, mode: str, tol: float = 1e-9):

@@ -590,6 +590,16 @@ class TestAutoFormat:
         assert code == 1 and out == ""
         assert err == "error: graph6: expected 1 data bytes for n=4, got 4\n"
 
+    def test_graph6_eight_byte_size_form_is_refused(self):
+        # '~~' sizes name n above the long form's limit; the form used to
+        # be read as the long one and then ask for 5549042688 data bytes
+        code, out, err = run(["check", "-"], "~~??????")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: graph6: the 8-byte size form '~~' names n above 258047, "
+            "the most vertices a graph file holds\n"
+        )
+
 
 class TestParserCache:
     def test_built_once(self):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planerigidity import catalog as cat
 from planerigidity.formats import (
@@ -58,6 +59,37 @@ class TestGraph6:
         G = gnp_graph(70, 0.1, 5)
         with pytest.raises(FormatError, match="data bytes for n=70"):
             parse_graph6(emit_graph6(G) + "?")
+
+    def test_eight_byte_size_form_refused(self):
+        # '~~' starts the size form for n > 258047; it used to be read as
+        # the 4-byte form, and n = 258048 then asked for 5.5e9 data bytes
+        msg = (
+            "^graph6: the 8-byte size form '~~' names n above 258047, "
+            "the most vertices a graph file holds$"
+        )
+        for text in ("~~??????", "~~", ">>graph6<<~~?????B"):
+            with pytest.raises(FormatError, match=msg):
+                parse_graph6(text)
+        with pytest.raises(FormatError, match="truncated long-form size"):
+            parse_graph6("~}")
+
+    def test_size_form_boundary(self):
+        for n in (62, 63):
+            for G in (Graph.from_edges(n, []), cat.complete_graph(n)):
+                s = emit_graph6(G)
+                assert len(s) == (1 if n == 62 else 4) + (n * (n - 1) // 2 + 5) // 6
+                assert parse_graph6(s) == G
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_roundtrip_both_size_forms(self, data):
+        # 62 is the last one-byte size and 63 the first long form
+        n = data.draw(st.one_of(st.integers(0, 70), st.sampled_from([62, 63])))
+        density = data.draw(st.floats(0, 1))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        pairs = [(u, v) for v in range(1, n) for u in range(v)]
+        G = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+        assert parse_graph6(emit_graph6(G)) == G
 
 
 class TestEdgelist:

@@ -28,7 +28,7 @@ from planerigidity.graphs import Graph
 from planerigidity.sparsity import rank2k
 
 from corpus import decision_corpus
-from oracles import deletion_ranks_loop
+from oracles import deletion_ranks_loop, modular_profile_dense
 
 L2 = NormedPlane(2)
 L4 = NormedPlane(4)
@@ -179,6 +179,78 @@ def _corpus_frameworks(p, count=60):
     for i, G in enumerate(decision_corpus(count, seed=71)):
         pl = random_regular_placement(G, plane, 700 + i)
         yield rigidity_operator(G, pl, plane)
+
+
+def _is_prime_miller_rabin(n: int) -> bool:
+    """Deterministic for n < 3.3e24: the first twelve primes as bases."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Rows of small, huge and mostly zero ints, with one row and one
+    column zeroed when drawn; m and cols range past each other."""
+    m, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    entry = st.one_of(
+        st.just(0), st.just(0), st.integers(-10, 10), st.integers(-2**70, 2**70)
+    )
+    rows = [[draw(entry) for _ in range(cols)] for _ in range(m)]
+    if m and draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = [0] * cols
+    if cols and draw(st.booleans()):
+        c = draw(st.integers(0, cols - 1))
+        for row in rows:
+            row[c] = 0
+    return tuple(tuple(row) for row in rows), cols
+
+
+class TestModularProfile:
+    def test_prime_is_one_digit_and_not_the_reference_prime(self):
+        P = geometry._PRIME
+        assert _is_prime_miller_rabin(P)
+        assert P < 1 << 30 and P != (1 << 31) - 1
+        # the largest prime below 2^30
+        assert not any(_is_prime_miller_rabin(q) for q in range(P + 1, 1 << 30))
+        assert [q for q in range(2, 60) if _is_prime_miller_rabin(q)] == [
+            q for q in range(2, 60) if all(q % d for d in range(2, q))
+        ]
+
+    @settings(max_examples=400, deadline=None)
+    @given(_integer_matrices(), st.sampled_from([3, 5, 7, geometry._PRIME]))
+    def test_sparse_equals_dense(self, matrix, prime):
+        rows, cols = matrix
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_PRIME", prime)
+            got = geometry._modular_profile(rows, cols)
+        assert got == modular_profile_dense(rows, cols, prime)
+
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_sparse_equals_dense_on_operators(self, monkeypatch, p):
+        for prime in (geometry._PRIME, 3):
+            monkeypatch.setattr(geometry, "_PRIME", prime)
+            for op in _corpus_frameworks(p):
+                rows, cols = op.matrix, 2 * op.n
+                expect = modular_profile_dense(rows, cols, prime)
+                assert geometry._modular_profile(rows, cols) == expect, op.edges
 
 
 class TestDeletionRanks:
