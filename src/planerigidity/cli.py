@@ -25,7 +25,6 @@ from .formats import (
 from .geometry import NormedPlane, random_regular_placement, rank_of, rigidity_operator
 from .moves import MoveError, apply, base_graph, random_m22_graph, reduce_to_base
 from .randomgraphs import gnp_graph, random_regular_graph
-from .sparsity import clear_m22_memo
 
 
 def _read_text(path: str) -> str:
@@ -244,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    clear_m22_memo()  # a command's work depends on its arguments alone
     try:
         return args.func(args)
     except (FormatError, MoveError, ValueError, OSError) as exc:

@@ -34,7 +34,7 @@ from .graphs import (
 from .sparsity import (
     EarDecomposition,
     PebbleGame,
-    _coloop_rule,
+    _rank_and_coloops,
     _sorted_game,
     ear_decomposition,
     is_m22_connected,
@@ -195,12 +195,6 @@ def hendrickson_check(G: Graph) -> HendricksonReport:
     spanning = r == 2 * G.n - 2 and G.m > 0
     every_edge = G.m > 0 and not cols
     return HendricksonReport(two_conn, spanning, every_edge)
-
-
-def _rank_and_coloops(G: Graph, k: int) -> tuple[int, frozenset[Edge]]:
-    """rank_and_coloops(G.sorted_edges(), k), read off G's sorted game."""
-    game, circuits = _sorted_game(G, k)
-    return _coloop_rule(game.accepted, circuits)
 
 
 # ---------------------------------------------------------------------------

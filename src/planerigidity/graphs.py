@@ -46,8 +46,10 @@ class Graph:
         return tuple(frozenset(s) for s in nbr)
 
     # Per-instance facts, computed at most once for each Graph: like `adj`
-    # they live in the instance's __dict__, not in the fields, so == and
-    # hash ignore them, and an equal graph built elsewhere computes its own.
+    # they live in the instance's __dict__, not in the fields, so ==, hash
+    # and repr ignore them, and an equal graph built elsewhere computes its
+    # own.  `_m22_game` alone is not kept for good: a reduction search
+    # takes the game it holds.
 
     @cached_property
     def _lowpoint_dfs(self) -> tuple[list[set[int]], list[int], list[Edge]]:
@@ -60,6 +62,13 @@ class Graph:
         """k -> the game over the sorted edges and its circuits, filled
         by `sparsity._sorted_game`."""
         return {}
+
+    @cached_property
+    def _m22_game(self) -> list:
+        """[the game that found this graph M(2,2)-connected], or [] if none
+        did or the game was taken: filled by `sparsity.is_m22_connected`,
+        emptied by `sparsity.take_m22_game`."""
+        return []
 
     @property
     def m(self) -> int:

@@ -17,7 +17,7 @@ from . import catalog
 from .graphs import (
     Graph, enumerate_separations, find_isomorphism, is_isomorphic,
 )
-from .sparsity import is_m22_connected, m22_memo_game
+from .sparsity import is_m22_connected, take_m22_game
 
 FORWARD_KINDS = (
     "edge-addition",
@@ -456,17 +456,18 @@ def find_admissible_reduction(G: Graph) -> TraceStep | None:
     Candidates are tried in a fixed order (deletions, then K4--reductions,
     then edge-reductions, parameters sorted) so reductions are reproducible.
     Cheap degree filters run before the full connectivity check, which is
-    warm: each candidate's game starts from the game the entry check left
-    in the memo of is_m22_connected, relabelled by the move.  That is the
-    warm game of the search that accepted G or, for an input checked cold,
-    G's sorted game (see is_m22_connected).  The accepted candidate is
+    warm: each candidate's game starts from the game that found G
+    M(2,2)-connected, relabelled by the move.  The search takes that game
+    off G right after its entry check (see is_m22_connected), so G keeps
+    none: it is the warm game of the search that accepted G or, for an
+    input checked cold, G's sorted game.  The accepted candidate is
     applied once, and the step handed back is that application.
     """
     if not is_m22_connected(G):
         raise MoveError("input is not M(2,2)-connected")
+    parent = take_m22_game(G)
     if base_name_of(G) is not None:
         return None
-    parent = m22_memo_game(G)
     for move in _reduction_candidates(G):
         H, relabel = _apply_full(G, move)
         if is_m22_connected(H, seed=(parent, relabel)):
@@ -508,21 +509,17 @@ def reduce_to_base(G: Graph) -> ReductionTrace:
 
     Every intermediate graph is M(2,2)-connected; each move strictly
     decreases |V| + |E|, so the loop terminates.  Each step is the one
-    find_admissible_reduction hands back, so no move is applied twice.
+    find_admissible_reduction hands back, so no move is applied twice, and
+    it hands back None exactly on the base graphs, which ends the loop.
+    Each search takes the game its entry check left on its graph, so a
+    finished trace keeps no game on any of its graphs.
     """
     trace = ReductionTrace(start=G)
-    current = G
-    name = base_name_of(current)
-    # each search starts with the M(2,2) entry check; on the graph the last
-    # search accepted, the one-slot memo of is_m22_connected answers it
-    while name is None:
-        step = find_admissible_reduction(current)
-        if step is None:
-            raise MoveError("no admissible reduction found")  # cannot happen
+    while (step := find_admissible_reduction(trace.final)) is not None:
         trace.steps.append(step)
-        current = step.result
-        name = base_name_of(current)
-    trace.base = name
+    trace.base = base_name_of(trace.final)
+    if trace.base is None:
+        raise MoveError("no admissible reduction found")  # cannot happen
     return trace
 
 

@@ -250,17 +250,9 @@ def is_circuit22(G: Graph) -> bool:
     return len(circuits) == 1 and next(iter(circuits.values())) == G.edges
 
 
-def rank_and_coloops(edges, k: int) -> tuple[int, frozenset[Edge]]:
-    """The rank of the (2,k) matroid on edges, and its coloops (the edges
-    that lie in every basis), from one game (see _coloop_rule)."""
-    return _coloop_rule(
-        *_basis_and_circuits(list(dict.fromkeys(_norm_edge(*e) for e in edges)), k)
-    )
-
-
-def _coloop_rule(basis, circuits) -> tuple[int, frozenset[Edge]]:
-    """The rank and the coloops of a matroid, given one basis B and the
-    circuit C(f,B) of every edge f outside it.
+def _rank_and_coloops(G: Graph, k: int) -> tuple[int, frozenset[Edge]]:
+    """The rank of the (2,k) matroid on E and its coloops (the edges that
+    lie in every basis), read off G's sorted game.
 
     The rank is |B|.  The coloops are the edges of B that lie in no
     fundamental circuit.  A basis edge b in C(f,B) is not a coloop,
@@ -268,8 +260,9 @@ def _coloop_rule(basis, circuits) -> tuple[int, frozenset[Edge]]:
     every f outside B is spanned by B - b, so E - b has rank |B| - 1 and b
     is a coloop.
     """
+    game, circuits = _sorted_game(G, k)
     in_circuit = set().union(*circuits.values())
-    return len(basis), frozenset(b for b in basis if b not in in_circuit)
+    return game.rank, frozenset(b for b in game.accepted if b not in in_circuit)
 
 
 def fundamental_circuit(base, e: Edge, k: int = 2) -> frozenset[Edge]:
@@ -330,22 +323,13 @@ def _circuit_classes(edges, circuits) -> list[set[Edge]]:
     return classes + [{e} for e in coloops]
 
 
-# (G, game): the last graph is_m22_connected found M(2,2)-connected and the
-# game that decided it (after a cold check, G's sorted game), or None
-_m22_memo: tuple[Graph, PebbleGame] | None = None
-
-
-def clear_m22_memo() -> None:
-    """Empty the one-slot memo of is_m22_connected."""
-    global _m22_memo
-    _m22_memo = None
-
-
-def m22_memo_game(G: Graph) -> PebbleGame | None:
-    """The final game of the check that found G M(2,2)-connected, if the
-    memo holds G; None otherwise.  Do not mutate it."""
-    memo = _m22_memo
-    return memo[1] if memo is not None and G == memo[0] else None
+def take_m22_game(G: Graph) -> PebbleGame | None:
+    """The final game of the check that found G M(2,2)-connected, taken off
+    G, so that G keeps no game; None if G holds none.  Do not mutate it."""
+    try:
+        return G._m22_game.pop()  # one step, so two takers never get one game
+    except IndexError:
+        return None
 
 
 def is_m22_connected(
@@ -359,7 +343,7 @@ def is_m22_connected(
     path.
 
     Cold path (no seed): `rank2k`, then `m22_components`, which reads G's
-    sorted game (_sorted_game); that game is the one the memo keeps.
+    sorted game (_sorted_game); that game is the one G keeps.
 
     Warm path: `seed` is (parent, relabel), with `parent` the final game of
     a graph G was derived from (or None) and `relabel` the map of its kept
@@ -372,26 +356,19 @@ def is_m22_connected(
     circuits, through the same _circuit_classes.  The verdict is that of
     the cold path.
 
-    One-slot memo: the last graph found M(2,2)-connected is kept together
-    with the game that decided it (the warm game, or G's sorted game after
-    a cold check), as one tuple, and a call on an equal graph (`Graph` is a frozen dataclass, so
-    `==` compares n and the edge set) returns True at once.  Sound, because
-    the verdict depends only on (n, E) and the slot only ever holds a graph
-    that passed the full check.  Setting one reference is atomic, so
-    another thread reads the old pair or the new one, and both passed; a
-    stored game is never mutated (seeding a child only reads it), so the
-    game read with a graph is the one that decided it.  `reduce_to_base`
-    starts every search with this check on the graph the previous search
-    just accepted, so about half of its calls are such repeats, and the
-    search seeds its candidates from the stored game (m22_memo_game).  The
-    memo sits here and not in `moves`, so every search still makes its
-    entry check through this function, and a count of its calls per search
-    (the benchmark's trace derives the candidates tried that way) stays
-    true.
+    A graph that passes keeps the game that decided it (the warm game, or
+    its sorted game after a cold check) on its instance (Graph._m22_game)
+    until take_m22_game takes it, and while it does, a call on it returns
+    True at once: the instance is frozen and held a game only after it
+    passed.  `reduce_to_base` starts every search with this check on the
+    graph the previous search just accepted, which is answered so, and
+    the search seeds its candidates from the game it then takes.  The slot
+    is read here and not in `moves`, so every search still makes its entry
+    check through this function, and a count of its calls per search (the
+    benchmark's trace derives the candidates tried that way) stays true.
     """
-    global _m22_memo
-    memo = _m22_memo
-    if memo is not None and G == memo[0]:
+    slot = G._m22_game
+    if slot:
         return True
     if G.n == 0 or G.m < 2 or G.min_degree() < 3:
         return False
@@ -414,7 +391,7 @@ def is_m22_connected(
             return False
         if len(_circuit_classes(edges, circuits)) != 1:
             return False
-    _m22_memo = (G, game)
+    slot[:] = [game]
     return True
 
 

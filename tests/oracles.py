@@ -4,23 +4,25 @@ The brute-force oracles work straight from the counting definition of
 (2,k)-sparsity (|E'| <= 2|V'| - k over all vertex subsets), never through
 the pebble game, so agreement is meaningful.  The reference routines at the
 end are the library's earlier many-game versions of questions it now
-answers from the fundamental circuits of one game, its ear decomposition
-with one game per ear (the library now reads every ear off the one game
-over the sorted edges), its earlier m + 1 eliminations for the deletion
-ranks of a rigidity operator, its dense modular elimination (the library
-now eliminates a sparse transpose), its cut scans for k-connectivity and
-the first cut vertex (one subgraph per candidate cut, where the library now
-runs lowpoint DFS), its edge connectivity without the bound on each flow,
-its unit flow with a residual map over every arc (the library keeps only
-the arcs the flow uses), its circuit read by walking the reachable region
-again after a rejected insert (the library keeps what the rejecting
-searches visited), its vertex-deletion test without the edge-count filter,
-its automorphism search with its own pin setup, its forward scripts with
-one rule per reduction kind, its moves with one construction and
-relabelling per kind, its joins and separations with one relabel-and-union
-or completion rule per kind, its 2-vertex-separation scan (one subgraph per
-vertex pair) and its 3-edge-separation scan (one graph per edge triple);
-they run on graphs far past the brute-force caps.
+answers from the fundamental circuits of one game, its rank and coloops of
+an edge list in its own order (the library reads them off each graph's
+sorted game), its ear decomposition with one game per ear (the library now
+reads every ear off the one game over the sorted edges), its earlier m + 1
+eliminations for the deletion ranks of a rigidity operator, its dense
+modular elimination (the library now eliminates a sparse transpose), its
+cut scans for k-connectivity and the first cut vertex (one subgraph per
+candidate cut, where the library now runs lowpoint DFS), its edge
+connectivity without the bound on each flow, its unit flow with a residual
+map over every arc (the library keeps only the arcs the flow uses), its
+circuit read by walking the reachable region again after a rejected insert
+(the library keeps what the rejecting searches visited), its
+vertex-deletion test without the edge-count filter, its automorphism search
+with its own pin setup, its forward scripts with one rule per reduction
+kind, its moves with one construction and relabelling per kind, its joins
+and separations with one relabel-and-union or completion rule per kind, its
+2-vertex-separation scan (one subgraph per vertex pair) and its
+3-edge-separation scan (one graph per edge triple); they run on graphs far
+past the brute-force caps.
 """
 
 import itertools
@@ -238,6 +240,15 @@ def ear_decomposition_games(G: Graph):
         ears.append(ear)
         covered |= ear
     return EarDecomposition(tuple(ears))
+
+
+def rank_and_coloops(edges, k):
+    """The (2,k) rank of an edge list and its coloops, from one game in the
+    list's order: the coloops are the basis edges in no fundamental circuit
+    (the rule `sparsity._rank_and_coloops` applies to G's sorted game)."""
+    basis, circuits = _basis_and_circuits(list(dict.fromkeys(_norm_edge(*e) for e in edges)), k)
+    in_circuit = set().union(*circuits.values())
+    return len(basis), frozenset(b for b in basis if b not in in_circuit)
 
 
 def coloops_leave_one_out(edges, k):

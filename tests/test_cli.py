@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -13,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planerigidity
 from planerigidity import catalog as cat
 from planerigidity import cli
 from planerigidity.cli import main
-from planerigidity.formats import emit_edgelist, parse_graph, parse_graph6
+from planerigidity.formats import emit_edgelist, emit_graph6, parse_graph, parse_graph6
 from planerigidity.graphs import is_isomorphic
-from planerigidity.moves import KINDS, random_m22_graph
+from planerigidity.moves import KINDS, random_m22_graph, reduce_to_base
 from planerigidity.randomgraphs import gnp_graph
 
 
@@ -436,10 +438,9 @@ class TestRandom:
         b = run(["random", "--model", "m22", "--steps", "3", "--seed", "5"])
         assert a == b and a[0] == 0
         G = parse_graph(a[1])
-        from planerigidity.sparsity import clear_m22_memo, is_m22_connected
+        from planerigidity.sparsity import is_m22_connected
 
-        clear_m22_memo()  # decide G afresh, not from the generator's memo
-        assert is_m22_connected(G)
+        assert is_m22_connected(G)  # parsed afresh, so decided in full
 
     def test_gnp_and_regular(self):
         code, out, _ = run(
@@ -625,6 +626,39 @@ class TestParserCache:
         after_error = run(["check", "-", "--certificate"], text)
         assert after_error == self._fresh(["check", "-", "--certificate"], text)
         assert after_error[0] == 0 and "ear.1: " in after_error[1]
+
+
+class TestOneProcess:
+    """Commands run one after another in one process print the bytes each
+    prints in an interpreter of its own: no command leaves state behind
+    that the next one reads."""
+
+    @staticmethod
+    def alone(args, stdin_text=None):
+        env = dict(os.environ, PYTHONPATH=str(Path(planerigidity.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "planerigidity", *args],
+            input=stdin_text, capture_output=True, text=True, env=env, timeout=120,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    def test_reduce_a_b_a(self):
+        A = random_m22_graph(14, 3)
+        # B is the graph A's first step reduces to, so B's trace is A's without it
+        B = reduce_to_base(A).steps[0].result
+        requests = [emit_graph6(G) for G in (A, B, A)]
+        got = [run(["reduce", "-"], text) for text in requests]
+        assert got[0] == got[2] and got[0] != got[1]
+        for text, out in zip(requests[:2], got):
+            assert out[0] == 0 and out == self.alone(["reduce", "-"], text)
+
+    def test_random_then_check(self):
+        args = ["random", "--model", "m22", "--steps", "12", "--seed", "4"]
+        made = run(args)
+        assert made[0] == 0 and made == self.alone(args)
+        checked = run(["check", "-", "--certificate"], made[1])
+        assert checked[0] == 0 and "globally_rigid_analytic: true" in checked[1]
+        assert checked == self.alone(["check", "-", "--certificate"], made[1])
 
 
 class TestUsage:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from planerigidity import catalog as cat
 from planerigidity.decide import (
-    _rank_and_coloops,
     _vertex_deletion_rigid,
     certify,
     euclidean_transfer,
@@ -23,15 +22,14 @@ from planerigidity.moves import find_admissible_reduction, random_m22_graph
 from planerigidity.randomgraphs import gnp_graph
 from planerigidity.sparsity import (
     PebbleGame,
+    _rank_and_coloops,
     _sorted_game,
-    clear_m22_memo,
     ear_decomposition,
     is_circuit22,
     is_m22_connected,
     m22_components,
-    m22_memo_game,
     rank2k,
-    rank_and_coloops,
+    take_m22_game,
 )
 
 from corpus import decision_corpus, named_graphs
@@ -43,6 +41,7 @@ from oracles import (
     first_cut_vertex_scan,
     is_circuit22_leave_one_out,
     is_k_connected_cut_scan,
+    rank_and_coloops,
     vertex_deletion_rigid_games,
 )
 
@@ -388,7 +387,6 @@ class TestPerGraphFacts:
         monkeypatch.setattr(PebbleGame, "insert", record)
         for G in self.positives():
             G = Graph(G.n, G.edges)  # fresh: nothing computed on it yet
-            clear_m22_memo()
             played.clear()
 
             def full_games():
@@ -412,16 +410,16 @@ class TestPerGraphFacts:
         monkeypatch.setattr(PebbleGame, "seed", record)
         for G in self.positives()[2:]:  # K5- and B1 are base graphs: no search
             G = Graph(G.n, G.edges)
-            clear_m22_memo()
             game, circuits = _sorted_game(G)
             before = copy.deepcopy((vars(game), circuits))
             ear_decomposition(G)
             ear_decomposition(G)
             m22_components(G)
-            assert is_m22_connected(G)  # cold: the memo keeps G's sorted game
-            assert m22_memo_game(G) is game
+            assert is_m22_connected(G)  # cold: G keeps its sorted game
+            assert G._m22_game == [game]
             parents.clear()
             find_admissible_reduction(G)
+            assert take_m22_game(G) is None  # the search took it
             assert parents and all(p is game for p in parents)
             assert _sorted_game(G)[0] is game
             assert (vars(game), _sorted_game(G)[1]) == before
@@ -455,11 +453,10 @@ class TestPerGraphFacts:
             cached = {}
             for _ in range(2):  # the second pass reads what the first stored
                 for key, read in readers.items():
-                    clear_m22_memo()
                     got = read(G)
                     assert cached.setdefault(key, got) == got, key
             for key, read in readers.items():
-                clear_m22_memo()  # each reader alone, on a graph that holds nothing yet
+                # each reader alone, on a graph that holds nothing yet
                 assert read(Graph(G.n, G.edges)) == cached[key], key
             for k in (1, 2, 3):
                 assert cached[f"k{k}"] == is_k_connected_cut_scan(G, k)
@@ -488,8 +485,9 @@ class TestPerGraphFacts:
         G = cat.complete_bipartite(3, 6)
         H = Graph(G.n, G.edges)
         certify(G, NormedPlane(4), 3)
-        assert {"_lowpoint_dfs", "_sorted_games"} <= vars(G).keys()
-        assert not {"_lowpoint_dfs", "_sorted_games"} & vars(H).keys()
+        facts = {"_lowpoint_dfs", "_sorted_games", "_m22_game"}
+        assert facts <= vars(G).keys() and G._m22_game
+        assert not facts & vars(H).keys()
         assert G == H and hash(G) == hash(H) and {H: 1}[G] == 1
         assert repr(G) == repr(H)
         assert [f.name for f in dataclasses.fields(G)] == ["n", "edges"]

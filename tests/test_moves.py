@@ -28,7 +28,7 @@ from planerigidity.moves import (
     reduce_to_base,
     separations_of,
 )
-from planerigidity.sparsity import clear_m22_memo, is_circuit22, is_m22_connected
+from planerigidity.sparsity import is_circuit22, is_m22_connected
 
 from corpus import decision_corpus, join_pool, joined_graphs, k4_ring_graph, random_gluing
 from oracles import (
@@ -143,7 +143,6 @@ class TestOneEdit:
         rng = random.Random(14)
         for s in range(150):
             G = random_m22_graph(s % 30 + 5, 9000 + s)
-            clear_m22_memo()
             rebuild_from_trace(reduce_to_base(G))
             for v in rng.sample(range(G.n), G.n):
                 if G.degree(v) != 3:
@@ -413,17 +412,17 @@ class TestReductionEngine:
             checks.clear()
             components.clear()
             games.clear()
-            clear_m22_memo()
             steps = len(reduce_to_base(G).steps)
             assert steps > 0
             candidates = sum(1 for kw in checks if kw)
-            assert len(checks) - candidates == steps  # one entry check per search
+            # one entry check per search, the last one on the base graph
+            assert len(checks) - candidates == steps + 1
             assert components == [G]
             assert len(games) == 2 + candidates
 
     def test_warm_checks_match_cold_on_every_candidate(self, monkeypatch):
-        # each candidate is decided again from scratch, rejected ones too;
-        # the memo is put back so that the search goes on as it would have
+        # each candidate is decided again from scratch, on a fresh copy,
+        # rejected ones too, so the search goes on as it would have
         verdicts, seeded, inserts = [], [], []
         real_check, real_insert = moves.is_m22_connected, sparsity.PebbleGame.insert
 
@@ -433,10 +432,7 @@ class TestReductionEngine:
             if kw:
                 if kw["seed"][0] is not None:
                     seeded.append((G.m, len(inserts) - before))
-                memo = sparsity._m22_memo
-                clear_m22_memo()
-                verdicts.append((warm, real_check(G)))
-                sparsity._m22_memo = memo
+                verdicts.append((warm, real_check(Graph(G.n, G.edges))))
             return warm
 
         monkeypatch.setattr(moves, "is_m22_connected", warm_and_cold)
@@ -444,7 +440,6 @@ class TestReductionEngine:
             sparsity.PebbleGame, "insert", lambda *a: inserts.append(1) or real_insert(*a)
         )
         for s in range(150):
-            clear_m22_memo()
             reduce_to_base(random_m22_graph(s % 30 + 5, 9000 + s))
         warm, cold = map(list, zip(*verdicts))
         assert warm == cold
@@ -520,7 +515,7 @@ class TestReductionEngine:
             trace = reduce_to_base(G)
             assert len(trace.steps) <= G.n + G.m - 14
             for step in trace.steps:
-                clear_m22_memo()  # decide each step afresh, not from the engine's memo
+                # the search took the game each step kept, so this decides afresh
                 assert is_m22_connected(step.result)
             assert is_isomorphic(rebuild_from_trace(trace), G)
 
@@ -672,8 +667,8 @@ class TestRandomGenerator:
     def test_outputs_connected(self):
         for seed in range(10):
             G = random_m22_graph(seed % 5 + 1, seed)
-            clear_m22_memo()  # the generator's last accepted split may be G
-            assert is_m22_connected(G)
+            # fresh: the generator's last accepted split may be G, deciding it
+            assert is_m22_connected(Graph(G.n, G.edges))
 
     def test_move_preservation_seeded(self):
         # 1-extensions, edge additions, K4--extensions and accepted splits

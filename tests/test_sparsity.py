@@ -15,7 +15,8 @@ from planerigidity.moves import random_m22_graph, reduce_to_base
 from planerigidity.randomgraphs import gnp_graph
 from planerigidity.sparsity import (
     PebbleGame,
-    clear_m22_memo,
+    _rank_and_coloops,
+    _sorted_game,
     ear_decomposition,
     fundamental_circuit,
     is_circuit22,
@@ -24,7 +25,7 @@ from planerigidity.sparsity import (
     is_tight,
     m22_components,
     rank2k,
-    rank_and_coloops,
+    take_m22_game,
 )
 
 from corpus import decision_corpus
@@ -38,6 +39,7 @@ from oracles import (
     is_circuit_brute,
     is_circuit22_leave_one_out,
     is_sparse_brute,
+    rank_and_coloops,
     rank_brute,
 )
 
@@ -368,9 +370,9 @@ class TestFundamentalCircuit:
 class TestComponents:
     def test_coloops_named_examples(self):
         W = cat.wheel_graph(5)
-        assert rank_and_coloops(cat.k5_minus().edges, 2) == (8, frozenset())
-        assert rank_and_coloops(W.edges, 2) == (W.m, W.edges)
-        assert rank_and_coloops(cat.complete_graph(4).edges, 3) == (5, frozenset())
+        assert _rank_and_coloops(cat.k5_minus(), 2) == (8, frozenset())
+        assert _rank_and_coloops(W, 2) == (W.m, W.edges)
+        assert _rank_and_coloops(cat.complete_graph(4), 3) == (5, frozenset())
 
     def test_named_examples(self):
         assert len(m22_components(cat.k5_minus())) == 1
@@ -419,56 +421,73 @@ class TestM22Connected:
             assert G.min_degree() >= 3
 
 
-class TestM22Memo:
-    def test_memo_answers_only_for_an_equal_graph(self, monkeypatch):
+class TestM22VerdictOnInstance:
+    def test_verdict_answers_only_on_its_instance(self, monkeypatch):
         calls = []
         real = sparsity.m22_components
         monkeypatch.setattr(sparsity, "m22_components", lambda G: calls.append(G) or real(G))
-        clear_m22_memo()
         G = cat.b1()  # a circuit, so every G - e is independent
         H = Graph.from_edges(G.n, [((u + 1) % G.n, (v + 1) % G.n) for u, v in G.edges])
         assert H != G
         assert is_m22_connected(G) and calls == [G]
-        assert is_m22_connected(G) and calls == [G]  # answered by the memo
+        assert is_m22_connected(G) and calls == [G]  # answered by the game G keeps
         for e in G.sorted_edges():
             assert not is_m22_connected(G.remove_edge(*e))
         assert not is_m22_connected(Graph(G.n + 1, G.edges))  # isolated vertex
         assert is_m22_connected(H) and calls == [G, H]
-        assert is_m22_connected(G) and calls == [G, H, G]
+        assert is_m22_connected(G) and calls == [G, H]
+        twin = Graph(G.n, G.edges)  # equal to G, built elsewhere: decided in full
+        assert twin == G and is_m22_connected(twin) and len(calls) == 3 and calls[2] is twin
+        # the cold check keeps G's sorted game; once taken, G is decided again
+        assert take_m22_game(G) is _sorted_game(G)[0]
+        assert take_m22_game(G) is None
+        assert is_m22_connected(G) and len(calls) == 4 and calls[3] is G
 
-    def test_memo_against_no_memo(self):
+    def test_kept_verdict_against_fresh_decisions(self):
         graphs = decision_corpus(150, seed=57)
         for G in [random_m22_graph(steps, 5700 + steps) for steps in range(1, 19, 3)]:
             graphs += [G] + [step.result for step in reduce_to_base(G).steps]
-        clear_m22_memo()
         warm = [is_m22_connected(G) for G in graphs for _ in range(2)]
-        cold = []
-        for G in graphs:
-            for _ in range(2):
-                clear_m22_memo()
-                cold.append(is_m22_connected(G))
+        cold = [is_m22_connected(Graph(G.n, G.edges)) for G in graphs for _ in range(2)]
         assert warm == cold
         assert warm[::2] == [
             G.m >= 2 and G.min_degree() > 0 and len(components_multipass(G)) == 1
             for G in graphs
         ]
 
-    def test_threads_read_only_verdicts_that_passed(self):
+    def test_a_finished_reduction_keeps_no_game(self):
+        reduced = 0
+        for steps in range(0, 19, 3):
+            walk = random_m22_graph(steps, 5800 + steps)  # may keep its last split's game
+            cold = Graph(walk.n, walk.edges)
+            assert is_m22_connected(cold) and cold._m22_game
+            for G in (walk, cold):
+                trace = reduce_to_base(G)
+                reduced += len(trace.steps)
+                assert not G._m22_game
+                assert not any(step.result._m22_game for step in trace.steps)
+        assert reduced > 0
+
+    def test_threads_share_instances(self):
         graphs = decision_corpus(40, seed=58)
-        want = []
-        for G in graphs:
-            clear_m22_memo()
-            want.append(is_m22_connected(G))
+        want = [is_m22_connected(Graph(G.n, G.edges)) for G in graphs]
         assert 0 < sum(want) < len(want)
         errors = []
 
         def work(seed):
+            # every thread decides the same instances, and takes their games
+            # now and then, so that some are decided again while others read
             rng = random.Random(seed)
             try:
                 for _ in range(150):
                     j = rng.randrange(len(graphs))
-                    if is_m22_connected(graphs[j]) != want[j]:
+                    G = graphs[j]
+                    if is_m22_connected(G) != want[j]:
                         errors.append(j)
+                    if rng.random() < 0.3:
+                        game = take_m22_game(G)
+                        if game is not None and not (want[j] and game.rank == 2 * G.n - 2):
+                            errors.append((j, "game"))
             except Exception as exc:  # reported below, not lost in the thread
                 errors.append(exc)
 
@@ -530,7 +549,7 @@ class TestEarDecomposition:
         # circuit meets both
         K = cat.k5_minus()
         G = Graph.from_edges(9, list(K.edges) + [(u + 4, v + 4) for u, v in K.edges])
-        assert rank_and_coloops(G.edges, 2)[1] == frozenset()
+        assert _rank_and_coloops(G, 2)[1] == frozenset()
         assert len(m22_components(G)) == 2
         assert ear_decomposition(G) is None
 
@@ -577,7 +596,8 @@ class TestAgainstManyGameReferences:
     def test_coloops(self):
         for G in self.graphs():
             for k in (2, 3):
-                rank, cols = rank_and_coloops(G.edges, k)
+                rank, cols = _rank_and_coloops(G, k)
+                assert (rank, cols) == rank_and_coloops(G.edges, k)
                 assert cols == coloops_leave_one_out(G.edges, k)
                 # the subset search of rank_brute is affordable up to six vertices
                 assert rank == (rank_brute(G.edges, k) if G.n <= 6 else rank2k(G.edges, k))
