@@ -156,9 +156,15 @@ class RigidityOperator:
         return (len(self.matrix), 2 * self.n)
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [[float(c) for c in row] for row in self.matrix], dtype=float
-        )
+        """The entries as floats.  Exact rows carry the factor D^(p-1), so
+        at a large even p an entry can pass the largest float: that raises
+        ValueError rather than rescale, which would change float ranks."""
+        try:
+            return np.array(
+                [[float(c) for c in row] for row in self.matrix], dtype=float
+            )
+        except OverflowError:
+            raise ValueError("operator entries out of floating-point range") from None
 
     def apply(self, vector):
         """Apply to a velocity assignment given as a flat length-2n vector."""

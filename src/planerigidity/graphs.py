@@ -329,32 +329,94 @@ def _min_st_edge_cut(G: Graph, s: int, t: int, limit: int | None = None) -> int:
     return flow
 
 
+def _edge_connectivity_upto3(G: Graph) -> int:
+    """min(lambda, 3), lambda the edge connectivity (0 for n < 2), from the
+    cut-space labels of one BFS spanning tree T (Pritchard & Thurimella,
+    "Fast computation of small cuts via cycle space sampling", ACM TALG
+    7(4), 2011), kept exact as Python-int bitsets instead of sampled.
+
+    Each non-tree edge g gets its own bit, XORed into the accumulators of
+    both its ends; the tree edge (parent(v), v) gets the XOR of the
+    accumulators over the subtree of v.  So the label of a non-tree edge g
+    is {g}, and that of a tree edge is the set of non-tree edges with
+    exactly one end in the subtree, i.e. whose fundamental cycle holds it.
+    Over GF(2) the cut space is the orthogonal complement of the cycle
+    space, which the fundamental cycles span: an edge set D is a cut iff it
+    meets every fundamental cycle an even number of times, i.e. iff its
+    labels sum to 0.  Hence G - X is disconnected iff some nonempty D in X
+    has labels summing to 0.  With |X| = 1 that is a zero label (a tree
+    edge on no cycle); with |X| = 2 and no zero label it is two equal
+    labels, which are a tree edge's label equal to one bit {g}, or two
+    equal tree-edge labels (two non-tree labels are distinct bits).  If T
+    does not span, G is disconnected and lambda = 0.
+    """
+    n = G.n
+    if n < 2:
+        return 0
+    adj = G.adj
+    parent = [-1] * n
+    parent[0] = 0
+    order = [0]
+    for u in order:  # BFS: the list grows while it is read
+        for w in adj[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                order.append(w)
+    if len(order) < n:
+        return 0
+    label = [0] * n
+    bit = 1
+    for u, w in G.edges:
+        if parent[w] != u and parent[u] != w:
+            label[u] ^= bit
+            label[w] ^= bit
+            bit <<= 1
+    # children before parents: label[v] is final when v is reached
+    seen, two = set(), False
+    for v in order[:0:-1]:
+        x = label[v]
+        if not x:
+            return 1
+        if not x & (x - 1) or x in seen:
+            two = True
+        seen.add(x)
+        label[parent[v]] ^= x
+    return 2 if two else 3
+
+
 def edge_connectivity(G: Graph) -> int:
     """Size of a minimum edge cut (0 for disconnected or single-vertex).
 
-    The answer is min(delta, the least flow from vertex 0 to a vertex of
-    D - {0}), with delta the least degree and D the greedy dominating set
-    that holds 0: the vertices, in label order, that have no neighbour in D
-    so far (Matula, "Determining edge connectivity in O(nm)", FOCS 1987).
-    The edges at a vertex of least degree form a cut, and every s-t flow
-    is at least the edge connectivity lambda, so the answer is at least
-    lambda and at most delta.  When lambda < delta, let S be one side of a
-    minimum cut.  If |S| = 1 the cut is one vertex's edges and lambda >=
-    delta, so |S| >= 2; counting degrees, delta |S| <= |S| (|S| - 1) +
-    lambda < |S| (|S| - 1) + delta, so |S| > delta > lambda.  If every
-    vertex of S had a neighbour outside S the cut would have at least
-    |S| > lambda edges; so some x in S has all its neighbours in S, and the
-    member of D that dominates x (x itself or a neighbour) lies in S.  The
-    same holds for the other side, so D meets both sides, 0 lies on one,
-    and the flow from 0 to a member of D on the other is lambda.  A
-    disconnected G with delta > 0 is the case lambda = 0, with a component
-    as a side.
+    First `_edge_connectivity_upto3`, which gives min(lambda, 3) from the
+    cut-space labels of one spanning tree.  Since lambda <= delta, the
+    least degree, a value below 3 is lambda itself, and a value of 3 with
+    delta <= 3 means lambda = 3 = delta; either way it is the answer.
+    Only when delta >= 4 and lambda >= 3 do the flows below run.
+
+    The flows give min(delta, the least flow from vertex 0 to a vertex of
+    D - {0}), with D the greedy dominating set that holds 0: the vertices,
+    in label order, that have no neighbour in D so far (Matula,
+    "Determining edge connectivity in O(nm)", FOCS 1987).  The edges at a
+    vertex of least degree form a cut, and every s-t flow is at least
+    lambda, so the answer is at least lambda and at most delta.  When
+    lambda < delta, let S be one side of a minimum cut.  If |S| = 1 the cut
+    is one vertex's edges and lambda >= delta, so |S| >= 2; counting
+    degrees, delta |S| <= |S| (|S| - 1) + lambda < |S| (|S| - 1) + delta,
+    so |S| > delta > lambda.  If every vertex of S had a neighbour outside
+    S the cut would have at least |S| > lambda edges; so some x in S has
+    all its neighbours in S, and the member of D that dominates x (x itself
+    or a neighbour) lies in S.  The same holds for the other side, so D
+    meets both sides, 0 lies on one, and the flow from 0 to a member of D
+    on the other is lambda.
     Each flow is stopped once it reaches the smallest cut found so far: a
     flow at least that large cannot lower the minimum, so only min(flow,
-    best) matters, and that is what the bounded flow returns.  For n < 2
-    there is no flow to run.
+    best) matters, and that is what the bounded flow returns.
     """
-    adj, best = G.adj, G.min_degree()
+    best = G.min_degree()
+    small = _edge_connectivity_upto3(G)
+    if small < 3 or best <= 3:
+        return small
+    adj = G.adj
     dominated = set()
     for d in range(G.n):
         if d in dominated:

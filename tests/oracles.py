@@ -12,7 +12,8 @@ eliminations for the deletion ranks of a rigidity operator, its dense
 modular elimination (the library now eliminates a sparse transpose), its
 cut scans for k-connectivity and the first cut vertex (one subgraph per
 candidate cut, where the library now runs lowpoint DFS), its edge
-connectivity without the bound on each flow, its unit flow with a residual
+connectivity without the bound on each flow, and with bounded flows but no
+spanning-tree cut labels first, its unit flow with a residual
 map over every arc (the library keeps only the arcs the flow uses), its
 circuit read by walking the reachable region again after a rejected insert
 (the library keeps what the rejecting searches visited), its
@@ -32,7 +33,7 @@ from functools import lru_cache
 from planerigidity.geometry import RigidityOperator, _bareiss_rank, rank_of
 from planerigidity.graphs import (
     Graph, Separation, _bipartitions, _is_k4_part, _norm_edge, _part,
-    _wl_colors, enumerate_separations, find_isomorphism,
+    _min_st_edge_cut, _wl_colors, enumerate_separations, find_isomorphism,
 )
 from planerigidity.moves import Move, MoveError, ReductionTrace, base_graph
 from planerigidity.sparsity import EarDecomposition, PebbleGame, _basis_and_circuits, rank2k
@@ -378,6 +379,22 @@ def edge_connectivity_unpruned(G: Graph) -> int:
     if G.n < 2 or not G.is_connected():
         return 0
     return min(min_st_edge_cut_residual(G, 0, t) for t in range(1, G.n))
+
+
+def edge_connectivity_dominating_flows(G: Graph) -> int:
+    """The library's earlier `edge_connectivity`: min(delta, the bounded
+    flows from vertex 0 to each other member of the greedy dominating set),
+    run on every graph, with no spanning-tree cut labels before them."""
+    adj, best = G.adj, G.min_degree()
+    dominated = set()
+    for d in range(G.n):
+        if d in dominated:
+            continue
+        dominated.add(d)
+        dominated.update(adj[d])
+        if d:
+            best = _min_st_edge_cut(G, 0, d, best)
+    return best
 
 
 def min_st_edge_cut_residual(G: Graph, s: int, t: int, limit: int | None = None) -> int:

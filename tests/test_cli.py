@@ -305,6 +305,14 @@ class TestRank:
         )
         assert code == 0 and out == "8\n"
 
+    @pytest.mark.parametrize("p", ["64", "100", "102", "150"])
+    def test_float_mode_past_float_range_is_error_1(self, p):
+        # the exact rows carry D^(p-1); past the largest float they are
+        # refused, not rescaled, and not a traceback
+        code, out, err = run(["rank", "-", "--p", p, "--mode", "float"], "D~w\n")
+        assert code == 1 and out == ""
+        assert err == "error: operator entries out of floating-point range\n"
+
     def test_exact_mode_on_odd_p_fails_cleanly(self):
         code, _, err = run(
             ["rank", "-", "--p", "2.5", "--mode", "exact", "--seed", "3"],

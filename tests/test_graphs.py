@@ -1,14 +1,17 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from planerigidity import catalog as cat
 from planerigidity import graphs
+from planerigidity.formats import parse_graph6
 from planerigidity.graphs import (
     Graph,
+    _edge_connectivity_upto3,
     _isomorphism,
     _lowpoint_dfs,
     _min_st_edge_cut,
@@ -28,6 +31,7 @@ from oracles import (
     all_labeled_graphs,
     automorphism_with_pins,
     components_search,
+    edge_connectivity_dominating_flows,
     edge_connectivity_unpruned,
     edge_cuts_triple_scan,
     enumerate_separations_scan,
@@ -67,6 +71,22 @@ def greedy_dominating_set(G):
         if not G.adj[v] & set(D):
             D.append(v)
     return D
+
+
+BENCHMARK_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+
+
+def benchmark_graphs(workload="*"):
+    """The committed benchmark input graphs (read only), by file name."""
+    paths = sorted(BENCHMARK_INPUTS.glob(f"{workload}/*.g6"))
+    assert paths, BENCHMARK_INPUTS
+    return {p.parent.name + "/" + p.name: parse_graph6(p.read_text()) for p in paths}
+
+
+def relabelled(G, rng):
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(G.n, [(perm[u], perm[v]) for u, v in G.edges])
 
 
 def small_graphs(max_n=7):
@@ -367,6 +387,61 @@ class TestEdgeConnectivity:
             assert len(calls) <= len(D) - 1 and set(calls) <= set(D) - {0}
             assert lam == edge_connectivity_unpruned(G)
             assert len(calls) < G.n - 1
+
+    def test_cut_labels_match_unpruned(self):
+        rng = random.Random(62)
+        cases = [relabelled(G, rng) for G in graphs_up_to_iso(6) for _ in range(2)]
+        cases += decision_corpus(150, seed=63)
+        cases += [random_m22_graph(steps, 70 + steps) for steps in range(0, 60, 4)]
+        cases += [relabelled(two_cliques(k, j), rng) for k in range(2, 8) for j in range(k + 1)]
+        for G in cases:
+            assert _edge_connectivity_upto3(G) == min(edge_connectivity_unpruned(G), 3), G
+
+    @settings(max_examples=120, deadline=None)
+    @given(joined_blobs())
+    def test_joined_blobs_cut_labels_match_unpruned(self, G):
+        assert _edge_connectivity_upto3(G) == min(edge_connectivity_unpruned(G), 3)
+
+    @staticmethod
+    def count_flows(monkeypatch):
+        real, calls = graphs._min_st_edge_cut, []
+
+        def counted(G, s, t, limit=None):
+            calls.append(t)
+            return real(G, s, t, limit)
+
+        monkeypatch.setattr(graphs, "_min_st_edge_cut", counted)
+        return calls
+
+    def test_no_flows_below_min_degree_4_or_connectivity_3(self, monkeypatch):
+        calls = self.count_flows(monkeypatch)
+        cases = {f"two_cliques({k}, {j})": two_cliques(k, j) for k in range(3, 9) for j in range(3)}
+        cases.update(benchmark_graphs("check-m22"))
+        for name, G in cases.items():
+            calls.clear()
+            lam = edge_connectivity(G)
+            assert calls == [], name
+            assert G.min_degree() <= 3 or lam <= 2, name
+            assert lam == edge_connectivity_dominating_flows(G), name
+
+    def test_flows_still_run_at_min_degree_4_and_connectivity_3(self, monkeypatch):
+        # K6 passes the labels too, but vertex 0 dominates it, so the flow
+        # stage answers delta = 5 with no flow to run
+        calls = self.count_flows(monkeypatch)
+        for G, lam, flows in (
+            (two_cliques(6, 3), 3, [7]), (two_cliques(6, 4), 4, [7]),
+            (cat.complete_graph(6), 5, []),
+        ):
+            assert G.min_degree() >= 4 and _edge_connectivity_upto3(G) == 3
+            calls.clear()
+            assert edge_connectivity(G) == lam
+            assert calls == flows
+
+    def test_dominating_flows_oracle_on_corpus_and_benchmark_inputs(self):
+        cases = {f"corpus[{i}]": G for i, G in enumerate(decision_corpus(300, seed=5))}
+        cases.update(benchmark_graphs())
+        for name, G in cases.items():
+            assert edge_connectivity(G) == edge_connectivity_dominating_flows(G), name
 
     @settings(max_examples=80, deadline=None)
     @given(small_graphs(7))
