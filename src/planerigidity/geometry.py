@@ -5,18 +5,22 @@ Exponents p with 1 < p < infinity keep the plane smooth and strictly
 convex.  The operator is built row-scaled, with entries d_i^(p-1).  For
 even integer p and a rational placement its rows are Python ints, built
 once with one common denominator cleared, and capped at EXACT_ENTRY_BITS
-bits per entry.  Their rank is certified by one sparse Gauss-Jordan
-elimination modulo the prime 2^30 - 35 whenever the modular rank reaches
-the bound min(m, 2n - f), f the plane's trivial flex dimension (3
-Euclidean, 2 otherwise); a lower modular rank falls back to fraction-free
-(Bareiss) elimination over the integers.  2^30 - 35 is the largest prime
-below 2^30, so every residue is a single 30-bit digit of a Python int.
-Everything else uses numpy SVD with a relative tolerance.
+bits per entry.  Their rank is split along the graph: each bridge adds
+one, and the connected pieces between the bridges add their ranks.  A
+piece's rank is certified by one sparse Gauss-Jordan elimination modulo
+the prime 2^30 - 35 whenever its modular rank reaches its bound
+min(m, 2n - f), f the plane's trivial flex dimension (3 Euclidean, 2
+otherwise); a lower modular rank falls back to fraction-free (Bareiss)
+elimination of that piece over the integers.  2^30 - 35 is the largest
+prime below 2^30, so every residue is a single 30-bit digit of a Python
+int.  Everything else uses numpy SVD with a relative tolerance; the float
+rows of a rational placement are computed from the same integer
+differences.
 
-The same elimination gives the self-stresses (the left kernel), and a row
+The same eliminations give the self-stresses (the left kernel), and a row
 can be deleted without losing rank iff some self-stress is nonzero on it.
 So `deletion_ranks` answers the rank of the operator and of the operator
-minus each row from that one elimination (exact mode) or one SVD (float
+minus each row from those eliminations (exact mode) or one SVD (float
 mode), and only the rows that the modular answer cannot settle are
 eliminated again.
 """
@@ -27,6 +31,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -137,8 +142,8 @@ class RigidityOperator:
     `exact` is set when the plane is exactable and the placement rational.
     The entries are then Python ints: every coordinate is multiplied by D,
     the lcm of all coordinate denominators, so every row is the rational
-    one times the same D^(p-1), and one elimination of these rows gives
-    the rank and the stressed rows (`_exact_profile`).  An entry may have
+    one times the same D^(p-1), and one elimination per piece of these
+    rows gives the rank and the stressed rows (`_exact_profile`).  An entry may have
     at most EXACT_ENTRY_BITS bits, so an even p such as 1e20 is refused.
     Otherwise the entries are floats.  `trivial_flex_dim` is that of the
     plane it was built in (2 unless set); it bounds the rank by
@@ -181,9 +186,16 @@ class RigidityOperator:
 EXACT_ENTRY_BITS = 1 << 12
 
 
-def _float_functional(d, plane: NormedPlane) -> tuple[float, float]:
-    """The support functional of d times |d|^(p-2), in floating point."""
+def _float_functional(d, plane: NormedPlane, D: int = 1) -> tuple[float, float]:
+    """The support functional of d / D times |d / D|^(p-2), in floating point.
+
+    d may be a difference of D-scaled integer coordinates: it is divided by
+    D here, inside the guard, because an int true division past the largest
+    float raises OverflowError.  Int true division is correctly rounded, so
+    d_i / D is the float of the rational difference, as float(Fraction) gives.
+    """
     try:
+        d = (d[0] / D, d[1] / D)
         phi = support_functional(d, plane)
         s = plane.norm(d) ** (plane.p - 2)
         phi = (phi[0] * s, phi[1] * s)
@@ -200,17 +212,27 @@ def rigidity_operator(
     G: Graph, placement: Placement, plane: NormedPlane
 ) -> RigidityOperator:
     """The row-scaled operator (see `RigidityOperator`); exact entries past
-    EXACT_ENTRY_BITS bits and float entries that overflow raise ValueError."""
+    EXACT_ENTRY_BITS bits and float entries that overflow raise ValueError.
+
+    A rational placement is first scaled by D, the lcm of its coordinate
+    denominators, to integer coordinates, and every edge difference is an
+    integer difference of those.  Exact rows are its powers.  Float rows
+    divide it by D once (`_float_functional`): the rational difference is
+    that quotient, so each entry is computed from the same correctly
+    rounded floats as from the Fraction difference, bit for bit, without
+    Fraction arithmetic.  A float placement takes its float differences.
+    """
     if placement.n != G.n:
         raise ValueError("placement size does not match the graph")
     rows = []
     edges = tuple(G.sorted_edges())
     exact = plane.exactable and placement.exact
-    coords = placement.coords
-    if exact:
-        q = int(plane.p) - 1
+    coords, D = placement.coords, 1
+    if placement.exact:
         D = math.lcm(*(c.denominator for xy in coords for c in xy))
         coords = [tuple(c.numerator * (D // c.denominator) for c in xy) for xy in coords]
+    if exact:
+        q = int(plane.p) - 1
         # a difference of two coordinates of at most b bits has at most b + 1
         bits = max((abs(c).bit_length() for xy in coords for c in xy), default=0)
         if q * (bits + 1) > EXACT_ENTRY_BITS:
@@ -222,7 +244,7 @@ def rigidity_operator(
         d = (pv[0] - pu[0], pv[1] - pu[1])
         if d == (0, 0):
             raise ValueError(f"coincident endpoints on edge ({u},{v})")
-        phi = (d[0] ** q, d[1] ** q) if exact else _float_functional(d, plane)
+        phi = (d[0] ** q, d[1] ** q) if exact else _float_functional(d, plane, D)
         row = [0] * (2 * G.n)
         row[2 * u], row[2 * u + 1] = -phi[0], -phi[1]
         row[2 * v], row[2 * v + 1] = phi[0], phi[1]
@@ -331,30 +353,64 @@ def _modular_profile(rows, cols: int) -> tuple[int, frozenset[int]]:
 def _exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int]]:
     """The exact rank of an integer operator, and rows known to be stressed.
 
-    One sparse elimination modulo p = _PRIME (`_modular_profile`).
+    The operator is split along its edge graph first.  The row of edge uv
+    is nonzero only in the columns of u and v (see `RigidityOperator`).
+    - A bridge's row is a coloop at every placement: its functional phi
+      is nonzero, as the endpoints differ, so translate the far side of
+      the bridge by some t with phi . t != 0.  Every other row has both
+      ends on one side, so this motion is in its kernel, and not in the
+      bridge row's.  So the bridges add one each to the rank and lie in
+      no self-stress.
+    - The other rows fall into the connected pieces of G - bridges.  These
+      use disjoint columns, so their ranks and their self-stresses add.
+    Each piece B (m_B rows on n_B vertices) is eliminated alone, modulo
+    p = _PRIME (`_modular_profile`), on its own columns.
     rank_p <= rank_Q, since a nonzero minor mod p is a nonzero integer
-    minor; and rank_Q <= min(m, 2n - f), with f the operator's
-    `trivial_flex_dim`.  The two translations always lie in the kernel
-    (f = 2).  In the Euclidean plane (f = 3) so does the rotation field
-    v_i = (-y_i, x_i): the row of edge uv is d = p_v - p_u, and
+    minor; and rank_Q <= min(m_B, 2n_B - f), with f the operator's
+    `trivial_flex_dim`.  The two translations of B always lie in its
+    kernel (f = 2).  In the Euclidean plane (f = 3) so does the rotation
+    field v_i = (-y_i, x_i): the row of edge uv is d = p_v - p_u, and
     d . (J p_v - J p_u) = d . J d = 0.  It is not a translation, because
     the endpoints of an edge never coincide.  So a modular rank that
-    reaches min(m, 2n - f) is the exact rank; a lower one is recomputed by
-    fraction-free elimination (`_bareiss_rank`).  Whenever rank_p equals
-    the exact rank r, a row stressed mod p keeps it, since
-    r >= rank_Q(A - row) >= rank_p(A - row) = r; otherwise no row is
-    known to be stressed.  None of this depends on which prime p is, so p
-    is 2^30 - 35, the largest prime below 2^30, for speed: every residue
-    is one 30-bit Python digit.  A smaller prime can only make the
+    reaches min(m_B, 2n_B - f) is the exact rank of B; a lower one is
+    recomputed by fraction-free elimination (`_bareiss_rank`) of B alone.
+    Whenever rank_p equals B's exact rank r, a row stressed mod p keeps
+    it, since r >= rank_Q(B - row) >= rank_p(B - row) = r; otherwise no
+    row of B is known to be stressed.  None of this depends on which prime
+    p is, so p is 2^30 - 35, the largest prime below 2^30, for speed: every
+    residue is one 30-bit Python digit.  A smaller prime can only make the
     fallback run more often, never change an answer.
     """
     if not op.exact:
         raise ValueError("exact rank needs rational entries; use float mode")
-    rank_p, stressed = _modular_profile(op.matrix, 2 * op.n)
-    if rank_p == min(len(op.matrix), 2 * op.n - op.trivial_flex_dim):
-        return rank_p, stressed
-    rank = _bareiss_rank(op.matrix)
-    return rank, stressed if rank == rank_p else frozenset()
+    G = Graph.from_edges(op.n, op.edges)
+    comps, _, bridges = G._lowpoint_dfs
+    bridges = set(bridges)
+    if bridges:
+        comps = Graph(op.n, G.edges - bridges)._lowpoint_dfs[0]
+    piece_of = [0] * op.n
+    for b, comp in enumerate(comps):
+        for v in comp:
+            piece_of[v] = b
+    piece_rows = [[] for _ in comps]
+    for i, e in enumerate(op.edges):
+        if e not in bridges:
+            piece_rows[piece_of[e[0]]].append(i)
+    rank, stressed = len(bridges), set()
+    for comp, rows in zip(comps, piece_rows):
+        if not rows:
+            continue
+        pick = itemgetter(*(c for v in comp for c in (2 * v, 2 * v + 1)))
+        block = [pick(op.matrix[i]) for i in rows]
+        cols = 2 * len(comp)
+        rank_p, block_stressed = _modular_profile(block, cols)
+        rank_q = rank_p
+        if rank_p < min(len(rows), cols - op.trivial_flex_dim):
+            rank_q = _bareiss_rank(block)
+        rank += rank_q
+        if rank_q == rank_p:
+            stressed.update(rows[j] for j in block_stressed)
+    return rank, frozenset(stressed)
 
 
 def _check_tol(tol: float) -> None:
@@ -407,9 +463,15 @@ def deletion_ranks(
     float mode too: the singular values of A - row interlace those of A,
     so its m - 1 largest stay above tol times its largest).
 
-    Exact mode takes the rank and the stressed rows from one elimination
-    (`_exact_profile`); any row it does not find stressed is confirmed by
-    `rank_of` on the operator without it.
+    Exact mode takes the rank and the stressed rows from `_exact_profile`;
+    any row it does not find stressed is confirmed by `rank_of` on the
+    operator without it, which splits that operator again.  The deletion
+    leaves every other piece as it was; a bridge leaves nothing to
+    eliminate, an independent piece stays independent, and a piece that
+    loses a coloop may split at new bridges (two edges that cut a piece
+    are each a coloop, and deleting one leaves the other a bridge).  So a
+    confirmation falls back to Bareiss only when the deletion leaves a
+    connected, bridgeless piece below its bound.
 
     Float mode takes the rank from `rank_of` and runs one SVD of the
     row-normalised array: row i counts as stressed iff row i of U[:, r:],

@@ -3,11 +3,15 @@
 import itertools
 import random
 from functools import lru_cache
+from pathlib import Path
 
 from planerigidity import catalog as cat
 from planerigidity.graphs import Graph
 from planerigidity.randomgraphs import gnp_graph, random_regular_graph
 from planerigidity.moves import join, random_m22_graph
+
+# the committed benchmark inputs, read only
+BENCHMARK_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
 def k4_ring_graph() -> Graph:

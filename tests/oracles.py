@@ -10,6 +10,8 @@ sorted game), its ear decomposition with one game per ear (the library now
 reads every ear off the one game over the sorted edges), its earlier m + 1
 eliminations for the deletion ranks of a rigidity operator, its dense
 modular elimination (the library now eliminates a sparse transpose), its
+float operator rows from Fraction differences (the library now divides
+integer differences of the scaled coordinates), its
 cut scans for k-connectivity and the first cut vertex (one subgraph per
 candidate cut, where the library now runs lowpoint DFS), its edge
 connectivity without the bound on each flow, and with bounded flows but no
@@ -30,7 +32,7 @@ import itertools
 from collections import deque
 from functools import lru_cache
 
-from planerigidity.geometry import RigidityOperator, _bareiss_rank, rank_of
+from planerigidity.geometry import RigidityOperator, _bareiss_rank, rank_of, support_functional
 from planerigidity.graphs import (
     Graph, Separation, _bipartitions, _is_k4_part, _norm_edge, _part,
     _min_st_edge_cut, _wl_colors, enumerate_separations, find_isomorphism,
@@ -318,6 +320,24 @@ def deletion_ranks_loop(op: RigidityOperator, mode: str, tol: float = 1e-9):
         ))
         for i in range(len(rows))
     )
+
+
+def float_rows_by_fractions(G: Graph, placement, plane):
+    """The float rows of the rigidity operator, each edge difference taken
+    in the placement's own numbers (Fractions for a rational placement) and
+    every entry the support functional of d times |d|^(p-2)."""
+    rows = []
+    for u, v in G.sorted_edges():
+        pu, pv = placement.coords[u], placement.coords[v]
+        d = (pv[0] - pu[0], pv[1] - pu[1])
+        phi = support_functional(d, plane)
+        s = plane.norm(d) ** (plane.p - 2)
+        phi = (phi[0] * s, phi[1] * s)
+        row = [0] * (2 * G.n)
+        row[2 * u], row[2 * u + 1] = -phi[0], -phi[1]
+        row[2 * v], row[2 * v + 1] = phi[0], phi[1]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,20 @@ class TestCertify:
         assert code == 1 and out == "" and err == message
 
     @pytest.mark.parametrize("cmd", ["rank", "certify"])
+    @pytest.mark.parametrize("p", ["3", "2.5"])
+    def test_integer_coordinate_past_float_range_is_error_1(self, tmp_path, cmd, p):
+        # a rational placement's float rows divide integer differences,
+        # which raises OverflowError past the largest float
+        ppath = tmp_path / "pl.txt"
+        ppath.write_text(f"0 1{'0' * 400} 0\n1 1 2\n2 3 5\n")
+        code, out, err = run(
+            [cmd, "-", "--p", p, "--placement", str(ppath)],
+            emit_edgelist(cat.cycle_graph(3)),
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: p = {p}: operator entries out of floating-point range\n"
+
+    @pytest.mark.parametrize("cmd", ["rank", "certify"])
     @pytest.mark.parametrize("lines, message", [
         # K5- has vertices 0..4; a second line for vertex 0 used to win
         (["0 0 0", "0 7 1", "1 1 0", "2 0 1", "3 2 3", "4 3 5"],

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from planerigidity import catalog as cat
 from planerigidity import decide, geometry
 from planerigidity.decide import certify
+from planerigidity.formats import parse_graph6, parse_placement
 from planerigidity.geometry import (
     NormedPlane,
     Placement,
+    _bareiss_rank,
     cut_vertex_counterexample,
     deletion_ranks,
     equivalent_exactly,
@@ -27,8 +29,8 @@ from planerigidity.geometry import (
 from planerigidity.graphs import Graph
 from planerigidity.sparsity import rank2k
 
-from corpus import decision_corpus
-from oracles import deletion_ranks_loop, modular_profile_dense
+from corpus import BENCHMARK_INPUTS, decision_corpus
+from oracles import deletion_ranks_loop, float_rows_by_fractions, modular_profile_dense
 
 L2 = NormedPlane(2)
 L4 = NormedPlane(4)
@@ -144,6 +146,53 @@ class TestOperator:
         pl = Placement(((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))))
         with pytest.raises(ValueError):
             rigidity_operator(G, pl, L4)
+
+
+def _distinct_pairs(coords):
+    n = len(coords)
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if coords[u] != coords[v]]
+
+
+# small and huge rationals: a float of a quotient of big ints is rounded
+# once, so both ways of taking it must give the same bits
+_RATIONALS = st.one_of(
+    st.integers(-60, 60),
+    st.fractions(-100, 100, max_denominator=1000),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**25)),
+)
+
+
+class TestFloatRows:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(_RATIONALS, _RATIONALS), min_size=2, max_size=7),
+        st.sampled_from([3, 5, 2.5]),
+    )
+    def test_rational_placement_rows_equal_fraction_rows(self, coords, p):
+        plane = NormedPlane(p)
+        G = Graph.from_edges(len(coords), _distinct_pairs(coords))
+        pl = Placement(tuple(coords))
+        op = rigidity_operator(G, pl, plane)
+        assert not op.exact
+        assert op.matrix == float_rows_by_fractions(G, pl, plane)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1e6, 1e6), st.one_of(st.floats(-1e6, 1e6), _RATIONALS)),
+            min_size=2, max_size=7,
+        ),
+        st.sampled_from([2, 3, 4, 2.5]),
+    )
+    def test_float_placement_rows_are_unchanged(self, coords, p):
+        # a placement with a float coordinate takes each difference in its
+        # own numbers, as before
+        plane = NormedPlane(p)
+        G = Graph.from_edges(len(coords), _distinct_pairs(coords))
+        pl = Placement(tuple(coords))
+        op = rigidity_operator(G, pl, plane)
+        assert not op.exact
+        assert op.matrix == float_rows_by_fractions(G, pl, plane)
 
 
 class TestRank:
@@ -361,6 +410,83 @@ class TestDeletionRanks:
         op = rigidity_operator(Graph.from_edges(3, []), Placement(((0, 0),) * 3), L4)
         assert deletion_ranks(op, "exact") == (0, ())
         assert deletion_ranks(op, "float") == (0, ())
+
+
+@st.composite
+def _grid_frameworks(draw):
+    """Up to nine vertices on a 4 x 3 grid of halves, so that collinear
+    points and parallel and axis-aligned edges are common, and random edges
+    between distinct points, so that bridges, several components and
+    isolated vertices are common too."""
+    n = draw(st.integers(1, 9))
+    coord = st.builds(Fraction, st.integers(0, 3), st.sampled_from([1, 2]))
+    coords = tuple((draw(coord), draw(coord)) for _ in range(n))
+    pairs = _distinct_pairs(coords)
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    return Graph.from_edges(n, edges), Placement(coords)
+
+
+def _counted_bareiss(monkeypatch):
+    calls = []
+    bareiss = geometry._bareiss_rank
+    monkeypatch.setattr(
+        geometry, "_bareiss_rank", lambda rows: calls.append(1) or bareiss(rows)
+    )
+    return calls
+
+
+class TestSplitProfile:
+    @settings(max_examples=300, deadline=None)
+    @given(_grid_frameworks(), st.sampled_from([2, 4, 6]), st.sampled_from([geometry._PRIME, 3]))
+    def test_matches_whole_matrix_bareiss(self, framework, p, prime):
+        # mod 3 many pieces fall short of their bound, so the per-piece
+        # fallback runs too
+        G, pl = framework
+        op = rigidity_operator(G, pl, NormedPlane(p))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_PRIME", prime)
+            rank, stressed = geometry._exact_profile(op)
+            ranks = deletion_ranks(op, "exact")
+        rows = op.matrix
+        assert rank == _bareiss_rank(rows)
+        for i in stressed:
+            assert _bareiss_rank(rows[:i] + rows[i + 1:]) == rank, (op.edges, i)
+        assert ranks == deletion_ranks_loop(op, "exact")
+
+    def test_no_bareiss_on_the_benchmark_p4_inputs(self, monkeypatch):
+        calls = _counted_bareiss(monkeypatch)
+        d = BENCHMARK_INPUTS / "certify-lp"
+        ops = []
+        for line in (d / "requests.txt").read_text().splitlines():
+            graph, placement, p = line.split()
+            if p == "4":
+                G = parse_graph6((d / graph).read_text())
+                pl = parse_placement((d / placement).read_text())
+                ops.append(rigidity_operator(G, pl, L4))
+        assert len(ops) == 40
+        got = [deletion_ranks(op, "exact") for op in ops]
+        assert calls == []
+        assert got == [deletion_ranks_loop(op, "exact") for op in ops]
+
+    def test_no_bareiss_on_k8_plus_a_path(self, monkeypatch):
+        # the 22 path edges are bridges and K8 reaches 2n - 2 = 14: rank 36
+        calls = _counted_bareiss(monkeypatch)
+        G = Graph.from_edges(
+            30, list(cat.complete_graph(8).edges) + [(7 + i, 8 + i) for i in range(22)]
+        )
+        op = rigidity_operator(G, random_regular_placement(G, L4, 1), L4)
+        assert deletion_ranks(op, "exact") == (36, (36,) * 28 + (35,) * 22)
+        assert calls == []
+
+    def test_euclidean_one_sum_still_falls_back(self, monkeypatch):
+        # two K4s sharing a vertex: no bridge, one piece, and rank 10 below
+        # its bound min(12, 2n - 3 = 11), so Bareiss must answer
+        calls = _counted_bareiss(monkeypatch)
+        G = cat.two_k4_shared_vertex()
+        op = rigidity_operator(G, random_regular_placement(G, L2, 1), L2)
+        got = deletion_ranks(op, "exact")
+        assert calls
+        assert got == deletion_ranks_loop(op, "exact") == (10, (10,) * 12)
 
 
 class TestRigidityPredicates:

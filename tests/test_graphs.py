@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +25,7 @@ from planerigidity.graphs import (
 from planerigidity.moves import random_m22_graph
 from planerigidity.randomgraphs import gnp_graph
 
-from corpus import decision_corpus, joined_graphs, k4_ring_graph
+from corpus import BENCHMARK_INPUTS, decision_corpus, joined_graphs, k4_ring_graph
 from oracles import (
     all_labeled_graphs,
     automorphism_with_pins,
@@ -71,9 +70,6 @@ def greedy_dominating_set(G):
         if not G.adj[v] & set(D):
             D.append(v)
     return D
-
-
-BENCHMARK_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
 def benchmark_graphs(workload="*"):
