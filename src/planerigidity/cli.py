@@ -17,10 +17,13 @@ from .decide import certify, is_globally_rigid_analytic
 from .formats import (
     FormatError,
     MoveScript,
+    ear_decomposition_text,
     emit_graph,
     emit_move_script,
+    emit_placement,
     parse_graph,
     parse_move_script,
+    parse_placement,
 )
 from .geometry import NormedPlane, random_regular_placement, rank_of, rigidity_operator
 from .moves import MoveError, apply, base_graph, random_m22_graph, reduce_to_base
@@ -39,8 +42,6 @@ def _load_graph(path: str, fmt: str):
 
 
 def _cmd_check(args) -> int:
-    from .formats import ear_decomposition_text
-
     G = _load_graph(args.graph, args.format)
     report = is_globally_rigid_analytic(G)
     print(report.to_text())
@@ -67,12 +68,10 @@ def _cmd_build(args) -> int:
 
 
 def _placement_for(args, G, plane):
-    from .formats import emit_placement, parse_placement
-
     if args.placement:
         placement = parse_placement(_read_text(args.placement))
         if placement.n != G.n:
-            raise MoveError("placement does not cover the graph's vertices")
+            raise ValueError("placement does not cover the graph's vertices")
     else:
         placement = random_regular_placement(G, plane, args.seed)
     if args.save_placement:

@@ -138,10 +138,8 @@ def is_globally_rigid_analytic(G: Graph) -> RigidityReport:
             str(cut) if cut is not None else "disconnected"
         )
     if report.m22_connected:
-        ed = ear_decomposition(G)
-        if ed is not None:
-            report.reasons["ear_decomposition"] = _ears_text(ed)
-            report.ear_certificate = ed
+        report.ear_certificate = ear_decomposition(G)  # not None: see there
+        report.reasons["ear_decomposition"] = _ears_text(report.ear_certificate)
     else:
         if G.min_degree() == 0 or G.m < 2:
             report.reasons["degenerate"] = "isolated vertex or fewer than 2 edges"
@@ -234,8 +232,8 @@ def sufficient_checks(G: Graph) -> tuple[list[str], list[str]]:
             notes.append(
                 f"transitivity check skipped (n > {TRANSITIVITY_CAP})"
             )
-    # graph-or-complement window; fires only when the conclusion lands on G
-    if delta >= 4 and Delta <= G.n - 5 and two_conn and lam >= 4:
+    # graph-or-complement window landing on G (lam >= 4 gives delta >= 4)
+    if Delta <= G.n - 5 and two_conn and lam >= 4:
         fired.append("complement_window")
     # spectral condition: algebraic connectivity above 4/(delta+1)
     if two_conn and delta >= 5:
@@ -359,10 +357,8 @@ def certify(
     edge_ranks = dict(zip(op.edges, row_ranks))
     inf_rigid_num = rank == target
     redundant_num = all(r == target for r in edge_ranks.values())
-
-    k = 3 if plane.euclidean else 2
-    comb_rank, cols = _rank_and_coloops(G, k)
-    spanning_tight = comb_rank == 2 * G.n - k
+    comb_rank, cols = _rank_and_coloops(G, plane.trivial_flex_dim)
+    spanning_tight = comb_rank == target
     agree = (inf_rigid_num == spanning_tight) and (
         redundant_num == (spanning_tight and not cols)
     )

@@ -161,15 +161,17 @@ class RigidityOperator:
         return (len(self.matrix), 2 * self.n)
 
     def as_array(self) -> np.ndarray:
-        """The entries as floats.  Exact rows carry the factor D^(p-1), so
-        at a large even p an entry can pass the largest float: that raises
-        ValueError rather than rescale, which would change float ranks."""
+        """The entries as floats, each row divided by its largest absolute
+        entry: every float rank and self-stress reads this one array, which
+        a positive row scaling leaves valid (see above).  No row is zero:
+        coincident endpoints are refused, and `_float_functional` refuses a
+        row that underflows.  Scaling after the float conversion keeps an
+        exact entry past the largest float (a large even p) a ValueError."""
         try:
-            return np.array(
-                [[float(c) for c in row] for row in self.matrix], dtype=float
-            )
+            A = np.array([[float(c) for c in row] for row in self.matrix], dtype=float)
         except OverflowError:
             raise ValueError("operator entries out of floating-point range") from None
+        return A / np.abs(A).max(axis=1, keepdims=True) if A.size else A
 
     def apply(self, vector):
         """Apply to a velocity assignment given as a flat length-2n vector."""
@@ -425,9 +427,9 @@ def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int
     """Rank of the operator; exact (`_exact_profile`) or SVD.
 
     Exact mode requires an exact operator (an exactable plane and a
-    rational placement).  Float mode counts singular values above tol
-    times the largest.  Raises ValueError unless 0 < tol < 1 (finite), in
-    either mode.
+    rational placement).  Float mode counts the singular values of
+    `as_array` above tol times the largest, which is at least 1, as every
+    row holds an entry ±1.  Raises ValueError unless 0 < tol < 1 (finite).
     """
     _check_tol(tol)
     if not op.matrix:
@@ -436,8 +438,6 @@ def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int
         return _exact_profile(op)[0]
     if mode == "float":
         sv = np.linalg.svd(op.as_array(), compute_uv=False)
-        if sv.size == 0 or sv[0] == 0.0:
-            return 0
         return int(np.sum(sv > tol * sv[0]))
     raise ValueError(f"unknown rank mode {mode!r}")
 
@@ -473,10 +473,11 @@ def deletion_ranks(
     confirmation falls back to Bareiss only when the deletion leaves a
     connected, bridgeless piece below its bound.
 
-    Float mode takes the rank from `rank_of` and runs one SVD of the
-    row-normalised array: row i counts as stressed iff row i of U[:, r:],
-    the left singular vectors beyond the rank, has norm above tol.  Raises
-    ValueError unless 0 < tol < 1 (finite), as rank_of does.
+    Float mode takes the rank from `rank_of` and runs one full SVD of the
+    same row-scaled array DA (`RigidityOperator.as_array`; a self-stress w
+    of A is the self-stress D^-1 w of DA): row i counts as stressed iff row
+    i of U[:, r:], the left singular vectors beyond the rank, has norm
+    above tol.  Raises ValueError unless 0 < tol < 1, as rank_of does.
     """
     _check_tol(tol)
     m = len(op.matrix)
@@ -487,9 +488,7 @@ def deletion_ranks(
     if rank == m:
         return rank, (rank - 1,) * m
     if mode == "float":
-        A = op.as_array()
-        A /= np.linalg.norm(A, axis=1, keepdims=True)
-        U = np.linalg.svd(A)[0]
+        U = np.linalg.svd(op.as_array())[0]
         weight = np.linalg.norm(U[:, rank:], axis=1)
         return rank, tuple(rank if w > tol else rank - 1 for w in weight)
     return rank, tuple(

@@ -81,7 +81,7 @@ class Graph:
         return len(self.adj[v])
 
     def min_degree(self) -> int:
-        return min((self.degree(v) for v in range(self.n)), default=0)
+        return min(map(len, self.adj), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges

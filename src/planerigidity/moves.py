@@ -462,12 +462,17 @@ def find_admissible_reduction(G: Graph) -> TraceStep | None:
     none: it is the warm game of the search that accepted G or, for an
     input checked cold, G's sorted game.  The accepted candidate is
     applied once, and the step handed back is that application.
+
+    The search ends where its candidates run out.  They read degrees and
+    adjacency only, and there are none on any copy of K5- or B1: m < 2n
+    (no edge-deletion), every edge has two or more common neighbours (no
+    edge-reduction), and no adjacent degree-3 pair has non-adjacent common
+    neighbours (no K4--reduction).  Every other M(2,2)-connected graph has
+    an admissible reduction by the paper's construction theorem.
     """
     if not is_m22_connected(G):
         raise MoveError("input is not M(2,2)-connected")
     parent = take_m22_game(G)
-    if base_name_of(G) is not None:
-        return None
     for move in _reduction_candidates(G):
         H, relabel = _apply_full(G, move)
         if is_m22_connected(H, seed=(parent, relabel)):
@@ -590,6 +595,6 @@ def _random_split(G: Graph, rng: random.Random) -> Graph:
             continue
         x = rng.choice(cands)
         H = apply(G, Move("generalized-vertex-split", (v, x, *n2)))
-        if H.min_degree() >= 3 and is_m22_connected(H):
+        if is_m22_connected(H):
             return H
     return apply(G, Move("k4minus-extension", rng.choice(G.sorted_edges())))

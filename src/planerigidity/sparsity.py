@@ -337,10 +337,9 @@ def is_m22_connected(
 ) -> bool:
     """Every pair of edges lies in a common (2,2)-circuit.
 
-    Requires no isolated vertices and at least two edges.  Cheap necessary
-    filters (minimum degree 3, a spanning tight subgraph) run before the
-    component computation since this sits on the reduction engine's hot
-    path.
+    Cheap necessary filters (minimum degree 3, so n >= 4 and m >= 6, then
+    a spanning tight subgraph) run before the component computation since
+    this sits on the reduction engine's hot path.
 
     Cold path (no seed): `rank2k`, then `m22_components`, which reads G's
     sorted game (_sorted_game); that game is the one G keeps.
@@ -370,7 +369,7 @@ def is_m22_connected(
     slot = G._m22_game
     if slot:
         return True
-    if G.n == 0 or G.m < 2 or G.min_degree() < 3:
+    if G.min_degree() < 3:
         return False
     if G.m < 2 * G.n - 1:
         return False

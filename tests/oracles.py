@@ -11,7 +11,8 @@ reads every ear off the one game over the sorted edges), its earlier m + 1
 eliminations for the deletion ranks of a rigidity operator, its dense
 modular elimination (the library now eliminates a sparse transpose), its
 float operator rows from Fraction differences (the library now divides
-integer differences of the scaled coordinates), its
+integer differences of the scaled coordinates), its float rank of the raw
+rows (the library now divides each row by its largest entry), its
 cut scans for k-connectivity and the first cut vertex (one subgraph per
 candidate cut, where the library now runs lowpoint DFS), its edge
 connectivity without the bound on each flow, and with bounded flows but no
@@ -31,6 +32,8 @@ past the brute-force caps.
 import itertools
 from collections import deque
 from functools import lru_cache
+
+import numpy as np
 
 from planerigidity.geometry import RigidityOperator, _bareiss_rank, rank_of, support_functional
 from planerigidity.graphs import (
@@ -338,6 +341,16 @@ def float_rows_by_fractions(G: Graph, placement, plane):
         row[2 * v], row[2 * v + 1] = phi[0], phi[1]
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def float_rank_unscaled(op: RigidityOperator, tol: float = 1e-9) -> int:
+    """The float rank of the raw rows: singular values above tol times the
+    largest, with no row scaled."""
+    A = np.array([[float(c) for c in row] for row in op.matrix], dtype=float)
+    sv = np.linalg.svd(A, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.sum(sv > tol * sv[0]))
 
 
 # ---------------------------------------------------------------------------

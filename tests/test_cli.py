@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from planerigidity import catalog as cat
 from planerigidity import cli
 from planerigidity.cli import main
 from planerigidity.formats import emit_edgelist, emit_graph6, parse_graph, parse_graph6
+from planerigidity.geometry import NormedPlane
 from planerigidity.graphs import is_isomorphic
 from planerigidity.moves import KINDS, random_m22_graph, reduce_to_base
 from planerigidity.randomgraphs import gnp_graph
@@ -308,10 +310,28 @@ class TestRank:
     @pytest.mark.parametrize("p", ["64", "100", "102", "150"])
     def test_float_mode_past_float_range_is_error_1(self, p):
         # the exact rows carry D^(p-1); past the largest float they are
-        # refused, not rescaled, and not a traceback
+        # refused before any row is scaled, and not with a traceback
         code, out, err = run(["rank", "-", "--p", p, "--mode", "float"], "D~w\n")
         assert code == 1 and out == ""
         assert err == "error: operator entries out of floating-point range\n"
+
+    @pytest.mark.parametrize("args", [["--p", "41"], ["--p", "63"], ["--p", "40", "--mode", "float"]])
+    def test_float_rank_of_k5_minus_at_large_p(self, args):
+        # each row is scaled to its largest entry, so rows whose entries
+        # |d_i|^(p-1) differ by hundreds of orders of magnitude still count
+        code, out, err = run(["rank", "-", *args], "D~w\n")
+        assert (code, out, err) == (0, "8\n", "")
+
+    def test_placement_of_the_wrong_size_is_error_1(self, tmp_path):
+        ppath = tmp_path / "pl.txt"
+        ppath.write_text("".join(f"{v} {v} {v * v}\n" for v in range(4)))
+        code, out, err = run(["rank", "-", "--placement", str(ppath)], "D~w\n")
+        assert (code, out) == (1, "")
+        assert err == "error: placement does not cover the graph's vertices\n"
+        args = cli.build_parser().parse_args(["rank", "-", "--placement", str(ppath)])
+        with pytest.raises(ValueError) as exc:
+            cli._placement_for(args, cat.k5_minus(), NormedPlane(4))
+        assert type(exc.value) is ValueError
 
     def test_exact_mode_on_odd_p_fails_cleanly(self):
         code, _, err = run(
@@ -354,6 +374,15 @@ class TestCertify:
                 f"{u}-{v}" for u, v in sorted(cat.k5_minus().edges)
             ) + "\n"
         )
+
+    def test_large_odd_p_raises_no_runtime_warning(self):
+        # the float self-stresses read the same row-scaled array as the
+        # rank: no row norm is taken, which overflowed at p = 63
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(["certify", "-", "--p", "63"], "D~w\n")
+        assert code == 0 and err == ""
+        assert "numeric.rank: 8/8\n" in out
 
     @pytest.mark.parametrize("cmd, p", [("certify", "inf"), ("rank", "1e400")])
     def test_infinite_p_is_error_1(self, cmd, p):

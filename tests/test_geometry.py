@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,7 +31,9 @@ from planerigidity.graphs import Graph
 from planerigidity.sparsity import rank2k
 
 from corpus import BENCHMARK_INPUTS, decision_corpus
-from oracles import deletion_ranks_loop, float_rows_by_fractions, modular_profile_dense
+from oracles import (
+    deletion_ranks_loop, float_rank_unscaled, float_rows_by_fractions, modular_profile_dense,
+)
 
 L2 = NormedPlane(2)
 L4 = NormedPlane(4)
@@ -221,6 +224,50 @@ class TestRank:
         op = rigidity_operator(G, pl, NormedPlane(3))
         with pytest.raises(ValueError):
             rank_of(op, "exact")
+
+
+def _odd_p_integer_rows(G, placement, p):
+    """The rows d_i |d_i|^(p-2) at odd p of the placement scaled by the lcm
+    D of its denominators: integers, and the float rows times D^(p-1) > 0,
+    so their Bareiss rank is the exact rank of the float operator."""
+    D = math.lcm(*(c.denominator for xy in placement.coords for c in xy))
+    xy = [(x * D, y * D) for x, y in placement.coords]
+    rows = []
+    for u, v in G.sorted_edges():
+        d = [int(xy[v][i] - xy[u][i]) for i in (0, 1)]
+        phi = [c * abs(c) ** (p - 2) for c in d]
+        row = [0] * (2 * G.n)
+        row[2 * u], row[2 * u + 1] = -phi[0], -phi[1]
+        row[2 * v], row[2 * v + 1] = phi[0], phi[1]
+        rows.append(row)
+    return rows
+
+
+class TestRowScaledFloatRank:
+    """Float ranks read rows divided by their largest entry; the raw rows
+    (`float_rank_unscaled`) lose small rows under the relative tolerance."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 9])
+    def test_no_rank_goes_from_right_to_wrong(self, p):
+        plane = NormedPlane(p)
+        mended = 0
+        for i, G in enumerate(decision_corpus(150, seed=11)):
+            for k in range(2):
+                pl = random_regular_placement(G, plane, 300 + 1000 * k + i)
+                op = rigidity_operator(G, pl, plane)
+                exact = _bareiss_rank(_odd_p_integer_rows(G, pl, p))
+                old, new = float_rank_unscaled(op), rank_of(op, "float")
+                if old == exact:
+                    assert new == exact, (G.sorted_edges(), pl)
+                mended += old != exact == new
+        if p >= 7:
+            assert mended  # and some go from wrong to right
+
+    def test_rows_are_scaled_to_largest_entry_one(self):
+        G = cat.b1()
+        op = rigidity_operator(G, random_regular_placement(G, L4, 1), L4)
+        A = op.as_array()
+        assert np.abs(A).max(axis=1).tolist() == [1.0] * G.m
 
 
 def _corpus_frameworks(p, count=60):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from planerigidity import catalog as cat
-from planerigidity import moves, sparsity
+from planerigidity import graphs, moves, sparsity
 from planerigidity.graphs import Graph, is_isomorphic
 from planerigidity.moves import (
     KINDS,
@@ -504,6 +504,42 @@ class TestReductionEngine:
         assert find_admissible_reduction(cat.k5_minus()) is None
         assert find_admissible_reduction(cat.b1()) is None
         assert reduce_to_base(cat.k5_minus()).steps == []
+
+    def test_base_graphs_offer_no_candidate_in_any_labelling(self):
+        # the search ends where its candidates run out, with no isomorphism
+        # test, so no relabelling of a base graph may offer one
+        rng = random.Random(22)
+        for B in (cat.k5_minus(), cat.b1()):
+            for _ in range(20):
+                perm = rng.sample(range(B.n), B.n)
+                H = Graph.from_edges(B.n, [(perm[u], perm[v]) for u, v in B.edges])
+                assert list(moves._reduction_candidates(H)) == []
+                assert find_admissible_reduction(H) is None
+
+    def test_searches_make_no_isomorphism_test(self, monkeypatch):
+        # only the end of reduce_to_base names the base, and only the
+        # forward script maps it
+        inside, searched = [], []
+        real_search = moves.find_admissible_reduction
+
+        def search(G):
+            inside.append(G)
+            try:
+                return real_search(G)
+            finally:
+                inside.pop()
+
+        def counted(real):
+            return lambda *a: (inside and searched.append(a)) or real(*a)
+
+        monkeypatch.setattr(moves, "find_admissible_reduction", search)
+        for module in (moves, graphs):
+            monkeypatch.setattr(module, "find_isomorphism", counted(module.find_isomorphism))
+        monkeypatch.setattr(moves, "is_isomorphic", counted(moves.is_isomorphic))
+        trace = reduce_to_base(random_m22_graph(30, 5))
+        assert len(trace.steps) > 10
+        assert searched == []
+        assert is_isomorphic(rebuild_from_trace(trace), trace.start)
 
     def test_rejects_non_m22_input(self):
         with pytest.raises(MoveError):
