@@ -13,9 +13,11 @@ min(m, 2n - f), f the plane's trivial flex dimension (3 Euclidean, 2
 otherwise); a lower modular rank falls back to fraction-free (Bareiss)
 elimination of that piece over the integers.  2^30 - 35 is the largest
 prime below 2^30, so every residue is a single 30-bit digit of a Python
-int.  Everything else uses numpy SVD with a relative tolerance; the float
-rows of a rational placement are computed from the same integer
-differences.
+int.  Every other entry is the float sign(x_i) |x_i|^(p-1), x the edge
+difference rounded to floats once (for a rational placement, from the
+same integer differences), and its rank uses numpy SVD with a relative
+tolerance.  A float row is refused when an entry is not finite or its
+larger entry is below the smallest normal float.
 
 The same eliminations give the self-stresses (the left kernel), and a row
 can be deleted without losing rank iff some self-stress is nonzero on it.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -122,10 +125,13 @@ def support_functional(x, plane: NormedPlane):
         return (x[0], x[1])
     p = plane.p
     nrm = plane.norm(x)
-    return tuple(
-        math.copysign(abs(float(c)) ** (p - 1), float(c)) / nrm ** (p - 2)
-        for c in x
-    )
+    return tuple(c / nrm ** (p - 2) for c in _signed_powers(x, p))
+
+
+def _signed_powers(x, p) -> tuple[float, float]:
+    """(sign(x_i) |x_i|^(p-1))_i, each x_i rounded to a float once before
+    its power (a Fraction power would round differently)."""
+    return tuple(math.copysign(abs(c) ** (p - 1), c) for c in map(float, x))
 
 
 @dataclass(frozen=True)
@@ -164,9 +170,10 @@ class RigidityOperator:
         """The entries as floats, each row divided by its largest absolute
         entry: every float rank and self-stress reads this one array, which
         a positive row scaling leaves valid (see above).  No row is zero:
-        coincident endpoints are refused, and `_float_functional` refuses a
-        row that underflows.  Scaling after the float conversion keeps an
-        exact entry past the largest float (a large even p) a ValueError."""
+        coincident endpoints are refused, and so is a float row whose larger
+        entry is below the smallest normal float (`rigidity_operator`).
+        Scaling after the float conversion keeps an exact entry past the
+        largest float (a large even p) a ValueError."""
         try:
             A = np.array([[float(c) for c in row] for row in self.matrix], dtype=float)
         except OverflowError:
@@ -188,51 +195,30 @@ class RigidityOperator:
 EXACT_ENTRY_BITS = 1 << 12
 
 
-def _float_functional(d, plane: NormedPlane, D: int = 1) -> tuple[float, float]:
-    """The support functional of d / D times |d / D|^(p-2), in floating point.
-
-    d may be a difference of D-scaled integer coordinates: it is divided by
-    D here, inside the guard, because an int true division past the largest
-    float raises OverflowError.  Int true division is correctly rounded, so
-    d_i / D is the float of the rational difference, as float(Fraction) gives.
-    """
-    try:
-        d = (d[0] / D, d[1] / D)
-        phi = support_functional(d, plane)
-        s = plane.norm(d) ** (plane.p - 2)
-        phi = (phi[0] * s, phi[1] * s)
-    except ArithmeticError:
-        phi = (math.nan, math.nan)
-    if not (math.isfinite(phi[0]) and math.isfinite(phi[1])):
-        raise ValueError(
-            f"p = {plane.p:g}: operator entries out of floating-point range"
-        )
-    return phi
-
-
 def rigidity_operator(
     G: Graph, placement: Placement, plane: NormedPlane
 ) -> RigidityOperator:
     """The row-scaled operator (see `RigidityOperator`); exact entries past
-    EXACT_ENTRY_BITS bits and float entries that overflow raise ValueError.
+    EXACT_ENTRY_BITS bits and float rows out of range raise ValueError.
 
     A rational placement is first scaled by D, the lcm of its coordinate
-    denominators, to integer coordinates, and every edge difference is an
-    integer difference of those.  Exact rows are its powers.  Float rows
-    divide it by D once (`_float_functional`): the rational difference is
-    that quotient, so each entry is computed from the same correctly
-    rounded floats as from the Fraction difference, bit for bit, without
-    Fraction arithmetic.  A float placement takes its float differences.
+    denominators, to integer coordinates, and every edge difference d is
+    an integer difference of those.  Exact rows are its powers.  A float
+    row takes x = d / D (D = 1 for a float placement): a correctly rounded
+    int true division is the float of the rational difference.  Its
+    entries are sign(x_i) |x_i|^(p-1), and it is refused when an entry is
+    not finite or its larger entry is below sys.float_info.min, being zero
+    or rounded into the subnormal range, where few bits are kept.
     """
     if placement.n != G.n:
         raise ValueError("placement size does not match the graph")
     rows = []
     edges = tuple(G.sorted_edges())
-    exact = plane.exactable and placement.exact
     coords, D = placement.coords, 1
-    if placement.exact:
+    if rational := placement.exact:
         D = math.lcm(*(c.denominator for xy in coords for c in xy))
         coords = [tuple(c.numerator * (D // c.denominator) for c in xy) for xy in coords]
+    exact = rational and plane.exactable
     if exact:
         q = int(plane.p) - 1
         # a difference of two coordinates of at most b bits has at most b + 1
@@ -246,7 +232,17 @@ def rigidity_operator(
         d = (pv[0] - pu[0], pv[1] - pu[1])
         if d == (0, 0):
             raise ValueError(f"coincident endpoints on edge ({u},{v})")
-        phi = (d[0] ** q, d[1] ** q) if exact else _float_functional(d, plane, D)
+        if exact:
+            phi = (d[0] ** q, d[1] ** q)
+        else:
+            try:
+                phi = _signed_powers((d[0] / D, d[1] / D), plane.p)
+            except ArithmeticError:  # a quotient or a power past the largest float
+                phi = (math.nan,)
+            if not all(map(math.isfinite, phi)) or max(map(abs, phi)) < sys.float_info.min:
+                raise ValueError(
+                    f"p = {plane.p:g}: operator entries out of floating-point range"
+                )
         row = [0] * (2 * G.n)
         row[2 * u], row[2 * u + 1] = -phi[0], -phi[1]
         row[2 * v], row[2 * v + 1] = phi[0], phi[1]
@@ -384,7 +380,7 @@ def _exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int]]:
     fallback run more often, never change an answer.
     """
     if not op.exact:
-        raise ValueError("exact rank needs rational entries; use float mode")
+        raise ValueError("exact rank needs an even integer p and a rational placement; use float mode")
     G = Graph.from_edges(op.n, op.edges)
     comps, _, bridges = G._lowpoint_dfs
     bridges = set(bridges)

@@ -127,7 +127,7 @@ def _apply_full(G: Graph, move: Move) -> tuple[Graph, dict[int, int] | None]:
             raise MoveError("k4minus-reduction: u1u2 must be an edge")
         if G.degree(u1) != 3 or G.degree(u2) != 3:
             raise MoveError("k4minus-reduction: u1 and u2 must have degree 3")
-        common = sorted((G.adj[u1] & G.adj[u2]) - {u1, u2})
+        common = sorted(G.adj[u1] & G.adj[u2])
         if len(common) != 2:
             raise MoveError("k4minus-reduction: |N(u1) ∩ N(u2)| must be 2")
         v1, v2 = common
@@ -155,7 +155,7 @@ def _apply_full(G: Graph, move: Move) -> tuple[Graph, dict[int, int] | None]:
             raise MoveError("edge-reduction: ab must be an edge")
         if c not in G.adj[a] or c == b:
             raise MoveError("edge-reduction: c must be a neighbour of a other than b")
-        common = (G.adj[a] & G.adj[b]) - {a, b}
+        common = G.adj[a] & G.adj[b]
         if not common <= {c}:
             raise MoveError("edge-reduction: a and b may share no neighbour besides c")
         # every edge bw other than ba moves to aw; this re-adds ac if bc is an
@@ -201,7 +201,7 @@ def _undo(G: Graph, move: Move) -> Move:
         return Move("1-extension", (x, y, z))
     if kind == "k4minus-reduction":
         u1, u2 = p
-        return Move("k4minus-extension", tuple(sorted((G.adj[u1] & G.adj[u2]) - {u1, u2})))
+        return Move("k4minus-extension", tuple(sorted(G.adj[u1] & G.adj[u2])))
     if kind == "edge-reduction":
         a, b, c = p
         return Move("generalized-vertex-split", (a, c, *(w for w in G.adj[b] if w != a)))
@@ -482,7 +482,8 @@ def find_admissible_reduction(G: Graph) -> TraceStep | None:
 
 def _reduction_candidates(G: Graph):
     """The reductions find_admissible_reduction tries, in its order, after
-    the degree filters; the degrees are looked up once."""
+    the degree filters; the degrees are looked up once.  A Graph has no
+    loops, so neither end of an edge is a common neighbour of its ends."""
     adj = G.adj
     deg = [len(nbrs) for nbrs in adj]
     edges = G.sorted_edges()
@@ -495,13 +496,13 @@ def _reduction_candidates(G: Graph):
     for u1, u2 in edges:
         if deg[u1] != 3 or deg[u2] != 3:
             continue
-        common = sorted((adj[u1] & adj[u2]) - {u1, u2})
+        common = sorted(adj[u1] & adj[u2])
         if len(common) == 2 and not G.has_edge(*common):
             yield Move("k4minus-reduction", (u1, u2))
 
     for u, v in edges:
         for a, b in ((u, v), (v, u)):
-            common = (adj[a] & adj[b]) - {a, b}
+            common = adj[a] & adj[b]
             if len(common) > 1 or deg[a] + deg[b] - 3 < 3:
                 continue
             for c in sorted(common) if common else sorted(adj[a] - {b}):

@@ -11,8 +11,10 @@ reads every ear off the one game over the sorted edges), its earlier m + 1
 eliminations for the deletion ranks of a rigidity operator, its dense
 modular elimination (the library now eliminates a sparse transpose), its
 float operator rows from Fraction differences (the library now divides
-integer differences of the scaled coordinates), its float rank of the raw
-rows (the library now divides each row by its largest entry), its
+integer differences of the scaled coordinates) and, before that, through
+the support functional and a second norm (the library now takes each entry
+as a signed power), its float rank of the raw rows (the library now
+divides each row by its largest entry), its
 cut scans for k-connectivity and the first cut vertex (one subgraph per
 candidate cut, where the library now runs lowpoint DFS), its edge
 connectivity without the bound on each flow, and with bounded flows but no
@@ -30,6 +32,7 @@ past the brute-force caps.
 """
 
 import itertools
+import math
 from collections import deque
 from functools import lru_cache
 
@@ -326,16 +329,30 @@ def deletion_ranks_loop(op: RigidityOperator, mode: str, tol: float = 1e-9):
 
 
 def float_rows_by_fractions(G: Graph, placement, plane):
-    """The float rows of the rigidity operator, each edge difference taken
-    in the placement's own numbers (Fractions for a rational placement) and
-    every entry the support functional of d times |d|^(p-2)."""
+    """The float rows of the rigidity operator, each edge difference d taken
+    in the placement's own numbers (Fractions for a rational placement),
+    rounded to floats x once, and every entry sign(x_i) |x_i|^(p-1)."""
+    def entries(d):
+        return tuple(math.copysign(abs(x) ** (plane.p - 1), x) for x in map(float, d))
+    return _float_rows(G, placement, entries)
+
+
+def float_rows_by_support_functional(G: Graph, placement, plane):
+    """The float rows as the library built them before it took each entry
+    directly: the support functional of d times |d|^(p-2), d in the
+    placement's own numbers.  Equal to the direct entries up to rounding."""
+    def entries(d):
+        phi = support_functional(d, plane)
+        s = plane.norm(d) ** (plane.p - 2)
+        return (phi[0] * s, phi[1] * s)
+    return _float_rows(G, placement, entries)
+
+
+def _float_rows(G: Graph, placement, entries):
     rows = []
     for u, v in G.sorted_edges():
         pu, pv = placement.coords[u], placement.coords[v]
-        d = (pv[0] - pu[0], pv[1] - pu[1])
-        phi = support_functional(d, plane)
-        s = plane.norm(d) ** (plane.p - 2)
-        phi = (phi[0] * s, phi[1] * s)
+        phi = entries((pv[0] - pu[0], pv[1] - pu[1]))
         row = [0] * (2 * G.n)
         row[2 * u], row[2 * u + 1] = -phi[0], -phi[1]
         row[2 * v], row[2 * v + 1] = phi[0], phi[1]

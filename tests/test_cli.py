@@ -340,6 +340,35 @@ class TestRank:
         )
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("p, placement", [
+        ("3", None), ("4", "0 0.5 0\n1 1 2\n2 3 5\n3 8 13\n4 21 34\n"),
+    ], ids=["odd-p", "float-placement"])
+    def test_exact_mode_names_what_it_needs(self, tmp_path, p, placement):
+        # the entries at odd p are rational too, but exact rows are built
+        # for even p only
+        args = ["rank", "-", "--p", p, "--mode", "exact"]
+        if placement:
+            (tmp_path / "pl.txt").write_text(placement)
+            args += ["--placement", str(tmp_path / "pl.txt")]
+        code, out, err = run(args, "D~w\n")
+        assert (code, out) == (1, "")
+        assert err == "error: exact rank needs an even integer p and a rational placement; use float mode\n"
+
+    @pytest.mark.parametrize("placement, p, accepted", [
+        # the entries 1e-240 and 4e-240 are normal floats, although |d|^3
+        # underflows
+        ("0 0 0\n1 1e-120 2e-120\n", "3", True),
+        # the entries about 1.1e-313 and 4.5e-319 are subnormal
+        ("0 0 0\n1 1.5e-8 1.1e-8\n", "41", False),
+        # (1e-200)^2 underflows to zero
+        ("0 0 0\n1 1e-200 0\n", "3", False),
+    ], ids=["normal", "subnormal", "zero"])
+    def test_float_range_rule_on_k2(self, tmp_path, placement, p, accepted):
+        (tmp_path / "pl.txt").write_text(placement)
+        result = run(["rank", "-", "--p", p, "--placement", str(tmp_path / "pl.txt")], "A_\n")
+        refused = (1, "", f"error: p = {p}: operator entries out of floating-point range\n")
+        assert result == ((0, "1\n", "") if accepted else refused)
+
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1"])
     def test_meaningless_tolerance_is_refused(self, tol):

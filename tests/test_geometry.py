@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,8 @@ from planerigidity.sparsity import rank2k
 
 from corpus import BENCHMARK_INPUTS, decision_corpus
 from oracles import (
-    deletion_ranks_loop, float_rank_unscaled, float_rows_by_fractions, modular_profile_dense,
+    deletion_ranks_loop, float_rank_unscaled, float_rows_by_fractions,
+    float_rows_by_support_functional, modular_profile_dense,
 )
 
 L2 = NormedPlane(2)
@@ -87,6 +89,35 @@ class TestSupportFunctional:
             dual = (abs(phi[0]) ** q + abs(phi[1]) ** q) ** (1 / q)
             assert abs(dual - nrm) <= 1e-12 * nrm
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(*2 * [st.one_of(
+            st.floats(-1e6, 1e6), st.integers(-10**6, 10**6),
+            st.fractions(-100, 100, max_denominator=1000),
+        )]),
+        st.sampled_from([1.5, 2.5, 3, 4, 5, 41]),
+    )
+    def test_bits_of_the_two_step_expression(self, x, p):
+        # the public functional still divides the signed powers by the
+        # norm's power, each x_i rounded to a float before its power
+        plane = NormedPlane(p)
+
+        def outcome(f):
+            try:
+                return tuple(c.hex() for c in f())
+            except ArithmeticError as exc:
+                return type(exc)
+
+        def two_step():
+            if x[0] == 0 and x[1] == 0:
+                return (0.0, 0.0)
+            nrm = plane.norm(x)
+            return tuple(
+                math.copysign(abs(float(c)) ** (p - 1), float(c)) / nrm ** (p - 2) for c in x
+            )
+
+        assert outcome(lambda: support_functional(x, plane)) == outcome(two_step)
+
 
 class TestOperator:
     def test_euclidean_edge_row(self):
@@ -130,8 +161,11 @@ class TestOperator:
 
     def test_float_overflow_is_value_error(self):
         G = Graph.from_edges(2, [(0, 1)])
+        # a row whose larger entry is subnormal (about 1.1e-313 at p = 41) or
+        # zero is refused with the overflowing ones
         for pl, p in [(((0.0, 0.0), (1e200, 1.0)), 3), (((0.0, 0.0), (1e-200, 0.0)), 3),
-                      (((0.0, 0.0), (10.0, 1.0)), 401)]:
+                      (((0.0, 0.0), (10.0, 1.0)), 401), (((0.0, 0.0), (1.5e-8, 1.1e-8)), 41),
+                      (((0.0, 0.0), (5e-324, 0.0)), 2), (((0.0, 0.0), (1e-310, 1e-310)), 2.5)]:
             with pytest.raises(ValueError, match="out of floating-point range"):
                 rigidity_operator(G, Placement(pl), NormedPlane(p))
 
@@ -189,13 +223,59 @@ class TestFloatRows:
     )
     def test_float_placement_rows_are_unchanged(self, coords, p):
         # a placement with a float coordinate takes each difference in its
-        # own numbers, as before
+        # own numbers, as before; a row whose larger entry is not a normal
+        # float (a subnormal difference at p = 2, say) is refused
         plane = NormedPlane(p)
         G = Graph.from_edges(len(coords), _distinct_pairs(coords))
         pl = Placement(tuple(coords))
-        op = rigidity_operator(G, pl, plane)
-        assert not op.exact
-        assert op.matrix == float_rows_by_fractions(G, pl, plane)
+        rows = float_rows_by_fractions(G, pl, plane)
+        if all(max(map(abs, row)) >= sys.float_info.min for row in rows):
+            op = rigidity_operator(G, pl, plane)
+            assert not op.exact
+            assert op.matrix == rows
+        else:
+            with pytest.raises(ValueError, match="out of floating-point range"):
+                rigidity_operator(G, pl, plane)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(*(
+            st.lists(st.tuples(c, c), min_size=2, max_size=7) for c in (
+                st.fractions(-100, 100, max_denominator=1000),
+                st.integers(-10**5, 10**5).map(lambda k: k / 1000),
+            )
+        )),
+        st.sampled_from([2.5, 3, 5, 41]),
+    )
+    def test_direct_rows_agree_with_support_functional_rows(self, coords, p):
+        # the direct entries differ from the old two-step ones by rounding
+        # only, relative to the row's largest entry, which every float rank
+        # divides by; rational or float placements with differences of at
+        # least 1e-6 keep every row in range at p = 41
+        plane = NormedPlane(p)
+        G = Graph.from_edges(len(coords), _distinct_pairs(coords))
+        pl = Placement(tuple(coords))
+        rows = rigidity_operator(G, pl, plane).matrix
+        for row, old in zip(rows, float_rows_by_support_functional(G, pl, plane), strict=True):
+            scale = max(map(abs, row))
+            assert all(
+                math.isclose(a, b, rel_tol=1e-13, abs_tol=1e-13 * scale)
+                for a, b in zip(row, old, strict=True)
+            )
+
+    @pytest.mark.parametrize("xy, p", [
+        # the entries about 1e-240 and 4e-240 are normal floats, although
+        # |d|^3 underflows
+        ((1e-120, 2e-120), 3),
+        # a smaller entry that underflows to zero leaves the row in range
+        ((1e-200, 1.0), 3),
+    ])
+    def test_rows_with_a_normal_larger_entry_are_kept(self, xy, p):
+        G = Graph.from_edges(2, [(0, 1)])
+        x, y = (c ** (p - 1) for c in xy)
+        assert max(x, y) >= sys.float_info.min
+        op = rigidity_operator(G, Placement(((0.0, 0.0), xy)), NormedPlane(p))
+        assert op.matrix == ((-x, -y, x, y),)
 
 
 class TestRank:
