@@ -5,15 +5,16 @@ Exponents p with 1 < p < infinity keep the plane smooth and strictly
 convex.  The operator is built row-scaled, with entries d_i^(p-1).  For
 even integer p and a rational placement its rows are Python ints, built
 once with one common denominator cleared, and capped at EXACT_ENTRY_BITS
-bits per entry.  Their rank is split along the graph: each bridge adds
-one, and the connected pieces between the bridges add their ranks.  A
-piece's rank is certified by one sparse Gauss-Jordan elimination modulo
-the prime 2^30 - 35 whenever its modular rank reaches its bound
-min(m, 2n - f), f the plane's trivial flex dimension (3 Euclidean, 2
-otherwise); a lower modular rank falls back to fraction-free (Bareiss)
-elimination of that piece over the integers.  2^30 - 35 is the largest
-prime below 2^30, so every residue is a single 30-bit digit of a Python
-int.  Every other entry is the float sign(x_i) |x_i|^(p-1), x the edge
+bits per entry.  Their rank is split at the blocks of the graph (its
+maximal 2-connected subgraphs and its bridges): ranks add over a 1-sum,
+as a translation, which lies in every kernel, matches two flexes at the
+shared vertex.  A block's rank is certified by one sparse Gauss-Jordan
+elimination modulo the prime 2^30 - 35 whenever its modular rank reaches
+its bound min(m, 2n - f), f the plane's trivial flex dimension (3
+Euclidean, 2 otherwise); a lower modular rank falls back to
+fraction-free (Bareiss) elimination of that block over the integers.
+2^30 - 35 is the largest prime below 2^30, so every residue is a single
+30-bit digit of a Python int.  Every other entry is the float sign(x_i) |x_i|^(p-1), x the edge
 difference rounded to floats once (for a rational placement, from the
 same integer differences), and its rank uses numpy SVD with a relative
 tolerance.  A float row is refused when an entry is not finite or its
@@ -23,8 +24,8 @@ The same eliminations give the self-stresses (the left kernel), and a row
 can be deleted without losing rank iff some self-stress is nonzero on it.
 So `deletion_ranks` answers the rank of the operator and of the operator
 minus each row from those eliminations (exact mode) or one SVD (float
-mode), and only the rows that the modular answer cannot settle are
-eliminated again.
+mode): a row of a block of full row rank is a coloop, and only the rows
+that the modular answer cannot settle are eliminated again.
 """
 
 from __future__ import annotations
@@ -117,15 +118,26 @@ def support_functional(x, plane: NormedPlane):
 
     Componentwise sign(x_i) |x_i|^(p-1) / |x|^(p-2); the zero vector maps to
     the zero functional.  For p = 2 the functional is x itself (kept exact
-    when x is rational).
+    when x is rational).  Where a step of that expression leaves the float
+    range (|x|^p under- or overflows), x is first scaled by 2^-e to a
+    largest entry in [1/2, 1) and the answer by 2^e, since phi_(cx) =
+    c phi_x for c > 0; every value the plain expression gives is kept.
     """
     if x[0] == 0 and x[1] == 0:
         return (0.0, 0.0)
     if plane.euclidean:
         return (x[0], x[1])
     p = plane.p
-    nrm = plane.norm(x)
-    return tuple(c / nrm ** (p - 2) for c in _signed_powers(x, p))
+
+    def two_step(y):
+        scale = plane.norm(y) ** (p - 2)
+        return tuple(c / scale for c in _signed_powers(y, p))
+
+    try:
+        return two_step(x)
+    except ArithmeticError:
+        e = math.frexp(max(abs(float(c)) for c in x))[1]
+        return tuple(math.ldexp(c, e) for c in two_step([math.ldexp(float(c), -e) for c in x]))
 
 
 def _signed_powers(x, p) -> tuple[float, float]:
@@ -148,9 +160,10 @@ class RigidityOperator:
     `exact` is set when the plane is exactable and the placement rational.
     The entries are then Python ints: every coordinate is multiplied by D,
     the lcm of all coordinate denominators, so every row is the rational
-    one times the same D^(p-1), and one elimination per piece of these
-    rows gives the rank and the stressed rows (`_exact_profile`).  An entry may have
-    at most EXACT_ENTRY_BITS bits, so an even p such as 1e20 is refused.
+    one times the same D^(p-1), and one elimination per block of these
+    rows gives the rank, the stressed rows and the coloops
+    (`_exact_profile`).  An entry may have at most EXACT_ENTRY_BITS bits,
+    so an even p such as 1e20 is refused.
     Otherwise the entries are floats.  `trivial_flex_dim` is that of the
     plane it was built in (2 unless set); it bounds the rank by
     2n - trivial_flex_dim.
@@ -348,20 +361,30 @@ def _modular_profile(rows, cols: int) -> tuple[int, frozenset[int]]:
     )
 
 
-def _exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int]]:
-    """The exact rank of an integer operator, and rows known to be stressed.
+def _exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int], frozenset[int]]:
+    """The exact rank of an integer operator, rows known to be stressed,
+    and rows known to be coloops.
 
-    The operator is split along its edge graph first.  The row of edge uv
-    is nonzero only in the columns of u and v (see `RigidityOperator`).
-    - A bridge's row is a coloop at every placement: its functional phi
-      is nonzero, as the endpoints differ, so translate the far side of
-      the bridge by some t with phi . t != 0.  Every other row has both
-      ends on one side, so this motion is in its kernel, and not in the
-      bridge row's.  So the bridges add one each to the rank and lie in
-      no self-stress.
-    - The other rows fall into the connected pieces of G - bridges.  These
-      use disjoint columns, so their ranks and their self-stresses add.
-    Each piece B (m_B rows on n_B vertices) is eliminated alone, modulo
+    The operator is split at the blocks of its edge graph
+    (`graphs._lowpoint_dfs`): its maximal 2-connected subgraphs and its
+    bridges.  The row of edge uv is nonzero only in the columns of u and v
+    (see `RigidityOperator`).  Ranks add over a 1-sum, over any field: let
+    G be the union of G1 and G2, which share at most one vertex c.  A
+    velocity field is a flex (kernel vector) of G iff its restrictions z1,
+    z2 are flexes of G1 and G2.  Any such pair glues once z1(c) = z2(c),
+    and subtracting from z2 the translation by z2(c) - z1(c), a flex of
+    every row, meets those two conditions.  So they are independent,
+    dim ker G = dim ker G1 + dim ker G2 - 2 with 2n = 2n1 + 2n2 - 2, and
+    rank G = rank G1 + rank G2 (with no shared vertex the columns are
+    disjoint, and the same holds).  The self-stresses of G1 and G2 are
+    self-stresses of G, independent, and m - rank G of them, so they span
+    all of them.  Splitting off one leaf block after another: the rank is
+    the sum over the blocks, a row is stressed iff it is in its block B
+    alone, and if B has full row rank m_B, each of its rows is a coloop
+    (deleting it drops the rank by one).  A bridge is the case m_B = 1,
+    as its row is nonzero (the endpoints differ).
+
+    Each block B (m_B rows on n_B vertices) is eliminated alone, modulo
     p = _PRIME (`_modular_profile`), on its own columns.
     rank_p <= rank_Q, since a nonzero minor mod p is a nonzero integer
     minor; and rank_Q <= min(m_B, 2n_B - f), with f the operator's
@@ -378,37 +401,38 @@ def _exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int]]:
     p is, so p is 2^30 - 35, the largest prime below 2^30, for speed: every
     residue is one 30-bit Python digit.  A smaller prime can only make the
     fallback run more often, never change an answer.
+
+    Edges are assigned to blocks in O(n + m).  Every vertex v but a DFS
+    root follows the head of exactly one block, own(v), the block of the
+    tree edge above v.  One end of an edge uv is an ancestor of the other
+    (a DFS leaves no cross edges), and the edge lies in the block of the
+    tree edge above the lower end.  So it lies in own(v) if u heads that
+    block, and otherwise in own(u): u is then the lower end, or u follows
+    the head of own(v), and own(u) = own(v).
     """
     if not op.exact:
         raise ValueError("exact rank needs an even integer p and a rational placement; use float mode")
-    G = Graph.from_edges(op.n, op.edges)
-    comps, _, bridges = G._lowpoint_dfs
-    bridges = set(bridges)
-    if bridges:
-        comps = Graph(op.n, G.edges - bridges)._lowpoint_dfs[0]
-    piece_of = [0] * op.n
-    for b, comp in enumerate(comps):
-        for v in comp:
-            piece_of[v] = b
-    piece_rows = [[] for _ in comps]
-    for i, e in enumerate(op.edges):
-        if e not in bridges:
-            piece_rows[piece_of[e[0]]].append(i)
-    rank, stressed = len(bridges), set()
-    for comp, rows in zip(comps, piece_rows):
-        if not rows:
-            continue
-        pick = itemgetter(*(c for v in comp for c in (2 * v, 2 * v + 1)))
-        block = [pick(op.matrix[i]) for i in rows]
-        cols = 2 * len(comp)
-        rank_p, block_stressed = _modular_profile(block, cols)
+    blocks = Graph.from_edges(op.n, op.edges)._lowpoint_dfs[2]
+    own = {v: b for b, block in enumerate(blocks) for v in block[1:]}
+    block_rows = [[] for _ in blocks]
+    for i, (u, v) in enumerate(op.edges):
+        b = own.get(v)
+        block_rows[b if b is not None and blocks[b][0] == u else own[u]].append(i)
+    rank, stressed, coloops = 0, set(), set()
+    for block, rows in zip(blocks, block_rows):
+        pick = itemgetter(*(c for v in block for c in (2 * v, 2 * v + 1)))
+        sub = [pick(op.matrix[i]) for i in rows]
+        cols = 2 * len(block)
+        rank_p, sub_stressed = _modular_profile(sub, cols)
         rank_q = rank_p
         if rank_p < min(len(rows), cols - op.trivial_flex_dim):
-            rank_q = _bareiss_rank(block)
+            rank_q = _bareiss_rank(sub)
         rank += rank_q
-        if rank_q == rank_p:
-            stressed.update(rows[j] for j in block_stressed)
-    return rank, frozenset(stressed)
+        if rank_q == len(rows):
+            coloops.update(rows)
+        elif rank_q == rank_p:
+            stressed.update(rows[j] for j in sub_stressed)
+    return rank, frozenset(stressed), frozenset(coloops)
 
 
 def _check_tol(tol: float) -> None:
@@ -459,15 +483,15 @@ def deletion_ranks(
     float mode too: the singular values of A - row interlace those of A,
     so its m - 1 largest stay above tol times its largest).
 
-    Exact mode takes the rank and the stressed rows from `_exact_profile`;
-    any row it does not find stressed is confirmed by `rank_of` on the
+    Exact mode takes the rank, the stressed rows and the coloops from
+    `_exact_profile`: a stressed row keeps the rank, and a coloop, a row of
+    a block of full row rank (a bridge, say), drops it by one.  Any other
+    row lies in a dependent block and is confirmed by `rank_of` on the
     operator without it, which splits that operator again.  The deletion
-    leaves every other piece as it was; a bridge leaves nothing to
-    eliminate, an independent piece stays independent, and a piece that
-    loses a coloop may split at new bridges (two edges that cut a piece
-    are each a coloop, and deleting one leaves the other a bridge).  So a
-    confirmation falls back to Bareiss only when the deletion leaves a
-    connected, bridgeless piece below its bound.
+    leaves every other block as it was, and the block that loses the row
+    may fall apart into smaller blocks.  So a confirmation eliminates only
+    those, and falls back to Bareiss only when one of them stays below
+    its bound modulo the prime.
 
     Float mode takes the rank from `rank_of` and runs one full SVD of the
     same row-scaled array DA (`RigidityOperator.as_array`; a self-stress w
@@ -478,7 +502,7 @@ def deletion_ranks(
     _check_tol(tol)
     m = len(op.matrix)
     if mode == "exact":
-        rank, stressed = _exact_profile(op)
+        rank, stressed, coloops = _exact_profile(op)
     else:
         rank = rank_of(op, mode, tol)
     if rank == m:
@@ -488,7 +512,8 @@ def deletion_ranks(
         weight = np.linalg.norm(U[:, rank:], axis=1)
         return rank, tuple(rank if w > tol else rank - 1 for w in weight)
     return rank, tuple(
-        rank if i in stressed else rank_of(_without_row(op, i), mode, tol)
+        rank if i in stressed else rank - 1 if i in coloops
+        else rank_of(_without_row(op, i), mode, tol)
         for i in range(m)
     )
 

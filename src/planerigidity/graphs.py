@@ -52,9 +52,10 @@ class Graph:
     # takes the game it holds.
 
     @cached_property
-    def _lowpoint_dfs(self) -> tuple[list[set[int]], list[int], list[Edge]]:
-        """The module's `_lowpoint_dfs` of the whole graph.  Read only:
-        `components()` hands out copies of its sets."""
+    def _lowpoint_dfs(self) -> tuple[list[set[int]], list[int], list[list[int]]]:
+        """The module's `_lowpoint_dfs` of the whole graph: its components,
+        cut vertices and blocks.  Read only: `components()` hands out copies
+        of its sets."""
         return _lowpoint_dfs(self)
 
     @cached_property
@@ -165,23 +166,30 @@ class Separation:
     nontrivial: bool
 
 
-def _lowpoint_dfs(G: Graph, drop=()) -> tuple[list[set[int]], list[int], list[Edge]]:
-    """The components, cut vertices and bridges of G minus `drop`.
+def _lowpoint_dfs(G: Graph, drop=()) -> tuple[list[set[int]], list[int], list[list[int]]]:
+    """The components, cut vertices and blocks of G minus `drop`.
 
     Components are vertex sets in G's labels, ordered by their smallest
-    vertex (the roots are tried in increasing order); cut vertices and
-    bridges are sorted.  One iterative lowpoint DFS in O(n + m) (Hopcroft &
-    Tarjan, CACM 16(6), 1973; Tarjan, IPL 2(6), 1974).  A dropped vertex is
-    marked visited above every discovery number: it is never entered and
-    never lowers a lowpoint.  low(v) is the smallest number reachable from
-    the subtree of v by tree edges down and at most one back edge up.  A
-    DFS leaves no cross edges, so every non-tree edge joins a vertex to an
-    ancestor, lies on a cycle and is no bridge.  For a tree edge (p, v):
-    deleting p cuts off the subtree of v iff no edge leaves it above p,
-    i.e. low(v) >= num(p), which makes a non-root p a cut vertex; and pv is
-    a bridge iff no other edge leaves that subtree at all, i.e. low(v) >
-    num(p).  The root is a cut vertex iff it has two tree children, since
-    distinct child subtrees are joined only through it.
+    vertex (the roots are tried in increasing order); cut vertices are
+    sorted.  A block is a maximal 2-connected subgraph or a bridge with its
+    two ends: every edge lies in exactly one, two edges share one iff they
+    lie on a common cycle, and two blocks share at most one vertex, a cut
+    vertex.  Each block is listed as its vertices, the one nearest the root
+    (its head) first; an isolated vertex lies in no block.  One iterative
+    lowpoint DFS in O(n + m) (Hopcroft & Tarjan, CACM 16(6), 1973; Tarjan,
+    IPL 2(6), 1974).  A dropped vertex is marked visited above every
+    discovery number: it is never entered and never lowers a lowpoint.
+    low(v) is the smallest number reachable from the subtree of v by tree
+    edges down and at most one back edge up.  A DFS leaves no cross edges,
+    so every non-tree edge joins a vertex to an ancestor.  For a tree edge
+    (p, v): deleting p cuts off the subtree of v iff no edge leaves it
+    above p, i.e. low(v) >= num(p).  Then the vertices found since v and
+    not yet placed in a block, with p, form one block headed by p (they are
+    kept on a stack in discovery order), and a non-root p is a cut vertex.
+    The root is a cut vertex iff it heads two blocks, since distinct child
+    subtrees are joined only through it.  So every vertex but a root is a
+    non-head vertex of exactly one block, the one that holds the tree edge
+    to its parent.
     """
     n = G.n
     adj = G.adj
@@ -191,47 +199,46 @@ def _lowpoint_dfs(G: Graph, drop=()) -> tuple[list[set[int]], list[int], list[Ed
         num[x] = n + 1
     comps = []
     cuts = set()
-    bridges = []
+    blocks = []
+    below = []  # the visited non-root vertices in no block yet, in discovery order
+    push = below.append
     clock = 0
     for r in range(n):
         if num[r]:
             continue
         clock += 1
         num[r] = low[r] = clock
-        comp = {r}
-        add = comp.add
-        children = 0
-        stack = [(r, -1, iter(adj[r]))]
+        first = len(blocks)
+        stack = [(r, -1, iter(adj[r]), 0)]
         while stack:
-            v, parent, it = stack[-1]
+            v, parent, it, at = stack[-1]
             for w in it:
                 if not num[w]:
                     clock += 1
                     num[w] = low[w] = clock
-                    add(w)
-                    stack.append((w, v, iter(adj[w])))
+                    stack.append((w, v, iter(adj[w]), len(below)))
+                    push(w)
                     break
                 if w != parent and num[w] < low[v]:
                     low[v] = num[w]
             else:
                 stack.pop()
-                if parent == r:
-                    children += 1
-                    if low[v] > num[r]:
-                        bridges.append(_norm_edge(r, v))
-                elif parent >= 0:
-                    # low(v) >= num(p) >= low(p) leaves low(p) as it is
-                    lv = low[v]
-                    if lv >= num[parent]:
-                        cuts.add(parent)
-                        if lv > num[parent]:
-                            bridges.append(_norm_edge(parent, v))
-                    elif lv < low[parent]:
-                        low[parent] = lv
-        if children >= 2:
-            cuts.add(r)
-        comps.append(comp)
-    return comps, sorted(cuts), sorted(bridges)
+                if parent < 0:
+                    break
+                # low(v) >= num(p) >= low(p) leaves low(p) as it is
+                lv = low[v]
+                if lv >= num[parent]:
+                    blocks.append([parent, *below[at:]])
+                    del below[at:]
+                    cuts.add(parent)
+                elif lv < low[parent]:
+                    low[parent] = lv
+        # r heads one block per tree child, and has one child iff its last
+        # child was found right after it
+        if len(blocks) > first and num[blocks[-1][1]] == num[r] + 1:
+            cuts.discard(r)
+        comps.append({r}.union(*blocks[first:]))
+    return comps, sorted(cuts), blocks
 
 
 def is_k_connected(G: Graph, k: int) -> bool:
@@ -458,11 +465,12 @@ def enumerate_separations(G: Graph, kind: str) -> list[Separation]:
 
     edge-cut-3 runs one lowpoint DFS per edge pair e < f, on G - e - f.
     If G - e - f is connected, then G - {e, f, g} is disconnected iff g is
-    a bridge of G - e - f; so only its bridges g > f are tried as the third
-    edge, or every g > f when G - e - f is already disconnected.  The
-    triples skipped leave G connected and give no separation.  g runs over
-    sorted edges greater than f, so the triples come in
-    `itertools.combinations` order, and the cost is O(m^2 (n + m)).
+    a bridge (a two-vertex block) of G - e - f; so only its bridges g > f
+    are tried as the third edge, or every g > f when G - e - f is already
+    disconnected.  The triples skipped leave G connected and give no
+    separation.  g runs over sorted edges greater than f, so the triples
+    come in `itertools.combinations` order, and the cost is
+    O(m^2 (n + m)).
     """
     if G.n < 4:
         raise ValueError("separation enumeration needs n >= 4")
@@ -487,7 +495,8 @@ def enumerate_separations(G: Graph, kind: str) -> list[Separation]:
             for j in range(i + 1, len(edges)):
                 f = edges[j]
                 H = Graph(G.n, G.edges - {e, f})
-                comps, _, bridges = _lowpoint_dfs(H)
+                comps, _, blocks = _lowpoint_dfs(H)
+                bridges = sorted(_norm_edge(*b) for b in blocks if len(b) == 2)
                 thirds = edges[j + 1:] if len(comps) > 1 else [g for g in bridges if g > f]
                 for g in thirds:
                     cut = (e, f, g)

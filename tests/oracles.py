@@ -8,7 +8,9 @@ answers from the fundamental circuits of one game, its rank and coloops of
 an edge list in its own order (the library reads them off each graph's
 sorted game), its ear decomposition with one game per ear (the library now
 reads every ear off the one game over the sorted edges), its earlier m + 1
-eliminations for the deletion ranks of a rigidity operator, its dense
+eliminations for the deletion ranks of a rigidity operator, its split of
+an exact rank at the bridges and into the pieces between them (the
+library now splits at blocks), its dense
 modular elimination (the library now eliminates a sparse transpose), its
 float operator rows from Fraction differences (the library now divides
 integer differences of the scaled coordinates) and, before that, through
@@ -38,6 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from planerigidity import geometry
 from planerigidity.geometry import RigidityOperator, _bareiss_rank, rank_of, support_functional
 from planerigidity.graphs import (
     Graph, Separation, _bipartitions, _is_k4_part, _norm_edge, _part,
@@ -328,6 +331,32 @@ def deletion_ranks_loop(op: RigidityOperator, mode: str, tol: float = 1e-9):
     )
 
 
+def exact_profile_by_pieces(op: RigidityOperator):
+    """The library's earlier split of an exact rank: each bridge (an edge
+    whose deletion adds a component, found by a search per edge) adds one,
+    and each connected piece of G - bridges is eliminated alone, modulo
+    `geometry._PRIME` and by Bareiss when below its bound min(m, 2n - f).
+    Returns the rank and the rows known to be stressed."""
+    G = Graph.from_edges(op.n, op.edges)
+    base = len(components_search(G))
+    bridges = {e for e in G.edges if len(components_search(G.remove_edge(*e))) > base}
+    rank, stressed = len(bridges), set()
+    for comp in components_search(Graph(op.n, G.edges - bridges)):
+        rows = [i for i, (u, v) in enumerate(op.edges) if u in comp and (u, v) not in bridges]
+        if not rows:
+            continue
+        cols = [c for v in sorted(comp) for c in (2 * v, 2 * v + 1)]
+        piece = [[op.matrix[i][c] for c in cols] for i in rows]
+        rank_p, piece_stressed = geometry._modular_profile(piece, len(cols))
+        rank_q = rank_p
+        if rank_p < min(len(rows), len(cols) - op.trivial_flex_dim):
+            rank_q = _bareiss_rank(piece)
+        rank += rank_q
+        if rank_q == rank_p:
+            stressed.update(rows[j] for j in piece_stressed)
+    return rank, frozenset(stressed)
+
+
 def float_rows_by_fractions(G: Graph, placement, plane):
     """The float rows of the rigidity operator, each edge difference d taken
     in the placement's own numbers (Fractions for a rational placement),
@@ -411,6 +440,31 @@ def components_search(G: Graph) -> list[set[int]]:
                     comp.add(w)
                     stack.append(w)
         out.append(comp)
+    return out
+
+
+def edges_on_common_cycles(G: Graph) -> dict:
+    """Edge e -> the edges that lie on a simple cycle through e, e itself
+    included: for e = ab, the edges of every simple a-b path in G - e,
+    found by listing those paths.  For small graphs only."""
+    out = {}
+    for a, b in G.edges:
+        found = {(a, b)}
+        path = [a]
+
+        def extend(u):
+            for w in G.adj[u]:
+                if (u, w) in ((a, b), (b, a)) or w in path:
+                    continue
+                path.append(w)
+                if w == b:
+                    found.update(_norm_edge(x, y) for x, y in zip(path, path[1:]))
+                else:
+                    extend(w)
+                path.pop()
+
+        extend(a)
+        out[(a, b)] = found
     return out
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from planerigidity import catalog as cat
 from planerigidity import decide, geometry
@@ -33,7 +33,7 @@ from planerigidity.sparsity import rank2k
 
 from corpus import BENCHMARK_INPUTS, decision_corpus
 from oracles import (
-    deletion_ranks_loop, float_rank_unscaled, float_rows_by_fractions,
+    deletion_ranks_loop, exact_profile_by_pieces, float_rank_unscaled, float_rows_by_fractions,
     float_rows_by_support_functional, modular_profile_dense,
 )
 
@@ -97,16 +97,17 @@ class TestSupportFunctional:
         )]),
         st.sampled_from([1.5, 2.5, 3, 4, 5, 41]),
     )
+    @example(x=(1e-200, 0.0), p=3)
+    @example(x=(1e-170, 3e-170), p=2.5)
+    @example(x=(5e-324, 0.0), p=1.5)
+    @example(x=(1e200, 1e200), p=3)
     def test_bits_of_the_two_step_expression(self, x, p):
         # the public functional still divides the signed powers by the
-        # norm's power, each x_i rounded to a float before its power
+        # norm's power, each x_i rounded to a float before its power; where
+        # that expression leaves the float range, the answer must still be
+        # the functional: checked on x and phi scaled by the same power of
+        # two, as phi(x) = |x|^2 and |phi|* = |x| are homogeneous
         plane = NormedPlane(p)
-
-        def outcome(f):
-            try:
-                return tuple(c.hex() for c in f())
-            except ArithmeticError as exc:
-                return type(exc)
 
         def two_step():
             if x[0] == 0 and x[1] == 0:
@@ -116,7 +117,19 @@ class TestSupportFunctional:
                 math.copysign(abs(float(c)) ** (p - 1), float(c)) / nrm ** (p - 2) for c in x
             )
 
-        assert outcome(lambda: support_functional(x, plane)) == outcome(two_step)
+        phi = support_functional(x, plane)
+        try:
+            expect = two_step()
+        except ArithmeticError:
+            e = math.frexp(max(abs(float(c)) for c in x))[1]
+            y = [math.ldexp(float(c), -e) for c in x]
+            psi = [math.ldexp(c, -e) for c in phi]
+            nrm = plane.norm(y)
+            assert abs(psi[0] * y[0] + psi[1] * y[1] - nrm**2) <= 1e-12 * nrm**2
+            q = p / (p - 1)
+            assert abs((abs(psi[0]) ** q + abs(psi[1]) ** q) ** (1 / q) - nrm) <= 1e-12 * nrm
+        else:
+            assert tuple(c.hex() for c in phi) == tuple(c.hex() for c in expect)
 
 
 class TestOperator:
@@ -553,35 +566,76 @@ def _grid_frameworks(draw):
     return Graph.from_edges(n, edges), Placement(coords)
 
 
-def _counted_bareiss(monkeypatch):
-    calls = []
-    bareiss = geometry._bareiss_rank
-    monkeypatch.setattr(
-        geometry, "_bareiss_rank", lambda rows: calls.append(1) or bareiss(rows)
+@st.composite
+def _glued_frameworks(draw):
+    """Two grid frameworks glued at a vertex: the second is translated so
+    that its vertex b lands on the first one's vertex a, and b is then
+    identified with a, so that 1-sums are common."""
+    (G1, pl1), (G2, pl2) = draw(_grid_frameworks()), draw(_grid_frameworks())
+    a, b = draw(st.integers(0, G1.n - 1)), draw(st.integers(0, G2.n - 1))
+    (ax, ay), (bx, by) = pl1.coords[a], pl2.coords[b]
+    label = {v: a if v == b else G1.n + v - (v > b) for v in range(G2.n)}
+    coords = pl1.coords + tuple(
+        (x - bx + ax, y - by + ay) for v, (x, y) in enumerate(pl2.coords) if v != b
     )
+    edges = list(G1.edges) + [(label[u], label[v]) for u, v in G2.edges]
+    return Graph.from_edges(len(coords), edges), Placement(coords)
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    f = getattr(geometry, name)
+    monkeypatch.setattr(geometry, name, lambda *a: calls.append(1) or f(*a))
     return calls
+
+
+def _k8_plus_a_path():
+    G = Graph.from_edges(
+        30, list(cat.complete_graph(8).edges) + [(7 + i, 8 + i) for i in range(22)]
+    )
+    return rigidity_operator(G, random_regular_placement(G, L4, 1), L4)
 
 
 class TestSplitProfile:
     @settings(max_examples=300, deadline=None)
-    @given(_grid_frameworks(), st.sampled_from([2, 4, 6]), st.sampled_from([geometry._PRIME, 3]))
+    @given(
+        st.one_of(_grid_frameworks(), _glued_frameworks()),
+        st.sampled_from([2, 4, 6]), st.sampled_from([geometry._PRIME, 3]),
+    )
     def test_matches_whole_matrix_bareiss(self, framework, p, prime):
-        # mod 3 many pieces fall short of their bound, so the per-piece
+        # mod 3 many blocks fall short of their bound, so the per-block
         # fallback runs too
         G, pl = framework
         op = rigidity_operator(G, pl, NormedPlane(p))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "_PRIME", prime)
-            rank, stressed = geometry._exact_profile(op)
+            rank, stressed, coloops = geometry._exact_profile(op)
             ranks = deletion_ranks(op, "exact")
         rows = op.matrix
         assert rank == _bareiss_rank(rows)
         for i in stressed:
             assert _bareiss_rank(rows[:i] + rows[i + 1:]) == rank, (op.edges, i)
+        for i in coloops:
+            assert _bareiss_rank(rows[:i] + rows[i + 1:]) == rank - 1, (op.edges, i)
         assert ranks == deletion_ranks_loop(op, "exact")
 
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    @pytest.mark.parametrize("prime", [geometry._PRIME, 3])
+    def test_blocks_against_bridges_and_pieces(self, monkeypatch, p, prime):
+        # the split at blocks gives the rank of the split at bridges and
+        # pieces, finds at least its stressed rows, and each row it calls
+        # a coloop drops the rank by one
+        monkeypatch.setattr(geometry, "_PRIME", prime)
+        for op in _corpus_frameworks(p):
+            rank, stressed, coloops = geometry._exact_profile(op)
+            old_rank, old_stressed = exact_profile_by_pieces(op)
+            assert rank == old_rank and stressed >= old_stressed, op.edges
+            rows = op.matrix
+            for i in coloops:
+                assert _bareiss_rank(rows[:i] + rows[i + 1:]) == rank - 1, (op.edges, i)
+
     def test_no_bareiss_on_the_benchmark_p4_inputs(self, monkeypatch):
-        calls = _counted_bareiss(monkeypatch)
+        calls = _counted(monkeypatch, "_bareiss_rank")
         d = BENCHMARK_INPUTS / "certify-lp"
         ops = []
         for line in (d / "requests.txt").read_text().splitlines():
@@ -597,23 +651,39 @@ class TestSplitProfile:
 
     def test_no_bareiss_on_k8_plus_a_path(self, monkeypatch):
         # the 22 path edges are bridges and K8 reaches 2n - 2 = 14: rank 36
-        calls = _counted_bareiss(monkeypatch)
-        G = Graph.from_edges(
-            30, list(cat.complete_graph(8).edges) + [(7 + i, 8 + i) for i in range(22)]
-        )
-        op = rigidity_operator(G, random_regular_placement(G, L4, 1), L4)
+        calls = _counted(monkeypatch, "_bareiss_rank")
+        op = _k8_plus_a_path()
         assert deletion_ranks(op, "exact") == (36, (36,) * 28 + (35,) * 22)
         assert calls == []
 
-    def test_euclidean_one_sum_still_falls_back(self, monkeypatch):
-        # two K4s sharing a vertex: no bridge, one piece, and rank 10 below
-        # its bound min(12, 2n - 3 = 11), so Bareiss must answer
-        calls = _counted_bareiss(monkeypatch)
+    def test_k8_plus_a_path_confirms_no_row(self, monkeypatch):
+        # each bridge is a block of one row, of full row rank, so a coloop:
+        # no row is left for a rank_of confirmation
+        calls = _counted(monkeypatch, "rank_of")
+        op = _k8_plus_a_path()
+        assert deletion_ranks(op, "exact") == deletion_ranks_loop(op, "exact")
+        assert geometry._exact_profile(op)[2] == frozenset(range(28, 50))
+        assert calls == []
+
+    def test_euclidean_one_sum_needs_no_bareiss(self, monkeypatch):
+        # two K4s sharing a vertex are two blocks, each of rank 5 = 2 * 4 - 3
+        calls = _counted(monkeypatch, "_bareiss_rank")
         G = cat.two_k4_shared_vertex()
         op = rigidity_operator(G, random_regular_placement(G, L2, 1), L2)
+        assert deletion_ranks(op, "exact") == (10, (10,) * 12)
+        assert calls == []
+
+    def test_euclidean_bridgeless_block_still_falls_back(self, monkeypatch):
+        # two K4s joined by the disjoint edges 0-4 and 1-5: one block of
+        # rank 12 below its bound min(14, 2n - 3 = 13), so Bareiss answers
+        calls = _counted(monkeypatch, "_bareiss_rank")
+        k4 = list(cat.complete_graph(4).edges)
+        G = Graph.from_edges(8, k4 + [(u + 4, v + 4) for u, v in k4] + [(0, 4), (1, 5)])
+        op = rigidity_operator(G, random_regular_placement(G, L2, 1), L2)
         got = deletion_ranks(op, "exact")
-        assert calls
-        assert got == deletion_ranks_loop(op, "exact") == (10, (10,) * 12)
+        assert len(calls) == 1
+        assert got == deletion_ranks_loop(op, "exact")
+        assert got[0] == 12
 
 
 class TestRigidityPredicates:

@@ -33,6 +33,7 @@ from oracles import (
     edge_connectivity_dominating_flows,
     edge_connectivity_unpruned,
     edge_cuts_triple_scan,
+    edges_on_common_cycles,
     enumerate_separations_scan,
     first_cut_vertex_scan,
     graphs_up_to_iso,
@@ -94,6 +95,14 @@ def small_graphs(max_n=7):
             max_size=n * (n - 1) // 2,
         ).map(lambda edges: Graph.from_edges(n, edges))
     )
+
+
+def _block_sets(blocks):
+    return [set(b) for b in blocks]
+
+
+def _bridges(blocks):
+    return sorted(tuple(sorted(b)) for b in blocks if len(b) == 2)
 
 
 class TestGraphBasics:
@@ -255,36 +264,40 @@ class TestAgainstCutScans:
     def test_articulation_points_with_a_skipped_vertex(self):
         # the bowtie minus its centre falls apart; the wheel minus its hub
         # is a cycle, and C5 minus vertex 0 is the path 1-2-3-4
-        # (the connected flag is one component; the bridges and components
-        # are checked along with the cut vertices)
-        comps, cuts, bridges = _lowpoint_dfs(cat.bowtie())
+        # (the connected flag is one component; the blocks and components
+        # are checked along with the cut vertices, each block head first)
+        comps, cuts, blocks = _lowpoint_dfs(cat.bowtie())
         assert (len(comps) == 1, cuts) == (True, [0])
-        assert comps == [{0, 1, 2, 3, 4}] and bridges == []
-        comps, cuts, bridges = _lowpoint_dfs(cat.bowtie(), (0,))
+        assert comps == [{0, 1, 2, 3, 4}] and _block_sets(blocks) == [{0, 1, 2}, {0, 3, 4}]
+        assert [b[0] for b in blocks] == [0, 0]
+        comps, cuts, blocks = _lowpoint_dfs(cat.bowtie(), (0,))
         assert (len(comps) == 1, cuts) == (False, [])
-        assert comps == [{1, 2}, {3, 4}] and bridges == [(1, 2), (3, 4)]
+        assert comps == [{1, 2}, {3, 4}] and _bridges(blocks) == [(1, 2), (3, 4)]
         W = cat.wheel_graph(5)
         hub = max(range(W.n), key=W.degree)
-        comps, cuts, bridges = _lowpoint_dfs(W, (hub,))
+        comps, cuts, blocks = _lowpoint_dfs(W, (hub,))
         assert (len(comps) == 1, cuts) == (True, [])
-        assert comps == [{1, 2, 3, 4, 5}] and bridges == []
-        comps, cuts, bridges = _lowpoint_dfs(cat.cycle_graph(5), (0,))
+        assert comps == [{1, 2, 3, 4, 5}] and _block_sets(blocks) == [{1, 2, 3, 4, 5}]
+        comps, cuts, blocks = _lowpoint_dfs(cat.cycle_graph(5), (0,))
         assert (len(comps) == 1, cuts) == (True, [2, 3])
-        assert comps == [{1, 2, 3, 4}] and bridges == [(1, 2), (2, 3), (3, 4)]
+        assert comps == [{1, 2, 3, 4}] and _bridges(blocks) == [(1, 2), (2, 3), (3, 4)]
+        assert len(blocks) == 3
 
     @settings(max_examples=200, deadline=None)
     @given(small_graphs(8), st.data())
     def test_lowpoint_dfs_against_deletions(self, G, data):
         # with the vertices in `drop` deleted: the components are those of
-        # the relabelled subgraph, a bridge is an edge whose deletion adds a
-        # component, and a cut vertex a vertex whose deletion adds one
+        # the relabelled subgraph, a cut vertex is a vertex whose deletion
+        # adds a component, every edge lies in exactly one block, two edges
+        # share a block iff they lie on a common cycle, and the two-vertex
+        # blocks are the bridges, the edges whose deletion adds a component
         drop = data.draw(st.sets(st.integers(0, G.n - 1), max_size=3))
-        comps, cuts, bridges = _lowpoint_dfs(G, drop)
+        comps, cuts, blocks = _lowpoint_dfs(G, drop)
         H, relabel = G.remove_vertices(drop)
         back = {new: old for old, new in relabel.items()}
         base = components_search(H)
         assert comps == [{back[v] for v in c} for c in base]
-        assert bridges == sorted(
+        assert _bridges(blocks) == sorted(
             (back[u], back[v]) for u, v in H.edges
             if len(components_search(H.remove_edge(u, v))) > len(base)
         )
@@ -292,6 +305,22 @@ class TestAgainstCutScans:
             back[v] for v in range(H.n)
             if len(components_search(H.remove_vertices([v])[0])) > len(base)
         ]
+        block_of = {}
+        for i, b in enumerate(_block_sets(blocks)):
+            assert len(b) == len(blocks[i]) >= 2
+            for e in G.induced_edges(b):
+                assert e not in block_of  # no edge lies in two blocks
+                block_of[e] = i
+        cycles = edges_on_common_cycles(H)
+        edges = sorted(block_of)
+        assert edges == sorted((back[u], back[v]) for u, v in H.edges)
+        for e in edges:
+            on_cycle = {(back[u], back[v]) for u, v in cycles[relabel[e[0]], relabel[e[1]]]}
+            assert on_cycle == {f for f in edges if block_of[f] == block_of[e]}
+        # the heads: every vertex but a root (the smallest of its component)
+        # follows the head in exactly one block
+        below = sorted(v for b in blocks for v in b[1:])
+        assert below == sorted(set().union(*comps) - {min(c) for c in comps})
 
     def test_first_cut_vertex_on_disconnected_graphs(self):
         # an isolated vertex beside one other component is no cut vertex
