@@ -87,7 +87,10 @@ class NormedPlane:
         return [((a, b), (c, d)) for a, b, c, d in SIGNED_PERMUTATIONS]
 
     def norm(self, x) -> float:
-        return (abs(float(x[0])) ** self.p + abs(float(x[1])) ** self.p) ** (1 / self.p)
+        """|x|_p = M (|y_1|^p + |y_2|^p)^(1/p), y = x / M, with M and y from
+        `_power_sum` (M = 1 whenever the plain expression is in range)."""
+        m, _, s = _power_sum(x, self.p)
+        return m * s ** (1 / self.p)
 
 
 @dataclass(frozen=True)
@@ -118,26 +121,39 @@ def support_functional(x, plane: NormedPlane):
 
     Componentwise sign(x_i) |x_i|^(p-1) / |x|^(p-2); the zero vector maps to
     the zero functional.  For p = 2 the functional is x itself (kept exact
-    when x is rational).  Where a step of that expression leaves the float
-    range (|x|^p under- or overflows), x is first scaled by 2^-e to a
-    largest entry in [1/2, 1) and the answer by 2^e, since phi_(cx) =
-    c phi_x for c > 0; every value the plain expression gives is kept.
+    when x is rational).  Otherwise that expression is taken at y = x / M
+    and multiplied by M, with M and y from `_power_sum`, since
+    phi_(cx) = c phi_x for c > 0: M = 1 and y = x, and so the bits of the
+    plain expression, whenever the power sum of x is in range.
     """
     if x[0] == 0 and x[1] == 0:
         return (0.0, 0.0)
     if plane.euclidean:
         return (x[0], x[1])
     p = plane.p
+    m, y, s = _power_sum(x, p)
+    scale = (s ** (1 / p)) ** (p - 2)
+    return tuple(m * (c / scale) for c in _signed_powers(y, p))
 
-    def two_step(y):
-        scale = plane.norm(y) ** (p - 2)
-        return tuple(c / scale for c in _signed_powers(y, p))
 
+def _power_sum(x, p) -> tuple[float, tuple[float, float], float]:
+    """(M, y, s) with y = x / M and s = |y_1|^p + |y_2|^p, each x_i rounded
+    to a float once.  M = 1 and y = x when that sum for x is a finite
+    normal float (at least sys.float_info.min); otherwise, for x nonzero
+    and finite, M = max |x_i|, so that |y_i| <= 1 = max |y_i| and s lies
+    in [1, 2]: no step of a norm or a support functional of y leaves the
+    float range, and |x| = M |y| since |cx| = c|x| for c > 0.
+    """
+    y = (float(x[0]), float(x[1]))
     try:
-        return two_step(x)
-    except ArithmeticError:
-        e = math.frexp(max(abs(float(c)) for c in x))[1]
-        return tuple(math.ldexp(c, e) for c in two_step([math.ldexp(float(c), -e) for c in x]))
+        s = abs(y[0]) ** p + abs(y[1]) ** p
+    except OverflowError:
+        s = math.inf
+    m = max(map(abs, y))
+    if sys.float_info.min <= s < math.inf or not 0 < m < math.inf:
+        return 1.0, y, s
+    y = (y[0] / m, y[1] / m)
+    return m, y, abs(y[0]) ** p + abs(y[1]) ** p
 
 
 def _signed_powers(x, p) -> tuple[float, float]:

@@ -249,13 +249,9 @@ def is_k_connected(G: Graph, k: int) -> bool:
     1-connected.
 
     k = 1 and k = 2 read G's one lowpoint DFS (`Graph._lowpoint_dfs`, run
-    once per graph).  k = 3 adds n more: a non-complete G is 3-connected
-    iff it is 2-connected and G - v is 2-connected for every v.  A
-    2-connected non-complete G has n >= 4, and each G - a is connected on
-    n - 1 >= 3 vertices.  Deleting {a, b} leaves (G - a) - b, on n - 2 >= 2
-    vertices, and that is disconnected iff b is a cut vertex of G - a.  So
-    a separating pair exists iff some G - a has a cut vertex, and
-    3-connectivity is O(n * m).
+    once per graph).  k = 3 then asks `_no_separation_pair`, one
+    triconnectivity path search in O(n + m): a 2-connected non-complete G
+    has n >= 4, and it is 3-connected iff no pair of vertices separates it.
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
@@ -274,10 +270,174 @@ def is_k_connected(G: Graph, k: int) -> bool:
         return False
     if k == 2:
         return True
-    for v in range(G.n):
-        comps, cuts, _ = _lowpoint_dfs(G, (v,))
-        if len(comps) != 1 or cuts:
-            return False
+    return _no_separation_pair(G)
+
+
+def _no_separation_pair(G: Graph) -> bool:
+    """Whether a 2-connected, non-complete simple G (so n >= 4) has no
+    separating pair, i.e. is 3-connected, in O(n + m): Hopcroft & Tarjan's
+    triconnectivity path search (SIAM J. Comput. 2(3), 1973) as corrected
+    by Gutwenger & Mutzel ("A linear time implementation of SPQR-trees",
+    GD 2000), stopped at the first split.  All three searches are
+    iterative.
+
+    1. A vertex of degree 2 has its two neighbours as a separating pair.
+    2. DFS 1 from vertex 0 numbers the vertices and records fathers,
+       descendant counts ND, lowpt1 and lowpt2 (the least and second least
+       number in {v} and the ends of fronds leaving the subtree of v), and
+       the out-arcs: tree arcs and fronds, each frond from a vertex to a
+       proper ancestor.  At the tree edge (p, v) it answers False when
+       lowpt2(v) >= num(p) > lowpt1(v) and n - ND(v) >= 3: every edge
+       leaving the subtree of v then ends at p or at lowpt1(v), and some
+       vertex lies outside the subtree and off the pair.
+    3. Each out-arc list is sorted by phi: 2 lowpt1(w) for a tree arc
+       v -> w, 2w + 1 for a frond v ~> w, the order of Gutwenger &
+       Mutzel's 3 lowpt1(w) and 3w + 1.  They add 2 for a tree arc with
+       lowpt2(w) >= v; that changes no order once step 2 has passed,
+       because then such an arc is the only out-arc of v.  Either v is the root,
+       whose one child w is its one out-arc; or lowpt1(w) < v and the side
+       condition failed, n - ND(w) = 2, so v and the root are all that lie
+       outside the subtree of w: v is the root's child, w its one child,
+       and v has no frond, as a frond to its father would double an edge.
+    4. DFS 2 follows the sorted arcs.  It renumbers the vertices (entering
+       v, NEWNUM(v) = count - ND(v) + 1, count starting at n and falling by
+       one after each return from a tree child, so the subtree of w holds
+       w .. w + ND(w) - 1) and sets high(v), the NEWNUM of the source of
+       the first frond into v it meets, or 0.  lowpt1(w) names an ancestor
+       of w, so it maps to the new numbers vertex by vertex.
+    5. The path search follows the same arcs, the first arc and each arc
+       after a frond starting a path, with Gutwenger & Mutzel's stack of
+       triples (h, a, b) and end-of-segment markers, and answers
+       False at its first type-2 pair, True if it finishes.  Its type-1
+       test is left out: it is step 2's condition on the same vertices
+       under a stronger side condition (father(v) not the root, or a tree
+       arc of v still to come, both leave three vertices outside the
+       subtree of w), so step 2 has answered first.
+
+    Soundness: Gutwenger & Mutzel's algorithm changes the graph only when
+    it splits off a component, so a run stopped at its first split is in
+    the state of the full run up to that point.  A 2-connected simple graph
+    on n >= 4 vertices is 3-connected iff the full run splits nothing.
+    With no multiple edges and every degree at least 3, its bond handling
+    (a frond to the father) and its deg(w) = 2 branch never apply before
+    the first split.  And each of the exits 1, 2 and the type-2 split
+    names a real separating pair: in a simple graph a split pair has two
+    split classes holding vertices off the pair.
+    """
+    n, adj = G.n, G.adj
+    if min(map(len, adj)) < 3:
+        return False
+    # DFS 1: numbers 1..n; out[v] lists tree children w and fronds ~w
+    num, father, nd = [0] * n, [-1] * n, [1] * n
+    low1, low2 = [0] * n, [0] * n
+    out = [[] for _ in range(n)]
+    num[0] = low1[0] = low2[0] = clock = 1
+    stack = [(0, iter(adj[0]))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if not num[w]:
+                clock += 1
+                num[w] = low1[w] = low2[w] = clock
+                father[w] = v
+                out[v].append(w)
+                stack.append((w, iter(adj[w])))
+                break
+            x = num[w]
+            if x < num[v] and w != father[v]:
+                out[v].append(~w)
+                if x < low1[v]:
+                    low1[v], low2[v] = x, low1[v]
+                elif low1[v] < x < low2[v]:
+                    low2[v] = x
+        else:
+            stack.pop()
+            p = father[v]
+            if p < 0:
+                break
+            nd[p] += nd[v]
+            l1, l2 = low1[v], low2[v]
+            if l2 >= num[p] > l1 and n - nd[v] >= 3:
+                return False
+            if l1 < low1[p]:
+                low1[p], low2[p] = l1, min(low1[p], l2)
+            elif l1 == low1[p]:
+                low2[p] = min(low2[p], l2)
+            else:
+                low2[p] = min(low2[p], l1)
+
+    def phi(w):
+        return 2 * num[~w] + 1 if w < 0 else 2 * low1[w]
+
+    for arcs in out:
+        arcs.sort(key=phi)
+    # DFS 2: new numbers and high
+    vertex = [0] * (n + 1)  # old number -> vertex
+    for v in range(n):
+        vertex[num[v]] = v
+    new, high = [0] * n, [0] * n
+    count = n
+    new[0] = 1
+    stack = [(0, 0)]
+    while stack:
+        v, i = stack.pop()
+        if i:
+            count -= 1  # back from the tree child out[v][i - 1]
+        arcs = out[v]
+        while i < len(arcs):
+            w = arcs[i]
+            i += 1
+            if w >= 0:
+                new[w] = count - nd[w] + 1
+                stack += ((v, i), (w, 0))
+                break
+            if not high[~w]:
+                high[~w] = new[v]
+    # the path search along the same arcs: h and a are new numbers, b is
+    # a vertex, and each frame keeps whether its last tree arc started a path
+    low1 = [new[vertex[x]] for x in low1]
+    eos = (0, 0, 0)
+    tstack = [eos]  # a sentinel EOS: no triple below it is ever read
+    start = True
+    stack = [(0, 0, False)]
+    while stack:
+        v, i, started = stack.pop()
+        nv, arcs = new[v], out[v]
+        if i:
+            # back from w = arcs[i - 1]: the type-2 pairs {v, b}
+            while nv != 1 and tstack[-1][1] == nv:
+                if father[tstack[-1][2]] != v:
+                    return False
+                tstack.pop()
+            if started:
+                while tstack.pop() is not eos:
+                    pass
+            h, a, b = tstack[-1]
+            while tstack[-1] is not eos and a != nv and b != v and high[v] > h:
+                tstack.pop()
+                h, a, b = tstack[-1]
+        while i < len(arcs):
+            w = arcs[i]
+            i += 1
+            lw = low1[w] if w >= 0 else new[~w]
+            if start:
+                y, last = 0, -1
+                while tstack[-1][1] > lw:
+                    h, _, last = tstack.pop()
+                    y = max(y, h)
+                if last >= 0:
+                    tstack.append((y, lw, last))
+                elif w >= 0:
+                    tstack.append((new[w] + nd[w] - 1, lw, v))
+                else:
+                    tstack.append((nv, lw, v))
+                if w >= 0:
+                    tstack.append(eos)
+            if w >= 0:
+                stack += ((v, i, start), (w, 0, False))
+                start = False
+                break
+            start = True
     return True
 
 

@@ -18,7 +18,9 @@ the support functional and a second norm (the library now takes each entry
 as a signed power), its float rank of the raw rows (the library now
 divides each row by its largest entry), its
 cut scans for k-connectivity and the first cut vertex (one subgraph per
-candidate cut, where the library now runs lowpoint DFS), its edge
+candidate cut, where the library now runs lowpoint DFS), its
+3-connectivity by one lowpoint DFS per deleted vertex (the library now
+runs one triconnectivity path search), its edge
 connectivity without the bound on each flow, and with bounded flows but no
 spanning-tree cut labels first, its unit flow with a residual
 map over every arc (the library keeps only the arcs the flow uses), its
@@ -43,8 +45,8 @@ import numpy as np
 from planerigidity import geometry
 from planerigidity.geometry import RigidityOperator, _bareiss_rank, rank_of, support_functional
 from planerigidity.graphs import (
-    Graph, Separation, _bipartitions, _is_k4_part, _norm_edge, _part,
-    _min_st_edge_cut, _wl_colors, enumerate_separations, find_isomorphism,
+    Graph, Separation, _bipartitions, _is_k4_part, _lowpoint_dfs, _norm_edge, _part,
+    _min_st_edge_cut, _wl_colors, enumerate_separations, find_isomorphism, is_k_connected,
 )
 from planerigidity.moves import Move, MoveError, ReductionTrace, base_graph
 from planerigidity.sparsity import EarDecomposition, PebbleGame, _basis_and_circuits, rank2k
@@ -418,6 +420,23 @@ def is_k_connected_cut_scan(G: Graph, k: int) -> bool:
             rest = [v for v in range(G.n) if v not in cut]
             if len(rest) >= 2 and not G.subgraph(rest)[0].is_connected():
                 return False
+    return True
+
+
+def is_3_connected_by_deletions(G: Graph) -> bool:
+    """The library's earlier `is_k_connected(G, 3)`: a non-complete G is
+    3-connected iff it is 2-connected and G - v is 2-connected for every v,
+    one lowpoint DFS per vertex, O(n * m)."""
+    if G.n == 1:
+        return False
+    if G.is_complete():
+        return True
+    if not is_k_connected(G, 2):
+        return False
+    for v in range(G.n):
+        comps, cuts, _ = _lowpoint_dfs(G, (v,))
+        if len(comps) != 1 or cuts:
+            return False
     return True
 
 

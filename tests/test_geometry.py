@@ -101,35 +101,80 @@ class TestSupportFunctional:
     @example(x=(1e-170, 3e-170), p=2.5)
     @example(x=(5e-324, 0.0), p=1.5)
     @example(x=(1e200, 1e200), p=3)
+    @example(x=(0.5, 0.0), p=2000)
+    @example(x=(0.75, 0.75), p=3000)
+    @example(x=(1.5, 1.5), p=3000)
     def test_bits_of_the_two_step_expression(self, x, p):
         # the public functional still divides the signed powers by the
-        # norm's power, each x_i rounded to a float before its power; where
-        # that expression leaves the float range, the answer must still be
-        # the functional: checked on x and phi scaled by the same power of
-        # two, as phi(x) = |x|^2 and |phi|* = |x| are homogeneous
+        # norm's power, each x_i rounded to a float before its power,
+        # whenever the raw power sum |x_1|^p + |x_2|^p is a finite normal
+        # float; otherwise the answer must still be the functional: checked
+        # on x and phi divided by M = max |x_i|, as phi(x) = |x|^2 and
+        # |phi|* = |x| are homogeneous, up to the half unit of the last
+        # subnormal place each phi_i may lose when M phi(x / M) is that small
         plane = NormedPlane(p)
-
-        def two_step():
-            if x[0] == 0 and x[1] == 0:
-                return (0.0, 0.0)
-            nrm = plane.norm(x)
-            return tuple(
-                math.copysign(abs(float(c)) ** (p - 1), float(c)) / nrm ** (p - 2) for c in x
-            )
-
         phi = support_functional(x, plane)
+        if x[0] == 0 and x[1] == 0:
+            assert phi == (0.0, 0.0)
+            return
+        y = [float(c) for c in x]
         try:
-            expect = two_step()
-        except ArithmeticError:
-            e = math.frexp(max(abs(float(c)) for c in x))[1]
-            y = [math.ldexp(float(c), -e) for c in x]
-            psi = [math.ldexp(c, -e) for c in phi]
-            nrm = plane.norm(y)
-            assert abs(psi[0] * y[0] + psi[1] * y[1] - nrm**2) <= 1e-12 * nrm**2
-            q = p / (p - 1)
-            assert abs((abs(psi[0]) ** q + abs(psi[1]) ** q) ** (1 / q) - nrm) <= 1e-12 * nrm
-        else:
+            s = abs(y[0]) ** p + abs(y[1]) ** p
+        except OverflowError:
+            s = math.inf
+        if sys.float_info.min <= s < math.inf:
+            scale = (s ** (1 / p)) ** (p - 2)
+            expect = tuple(math.copysign(abs(c) ** (p - 1), c) / scale for c in y)
             assert tuple(c.hex() for c in phi) == tuple(c.hex() for c in expect)
+            return
+        m = max(map(abs, y))
+        y = [c / m for c in y]
+        psi = [c / m for c in phi]
+        nrm = (abs(y[0]) ** p + abs(y[1]) ** p) ** (1 / p)
+        slack = 2 * 2.0**-1075 / m
+        assert abs(psi[0] * y[0] + psi[1] * y[1] - nrm**2) <= 1e-12 * nrm**2 + slack
+        q = p / (p - 1)
+        dual = (abs(psi[0]) ** q + abs(psi[1]) ** q) ** (1 / q)
+        assert abs(dual - nrm) <= 1e-12 * nrm + slack
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.1, 1), st.floats(-1, 1), st.integers(-300, 300), st.booleans(),
+        st.floats(1.5, 3000),
+    )
+    @example(top=0.5, ratio=0.0, e=0, swap=False, p=2000)
+    @example(top=0.75, ratio=1.0, e=0, swap=False, p=3000)
+    @example(top=0.15, ratio=1.0, e=1, swap=False, p=3000)
+    @example(top=0.1, ratio=0.0, e=-199, swap=False, p=3)
+    @example(top=0.4, ratio=0.75, e=1, swap=True, p=1000)
+    def test_identities_across_the_float_range(self, top, ratio, e, swap, p):
+        # |x| = max |x_i| 10^e from 1e-301 to 1e300: phi(x) = |x|^2 and
+        # |phi|* = |x|, each read divided by |x| so that no side leaves the
+        # float range; the (p - 2)-nd power of the norm scales its rounding
+        # error by about p, hence the tolerance
+        x = (top * 10.0**e, ratio * top * 10.0**e)
+        x = x[::-1] if swap else x
+        plane = NormedPlane(p)
+        phi = support_functional(x, plane)
+        nrm = plane.norm(x)
+        tol = 1e-13 + p * 2.0**-51
+        assert nrm == pytest.approx(max(map(abs, x)) * plane.norm((1, ratio)), rel=tol)
+        assert (phi[0] / nrm) * (x[0] / nrm) + (phi[1] / nrm) * (x[1] / nrm) == pytest.approx(
+            1, rel=tol
+        )
+        assert NormedPlane(p / (p - 1)).norm(phi) == pytest.approx(nrm, rel=tol)
+
+    @pytest.mark.parametrize("x, p, expect", [
+        ((0.5, 0), 2000, 0.5),
+        ((1e-200, 0), 3, 1e-200),
+        ((3, 4), 1000, 4.0),
+        ((1.5, 1.5), 3000, 1.5 * 2 ** (1 / 3000)),
+        ((1e200, 1e200), 3, 1e200 * 2 ** (1 / 3)),
+    ])
+    def test_norm_past_the_range_of_the_power_sum(self, x, p, expect):
+        # the power sum underflows to 0 or overflows; the norm of x / M,
+        # M = max |x_i|, times M does not
+        assert NormedPlane(p).norm(x) == pytest.approx(expect, rel=1e-15)
 
 
 class TestOperator:

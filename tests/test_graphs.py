@@ -37,6 +37,7 @@ from oracles import (
     enumerate_separations_scan,
     first_cut_vertex_scan,
     graphs_up_to_iso,
+    is_3_connected_by_deletions,
     is_k_connected_cut_scan,
     min_st_edge_cut_residual,
 )
@@ -327,6 +328,77 @@ class TestAgainstCutScans:
         assert first_cut_vertex(Graph.from_edges(4, [(1, 2), (2, 3), (1, 3)])) == 1
         assert first_cut_vertex(Graph.from_edges(4, [(2, 3)])) == 0
         assert first_cut_vertex(Graph.from_edges(2, [])) is None
+
+
+def _prism(k):
+    """Two k-cycles 0..k-1 and k..2k-1 joined by the matching i-(k + i)."""
+    ring = [(i, (i + 1) % k) for i in range(k)]
+    return Graph.from_edges(2 * k, ring + [(k + u, k + v) for u, v in ring] +
+                            [(i, k + i) for i in range(k)])
+
+
+def _assert_three_connectivity(graphs, scan_up_to=14):
+    # the path search against one lowpoint DFS per deleted vertex, and
+    # against deleting every vertex and pair on graphs up to scan_up_to
+    # vertices
+    for G in graphs:
+        expect = is_3_connected_by_deletions(G)
+        assert is_k_connected(G, 3) == expect, G
+        if G.n <= scan_up_to:
+            assert is_k_connected_cut_scan(G, 3) == expect, G
+
+
+class TestThreeConnectivityPathSearch:
+    """`is_k_connected(G, 3)` asks one triconnectivity path search
+    (`graphs._no_separation_pair`); the n lowpoint DFS runs it replaced are
+    the oracle `is_3_connected_by_deletions`, which matches the cut scan on
+    every isomorphism class up to six vertices (`TestAgainstCutScans`)."""
+
+    def test_every_labelled_graph_up_to_six_vertices(self):
+        for n in range(1, 7):
+            _assert_three_connectivity(all_labeled_graphs(n), scan_up_to=5)
+
+    def test_joined_graphs(self):
+        # the paper's 1-, 2- and 3-joins reach every exit of the search: a
+        # vertex of degree 2, a type-1 pair in the first DFS, a type-2 pair
+        # in the path search, and no pair
+        graphs = joined_graphs(400, seed=3, max_n=14)
+        _assert_three_connectivity(graphs)
+        assert 50 < sum(map(is_3_connected_by_deletions, graphs)) < 350
+
+    def test_decision_corpus(self):
+        _assert_three_connectivity(decision_corpus(300, seed=5))
+
+    def test_relabelled_m22_walks(self):
+        rng = random.Random(25)
+        walks = [relabelled(random_m22_graph(steps, 250 + steps), rng) for steps in (80, 160, 320)]
+        assert max(G.n for G in walks) >= 340
+        _assert_three_connectivity(walks)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(9), st.randoms(use_true_random=False))
+    def test_relabelled_small_graphs(self, G, rng):
+        _assert_three_connectivity([G, relabelled(G, rng)])
+
+    def test_pair_only_the_type_2_test_catches(self):
+        # two K4s on {0, 1, 2, 5} and {1, 2, 3, 4} sharing the edge 1-2,
+        # which is removed: {1, 2} separates and every degree is 3; the
+        # first DFS, from vertex 0, shows no type-1 pair, so only the path
+        # search's type-2 test can answer
+        G = Graph.from_edges(6, [
+            (0, 1), (0, 2), (0, 5), (1, 5), (2, 5), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+        ])
+        assert G.min_degree() == 3 and is_k_connected(G, 2)
+        assert not is_k_connected(G, 3)
+        assert not is_3_connected_by_deletions(G)
+
+    @pytest.mark.parametrize("G", [cat.wheel_graph(3999), _prism(2000)], ids=["wheel", "prism"])
+    def test_four_thousand_vertices(self, G):
+        # iterative searches: no RecursionError at this depth
+        assert G.n == 4000
+        assert is_k_connected(G, 3)
+        H = G.remove_edge(*min(G.edges))
+        assert is_k_connected(H, 2) and not is_k_connected(H, 3)
 
 
 class TestEdgeConnectivity:
