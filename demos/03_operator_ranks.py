@@ -33,8 +33,8 @@ for name, G in [
     r2 = rank_of(rigidity_operator(G, pl, L2), "exact")
     print(f"  exact rank at p=4: {r4}  (rigid needs {2 * G.n - 2})")
     print(f"  exact rank at p=2: {r2}  (rigid needs {2 * G.n - 3})")
-    print(f"  pebble-game rank, (2,2) matroid: {rank2k(G.edges, 2)}")
-    print(f"  pebble-game rank, (2,3) matroid: {rank2k(G.edges, 3)}")
+    print(f"  pebble-game rank, (2,2) matroid: {rank2k(G, 2)}")
+    print(f"  pebble-game rank, (2,3) matroid: {rank2k(G, 3)}")
     print()
 
 print("K_{3,3} is rigid in the Euclidean plane and flexible in every other")

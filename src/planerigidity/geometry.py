@@ -79,7 +79,7 @@ class NormedPlane:
     @property
     def exactable(self) -> bool:
         """Whether the row-scaled operator of a rational placement is exact."""
-        return self.p == 2 or (self.p == int(self.p) and int(self.p) % 2 == 0)
+        return self.p == int(self.p) and int(self.p) % 2 == 0
 
     def isometry_linear_parts(self):
         if self.euclidean:
@@ -113,6 +113,10 @@ class Placement:
         return Placement(tuple((x + dx, y + dy) for x, y in self.coords))
 
     def well_positioned(self, G: Graph) -> bool:
+        """Whether (G, self) is well-positioned, the paper's notion: in an
+        analytic normed plane every nonzero vector is smooth, so this means
+        no edge has coincident endpoints.  Public for that reason, though
+        no routine here calls it."""
         return all(self.coords[u] != self.coords[v] for u, v in G.edges)
 
 
@@ -675,7 +679,8 @@ def framework_edge_lengths(G: Graph, placement: Placement, plane: NormedPlane):
 def equivalent_exactly(G: Graph, p: Placement, q: Placement, plane: NormedPlane) -> bool:
     """Edge-length equality; exact via p-th powers of coordinates when both
     placements are rational and p is an even integer (including p = 2),
-    else within 1e-12 relative."""
+    else within 1e-12 relative.  Public as the acceptance suite's exact
+    length check on equivalent frameworks."""
     if p.exact and q.exact and plane.exactable:
         k = int(plane.p)
         for u, v in G.edges:

@@ -88,6 +88,7 @@ class Graph:
         return _norm_edge(u, v) in self.edges
 
     def add_edge(self, u: int, v: int) -> "Graph":
+        """G + uv: public as the counterpart of remove_edge."""
         if self.has_edge(u, v):
             raise ValueError(f"edge ({u},{v}) already present")
         return Graph(self.n, self.edges | {_norm_edge(u, v)})

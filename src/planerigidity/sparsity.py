@@ -4,19 +4,20 @@ Rank and independence come from the standard pebble game: every vertex
 starts with two pebbles, and an edge is accepted when k+1 pebbles can be
 gathered on its endpoints by reversing directed paths.
 
-Every other matroid question is answered from a single game: the basis B
-it accepts and, for each rejected edge f, the fundamental circuit C(f,B),
-read from the pebbles at the moment f is rejected.  The components are the
-classes of "lies in a common fundamental circuit" (the single-basis
-component rule), the coloops are the basis edges in no fundamental
-circuit, G is a circuit when exactly one edge is rejected and its circuit
-is E, and each ear of an ear decomposition is one of the fundamental
-circuits of the game over the sorted edges.  That game is played once per
-Graph instance and kept on it (_sorted_game), so the components, the
-circuit test, the ear decomposition, the cold M(2,2) check and the
-callers in `decide` all read the same game.  A game may also start from
-the final orientation of another game (PebbleGame.seed), which is how the
-reduction engine checks each candidate from its parent's game.
+Every matroid question is answered from a single game: the basis B it
+accepts and, for each rejected edge f, the fundamental circuit C(f,B),
+read from the pebbles at the moment f is rejected.  The rank is |B|, the
+components are the classes of "lies in a common fundamental circuit" (the
+single-basis component rule), the coloops are the basis edges in no
+fundamental circuit, G is a circuit when exactly one edge is rejected and
+its circuit is E, and each ear of an ear decomposition is one of the
+fundamental circuits of the game over the sorted edges.  That game is
+played once per Graph instance and kept on it (_sorted_game), so the rank,
+the components, the circuit test, the ear decomposition, the cold M(2,2)
+check and the callers in `decide` all read the same game.  A game may
+also start from the final orientation of another game (PebbleGame.seed),
+which is how the reduction engine checks each candidate from its parent's
+game.
 
 The k = 2 case (rank2k(..., 2), circuits, M(2,2)-components, connectivity,
 ear decompositions) is the one the rigidity theory uses; k = 3 serves the
@@ -203,29 +204,25 @@ def _sorted_game(G: Graph, k: int = 2) -> tuple[PebbleGame, dict[Edge, frozenset
 
 
 def rank2k(edges, k: int) -> int:
-    """Rank of an edge set in the (2,k)-sparsity matroid.
+    """Rank of an edge set in the (2,k)-sparsity matroid: the size of the
+    basis of its sorted game (_sorted_game).
 
-    The game stops once it holds 2n' - k edges, with n' the number of
-    labels that occur in the edges (a label without an edge, such as a
-    deleted vertex left in place, does not count): a (2,k)-sparse set whose
-    edges touch n' vertices has at most 2n' - k edges.
+    `edges` is a Graph, whose own game is read, so its rank is free once
+    any other (2,k) question about it has been asked; or an iterable of
+    pairs, read as Graph.from_edges(1 + max label, edges), so a repeated or
+    reversed pair counts once and a label without an edge adds nothing.
     """
-    uniq = list(dict.fromkeys(_norm_edge(u, v) for u, v in edges))
-    touched = {v for e in uniq for v in e}
-    game = PebbleGame(1 + max(touched, default=-1), k)
-    bound = 2 * len(touched) - k
-    for e in uniq:
-        if game.rank == bound:
-            break
-        game.insert(*e)
-    return game.rank
+    if not isinstance(edges, Graph):
+        edges = list(edges)
+        edges = Graph.from_edges(1 + max((v for e in edges for v in e), default=-1), edges)
+    return _sorted_game(edges, k)[0].rank
 
 
 def is_sparse(G: Graph, k: int) -> bool:
     """Every subgraph satisfies |E'| <= 2|V'| - k, i.e. E is independent."""
     if G.m < 1:
         raise ValueError("needs at least one edge")
-    return rank2k(G.edges, k) == G.m
+    return rank2k(G, k) == G.m
 
 
 def is_tight(G: Graph, k: int) -> bool:
@@ -341,8 +338,9 @@ def is_m22_connected(
     a spanning tight subgraph) run before the component computation since
     this sits on the reduction engine's hot path.
 
-    Cold path (no seed): `rank2k`, then `m22_components`, which reads G's
-    sorted game (_sorted_game); that game is the one G keeps.
+    Cold path (no seed): `rank2k`, then `m22_components`, both read off G's
+    sorted game (_sorted_game), which is played once, by `rank2k`; that
+    game is the one G keeps.
 
     Warm path: `seed` is (parent, relabel), with `parent` the final game of
     a graph G was derived from (or None) and `relabel` the map of its kept
@@ -373,9 +371,8 @@ def is_m22_connected(
         return False
     if G.m < 2 * G.n - 1:
         return False
-    edges = G.sorted_edges()
     if seed is None:
-        if rank2k(edges, 2) != 2 * G.n - 2:
+        if rank2k(G, 2) != 2 * G.n - 2:
             return False
         if len(m22_components(G)) != 1:
             return False
@@ -385,10 +382,10 @@ def is_m22_connected(
         game = PebbleGame(G.n, 2)
         if parent is not None:
             game.seed(parent, relabel, G.edges)
-        basis, circuits = _basis_and_circuits(edges, 2, game)
+        basis, circuits = _basis_and_circuits(G.sorted_edges(), 2, game)
         if len(basis) != 2 * G.n - 2:
             return False
-        if len(_circuit_classes(edges, circuits)) != 1:
+        if len(_circuit_classes(G.edges, circuits)) != 1:
             return False
     slot[:] = [game]
     return True
@@ -412,14 +409,6 @@ class EarDecomposition:
     @property
     def t(self) -> int:
         return len(self.circuits)
-
-    def unions(self) -> list[frozenset[Edge]]:
-        out = []
-        d: frozenset[Edge] = frozenset()
-        for c in self.circuits:
-            d = d | c
-            out.append(d)
-        return out
 
     def new_parts(self) -> list[frozenset[Edge]]:
         out = []

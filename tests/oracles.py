@@ -4,9 +4,11 @@ The brute-force oracles work straight from the counting definition of
 (2,k)-sparsity (|E'| <= 2|V'| - k over all vertex subsets), never through
 the pebble game, so agreement is meaningful.  The reference routines at the
 end are the library's earlier many-game versions of questions it now
-answers from the fundamental circuits of one game, its rank and coloops of
-an edge list in its own order (the library reads them off each graph's
-sorted game), its ear decomposition with one game per ear (the library now
+answers from the fundamental circuits of one game, its rank by a game of
+its own that stops at the rank bound (the library reads the rank off each
+graph's sorted game; the leave-one-out oracles play this game), its rank
+and coloops of an edge list in its own order (the library reads them off
+each graph's sorted game), its ear decomposition with one game per ear (the library now
 reads every ear off the one game over the sorted edges), its earlier m + 1
 eliminations for the deletion ranks of a rigidity operator, its split of
 an exact rank at the bridges and into the pieces between them (the
@@ -49,7 +51,7 @@ from planerigidity.graphs import (
     _min_st_edge_cut, _wl_colors, enumerate_separations, find_isomorphism, is_k_connected,
 )
 from planerigidity.moves import Move, MoveError, ReductionTrace, base_graph
-from planerigidity.sparsity import EarDecomposition, PebbleGame, _basis_and_circuits, rank2k
+from planerigidity.sparsity import EarDecomposition, PebbleGame, _basis_and_circuits
 
 
 def vertices_of(edges):
@@ -265,12 +267,31 @@ def rank_and_coloops(edges, k):
     return len(basis), frozenset(b for b in basis if b not in in_circuit)
 
 
+def rank_by_stopped_game(edges, k):
+    """Rank of an edge set in the (2,k)-sparsity matroid.
+
+    The game stops once it holds 2n' - k edges, with n' the number of
+    labels that occur in the edges (a label without an edge, such as a
+    deleted vertex left in place, does not count): a (2,k)-sparse set whose
+    edges touch n' vertices has at most 2n' - k edges.
+    """
+    uniq = list(dict.fromkeys(_norm_edge(u, v) for u, v in edges))
+    touched = {v for e in uniq for v in e}
+    game = PebbleGame(1 + max(touched, default=-1), k)
+    bound = 2 * len(touched) - k
+    for e in uniq:
+        if game.rank == bound:
+            break
+        game.insert(*e)
+    return game.rank
+
+
 def coloops_leave_one_out(edges, k):
     """Edges whose deletion lowers the (2,k) rank, one game per edge."""
     edges = sorted(edges)
-    r = rank2k(edges, k)
+    r = rank_by_stopped_game(edges, k)
     return frozenset(
-        e for i, e in enumerate(edges) if rank2k(edges[:i] + edges[i + 1:], k) != r
+        e for i, e in enumerate(edges) if rank_by_stopped_game(edges[:i] + edges[i + 1:], k) != r
     )
 
 
@@ -279,7 +300,7 @@ def is_circuit22_leave_one_out(G: Graph):
     if G.m != 2 * G.n - 1:
         return False
     edges = G.sorted_edges()
-    return all(rank2k(edges[:i] + edges[i + 1:], 2) == G.m - 1 for i in range(G.m))
+    return all(rank_by_stopped_game(edges[:i] + edges[i + 1:], 2) == G.m - 1 for i in range(G.m))
 
 
 def modular_profile_dense(rows, cols: int, prime: int):
@@ -574,7 +595,8 @@ def vertex_deletion_rigid_games(G: Graph) -> bool:
     """rank(G - v) = 2(n - 1) - 2 for every v, one game per v, with no
     edge-count filter first."""
     return all(
-        rank2k(G.subgraph([w for w in range(G.n) if w != v])[0].edges, 2) == 2 * (G.n - 1) - 2
+        rank_by_stopped_game(G.subgraph([w for w in range(G.n) if w != v])[0].edges, 2)
+        == 2 * (G.n - 1) - 2
         for v in range(G.n)
     )
 

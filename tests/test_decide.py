@@ -375,8 +375,7 @@ class TestPerGraphFacts:
 
     def test_one_sorted_game_per_decision(self, monkeypatch):
         # a full sorted game inserts every edge of G in sorted order; the
-        # rank2k game of the cold check stops before the last edge, which a
-        # positive graph's earlier edges always span
+        # cold check's rank, its components and the extras all read it
         played = {}
         insert = PebbleGame.insert
 

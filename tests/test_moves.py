@@ -388,8 +388,9 @@ class TestGluingRule:
 class TestReductionEngine:
     def test_entry_checks_after_the_first_are_free(self, monkeypatch):
         # every search starts by checking the graph the previous search
-        # accepted; only the first one (the input) plays games, its cold
-        # rank and component pass, and each candidate plays one warm game.
+        # accepted; only the first one (the input) plays a game, its sorted
+        # game, which answers its cold rank and component pass, and each
+        # candidate plays one warm game.
         # Each walk is reduced as a fresh Graph: the generator's last check
         # may have left its sorted game on the instance it returns
         walks = [
@@ -418,7 +419,7 @@ class TestReductionEngine:
             # one entry check per search, the last one on the base graph
             assert len(checks) - candidates == steps + 1
             assert components == [G]
-            assert len(games) == 2 + candidates
+            assert len(games) == 1 + candidates
 
     def test_warm_checks_match_cold_on_every_candidate(self, monkeypatch):
         # each candidate is decided again from scratch, on a fresh copy,

@@ -41,6 +41,7 @@ from oracles import (
     is_sparse_brute,
     rank_and_coloops,
     rank_brute,
+    rank_by_stopped_game,
 )
 
 
@@ -50,21 +51,28 @@ class TestRank:
         assert rank2k(cat.k5_minus().edges, 2) == 8
         assert rank2k(cat.complete_bipartite(3, 3).edges, 3) == 9
 
-    def test_game_stops_at_the_rank_bound(self, monkeypatch):
-        # K8 reaches 2n - 2 = 14 edges before its 28 edges are played; with
-        # label 7 left without an edge the bound counts the 8 labels in use
-        inserts = []
-        insert = PebbleGame.insert
-        monkeypatch.setattr(
-            PebbleGame, "insert", lambda self, u, v: inserts.append((u, v)) or insert(self, u, v)
-        )
-        K8 = cat.complete_graph(8).sorted_edges()
-        assert rank2k(K8, 2) == 14
-        assert len(inserts) < len(K8)
-        inserts.clear()
-        gapped = [(u, 8 if v == 7 else v) for u, v in K8]
-        assert rank2k(gapped, 2) == 14
-        assert len(inserts) < len(gapped)
+    @pytest.mark.parametrize("k", range(4))
+    def test_graph_and_edge_list_agree_with_the_stopped_game(self, k):
+        # a Graph is read through its own sorted game, an edge list through
+        # the sorted game of the graph it spans; the oracle stops its own
+        # game at the rank bound
+        for G in decision_corpus(300, seed=5):
+            rank = rank2k(G, k)
+            assert rank2k(list(G.edges), k) == rank == rank_by_stopped_game(G.edges, k)
+            if G.n <= 6:
+                assert rank == rank_brute(G.edges, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_edge_lists_with_gaps_repeats_and_reversals(self, data):
+        # labels with gaps between them, pairs listed twice or reversed
+        labels = data.draw(st.lists(st.integers(0, 12), min_size=2, max_size=6, unique=True))
+        pairs = list(itertools.permutations(labels, 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=24))
+        k = data.draw(st.integers(0, 3))
+        rank = rank2k(edges, k)
+        G = Graph.from_edges(1 + max(labels), edges)
+        assert rank2k(G, k) == rank == rank_by_stopped_game(edges, k) == rank_brute(edges, k)
 
     def test_pebble_invariant(self):
         game = PebbleGame(5, 2)
@@ -420,6 +428,36 @@ class TestM22Connected:
             assert rank2k(G.edges, 2) == 2 * G.n - 2
             assert G.min_degree() >= 3
 
+    def test_a_cold_check_plays_the_sorted_game_once(self, monkeypatch):
+        # the rank and the components are read off one game, which inserts
+        # each edge once, in sorted order
+        games, inserts = [], []
+        real_init, real_insert = PebbleGame.__init__, PebbleGame.insert
+        monkeypatch.setattr(
+            PebbleGame, "__init__", lambda self, *a: games.append(a) or real_init(self, *a)
+        )
+        monkeypatch.setattr(
+            PebbleGame, "insert", lambda game, *e: inserts.append(e) or real_insert(game, *e)
+        )
+        graphs = [cat.k5_minus(), cat.b1(), cat.complete_bipartite(3, 6), cat.complete_graph(6)]
+        graphs += [random_m22_graph(steps, 40 + steps) for steps in (3, 9, 20)]
+        # two K5s joined by an edge (rank 2n - 3) and two K5s on one vertex
+        # (rank 2n - 2, two components) pass the degree and edge-count filters
+        k5 = cat.complete_graph(5).edges
+        graphs += [
+            Graph.from_edges(10, [*k5, *((u + 5, v + 5) for u, v in k5), (4, 5)]),
+            Graph.from_edges(9, [*k5, *((u + 4, v + 4) for u, v in k5)]),
+        ]
+        verdicts = set()
+        for G in graphs:
+            G = Graph(G.n, G.edges)  # fresh: nothing computed on it yet
+            games.clear()
+            inserts.clear()
+            verdicts.add(is_m22_connected(G))
+            assert games == [(G.n, 2)]
+            assert inserts == G.sorted_edges()
+        assert verdicts == {True, False}
+
 
 class TestM22VerdictOnInstance:
     def test_verdict_answers_only_on_its_instance(self, monkeypatch):
@@ -515,7 +553,7 @@ class TestEarDecomposition:
 
     def test_k36_rank_increment(self):
         ed = ear_decomposition(cat.complete_bipartite(3, 6))
-        d1, d2 = ed.unions()
+        d1, d2 = itertools.accumulate(ed.circuits, frozenset.union)
         assert rank2k(d1, 2) == 14
         assert rank2k(d2, 2) == 16
         assert rank2k(d2, 2) - rank2k(d1, 2) == len(ed.new_parts()[1]) - 1
@@ -600,7 +638,9 @@ class TestAgainstManyGameReferences:
                 assert (rank, cols) == rank_and_coloops(G.edges, k)
                 assert cols == coloops_leave_one_out(G.edges, k)
                 # the subset search of rank_brute is affordable up to six vertices
-                assert rank == (rank_brute(G.edges, k) if G.n <= 6 else rank2k(G.edges, k))
+                assert rank == (
+                    rank_brute(G.edges, k) if G.n <= 6 else rank_by_stopped_game(G.edges, k)
+                )
 
     def test_is_circuit22(self):
         graphs = self.graphs()
@@ -650,7 +690,8 @@ class TestOneGameEars:
             return
         basis, circuits = sparsity._basis_and_circuits(edges, 2)
         ed = ear_decomposition(G)
-        for D in ed.unions()[:-1] if ed is not None else ():
+        unions = [] if ed is None else list(itertools.accumulate(ed.circuits, frozenset.union))
+        for D in unions[:-1]:
             order = sorted(D) + sorted(set(edges) - D)
             basis_d, circuits_d = sparsity._basis_and_circuits(order, 2)
             assert set(basis_d) == set(basis)
