@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .formats import edge_set_text
 from .geometry import (
     NormedPlane,
@@ -293,6 +291,8 @@ def _vertex_deletion_rigid(G: Graph) -> bool:
 
 
 def _algebraic_connectivity(G: Graph) -> float:
+    import numpy as np
+
     L = np.zeros((G.n, G.n))
     for u, v in G.edges:
         L[u, u] += 1

@@ -35,9 +35,8 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
-
-import numpy as np
 
 from .graphs import Edge, Graph, _lowpoint_dfs, first_cut_vertex
 
@@ -199,19 +198,29 @@ class RigidityOperator:
     def shape(self):
         return (len(self.matrix), 2 * self.n)
 
-    def as_array(self) -> np.ndarray:
-        """The entries as floats, each row divided by its largest absolute
-        entry: every float rank and self-stress reads this one array, which
-        a positive row scaling leaves valid (see above).  No row is zero:
-        coincident endpoints are refused, and so is a float row whose larger
-        entry is below the smallest normal float (`rigidity_operator`).
-        Scaling after the float conversion keeps an exact entry past the
-        largest float (a large even p) a ValueError."""
+    def as_array(self):
+        """The entries as a numpy float array, each row divided by its
+        largest absolute entry: every float rank and self-stress reads this
+        one array, which a positive row scaling leaves valid (see above).
+        No row is zero: coincident endpoints are refused, and so is a float
+        row whose larger entry is below the smallest normal float
+        (`rigidity_operator`).  Scaling after the float conversion keeps an
+        exact entry past the largest float (a large even p) a ValueError.
+        The array is built once per operator and handed out read-only."""
+        return self._float_array
+
+    @cached_property
+    def _float_array(self):
+        import numpy as np
+
         try:
-            A = np.array([[float(c) for c in row] for row in self.matrix], dtype=float)
+            A = np.array(self.matrix, dtype=float)
         except OverflowError:
             raise ValueError("operator entries out of floating-point range") from None
-        return A / np.abs(A).max(axis=1, keepdims=True) if A.size else A
+        if A.size:
+            A = A / np.abs(A).max(axis=1, keepdims=True)
+        A.setflags(write=False)
+        return A
 
     def apply(self, vector):
         """Apply to a velocity assignment given as a flat length-2n vector."""
@@ -477,6 +486,8 @@ def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int
     if mode == "exact":
         return _exact_profile(op)[0]
     if mode == "float":
+        import numpy as np
+
         sv = np.linalg.svd(op.as_array(), compute_uv=False)
         return int(np.sum(sv > tol * sv[0]))
     raise ValueError(f"unknown rank mode {mode!r}")
@@ -528,6 +539,8 @@ def deletion_ranks(
     if rank == m:
         return rank, (rank - 1,) * m
     if mode == "float":
+        import numpy as np
+
         U = np.linalg.svd(op.as_array())[0]
         weight = np.linalg.norm(U[:, rank:], axis=1)
         return rank, tuple(rank if w > tol else rank - 1 for w in weight)
@@ -731,6 +744,8 @@ def is_congruent(
                 return True
         return False
     # Euclidean: orthogonal Procrustes over the rotation and reflection cosets
+    import numpy as np
+
     P = np.array([[float(x), float(y)] for x, y in p.coords])
     Q = np.array([[float(x), float(y)] for x, y in q.coords])
     Pc = P - P.mean(axis=0)

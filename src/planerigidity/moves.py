@@ -9,7 +9,6 @@ still M(2,2)-connected.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
 
@@ -70,6 +69,8 @@ class Move:
 
 
 def graph_hash(G: Graph) -> str:
+    import hashlib
+
     text = f"{G.n}:" + ",".join(f"{u}-{v}" for u, v in G.sorted_edges())
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 

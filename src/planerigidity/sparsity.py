@@ -474,7 +474,10 @@ def ear_decomposition(G: Graph) -> EarDecomposition | None:
         ]
         if not qualifying:
             break
-        f, _ = min(qualifying, key=lambda item: (len(item[1]), sorted(item[1])))
+        # the key (len, sorted): sort only the candidates of the least size
+        size = min(len(new) for _, new in qualifying)
+        tied = [item for item in qualifying if len(item[1]) == size]
+        f, _ = min(tied, key=lambda item: sorted(item[1]))
         ear = circuits[f]
     if len(covered) < G.m:
         return None  # matroid disconnected

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -739,6 +740,58 @@ class TestOneProcess:
         checked = run(["check", "-", "--certificate"], made[1])
         assert checked[0] == 0 and "globally_rigid_analytic: true" in checked[1]
         assert checked == self.alone(["check", "-", "--certificate"], made[1])
+
+
+COLD_IMPORTS_SCRIPT = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted({"numpy", "hashlib"} & set(sys.modules))
+
+def call(argv, stdin_text=""):
+    out = io.StringIO()
+    sys.stdin = io.StringIO(stdin_text)
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return [code, out.getvalue(), loaded()]
+
+steps = {"start": [0, "", loaded()]}
+import planerigidity.cli as cli
+steps["import"] = [0, "", loaded()]
+steps["check"] = call(["check", "-", "--certificate"], "D~w\\n")
+steps["random"] = call(["random", "--model", "m22", "--steps", "12", "--seed", "3"])
+steps["reduce"] = call(["reduce", "-"], steps["random"][1])
+steps["build"] = call(["build", "-"], steps["reduce"][1])
+steps["rank"] = call(["rank", "-", "--p", "3"], "D~w\\n")
+from planerigidity.moves import random_m22_graph, reduce_to_base
+step = reduce_to_base(random_m22_graph(12, 3)).steps[0]
+steps["trace"] = [0, "", loaded()]
+steps["hash"] = [0, step.result_hash, loaded()]
+print(json.dumps(steps))
+"""
+
+
+class TestColdImports:
+    """`import planerigidity.cli` and the combinatorial commands load
+    neither numpy nor hashlib (with OpenSSL); a float rank loads numpy and
+    a graph hash hashlib.  In a fresh interpreter, as pytest has loaded
+    numpy already."""
+
+    def test_what_each_command_imports(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(planerigidity.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", COLD_IMPORTS_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        steps = json.loads(done.stdout)
+        for name in ("start", "import", "check", "random", "reduce", "build"):
+            assert steps[name][0] == 0 and steps[name][2] == [], name
+        assert "globally_rigid_analytic: true" in steps["check"][1]
+        assert steps["reduce"][1].startswith("base ")
+        assert steps["build"][1].startswith("20\n")  # the walk's 20 vertices
+        assert steps["rank"] == [0, "8\n", ["numpy"]]
+        assert steps["trace"][2] == ["numpy"]
+        assert steps["hash"][2] == ["hashlib", "numpy"] and len(steps["hash"][1]) == 16
 
 
 class TestUsage:

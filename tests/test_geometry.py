@@ -407,6 +407,18 @@ class TestRowScaledFloatRank:
         A = op.as_array()
         assert np.abs(A).max(axis=1).tolist() == [1.0] * G.m
 
+    def test_one_read_only_array_per_operator(self):
+        # rank_of and deletion_ranks on a rank-deficient operator both read it
+        G = cat.b1()
+        op = rigidity_operator(G, random_regular_placement(G, NormedPlane(3), 1), NormedPlane(3))
+        A = op.as_array()
+        assert op.as_array() is A and not A.flags.writeable
+        with pytest.raises(ValueError):
+            A[0, 0] = 2.0
+        fresh = dataclasses.replace(op)
+        assert fresh.as_array() is not A and np.array_equal(fresh.as_array(), A)
+        assert deletion_ranks(op, "float") == deletion_ranks(fresh, "float")
+
 
 def _corpus_frameworks(p, count=60):
     plane = NormedPlane(p)

@@ -660,6 +660,10 @@ class TestOneGameEars:
     replaced."""
 
     def test_same_ears_as_one_game_per_ear(self):
+        # the oracle picks each ear by the full key (number of new edges,
+        # sorted new edges) over every candidate; the library sorts only the
+        # candidates of the least size, and in 151 of the 321 later ear
+        # choices on decision_corpus(300, seed=5) more than one has it
         graphs = [G for G in decision_corpus(300, seed=5) if G.m >= 1 and G.min_degree() > 0]
         graphs += [random_m22_graph(steps, 300 + steps) for steps in range(1, 41)]
         rng = random.Random(12)
