@@ -10,8 +10,6 @@ matroid being K5-.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .formats import edge_set_text
 from .geometry import (
     NormedPlane,
@@ -29,6 +27,7 @@ from .graphs import (
     is_k_connected,
     is_vertex_transitive,
 )
+from .records import Record
 from .sparsity import (
     EarDecomposition,
     PebbleGame,
@@ -42,31 +41,57 @@ from .sparsity import (
 TRANSITIVITY_CAP = 12  # brute-force automorphism search beyond this is skipped
 
 
-@dataclass
-class NumericAgreement:
-    p: float
-    seed: int
-    mode: str
-    rank: int
-    target: int
-    edge_ranks: dict[Edge, int]
-    inf_rigid_numeric: bool
-    redundant_numeric: bool
-    matches_combinatorial: bool
-    disagreeing_edges: tuple[Edge, ...] = ()
+class NumericAgreement(Record):
+    _fields = (
+        "p", "seed", "mode", "rank", "target", "edge_ranks", "inf_rigid_numeric",
+        "redundant_numeric", "matches_combinatorial", "disagreeing_edges",
+    )
+
+    def __init__(
+        self, p: float, seed: int, mode: str, rank: int, target: int,
+        edge_ranks: dict[Edge, int], inf_rigid_numeric: bool, redundant_numeric: bool,
+        matches_combinatorial: bool, disagreeing_edges: tuple[Edge, ...] = (),
+    ):
+        self.p = p
+        self.seed = seed
+        self.mode = mode
+        self.rank = rank
+        self.target = target
+        self.edge_ranks = edge_ranks
+        self.inf_rigid_numeric = inf_rigid_numeric
+        self.redundant_numeric = redundant_numeric
+        self.matches_combinatorial = matches_combinatorial
+        self.disagreeing_edges = disagreeing_edges
 
 
-@dataclass
-class RigidityReport:
-    globally_rigid_analytic: bool
-    two_connected: bool
-    m22_connected: bool
-    reasons: dict = field(default_factory=dict)
-    sufficient_conditions_hit: list[str] = field(default_factory=list)
-    euclidean_verdict: bool = False
-    numeric_agreement: NumericAgreement | None = None
-    notices: list[str] = field(default_factory=list)
-    ear_certificate: EarDecomposition | None = None
+class RigidityReport(Record):
+    """The decision, its certificate or witness, and the extras; `reasons`,
+    `sufficient_conditions_hit` and `notices` default to new empty
+    containers."""
+
+    _fields = (
+        "globally_rigid_analytic", "two_connected", "m22_connected", "reasons",
+        "sufficient_conditions_hit", "euclidean_verdict", "numeric_agreement", "notices",
+        "ear_certificate",
+    )
+
+    def __init__(
+        self, globally_rigid_analytic: bool, two_connected: bool, m22_connected: bool,
+        reasons: dict | None = None, sufficient_conditions_hit: list[str] | None = None,
+        euclidean_verdict: bool = False, numeric_agreement: NumericAgreement | None = None,
+        notices: list[str] | None = None, ear_certificate: EarDecomposition | None = None,
+    ):
+        self.globally_rigid_analytic = globally_rigid_analytic
+        self.two_connected = two_connected
+        self.m22_connected = m22_connected
+        self.reasons = {} if reasons is None else reasons
+        self.sufficient_conditions_hit = (
+            [] if sufficient_conditions_hit is None else sufficient_conditions_hit
+        )
+        self.euclidean_verdict = euclidean_verdict
+        self.numeric_agreement = numeric_agreement
+        self.notices = [] if notices is None else notices
+        self.ear_certificate = ear_certificate
 
     def to_text(self) -> str:
         lines = [
@@ -165,11 +190,13 @@ def _ears_text(ed: EarDecomposition) -> str:
 # necessary conditions, separately
 
 
-@dataclass
-class HendricksonReport:
-    two_connected: bool
-    spanning_tight: bool
-    every_edge_redundant: bool
+class HendricksonReport(Record):
+    _fields = ("two_connected", "spanning_tight", "every_edge_redundant")
+
+    def __init__(self, two_connected: bool, spanning_tight: bool, every_edge_redundant: bool):
+        self.two_connected = two_connected
+        self.spanning_tight = spanning_tight
+        self.every_edge_redundant = every_edge_redundant
 
     @property
     def passes(self) -> bool:
@@ -309,15 +336,38 @@ def _algebraic_connectivity(G: Graph) -> float:
 
 def is_globally_rigid_euclidean(G: Graph) -> bool:
     """Global rigidity in the Euclidean plane: complete on <= 3 vertices,
-    or 3-connected and redundantly rigid in the (2,3) sense."""
+    or 3-connected and redundantly rigid in the (2,3) sense.
+
+    Redundant rigidity is rank 2n - 3 with no coloop, which one (2,3)
+    game over the sorted edges decides (see `sparsity._rank_and_coloops`:
+    the coloops are the basis edges in no circuit C(f,B) read).  The game
+    stops at the first rejection after which the rank is 2n - 3 and every
+    basis edge lies in a circuit read so far.  Sound: the rank cannot pass
+    2n - 3, so every later edge is rejected and the basis so far is the
+    final basis B; each circuit read lies in the basis at its time plus
+    its edge f, inside B + f, so it is C(f,B); and later circuits can only
+    cover more.  Complete: an accepted edge is uncovered when accepted,
+    so if the full game ends at rank 2n - 3 with every basis edge covered,
+    no edge was accepted after its last rejection, and the test after
+    that rejection saw the final state.  The game is its own, not G's
+    kept sorted game, so no graph keeps a (2,3) game it does not need;
+    `certify` at p = 2 reads `_rank_and_coloops(G, 3)` for its coloops.
+    """
     if G.n < 2:
         raise ValueError("needs at least 2 vertices")
     if G.n <= 3:
         return G.is_complete()
     if not is_k_connected(G, 3):
         return False
-    rank, cols = _rank_and_coloops(G, 3)
-    return rank == 2 * G.n - 3 and not cols
+    game, target, uncovered = PebbleGame(G.n, 3), 2 * G.n - 3, set()
+    for e in G.sorted_edges():
+        if game.insert(*e):
+            uncovered.add(e)
+        else:
+            uncovered -= game.fundamental_circuit_of_rejected(*e)
+            if game.rank == target and not uncovered:
+                return True
+    return False
 
 
 def euclidean_transfer(G: Graph) -> bool:
@@ -346,36 +396,56 @@ def certify(
     the target) differs from the combinatorial one (spanning tight and in
     some circuit).  A placement may be supplied; by default one is sampled
     from the seed.
+
+    The ranks are those of `rigidity_operator`'s default rows: exact at an
+    even integer p with a rational placement, float otherwise.  A float
+    answer that disagrees is not reported as it stands when p is an
+    integer and the placement rational: the float rank can lose a row
+    whose stress weights fall below its tolerance (K5- at p = 41 reads
+    rank 2 of 8), so the ranks are taken again from integer rows and
+    those are reported.  A float answer that agrees is kept, and so is a
+    disagreeing one whose integer rows would pass EXACT_ENTRY_BITS.
     """
     report = is_globally_rigid_analytic(G)
     if placement is None:
         placement = random_regular_placement(G, plane, seed)
-    op = rigidity_operator(G, placement, plane)
-    mode = "exact" if op.exact else "float"
     target = 2 * G.n - plane.trivial_flex_dim
-    rank, row_ranks = deletion_ranks(op, mode)
-    edge_ranks = dict(zip(op.edges, row_ranks))
-    inf_rigid_num = rank == target
-    redundant_num = all(r == target for r in edge_ranks.values())
     comb_rank, cols = _rank_and_coloops(G, plane.trivial_flex_dim)
     spanning_tight = comb_rank == target
-    agree = (inf_rigid_num == spanning_tight) and (
-        redundant_num == (spanning_tight and not cols)
-    )
-    disagreeing = tuple(
-        e for e in op.edges
-        if (edge_ranks[e] == target) != (spanning_tight and e not in cols)
-    )
-    report.numeric_agreement = NumericAgreement(
-        p=plane.p,
-        seed=seed,
-        mode=mode,
-        rank=rank,
-        target=target,
-        edge_ranks=edge_ranks,
-        inf_rigid_numeric=inf_rigid_num,
-        redundant_numeric=redundant_num,
-        matches_combinatorial=agree,
-        disagreeing_edges=disagreeing,
-    )
+
+    def agreement(op) -> NumericAgreement:
+        mode = "exact" if op.exact else "float"
+        rank, row_ranks = deletion_ranks(op, mode)
+        edge_ranks = dict(zip(op.edges, row_ranks))
+        inf_rigid_num = rank == target
+        redundant_num = all(r == target for r in edge_ranks.values())
+        agree = (inf_rigid_num == spanning_tight) and (
+            redundant_num == (spanning_tight and not cols)
+        )
+        disagreeing = tuple(
+            e for e in op.edges
+            if (edge_ranks[e] == target) != (spanning_tight and e not in cols)
+        )
+        return NumericAgreement(
+            p=plane.p,
+            seed=seed,
+            mode=mode,
+            rank=rank,
+            target=target,
+            edge_ranks=edge_ranks,
+            inf_rigid_numeric=inf_rigid_num,
+            redundant_numeric=redundant_num,
+            matches_combinatorial=agree,
+            disagreeing_edges=disagreeing,
+        )
+
+    na = agreement(rigidity_operator(G, placement, plane))
+    if not na.matches_combinatorial and na.mode == "float" and plane.exactable and placement.exact:
+        try:
+            op = rigidity_operator(G, placement, plane, exact=True)
+        except ValueError:  # entries past EXACT_ENTRY_BITS: the float answer stands
+            pass
+        else:
+            na = agreement(op)
+    report.numeric_agreement = na
     return report

@@ -16,12 +16,11 @@ by one `kind i j [k ...]` line per move.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .geometry import Placement
 from .graphs import Graph
 from .moves import Move, MoveError
+from .records import FrozenRecord
 
 
 class FormatError(ValueError):
@@ -189,22 +188,26 @@ def emit_graph(G: Graph, format: str = "edgelist") -> str:
 # placements
 
 
-def _frac_text(c) -> str:
-    f = Fraction(c)
+def _frac_text(f) -> str:
+    """A Fraction as `num` or `num/den`."""
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def emit_placement(pl: Placement) -> str:
+    from fractions import Fraction
+
     lines = []
     for v, (x, y) in enumerate(pl.coords):
         if isinstance(x, (Fraction, int)) and isinstance(y, (Fraction, int)):
-            lines.append(f"{v} {_frac_text(x)} {_frac_text(y)}")
+            lines.append(f"{v} {_frac_text(Fraction(x))} {_frac_text(Fraction(y))}")
         else:
             lines.append(f"{v} {float(x)!r} {float(y)!r}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_coord(tok: str, where: str):
+def _parse_coord(tok: str, where: str, Fraction):
+    """One coordinate: a Fraction for `num/den` or an integer, else a
+    finite float.  `Fraction` is passed in, imported once per file."""
     if "/" in tok:
         num, _, den = tok.partition("/")
         try:
@@ -223,6 +226,8 @@ def _parse_coord(tok: str, where: str):
 
 
 def parse_placement(text: str) -> Placement:
+    from fractions import Fraction
+
     entries = {}
     for ln_no, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
@@ -235,8 +240,8 @@ def parse_placement(text: str) -> Placement:
             v = int(parts[0])
         except ValueError:
             raise FormatError(f"placement: line {ln_no}: bad vertex {parts[0]!r}")
-        x = _parse_coord(parts[1], f"placement: line {ln_no}")
-        y = _parse_coord(parts[2], f"placement: line {ln_no}")
+        x = _parse_coord(parts[1], f"placement: line {ln_no}", Fraction)
+        y = _parse_coord(parts[2], f"placement: line {ln_no}", Fraction)
         if v in entries:
             raise FormatError(f"placement: line {ln_no}: vertex {v} listed twice")
         entries[v] = (x, y)
@@ -267,12 +272,13 @@ def ear_decomposition_text(ed) -> str:
 # move scripts
 
 
-@dataclass(frozen=True)
-class MoveScript:
+class MoveScript(FrozenRecord):
     """A base graph name and the forward moves that grow it."""
 
-    base: str
-    moves: tuple[Move, ...]
+    _fields = ("base", "moves")
+
+    def __init__(self, base: str, moves: tuple[Move, ...]):
+        self.__dict__.update(base=base, moves=moves)
 
 
 def emit_move_script(script: MoveScript) -> str:

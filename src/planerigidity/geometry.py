@@ -2,10 +2,12 @@
 rank, rigidity predicates, reflections and counterexample placements.
 
 Exponents p with 1 < p < infinity keep the plane smooth and strictly
-convex.  The operator is built row-scaled, with entries d_i^(p-1).  For
-even integer p and a rational placement its rows are Python ints, built
-once with one common denominator cleared, and capped at EXACT_ENTRY_BITS
-bits per entry.  Their rank is split at the blocks of the graph (its
+convex.  The operator is built row-scaled, with entries
+sign(d_i) |d_i|^(p-1).  For an even integer p and a rational placement
+its rows are Python ints by default, and on request at an odd integer p
+too (`rigidity_operator`), built once with one common denominator
+cleared, and capped at EXACT_ENTRY_BITS bits per entry.  Their rank is
+split at the blocks of the graph (its
 maximal 2-connected subgraphs and its bridges): ranks add over a 1-sum,
 as a translation, which lies in every kernel, matches two flexes at the
 shared vertex.  A block's rank is certified by one sparse Gauss-Jordan
@@ -33,12 +35,11 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 
 from .graphs import Edge, Graph, _lowpoint_dfs, first_cut_vertex
+from .records import FrozenRecord
 
 Coord = tuple  # (x, y) of Fractions or floats
 
@@ -52,8 +53,7 @@ SIGNED_PERMUTATIONS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class NormedPlane:
+class NormedPlane(FrozenRecord):
     """An lp plane descriptor.
 
     trivial_flex_dim is 3 in the Euclidean case (translations and the
@@ -61,11 +61,12 @@ class NormedPlane:
     isometry group of a non-Euclidean plane is finite).
     """
 
-    p: float
+    _fields = ("p",)
 
-    def __post_init__(self):
-        if not (self.p > 1 and math.isfinite(self.p)):
+    def __init__(self, p: float):
+        if not (p > 1 and math.isfinite(p)):
             raise ValueError("need 1 < p < infinity (smooth and strictly convex)")
+        self.__dict__["p"] = p
 
     @property
     def euclidean(self) -> bool:
@@ -77,8 +78,9 @@ class NormedPlane:
 
     @property
     def exactable(self) -> bool:
-        """Whether the row-scaled operator of a rational placement is exact."""
-        return self.p == int(self.p) and int(self.p) % 2 == 0
+        """Whether the row-scaled operator of a rational placement can be
+        built exactly: p is an integer (see `rigidity_operator`)."""
+        return self.p == int(self.p)
 
     def isometry_linear_parts(self):
         if self.euclidean:
@@ -92,11 +94,13 @@ class NormedPlane:
         return m * s ** (1 / self.p)
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(FrozenRecord):
     """Coordinates for the vertices 0..n-1, exact-rational or float."""
 
-    coords: tuple[Coord, ...]
+    _fields = ("coords",)
+
+    def __init__(self, coords: tuple[Coord, ...]):
+        self.__dict__["coords"] = coords
 
     @property
     def n(self) -> int:
@@ -104,6 +108,8 @@ class Placement:
 
     @property
     def exact(self) -> bool:
+        from fractions import Fraction
+
         return all(
             isinstance(c, (Fraction, int)) for xy in self.coords for c in xy
         )
@@ -165,8 +171,7 @@ def _signed_powers(x, p) -> tuple[float, float]:
     return tuple(math.copysign(abs(c) ** (p - 1), c) for c in map(float, x))
 
 
-@dataclass(frozen=True)
-class RigidityOperator:
+class RigidityOperator(FrozenRecord):
     """|E| x 2n matrix of row-scaled support functionals of edge vectors.
 
     Row order is the sorted edge list.  For the row of edge (u, v) with
@@ -176,8 +181,9 @@ class RigidityOperator:
     kernel.  Positive row scalings change neither the rank of any set of
     rows nor which rows a self-stress is nonzero on.
 
-    `exact` is set when the plane is exactable and the placement rational.
-    The entries are then Python ints: every coordinate is multiplied by D,
+    `exact` is set when the rows are exact (see `rigidity_operator`, which
+    needs an integer p and a rational placement for them).  The entries
+    are then Python ints: every coordinate is multiplied by D,
     the lcm of all coordinate denominators, so every row is the rational
     one times the same D^(p-1), and one elimination per block of these
     rows gives the rank, the stressed rows and the coloops
@@ -188,11 +194,15 @@ class RigidityOperator:
     2n - trivial_flex_dim.
     """
 
-    matrix: tuple[tuple, ...]
-    edges: tuple[Edge, ...]
-    n: int
-    exact: bool
-    trivial_flex_dim: int = 2
+    _fields = ("matrix", "edges", "n", "exact", "trivial_flex_dim")
+
+    def __init__(
+        self, matrix: tuple[tuple, ...], edges: tuple[Edge, ...], n: int, exact: bool,
+        trivial_flex_dim: int = 2,
+    ):
+        self.__dict__.update(
+            matrix=matrix, edges=edges, n=n, exact=exact, trivial_flex_dim=trivial_flex_dim
+        )
 
     @property
     def shape(self):
@@ -238,14 +248,24 @@ EXACT_ENTRY_BITS = 1 << 12
 
 
 def rigidity_operator(
-    G: Graph, placement: Placement, plane: NormedPlane
+    G: Graph, placement: Placement, plane: NormedPlane, exact: bool | None = None
 ) -> RigidityOperator:
     """The row-scaled operator (see `RigidityOperator`); exact entries past
     EXACT_ENTRY_BITS bits and float rows out of range raise ValueError.
 
+    `exact` picks the rows.  True builds integer rows, and raises
+    ValueError unless p is an integer and the placement rational; False
+    builds float rows.  None, the default, builds integer rows at an even
+    integer p with a rational placement and float rows otherwise: at an
+    odd p the float rank is the cheaper one, and `certify` rechecks
+    with integer rows any float answer that disagrees with the
+    combinatorial verdict.
+
     A rational placement is first scaled by D, the lcm of its coordinate
     denominators, to integer coordinates, and every edge difference d is
-    an integer difference of those.  Exact rows are its powers.  A float
+    an integer difference of those.  An exact row holds d_i |d_i|^(p-2),
+    which is sign(d_i) |d_i|^(p-1), an integer at every integer p (d_i^(p-1)
+    at even p), and the rational row times D^(p-1) > 0.  A float
     row takes x = d / D (D = 1 for a float placement): a correctly rounded
     int true division is the float of the rational difference.  Its
     entries are sign(x_i) |x_i|^(p-1), and it is refused when an entry is
@@ -257,10 +277,14 @@ def rigidity_operator(
     rows = []
     edges = tuple(G.sorted_edges())
     coords, D = placement.coords, 1
-    if rational := placement.exact:
+    rational = placement.exact
+    if exact is None:
+        exact = rational and plane.exactable and int(plane.p) % 2 == 0
+    elif exact and not (rational and plane.exactable):
+        raise ValueError("exact rank needs an integer p and a rational placement; use float mode")
+    if rational:
         D = math.lcm(*(c.denominator for xy in coords for c in xy))
         coords = [tuple(c.numerator * (D // c.denominator) for c in xy) for xy in coords]
-    exact = rational and plane.exactable
     if exact:
         q = int(plane.p) - 1
         # a difference of two coordinates of at most b bits has at most b + 1
@@ -275,7 +299,7 @@ def rigidity_operator(
         if d == (0, 0):
             raise ValueError(f"coincident endpoints on edge ({u},{v})")
         if exact:
-            phi = (d[0] ** q, d[1] ** q)
+            phi = (d[0] * abs(d[0]) ** (q - 1), d[1] * abs(d[1]) ** (q - 1))
         else:
             try:
                 phi = _signed_powers((d[0] / D, d[1] / D), plane.p)
@@ -440,7 +464,10 @@ def _exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int], frozenset
     the head of own(v), and own(u) = own(v).
     """
     if not op.exact:
-        raise ValueError("exact rank needs an even integer p and a rational placement; use float mode")
+        raise ValueError(
+            "exact rank needs integer rows: an integer p, a rational placement and, at odd p,"
+            " rigidity_operator(..., exact=True); use float mode"
+        )
     blocks = Graph.from_edges(op.n, op.edges)._lowpoint_dfs[2]
     own = {v: b for b, block in enumerate(blocks) for v in block[1:]}
     block_rows = [[] for _ in blocks]
@@ -475,8 +502,8 @@ def _check_tol(tol: float) -> None:
 def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int:
     """Rank of the operator; exact (`_exact_profile`) or SVD.
 
-    Exact mode requires an exact operator (an exactable plane and a
-    rational placement).  Float mode counts the singular values of
+    Exact mode requires an exact operator (integer rows, see
+    `rigidity_operator`).  Float mode counts the singular values of
     `as_array` above tol times the largest, which is at least 1, as every
     row holds an entry ±1.  Raises ValueError unless 0 < tol < 1 (finite).
     """
@@ -558,7 +585,7 @@ def is_inf_rigid(
     """Rank test for infinitesimal rigidity: 2n-3 Euclidean, 2n-2 otherwise."""
     if G.n < 2:
         raise ValueError("needs at least two vertices")
-    op = rigidity_operator(G, placement, plane)
+    op = rigidity_operator(G, placement, plane, exact=mode == "exact" or None)
     mode = mode or ("exact" if op.exact else "float")
     return rank_of(op, mode, tol) == 2 * G.n - plane.trivial_flex_dim
 
@@ -571,7 +598,7 @@ def is_redundantly_rigid(
     if G.n < 2 or G.m < 1:
         raise ValueError("needs at least two vertices and one edge")
     target = 2 * G.n - plane.trivial_flex_dim
-    op = rigidity_operator(G, placement, plane)
+    op = rigidity_operator(G, placement, plane, exact=mode == "exact" or None)
     _, ranks = deletion_ranks(op, mode or ("exact" if op.exact else "float"), tol)
     return all(r == target for r in ranks)
 
@@ -584,6 +611,8 @@ def random_regular_placement(G: Graph, plane: NormedPlane, seed: int) -> Placeme
     would zero a scaled entry) or endpoints coincide.  Regularity holds
     almost surely and is certified downstream by rank agreement.
     """
+    from fractions import Fraction
+
     rng = random.Random(seed)
     for _ in range(200):
         coords = tuple(
@@ -691,8 +720,8 @@ def framework_edge_lengths(G: Graph, placement: Placement, plane: NormedPlane):
 
 def equivalent_exactly(G: Graph, p: Placement, q: Placement, plane: NormedPlane) -> bool:
     """Edge-length equality; exact via p-th powers of coordinates when both
-    placements are rational and p is an even integer (including p = 2),
-    else within 1e-12 relative.  Public as the acceptance suite's exact
+    placements are rational and p is an integer (including p = 2), else
+    within 1e-12 relative.  Public as the acceptance suite's exact
     length check on equivalent frameworks."""
     if p.exact and q.exact and plane.exactable:
         k = int(plane.p)

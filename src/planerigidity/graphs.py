@@ -9,8 +9,9 @@ trivial downstream.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
+
+from .records import FrozenRecord
 
 Edge = tuple[int, int]
 
@@ -19,19 +20,22 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Finite simple graph: no loops, no parallel edges, labels 0..n-1."""
+class Graph(FrozenRecord):
+    """Finite simple graph: no loops, no parallel edges, labels 0..n-1.
 
-    n: int
-    edges: frozenset[Edge]
+    Frozen, with the fields n and edges (a frozenset of normalised pairs)."""
 
-    def __post_init__(self):
-        for u, v in self.edges:
+    _fields = ("n", "edges")
+
+    def __init__(self, n: int, edges: frozenset[Edge]):
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"bad edge ({u},{v}) for n={self.n}")
+            if not (0 <= u < v < n):
+                raise ValueError(f"bad edge ({u},{v}) for n={n}")
+        fields = self.__dict__
+        fields["n"] = n
+        fields["edges"] = edges
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -46,8 +50,8 @@ class Graph:
         return tuple(frozenset(s) for s in nbr)
 
     # Per-instance facts, computed at most once for each Graph: like `adj`
-    # they live in the instance's __dict__, not in the fields, so ==, hash
-    # and repr ignore them, and an equal graph built elsewhere computes its
+    # they are cached properties, not fields, so ==, hash and repr ignore
+    # them (see `records`), and an equal graph built elsewhere computes its
     # own.  `_m22_game` alone is not kept for good: a reduction search
     # takes the game it holds.
 
@@ -142,16 +146,16 @@ class Graph:
         return self.n <= 1 or len(self._lowpoint_dfs[0]) == 1
 
 
-@dataclass(frozen=True)
-class InducedPart:
+class InducedPart(FrozenRecord):
     """One side of a separation, in the original vertex labels."""
 
-    vertices: tuple[int, ...]
-    edges: tuple[Edge, ...]
+    _fields = ("vertices", "edges")
+
+    def __init__(self, vertices: tuple[int, ...], edges: tuple[Edge, ...]):
+        self.__dict__.update(vertices=vertices, edges=edges)
 
 
-@dataclass(frozen=True)
-class Separation:
+class Separation(FrozenRecord):
     """A 2-vertex-separation or 3-edge-separation of a graph.
 
     For the vertex kind the parts are induced subgraphs sharing exactly the
@@ -161,10 +165,13 @@ class Separation:
     edges are pairwise non-adjacent.
     """
 
-    kind: str  # "vertex-cut-2" | "edge-cut-3"
-    parts: tuple[InducedPart, InducedPart]
-    cut: tuple
-    nontrivial: bool
+    _fields = ("kind", "parts", "cut", "nontrivial")
+
+    def __init__(
+        self, kind: str, parts: tuple[InducedPart, InducedPart], cut: tuple, nontrivial: bool
+    ):
+        # kind: "vertex-cut-2" | "edge-cut-3"
+        self.__dict__.update(kind=kind, parts=parts, cut=cut, nontrivial=nontrivial)
 
 
 def _lowpoint_dfs(G: Graph, drop=()) -> tuple[list[set[int]], list[int], list[list[int]]]:

@@ -10,12 +10,12 @@ still M(2,2)-connected.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from . import catalog
 from .graphs import (
     Graph, enumerate_separations, find_isomorphism, is_isomorphic,
 )
+from .records import FrozenRecord, Record
 from .sparsity import is_m22_connected, take_m22_game
 
 FORWARD_KINDS = (
@@ -42,8 +42,7 @@ class MoveError(ValueError):
     """A move precondition failed; the message names the condition."""
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(FrozenRecord):
     """One construction step or its inverse.
 
     params by kind:
@@ -56,16 +55,18 @@ class Move:
       edge-reduction                  (a, b, c)    contract ab onto a and drop the edge ac
     """
 
-    kind: str
-    params: tuple[int, ...]
+    _fields = ("kind", "params")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise MoveError(f"unknown move kind {self.kind!r}")
-        n, want = len(self.params), _ARITY[self.kind]
-        split = self.kind == "generalized-vertex-split"
+    def __init__(self, kind: str, params: tuple[int, ...]):
+        if kind not in KINDS:
+            raise MoveError(f"unknown move kind {kind!r}")
+        n, want = len(params), _ARITY[kind]
+        split = kind == "generalized-vertex-split"
         if n < want or (n > want and not split):
-            raise MoveError(f"{self.kind}: needs {'at least ' * split}{want} parameters, got {n}")
+            raise MoveError(f"{kind}: needs {'at least ' * split}{want} parameters, got {n}")
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["params"] = params
 
 
 def graph_hash(G: Graph) -> str:
@@ -358,15 +359,18 @@ def _completed(G: Graph, part, extra) -> Graph:
 # the reduction engine
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(FrozenRecord):
     """One reduction step: the move, the map of the kept vertices into the
     result's labels (sorted (old, new) pairs, or None when no vertex
     vanished) and the reduced graph."""
 
-    move: Move
-    relabel: tuple[tuple[int, int], ...] | None
-    result: Graph
+    _fields = ("move", "relabel", "result")
+
+    def __init__(self, move: Move, relabel: tuple[tuple[int, int], ...] | None, result: Graph):
+        fields = self.__dict__
+        fields["move"] = move
+        fields["relabel"] = relabel
+        fields["result"] = result
 
     @property
     def result_hash(self) -> str:
@@ -374,8 +378,7 @@ class TraceStep:
         return graph_hash(self.result)
 
 
-@dataclass
-class ReductionTrace:
+class ReductionTrace(Record):
     """Record of a reduction down to K5- or B1.
 
     Replaying the forward script (the inverse moves, conjugated into the
@@ -383,9 +386,12 @@ class ReductionTrace:
     to the input; see forward_script().
     """
 
-    start: Graph
-    base: str = ""
-    steps: list[TraceStep] = field(default_factory=list)
+    _fields = ("start", "base", "steps")
+
+    def __init__(self, start: Graph, base: str = "", steps: list[TraceStep] | None = None):
+        self.start = start
+        self.base = base
+        self.steps = [] if steps is None else steps
 
     @property
     def final(self) -> Graph:

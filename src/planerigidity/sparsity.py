@@ -26,9 +26,8 @@ Euclidean comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import Edge, Graph, _norm_edge
+from .records import FrozenRecord
 
 
 class PebbleGame:
@@ -395,8 +394,7 @@ def is_m22_connected(
 # ear decompositions
 
 
-@dataclass(frozen=True)
-class EarDecomposition:
+class EarDecomposition(FrozenRecord):
     """Ordered circuits C1..Ct with D_i = C1 ∪ ... ∪ C_i covering E.
 
     Each ear after the first meets the previous union (E1), adds new edges
@@ -404,7 +402,10 @@ class EarDecomposition:
     both (E3).
     """
 
-    circuits: tuple[frozenset[Edge], ...]
+    _fields = ("circuits",)
+
+    def __init__(self, circuits: tuple[frozenset[Edge], ...]):
+        self.__dict__["circuits"] = circuits
 
     @property
     def t(self) -> int:

@@ -342,18 +342,24 @@ class TestRank:
         assert code == 1 and "error:" in err
 
     @pytest.mark.parametrize("p, placement", [
-        ("3", None), ("4", "0 0.5 0\n1 1 2\n2 3 5\n3 8 13\n4 21 34\n"),
-    ], ids=["odd-p", "float-placement"])
+        ("2.5", None), ("4", "0 0.5 0\n1 1 2\n2 3 5\n3 8 13\n4 21 34\n"),
+    ], ids=["fractional-p", "float-placement"])
     def test_exact_mode_names_what_it_needs(self, tmp_path, p, placement):
-        # the entries at odd p are rational too, but exact rows are built
-        # for even p only
+        # the entries at a fractional p are irrational
         args = ["rank", "-", "--p", p, "--mode", "exact"]
         if placement:
             (tmp_path / "pl.txt").write_text(placement)
             args += ["--placement", str(tmp_path / "pl.txt")]
         code, out, err = run(args, "D~w\n")
         assert (code, out) == (1, "")
-        assert err == "error: exact rank needs an even integer p and a rational placement; use float mode\n"
+        assert err == "error: exact rank needs an integer p and a rational placement; use float mode\n"
+
+    @pytest.mark.parametrize("p", ["3", "41", "63"])
+    def test_exact_mode_at_odd_p(self, p):
+        # the rows d |d|^(p-2) are integers at odd p too; the float rank
+        # stays the default there
+        assert run(["rank", "-", "--p", p, "--mode", "exact"], "D~w\n") == (0, "8\n", "")
+        assert run(["rank", "-", "--p", p], "D~w\n") == (0, "8\n", "")
 
     @pytest.mark.parametrize("placement, p, accepted", [
         # the entries 1e-240 and 4e-240 are normal floats, although |d|^3
@@ -413,6 +419,31 @@ class TestCertify:
             code, out, err = run(["certify", "-", "--p", "63"], "D~w\n")
         assert code == 0 and err == ""
         assert "numeric.rank: 8/8\n" in out
+
+    @pytest.mark.parametrize("p", ["41", "63"])
+    def test_large_odd_p_disagreement_is_rechecked_exactly(self, p):
+        # the float rank loses rows whose stress weights fall below its
+        # tolerance; integer rows at the same placement decide instead
+        code, out, err = run(["certify", "-", "--p", p], "D~w\n")
+        assert code == 0 and err == ""
+        assert out.endswith(
+            "numeric.mode: exact\nnumeric.rank: 8/8\nnumeric.inf_rigid: true\n"
+            "numeric.redundant: true\nnumeric.matches_combinatorial: true\n"
+        )
+
+    def test_odd_p_agreement_stays_float(self):
+        code, out, _ = run(["certify", "-", "--p", "3"], "D~w\n")
+        assert code == 0 and "numeric.mode: float\n" in out
+        assert "numeric.matches_combinatorial: true\n" in out
+
+    def test_odd_p_true_disagreement_survives_the_recheck(self, tmp_path):
+        # a collinear K5-: the exact rank confirms 4 of 8
+        ppath = tmp_path / "pl.txt"
+        ppath.write_text("".join(f"{v} {v} {v}\n" for v in range(5)))
+        code, out, _ = run(["certify", "-", "--p", "3", "--placement", str(ppath)], "D~w\n")
+        assert code == 0
+        assert "numeric.mode: exact\nnumeric.rank: 4/8\n" in out
+        assert "numeric.matches_combinatorial: false\n" in out
 
     @pytest.mark.parametrize("cmd, p", [("certify", "inf"), ("rank", "1e400")])
     def test_infinite_p_is_error_1(self, cmd, p):
@@ -745,8 +776,10 @@ class TestOneProcess:
 COLD_IMPORTS_SCRIPT = """
 import contextlib, io, json, sys
 
+WATCHED = {"dataclasses", "inspect", "fractions", "decimal", "numpy", "hashlib"}
+
 def loaded():
-    return sorted({"numpy", "hashlib"} & set(sys.modules))
+    return sorted(WATCHED & set(sys.modules))
 
 def call(argv, stdin_text=""):
     out = io.StringIO()
@@ -762,6 +795,10 @@ steps["check"] = call(["check", "-", "--certificate"], "D~w\\n")
 steps["random"] = call(["random", "--model", "m22", "--steps", "12", "--seed", "3"])
 steps["reduce"] = call(["reduce", "-"], steps["random"][1])
 steps["build"] = call(["build", "-"], steps["reduce"][1])
+steps["experiment"] = call(
+    ["experiment", "--model", "gnp", "--n", "7,8", "--prob", "0.6", "--samples", "20"]
+)
+steps["certify"] = call(["certify", "-", "--p", "4"], "D~w\\n")
 steps["rank"] = call(["rank", "-", "--p", "3"], "D~w\\n")
 from planerigidity.moves import random_m22_graph, reduce_to_base
 step = reduce_to_base(random_m22_graph(12, 3)).steps[0]
@@ -773,9 +810,10 @@ print(json.dumps(steps))
 
 class TestColdImports:
     """`import planerigidity.cli` and the combinatorial commands load
-    neither numpy nor hashlib (with OpenSSL); a float rank loads numpy and
-    a graph hash hashlib.  In a fresh interpreter, as pytest has loaded
-    numpy already."""
+    none of dataclasses, inspect, fractions (with decimal), numpy and
+    hashlib (with OpenSSL); an exact certify loads fractions, a float rank
+    numpy and a graph hash hashlib.  In a fresh interpreter, as pytest has
+    loaded them already."""
 
     def test_what_each_command_imports(self):
         env = dict(os.environ, PYTHONPATH=str(Path(planerigidity.__file__).parents[1]))
@@ -784,14 +822,23 @@ class TestColdImports:
             capture_output=True, text=True, env=env, timeout=120, check=True,
         )
         steps = json.loads(done.stdout)
-        for name in ("start", "import", "check", "random", "reduce", "build"):
+        for name in ("start", "import", "check", "random", "reduce", "build", "experiment"):
             assert steps[name][0] == 0 and steps[name][2] == [], name
         assert "globally_rigid_analytic: true" in steps["check"][1]
         assert steps["reduce"][1].startswith("base ")
         assert steps["build"][1].startswith("20\n")  # the walk's 20 vertices
-        assert steps["rank"] == [0, "8\n", ["numpy"]]
-        assert steps["trace"][2] == ["numpy"]
-        assert steps["hash"][2] == ["hashlib", "numpy"] and len(steps["hash"][1]) == 16
+        assert "n=8 samples=20 globally_rigid=" in steps["experiment"][1]
+        assert steps["certify"][0] == 0 and "numeric.mode: exact\n" in steps["certify"][1]
+        assert steps["certify"][2] == ["decimal", "fractions"]
+
+        def beside_numpy(step):  # numpy itself may import inspect or dataclasses
+            return [m for m in step[2] if m not in ("dataclasses", "inspect")]
+
+        numeric = ["decimal", "fractions", "numpy"]
+        assert steps["rank"][:2] == [0, "8\n"] and beside_numpy(steps["rank"]) == numeric
+        assert beside_numpy(steps["trace"]) == numeric
+        assert beside_numpy(steps["hash"]) == ["decimal", "fractions", "hashlib", "numpy"]
+        assert len(steps["hash"][1]) == 16
 
 
 class TestUsage:

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import random
 
 import pytest
@@ -228,8 +227,8 @@ class TestSufficientConditions:
             if G.n >= 3 and G.m - max(G.degree(v) for v in range(G.n)) >= 2 * G.n - 4
         ]
         built = []
-        real = Graph.__post_init__
-        monkeypatch.setattr(Graph, "__post_init__", lambda self: built.append(1) or real(self))
+        real = Graph.__init__
+        monkeypatch.setattr(Graph, "__init__", lambda self, *a: built.append(1) or real(self, *a))
         fired = sum("vertex_deletion_rigid" in sufficient_checks(G)[0] for G in graphs)
         assert built == [] and fired > 5
 
@@ -263,6 +262,31 @@ class TestEuclidean:
     def test_transfer_requires_euclidean_rigidity(self):
         with pytest.raises(ValueError):
             euclidean_transfer(cat.b1())
+
+    @pytest.mark.parametrize("seed", [5, 11, 71])
+    def test_stopped_game_against_rank_and_coloops(self, seed, monkeypatch):
+        # the verdict's own (2,3) game, stopped once the rank is 2n - 3 and
+        # every basis edge lies in a circuit read, against the full sorted
+        # game's rank and coloops; some games stop before the last edge
+        inserts = []
+        insert = PebbleGame.insert
+        monkeypatch.setattr(
+            PebbleGame, "insert", lambda game, u, v: inserts.append(1) or insert(game, u, v)
+        )
+        games = stopped = 0
+        for G in decision_corpus(300, seed=seed):
+            if G.n < 2:
+                continue
+            inserts.clear()
+            got, played = is_globally_rigid_euclidean(G), len(inserts)
+            if G.n <= 3 or not is_k_connected(G, 3):
+                assert got == (G.n <= 3 and G.is_complete())
+                continue
+            rank, cols = _rank_and_coloops(Graph(G.n, G.edges), 3)
+            assert got == (rank == 2 * G.n - 3 and not cols), G.sorted_edges()
+            games += 1
+            stopped += played < G.m
+        assert games > 30 and stopped > 10
 
     def test_transfer_matches_analytic_on_corpus(self):
         for G in decision_corpus(150, seed=13):
@@ -488,5 +512,5 @@ class TestPerGraphFacts:
         assert facts <= vars(G).keys() and G._m22_game
         assert not facts & vars(H).keys()
         assert G == H and hash(G) == hash(H) and {H: 1}[G] == 1
-        assert repr(G) == repr(H)
-        assert [f.name for f in dataclasses.fields(G)] == ["n", "edges"]
+        assert repr(G) == repr(H) == f"Graph(n={G.n}, edges={G.edges!r})"
+        assert vars(H).keys() == {"n", "edges"}

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import sys
@@ -15,6 +14,7 @@ from planerigidity.formats import parse_graph6, parse_placement
 from planerigidity.geometry import (
     NormedPlane,
     Placement,
+    RigidityOperator,
     _bareiss_rank,
     cut_vertex_counterexample,
     deletion_ranks,
@@ -336,6 +336,59 @@ class TestFloatRows:
         assert op.matrix == ((-x, -y, x, y),)
 
 
+class TestExactRowsAtEveryIntegerP:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.fractions(-100, 100, max_denominator=20)] * 2), min_size=2, max_size=7
+        ),
+        st.sampled_from([2, 3, 4, 5, 41]),
+    )
+    def test_rows_equal_fraction_rows(self, coords, p):
+        # the row of d is D^(p-1) d |d|^(p-2), with D the lcm of the
+        # denominators; at odd p its sign is that of d
+        G = Graph.from_edges(len(coords), _distinct_pairs(coords))
+        pl = Placement(tuple(coords))
+        op = rigidity_operator(G, pl, NormedPlane(p), exact=True)
+        D = math.lcm(*(c.denominator for xy in coords for c in xy))
+        rows = []
+        for u, v in G.sorted_edges():
+            phi = [
+                (b - a) * abs(b - a) ** (p - 2) * D ** (p - 1) for a, b in zip(coords[u], coords[v])
+            ]
+            row = [Fraction(0)] * (2 * G.n)
+            row[2 * u], row[2 * u + 1] = -phi[0], -phi[1]
+            row[2 * v], row[2 * v + 1] = phi[0], phi[1]
+            rows.append(tuple(row))
+        assert op.exact and op.matrix == tuple(rows)
+        assert all(type(c) is int for row in op.matrix for c in row)
+        if p % 2 == 0:
+            assert rigidity_operator(G, pl, NormedPlane(p)) == op
+        else:  # float rows stay the default at odd p
+            assert not rigidity_operator(G, pl, NormedPlane(p)).exact
+
+    @pytest.mark.parametrize("p, pl", [
+        (2.5, Placement(((0, 0), (1, 2)))),
+        (3, Placement(((0.0, 0.0), (1, 2)))),
+    ], ids=["fractional-p", "float-placement"])
+    def test_exact_rows_need_integer_p_and_rational_placement(self, p, pl):
+        with pytest.raises(ValueError, match="needs an integer p and a rational placement"):
+            rigidity_operator(Graph.from_edges(2, [(0, 1)]), pl, NormedPlane(p), exact=True)
+
+    def test_exact_and_float_agree_on_the_benchmark_p3_inputs(self):
+        d = BENCHMARK_INPUTS / "certify-lp"
+        L3, count = NormedPlane(3), 0
+        for line in (d / "requests.txt").read_text().splitlines():
+            graph, placement, p = line.split()
+            if p == "3":
+                G = parse_graph6((d / graph).read_text())
+                pl = parse_placement((d / placement).read_text())
+                exact = deletion_ranks(rigidity_operator(G, pl, L3, exact=True), "exact")
+                assert deletion_ranks(rigidity_operator(G, pl, L3), "float") == exact, graph
+                count += 1
+        assert count == 60
+
+
 class TestRank:
     def test_k4_p4_exact(self):
         G = cat.complete_graph(4)
@@ -415,7 +468,8 @@ class TestRowScaledFloatRank:
         assert op.as_array() is A and not A.flags.writeable
         with pytest.raises(ValueError):
             A[0, 0] = 2.0
-        fresh = dataclasses.replace(op)
+        fresh = RigidityOperator(op.matrix, op.edges, op.n, op.exact, op.trivial_flex_dim)
+        assert fresh == op and hash(fresh) == hash(op)
         assert fresh.as_array() is not A and np.array_equal(fresh.as_array(), A)
         assert deletion_ranks(op, "float") == deletion_ranks(fresh, "float")
 
@@ -550,18 +604,19 @@ class TestDeletionRanks:
     def test_euclidean_results_unchanged_by_the_flex_bound(self, monkeypatch):
         # with the bound 2n - 2 of any plane (trivial_flex_dim 2), every
         # exact p = 2 rank fell back to Bareiss; rank and certify must agree
+        def flex_dim_2(op):
+            return RigidityOperator(op.matrix, op.edges, op.n, op.exact, 2)
+
         for op in _corpus_frameworks(2):
             assert op.trivial_flex_dim == 3
-            old = dataclasses.replace(op, trivial_flex_dim=2)
+            old = flex_dim_2(op)
             assert rank_of(op, "exact") == rank_of(old, "exact")
             assert deletion_ranks(op, "exact") == deletion_ranks(old, "exact")
         graphs = decision_corpus(60, seed=71)
         new = [certify(G, L2, 700 + i).to_text() for i, G in enumerate(graphs)]
         monkeypatch.setattr(
             decide, "rigidity_operator",
-            lambda *a, **kw: dataclasses.replace(
-                rigidity_operator(*a, **kw), trivial_flex_dim=2
-            ),
+            lambda *a, **kw: flex_dim_2(rigidity_operator(*a, **kw)),
         )
         old = [certify(G, L2, 700 + i).to_text() for i, G in enumerate(graphs)]
         assert new == old
