@@ -98,6 +98,12 @@ def _cmd_certify(args) -> int:
     return 0
 
 
+def _refuse_n_for_m22(args) -> None:
+    """The m22 walk sets its own size, so --n has no meaning there."""
+    if args.model == "m22" and args.n is not None:
+        raise ValueError("--n does not apply to --model m22")
+
+
 def _sample(args, n, seed):
     """One graph of args.model drawn from the seed; n is the vertex count
     of gnp and regular, and None where it was not given."""
@@ -111,6 +117,7 @@ def _sample(args, n, seed):
 
 
 def _cmd_random(args) -> int:
+    _refuse_n_for_m22(args)
     G = _sample(args, args.n, args.seed)
     sys.stdout.write(emit_graph(G, args.format))
     return 0
@@ -119,6 +126,7 @@ def _cmd_random(args) -> int:
 def _cmd_experiment(args) -> int:
     if args.samples < 0:
         raise ValueError("--samples must be non-negative")
+    _refuse_n_for_m22(args)
     try:
         ns = [int(x) for x in args.n.split(",")] if args.n else [10]
     except ValueError:

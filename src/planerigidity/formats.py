@@ -11,6 +11,10 @@ may stand anywhere.
 Placements are one `v x y` line per vertex with rational `num/den` or
 decimal coordinates.  Move scripts are a `base K5-|B1` header followed
 by one `kind i j [k ...]` line per move.
+Every integer in these three text formats (counts, endpoints, vertices,
+the parts of a rational or integer coordinate, move parameters) is an
+optional '-' followed by ASCII digits, and a decimal coordinate is ASCII
+without '_'.
 """
 
 from __future__ import annotations
@@ -31,6 +35,17 @@ class FormatError(ValueError):
 # An edge-list header names n without listing the vertices, and every vertex
 # costs an adjacency set, so a short header could otherwise ask for any memory.
 MAX_VERTICES = 258047
+
+
+def _int(tok: str) -> int:
+    """An integer as all three text formats write it: an optional '-' and
+    ASCII digits.  ValueError otherwise.  `tok` is a token of a split or
+    stripped line, so it has no whitespace at either end, and on such a
+    token `int` takes exactly that form once '+', '_' (between digits) and
+    non-ASCII characters (other scripts' digits) are refused."""
+    if "+" in tok or "_" in tok or not tok.isascii():
+        raise ValueError(f"not an integer: {tok!r}")
+    return int(tok)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +147,7 @@ def parse_edgelist(text: str) -> Graph:
     if idx == len(lines):
         raise FormatError("edgelist: empty input")
     try:
-        n = int(lines[idx].strip())
+        n = _int(lines[idx].strip())
     except ValueError:
         raise FormatError(f"edgelist: line {idx + 1}: expected vertex count")
     if not 0 <= n <= MAX_VERTICES:
@@ -148,7 +163,7 @@ def parse_edgelist(text: str) -> Graph:
         if len(parts) != 2:
             raise FormatError(f"edgelist: line {ln_no + 1}: expected 'u v'")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _int(parts[0]), _int(parts[1])
         except ValueError:
             raise FormatError(f"edgelist: line {ln_no + 1}: non-integer endpoint")
         if not (0 <= u < n and 0 <= v < n) or u == v:
@@ -166,11 +181,12 @@ def parse_graph(text: str, format: str = "auto") -> Graph:
     if format == "edgelist":
         return parse_edgelist(text)
     if format == "auto":
-        # '#' and '-' lie outside graph6's bytes 63..126, so a first line
-        # starting with either is an edge list (a comment, a negative count)
+        # ASCII digits, '#' and '-' lie outside graph6's bytes 63..126, so
+        # a first line of digits or starting with '#' or '-' is an edge
+        # list (a count, a comment, a negative count)
         s = text.strip()
         first = s.splitlines()[0].strip() if s else ""
-        if first.isdigit() or first[:1] in ("#", "-"):
+        if first.isascii() and first.isdigit() or first[:1] in ("#", "-"):
             return parse_edgelist(text)
         return parse_graph6(text)
     raise FormatError(f"unknown graph format {format!r}")
@@ -206,17 +222,20 @@ def emit_placement(pl: Placement) -> str:
 
 
 def _parse_coord(tok: str, where: str, Fraction):
-    """One coordinate: a Fraction for `num/den` or an integer, else a
-    finite float.  `Fraction` is passed in, imported once per file."""
+    """One coordinate: a Fraction for `num/den` or an integer (each part
+    read by `_int`), else a finite float written in ASCII without '_'.
+    `Fraction` is passed in, imported once per file."""
     if "/" in tok:
         num, _, den = tok.partition("/")
         try:
-            return Fraction(int(num), int(den))
+            return Fraction(_int(num), _int(den))
         except (ValueError, ZeroDivisionError):
             raise FormatError(f"{where}: bad rational {tok!r}")
     try:
         if not ("." in tok or "e" in tok or "E" in tok):
-            return Fraction(int(tok))
+            return Fraction(_int(tok))
+        if not tok.isascii() or "_" in tok:
+            raise ValueError(tok)
         value = float(tok)
     except ValueError:
         raise FormatError(f"{where}: bad coordinate {tok!r}")
@@ -237,7 +256,7 @@ def parse_placement(text: str) -> Placement:
         if len(parts) != 3:
             raise FormatError(f"placement: line {ln_no}: expected 'v x y'")
         try:
-            v = int(parts[0])
+            v = _int(parts[0])
         except ValueError:
             raise FormatError(f"placement: line {ln_no}: bad vertex {parts[0]!r}")
         x = _parse_coord(parts[1], f"placement: line {ln_no}", Fraction)
@@ -304,7 +323,7 @@ def parse_move_script(text: str) -> MoveScript:
             base = parts[1]
             continue
         try:
-            params = tuple(int(x) for x in parts[1:])
+            params = tuple(_int(x) for x in parts[1:])
         except ValueError:
             raise FormatError(f"script: line {ln_no}: non-integer parameter")
         try:  # Move checks the kind and the parameter count

@@ -56,10 +56,13 @@ class Graph(FrozenRecord):
     # takes the game it holds.
 
     @cached_property
-    def _lowpoint_dfs(self) -> tuple[list[set[int]], list[int], list[list[int]]]:
+    def _lowpoint_dfs(self) -> tuple[
+        list[set[int]], list[int], list[list[int]], tuple[list[int], ...]
+    ]:
         """The module's `_lowpoint_dfs` of the whole graph: its components,
-        cut vertices and blocks.  Read only: `components()` hands out copies
-        of its sets."""
+        cut vertices, blocks and DFS tree, the one spanning search that
+        every cut question about the graph reads.  Read only: `components()`
+        hands out copies of its sets."""
         return _lowpoint_dfs(self)
 
     @cached_property
@@ -174,8 +177,10 @@ class Separation(FrozenRecord):
         self.__dict__.update(kind=kind, parts=parts, cut=cut, nontrivial=nontrivial)
 
 
-def _lowpoint_dfs(G: Graph, drop=()) -> tuple[list[set[int]], list[int], list[list[int]]]:
-    """The components, cut vertices and blocks of G minus `drop`.
+def _lowpoint_dfs(G: Graph, drop=()) -> tuple[
+    list[set[int]], list[int], list[list[int]], tuple[list[int], ...]
+]:
+    """The components, cut vertices, blocks and DFS tree of G minus `drop`.
 
     Components are vertex sets in G's labels, ordered by their smallest
     vertex (the roots are tried in increasing order); cut vertices are
@@ -198,55 +203,98 @@ def _lowpoint_dfs(G: Graph, drop=()) -> tuple[list[set[int]], list[int], list[li
     subtrees are joined only through it.  So every vertex but a root is a
     non-head vertex of exactly one block, the one that holds the tree edge
     to its parent.
+
+    The tree is (order, num, father, nd, low, low2), the one spanning
+    search every cut question reads (`_no_separation_pair`,
+    `_edge_connectivity_upto3`): the vertices in discovery order, and per
+    vertex its discovery number (from 1; n + 1 for a dropped vertex), its
+    father (-1 at a root), its descendant count nd (itself included), and
+    with E(v) the numbers of the ends of the back edges leaving the
+    subtree of v, low(v) = min({num(v)} | E(v)) and Hopcroft & Tarjan's
+    low2(v) = min({num(v)} | E(v) - {low(v)}), so low(v) <= low2(v) <=
+    num(v).  Dropped vertices keep nd 1 and low = low2 = 0.  The subtree
+    of v is the run of vertices found from v until v is left, so nd(v) =
+    clock - num(v) + 1 then.  E(v) is the ends of v's own back edges
+    together with E(w) for each child w.  An own back edge to x < low2(v)
+    moves low(v) to low2(v) and x to low(v) if x < low(v), becomes low2(v)
+    if x > low(v), and changes neither if x = low(v); an end x >= low2(v)
+    changes neither, and the neighbours that are descendants or dropped
+    lie above num(v) >= low2(v), so a test against low2(v) and the father
+    sorts out the back edges.  A child w with low(w) >= num(v) brings no
+    number below num(v), so it changes neither.  Otherwise low(w) < low(v)
+    moves low(v) down, low2(v) becoming the lesser of the old low(v) and
+    low2(w) (E(w) less low(w) has low2(w) or more, and num(w) > low2(v)
+    when low2(w) = num(w)); low(w) = low(v) lowers low2(v) to low2(w) if
+    less; and low(w) > low(v) offers low(w) to low2(v).
     """
     n = G.n
     adj = G.adj
     num = [0] * n  # discovery numbers start at 1; 0 marks unvisited
-    low = [0] * n
+    low, low2, father, nd = [0] * n, [0] * n, [-1] * n, [1] * n
     for x in drop:
         num[x] = n + 1
     comps = []
     cuts = set()
     blocks = []
+    order = []
     below = []  # the visited non-root vertices in no block yet, in discovery order
-    push = below.append
+    push, found = below.append, order.append
     clock = 0
     for r in range(n):
         if num[r]:
             continue
         clock += 1
-        num[r] = low[r] = clock
+        num[r] = low[r] = low2[r] = clock
+        found(r)
         first = len(blocks)
         stack = [(r, -1, iter(adj[r]), 0)]
         while stack:
             v, parent, it, at = stack[-1]
             for w in it:
-                if not num[w]:
+                x = num[w]
+                if not x:
                     clock += 1
-                    num[w] = low[w] = clock
+                    num[w] = low[w] = low2[w] = clock
+                    father[w] = v
                     stack.append((w, v, iter(adj[w]), len(below)))
                     push(w)
+                    found(w)
                     break
-                if w != parent and num[w] < low[v]:
-                    low[v] = num[w]
+                if x < low2[v] and w != parent:
+                    if x < low[v]:
+                        low2[v] = low[v]
+                        low[v] = x
+                    elif x > low[v]:
+                        low2[v] = x
             else:
                 stack.pop()
+                nd[v] = clock - num[v] + 1
                 if parent < 0:
                     break
-                # low(v) >= num(p) >= low(p) leaves low(p) as it is
+                # low(v) >= num(p) leaves low(p) and low2(p) as they are
                 lv = low[v]
                 if lv >= num[parent]:
                     blocks.append([parent, *below[at:]])
                     del below[at:]
                     cuts.add(parent)
-                elif lv < low[parent]:
-                    low[parent] = lv
+                else:
+                    lp = low[parent]
+                    if lv < lp:
+                        low[parent] = lv
+                        l2 = low2[v]
+                        low2[parent] = lp if lp < l2 else l2
+                    elif lv == lp:
+                        l2 = low2[v]
+                        if l2 < low2[parent]:
+                            low2[parent] = l2
+                    elif lv < low2[parent]:
+                        low2[parent] = lv
         # r heads one block per tree child, and has one child iff its last
         # child was found right after it
         if len(blocks) > first and num[blocks[-1][1]] == num[r] + 1:
             cuts.discard(r)
         comps.append({r}.union(*blocks[first:]))
-    return comps, sorted(cuts), blocks
+    return comps, sorted(cuts), blocks, (order, num, father, nd, low, low2)
 
 
 def is_k_connected(G: Graph, k: int) -> bool:
@@ -256,10 +304,13 @@ def is_k_connected(G: Graph, k: int) -> bool:
     for every k here (in particular K2 passes for k=1 and k=2); K1 is only
     1-connected.
 
-    k = 1 and k = 2 read G's one lowpoint DFS (`Graph._lowpoint_dfs`, run
-    once per graph).  k = 3 then asks `_no_separation_pair`, one
-    triconnectivity path search in O(n + m): a 2-connected non-complete G
-    has n >= 4, and it is 3-connected iff no pair of vertices separates it.
+    Every k reads G's one lowpoint DFS (`Graph._lowpoint_dfs`, run once
+    per graph), the one DFS tree that serves every cut question: k = 1
+    and k = 2 its components and cut vertices, and k = 3 then asks
+    `_no_separation_pair`, which runs the triconnectivity path search on
+    that tree in O(n + m) and no search of its own: a 2-connected
+    non-complete G has n >= 4, and it is 3-connected iff no pair of
+    vertices separates it.
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
@@ -269,7 +320,7 @@ def is_k_connected(G: Graph, k: int) -> bool:
         return k == 1
     if G.is_complete():
         return True
-    comps, cuts, _ = G._lowpoint_dfs
+    comps, cuts, *_ = G._lowpoint_dfs
     if len(comps) != 1:
         return False
     if k == 1:
@@ -286,18 +337,28 @@ def _no_separation_pair(G: Graph) -> bool:
     separating pair, i.e. is 3-connected, in O(n + m): Hopcroft & Tarjan's
     triconnectivity path search (SIAM J. Comput. 2(3), 1973) as corrected
     by Gutwenger & Mutzel ("A linear time implementation of SPQR-trees",
-    GD 2000), stopped at the first split.  All three searches are
-    iterative.
+    GD 2000), stopped at the first split.  Its DFS 1 is G's one lowpoint
+    DFS, and DFS 2 and the path search are iterative.
 
     1. A vertex of degree 2 has its two neighbours as a separating pair.
-    2. DFS 1 from vertex 0 numbers the vertices and records fathers,
-       descendant counts ND, lowpt1 and lowpt2 (the least and second least
-       number in {v} and the ends of fronds leaving the subtree of v), and
-       the out-arcs: tree arcs and fronds, each frond from a vertex to a
-       proper ancestor.  At the tree edge (p, v) it answers False when
-       lowpt2(v) >= num(p) > lowpt1(v) and n - ND(v) >= 3: every edge
+    2. DFS 1 is `Graph._lowpoint_dfs`, from vertex 0: its tree gives the
+       discovery numbers, fathers, descendant counts ND, and lowpt1 and
+       lowpt2 (its low and low2: the least number in {v} and the ends of
+       fronds leaving the subtree of v, and the least once lowpt1 is left
+       out, v kept); every non-tree edge is a frond from a vertex to a
+       proper ancestor.  At each tree edge (p, v) step 2 answers False
+       when lowpt2(v) >= num(p) > lowpt1(v) and n - ND(v) >= 3: every edge
        leaving the subtree of v then ends at p or at lowpt1(v), and some
-       vertex lies outside the subtree and off the pair.
+       vertex lies outside the subtree and off the pair.  Hopcroft &
+       Tarjan test this at the return from v, on values that are final by
+       then, so a loop over the tree edges after the search gives the same
+       answer.  The out-arcs of v are then read off adj[v] in its order:
+       each child w (father(w) = v) as a tree arc and each frond v ~> w
+       (num(w) < num(v), w not the father) as ~w; every other neighbour is
+       a proper descendant of a child.  DFS 1 meets the neighbours of v in
+       the same order and appends a neighbour as a tree arc exactly when it
+       finds it unvisited, i.e. when it becomes v's child, so each list is
+       the one DFS 1 would build.
     3. Each out-arc list is sorted by phi: 2 lowpt1(w) for a tree arc
        v -> w, 2w + 1 for a frond v ~> w, the order of Gutwenger &
        Mutzel's 3 lowpt1(w) and 3w + 1.  They add 2 for a tree arc with
@@ -335,54 +396,21 @@ def _no_separation_pair(G: Graph) -> bool:
     n, adj = G.n, G.adj
     if min(map(len, adj)) < 3:
         return False
-    # DFS 1: numbers 1..n; out[v] lists tree children w and fronds ~w
-    num, father, nd = [0] * n, [-1] * n, [1] * n
-    low1, low2 = [0] * n, [0] * n
-    out = [[] for _ in range(n)]
-    num[0] = low1[0] = low2[0] = clock = 1
-    stack = [(0, iter(adj[0]))]
-    while stack:
-        v, it = stack[-1]
-        for w in it:
-            if not num[w]:
-                clock += 1
-                num[w] = low1[w] = low2[w] = clock
-                father[w] = v
-                out[v].append(w)
-                stack.append((w, iter(adj[w])))
-                break
-            x = num[w]
-            if x < num[v] and w != father[v]:
-                out[v].append(~w)
-                if x < low1[v]:
-                    low1[v], low2[v] = x, low1[v]
-                elif low1[v] < x < low2[v]:
-                    low2[v] = x
-        else:
-            stack.pop()
-            p = father[v]
-            if p < 0:
-                break
-            nd[p] += nd[v]
-            l1, l2 = low1[v], low2[v]
-            if l2 >= num[p] > l1 and n - nd[v] >= 3:
-                return False
-            if l1 < low1[p]:
-                low1[p], low2[p] = l1, min(low1[p], l2)
-            elif l1 == low1[p]:
-                low2[p] = min(low2[p], l2)
-            else:
-                low2[p] = min(low2[p], l1)
+    order, num, father, nd, low1, low2 = G._lowpoint_dfs[3]
+    for v in order[1:]:
+        if low2[v] >= num[father[v]] > low1[v] and n - nd[v] >= 3:
+            return False
 
     def phi(w):
         return 2 * num[~w] + 1 if w < 0 else 2 * low1[w]
 
-    for arcs in out:
-        arcs.sort(key=phi)
+    # out[v]: the tree children w and the fronds ~w of v, sorted by phi
+    out = [
+        sorted((w if father[w] == v else ~w for w in nbrs
+                if father[w] == v or num[w] < num[v] and w != father[v]), key=phi)
+        for v, nbrs in enumerate(adj)
+    ]
     # DFS 2: new numbers and high
-    vertex = [0] * (n + 1)  # old number -> vertex
-    for v in range(n):
-        vertex[num[v]] = v
     new, high = [0] * n, [0] * n
     count = n
     new[0] = 1
@@ -403,7 +431,7 @@ def _no_separation_pair(G: Graph) -> bool:
                 high[~w] = new[v]
     # the path search along the same arcs: h and a are new numbers, b is
     # a vertex, and each frame keeps whether its last tree arc started a path
-    low1 = [new[vertex[x]] for x in low1]
+    low1 = [new[order[x - 1]] for x in low1]  # order[x - 1] is numbered x
     eos = (0, 0, 0)
     tstack = [eos]  # a sentinel EOS: no triple below it is ever read
     start = True
@@ -459,7 +487,7 @@ def first_cut_vertex(G: Graph) -> int | None:
     vertex 0 when there are at least three components, and otherwise the
     smallest vertex that has a neighbour.
     """
-    comps, cuts, _ = G._lowpoint_dfs
+    comps, cuts, *_ = G._lowpoint_dfs
     if len(comps) == 1:
         return cuts[0] if cuts else None
     if G.n < 3:
@@ -506,15 +534,18 @@ def _min_st_edge_cut(G: Graph, s: int, t: int, limit: int | None = None) -> int:
 
 def _edge_connectivity_upto3(G: Graph) -> int:
     """min(lambda, 3), lambda the edge connectivity (0 for n < 2), from the
-    cut-space labels of one BFS spanning tree T (Pritchard & Thurimella,
-    "Fast computation of small cuts via cycle space sampling", ACM TALG
-    7(4), 2011), kept exact as Python-int bitsets instead of sampled.
+    cut-space labels of G's one DFS tree T (`Graph._lowpoint_dfs`)
+    (Pritchard & Thurimella, "Fast computation of small cuts via cycle
+    space sampling", ACM TALG 7(4), 2011), kept exact as Python-int
+    bitsets instead of sampled.  No search of its own runs.
 
     Each non-tree edge g gets its own bit, XORed into the accumulators of
-    both its ends; the tree edge (parent(v), v) gets the XOR of the
-    accumulators over the subtree of v.  So the label of a non-tree edge g
-    is {g}, and that of a tree edge is the set of non-tree edges with
-    exactly one end in the subtree, i.e. whose fundamental cycle holds it.
+    both its ends; the tree edge (father(v), v) gets the XOR of the
+    accumulators over the subtree of v, which a walk in reverse discovery
+    order sums bottom-up, as a vertex is found after its father.  So the
+    label of a non-tree edge g is {g}, and that of a tree edge is the set
+    of non-tree edges with exactly one end in the subtree, i.e. whose
+    fundamental cycle holds it.
     Over GF(2) the cut space is the orthogonal complement of the cycle
     space, which the fundamental cycles span: an edge set D is a cut iff it
     meets every fundamental cycle an even number of times, i.e. iff its
@@ -522,27 +553,20 @@ def _edge_connectivity_upto3(G: Graph) -> int:
     has labels summing to 0.  With |X| = 1 that is a zero label (a tree
     edge on no cycle); with |X| = 2 and no zero label it is two equal
     labels, which are a tree edge's label equal to one bit {g}, or two
-    equal tree-edge labels (two non-tree labels are distinct bits).  If T
-    does not span, G is disconnected and lambda = 0.
+    equal tree-edge labels (two non-tree labels are distinct bits).  None
+    of this needs T to be of one kind: any rooted spanning tree does.  If G
+    has more than one component, lambda = 0.
     """
     n = G.n
     if n < 2:
         return 0
-    adj = G.adj
-    parent = [-1] * n
-    parent[0] = 0
-    order = [0]
-    for u in order:  # BFS: the list grows while it is read
-        for w in adj[u]:
-            if parent[w] < 0:
-                parent[w] = u
-                order.append(w)
-    if len(order) < n:
+    comps, _, _, (order, _, father, *_) = G._lowpoint_dfs
+    if len(comps) > 1:
         return 0
     label = [0] * n
     bit = 1
     for u, w in G.edges:
-        if parent[w] != u and parent[u] != w:
+        if father[w] != u and father[u] != w:
             label[u] ^= bit
             label[w] ^= bit
             bit <<= 1
@@ -555,7 +579,7 @@ def _edge_connectivity_upto3(G: Graph) -> int:
         if not x & (x - 1) or x in seen:
             two = True
         seen.add(x)
-        label[parent[v]] ^= x
+        label[father[v]] ^= x
     return 2 if two else 3
 
 
@@ -563,7 +587,7 @@ def edge_connectivity(G: Graph) -> int:
     """Size of a minimum edge cut (0 for disconnected or single-vertex).
 
     First `_edge_connectivity_upto3`, which gives min(lambda, 3) from the
-    cut-space labels of one spanning tree.  Since lambda <= delta, the
+    cut-space labels of G's one DFS tree.  Since lambda <= delta, the
     least degree, a value below 3 is lambda itself, and a value of 3 with
     delta <= 3 means lambda = 3 = delta; either way it is the answer.
     Only when delta >= 4 and lambda >= 3 do the flows below run.
@@ -645,7 +669,7 @@ def enumerate_separations(G: Graph, kind: str) -> list[Separation]:
     out = []
     if kind == "vertex-cut-2":
         for a in range(G.n):
-            comps, cuts, _ = _lowpoint_dfs(G, (a,))
+            comps, cuts, *_ = _lowpoint_dfs(G, (a,))
             cuts = set(cuts)
             for b in range(a + 1, G.n):
                 if len(comps) == 1 and b not in cuts:
@@ -663,7 +687,7 @@ def enumerate_separations(G: Graph, kind: str) -> list[Separation]:
             for j in range(i + 1, len(edges)):
                 f = edges[j]
                 H = Graph(G.n, G.edges - {e, f})
-                comps, _, blocks = _lowpoint_dfs(H)
+                comps, _, blocks, _ = _lowpoint_dfs(H)
                 bridges = sorted(_norm_edge(*b) for b in blocks if len(b) == 2)
                 thirds = edges[j + 1:] if len(comps) > 1 else [g for g in bridges if g > f]
                 for g in thirds:
@@ -706,26 +730,46 @@ def _wl_colors(G: Graph) -> list[int]:
     return color
 
 
-def _extend_isomorphism(G: Graph, H: Graph, cg, ch, pins, mapping, used, order):
-    if len(mapping) == G.n:
-        return dict(mapping)
-    v = order[len(mapping)]
-    for w in (pins[v],) if v in pins else range(H.n):
-        if w in used or ch[w] != cg[v]:
-            continue
-        ok = True
-        for u, img in mapping.items():
-            if G.has_edge(u, v) != H.has_edge(img, w):
-                ok = False
+def _extend_isomorphism(G: Graph, H: Graph, cg, ch, pins, order):
+    """The first edge-preserving bijection G -> H, or None, that maps the
+    vertices in `order` one by one to images of their colour, each trying
+    its pin or else every vertex of H in increasing order.
+
+    A depth-first backtracking with an explicit stack: stack[d] iterates
+    the candidates of order[d] and mapping holds the images of order[:d],
+    in that order, so a dead end pops one iterator and undoes the last
+    image only.  It makes the tries of the recursion with one level per
+    vertex, in the same order, so it returns the same mapping, and no
+    recursion limit bounds its depth.
+    """
+    n = G.n
+    if not n:
+        return {}
+    mapping, used = {}, set()
+
+    def candidates(v):
+        return iter((pins[v],) if v in pins else range(H.n))
+
+    stack = [candidates(order[0])]
+    while stack:
+        v = order[len(mapping)]
+        for w in stack[-1]:
+            if w in used or ch[w] != cg[v]:
+                continue
+            for u, img in mapping.items():
+                if G.has_edge(u, v) != H.has_edge(img, w):
+                    break
+            else:
+                mapping[v] = w
+                used.add(w)
+                if len(mapping) == n:
+                    return mapping
+                stack.append(candidates(order[len(mapping)]))
                 break
-        if ok:
-            mapping[v] = w
-            used.add(w)
-            res = _extend_isomorphism(G, H, cg, ch, pins, mapping, used, order)
-            if res is not None:
-                return res
-            del mapping[v]
-            used.remove(w)
+        else:
+            stack.pop()
+            if mapping:
+                used.remove(mapping.popitem()[1])
     return None
 
 
@@ -764,7 +808,7 @@ def _isomorphism(
         (v for v in range(G.n) if v not in pins),
         key=lambda v: (freq[cg[v]], -G.degree(v), v),
     )
-    return _extend_isomorphism(G, H, cg, ch, pins, {}, set(), order)
+    return _extend_isomorphism(G, H, cg, ch, pins, order)
 
 
 def find_isomorphism(G: Graph, H: Graph) -> dict[int, int] | None:

@@ -22,14 +22,17 @@ divides each row by its largest entry), its
 cut scans for k-connectivity and the first cut vertex (one subgraph per
 candidate cut, where the library now runs lowpoint DFS), its
 3-connectivity by one lowpoint DFS per deleted vertex (the library now
-runs one triconnectivity path search), its edge
+runs one triconnectivity path search), its path search with a DFS 1 of
+its own and its edge-connectivity cut labels on a BFS tree of its own
+(the library reads both off each graph's one lowpoint DFS), its edge
 connectivity without the bound on each flow, and with bounded flows but no
 spanning-tree cut labels first, its unit flow with a residual
 map over every arc (the library keeps only the arcs the flow uses), its
 circuit read by walking the reachable region again after a rejected insert
 (the library keeps what the rejecting searches visited), its
 vertex-deletion test without the edge-count filter, its automorphism search
-with its own pin setup, its forward scripts with one rule per reduction
+with its own pin setup, its isomorphism backtracking by recursion (the
+library keeps an explicit stack), its forward scripts with one rule per reduction
 kind, its moves with one construction and relabelling per kind, its joins
 and separations with one relabel-and-union or completion rule per kind, its
 2-vertex-separation scan (one subgraph per vertex pair) and its
@@ -455,7 +458,7 @@ def is_3_connected_by_deletions(G: Graph) -> bool:
     if not is_k_connected(G, 2):
         return False
     for v in range(G.n):
-        comps, cuts, _ = _lowpoint_dfs(G, (v,))
+        comps, cuts, *_ = _lowpoint_dfs(G, (v,))
         if len(comps) != 1 or cuts:
             return False
     return True
@@ -602,6 +605,238 @@ def vertex_deletion_rigid_games(G: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# cut questions on spanning searches of their own
+
+
+def no_separation_pair_dfs1(G: Graph) -> bool:
+    """The library's earlier `_no_separation_pair`, with a DFS 1 of its own.
+
+    Whether a 2-connected, non-complete simple G (so n >= 4) has no
+    separating pair, i.e. is 3-connected, in O(n + m): Hopcroft & Tarjan's
+    triconnectivity path search (SIAM J. Comput. 2(3), 1973) as corrected
+    by Gutwenger & Mutzel ("A linear time implementation of SPQR-trees",
+    GD 2000), stopped at the first split.  All three searches are
+    iterative.
+
+    1. A vertex of degree 2 has its two neighbours as a separating pair.
+    2. DFS 1 from vertex 0 numbers the vertices and records fathers,
+       descendant counts ND, lowpt1 and lowpt2 (the least and second least
+       number in {v} and the ends of fronds leaving the subtree of v), and
+       the out-arcs: tree arcs and fronds, each frond from a vertex to a
+       proper ancestor.  At the tree edge (p, v) it answers False when
+       lowpt2(v) >= num(p) > lowpt1(v) and n - ND(v) >= 3: every edge
+       leaving the subtree of v then ends at p or at lowpt1(v), and some
+       vertex lies outside the subtree and off the pair.
+    3. Each out-arc list is sorted by phi: 2 lowpt1(w) for a tree arc
+       v -> w, 2w + 1 for a frond v ~> w, the order of Gutwenger &
+       Mutzel's 3 lowpt1(w) and 3w + 1.  They add 2 for a tree arc with
+       lowpt2(w) >= v; that changes no order once step 2 has passed,
+       because then such an arc is the only out-arc of v.  Either v is the root,
+       whose one child w is its one out-arc; or lowpt1(w) < v and the side
+       condition failed, n - ND(w) = 2, so v and the root are all that lie
+       outside the subtree of w: v is the root's child, w its one child,
+       and v has no frond, as a frond to its father would double an edge.
+    4. DFS 2 follows the sorted arcs.  It renumbers the vertices (entering
+       v, NEWNUM(v) = count - ND(v) + 1, count starting at n and falling by
+       one after each return from a tree child, so the subtree of w holds
+       w .. w + ND(w) - 1) and sets high(v), the NEWNUM of the source of
+       the first frond into v it meets, or 0.  lowpt1(w) names an ancestor
+       of w, so it maps to the new numbers vertex by vertex.
+    5. The path search follows the same arcs, the first arc and each arc
+       after a frond starting a path, with Gutwenger & Mutzel's stack of
+       triples (h, a, b) and end-of-segment markers, and answers
+       False at its first type-2 pair, True if it finishes.  Its type-1
+       test is left out: it is step 2's condition on the same vertices
+       under a stronger side condition (father(v) not the root, or a tree
+       arc of v still to come, both leave three vertices outside the
+       subtree of w), so step 2 has answered first.
+
+    Soundness: Gutwenger & Mutzel's algorithm changes the graph only when
+    it splits off a component, so a run stopped at its first split is in
+    the state of the full run up to that point.  A 2-connected simple graph
+    on n >= 4 vertices is 3-connected iff the full run splits nothing.
+    With no multiple edges and every degree at least 3, its bond handling
+    (a frond to the father) and its deg(w) = 2 branch never apply before
+    the first split.  And each of the exits 1, 2 and the type-2 split
+    names a real separating pair: in a simple graph a split pair has two
+    split classes holding vertices off the pair.
+    """
+    n, adj = G.n, G.adj
+    if min(map(len, adj)) < 3:
+        return False
+    # DFS 1: numbers 1..n; out[v] lists tree children w and fronds ~w
+    num, father, nd = [0] * n, [-1] * n, [1] * n
+    low1, low2 = [0] * n, [0] * n
+    out = [[] for _ in range(n)]
+    num[0] = low1[0] = low2[0] = clock = 1
+    stack = [(0, iter(adj[0]))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if not num[w]:
+                clock += 1
+                num[w] = low1[w] = low2[w] = clock
+                father[w] = v
+                out[v].append(w)
+                stack.append((w, iter(adj[w])))
+                break
+            x = num[w]
+            if x < num[v] and w != father[v]:
+                out[v].append(~w)
+                if x < low1[v]:
+                    low1[v], low2[v] = x, low1[v]
+                elif low1[v] < x < low2[v]:
+                    low2[v] = x
+        else:
+            stack.pop()
+            p = father[v]
+            if p < 0:
+                break
+            nd[p] += nd[v]
+            l1, l2 = low1[v], low2[v]
+            if l2 >= num[p] > l1 and n - nd[v] >= 3:
+                return False
+            if l1 < low1[p]:
+                low1[p], low2[p] = l1, min(low1[p], l2)
+            elif l1 == low1[p]:
+                low2[p] = min(low2[p], l2)
+            else:
+                low2[p] = min(low2[p], l1)
+
+    def phi(w):
+        return 2 * num[~w] + 1 if w < 0 else 2 * low1[w]
+
+    for arcs in out:
+        arcs.sort(key=phi)
+    # DFS 2: new numbers and high
+    vertex = [0] * (n + 1)  # old number -> vertex
+    for v in range(n):
+        vertex[num[v]] = v
+    new, high = [0] * n, [0] * n
+    count = n
+    new[0] = 1
+    stack = [(0, 0)]
+    while stack:
+        v, i = stack.pop()
+        if i:
+            count -= 1  # back from the tree child out[v][i - 1]
+        arcs = out[v]
+        while i < len(arcs):
+            w = arcs[i]
+            i += 1
+            if w >= 0:
+                new[w] = count - nd[w] + 1
+                stack += ((v, i), (w, 0))
+                break
+            if not high[~w]:
+                high[~w] = new[v]
+    # the path search along the same arcs: h and a are new numbers, b is
+    # a vertex, and each frame keeps whether its last tree arc started a path
+    low1 = [new[vertex[x]] for x in low1]
+    eos = (0, 0, 0)
+    tstack = [eos]  # a sentinel EOS: no triple below it is ever read
+    start = True
+    stack = [(0, 0, False)]
+    while stack:
+        v, i, started = stack.pop()
+        nv, arcs = new[v], out[v]
+        if i:
+            # back from w = arcs[i - 1]: the type-2 pairs {v, b}
+            while nv != 1 and tstack[-1][1] == nv:
+                if father[tstack[-1][2]] != v:
+                    return False
+                tstack.pop()
+            if started:
+                while tstack.pop() is not eos:
+                    pass
+            h, a, b = tstack[-1]
+            while tstack[-1] is not eos and a != nv and b != v and high[v] > h:
+                tstack.pop()
+                h, a, b = tstack[-1]
+        while i < len(arcs):
+            w = arcs[i]
+            i += 1
+            lw = low1[w] if w >= 0 else new[~w]
+            if start:
+                y, last = 0, -1
+                while tstack[-1][1] > lw:
+                    h, _, last = tstack.pop()
+                    y = max(y, h)
+                if last >= 0:
+                    tstack.append((y, lw, last))
+                elif w >= 0:
+                    tstack.append((new[w] + nd[w] - 1, lw, v))
+                else:
+                    tstack.append((nv, lw, v))
+                if w >= 0:
+                    tstack.append(eos)
+            if w >= 0:
+                stack += ((v, i, start), (w, 0, False))
+                start = False
+                break
+            start = True
+    return True
+
+
+def edge_connectivity_upto3_bfs(G: Graph) -> int:
+    """The library's earlier `_edge_connectivity_upto3`, on a BFS tree of
+    its own.
+
+    min(lambda, 3), lambda the edge connectivity (0 for n < 2), from the
+    cut-space labels of one BFS spanning tree T (Pritchard & Thurimella,
+    "Fast computation of small cuts via cycle space sampling", ACM TALG
+    7(4), 2011), kept exact as Python-int bitsets instead of sampled.
+
+    Each non-tree edge g gets its own bit, XORed into the accumulators of
+    both its ends; the tree edge (parent(v), v) gets the XOR of the
+    accumulators over the subtree of v.  So the label of a non-tree edge g
+    is {g}, and that of a tree edge is the set of non-tree edges with
+    exactly one end in the subtree, i.e. whose fundamental cycle holds it.
+    Over GF(2) the cut space is the orthogonal complement of the cycle
+    space, which the fundamental cycles span: an edge set D is a cut iff it
+    meets every fundamental cycle an even number of times, i.e. iff its
+    labels sum to 0.  Hence G - X is disconnected iff some nonempty D in X
+    has labels summing to 0.  With |X| = 1 that is a zero label (a tree
+    edge on no cycle); with |X| = 2 and no zero label it is two equal
+    labels, which are a tree edge's label equal to one bit {g}, or two
+    equal tree-edge labels (two non-tree labels are distinct bits).  If T
+    does not span, G is disconnected and lambda = 0.
+    """
+    n = G.n
+    if n < 2:
+        return 0
+    adj = G.adj
+    parent = [-1] * n
+    parent[0] = 0
+    order = [0]
+    for u in order:  # BFS: the list grows while it is read
+        for w in adj[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                order.append(w)
+    if len(order) < n:
+        return 0
+    label = [0] * n
+    bit = 1
+    for u, w in G.edges:
+        if parent[w] != u and parent[u] != w:
+            label[u] ^= bit
+            label[w] ^= bit
+            bit <<= 1
+    # children before parents: label[v] is final when v is reached
+    seen, two = set(), False
+    for v in order[:0:-1]:
+        x = label[v]
+        if not x:
+            return 1
+        if not x & (x - 1) or x in seen:
+            two = True
+        seen.add(x)
+        label[parent[v]] ^= x
+    return 2 if two else 3
+
+
+# ---------------------------------------------------------------------------
 # automorphisms by a search of their own
 
 
@@ -644,6 +879,35 @@ def _extend_automorphism(G: Graph, c, mapping, used, order):
             mapping[v] = w
             used.add(w)
             res = _extend_automorphism(G, c, mapping, used, order)
+            if res is not None:
+                return res
+            del mapping[v]
+            used.remove(w)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# isomorphisms by recursion
+
+
+def extend_isomorphism_recursive(G: Graph, H: Graph, cg, ch, pins, mapping, used, order):
+    """The library's earlier `_extend_isomorphism`: the same backtracking,
+    one recursion level per vertex."""
+    if len(mapping) == G.n:
+        return dict(mapping)
+    v = order[len(mapping)]
+    for w in (pins[v],) if v in pins else range(H.n):
+        if w in used or ch[w] != cg[v]:
+            continue
+        ok = True
+        for u, img in mapping.items():
+            if G.has_edge(u, v) != H.has_edge(img, w):
+                ok = False
+                break
+        if ok:
+            mapping[v] = w
+            used.add(w)
+            res = extend_isomorphism_recursive(G, H, cg, ch, pins, mapping, used, order)
             if res is not None:
                 return res
             del mapping[v]

@@ -585,6 +585,12 @@ class TestRandom:
         )
         assert code == 1 and out == "" and "prob" in err
 
+    def test_n_refused_for_m22(self):
+        # the walk sets its own size, so a size asked for is an error, not
+        # ignored
+        code, out, err = run(["random", "--model", "m22", "--n", "5", "--steps", "2"])
+        assert (code, out, err) == (1, "", "error: --n does not apply to --model m22\n")
+
     def test_regular_without_simple_pairing_is_error_1(self):
         # K8 is the only 7-regular graph on 8 vertices, and the pairing
         # model draws it too rarely to wait for
@@ -627,6 +633,15 @@ class TestExperiment:
             ["experiment", "--model", "gnp", "--n", "5", "--samples", "-1", "--seed", "1"]
         )
         assert code == 1 and out == "" and "--samples" in err
+
+    @pytest.mark.parametrize("samples", ["2", "0"])
+    def test_n_refused_for_m22(self, samples):
+        code, out, err = run(
+            ["experiment", "--model", "m22", "--n", "5,6", "--samples", samples, "--steps", "2"]
+        )
+        assert (code, out, err) == (1, "", "error: --n does not apply to --model m22\n")
+        code, out, _ = run(["experiment", "--model", "m22", "--samples", samples, "--steps", "2"])
+        assert code == 0 and out.splitlines()[1] == "model: m22 steps=2"
 
     @pytest.mark.parametrize("sizes", ["3,", "a", "4,,5"])
     def test_bad_size_list_names_the_option(self, sizes):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -168,3 +169,72 @@ class TestMoveScript:
     def test_unknown_kind(self):
         with pytest.raises(FormatError, match="unknown move kind"):
             parse_move_script("base B1\nfrobnicate 1 2\n")
+
+
+# forms that int() and float() take but the text formats refuse: a '+', a '_'
+# between digits, and non-ASCII digits (Arabic-Indic three, fullwidth one,
+# superscript two)
+NOT_INTEGERS = ["+1", "1_0", "٣", "１", "²", "-", "--1", "-+1"]
+
+
+class TestOneNumberRule:
+    """An integer is an optional '-' and ASCII digits in every text format;
+    a decimal coordinate is ASCII without '_'."""
+
+    @pytest.mark.parametrize("tok", NOT_INTEGERS)
+    def test_edgelist_count_and_endpoints(self, tok):
+        with pytest.raises(FormatError, match=r"^edgelist: line 1: expected vertex count$"):
+            parse_edgelist(f"{tok}\n")
+        with pytest.raises(FormatError, match=r"^edgelist: line 2: non-integer endpoint$"):
+            parse_edgelist(f"3\n{tok} 2\n")
+        with pytest.raises(FormatError, match=r"^edgelist: line 3: non-integer endpoint$"):
+            parse_edgelist(f"3\n0 1\n0 {tok}\n")
+
+    @pytest.mark.parametrize("tok", NOT_INTEGERS)
+    def test_auto_detection_never_reads_them_as_an_edge_list(self, tok):
+        # a '-' start still means an edge list, whose count is then refused;
+        # every other form falls to graph6, whose bytes they are not
+        with pytest.raises(FormatError, match="^edgelist: line 1" if tok[0] == "-" else "^graph6"):
+            parse_graph(f"{tok}\n0 1\n")
+
+    def test_plus_header_refused_by_both_readers(self):
+        with pytest.raises(FormatError, match="expected vertex count"):
+            parse_graph("+5\n0 1\n", "edgelist")
+        with pytest.raises(FormatError, match="invalid byte"):
+            parse_graph("+5\n0 1\n")
+
+    @pytest.mark.parametrize("tok", NOT_INTEGERS)
+    def test_placement_vertex(self, tok):
+        with pytest.raises(FormatError, match=rf"^placement: line 2: bad vertex {re.escape(repr(tok))}$"):
+            parse_placement(f"0 0 0\n{tok} 1 1\n")
+
+    @pytest.mark.parametrize("tok", NOT_INTEGERS)
+    def test_placement_integer_and_rational_coordinates(self, tok):
+        with pytest.raises(FormatError, match=rf"^placement: line 2: bad coordinate {re.escape(repr(tok))}$"):
+            parse_placement(f"0 0 0\n1 {tok} 1\n")
+        for rational in (f"{tok}/2", f"1/{tok}"):
+            with pytest.raises(FormatError, match=rf"^placement: line 2: bad rational {re.escape(repr(rational))}$"):
+                parse_placement(f"0 0 0\n1 1 {rational}\n")
+
+    @pytest.mark.parametrize("tok", ["1_0.5", "1.5_0", "1e1_0", "١.5", "1.٥", "１e3"])
+    def test_placement_decimal_coordinate(self, tok):
+        with pytest.raises(FormatError, match=rf"^placement: line 2: bad coordinate {re.escape(repr(tok))}$"):
+            parse_placement(f"0 0 0\n1 {tok} 1\n")
+
+    def test_a_line_int_would_read(self):
+        # int() read this as vertex 1 at (10, 3)
+        with pytest.raises(FormatError, match="^placement: line 2: bad vertex '[+]1'$"):
+            parse_placement("0 0 0\n+1 1_0 ٣\n")
+
+    def test_accepted_forms(self):
+        pl = parse_placement("-0 0 -3/-4\n1 -7 1.5e-1\n2 -0.5 +2.5\n")
+        assert pl.coords == ((0, Fraction(3, 4)), (-7, 0.15), (-0.5, 2.5))
+        assert parse_edgelist("003\n0 01\n").edges == {(0, 1)}
+        assert parse_move_script("base B1\nedge-addition 0 05\n").moves == (
+            Move("edge-addition", (0, 5)),
+        )
+
+    @pytest.mark.parametrize("tok", NOT_INTEGERS)
+    def test_move_parameters(self, tok):
+        with pytest.raises(FormatError, match=r"^script: line 2: non-integer parameter$"):
+            parse_move_script(f"base B1\nedge-addition 0 {tok}\n")

@@ -14,8 +14,10 @@ from planerigidity.graphs import (
     _isomorphism,
     _lowpoint_dfs,
     _min_st_edge_cut,
+    _no_separation_pair,
     edge_connectivity,
     enumerate_separations,
+    find_isomorphism,
     first_cut_vertex,
     is_edge_transitive,
     is_isomorphic,
@@ -23,7 +25,7 @@ from planerigidity.graphs import (
     is_vertex_transitive,
 )
 from planerigidity.moves import random_m22_graph
-from planerigidity.randomgraphs import gnp_graph
+from planerigidity.randomgraphs import gnp_graph, random_regular_graph
 
 from corpus import BENCHMARK_INPUTS, decision_corpus, joined_graphs, k4_ring_graph
 from oracles import (
@@ -32,14 +34,17 @@ from oracles import (
     components_search,
     edge_connectivity_dominating_flows,
     edge_connectivity_unpruned,
+    edge_connectivity_upto3_bfs,
     edge_cuts_triple_scan,
     edges_on_common_cycles,
     enumerate_separations_scan,
+    extend_isomorphism_recursive,
     first_cut_vertex_scan,
     graphs_up_to_iso,
     is_3_connected_by_deletions,
     is_k_connected_cut_scan,
     min_st_edge_cut_residual,
+    no_separation_pair_dfs1,
 )
 
 
@@ -267,19 +272,19 @@ class TestAgainstCutScans:
         # is a cycle, and C5 minus vertex 0 is the path 1-2-3-4
         # (the connected flag is one component; the blocks and components
         # are checked along with the cut vertices, each block head first)
-        comps, cuts, blocks = _lowpoint_dfs(cat.bowtie())
+        comps, cuts, blocks, _ = _lowpoint_dfs(cat.bowtie())
         assert (len(comps) == 1, cuts) == (True, [0])
         assert comps == [{0, 1, 2, 3, 4}] and _block_sets(blocks) == [{0, 1, 2}, {0, 3, 4}]
         assert [b[0] for b in blocks] == [0, 0]
-        comps, cuts, blocks = _lowpoint_dfs(cat.bowtie(), (0,))
+        comps, cuts, blocks, _ = _lowpoint_dfs(cat.bowtie(), (0,))
         assert (len(comps) == 1, cuts) == (False, [])
         assert comps == [{1, 2}, {3, 4}] and _bridges(blocks) == [(1, 2), (3, 4)]
         W = cat.wheel_graph(5)
         hub = max(range(W.n), key=W.degree)
-        comps, cuts, blocks = _lowpoint_dfs(W, (hub,))
+        comps, cuts, blocks, _ = _lowpoint_dfs(W, (hub,))
         assert (len(comps) == 1, cuts) == (True, [])
         assert comps == [{1, 2, 3, 4, 5}] and _block_sets(blocks) == [{1, 2, 3, 4, 5}]
-        comps, cuts, blocks = _lowpoint_dfs(cat.cycle_graph(5), (0,))
+        comps, cuts, blocks, _ = _lowpoint_dfs(cat.cycle_graph(5), (0,))
         assert (len(comps) == 1, cuts) == (True, [2, 3])
         assert comps == [{1, 2, 3, 4}] and _bridges(blocks) == [(1, 2), (2, 3), (3, 4)]
         assert len(blocks) == 3
@@ -293,7 +298,7 @@ class TestAgainstCutScans:
         # share a block iff they lie on a common cycle, and the two-vertex
         # blocks are the bridges, the edges whose deletion adds a component
         drop = data.draw(st.sets(st.integers(0, G.n - 1), max_size=3))
-        comps, cuts, blocks = _lowpoint_dfs(G, drop)
+        comps, cuts, blocks, _ = _lowpoint_dfs(G, drop)
         H, relabel = G.remove_vertices(drop)
         back = {new: old for old, new in relabel.items()}
         base = components_search(H)
@@ -399,6 +404,173 @@ class TestThreeConnectivityPathSearch:
         assert is_k_connected(G, 3)
         H = G.remove_edge(*min(G.edges))
         assert is_k_connected(H, 2) and not is_k_connected(H, 3)
+
+
+def _dfs_by_recursion(G, drop):
+    """The DFS tree by its definition: a recursive search over G.adj in its
+    order, the roots tried in increasing order, the dropped vertices never
+    entered; (order, father) with father -1 at a root."""
+    order, father = [], {}
+
+    def visit(v, p):
+        order.append(v)
+        father[v] = p
+        for w in G.adj[v]:
+            if w not in father and w not in drop:
+                visit(w, v)
+
+    for r in range(G.n):
+        if r not in father and r not in drop:
+            visit(r, -1)
+    return order, father
+
+
+def _two_wheels(k):
+    """Two wheels with k rim vertices each (k odd; hubs 0 and k + 1) that
+    share the opposite rim vertices 1 and (k + 1) / 2: n = 2k, m = 4k."""
+    s = (k + 1) // 2
+    edges = [(0, i) for i in range(1, k + 1)] + [(i, i % k + 1) for i in range(1, k + 1)]
+    rim = [1, *range(k + 2, k + s), s, *range(k + s, 2 * k)]
+    edges += [(k + 1, v) for v in rim] + list(zip(rim, rim[1:] + rim[:1]))
+    return Graph.from_edges(2 * k, edges)
+
+
+def _assert_matches_own_searches(graphs):
+    # the readers of G's one DFS tree against their earlier versions, each
+    # with a spanning search of its own; returns how often the path search
+    # ran and how often it found a separating pair
+    ran = separated = 0
+    for G in graphs:
+        assert _edge_connectivity_upto3(G) == edge_connectivity_upto3_bfs(G), G
+        if G.n >= 4 and not G.is_complete() and is_k_connected(G, 2):
+            found = _no_separation_pair(G)
+            assert found == no_separation_pair_dfs1(G), G
+            ran += 1
+            separated += not found
+    return ran, separated
+
+
+class _Neighbours(frozenset):
+    """A neighbour set that counts the times it is iterated."""
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+class TestOneSpanningSearch:
+    """The path search and the edge-connectivity cut labels read G's one
+    lowpoint DFS (`Graph._lowpoint_dfs`); their earlier versions, each with
+    a search of its own, are the oracles `no_separation_pair_dfs1` and
+    `edge_connectivity_upto3_bfs`."""
+
+    def test_decision_corpus(self):
+        ran, separated = _assert_matches_own_searches(decision_corpus(300, seed=5))
+        assert 0 < separated < ran
+
+    def test_every_labelled_graph_up_to_six_vertices(self):
+        ran = separated = 0
+        for n in range(1, 7):
+            r, s = _assert_matches_own_searches(all_labeled_graphs(n))
+            ran, separated = ran + r, separated + s
+        assert 0 < separated < ran
+
+    def test_relabelled_m22_walks(self):
+        rng = random.Random(25)
+        walks = [relabelled(random_m22_graph(steps, 250 + steps), rng) for steps in (80, 160, 320)]
+        assert _assert_matches_own_searches(walks)[0] == 3
+
+    def test_two_wheels_sharing_two_rim_vertices(self):
+        # the pair {1, (k + 1) / 2} separates and every degree is at least
+        # 3; at these k (not at all: it depends on the adjacency order)
+        # step 2 passes, and only the path search's type-2 test finds the
+        # pair
+        for k in (9, 15, 3999):
+            G = _two_wheels(k)
+            assert (G.n, G.m, G.min_degree()) == (2 * k, 4 * k, 3)
+            assert _assert_matches_own_searches([G]) == (1, 1)
+            order, num, father, nd, low, low2 = G._lowpoint_dfs[3]
+            assert not any(
+                low2[v] >= num[father[v]] > low[v] and G.n - nd[v] >= 3 for v in order[1:]
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(8), st.data())
+    def test_tree_records_match_their_definitions(self, G, data):
+        # with the vertices in `drop` deleted: the discovery order and the
+        # fathers are those of a recursive DFS, nd(v) is the size of the
+        # subtree of v, and with E(v) the numbers of the ends of the fronds
+        # (non-tree edges to an ancestor) leaving the subtree of v,
+        # low(v) = min({num(v)} | E(v)) and low2(v) = min({num(v)} |
+        # E(v) - {low(v)})
+        drop = data.draw(st.sets(st.integers(0, G.n - 1), max_size=3))
+        order, num, father, nd, low, low2 = _lowpoint_dfs(G, drop)[3]
+        want_order, want_father = _dfs_by_recursion(G, drop)
+        assert order == want_order
+        assert [num[v] for v in order] == list(range(1, len(order) + 1))
+        assert all(num[v] == G.n + 1 for v in drop)
+        assert {v: father[v] for v in order} == want_father
+        subtree = {v: {v} for v in order}
+        for v in order:
+            u = father[v]
+            while u >= 0:
+                subtree[u].add(v)
+                u = father[u]
+        for v in order:
+            assert nd[v] == len(subtree[v])
+            ends = {
+                num[y] for x in subtree[v] for y in G.adj[x]
+                if y not in drop and num[y] < num[x] and y != father[x]
+            }
+            assert low[v] == min(ends | {num[v]})
+            assert low2[v] == min(ends - {low[v]} | {num[v]})
+
+    def test_a_decision_runs_one_spanning_search(self, monkeypatch):
+        # every neighbour set is read once by the DFS; from then on the
+        # sets count their reads, and the decision reads each once more,
+        # when `_no_separation_pair` lists the arcs of its vertex: a second
+        # spanning search would read every set again.  The graphs have
+        # least degree 3, so no flow and no transitivity search runs, and
+        # the path search runs on each (to its end on the 3-connected ones)
+        from planerigidity.decide import is_globally_rigid_analytic
+
+        calls = {"dfs": 0, "pairs": 0, "labels": 0}
+        real = {
+            "dfs": graphs._lowpoint_dfs,
+            "pairs": graphs._no_separation_pair,
+            "labels": graphs._edge_connectivity_upto3,
+        }
+
+        def dfs(G, drop=()):
+            calls["dfs"] += 1
+            out = real["dfs"](G, drop)
+            G.__dict__["adj"] = tuple(_Neighbours(s) for s in G.adj)
+            for s in G.adj:
+                s.reads = 0
+            return out
+
+        def counted(name):
+            def call(G):
+                calls[name] += 1
+                return real[name](G)
+            return call
+
+        monkeypatch.setattr(graphs, "_lowpoint_dfs", dfs)
+        monkeypatch.setattr(graphs, "_no_separation_pair", counted("pairs"))
+        monkeypatch.setattr(graphs, "_edge_connectivity_upto3", counted("labels"))
+        cases = [
+            (_prism(8), True), (_two_wheels(9), False),
+            (random_regular_graph(20, 3, 4), True), (random_regular_graph(14, 3, 8), True),
+        ]
+        for G, three_connected in cases:
+            G = Graph(G.n, G.edges)  # fresh: no DFS kept on it
+            calls.update(dfs=0, pairs=0, labels=0)
+            is_globally_rigid_analytic(G)
+            assert calls == {"dfs": 1, "pairs": 1, "labels": 1}
+            assert [s.reads for s in G.adj] == [1] * G.n
+            # the k = 3 answer is read from the tree kept on G
+            assert is_k_connected(G, 3) == three_connected
+            assert calls["dfs"] == 1
 
 
 class TestEdgeConnectivity:
@@ -656,6 +828,46 @@ class TestIsomorphism:
         assert is_isomorphic(cat.b1(), H) and is_isomorphic(H, cat.b1())
         K = Graph.from_edges(6, [(perm[u], perm[v]) for u, v in H.edges])
         assert is_isomorphic(cat.b1(), K)
+
+
+    def test_iterative_search_matches_the_recursion(self, monkeypatch):
+        # every search of the corpus, plain and pinned, finds the mapping
+        # the recursive backtracking finds, with its items in the same order
+        real = graphs._extend_isomorphism
+        found = []
+
+        def both(G, H, cg, ch, pins, order):
+            got = real(G, H, cg, ch, pins, order)
+            want = extend_isomorphism_recursive(G, H, cg, ch, pins, {}, set(), order)
+            assert (got and list(got.items())) == (want and list(want.items()))
+            found.append(got is not None)
+            return got
+
+        monkeypatch.setattr(graphs, "_extend_isomorphism", both)
+        rng = random.Random(29)
+        small = graphs_up_to_iso(6)
+        corpus = small + decision_corpus(100, seed=29)
+        for G in corpus:
+            is_isomorphic(G, relabelled(G, rng))
+            is_vertex_transitive(G)
+            is_edge_transitive(G)
+        for G, H in itertools.combinations(small, 2):
+            is_isomorphic(G, H)
+        assert sum(found) > 500 and not all(found)
+
+    def test_a_cycle_deeper_than_the_recursion_limit(self):
+        # the recursion this search replaced failed on C1200, one level per
+        # vertex; a relabelled copy matched with itself puts the vertices of
+        # the search order at random places on the cycle
+        import sys
+
+        C = cat.cycle_graph(1200)
+        assert C.n > sys.getrecursionlimit()
+        assert find_isomorphism(C, C) == {v: v for v in range(C.n)}
+        R = relabelled(C, random.Random(12))
+        assert R != C and find_isomorphism(R, R) == {v: v for v in range(R.n)}
+        assert is_isomorphic(C, C) and is_isomorphic(R, R)
+        assert not is_isomorphic(C, cat.cycle_graph(1201))
 
 
 class TestTransitivity:
