@@ -17,6 +17,7 @@ from .decide import certify, is_globally_rigid_analytic
 from .formats import (
     FormatError,
     MoveScript,
+    _int,
     ear_decomposition_text,
     emit_graph,
     emit_move_script,
@@ -28,6 +29,16 @@ from .formats import (
 from .geometry import NormedPlane, random_regular_placement, rank_of, rigidity_operator
 from .moves import MoveError, apply, base_graph, random_m22_graph, reduce_to_base
 from .randomgraphs import gnp_graph, random_regular_graph
+
+
+def integer(text: str) -> int:
+    """An integer option, read as the text formats read an integer
+    (`formats._int`): an optional '-' and ASCII digits, nothing else, so
+    '+1', '1_0', ' 1' and other scripts' digits are refused.  As an
+    argparse type a refusal is a usage error (exit 2)."""
+    if text != text.strip():
+        raise ValueError(f"not an integer: {text!r}")
+    return _int(text)
 
 
 def _read_text(path: str) -> str:
@@ -128,7 +139,7 @@ def _cmd_experiment(args) -> int:
         raise ValueError("--samples must be non-negative")
     _refuse_n_for_m22(args)
     try:
-        ns = [int(x) for x in args.n.split(",")] if args.n else [10]
+        ns = [integer(x) for x in args.n.split(",")] if args.n is not None else [10]
     except ValueError:
         raise ValueError(f"--n must be comma-separated integers, got {args.n!r}") from None
     if args.model == "m22":
@@ -210,24 +221,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=4.0, help="plane exponent (default 4)")
     p.add_argument("--mode", default="auto", choices=["auto", "exact", "float"])
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     add_placement_args(p)
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("certify", help="combinatorial decision cross-checked numerically")
     add_graph_arg(p)
     p.add_argument("--p", type=float, default=4.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     add_placement_args(p)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("random", help="emit a seeded random graph")
     p.add_argument("--model", required=True, choices=["gnp", "regular", "m22"])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--degree", type=int, default=4)
+    p.add_argument("--n", type=integer, default=None)
+    p.add_argument("--degree", type=integer, default=4)
     p.add_argument("--prob", type=float, default=0.5)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps", type=integer, default=10)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--format", default="graph6", choices=["graph6", "edgelist"])
     p.set_defaults(func=_cmd_random)
 
@@ -237,11 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", required=True, choices=["gnp", "regular", "m22"])
     p.add_argument("--n", default=None, help="comma-separated vertex counts")
-    p.add_argument("--degree", type=int, default=4)
+    p.add_argument("--degree", type=integer, default=4)
     p.add_argument("--prob", type=float, default=0.5)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps", type=integer, default=10)
+    p.add_argument("--samples", type=integer, default=100)
+    p.add_argument("--seed", type=integer, default=0)
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -208,6 +208,14 @@ class RigidityOperator(FrozenRecord):
     def shape(self):
         return (len(self.matrix), 2 * self.n)
 
+    @cached_property
+    def _graph(self) -> Graph:
+        """The graph of the rows' edges, a cached fact and not a field: the
+        G that `rigidity_operator` built the operator from, so an exact rank
+        reads the blocks of G's own lowpoint DFS, or else one built from
+        `edges` (after `_without_row`, say)."""
+        return Graph.from_edges(self.n, self.edges)
+
     def as_array(self):
         """The entries as a numpy float array, each row divided by its
         largest absolute entry: every float rank and self-stress reads this
@@ -313,7 +321,9 @@ def rigidity_operator(
         row[2 * u], row[2 * u + 1] = -phi[0], -phi[1]
         row[2 * v], row[2 * v + 1] = phi[0], phi[1]
         rows.append(tuple(row))
-    return RigidityOperator(tuple(rows), edges, G.n, exact, plane.trivial_flex_dim)
+    op = RigidityOperator(tuple(rows), edges, G.n, exact, plane.trivial_flex_dim)
+    op.__dict__["_graph"] = G  # filled as the cached property fills it
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +429,10 @@ def _exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int], frozenset
     and rows known to be coloops.
 
     The operator is split at the blocks of its edge graph
-    (`graphs._lowpoint_dfs`): its maximal 2-connected subgraphs and its
-    bridges.  The row of edge uv is nonzero only in the columns of u and v
-    (see `RigidityOperator`).  Ranks add over a 1-sum, over any field: let
+    (`RigidityOperator._graph`, from that graph's cached lowpoint DFS):
+    its maximal 2-connected subgraphs and its bridges.  The row of edge uv
+    is nonzero only in the columns of u and v (see `RigidityOperator`).
+    Ranks add over a 1-sum, over any field: let
     G be the union of G1 and G2, which share at most one vertex c.  A
     velocity field is a flex (kernel vector) of G iff its restrictions z1,
     z2 are flexes of G1 and G2.  Any such pair glues once z1(c) = z2(c),
@@ -468,7 +479,7 @@ def _exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int], frozenset
             "exact rank needs integer rows: an integer p, a rational placement and, at odd p,"
             " rigidity_operator(..., exact=True); use float mode"
         )
-    blocks = Graph.from_edges(op.n, op.edges)._lowpoint_dfs[2]
+    blocks = op._graph._lowpoint_dfs[2]
     own = {v: b for b, block in enumerate(blocks) for v in block[1:]}
     block_rows = [[] for _ in blocks]
     for i, (u, v) in enumerate(op.edges):

@@ -8,7 +8,7 @@ trivial downstream.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from functools import cached_property
 
 from .records import FrozenRecord
@@ -64,6 +64,15 @@ class Graph(FrozenRecord):
         every cut question about the graph reads.  Read only: `components()`
         hands out copies of its sets."""
         return _lowpoint_dfs(self)
+
+    @cached_property
+    def _colouring(self) -> tuple[list[int], tuple]:
+        """The 1-WL colours of the vertices (`_wl_colors`) and the invariant
+        key that every graph isomorphic to this one shares: n, m, the
+        sorted degrees and the sorted colours.  Every isomorphism search
+        reads them (`_isomorphism`)."""
+        colors = _wl_colors(self)
+        return colors, (self.n, self.m, sorted(map(len, self.adj)), sorted(colors))
 
     @cached_property
     def _sorted_games(self) -> dict:
@@ -735,36 +744,49 @@ def _extend_isomorphism(G: Graph, H: Graph, cg, ch, pins, order):
     vertices in `order` one by one to images of their colour, each trying
     its pin or else every vertex of H in increasing order.
 
-    A depth-first backtracking with an explicit stack: stack[d] iterates
-    the candidates of order[d] and mapping holds the images of order[:d],
-    in that order, so a dead end pops one iterator and undoes the last
-    image only.  It makes the tries of the recursion with one level per
-    vertex, in the same order, so it returns the same mapping, and no
-    recursion limit bounds its depth.
+    A depth-first backtracking with an explicit stack: stack[d] holds the
+    candidates of order[d] still to try and the images of its neighbours
+    among order[:d], taken once as the level is entered.  `mapping` holds
+    the images of order[:d], in that order, so a dead end pops one level
+    and undoes the last image only.  It makes the tries of the recursion
+    with one level per vertex, in the same order, so it returns the same
+    mapping, and no recursion limit bounds its depth.
+
+    A free candidate w of v's colour is taken iff the images of v's mapped
+    neighbours all lie in N_H(w) and are as many as the used vertices in
+    N_H(w), in O(deg v + deg w).  That is the test of every mapped u, that
+    u ~ v iff its image ~ w, which costs a lookup per mapped vertex:
+    `mapping` is a bijection from its domain onto `used`, so that test says
+    that the images of v's mapped neighbours are exactly N_H(w) ∩ used;
+    those images lie in `used`, so they lie in N_H(w) ∩ used iff they lie
+    in N_H(w), and a subset of a finite set with as many elements is the
+    set.  So both tests take and refuse the same candidates, in the same
+    order, and give the same mapping.
     """
     n = G.n
     if not n:
         return {}
+    hadj = H.adj
     mapping, used = {}, set()
 
-    def candidates(v):
-        return iter((pins[v],) if v in pins else range(H.n))
+    def level(v):
+        candidates = (pins[v],) if v in pins else range(H.n)
+        return iter(candidates), [mapping[u] for u in G.adj[v] if u in mapping]
 
-    stack = [candidates(order[0])]
+    stack = [level(order[0])]
     while stack:
         v = order[len(mapping)]
-        for w in stack[-1]:
+        candidates, images = stack[-1]
+        for w in candidates:
             if w in used or ch[w] != cg[v]:
                 continue
-            for u, img in mapping.items():
-                if G.has_edge(u, v) != H.has_edge(img, w):
-                    break
-            else:
+            near = hadj[w]
+            if len(used.intersection(near)) == len(images) and all(x in near for x in images):
                 mapping[v] = w
                 used.add(w)
                 if len(mapping) == n:
                     return mapping
-                stack.append(candidates(order[len(mapping)]))
+                stack.append(level(order[len(mapping)]))
                 break
         else:
             stack.pop()
@@ -773,37 +795,26 @@ def _extend_isomorphism(G: Graph, H: Graph, cg, ch, pins, order):
     return None
 
 
-def _isomorphism(
-    G: Graph, H: Graph, pins: dict[int, int], colors: list[int] | None = None
-) -> dict[int, int] | None:
+def _isomorphism(G: Graph, H: Graph, pins: dict[int, int]) -> dict[int, int] | None:
     """An edge-preserving bijection G -> H extending the partial map `pins`,
     or None.
 
-    Backtracking over WL color classes.  The pinned vertices come first in
-    the order and each tries only its pin, so a repeated image or a pinned
-    edge that is not preserved fails there; a pin of the wrong color fails
-    before the search.  The other vertices follow, rarest color first.
-    With no pins this is the plain search of find_isomorphism.  A search
-    for automorphisms (H is G) skips the invariant checks, which it passes
-    trivially, and uses `colors` as the colouring of G when given, so that a
-    transitivity test colours G once for all its searches.
+    Backtracking over WL color classes, read with the invariant keys from
+    each graph's cached `Graph._colouring`, so a graph is coloured once
+    however many searches read it, and a search of G against itself
+    compares one key with itself.  Different keys fail before the search,
+    and so does a pin of the wrong color.  The pinned vertices come first
+    in the order and each tries only its pin, so a repeated image or a
+    pinned edge that is not preserved fails there.  The other vertices
+    follow, rarest color first.  With no pins this is the plain search of
+    find_isomorphism; the transitivity tests pin G onto itself.
     """
-    if H is G:
-        cg = ch = _wl_colors(G) if colors is None else colors
-    else:
-        if G.n != H.n or G.m != H.m:
-            return None
-        if sorted(G.degree(v) for v in range(G.n)) != sorted(
-            H.degree(v) for v in range(H.n)
-        ):
-            return None
-        cg, ch = _wl_colors(G), _wl_colors(H)
-        if sorted(cg) != sorted(ch):
-            return None
-    if any(cg[v] != ch[w] for v, w in pins.items()):
-        return None  # the usual failure of a transitivity pin, caught before the sort
+    cg, key = G._colouring
+    ch, other = H._colouring
+    if key != other or any(cg[v] != ch[w] for v, w in pins.items()):
+        return None
     # match rarest colors first to cut the branching early
-    freq = {c: cg.count(c) for c in set(cg)}
+    freq = Counter(cg)
     order = list(pins) + sorted(
         (v for v in range(G.n) if v not in pins),
         key=lambda v: (freq[cg[v]], -G.degree(v), v),
@@ -812,10 +823,12 @@ def _isomorphism(
 
 
 def find_isomorphism(G: Graph, H: Graph) -> dict[int, int] | None:
-    """An edge-preserving bijection G -> H, or None.
+    """An edge-preserving bijection G -> H, or None; see _isomorphism.
 
-    Intended for the small graphs this library works with (roughly n <= 60
-    for the structured inputs here); see _isomorphism.
+    Each candidate test costs O(degree), so on sparse graphs a search that
+    seldom backtracks, such as a 1200-cycle against a relabelled copy,
+    takes well under a second; graphs whose colour classes stay large and
+    symmetric can still make it backtrack exponentially.
     """
     return _isomorphism(G, H, {})
 
@@ -825,10 +838,7 @@ def is_isomorphic(G: Graph, H: Graph) -> bool:
 
 
 def is_vertex_transitive(G: Graph) -> bool:
-    colors = _wl_colors(G)
-    return all(
-        _isomorphism(G, G, {0: v}, colors) is not None for v in range(1, G.n)
-    )
+    return all(_isomorphism(G, G, {0: v}) is not None for v in range(1, G.n))
 
 
 def is_edge_transitive(G: Graph) -> bool:
@@ -836,9 +846,8 @@ def is_edge_transitive(G: Graph) -> bool:
     if not edges:
         return True
     a, b = edges[0]
-    colors = _wl_colors(G)
     for e in edges[1:]:
-        if _isomorphism(G, G, {a: e[0], b: e[1]}, colors) is None and \
-           _isomorphism(G, G, {a: e[1], b: e[0]}, colors) is None:
+        if _isomorphism(G, G, {a: e[0], b: e[1]}) is None and \
+           _isomorphism(G, G, {a: e[1], b: e[0]}) is None:
             return False
     return True

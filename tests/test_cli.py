@@ -643,7 +643,10 @@ class TestExperiment:
         code, out, _ = run(["experiment", "--model", "m22", "--samples", samples, "--steps", "2"])
         assert code == 0 and out.splitlines()[1] == "model: m22 steps=2"
 
-    @pytest.mark.parametrize("sizes", ["3,", "a", "4,,5"])
+    # each size follows the text formats' integer rule (`formats._int`)
+    @pytest.mark.parametrize(
+        "sizes", ["3,", "a", "4,,5", "", "+5", "1_0", "٥", "5,+6", "5, 6", " 5", "5,6 "]
+    )
     def test_bad_size_list_names_the_option(self, sizes):
         code, out, err = run(["experiment", "--model", "gnp", "--n", sizes, "--samples", "1"])
         assert code == 1 and out == ""
@@ -865,3 +868,45 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 2
+
+
+def usage_error(args):
+    """The exit code and stderr of a command line that argparse refuses."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(args)
+    return exc.value.code, err.getvalue()
+
+
+# what `int` takes and the text formats refuse, and what neither takes
+REFUSED_INTEGERS = ["+1", "1_0", "٥", "١", " 1", "1 ", "", "-", "1.0", "0x1"]
+
+INTEGER_OPTIONS = [
+    (["rank", "-"], "--seed"),
+    (["certify", "-"], "--seed"),
+    *((["random", "--model", "gnp"], opt) for opt in ("--n", "--degree", "--steps", "--seed")),
+    *((["experiment", "--model", "gnp"], opt)
+      for opt in ("--degree", "--steps", "--samples", "--seed")),
+]
+
+
+class TestIntegerOptions:
+    """Every integer option is an optional '-' and ASCII digits, as every
+    integer of the text formats is (`formats._int`)."""
+
+    @pytest.mark.parametrize("text", REFUSED_INTEGERS)
+    @pytest.mark.parametrize("argv, option", INTEGER_OPTIONS)
+    def test_refused_value_is_usage_error_2(self, argv, option, text):
+        code, err = usage_error([*argv, option, text])
+        assert code == 2 and f"argument {option}: invalid integer value: {text!r}" in err
+
+    def test_negative_and_zero_padded_integers_still_read(self):
+        code, out, _ = run(["random", "--model", "gnp", "--n", "5", "--seed", "-1"])
+        assert code == 0 and parse_graph(out).n == 5
+        assert run(["random", "--model", "gnp", "--n", "05", "--seed", "-01"])[1] == out
+        code, out, _ = run(
+            ["experiment", "--model", "gnp", "--n", "5,010", "--samples", "1", "--seed", "-1"]
+        )
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "seed: -1"
+        assert [ln.split()[0] for ln in lines[2:]] == ["n=5", "n=10"]

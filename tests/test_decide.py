@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planerigidity import catalog as cat
+from planerigidity import geometry, graphs
 from planerigidity.decide import (
     _vertex_deletion_rigid,
     certify,
@@ -421,6 +422,25 @@ class TestPerGraphFacts:
             assert full_games() == 1
             certify(G, NormedPlane(4), 3)
             assert full_games() == 1
+
+    def test_one_lowpoint_dfs_per_exact_certify(self, monkeypatch):
+        # the exact ranks split the operator at the blocks of the DFS its
+        # graph already holds: `rigidity_operator` hands the operator G
+        runs = []
+        real = graphs._lowpoint_dfs
+
+        def counted(G, drop=()):
+            runs.append(drop)
+            return real(G, drop)
+
+        monkeypatch.setattr(graphs, "_lowpoint_dfs", counted)
+        monkeypatch.setattr(geometry, "_lowpoint_dfs", counted)
+        for G in (cat.k5_minus(), cat.wheel_graph(8)):
+            G = Graph(G.n, G.edges)
+            runs.clear()
+            report = certify(G, NormedPlane(4), 3).to_text()
+            assert "two_connected: true" in report and "numeric.mode: exact" in report
+            assert runs == [()]
 
     def test_no_reader_mutates_the_sorted_game(self, monkeypatch):
         parents = []

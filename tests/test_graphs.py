@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,9 +25,10 @@ from planerigidity.graphs import (
     is_k_connected,
     is_vertex_transitive,
 )
-from planerigidity.moves import random_m22_graph
+from planerigidity.moves import random_m22_graph, reduce_to_base
 from planerigidity.randomgraphs import gnp_graph, random_regular_graph
 
+import oracles
 from corpus import BENCHMARK_INPUTS, decision_corpus, joined_graphs, k4_ring_graph
 from oracles import (
     all_labeled_graphs,
@@ -832,14 +834,32 @@ class TestIsomorphism:
 
     def test_iterative_search_matches_the_recursion(self, monkeypatch):
         # every search of the corpus, plain and pinned, finds the mapping
-        # the recursive backtracking finds, with its items in the same order
+        # the recursive backtracking finds, with its items in the same
+        # order, after as many accepted candidates: the recursion calls
+        # itself once per accepted candidate, and the search reads G.adj
+        # once per level it enters, the first and one after each accepted
+        # candidate that leaves the map incomplete
         real = graphs._extend_isomorphism
-        found = []
+        found, calls = [], []
+        monkeypatch.setattr(oracles, "extend_isomorphism_recursive",
+                            lambda *a: calls.append(1) or extend_isomorphism_recursive(*a))
+
+        class Counted:
+            def __init__(self, G):
+                self.G, self.n, self.reads = G, G.n, 0
+
+            @property
+            def adj(self):
+                self.reads += 1
+                return self.G.adj
 
         def both(G, H, cg, ch, pins, order):
-            got = real(G, H, cg, ch, pins, order)
+            counted = Counted(G)
+            got = real(counted, H, cg, ch, pins, order)
+            calls.clear()
             want = extend_isomorphism_recursive(G, H, cg, ch, pins, {}, set(), order)
             assert (got and list(got.items())) == (want and list(want.items()))
+            assert counted.reads == 1 + len(calls) - (got is not None)
             found.append(got is not None)
             return got
 
@@ -854,6 +874,21 @@ class TestIsomorphism:
         for G, H in itertools.combinations(small, 2):
             is_isomorphic(G, H)
         assert sum(found) > 500 and not all(found)
+        # pairs that agree on n, m and the degrees but are not isomorphic
+        # reach the search and fail in it
+        two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        for G, H in [(cat.cycle_graph(6), two_triangles),
+                     (cat.prism_graph(), cat.complete_bipartite(3, 3))]:
+            found.clear()
+            assert not is_isomorphic(G, H) and not is_isomorphic(H, G)
+            assert found == [False, False]
+        # the base searches of `reduce`: every benchmark reduction's final
+        # graph against K5- and B1, one of which it matches
+        finals = [reduce_to_base(G).final for G in benchmark_graphs("reduce-m22").values()]
+        found.clear()
+        for F in finals:
+            assert is_isomorphic(F, cat.k5_minus()) != is_isomorphic(F, cat.b1())
+        assert len(found) == len(finals) == 100 and all(found)
 
     def test_a_cycle_deeper_than_the_recursion_limit(self):
         # the recursion this search replaced failed on C1200, one level per
@@ -868,6 +903,16 @@ class TestIsomorphism:
         assert R != C and find_isomorphism(R, R) == {v: v for v in range(R.n)}
         assert is_isomorphic(C, C) and is_isomorphic(R, R)
         assert not is_isomorphic(C, cat.cycle_graph(1201))
+        # C1200 and W400 against relabelled copies, whose labels disagree:
+        # a wrong candidate image is refused by its mapped neighbours alone,
+        # where a test against every mapped vertex made C1200 take a minute
+        for G in (C, cat.wheel_graph(400)):
+            R = relabelled(G, random.Random(30))
+            start = time.perf_counter()
+            f = find_isomorphism(G, R)
+            assert time.perf_counter() - start < 10
+            assert f is not None and sorted(f.values()) == list(range(G.n))
+            assert all(R.has_edge(f[u], f[v]) for u, v in G.edges)
 
 
 class TestTransitivity:
@@ -882,16 +927,25 @@ class TestTransitivity:
         assert not is_edge_transitive(cat.prism_graph())
         assert is_edge_transitive(cat.complete_graph(5))
 
-    def test_one_colouring_per_test(self, monkeypatch):
+    def test_one_colouring_per_graph(self, monkeypatch):
+        # the colours are a cached fact of each Graph instance: both
+        # transitivity tests and the plain searches against every partner
+        # colour an instance once in all, and an equal graph built
+        # elsewhere (complete_graph(5) and its relabelled copy) its own
         calls = []
         real = graphs._wl_colors
         monkeypatch.setattr(graphs, "_wl_colors", lambda G: calls.append(G) or real(G))
-        for G in [cat.complete_graph(6), cat.cycle_graph(6), cat.wheel_graph(5),
-                  cat.complete_bipartite(3, 4), cat.prism_graph(), cat.complete_graph(5)]:
-            for test in (is_vertex_transitive, is_edge_transitive):
-                calls.clear()
-                test(G)
-                assert calls == [G]
+        rng = random.Random(30)
+        pool = [cat.complete_graph(6), cat.cycle_graph(6), cat.wheel_graph(5),
+                cat.complete_bipartite(3, 4), cat.prism_graph(), cat.complete_graph(5),
+                cat.k5_minus(), cat.b1()]
+        pool += [relabelled(G, rng) for G in pool]
+        for G in pool:
+            is_vertex_transitive(G)
+            is_edge_transitive(G)
+            for H in pool:
+                find_isomorphism(G, H)
+        assert sorted(map(id, calls)) == sorted(map(id, pool))
 
     def test_pinned_search_matches_the_old_automorphism_search(self):
         # pins of the shapes the transitivity tests use: one vertex onto any
