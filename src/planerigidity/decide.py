@@ -274,8 +274,9 @@ def _vertex_deletion_rigid(G: Graph) -> bool:
     B is the basis of G's sorted game (sparsity._sorted_game): the greedy
     basis of the sorted order, which the M(2,2) check, the components and
     the ears read too, so the game is played at most once per graph.  The
-    edges outside B are the keys of its circuits, in sorted order.  A
-    (2,2)-sparse set on n vertices holds at most 2n - 2 edges.  If
+    edges outside B are the keys of its circuit regions, in sorted order;
+    the regions themselves are not read here.  A (2,2)-sparse set on n
+    vertices holds at most 2n - 2 edges.  If
     |B| < 2n - 2, G is not rigid, and then some G - v is not rigid either:
     for n >= 3, were every G - v rigid, some v would have degree >= 2
     (n = 3 has no rigid G - v at all, and for n >= 4 a rigid G - v has at
@@ -294,7 +295,7 @@ def _vertex_deletion_rigid(G: Graph) -> bool:
     labels, v left without an edge, and no Graph is built.
     """
     n = G.n
-    game, circuits = _sorted_game(G)
+    game, regions = _sorted_game(G)
     basis = set(game.accepted)
     if len(basis) < 2 * n - 2:
         return False
@@ -307,7 +308,7 @@ def _vertex_deletion_rigid(G: Graph) -> bool:
             continue
         sub = PebbleGame(n, 2)
         sub.seed(game, None, {e for e in basis if v not in e})
-        for e in circuits:
+        for e in regions:
             if sub.rank == 2 * n - 4:
                 break
             if v not in e:

@@ -76,8 +76,9 @@ class Graph(FrozenRecord):
 
     @cached_property
     def _sorted_games(self) -> dict:
-        """k -> the game over the sorted edges and its circuits, filled
-        by `sparsity._sorted_game`."""
+        """k -> the game over the sorted edges and its regions (the vertex
+        set of each rejected edge's circuit), filled by
+        `sparsity._sorted_game`."""
         return {}
 
     @cached_property
@@ -744,6 +745,13 @@ def _extend_isomorphism(G: Graph, H: Graph, cg, ch, pins, order):
     vertices in `order` one by one to images of their colour, each trying
     its pin or else every vertex of H in increasing order.
 
+    A vertex v with a mapped neighbour tries only the neighbours of one
+    such neighbour's image x (the one of least degree), in increasing
+    order: a candidate w passes the test below only if x lies in N_H(w),
+    that is w in N_H(x), so the other vertices of H would all be refused,
+    and the tries that can pass come in the same order.  A search that
+    never backtracks then costs O(m log m), not O(n^2).
+
     A depth-first backtracking with an explicit stack: stack[d] holds the
     candidates of order[d] still to try and the images of its neighbours
     among order[:d], taken once as the level is entered.  `mapping` holds
@@ -770,8 +778,14 @@ def _extend_isomorphism(G: Graph, H: Graph, cg, ch, pins, order):
     mapping, used = {}, set()
 
     def level(v):
-        candidates = (pins[v],) if v in pins else range(H.n)
-        return iter(candidates), [mapping[u] for u in G.adj[v] if u in mapping]
+        images = [mapping[u] for u in G.adj[v] if u in mapping]
+        if v in pins:
+            candidates = (pins[v],)
+        elif images:
+            candidates = sorted(hadj[min(images, key=lambda x: len(hadj[x]))])
+        else:
+            candidates = range(H.n)
+        return iter(candidates), images
 
     stack = [level(order[0])]
     while stack:

@@ -5,19 +5,25 @@ starts with two pebbles, and an edge is accepted when k+1 pebbles can be
 gathered on its endpoints by reversing directed paths.
 
 Every matroid question is answered from a single game: the basis B it
-accepts and, for each rejected edge f, the fundamental circuit C(f,B),
-read from the pebbles at the moment f is rejected.  The rank is |B|, the
-components are the classes of "lies in a common fundamental circuit" (the
-single-basis component rule), the coloops are the basis edges in no
-fundamental circuit, G is a circuit when exactly one edge is rejected and
-its circuit is E, and each ear of an ear decomposition is one of the
-fundamental circuits of the game over the sorted edges.  That game is
-played once per Graph instance and kept on it (_sorted_game), so the rank,
-the components, the circuit test, the ear decomposition, the cold M(2,2)
+accepts and, for each rejected edge f, the vertex region R of its
+fundamental circuit: the vertices that the two searches which rejected f
+visited.  R is tight and C(f,B) = f + B[R] (see
+PebbleGame.fundamental_circuit_of_rejected), so circuits are kept as
+these regions and expanded to edge sets only where the ears print them.
+Two fundamental circuits share an edge iff their regions share two
+vertices (_region_classes), so the components are the classes of
+regions merged by that test (the single-basis component rule), the
+coloops are the basis edges with both ends in no class, G is a circuit
+when exactly one edge is rejected and its region is V, and each ear of
+an ear decomposition is one of the fundamental circuits of the game over
+the sorted edges, expanded.  That game is played once per Graph instance
+and kept on it with its regions (_sorted_game), so the rank, the
+components, the circuit test, the ear decomposition, the cold M(2,2)
 check and the callers in `decide` all read the same game.  A game may
 also start from the final orientation of another game (PebbleGame.seed),
-which is how the reduction engine checks each candidate from its parent's
-game.
+which is how the reduction engine checks each candidate from its
+parent's game: the warm check merges the regions of that game's
+rejections and never builds an edge set.
 
 The k = 2 case (rank2k(..., 2), circuits, M(2,2)-components, connectivity,
 ear decompositions) is the one the rigidity theory uses; k = 3 serves the
@@ -148,24 +154,27 @@ class PebbleGame:
         uv, seen_u, seen_v = self.rejected or (None, {}, {})
         if uv != _norm_edge(u, v):
             raise ValueError(f"({u},{v}) is not the edge the last insert rejected")
-        circ = {_norm_edge(x, w) for x in seen_u.keys() | seen_v.keys() for w in self.out[x]}
-        circ.add(uv)
-        return frozenset(circ)
+        return _circuit(self, uv, seen_u.keys() | seen_v.keys())
 
     @property
     def rank(self) -> int:
         return len(self.accepted)
 
 
-def _basis_and_circuits(
+def _play(
     order, k: int, game: PebbleGame | None = None
-) -> tuple[list[Edge], dict[Edge, frozenset[Edge]]]:
+) -> tuple[PebbleGame, dict[Edge, frozenset[int]]]:
     """Play one game over distinct normalised edges in the given order.
 
-    Returns the basis B it accepts, in order, and a dict that maps each
-    rejected edge f, in order, to its fundamental circuit C(f,B).  The
-    circuit is read when f is rejected; it lies in the basis so far plus f,
-    which is inside B + f, so it is C(f,B).
+    Returns the game, whose accepted edges are its basis B in order, and a
+    dict that maps each rejected edge f, in order, to the vertex region R
+    of its fundamental circuit C(f,B): the vertices the two searches that
+    rejected f visited.  When f is rejected, R is the minimal tight set
+    spanning f, and the circuit inside the basis so far plus f is f plus
+    the accepted edges inside R (see fundamental_circuit_of_rejected).
+    That basis lies in B, which is sparse, so no later basis edge lands
+    inside the tight R: B[R] is the same set at the end, and C(f,B) is
+    f + B[R] for the final B.
 
     A seeded `game` (see PebbleGame.seed) is played on instead of a fresh
     one: its accepted edges are skipped, and B is the seeds followed by the
@@ -175,20 +184,35 @@ def _basis_and_circuits(
     if game is None:
         game = PebbleGame(1 + max((v for e in order for v in e), default=-1), k)
     seeded = set(game.accepted)
-    circuits = {}
+    regions = {}
     for e in order:
         if e not in seeded and not game.insert(*e):
-            circuits[e] = game.fundamental_circuit_of_rejected(*e)
-    return game.accepted, circuits
+            _, seen_u, seen_v = game.rejected
+            regions[e] = frozenset(seen_u).union(seen_v)
+    return game, regions
 
 
-def _sorted_game(G: Graph, k: int = 2) -> tuple[PebbleGame, dict[Edge, frozenset[Edge]]]:
-    """The (2,k) game over G.sorted_edges() and the circuit C(f,B) of each
-    edge f it rejects (see _basis_and_circuits), played once per Graph
+def _circuit(game: PebbleGame, f: Edge, region) -> frozenset[Edge]:
+    """C(f,B) = f + B[R] for a region R that `game` read (see _play),
+    expanded from the game's current orientation.
+
+    Each basis edge is an out-edge of exactly one of its ends, so B[R] is
+    the set of x -> w with x and w in R.  Right after the rejection no
+    out-edge leaves R; later ones may, and the test on w drops them.
+    """
+    out = game.out
+    circ = {(x, w) if x < w else (w, x) for x in region for w in out[x] if w in region}
+    circ.add(f)
+    return frozenset(circ)
+
+
+def _sorted_game(G: Graph, k: int = 2) -> tuple[PebbleGame, dict[Edge, frozenset[int]]]:
+    """The (2,k) game over G.sorted_edges() and the region of the circuit
+    C(f,B) of each edge f it rejects (see _play), played once per Graph
     instance and kept on it (Graph._sorted_games).
 
     Every reader of the sorted-order game of G shares this pair, so no
-    caller may mutate either: a reader that edits the circuits copies the
+    caller may mutate either: a reader that edits the regions copies the
     dict first, and PebbleGame.seed only reads the game it seeds from.
     Sound, because the pair depends only on (n, E) and k, which a frozen
     Graph never changes; it is kept on the instance, not keyed by graph
@@ -197,9 +221,61 @@ def _sorted_game(G: Graph, k: int = 2) -> tuple[PebbleGame, dict[Edge, frozenset
     """
     games = G._sorted_games
     if k not in games:
-        game = PebbleGame(G.n, k)
-        games[k] = (game, _basis_and_circuits(G.sorted_edges(), k, game)[1])
+        games[k] = _play(G.sorted_edges(), k, PebbleGame(G.n, k))
     return games[k]
+
+
+def _region_classes(regions) -> list[set[int]]:
+    """The vertex sets of the classes of "shares an edge" on the
+    fundamental circuits C(f,B) of one basis B, given by their regions.
+
+    Two circuits share an edge iff their regions R1, R2 share two
+    vertices.  Their edges f1 != f2 lie outside B, so a shared edge lies
+    in B[R1] and B[R2], hence in B[I] for I = R1 ∩ R2, which needs
+    |I| >= 2.  Conversely, both regions are tight, B[R1] ∪ B[R2] lies in
+    B[R1 ∪ R2], and B is sparse, so |B[I]| >= (2|R1| - k) + (2|R2| - k)
+    - (2|R1 ∪ R2| - k) = 2|I| - k, at least 1 when |I| >= 2 and k <= 3.
+    Sparsity of I bounds |B[I]| by 2|I| - k, so every step is an equality:
+    R1 ∪ R2 is tight and B[R1 ∪ R2] = B[R1] ∪ B[R2].  By induction the
+    union U of a class is tight, and B[U] is the union of the B[R] of its
+    regions.
+
+    Each region R in turn absorbs every class that shares two vertices
+    with it.  That test of a class is the test of its regions: if U and R
+    share two vertices, B[U ∩ R] holds an edge, which lies in some B[R']
+    of the class, and R' shares its ends with R; the converse is plain.
+    Testing each old class against R alone is enough, because the classes
+    pairwise share at most one vertex, and they keep doing so.  Were a
+    class C2 that R does not absorb to share two vertices with the new
+    class N = R ∪ C1 ∪ ... (the absorbed classes), B[C2 ∩ N] would hold an
+    edge, lying in B[R] or in some B[Ci] since B[N] is their union; then
+    C2 shares its two ends with R, or with Ci, which neither can.  So the
+    classes are the connected pieces of the circuits seen so far, and at
+    the end the components of the matroid apart from its coloops: each
+    edge of a class holds both ends in its union, an edge's two ends lie
+    in at most one union, and a basis edge in no union is a coloop.
+    """
+    classes: list[set[int]] = []
+    for region in regions:
+        merged = set(region)
+        rest = []
+        for cl in classes:
+            if len(cl.intersection(region)) < 2:
+                rest.append(cl)
+            else:
+                merged |= cl
+        rest.append(merged)
+        classes = rest
+    return classes
+
+
+def _classes_at(n: int, classes) -> list[set[int]]:
+    """vertex -> the indices of the classes whose unions hold it."""
+    at: list[set[int]] = [set() for _ in range(n)]
+    for i, cl in enumerate(classes):
+        for x in cl:
+            at[x].add(i)
+    return at
 
 
 def rank2k(edges, k: int) -> int:
@@ -236,14 +312,16 @@ def is_circuit22(G: Graph) -> bool:
 
     One game decides it: E is a circuit iff it has nullity one and its
     one circuit is E.  Nullity one means exactly one edge f is rejected,
-    and then the one circuit in E is C(f,B).
+    and then the one circuit in E is C(f,B) = f + B[R].  With no isolated
+    vertex, that is E iff R = V: B[V] = B = E - f, and a circuit that is E
+    touches every vertex.
     """
     if G.m < 1 or G.min_degree() == 0:
         raise ValueError("needs at least one edge and no isolated vertices")
     if G.m != 2 * G.n - 1:
         return False
-    _, circuits = _sorted_game(G)
-    return len(circuits) == 1 and next(iter(circuits.values())) == G.edges
+    _, regions = _sorted_game(G)
+    return len(regions) == 1 and len(next(iter(regions.values()))) == G.n
 
 
 def _rank_and_coloops(G: Graph, k: int) -> tuple[int, frozenset[Edge]]:
@@ -254,11 +332,14 @@ def _rank_and_coloops(G: Graph, k: int) -> tuple[int, frozenset[Edge]]:
     fundamental circuit.  A basis edge b in C(f,B) is not a coloop,
     because B - b + f is a basis that avoids b.  If b lies in no C(f,B),
     every f outside B is spanned by B - b, so E - b has rank |B| - 1 and b
-    is a coloop.
+    is a coloop.  b lies in C(f,B) = f + B[R] iff R holds both its ends,
+    and some region does iff some class of _region_classes does, since
+    B[U] is the union of the B[R] of the class; the classes at each end
+    (_classes_at) answer that in the time of the smaller set.
     """
-    game, circuits = _sorted_game(G, k)
-    in_circuit = set().union(*circuits.values())
-    return game.rank, frozenset(b for b in game.accepted if b not in in_circuit)
+    game, regions = _sorted_game(G, k)
+    at = _classes_at(G.n, _region_classes(regions.values()))
+    return game.rank, frozenset(b for b in game.accepted if at[b[0]].isdisjoint(at[b[1]]))
 
 
 def fundamental_circuit(base, e: Edge, k: int = 2) -> frozenset[Edge]:
@@ -267,12 +348,12 @@ def fundamental_circuit(base, e: Edge, k: int = 2) -> frozenset[Edge]:
     Raises if base is dependent or if base + e stays independent.
     """
     base, e = [_norm_edge(u, v) for u, v in base], _norm_edge(*e)
-    basis, circuits = _basis_and_circuits(base + [e], k)
-    if basis[:len(base)] != base:
+    game, regions = _play(base + [e], k)
+    if game.accepted[:len(base)] != base:
         raise ValueError("base edge set is not independent")
-    if e not in circuits:
+    if e not in regions:
         raise ValueError("base + e is independent; no circuit")
-    return circuits[e]
+    return _circuit(game, e, regions[e])
 
 
 # ---------------------------------------------------------------------------
@@ -285,38 +366,30 @@ def m22_components(G: Graph) -> list[frozenset[Edge]]:
     Single-basis component rule: for any basis B, the components are the
     classes of the relation "lies in a common fundamental circuit C(f,B)",
     so the fundamental circuits of one game, G's sorted game, give them
-    (Krogdahl 1977; Oxley, Matroid Theory, section 4.3).
+    (Krogdahl 1977; Oxley, Matroid Theory, section 4.3).  Their regions
+    merge into the classes (_region_classes); each edge goes to the class
+    whose union holds both its ends, and an edge in no class is a coloop,
+    a component of its own.
     """
     if G.m < 1 or G.min_degree() == 0:
         raise ValueError("needs at least one edge and no isolated vertices")
-    _, circuits = _sorted_game(G)
-    return sorted((frozenset(c) for c in _circuit_classes(G.edges, circuits)), key=sorted)
+    return sorted(_edge_classes(G.n, G.edges, _sorted_game(G)[1].values()), key=sorted)
 
 
-def _circuit_classes(edges, circuits) -> list[set[Edge]]:
-    """The classes of "lies in a common fundamental circuit" on `edges`,
-    the circuits being all the C(f,B) of one basis B.
-
-    Each circuit in turn absorbs every class it meets, so the classes stay
-    disjoint and are the connected pieces of the circuits seen so far; the
-    edges in no circuit (the coloops) are then a class each.  The work is
-    set operations on the circuits and the classes, not a step per edge,
-    which keeps the reduction engine's warm checks (a circuit or two per
-    candidate) cheap.
-    """
-    classes: list[set[Edge]] = []
-    for circ in circuits.values():
-        merged = set(circ)
-        rest = []
-        for cl in classes:
-            if cl.isdisjoint(circ):
-                rest.append(cl)
-            else:
-                merged |= cl
-        rest.append(merged)
-        classes = rest
-    coloops = set(edges).difference(*classes)
-    return classes + [{e} for e in coloops]
+def _edge_classes(n: int, edges, regions) -> list[frozenset[Edge]]:
+    """The components of the matroid on `edges`, the edges of a game over
+    labels 0..n-1 whose rejections read `regions` (see _region_classes)."""
+    classes = _region_classes(regions)
+    at = _classes_at(n, classes)
+    parts: list[set[Edge]] = [set() for _ in classes]
+    coloops = []
+    for e in edges:
+        common = at[e[0]] & at[e[1]]
+        if common:
+            parts[common.pop()].add(e)
+        else:
+            coloops.append(frozenset((e,)))
+    return [frozenset(p) for p in parts] + coloops
 
 
 def take_m22_game(G: Graph) -> PebbleGame | None:
@@ -347,10 +420,13 @@ def is_m22_connected(
     it starts from parent's basis edges whose images are edges of G (see
     PebbleGame.seed; none when parent is None) and inserts the rest.  Its
     basis B has size rank(E), so rank 2n - 2 is |B| = 2n - 2; and each
-    circuit it reads is C(f,B) for its final B (see _basis_and_circuits),
-    so the single-basis component rule of m22_components applies to its
-    circuits, through the same _circuit_classes.  The verdict is that of
-    the cold path.
+    region it reads is that of C(f,B) for its final B (see _play), so the
+    single-basis component rule of m22_components applies to its circuits,
+    kept as regions and merged by _region_classes; no edge set is built.
+    E is one component iff there is exactly one class and its union U is
+    V: the rejected edges all lie in the class, and its basis edges are
+    B[U], all of B iff 2|U| - 2 = 2n - 2.  The verdict is that of the cold
+    path.
 
     A graph that passes keeps the game that decided it (the warm game, or
     its sorted game after a cold check) on its instance (Graph._m22_game)
@@ -381,10 +457,11 @@ def is_m22_connected(
         game = PebbleGame(G.n, 2)
         if parent is not None:
             game.seed(parent, relabel, G.edges)
-        basis, circuits = _basis_and_circuits(G.sorted_edges(), 2, game)
-        if len(basis) != 2 * G.n - 2:
+        _, regions = _play(G.sorted_edges(), 2, game)
+        if game.rank != 2 * G.n - 2:
             return False
-        if len(_circuit_classes(G.edges, circuits)) != 1:
+        classes = _region_classes(regions.values())
+        if len(classes) != 1 or len(classes[0]) != G.n:
             return False
     slot[:] = [game]
     return True
@@ -442,11 +519,11 @@ def ear_decomposition(G: Graph) -> EarDecomposition | None:
     order the candidates are seen in.
 
     One game, G's sorted game (_sorted_game), serves every ear: its basis
-    B0 is B at every step, so its circuits C(g,B0), read once, are all the
-    candidates.  Proof: a basis is the greedy basis for an order iff each
-    edge g outside it comes last, in that order, in its fundamental
-    circuit (Edmonds' greedy algorithm; Oxley, Matroid Theory, section
-    1.8).  In sorted order g is spanned by the basis edges before it, so g
+    B0 is B at every step, so its circuits C(g,B0), expanded once from
+    their regions (_circuit), are all the candidates.  Proof: a basis is
+    the greedy basis for an order iff each edge g outside it comes last,
+    in that order, in its fundamental circuit (Edmonds' greedy algorithm;
+    Oxley, Matroid Theory, section 1.8).  In sorted order g is spanned by the basis edges before it, so g
     is the largest edge of C(g,B0).  In sorted(D) + sorted(E-D), an
     uncovered g still comes after the rest of C(g,B0): the edges of D come
     first, and the others are smaller than g.  By induction each earlier
@@ -461,7 +538,8 @@ def ear_decomposition(G: Graph) -> EarDecomposition | None:
         raise ValueError("no isolated vertices allowed")
     if G.m < 2:
         return None
-    circuits = dict(_sorted_game(G)[1])  # a copy: the loop deletes from it
+    game, regions = _sorted_game(G)
+    circuits = {f: _circuit(game, f, region) for f, region in regions.items()}
     if not circuits:
         return None  # independent: no circuits at all
     f, ear = next(iter(circuits.items()))

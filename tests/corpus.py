@@ -6,12 +6,20 @@ from functools import lru_cache
 from pathlib import Path
 
 from planerigidity import catalog as cat
+from planerigidity.formats import parse_graph6
 from planerigidity.graphs import Graph
 from planerigidity.randomgraphs import gnp_graph, random_regular_graph
 from planerigidity.moves import join, random_m22_graph
 
 # the committed benchmark inputs, read only
 BENCHMARK_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+
+
+def benchmark_graphs(workload="*"):
+    """The committed benchmark input graphs (read only), by file name."""
+    paths = sorted(BENCHMARK_INPUTS.glob(f"{workload}/*.g6"))
+    assert paths, BENCHMARK_INPUTS
+    return {p.parent.name + "/" + p.name: parse_graph6(p.read_text()) for p in paths}
 
 
 def k4_ring_graph() -> Graph:

@@ -37,7 +37,11 @@ kind, its moves with one construction and relabelling per kind, its joins
 and separations with one relabel-and-union or completion rule per kind, its
 2-vertex-separation scan (one subgraph per vertex pair) and its
 3-edge-separation scan (one graph per edge triple); they run on graphs far
-past the brute-force caps.
+past the brute-force caps.  The edge-set circuit routines keep each
+fundamental circuit as its set of edges and merge circuits that meet,
+where the library keeps each circuit's vertex region and merges regions
+that share two vertices; they are the oracles of its warm M(2,2) check,
+components, coloops and circuit test.
 """
 
 import itertools
@@ -54,7 +58,7 @@ from planerigidity.graphs import (
     _min_st_edge_cut, _wl_colors, enumerate_separations, find_isomorphism, is_k_connected,
 )
 from planerigidity.moves import Move, MoveError, ReductionTrace, base_graph
-from planerigidity.sparsity import EarDecomposition, PebbleGame, _basis_and_circuits
+from planerigidity.sparsity import EarDecomposition, PebbleGame
 
 
 def vertices_of(edges):
@@ -183,6 +187,73 @@ def graphs_up_to_iso(n):
 # many-game reference routines
 
 
+def basis_and_circuits(order, k, game=None):
+    """The library's earlier `sparsity._basis_and_circuits`: one game over
+    distinct normalised edges in the given order (played on from a seeded
+    `game` if one is given), returning its basis in order and each
+    rejected edge's circuit C(f,B) as an edge set, read when f is
+    rejected."""
+    if game is None:
+        game = PebbleGame(1 + max((v for e in order for v in e), default=-1), k)
+    seeded = set(game.accepted)
+    circuits = {}
+    for e in order:
+        if e not in seeded and not game.insert(*e):
+            circuits[e] = game.fundamental_circuit_of_rejected(*e)
+    return game.accepted, circuits
+
+
+def circuit_classes(edges, circuits):
+    """The library's earlier `sparsity._circuit_classes`: the classes of
+    "lies in a common fundamental circuit" on `edges`, each circuit an edge
+    set absorbing every class it meets; the edges in no circuit (the
+    coloops) are then a class each."""
+    classes = []
+    for circ in circuits.values():
+        merged = set(circ)
+        rest = []
+        for cl in classes:
+            if cl.isdisjoint(circ):
+                rest.append(cl)
+            else:
+                merged |= cl
+        rest.append(merged)
+        classes = rest
+    coloops = set(edges).difference(*classes)
+    return classes + [{e} for e in coloops]
+
+
+def components_by_edge_circuits(G: Graph):
+    """The library's earlier `m22_components`: the classes of the edge-set
+    circuits of the sorted game."""
+    _, circuits = basis_and_circuits(G.sorted_edges(), 2)
+    return sorted((frozenset(c) for c in circuit_classes(G.edges, circuits)), key=sorted)
+
+
+def is_circuit22_by_edge_circuit(G: Graph):
+    """The library's earlier `is_circuit22`: one rejected edge, whose
+    edge-set circuit is E."""
+    if G.m != 2 * G.n - 1:
+        return False
+    _, circuits = basis_and_circuits(G.sorted_edges(), 2)
+    return len(circuits) == 1 and next(iter(circuits.values())) == G.edges
+
+
+def is_m22_connected_edge_circuits(G: Graph, seed) -> bool:
+    """The library's earlier warm M(2,2) check: the game seeded from
+    `seed` = (parent game or None, relabel) plays on over the sorted edges,
+    and G passes iff its basis has 2n - 2 edges and its edge-set circuits
+    make one class.  Reads the parent game only."""
+    if G.min_degree() < 3 or G.m < 2 * G.n - 1:
+        return False
+    parent, relabel = seed
+    game = PebbleGame(G.n, 2)
+    if parent is not None:
+        game.seed(parent, relabel, G.edges)
+    basis, circuits = basis_and_circuits(G.sorted_edges(), 2, game)
+    return len(basis) == 2 * G.n - 2 and len(circuit_classes(G.edges, circuits)) == 1
+
+
 def components_multipass(G: Graph):
     """Matroid components from fundamental-circuit passes over differently
     ordered bases (sorted, reversed, then rotations), repeated until a pass
@@ -239,13 +310,13 @@ def ear_decomposition_games(G: Graph):
     if G.m < 2:
         return None
     edges = G.sorted_edges()
-    _, circuits = _basis_and_circuits(edges, 2)
+    _, circuits = basis_and_circuits(edges, 2)
     if not circuits:
         return None
     ears = [next(iter(circuits.values()))]
     covered = set(ears[0])
     while len(covered) < G.m:
-        basis, circuits = _basis_and_circuits(
+        basis, circuits = basis_and_circuits(
             sorted(covered) + sorted(e for e in edges if e not in covered), 2
         )
         bd = covered.intersection(basis)
@@ -265,7 +336,7 @@ def rank_and_coloops(edges, k):
     """The (2,k) rank of an edge list and its coloops, from one game in the
     list's order: the coloops are the basis edges in no fundamental circuit
     (the rule `sparsity._rank_and_coloops` applies to G's sorted game)."""
-    basis, circuits = _basis_and_circuits(list(dict.fromkeys(_norm_edge(*e) for e in edges)), k)
+    basis, circuits = basis_and_circuits(list(dict.fromkeys(_norm_edge(*e) for e in edges)), k)
     in_circuit = set().union(*circuits.values())
     return len(basis), frozenset(b for b in basis if b not in in_circuit)
 

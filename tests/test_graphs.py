@@ -2,13 +2,13 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from planerigidity import catalog as cat
 from planerigidity import graphs
-from planerigidity.formats import parse_graph6
 from planerigidity.graphs import (
     Graph,
     _edge_connectivity_upto3,
@@ -29,7 +29,7 @@ from planerigidity.moves import random_m22_graph, reduce_to_base
 from planerigidity.randomgraphs import gnp_graph, random_regular_graph
 
 import oracles
-from corpus import BENCHMARK_INPUTS, decision_corpus, joined_graphs, k4_ring_graph
+from corpus import benchmark_graphs, decision_corpus, joined_graphs, k4_ring_graph
 from oracles import (
     all_labeled_graphs,
     automorphism_with_pins,
@@ -79,13 +79,6 @@ def greedy_dominating_set(G):
         if not G.adj[v] & set(D):
             D.append(v)
     return D
-
-
-def benchmark_graphs(workload="*"):
-    """The committed benchmark input graphs (read only), by file name."""
-    paths = sorted(BENCHMARK_INPUTS.glob(f"{workload}/*.g6"))
-    assert paths, BENCHMARK_INPUTS
-    return {p.parent.name + "/" + p.name: parse_graph6(p.read_text()) for p in paths}
 
 
 def relabelled(G, rng):
@@ -913,6 +906,44 @@ class TestIsomorphism:
             assert time.perf_counter() - start < 10
             assert f is not None and sorted(f.values()) == list(range(G.n))
             assert all(R.has_edge(f[u], f[v]) for u, v in G.edges)
+
+
+    def test_neighbour_candidates_match_the_recursion_at_scale(self):
+        # past the small corpus: reduction walks against relabelled copies,
+        # both ways, and a cycle and a wheel matched in their own label
+        # order, give the recursion's mapping, item for item (a cycle in a
+        # random order makes both backtrack exponentially)
+        rng = random.Random(31)
+        walks = [random_m22_graph(steps, 3100 + steps) for steps in (10, 25, 50, 100)]
+        for G in walks + [cat.cycle_graph(200), cat.wheel_graph(100)]:
+            R = relabelled(G, rng)
+            pairs = ((G, R), (R, G), (R, R)) if G in walks else ((G, R), (R, R))
+            for A, B in pairs:
+                cg, ch = A._colouring[0], B._colouring[0]
+                freq = Counter(cg)
+                order = sorted(range(A.n), key=lambda v: (freq[cg[v]], -A.degree(v), v))
+                got = graphs._extend_isomorphism(A, B, cg, ch, {}, order)
+                want = extend_isomorphism_recursive(A, B, cg, ch, {}, {}, set(), order)
+                assert got is not None and list(got.items()) == list(want.items())
+
+    def test_a_vertex_with_a_mapped_neighbour_tries_only_its_neighbours(self):
+        # C4800 against a relabelled copy, matched in its own label order,
+        # so every vertex after the first has a mapped neighbour: each level
+        # reads the colour of at most two candidates, the neighbours of one
+        # image, where trying every vertex of H read about n^2 / 2
+        class Reads(list):
+            count = 0
+
+            def __getitem__(self, i):
+                Reads.count += 1
+                return list.__getitem__(self, i)
+
+        C = cat.cycle_graph(4800)
+        R = relabelled(C, random.Random(12))
+        cg, ch = C._colouring[0], Reads(R._colouring[0])
+        f = graphs._extend_isomorphism(C, R, cg, ch, {}, list(range(C.n)))
+        assert f is not None and all(R.has_edge(f[u], f[v]) for u, v in C.edges)
+        assert Reads.count <= C.n + 2 * (C.n - 1)
 
 
 class TestTransitivity:

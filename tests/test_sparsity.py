@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planerigidity import catalog as cat
-from planerigidity import sparsity
+from planerigidity import moves, sparsity
 from planerigidity.formats import parse_graph6
-from planerigidity.graphs import Graph
+from planerigidity.graphs import Graph, is_k_connected
 from planerigidity.moves import random_m22_graph, reduce_to_base
 from planerigidity.randomgraphs import gnp_graph
 from planerigidity.sparsity import (
@@ -28,16 +28,20 @@ from planerigidity.sparsity import (
     take_m22_game,
 )
 
-from corpus import decision_corpus
+from corpus import benchmark_graphs, decision_corpus
 from oracles import (
+    basis_and_circuits,
     circuit_by_reach,
     circuits_brute,
     coloops_leave_one_out,
     components_brute,
+    components_by_edge_circuits,
     components_multipass,
     ear_decomposition_games,
     is_circuit_brute,
+    is_circuit22_by_edge_circuit,
     is_circuit22_leave_one_out,
+    is_m22_connected_edge_circuits,
     is_sparse_brute,
     rank_and_coloops,
     rank_brute,
@@ -249,13 +253,21 @@ class TestWarmCheck:
         assert min(game.pebbles) >= 0
 
         # played on, the game gives a maximal independent set containing the
-        # seeds and, for each rejected f, the circuit inside that set plus f
-        basis, circuits = sparsity._basis_and_circuits(sorted(edges), k, game)
+        # seeds and, for each rejected f, the region of the circuit inside
+        # that set plus f; expanded from the final orientation, it is the
+        # circuit read as an edge set at the rejection, by a twin game
+        twin = PebbleGame(n_child, k)
+        twin.seed(parent, relabel, frozenset(edges))
+        game, regions = sparsity._play(sorted(edges), k, game)
+        basis = game.accepted
         assert basis[:len(seeds)] == seeds
         assert is_sparse_brute(basis, k)
-        assert sorted(basis + list(circuits)) == sorted(edges)
+        assert sorted(basis + list(regions)) == sorted(edges)
+        circuits = {f: sparsity._circuit(game, f, region) for f, region in regions.items()}
+        assert basis_and_circuits(sorted(edges), k, twin) == (basis, circuits)
         for f, circ in circuits.items():
             assert f in circ and circ - {f} <= set(basis)
+            assert regions[f] == {v for e in circ for v in e}
             assert is_circuit_brute(sorted(circ), k)
         assert all(game.pebbles[v] + len(game.out[v]) == 2 for v in range(n_child))
 
@@ -263,10 +275,14 @@ class TestWarmCheck:
         # the warm check reads the classes off the basis a seeded game ends
         # with, not the one m22_components plays; by the single-basis rule
         # the circuits of any basis give the components
-        a, b, x = frozenset("pq"), frozenset("rs"), frozenset("qr")
-        # x joins the two classes that a and b started; t is a coloop
-        assert sorted(map(sorted, sparsity._circuit_classes("pqrst", {1: a, 2: b, 3: x}))) == [
-            ["p", "q", "r", "s"], ["t"]
+        a, b, x = {0, 1, 2}, {2, 3, 4}, {1, 2, 3}
+        # a and b share one vertex and stay apart; x shares two with each
+        assert sparsity._region_classes([a, b]) == [a, b]
+        assert sparsity._region_classes([a, b, x]) == [{0, 1, 2, 3, 4}]
+        # 34 lies in no class, so it is a coloop
+        edges = [(0, 1), (1, 2), (3, 4)]
+        assert sorted(sparsity._edge_classes(5, edges, [a]), key=sorted) == [
+            {(0, 1), (1, 2)}, {(3, 4)}
         ]
         rng = random.Random(59)
         graphs = [G for G in decision_corpus(200, seed=59) if G.m > 0 and G.min_degree() > 0]
@@ -274,10 +290,10 @@ class TestWarmCheck:
         for G in graphs:
             edges = G.sorted_edges()
             order = rng.sample(edges, len(edges))
-            _, circuits = sparsity._basis_and_circuits(order, 2)
-            classes = sorted(sparsity._circuit_classes(edges, circuits), key=sorted)
+            _, regions = sparsity._play(order, 2)
+            classes = sorted(sparsity._edge_classes(G.n, edges, regions.values()), key=sorted)
             assert classes == components_multipass(G)
-            split += bool(circuits) and len(classes) > 1
+            split += bool(regions) and len(classes) > 1
         assert split > 10 and sum(len(m22_components(G)) == 1 for G in graphs) > 10
 
 
@@ -692,12 +708,14 @@ class TestOneGameEars:
         G = Graph.from_edges(n, edges)
         if G.min_degree() == 0:
             return
-        basis, circuits = sparsity._basis_and_circuits(edges, 2)
+        basis, circuits = basis_and_circuits(edges, 2)
+        game, regions = _sorted_game(G)
+        assert {f: sparsity._circuit(game, f, R) for f, R in regions.items()} == circuits
         ed = ear_decomposition(G)
         unions = [] if ed is None else list(itertools.accumulate(ed.circuits, frozenset.union))
         for D in unions[:-1]:
             order = sorted(D) + sorted(set(edges) - D)
-            basis_d, circuits_d = sparsity._basis_and_circuits(order, 2)
+            basis_d, circuits_d = basis_and_circuits(order, 2)
             assert set(basis_d) == set(basis)
             for g, circ in circuits_d.items():
                 if g not in D:
@@ -744,3 +762,139 @@ def check_ear_axioms(G, ed, circuits=None):
             assert inc == len(new) - 1, "rank increment"
         covered |= C
     assert covered == set(G.edges)
+
+
+def _tight_sets(n, basis, k):
+    """Every vertex set of at least two vertices spanning 2|S| - k edges of
+    the (2,k)-sparse `basis`, by brute force."""
+    out = []
+    for size in range(2, n + 1):
+        for S in itertools.combinations(range(n), size):
+            S = set(S)
+            if sum(u in S and v in S for u, v in basis) == 2 * size - k:
+                out.append(frozenset(S))
+    return out
+
+
+def _inside(basis, S):
+    return {(u, v) for u, v in basis if u in S and v in S}
+
+
+class TestRegionsAgainstEdgeCircuits:
+    """The circuits kept as vertex regions against the edge-set circuits
+    they replaced (tests/oracles.py)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_two_shared_vertices_lemma(self, data):
+        # in a (2,k)-sparse B, k = 2 or 3, two tight sets sharing two
+        # vertices share an edge, and their union is tight and spans the
+        # union of their edges; two circuits share an edge iff their
+        # regions share two vertices, and every region is tight
+        k = data.draw(st.sampled_from((2, 3)))
+        n = data.draw(st.integers(4, 7))
+        pairs = list(itertools.combinations(range(n), 2))
+        order = data.draw(st.permutations(pairs))[:data.draw(st.integers(2 * n - k, len(pairs)))]
+        game, regions = sparsity._play(order, k)
+        basis = game.accepted
+        tight = _tight_sets(n, basis, k)
+        assert set(regions.values()) <= set(tight)
+        for T1, T2 in itertools.combinations(tight, 2):
+            if len(T1 & T2) >= 2:
+                assert len(_inside(basis, T1 & T2)) == 2 * len(T1 & T2) - k >= 1
+                union = _inside(basis, T1 | T2)
+                assert len(union) == 2 * len(T1 | T2) - k
+                assert union == _inside(basis, T1) | _inside(basis, T2)
+        circuits = {f: sparsity._circuit(game, f, R) for f, R in regions.items()}
+        for f, g in itertools.combinations(regions, 2):
+            shared = not circuits[f].isdisjoint(circuits[g])
+            assert shared == (len(regions[f] & regions[g]) >= 2)
+
+    @staticmethod
+    def _agree(G):
+        """Components, coloops at k = 2 and 3, the circuit test, the cold
+        and the unseeded warm verdict, and the ears, against the oracles."""
+        assert m22_components(G) == components_by_edge_circuits(G)
+        for k in (2, 3):
+            assert _rank_and_coloops(G, k) == rank_and_coloops(G.edges, k)
+        assert is_circuit22(G) == is_circuit22_by_edge_circuit(G)
+        want = is_m22_connected_edge_circuits(G, (None, None))
+        assert is_m22_connected(Graph(G.n, G.edges)) == want
+        assert is_m22_connected(Graph(G.n, G.edges), seed=(None, None)) == want
+        assert ear_decomposition(G) == ear_decomposition_games(G)
+        return want
+
+    def test_decision_corpus(self):
+        graphs = [G for G in decision_corpus(300, seed=5) if G.m >= 1 and G.min_degree() > 0]
+        verdicts = [self._agree(G) for G in graphs]
+        assert 10 < sum(verdicts) < len(verdicts) - 10
+
+    def test_reduce_benchmark_inputs(self):
+        graphs = list(benchmark_graphs("reduce-m22").values())
+        assert len(graphs) == 100
+        assert all(self._agree(G) for G in graphs)
+
+    def test_warm_check_on_every_candidate_of_20_walks(self, monkeypatch):
+        # each candidate's warm check against the edge-set warm check,
+        # seeded from the same parent game and relabelling
+        verdicts = []
+        real = moves.is_m22_connected
+
+        def both(G, **kw):
+            if not kw:
+                return real(G)
+            want = is_m22_connected_edge_circuits(G, kw["seed"])
+            got = real(G, **kw)
+            verdicts.append(got)
+            assert got == want, G.sorted_edges()
+            return got
+
+        monkeypatch.setattr(moves, "is_m22_connected", both)
+        for steps in range(3, 43, 2):
+            reduce_to_base(random_m22_graph(steps, 3300 + steps))
+        assert verdicts.count(True) > 300 and verdicts.count(False) > 20
+
+    def test_coloops_at_k3_against_brute_force(self):
+        # what `certify` reads at p = 2: the (2,3) rank and coloops
+        checked = 0
+        for G in decision_corpus(300, seed=5):
+            if G.m < 1 or G.n > 6:
+                continue
+            rank, cols = _rank_and_coloops(G, 3)
+            assert cols == coloops_leave_one_out(G.edges, 3)
+            assert rank == rank_brute(G.edges, 3)
+            checked += bool(cols) + 1
+        assert checked > 100
+
+
+class TestThePapersTwoStatements:
+    """The paper decides global rigidity by 2-connectivity and redundant
+    (2,2)-rigidity (G - e holds two edge-disjoint spanning trees for every
+    e); the library by 2-connectivity and M(2,2)-connectivity."""
+
+    @staticmethod
+    def _check(G):
+        rank, cols = _rank_and_coloops(G, 2)
+        redundant = rank == 2 * G.n - 2 and not cols
+        m22 = is_m22_connected(G)
+        two = is_k_connected(G, 2)
+        assert not m22 or two  # a circuit has no cut vertex
+        assert m22 == (two and redundant)
+        return m22
+
+    def test_corpus_and_reduction_walks(self):
+        graphs = [G for G in decision_corpus(300, seed=5) if G.n >= 5]
+        for steps in range(4, 40, 5):
+            trace = reduce_to_base(random_m22_graph(steps, 3500 + steps))
+            for H in [step.result for step in trace.steps]:
+                graphs += [H] + [H.remove_edge(*e) for e in H.sorted_edges()[:3]]
+        verdicts = [self._check(G) for G in graphs if G.n >= 5]
+        assert verdicts.count(True) > 50 and verdicts.count(False) > 50
+
+    def test_redundant_rigidity_alone_is_not_enough(self):
+        # two K5s on one vertex: rank 2n - 2, no coloop, two components
+        k5 = cat.complete_graph(5).edges
+        G = Graph.from_edges(9, [*k5, *((u + 4, v + 4) for u, v in k5)])
+        assert _rank_and_coloops(G, 2) == (2 * G.n - 2, frozenset())
+        assert not is_k_connected(G, 2) and not is_m22_connected(G)
+        assert not self._check(G)
