@@ -41,7 +41,12 @@ class PebbleGame:
 
     Invariant: pebbles[v] + outdeg(v) == 2 for every vertex, so the total
     pebble count plus the number of accepted edges is 2n.  The accepted set
-    is (2,k)-sparse at all times.
+    is (2,k)-sparse at all times.  out[v] lists the heads of v's out-edges,
+    at most two and never one twice (an edge is an out-edge of one end).
+
+    The searches allocate no map of their own: _mark[w] is the number of
+    the last search that reached w (a stamp; one per search, so no clearing
+    between searches) and _par[w] the vertex it came from.
     """
 
     def __init__(self, n: int, k: int):
@@ -50,55 +55,90 @@ class PebbleGame:
         self.n = n
         self.k = k
         self.pebbles = [2] * n
-        self.out: list[set[int]] = [set() for _ in range(n)]
+        self.out: list[list[int]] = [[] for _ in range(n)]
         self.accepted: list[Edge] = []
         self.rejected = None  # (uv, seen_u, seen_v) if the last insert failed
-
-    def _grab_pebble(self, root: int, keep: tuple[int, int]) -> dict | None:
-        """Pull one pebble to `root` along a reversed directed path.
-
-        Pebbles sitting on the two endpoints in `keep` are off limits; they
-        are the ones being gathered.  Each vertex is tested when it is first
-        reached, so the search stops at the first free pebble it sees.
-        Returns None if it pulls one, else the `parent` map it visited.
-        """
-        pebbles, out = self.pebbles, self.out
-        parent = {root: None}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in out[u]:
-                if w in parent:
-                    continue
-                parent[w] = u
-                if pebbles[w] > 0 and w not in keep:
-                    pebbles[w] -= 1
-                    while w != root:  # reverse the path root -> w
-                        u = parent[w]
-                        out[u].remove(w)
-                        out[w].add(u)
-                        w = u
-                    pebbles[root] += 1
-                    return None
-                stack.append(w)
-        return parent
+        self._mark = [0] * n
+        self._par = [0] * n
+        self._stamp = 0
 
     def insert(self, u: int, v: int) -> bool:
         """Try to accept edge uv; return whether it stays independent.  A
-        rejection is recorded for fundamental_circuit_of_rejected."""
+        rejection is recorded for fundamental_circuit_of_rejected.
+
+        While u and v hold fewer than k + 1 pebbles, a breadth-first search
+        from a root, u until its search fails and then v, pulls one pebble
+        to it along a reversed directed path; the pebbles on u and v are off
+        limits, as they are the ones being gathered.  Each vertex is tested
+        when it is first reached, so a search stops at the first free pebble
+        it sees, and the list of the vertices it reached is its queue.
+        Sound, whichever pebble a search finds:
+        - The accept/reject answers are the greedy basis of the insertion
+          order: an edge is accepted iff the accepted set plus it is
+          (2,k)-sparse, which the pebble counts decide whatever the
+          orientation (Lee and Streinu, "Pebble game algorithms and sparse
+          graphs", 2008), so no search order changes them.
+        - A failed search moves nothing and visits every vertex reachable
+          from its root, in whatever order, so the two failed searches of a
+          rejection visit R = V(C(f,B)) (see fundamental_circuit_of_rejected).
+        - A root whose search failed is not searched again in the same
+          insert: its reach R_u is closed (no out-edge leaves it) and holds
+          no free pebble off u and v.  A later pull to v ends at a free
+          pebble outside R_u, and its path never enters R_u, which it could
+          not leave; so the pull changes no out-edge or pebble of R_u, and
+          a search from u would fail again with the same reach.
+        - No output reads the orientation: the basis is the greedy one, a
+          circuit is f + B[R] as an edge set, and a game seeded from this
+          one (seed) takes the basis edges it keeps, in whatever
+          orientation they have.
+        """
         if u == v:
             raise ValueError("loops are not allowed")
-        pebbles, need, keep = self.pebbles, self.k + 1, (u, v)
+        pebbles, need = self.pebbles, self.k + 1
         self.rejected = None
-        while pebbles[u] + pebbles[v] < need:
-            seen_u = self._grab_pebble(u, keep)
-            seen_v = seen_u and self._grab_pebble(v, keep)  # a map holds its root
-            if seen_v:
-                self.rejected = (_norm_edge(u, v), seen_u, seen_v)
-                return False
+        if pebbles[u] + pebbles[v] < need:
+            out, mark, par = self.out, self._mark, self._par
+            pu, pv = pebbles[u], pebbles[v]
+            pebbles[u] = pebbles[v] = 0  # off limits to the searches
+            stamp, root, seen_u = self._stamp, u, None
+            while pu + pv < need:
+                stamp += 1
+                mark[root] = stamp
+                seen = [root]
+                for x in seen:  # breadth first: seen grows as it is read
+                    for w in out[x]:
+                        if mark[w] != stamp:
+                            mark[w] = stamp
+                            par[w] = x
+                            if pebbles[w]:
+                                break
+                            seen.append(w)
+                    else:
+                        continue
+                    break
+                else:  # no free pebble reachable: root has failed for good
+                    if root == u:
+                        seen_u, root = seen, v
+                        continue
+                    self._stamp = stamp
+                    pebbles[u], pebbles[v] = pu, pv
+                    self.rejected = (_norm_edge(u, v), seen_u, seen)
+                    return False
+                pebbles[w] -= 1
+                while w != root:  # reverse the path root -> w
+                    x = par[w]
+                    out[x].remove(w)
+                    out[w].append(x)
+                    w = x
+                if root == u:
+                    pu += 1
+                else:
+                    pv += 1
+            self._stamp = stamp
+            pebbles[u], pebbles[v] = pu, pv
         tail, head = (u, v) if pebbles[u] > 0 else (v, u)
         pebbles[tail] -= 1
-        self.out[tail].add(head)
+        self.out[tail].append(head)
         self.accepted.append(_norm_edge(u, v))
         return True
 
@@ -122,17 +162,27 @@ class PebbleGame:
         """
         pebbles, out, accepted = self.pebbles, self.out, self.accepted
         self.rejected = None
+        if relabel is None:
+            for x, heads in enumerate(parent.out):
+                for w in heads:
+                    e = (x, w) if x < w else (w, x)
+                    if e in edges:
+                        out[x].append(w)
+                        pebbles[x] -= 1
+                        accepted.append(e)
+            return
+        image = relabel.get
         for x, heads in enumerate(parent.out):
-            fx = x if relabel is None else relabel.get(x)
+            fx = image(x)
             if fx is None:
                 continue
             for w in heads:
-                fw = w if relabel is None else relabel.get(w)
+                fw = image(w)
                 if fw is None:
                     continue
                 e = (fx, fw) if fx < fw else (fw, fx)
                 if e in edges:
-                    out[fx].add(fw)
+                    out[fx].append(fw)
                     pebbles[fx] -= 1
                     accepted.append(e)
 
@@ -140,9 +190,11 @@ class PebbleGame:
         """Circuit created by the edge uv that the last insert() rejected.
 
         A failed search moves no pebble and stops early only at a free
-        one, so the two searches that rejected uv ran on one state and each
-        visited every vertex reachable from its root: their union is the
-        region R reachable from u and v.  u and v hold k pebbles and no other
+        one, so each of the two searches that rejected uv visited every
+        vertex reachable from its root.  The search from u may have failed
+        before the last pulls to v, which left its reach as it was (see
+        insert), so their union is the region R reachable from u and v in
+        the final state.  u and v hold k pebbles and no other
         pebble is reachable from them, so R has no out-edge leaving it: its
         accepted edges are the out-edges of its vertices, 2|R| - k of them,
         and R is tight.  A tight T that contains u and v holds those k
@@ -151,10 +203,10 @@ class PebbleGame:
         uv plus the out-edges of R.  Later inserts can enlarge R, so each
         replaces the record, and a read of any other edge raises ValueError.
         """
-        uv, seen_u, seen_v = self.rejected or (None, {}, {})
+        uv, seen_u, seen_v = self.rejected or (None, (), ())
         if uv != _norm_edge(u, v):
             raise ValueError(f"({u},{v}) is not the edge the last insert rejected")
-        return _circuit(self, uv, seen_u.keys() | seen_v.keys())
+        return _circuit(self, uv, set(seen_u).union(seen_v))
 
     @property
     def rank(self) -> int:
@@ -177,16 +229,15 @@ def _play(
     f + B[R] for the final B.
 
     A seeded `game` (see PebbleGame.seed) is played on instead of a fresh
-    one: its accepted edges are skipped, and B is the seeds followed by the
-    edges it accepts.  The argument above holds unchanged, since the seeds
-    are in the basis before any edge is rejected.
+    one, and `order` then holds none of its accepted edges: B is the seeds
+    followed by the edges it accepts.  The argument above holds unchanged,
+    since the seeds are in the basis before any edge is rejected.
     """
     if game is None:
         game = PebbleGame(1 + max((v for e in order for v in e), default=-1), k)
-    seeded = set(game.accepted)
     regions = {}
     for e in order:
-        if e not in seeded and not game.insert(*e):
+        if not game.insert(*e):
             _, seen_u, seen_v = game.rejected
             regions[e] = frozenset(seen_u).union(seen_v)
     return game, regions
@@ -418,7 +469,8 @@ def is_m22_connected(
     a graph G was derived from (or None) and `relabel` the map of its kept
     vertices into G's labels (None for the identity).  One game decides:
     it starts from parent's basis edges whose images are edges of G (see
-    PebbleGame.seed; none when parent is None) and inserts the rest.  Its
+    PebbleGame.seed; none when parent is None) and inserts the rest in
+    sorted order, the order they hold in G.sorted_edges().  Its
     basis B has size rank(E), so rank 2n - 2 is |B| = 2n - 2; and each
     region it reads is that of C(f,B) for its final B (see _play), so the
     single-basis component rule of m22_components applies to its circuits,
@@ -457,7 +509,7 @@ def is_m22_connected(
         game = PebbleGame(G.n, 2)
         if parent is not None:
             game.seed(parent, relabel, G.edges)
-        _, regions = _play(G.sorted_edges(), 2, game)
+        _, regions = _play(sorted(G.edges.difference(game.accepted)), 2, game)
         if game.rank != 2 * G.n - 2:
             return False
         classes = _region_classes(regions.values())

@@ -22,6 +22,19 @@ def benchmark_graphs(workload="*"):
     return {p.parent.name + "/" + p.name: parse_graph6(p.read_text()) for p in paths}
 
 
+def experiment_graphs() -> list[Graph]:
+    """The G(n,p) samples of the committed experiment sweeps, drawn as
+    `planerigidity experiment --model gnp` draws them: one generator per
+    request line, seeded with its seed, hands each sample a seed of its
+    own."""
+    out = []
+    for line in (BENCHMARK_INPUTS / "experiment-gnp" / "requests.txt").read_text().splitlines():
+        n, prob, samples, seed = line.split()
+        rng = random.Random(int(seed))
+        out += [gnp_graph(int(n), float(prob), rng.randrange(2**63)) for _ in range(int(samples))]
+    return out
+
+
 def k4_ring_graph() -> Graph:
     """Ring of four K4 blocks glued at four hub vertices (1, 3, 4, 6).
 

@@ -29,7 +29,10 @@ connectivity without the bound on each flow, and with bounded flows but no
 spanning-tree cut labels first, its unit flow with a residual
 map over every arc (the library keeps only the arcs the flow uses), its
 circuit read by walking the reachable region again after a rejected insert
-(the library keeps what the rejecting searches visited), its
+(the library keeps what the rejecting searches visited), its pebble
+game whose every search builds a map and a stack of its own, depth
+first, and searches again from a root that already failed (the library
+searches breadth first with visit stamps kept on the game), its
 vertex-deletion test without the edge-count filter, its automorphism search
 with its own pin setup, its isomorphism backtracking by recursion (the
 library keeps an explicit stack), its forward scripts with one rule per reduction
@@ -54,11 +57,11 @@ import numpy as np
 from planerigidity import geometry
 from planerigidity.geometry import RigidityOperator, _bareiss_rank, rank_of, support_functional
 from planerigidity.graphs import (
-    Graph, Separation, _bipartitions, _is_k4_part, _lowpoint_dfs, _norm_edge, _part,
+    Edge, Graph, Separation, _bipartitions, _is_k4_part, _lowpoint_dfs, _norm_edge, _part,
     _min_st_edge_cut, _wl_colors, enumerate_separations, find_isomorphism, is_k_connected,
 )
 from planerigidity.moves import Move, MoveError, ReductionTrace, base_graph
-from planerigidity.sparsity import EarDecomposition, PebbleGame
+from planerigidity.sparsity import EarDecomposition, PebbleGame, _circuit
 
 
 def vertices_of(edges):
@@ -181,6 +184,139 @@ def graphs_up_to_iso(n):
             if code not in seen:
                 seen[code] = Graph.from_edges(n, edges)
     return list(seen.values())
+
+
+# ---------------------------------------------------------------------------
+# the pebble game with a map per search
+
+
+class PebbleGameDictSearch:
+    """The library's earlier `PebbleGame`, whose every search builds a
+    parent dict and a stack of its own (depth first) and searches again from
+    a root that already failed.
+
+    Mutable (2,k) pebble game state over vertices 0..n-1.
+
+    Invariant: pebbles[v] + outdeg(v) == 2 for every vertex, so the total
+    pebble count plus the number of accepted edges is 2n.  The accepted set
+    is (2,k)-sparse at all times.
+    """
+
+    def __init__(self, n: int, k: int):
+        if not 0 <= k <= 3:
+            raise ValueError("k must be in 0..3")
+        self.n = n
+        self.k = k
+        self.pebbles = [2] * n
+        self.out: list[set[int]] = [set() for _ in range(n)]
+        self.accepted: list[Edge] = []
+        self.rejected = None  # (uv, seen_u, seen_v) if the last insert failed
+
+    def _grab_pebble(self, root: int, keep: tuple[int, int]) -> dict | None:
+        """Pull one pebble to `root` along a reversed directed path.
+
+        Pebbles sitting on the two endpoints in `keep` are off limits; they
+        are the ones being gathered.  Each vertex is tested when it is first
+        reached, so the search stops at the first free pebble it sees.
+        Returns None if it pulls one, else the `parent` map it visited.
+        """
+        pebbles, out = self.pebbles, self.out
+        parent = {root: None}
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w in out[u]:
+                if w in parent:
+                    continue
+                parent[w] = u
+                if pebbles[w] > 0 and w not in keep:
+                    pebbles[w] -= 1
+                    while w != root:  # reverse the path root -> w
+                        u = parent[w]
+                        out[u].remove(w)
+                        out[w].add(u)
+                        w = u
+                    pebbles[root] += 1
+                    return None
+                stack.append(w)
+        return parent
+
+    def insert(self, u: int, v: int) -> bool:
+        """Try to accept edge uv; return whether it stays independent.  A
+        rejection is recorded for fundamental_circuit_of_rejected."""
+        if u == v:
+            raise ValueError("loops are not allowed")
+        pebbles, need, keep = self.pebbles, self.k + 1, (u, v)
+        self.rejected = None
+        while pebbles[u] + pebbles[v] < need:
+            seen_u = self._grab_pebble(u, keep)
+            seen_v = seen_u and self._grab_pebble(v, keep)  # a map holds its root
+            if seen_v:
+                self.rejected = (_norm_edge(u, v), seen_u, seen_v)
+                return False
+        tail, head = (u, v) if pebbles[u] > 0 else (v, u)
+        pebbles[tail] -= 1
+        self.out[tail].add(head)
+        self.accepted.append(_norm_edge(u, v))
+        return True
+
+    def seed(self, parent, relabel, edges) -> None:
+        """Accept, without a search, each basis edge of `parent` whose image
+        is in `edges`, oriented as in `parent`.
+
+        `relabel` maps parent vertices to this game's (a dict that omits the
+        deleted vertices, or None for the identity); call this on a fresh
+        game.  Proof that the result is a valid game state: the seeds are
+        part of parent's independent set, and the map is injective on the
+        vertices it keeps, so their images are distinct edges forming an
+        isomorphic copy of an independent set, hence independent.  Each
+        image keeps its orientation, so outdeg(v) here is at most outdeg of
+        v's preimage in parent, at most 2, and pebbles = 2 - outdeg keeps
+        the invariant with no negative count.  The accept and reject proofs
+        of insert() and fundamental_circuit_of_rejected() use only that
+        invariant and the independence of the accepted set, so the game
+        played on from here is as sound as one played from empty (Lee and
+        Streinu, "Pebble game algorithms and sparse graphs", 2008).
+        """
+        pebbles, out, accepted = self.pebbles, self.out, self.accepted
+        self.rejected = None
+        for x, heads in enumerate(parent.out):
+            fx = x if relabel is None else relabel.get(x)
+            if fx is None:
+                continue
+            for w in heads:
+                fw = w if relabel is None else relabel.get(w)
+                if fw is None:
+                    continue
+                e = (fx, fw) if fx < fw else (fw, fx)
+                if e in edges:
+                    out[fx].add(fw)
+                    pebbles[fx] -= 1
+                    accepted.append(e)
+
+    def fundamental_circuit_of_rejected(self, u: int, v: int) -> frozenset[Edge]:
+        """Circuit created by the edge uv that the last insert() rejected.
+
+        A failed search moves no pebble and stops early only at a free
+        one, so the two searches that rejected uv ran on one state and each
+        visited every vertex reachable from its root: their union is the
+        region R reachable from u and v.  u and v hold k pebbles and no other
+        pebble is reachable from them, so R has no out-edge leaving it: its
+        accepted edges are the out-edges of its vertices, 2|R| - k of them,
+        and R is tight.  A tight T that contains u and v holds those k
+        pebbles, so no out-edge leaves it either, and R is a subset of T.
+        So R is the minimal tight set spanning uv, which is V(C), and C is
+        uv plus the out-edges of R.  Later inserts can enlarge R, so each
+        replaces the record, and a read of any other edge raises ValueError.
+        """
+        uv, seen_u, seen_v = self.rejected or (None, {}, {})
+        if uv != _norm_edge(u, v):
+            raise ValueError(f"({u},{v}) is not the edge the last insert rejected")
+        return _circuit(self, uv, seen_u.keys() | seen_v.keys())
+
+    @property
+    def rank(self) -> int:
+        return len(self.accepted)
 
 
 # ---------------------------------------------------------------------------

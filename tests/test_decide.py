@@ -32,7 +32,7 @@ from planerigidity.sparsity import (
     take_m22_game,
 )
 
-from corpus import decision_corpus, named_graphs
+from corpus import decision_corpus, experiment_graphs, named_graphs
 from oracles import (
     coloops_leave_one_out,
     components_multipass,
@@ -232,6 +232,40 @@ class TestSufficientConditions:
         monkeypatch.setattr(Graph, "__init__", lambda self, *a: built.append(1) or real(self, *a))
         fired = sum("vertex_deletion_rigid" in sufficient_checks(G)[0] for G in graphs)
         assert built == [] and fired > 5
+
+    @staticmethod
+    def k5s(j):
+        """Two K5s on 0..4 and 5..9 joined by the edges i-(i+5), i < j."""
+        K5 = list(cat.complete_graph(5).edges)
+        edges = K5 + [(u + 5, v + 5) for u, v in K5] + [(i, i + 5) for i in range(j)]
+        return Graph.from_edges(10, edges)
+
+    def test_vertex_deletion_reads_the_regions(self, monkeypatch):
+        # only the non-basis f avoiding v with v in R_f can raise the rank
+        # of B - v: too few of them answer no game, one at deg_B(v) = 3
+        # answers yes, and the seeded game plays only them
+        seeded = []
+        real_seed = PebbleGame.seed
+        monkeypatch.setattr(
+            PebbleGame, "seed", lambda *args: seeded.append(1) or real_seed(*args)
+        )
+        graphs = decision_corpus(300, seed=5) + experiment_graphs() + [
+            self.k5s(j) for j in range(1, 6)
+        ]
+        verdicts = []
+        for G in graphs:
+            if G.n < 3:
+                continue
+            want = vertex_deletion_rigid_games(G)
+            assert _vertex_deletion_rigid(G) == want, sorted(G.edges)
+            verdicts.append(want)
+        assert verdicts.count(True) > 150 and verdicts.count(False) > 300
+        # a game at every vertex of basis degree > 2 up to the first that
+        # fails made 1428 games here; the regions leave 855 to play
+        assert 50 < len(seeded) < 1000
+        assert [_vertex_deletion_rigid(self.k5s(j)) for j in range(1, 6)] == [
+            False, False, True, True, True
+        ]
 
     def test_soundness_on_corpus(self):
         count = 0

@@ -28,8 +28,9 @@ from planerigidity.sparsity import (
     take_m22_game,
 )
 
-from corpus import benchmark_graphs, decision_corpus
+from corpus import benchmark_graphs, decision_corpus, experiment_graphs
 from oracles import (
+    PebbleGameDictSearch,
     basis_and_circuits,
     circuit_by_reach,
     circuits_brute,
@@ -142,6 +143,86 @@ class TestPebbleSearch:
                 inside = set(greedy) | {f}
                 circ = game.fundamental_circuit_of_rejected(*f)
                 assert [c for c in brute if c <= inside] == [circ]
+
+
+def _region(game):
+    _, seen_u, seen_v = game.rejected
+    return frozenset(seen_u).union(seen_v)
+
+
+def _oracle_sorted_game(G, k):
+    """The sorted game of G played by the dict-search game: its basis in
+    order and the region of each rejected edge."""
+    game, regions = PebbleGameDictSearch(G.n, k), {}
+    for e in G.sorted_edges():
+        if not game.insert(*e):
+            regions[e] = _region(game)
+    return game.accepted, regions
+
+
+class TestSearchAgainstTheDictSearch:
+    @staticmethod
+    def _sound(game):
+        # the invariant, with each out-list at most two distinct heads
+        for v in range(game.n):
+            assert game.pebbles[v] + len(game.out[v]) == 2
+            assert len(set(game.out[v])) == len(game.out[v]) <= 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_insert_against_the_dict_search(self, data):
+        # fresh games, and games seeded from one parent's orientation (the
+        # identity, or relabelled with dropped vertices); the breadth-first
+        # search may pull other pebbles than the depth-first one, but every
+        # answer, the basis in order and every region must be the same
+        n = data.draw(st.integers(2, 8))
+        k = data.draw(st.integers(0, 3))
+        pairs = list(itertools.combinations(range(n), 2))
+        game, oracle = PebbleGame(n, k), PebbleGameDictSearch(n, k)
+        if data.draw(st.booleans()):
+            parent = PebbleGame(n, k)
+            for e in data.draw(st.permutations(pairs))[:data.draw(st.integers(0, len(pairs)))]:
+                parent.insert(*e)
+            relabel = None
+            if data.draw(st.booleans()):
+                perm = data.draw(st.permutations(range(n)))
+                dropped = data.draw(st.sets(st.sampled_from(range(n))))
+                relabel = {x: y for x, y in enumerate(perm) if x not in dropped}
+            edges = frozenset(data.draw(st.sets(st.sampled_from(pairs))))
+            game.seed(parent, relabel, edges)
+            oracle.seed(parent, relabel, edges)
+            assert game.accepted == oracle.accepted
+            if relabel is None:  # the identity branch is the identity map
+                twin = PebbleGame(n, k)
+                twin.seed(parent, dict(enumerate(range(n))), edges)
+                assert (twin.out, twin.pebbles, twin.accepted) == (
+                    game.out, game.pebbles, game.accepted
+                )
+        self._sound(game)
+        for e in data.draw(st.permutations(pairs)):
+            if e in game.accepted:
+                continue
+            got = game.insert(*e)
+            assert got == oracle.insert(*e)
+            if not got:
+                assert _region(game) == _region(oracle)
+                assert game.fundamental_circuit_of_rejected(*e) == (
+                    oracle.fundamental_circuit_of_rejected(*e)
+                )
+            assert game.accepted == oracle.accepted
+            self._sound(game)
+
+    def test_sorted_games_of_the_benchmark_inputs(self):
+        # every graph a workload reads, as a (2,2) and a (2,3) sorted game
+        graphs = list(benchmark_graphs().values()) + experiment_graphs()
+        assert len(graphs) == 500
+        rejected = 0
+        for G in graphs:
+            for k in (2, 3):
+                game, regions = _sorted_game(G, k)
+                assert (game.accepted, regions) == _oracle_sorted_game(G, k)
+                rejected += len(regions)
+        assert rejected > 1000
 
 
 class TestCircuitRecord:
@@ -258,7 +339,7 @@ class TestWarmCheck:
         # circuit read as an edge set at the rejection, by a twin game
         twin = PebbleGame(n_child, k)
         twin.seed(parent, relabel, frozenset(edges))
-        game, regions = sparsity._play(sorted(edges), k, game)
+        game, regions = sparsity._play(sorted(edges.difference(seeds)), k, game)
         basis = game.accepted
         assert basis[:len(seeds)] == seeds
         assert is_sparse_brute(basis, k)
