@@ -156,10 +156,8 @@ def is_globally_rigid_analytic(G: Graph) -> RigidityReport:
     report.m22_connected = is_m22_connected(G)
     report.globally_rigid_analytic = report.two_connected and report.m22_connected
     if not report.two_connected:
-        cut = first_cut_vertex(G)
-        report.reasons["cut_vertex"] = (
-            str(cut) if cut is not None else "disconnected"
-        )
+        # not None at n >= 5: a cut vertex if G is connected, else 0 or a vertex with a neighbour
+        report.reasons["cut_vertex"] = str(first_cut_vertex(G))
     if report.m22_connected:
         report.ear_certificate = ear_decomposition(G)  # not None: see there
         report.reasons["ear_decomposition"] = _ears_text(report.ear_certificate)
@@ -358,20 +356,9 @@ def is_globally_rigid_euclidean(G: Graph) -> bool:
     """Global rigidity in the Euclidean plane: complete on <= 3 vertices,
     or 3-connected and redundantly rigid in the (2,3) sense.
 
-    Redundant rigidity is rank 2n - 3 with no coloop, which one (2,3)
-    game over the sorted edges decides (see `sparsity._rank_and_coloops`:
-    the coloops are the basis edges in no circuit C(f,B) read).  The game
-    stops at the first rejection after which the rank is 2n - 3 and every
-    basis edge lies in a circuit read so far.  Sound: the rank cannot pass
-    2n - 3, so every later edge is rejected and the basis so far is the
-    final basis B; each circuit read lies in the basis at its time plus
-    its edge f, inside B + f, so it is C(f,B); and later circuits can only
-    cover more.  Complete: an accepted edge is uncovered when accepted,
-    so if the full game ends at rank 2n - 3 with every basis edge covered,
-    no edge was accepted after its last rejection, and the test after
-    that rejection saw the final state.  The game is its own, not G's
-    kept sorted game, so no graph keeps a (2,3) game it does not need;
-    `certify` at p = 2 reads `_rank_and_coloops(G, 3)` for its coloops.
+    Redundant rigidity is rank 2n - 3 with no coloop, read off G's sorted
+    (2,3) game by `sparsity._rank_and_coloops` (the coloops are the basis
+    edges in no fundamental circuit), the game `certify` at p = 2 reads too.
     """
     if G.n < 2:
         raise ValueError("needs at least 2 vertices")
@@ -379,15 +366,8 @@ def is_globally_rigid_euclidean(G: Graph) -> bool:
         return G.is_complete()
     if not is_k_connected(G, 3):
         return False
-    game, target, uncovered = PebbleGame(G.n, 3), 2 * G.n - 3, set()
-    for e in G.sorted_edges():
-        if game.insert(*e):
-            uncovered.add(e)
-        else:
-            uncovered -= game.fundamental_circuit_of_rejected(*e)
-            if game.rank == target and not uncovered:
-                return True
-    return False
+    rank, coloops = _rank_and_coloops(G, 3)
+    return rank == 2 * G.n - 3 and not coloops
 
 
 def euclidean_transfer(G: Graph) -> bool:
@@ -438,7 +418,7 @@ def certify(
         rank, row_ranks = deletion_ranks(op, mode)
         edge_ranks = dict(zip(op.edges, row_ranks))
         inf_rigid_num = rank == target
-        redundant_num = all(r == target for r in edge_ranks.values())
+        redundant_num = inf_rigid_num and all(r == target for r in edge_ranks.values())
         agree = (inf_rigid_num == spanning_tight) and (
             redundant_num == (spanning_tight and not cols)
         )

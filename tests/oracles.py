@@ -8,13 +8,16 @@ answers from the fundamental circuits of one game, its rank by a game of
 its own that stops at the rank bound (the library reads the rank off each
 graph's sorted game; the leave-one-out oracles play this game), its rank
 and coloops of an edge list in its own order (the library reads them off
-each graph's sorted game), its ear decomposition with one game per ear (the library now
-reads every ear off the one game over the sorted edges), its earlier m + 1
-eliminations for the deletion ranks of a rigidity operator, its split of
-an exact rank at the bridges and into the pieces between them (the
-library now splits at blocks), its dense
-modular elimination (the library now eliminates a sparse transpose), its
-float operator rows from Fraction differences (the library now divides
+each graph's sorted game), its Euclidean verdict by a (2,3) game of its
+own that stops once the rank is 2n - 3 and every basis edge lies in a
+circuit read (the library reads each graph's sorted (2,3) game), its ear
+decomposition with one game per ear (the library now reads every ear off
+the one game over the sorted edges), its earlier m + 1 eliminations for
+the deletion ranks of a rigidity operator, its split of an exact rank
+at the bridges and into the pieces between them (the library now splits
+at blocks), its dense modular elimination (the library now eliminates
+a sparse transpose), its float operator rows from Fraction differences
+(the library now divides
 integer differences of the scaled coordinates) and, before that, through
 the support functional and a second norm (the library now takes each entry
 as a signed power), its float rank of the raw rows (the library now
@@ -494,6 +497,40 @@ def rank_by_stopped_game(edges, k):
             break
         game.insert(*e)
     return game.rank
+
+
+def euclidean_by_stopped_game(G: Graph) -> bool:
+    """The library's earlier `decide.is_globally_rigid_euclidean`: complete
+    on <= 3 vertices, or 3-connected and redundantly rigid in the (2,3)
+    sense, from a (2,3) game of its own over the sorted edges.
+
+    Redundant rigidity is rank 2n - 3 with no coloop (the coloops are the
+    basis edges in no circuit C(f,B) read).  The game stops at the first
+    rejection after which the rank is 2n - 3 and every basis edge lies in
+    a circuit read so far.  Sound: the rank cannot pass 2n - 3, so every
+    later edge is rejected and the basis so far is the final basis B;
+    each circuit read lies in the basis at its time plus its edge f,
+    inside B + f, so it is C(f,B); and later circuits can only cover
+    more.  Complete: an accepted edge is uncovered when accepted, so if
+    the full game ends at rank 2n - 3 with every basis edge covered, no
+    edge was accepted after its last rejection, and the test after that
+    rejection saw the final state.
+    """
+    if G.n < 2:
+        raise ValueError("needs at least 2 vertices")
+    if G.n <= 3:
+        return G.is_complete()
+    if not is_k_connected(G, 3):
+        return False
+    game, target, uncovered = PebbleGame(G.n, 3), 2 * G.n - 3, set()
+    for e in G.sorted_edges():
+        if game.insert(*e):
+            uncovered.add(e)
+        else:
+            uncovered -= game.fundamental_circuit_of_rejected(*e)
+            if game.rank == target and not uncovered:
+                return True
+    return False
 
 
 def coloops_leave_one_out(edges, k):

@@ -445,6 +445,15 @@ class TestCertify:
         assert "numeric.mode: exact\nnumeric.rank: 4/8\n" in out
         assert "numeric.matches_combinatorial: false\n" in out
 
+    @pytest.mark.parametrize("text, p", [("2\n", "4"), ("6\n", "2")])
+    def test_edgeless_graph_agrees(self, text, p):
+        # no edge: rank 0 below the target, so not redundant either, although
+        # every deletion rank (there is none) reaches it
+        code, out, _ = run(["certify", "-", "--p", p], text)
+        assert code == 0
+        assert "numeric.redundant: false\nnumeric.matches_combinatorial: true\n" in out
+        assert "disagreeing_edges" not in out
+
     @pytest.mark.parametrize("cmd, p", [("certify", "inf"), ("rank", "1e400")])
     def test_infinite_p_is_error_1(self, cmd, p):
         code, out, err = run(

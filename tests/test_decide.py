@@ -38,6 +38,7 @@ from oracles import (
     components_multipass,
     components_search,
     ear_decomposition_games,
+    euclidean_by_stopped_game,
     first_cut_vertex_scan,
     is_circuit22_leave_one_out,
     is_k_connected_cut_scan,
@@ -75,6 +76,18 @@ class TestMainDecision:
     def test_cut_vertex_reason(self):
         r = is_globally_rigid_analytic(cat.two_k4_shared_vertex())
         assert r.reasons.get("cut_vertex") == "0"
+
+    def test_cut_vertex_reason_on_corpus(self):
+        # past n = 4 a graph that is not 2-connected always has a cut
+        # vertex: deleting it leaves a disconnected graph
+        count = 0
+        for G in decision_corpus(300, seed=5):
+            if G.n < 5 or is_k_connected(G, 2):
+                continue
+            cut = is_globally_rigid_analytic(G).reasons["cut_vertex"]
+            assert cut.isdigit() and int(cut) == first_cut_vertex_scan(G), G.sorted_edges()
+            count += 1
+        assert count > 10
 
     def test_positive_report_carries_ear_decomposition(self):
         r = is_globally_rigid_analytic(cat.complete_bipartite(3, 6))
@@ -300,9 +313,10 @@ class TestEuclidean:
 
     @pytest.mark.parametrize("seed", [5, 11, 71])
     def test_stopped_game_against_rank_and_coloops(self, seed, monkeypatch):
-        # the verdict's own (2,3) game, stopped once the rank is 2n - 3 and
-        # every basis edge lies in a circuit read, against the full sorted
-        # game's rank and coloops; some games stop before the last edge
+        # the verdict reads G's sorted (2,3) game; the earlier verdict's own
+        # game, stopped once the rank is 2n - 3 and every basis edge lies in
+        # a circuit read, agrees, and some of its games stop before the
+        # last edge
         inserts = []
         insert = PebbleGame.insert
         monkeypatch.setattr(
@@ -312,8 +326,10 @@ class TestEuclidean:
         for G in decision_corpus(300, seed=seed):
             if G.n < 2:
                 continue
+            got = is_globally_rigid_euclidean(G)
             inserts.clear()
-            got, played = is_globally_rigid_euclidean(G), len(inserts)
+            assert euclidean_by_stopped_game(G) == got, G.sorted_edges()
+            played = len(inserts)
             if G.n <= 3 or not is_k_connected(G, 3):
                 assert got == (G.n <= 3 and G.is_complete())
                 continue
@@ -456,6 +472,33 @@ class TestPerGraphFacts:
             assert full_games() == 1
             certify(G, NormedPlane(4), 3)
             assert full_games() == 1
+
+    def test_one_game_per_k(self, monkeypatch):
+        # certify at p = 2 reads the (2,3) game the Euclidean verdict
+        # played, and a full report plays at most one game per k besides
+        # the seeded games of the vertex-deletion condition
+        made, seeded = [], []
+        init, seed = PebbleGame.__init__, PebbleGame.seed
+        monkeypatch.setattr(
+            PebbleGame, "__init__", lambda game, n, k: made.append(k) or init(game, n, k)
+        )
+        monkeypatch.setattr(
+            PebbleGame, "seed", lambda game, *args: seeded.append(game.k) or seed(game, *args)
+        )
+        certified = 0
+        for i, G in enumerate(decision_corpus(300, seed=5)):
+            if G.n < 4 or not is_k_connected(G, 3):
+                continue
+            made.clear()
+            seeded.clear()
+            is_globally_rigid_analytic(Graph(G.n, G.edges))
+            assert all(made.count(k) - seeded.count(k) <= 1 for k in (2, 3)), made
+            if certified < 20:
+                made.clear()
+                certify(Graph(G.n, G.edges), NormedPlane(2), 7000 + i)
+                assert made.count(3) == 1, made
+                certified += 1
+        assert certified == 20
 
     def test_one_lowpoint_dfs_per_exact_certify(self, monkeypatch):
         # the exact ranks split the operator at the blocks of the DFS its
