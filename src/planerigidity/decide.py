@@ -30,9 +30,8 @@ from .graphs import (
 from .records import Record
 from .sparsity import (
     EarDecomposition,
-    PebbleGame,
     _rank_and_coloops,
-    _sorted_game,
+    _vertex_deletion_rigid,
     ear_decomposition,
     is_m22_connected,
     m22_components,
@@ -264,75 +263,6 @@ def sufficient_checks(G: Graph) -> tuple[list[str], list[str]]:
         if mu > 4.0 / (delta + 1) + 1e-9:
             fired.append("spectral_gap")
     return fired, notes
-
-
-def _vertex_deletion_rigid(G: Graph) -> bool:
-    """Whether rank(G - v) = 2(n - 1) - 2 in the (2,2) matroid for every v.
-
-    B is the basis of G's sorted game (sparsity._sorted_game): the greedy
-    basis of the sorted order, which the M(2,2) check, the components and
-    the ears read too, so the game is played at most once per graph.  The
-    edges f outside B and the regions R_f of their circuits C(f,B) are the
-    items of its region map.  A (2,2)-sparse set on n vertices holds at
-    most 2n - 2 edges.  If
-    |B| < 2n - 2, G is not rigid, and then some G - v is not rigid either:
-    for n >= 3, were every G - v rigid, some v would have degree >= 2
-    (n = 3 has no rigid G - v at all, and for n >= 4 a rigid G - v has at
-    least 2n - 4 > n/2 edges, more than a graph of maximum degree 1 holds),
-    and adding v with two of its edges to a basis of G - v is a
-    0-extension, which keeps it independent, so rank(G) = 2n - 2.
-    Otherwise B - v, the edges of B not at v, is independent and lies in
-    G - v, whose rank is at most 2(n - 1) - 2 = 2n - 4.  Let D be the
-    d edges of B at v.  If d <= 2, |B - v| >= 2n - 4, so G - v is rigid
-    at once.  Otherwise G - v needs d - 2 more edges than B - D holds, and
-    only an f that avoids v with v in R_f can give one:
-    - If v is not in R_f, C(f,B) - f = B[R_f] has no edge at v, so it lies
-      in B - D and f is spanned by B - D.
-    - If v is in R_f, C(f,B) meets D: every vertex of a (2,2)-circuit has
-      degree >= 3 in it (deleting a vertex of degree <= 2 would leave
-      2|V| - 3 edges on |V| - 1 vertices, too many for the sparse proper
-      part), and f avoids v.  C(f,B) is the one circuit in B + f, so
-      B - D + f holds none and is independent.
-    So fewer than d - 2 such f leave G - v short of rank 2n - 4; at d = 3
-    one such f gives it; and otherwise a fresh game seeded with B - v in
-    the orientation the sorted game ended with (PebbleGame.seed, sound
-    because B - v is a subset of the independent set it is read from; the
-    sorted game itself is only read) plays on with those f until it holds
-    2n - 4 edges.  Every other edge of G - v is in B - v or spanned by it,
-    so its final basis is a basis of G - v.  G - v keeps G's labels, v
-    left without an edge, and no Graph is built.
-    """
-    n = G.n
-    game, regions = _sorted_game(G)
-    basis = game.accepted
-    if len(basis) < 2 * n - 2:
-        return False
-    deg = [0] * n
-    for u, v in basis:
-        deg[u] += 1
-        deg[v] += 1
-    helps: list[list[Edge]] = [[] for _ in range(n)]  # v -> the f avoiding v with v in R_f
-    for f, region in regions.items():
-        for x in region:
-            if x != f[0] and x != f[1]:
-                helps[x].append(f)
-    for v in range(n):
-        d = deg[v]
-        if d <= 2:
-            continue
-        if len(helps[v]) < d - 2:
-            return False
-        if d == 3:
-            continue
-        sub = PebbleGame(n, 2)
-        sub.seed(game, None, {e for e in basis if v not in e})
-        for f in helps[v]:
-            if sub.rank == 2 * n - 4:
-                break
-            sub.insert(*f)
-        if sub.rank < 2 * n - 4:
-            return False
-    return True
 
 
 def _algebraic_connectivity(G: Graph) -> float:

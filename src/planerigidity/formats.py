@@ -6,11 +6,13 @@ supported on both ends, the 8-byte form for larger n is refused, and the
 data must be exactly the bytes n needs.
 Edge lists are `n` on the first line then `u v`
 lines, with 0 <= n <= MAX_VERTICES (258047, graph6's own limit) and each
-edge listed once, in either orientation; blank lines and `#` comment lines
-may stand anywhere.
+edge listed once, in either orientation.
 Placements are one `v x y` line per vertex with rational `num/den` or
 decimal coordinates.  Move scripts are a `base K5-|B1` header followed
 by one `kind i j [k ...]` line per move.
+The three text formats read their lines by one rule (`_lines`): each
+line is stripped, blank lines and `#` comment lines may stand anywhere
+and are skipped, and errors count lines from 1 over the whole text.
 Every integer in these three text formats (counts, endpoints, vertices,
 the parts of a rational or integer coordinate, move parameters) is an
 optional '-' followed by ASCII digits, and a decimal coordinate is ASCII
@@ -35,6 +37,15 @@ class FormatError(ValueError):
 # An edge-list header names n without listing the vertices, and every vertex
 # costs an adjacency set, so a short header could otherwise ask for any memory.
 MAX_VERTICES = 258047
+
+
+def _lines(text: str):
+    """(line number from 1, stripped line) for each line of `text` that is
+    neither blank nor a `#` comment: the line rule of the text formats."""
+    for ln_no, raw in enumerate(text.splitlines(), start=1):
+        s = raw.strip()
+        if s and not s.startswith("#"):
+            yield ln_no, s
 
 
 def _int(tok: str) -> int:
@@ -139,38 +150,32 @@ def emit_edgelist(G: Graph) -> str:
 
 
 def parse_edgelist(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines()]
-    idx = 0
-    # blank lines and '#' comments may precede the header, as they may follow it
-    while idx < len(lines) and lines[idx].strip()[:1] in ("", "#"):
-        idx += 1
-    if idx == len(lines):
+    lines = _lines(text)
+    ln_no, header = next(lines, (0, None))
+    if header is None:
         raise FormatError("edgelist: empty input")
     try:
-        n = _int(lines[idx].strip())
+        n = _int(header)
     except ValueError:
-        raise FormatError(f"edgelist: line {idx + 1}: expected vertex count")
+        raise FormatError(f"edgelist: line {ln_no}: expected vertex count")
     if not 0 <= n <= MAX_VERTICES:
         raise FormatError(
-            f"edgelist: line {idx + 1}: vertex count {n} is outside 0..{MAX_VERTICES}"
+            f"edgelist: line {ln_no}: vertex count {n} is outside 0..{MAX_VERTICES}"
         )
     edges = set()
-    for ln_no in range(idx + 1, len(lines)):
-        raw = lines[ln_no].strip()
-        if not raw or raw.startswith("#"):
-            continue
-        parts = raw.split()
+    for ln_no, s in lines:
+        parts = s.split()
         if len(parts) != 2:
-            raise FormatError(f"edgelist: line {ln_no + 1}: expected 'u v'")
+            raise FormatError(f"edgelist: line {ln_no}: expected 'u v'")
         try:
             u, v = _int(parts[0]), _int(parts[1])
         except ValueError:
-            raise FormatError(f"edgelist: line {ln_no + 1}: non-integer endpoint")
+            raise FormatError(f"edgelist: line {ln_no}: non-integer endpoint")
         if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise FormatError(f"edgelist: line {ln_no + 1}: bad edge ({u},{v})")
+            raise FormatError(f"edgelist: line {ln_no}: bad edge ({u},{v})")
         e = (u, v) if u < v else (v, u)
         if e in edges:
-            raise FormatError(f"edgelist: line {ln_no + 1}: edge ({u},{v}) listed twice")
+            raise FormatError(f"edgelist: line {ln_no}: edge ({u},{v}) listed twice")
         edges.add(e)
     return Graph(n, frozenset(edges))
 
@@ -248,10 +253,7 @@ def parse_placement(text: str) -> Placement:
     from fractions import Fraction
 
     entries = {}
-    for ln_no, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
+    for ln_no, s in _lines(text):
         parts = s.split()
         if len(parts) != 3:
             raise FormatError(f"placement: line {ln_no}: expected 'v x y'")
@@ -310,10 +312,7 @@ def emit_move_script(script: MoveScript) -> str:
 def parse_move_script(text: str) -> MoveScript:
     base = None
     moves = []
-    for ln_no, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
+    for ln_no, s in _lines(text):
         parts = s.split()
         if base is None:
             if parts[0] != "base" or len(parts) != 2:

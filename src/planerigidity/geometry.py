@@ -36,7 +36,7 @@ import math
 import random
 import sys
 from functools import cached_property
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .graphs import Edge, Graph, _lowpoint_dfs, first_cut_vertex
 from .records import FrozenRecord
@@ -556,11 +556,10 @@ def deletion_ranks(
     `_exact_profile`: a stressed row keeps the rank, and a coloop, a row of
     a block of full row rank (a bridge, say), drops it by one.  Any other
     row lies in a dependent block and is confirmed by `rank_of` on the
-    operator without it, which splits that operator again.  The deletion
-    leaves every other block as it was, and the block that loses the row
-    may fall apart into smaller blocks.  So a confirmation eliminates only
-    those, and falls back to Bareiss only when one of them stays below
-    its bound modulo the prime.
+    operator without it, which splits that operator into blocks again and
+    eliminates every one of them modulo the prime, the blocks the deleted
+    row never touched included.  It falls back to Bareiss only for a
+    block whose modular rank stays below its bound.
 
     Float mode takes the rank from `rank_of` and runs one full SVD of the
     same row-scaled array DA (`RigidityOperator.as_array`; a self-stress w
@@ -755,32 +754,25 @@ def is_congruent(
     """Whether an isometry of the plane maps p onto q.
 
     Non-Euclidean planes: try each signed coordinate permutation with the
-    translation pinned by the first vertex (exact when both placements are
-    rational).  Euclidean: best-fit rotation or reflection plus translation,
-    a documented heuristic with residual threshold tol.
+    translation pinned by the first vertex, comparing each coordinate
+    exactly when both placements are rational and within tol otherwise.
+    Euclidean: best-fit rotation or reflection plus translation, a
+    documented heuristic with residual threshold tol.
     """
     if p.n != q.n:
         raise ValueError("placements must cover the same vertex set")
     if p.n == 0:
         return True
     if not plane.euclidean:
-        exact = p.exact and q.exact
+        close = eq if p.exact and q.exact else lambda s, t: abs(float(s) - float(t)) <= tol
+        x0, y0 = p.coords[0]
         for (a, b), (c, d) in plane.isometry_linear_parts():
-            x0, y0 = p.coords[0]
             tx = q.coords[0][0] - (a * x0 + b * y0)
             ty = q.coords[0][1] - (c * x0 + d * y0)
-            if exact:
-                good = all(
-                    (a * x + b * y + tx, c * x + d * y + ty) == q.coords[v]
-                    for v, (x, y) in enumerate(p.coords)
-                )
-            else:
-                good = all(
-                    abs(float(a * x + b * y + tx) - float(q.coords[v][0])) <= tol
-                    and abs(float(c * x + d * y + ty) - float(q.coords[v][1])) <= tol
-                    for v, (x, y) in enumerate(p.coords)
-                )
-            if good:
+            if all(
+                close(a * x + b * y + tx, qx) and close(c * x + d * y + ty, qy)
+                for (x, y), (qx, qy) in zip(p.coords, q.coords)
+            ):
                 return True
         return False
     # Euclidean: orthogonal Procrustes over the rotation and reflection cosets

@@ -392,6 +392,27 @@ def _no_separation_pair(G: Graph) -> bool:
        under a stronger side condition (father(v) not the root, or a tree
        arc of v still to come, both leave three vertices outside the
        subtree of w), so step 2 has answered first.
+       Back at v from a child, Gutwenger & Mutzel pop a top triple with
+       a = v and father(b) = v and split at any other with a = v.  Here
+       no triple with a = v = father(b) exists, so the first top triple
+       with a = v answers False.  Proof: a triple is pushed at b, with
+       a the lowpoint of the arc that starts a path there, or by a merge,
+       which takes the b of the last triple it pops and an a below that
+       triple's.  At b other than the root, a pushed a is a proper
+       ancestor of b (a tree arc b -> w has lowpt1(w) < b, b being no cut
+       vertex; a frond ends at a proper ancestor), so a <= father(b), as
+       the new numbers rise down the tree; by induction a merged triple
+       has a < father(b).  A triple with b the root has a = 1, and the
+       test does not run at the root.  So a = v = father(b) needs a
+       pushed triple at a child b of v: a frond b ~> v, which would double
+       the tree edge, or a tree arc b -> w that starts a path with
+       lowpt1(w) = v.  The arc that enters b starts no path, so b's first
+       arc comes right after it and starts none either; b -> w is a later
+       arc, and the arc before it ends at a child of b outside the subtree
+       of w or at a proper ancestor of b other than v.  So three vertices
+       lie outside that subtree, and lowpt2(w) >= b > lowpt1(w), since no
+       frond from the subtree ends strictly between v and b: step 2 has
+       answered False at the tree edge (b, w).
 
     Soundness: Gutwenger & Mutzel's algorithm changes the graph only when
     it splits off a component, so a run stopped at its first split is in
@@ -450,11 +471,9 @@ def _no_separation_pair(G: Graph) -> bool:
         v, i, started = stack.pop()
         nv, arcs = new[v], out[v]
         if i:
-            # back from w = arcs[i - 1]: the type-2 pairs {v, b}
-            while nv != 1 and tstack[-1][1] == nv:
-                if father[tstack[-1][2]] != v:
-                    return False
-                tstack.pop()
+            # back from w = arcs[i - 1]: a type-2 pair {v, b} (see 5.)
+            if nv != 1 and tstack[-1][1] == nv:
+                return False
             if started:
                 while tstack.pop() is not eos:
                     pass
@@ -819,29 +838,53 @@ def _isomorphism(G: Graph, H: Graph, pins: dict[int, int]) -> dict[int, int] | N
     compares one key with itself.  Different keys fail before the search,
     and so does a pin of the wrong color.  The pinned vertices come first
     in the order and each tries only its pin, so a repeated image or a
-    pinned edge that is not preserved fails there.  The other vertices
-    follow, rarest color first.  With no pins this is the plain search of
-    find_isomorphism; the transitivity tests pin G onto itself.
+    pinned edge that is not preserved fails there.  With no pins this is
+    the plain search of find_isomorphism; the transitivity tests pin G
+    onto itself.
+
+    The order is connected: after the pins, each next vertex is the
+    unplaced neighbour of a placed vertex with the least key (colour
+    frequency, -degree, label), rarest colour first to cut the branching
+    early, or the least unplaced vertex by that key when no placed vertex
+    has an unplaced neighbour.  A vertex with a mapped neighbour tries
+    only the neighbours of that neighbour's image (see
+    _extend_isomorphism), so on a graph whose colour classes do not split,
+    a cycle say, the search follows the edges, where an order by key
+    alone could place vertices far apart and backtrack exponentially.
+    The candidates wait in a heap, and an entry whose vertex was placed
+    since it was pushed is dropped when it comes up.
     """
     cg, key = G._colouring
     ch, other = H._colouring
     if key != other or any(cg[v] != ch[w] for v, w in pins.items()):
         return None
-    # match rarest colors first to cut the branching early
-    freq = Counter(cg)
-    order = list(pins) + sorted(
-        (v for v in range(G.n) if v not in pins),
-        key=lambda v: (freq[cg[v]], -G.degree(v), v),
-    )
+    from heapq import heapify, heappop, heappush  # loaded at the first search, not at import
+
+    freq, adj = Counter(cg), G.adj
+    keys = [(freq[c], -len(adj[v]), v) for v, c in enumerate(cg)]
+    ranked = iter(sorted(keys))
+    order, placed = list(pins), [v in pins for v in range(G.n)]
+    heap = [keys[w] for v in order for w in adj[v] if not placed[w]]
+    heapify(heap)
+    while len(order) < G.n:
+        while heap and placed[heap[0][2]]:
+            heappop(heap)
+        v = heappop(heap)[2] if heap else next(k[2] for k in ranked if not placed[k[2]])
+        placed[v] = True
+        order.append(v)
+        for w in adj[v]:
+            if not placed[w]:
+                heappush(heap, keys[w])
     return _extend_isomorphism(G, H, cg, ch, pins, order)
 
 
 def find_isomorphism(G: Graph, H: Graph) -> dict[int, int] | None:
     """An edge-preserving bijection G -> H, or None; see _isomorphism.
 
-    Each candidate test costs O(degree), so on sparse graphs a search that
-    seldom backtracks, such as a 1200-cycle against a relabelled copy,
-    takes well under a second; graphs whose colour classes stay large and
+    Each candidate test costs O(degree), and the search order is
+    connected, so on sparse graphs a search that seldom backtracks, such
+    as a 1200-cycle against a relabelled copy in either direction, takes
+    well under a second; graphs whose colour classes stay large and
     symmetric can still make it backtrack exponentially.
     """
     return _isomorphism(G, H, {})

@@ -77,7 +77,8 @@ def graph_hash(G: Graph) -> str:
 
 
 def _apply_full(G: Graph, move: Move) -> tuple[Graph, dict[int, int] | None]:
-    """Apply a move as one `Graph.edit`; also return its relabeling map."""
+    """Apply a move as one `Graph.edit`; also return its relabeling map.
+    `Move` admits only the eight kinds below, and each returns or raises."""
     kind, p = move.kind, move.params
     for x in p:
         if not 0 <= x < G.n:
@@ -163,8 +164,6 @@ def _apply_full(G: Graph, move: Move) -> tuple[Graph, dict[int, int] | None]:
         # every edge bw other than ba moves to aw; this re-adds ac if bc is an
         # edge, and no other aw exists, since N(a) ∩ N(b) ⊆ {c}
         return G.edit(drop=[b], remove=[(a, b), (a, c)], add=[(a, w) for w in G.adj[b] if w != a])
-
-    raise MoveError(f"unknown move kind {kind!r}")
 
 
 def apply(G: Graph, move: Move) -> Graph:

@@ -19,11 +19,13 @@ an ear decomposition is one of the fundamental circuits of the game over
 the sorted edges, expanded.  That game is played once per Graph instance
 and kept on it with its regions (_sorted_game), so the rank, the
 components, the circuit test, the ear decomposition, the cold M(2,2)
-check and the callers in `decide` all read the same game.  A game may
-also start from the final orientation of another game (PebbleGame.seed),
-which is how the reduction engine checks each candidate from its
-parent's game: the warm check merges the regions of that game's
-rejections and never builds an edge set.
+check, the vertex-deletion condition (_vertex_deletion_rigid) and the
+callers in `decide` all read the same game.  A game may also start from
+the final orientation of another game (PebbleGame.seed), which is how
+the reduction engine checks each candidate from its parent's game (the
+warm check merges the regions of that game's rejections and never builds
+an edge set) and how the vertex-deletion condition plays each G - v.
+Every game this package plays is played or seeded in this module.
 
 The k = 2 case (rank2k(..., 2), circuits, M(2,2)-components, connectivity,
 ear decompositions) is the one the rigidity theory uses; k = 3 serves the
@@ -213,10 +215,8 @@ class PebbleGame:
         return len(self.accepted)
 
 
-def _play(
-    order, k: int, game: PebbleGame | None = None
-) -> tuple[PebbleGame, dict[Edge, frozenset[int]]]:
-    """Play one game over distinct normalised edges in the given order.
+def _play(order, game: PebbleGame) -> tuple[PebbleGame, dict[Edge, frozenset[int]]]:
+    """Insert distinct normalised edges into `game` in the given order.
 
     Returns the game, whose accepted edges are its basis B in order, and a
     dict that maps each rejected edge f, in order, to the vertex region R
@@ -228,13 +228,11 @@ def _play(
     inside the tight R: B[R] is the same set at the end, and C(f,B) is
     f + B[R] for the final B.
 
-    A seeded `game` (see PebbleGame.seed) is played on instead of a fresh
-    one, and `order` then holds none of its accepted edges: B is the seeds
-    followed by the edges it accepts.  The argument above holds unchanged,
-    since the seeds are in the basis before any edge is rejected.
+    `game` is fresh, or seeded (see PebbleGame.seed), and then `order`
+    holds none of its accepted edges: B is the seeds followed by the edges
+    it accepts.  The argument above holds unchanged, since the seeds are
+    in the basis before any edge is rejected.
     """
-    if game is None:
-        game = PebbleGame(1 + max((v for e in order for v in e), default=-1), k)
     regions = {}
     for e in order:
         if not game.insert(*e):
@@ -272,7 +270,7 @@ def _sorted_game(G: Graph, k: int = 2) -> tuple[PebbleGame, dict[Edge, frozenset
     """
     games = G._sorted_games
     if k not in games:
-        games[k] = _play(G.sorted_edges(), k, PebbleGame(G.n, k))
+        games[k] = _play(G.sorted_edges(), PebbleGame(G.n, k))
     return games[k]
 
 
@@ -393,13 +391,85 @@ def _rank_and_coloops(G: Graph, k: int) -> tuple[int, frozenset[Edge]]:
     return game.rank, frozenset(b for b in game.accepted if at[b[0]].isdisjoint(at[b[1]]))
 
 
+def _vertex_deletion_rigid(G: Graph) -> bool:
+    """Whether rank(G - v) = 2(n - 1) - 2 in the (2,2) matroid for every v:
+    the sufficient condition `vertex_deletion_rigid` of
+    `decide.sufficient_checks`.
+
+    B is the basis of G's sorted game (_sorted_game): the greedy basis of
+    the sorted order, which the M(2,2) check, the components and
+    the ears read too, so the game is played at most once per graph.  The
+    edges f outside B and the regions R_f of their circuits C(f,B) are the
+    items of its region map.  A (2,2)-sparse set on n vertices holds at
+    most 2n - 2 edges.  If
+    |B| < 2n - 2, G is not rigid, and then some G - v is not rigid either:
+    for n >= 3, were every G - v rigid, some v would have degree >= 2
+    (n = 3 has no rigid G - v at all, and for n >= 4 a rigid G - v has at
+    least 2n - 4 > n/2 edges, more than a graph of maximum degree 1 holds),
+    and adding v with two of its edges to a basis of G - v is a
+    0-extension, which keeps it independent, so rank(G) = 2n - 2.
+    Otherwise B - v, the edges of B not at v, is independent and lies in
+    G - v, whose rank is at most 2(n - 1) - 2 = 2n - 4.  Let D be the
+    d edges of B at v.  If d <= 2, |B - v| >= 2n - 4, so G - v is rigid
+    at once.  Otherwise G - v needs d - 2 more edges than B - D holds, and
+    only an f that avoids v with v in R_f can give one:
+    - If v is not in R_f, C(f,B) - f = B[R_f] has no edge at v, so it lies
+      in B - D and f is spanned by B - D.
+    - If v is in R_f, C(f,B) meets D: every vertex of a (2,2)-circuit has
+      degree >= 3 in it (deleting a vertex of degree <= 2 would leave
+      2|V| - 3 edges on |V| - 1 vertices, too many for the sparse proper
+      part), and f avoids v.  C(f,B) is the one circuit in B + f, so
+      B - D + f holds none and is independent.
+    So fewer than d - 2 such f leave G - v short of rank 2n - 4; at d = 3
+    one such f gives it; and otherwise a fresh game seeded with B - v in
+    the orientation the sorted game ended with (PebbleGame.seed, sound
+    because B - v is a subset of the independent set it is read from; the
+    sorted game itself is only read) plays on with those f until it holds
+    2n - 4 edges.  Every other edge of G - v is in B - v or spanned by it,
+    so its final basis is a basis of G - v.  G - v keeps G's labels, v
+    left without an edge, and no Graph is built.
+    """
+    n = G.n
+    game, regions = _sorted_game(G)
+    basis = game.accepted
+    if len(basis) < 2 * n - 2:
+        return False
+    deg = [0] * n
+    for u, v in basis:
+        deg[u] += 1
+        deg[v] += 1
+    helps: list[list[Edge]] = [[] for _ in range(n)]  # v -> the f avoiding v with v in R_f
+    for f, region in regions.items():
+        for x in region:
+            if x != f[0] and x != f[1]:
+                helps[x].append(f)
+    for v in range(n):
+        d = deg[v]
+        if d <= 2:
+            continue
+        if len(helps[v]) < d - 2:
+            return False
+        if d == 3:
+            continue
+        sub = PebbleGame(n, 2)
+        sub.seed(game, None, {e for e in basis if v not in e})
+        for f in helps[v]:
+            if sub.rank == 2 * n - 4:
+                break
+            sub.insert(*f)
+        if sub.rank < 2 * n - 4:
+            return False
+    return True
+
+
 def fundamental_circuit(base, e: Edge, k: int = 2) -> frozenset[Edge]:
     """The unique circuit inside base + e, given base independent.
 
     Raises if base is dependent or if base + e stays independent.
     """
     base, e = [_norm_edge(u, v) for u, v in base], _norm_edge(*e)
-    game, regions = _play(base + [e], k)
+    order = base + [e]
+    game, regions = _play(order, PebbleGame(1 + max(v for f in order for v in f), k))
     if game.accepted[:len(base)] != base:
         raise ValueError("base edge set is not independent")
     if e not in regions:
@@ -420,11 +490,12 @@ def m22_components(G: Graph) -> list[frozenset[Edge]]:
     (Krogdahl 1977; Oxley, Matroid Theory, section 4.3).  Their regions
     merge into the classes (_region_classes); each edge goes to the class
     whose union holds both its ends, and an edge in no class is a coloop,
-    a component of its own.
+    a component of its own.  The parts come ordered by their sorted edge
+    lists, which for disjoint parts is the order of their least edges.
     """
     if G.m < 1 or G.min_degree() == 0:
         raise ValueError("needs at least one edge and no isolated vertices")
-    return sorted(_edge_classes(G.n, G.edges, _sorted_game(G)[1].values()), key=sorted)
+    return sorted(_edge_classes(G.n, G.edges, _sorted_game(G)[1].values()), key=min)
 
 
 def _edge_classes(n: int, edges, regions) -> list[frozenset[Edge]]:
@@ -509,7 +580,7 @@ def is_m22_connected(
         game = PebbleGame(G.n, 2)
         if parent is not None:
             game.seed(parent, relabel, G.edges)
-        _, regions = _play(sorted(G.edges.difference(game.accepted)), 2, game)
+        _, regions = _play(sorted(G.edges.difference(game.accepted)), game)
         if game.rank != 2 * G.n - 2:
             return False
         classes = _region_classes(regions.values())

@@ -1093,11 +1093,7 @@ def automorphism_with_pins(G: Graph, pins: dict[int, int]):
     for v, w in pins.items():
         if c[v] != c[w]:
             return None
-    freq = {x: c.count(x) for x in set(c)}
-    order = list(pins) + sorted(
-        (v for v in range(G.n) if v not in pins),
-        key=lambda v: (freq[c[v]], -G.degree(v), v),
-    )
+    order = rarity_order(G, c, pins)
     mapping = {}
     used = set()
     for v, w in pins.items():
@@ -1110,6 +1106,31 @@ def automorphism_with_pins(G: Graph, pins: dict[int, int]):
             if u < v and G.has_edge(u, v) != G.has_edge(pins[u], pins[v]):
                 return None
     return _extend_automorphism(G, c, mapping, used, order)
+
+
+def rarity_order(G: Graph, colours, pins) -> list[int]:
+    """The library's earlier isomorphism search order: the pins, then the
+    other vertices by (colour frequency, -degree, label), rarest colour
+    first, whatever their edges."""
+    freq = {x: colours.count(x) for x in set(colours)}
+    return list(pins) + sorted(
+        (v for v in range(G.n) if v not in pins),
+        key=lambda v: (freq[colours[v]], -G.degree(v), v),
+    )
+
+
+def connected_order(G: Graph, colours, pins) -> list[int]:
+    """The isomorphism search order by its definition, in O(n^2): the
+    pins, then at each step the least unplaced vertex by (colour
+    frequency, -degree, label) among those with a placed neighbour, or
+    among all unplaced vertices when none has one."""
+    key = {v: (colours.count(colours[v]), -G.degree(v), v) for v in range(G.n)}
+    order = list(pins)
+    while len(order) < G.n:
+        rest = [v for v in range(G.n) if v not in order]
+        near = [v for v in rest if any(u in order for u in G.adj[v])]
+        order.append(min(near or rest, key=key.get))
+    return order
 
 
 def _extend_automorphism(G: Graph, c, mapping, used, order):

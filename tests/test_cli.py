@@ -431,6 +431,19 @@ class TestCertify:
             "numeric.redundant: true\nnumeric.matches_combinatorial: true\n"
         )
 
+    def test_refused_exact_recheck_keeps_the_float_answer(self, tmp_path):
+        # K5- at p = 41 on coordinates with six-digit denominators: the
+        # float rank disagrees, and the integer rows would pass
+        # EXACT_ENTRY_BITS, so the float answer is the one reported
+        ppath = tmp_path / "pl.txt"
+        ppath.write_text(
+            "0 0 1/1000003\n1 1 2/1000033\n2 2 -3/1000037\n3 3 5/1000039\n4 4 -7/1000081\n"
+        )
+        code, out, err = run(["certify", "-", "--p", "41", "--placement", str(ppath)], "D~w\n")
+        assert code == 0 and err == ""
+        assert "numeric.mode: float\nnumeric.rank: 4/8\n" in out
+        assert "numeric.matches_combinatorial: false\n" in out
+
     def test_odd_p_agreement_stays_float(self):
         code, out, _ = run(["certify", "-", "--p", "3"], "D~w\n")
         assert code == 0 and "numeric.mode: float\n" in out

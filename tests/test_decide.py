@@ -77,6 +77,16 @@ class TestMainDecision:
         r = is_globally_rigid_analytic(cat.two_k4_shared_vertex())
         assert r.reasons.get("cut_vertex") == "0"
 
+    def test_matroid_disconnected_reason(self):
+        # two K5s sharing vertex 4: rank 2n - 2 with no coloop, but the
+        # matroid has two components, so no edge is named
+        K5 = cat.complete_graph(5).edges
+        G = Graph.from_edges(9, [*K5, *((u + 4, v + 4) for u, v in K5)])
+        text = is_globally_rigid_analytic(G).to_text()
+        assert "reason.cut_vertex: 4\n" in text
+        assert "reason.matroid_disconnected: 2 components\n" in text
+        assert "edge_in_no_circuit" not in text
+
     def test_cut_vertex_reason_on_corpus(self):
         # past n = 4 a graph that is not 2-connected always has a cut
         # vertex: deleting it leaves a disconnected graph

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from planerigidity import catalog as cat
 from planerigidity.formats import (
+    MAX_VERTICES,
     FormatError,
     MoveScript,
     emit_edgelist,
@@ -51,6 +52,10 @@ class TestGraph6:
             parse_graph6("C\x01")
         with pytest.raises(FormatError, match="data bytes"):
             parse_graph6("I")  # claims n=10 with no body
+
+    def test_padding_bits_are_ignored(self):
+        # n = 2 holds one pair; the five padding bits of '~' are set
+        assert parse_graph6("A~") == cat.complete_graph(2)
 
     def test_trailing_data_bytes_rejected(self):
         with pytest.raises(FormatError, match="expected 1 data bytes for n=4, got 4"):
@@ -133,6 +138,12 @@ class TestPlacement:
         pl = parse_placement("0 1.5 -2.25\n1 0.0 3.0\n")
         assert pl.coords[0] == (1.5, -2.25)
 
+    def test_float_coordinates_emitted_as_floats(self):
+        # a vertex with a float coordinate is written with both as floats
+        pl = Placement(((0.5, -1.25), (Fraction(1, 4), 2.0), (Fraction(1, 3), Fraction(2))))
+        assert emit_placement(pl) == "0 0.5 -1.25\n1 0.25 2.0\n2 1/3 2\n"
+        assert parse_placement(emit_placement(pl)) == pl
+
     def test_requires_dense_vertices(self):
         with pytest.raises(FormatError):
             parse_placement("0 1 2\n2 3 4\n")
@@ -169,6 +180,59 @@ class TestMoveScript:
     def test_unknown_kind(self):
         with pytest.raises(FormatError, match="unknown move kind"):
             parse_move_script("base B1\nfrobnicate 1 2\n")
+
+    def test_blank_and_comment_lines_inside(self):
+        text = "# grown from K5-\n\nbase K5-\n  \n# a move\nedge-addition 0 4\n\n"
+        assert parse_move_script(text) == MoveScript("K5-", (Move("edge-addition", (0, 4)),))
+
+    def test_missing_header(self):
+        for text in ("", "\n# only a comment\n  \n"):
+            with pytest.raises(FormatError, match="^script: missing 'base' header$"):
+                parse_move_script(text)
+
+
+class TestLineRule:
+    """Every text format strips its lines, skips blank and '#' lines
+    anywhere, and names a line by its number in the whole text."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "edgelist: empty input"),
+        ("# c\n \n\n", "edgelist: empty input"),
+        ("\n# c\n\nx\n", "edgelist: line 4: expected vertex count"),
+        ("# c\n  -1  \n", f"edgelist: line 2: vertex count -1 is outside 0..{MAX_VERTICES}"),
+        ("3\n# c\n\n0 1 2\n", "edgelist: line 4: expected 'u v'"),
+        ("3\n\n0 x\n", "edgelist: line 3: non-integer endpoint"),
+        ("#\n3\n#\n0 0\n", "edgelist: line 4: bad edge (0,0)"),
+        ("3\n0 1\n# c\n 1 0 \n", "edgelist: line 4: edge (1,0) listed twice"),
+    ])
+    def test_edgelist_errors(self, text, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_edgelist(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("# c\n0 1\n", "placement: line 2: expected 'v x y'"),
+        ("\n\nx 1 2\n", "placement: line 3: bad vertex 'x'"),
+        ("0 0 0\n#\n1 1/0 2\n", "placement: line 3: bad rational '1/0'"),
+        ("\n0 nan 1\n", "placement: line 2: bad coordinate 'nan'"),
+        ("\n\n\n0 1e999 1\n", "placement: line 4: non-finite coordinate '1e999'"),
+        ("# c\n\n", "placement: vertices must be exactly 0..n-1"),
+    ])
+    def test_placement_errors(self, text, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_placement(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("\n  \nbase\n", "script: line 3: expected 'base K5-|B1'"),
+        ("# c\nbase K9\n", "script: line 2: unknown base 'K9'"),
+        ("# c\n\nbase K5-\n\nedge-addition 0 x\n", "script: line 5: non-integer parameter"),
+    ])
+    def test_script_errors(self, text, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_move_script(text)
+
+    def test_script_move_errors_name_the_line(self):
+        with pytest.raises(FormatError, match="^script: line 4: "):
+            parse_move_script("base B1\n\n# c\n1-extension 0 1\n")
 
 
 # forms that int() and float() take but the text formats refuse: a '+', a '_'

@@ -978,6 +978,22 @@ class TestCongruence:
         swapped = Placement(tuple((y, x) for x, y in pl.coords))
         assert is_congruent(pl, swapped, L4)
 
+    def test_float_placements_compare_within_tol(self):
+        # float coordinates (in the hundreds here): congruence compares each
+        # coordinate within tol = 1e-9 under each signed coordinate
+        # permutation, and equivalence the edge lengths within 1e-12
+        # relative; a vertex moved by 1e-10 passes both, by 1e-6 neither
+        G = cat.bowtie()
+        pl = Placement(tuple(
+            (float(x), float(y)) for x, y in random_regular_placement(G, L4, 3).coords
+        ))
+        turned = Placement(tuple((2.5 - y, x - 1.0) for x, y in pl.coords))
+        for shift, same in ((0.0, True), (1e-10, True), (1e-6, False)):
+            (x, y), rest = turned.coords[1], turned.coords[2:]
+            moved = Placement((turned.coords[0], (x + shift, y)) + rest)
+            assert is_congruent(pl, moved, L4) == same
+            assert equivalent_exactly(G, pl, moved, L4) == same
+
     def test_euclidean_rotation(self):
         pl = Placement(((0.0, 0.0), (1.0, 0.0), (0.0, 2.0)))
         c, s = math.cos(0.7), math.sin(0.7)

@@ -34,6 +34,7 @@ from oracles import (
     all_labeled_graphs,
     automorphism_with_pins,
     components_search,
+    connected_order,
     edge_connectivity_dominating_flows,
     edge_connectivity_unpruned,
     edge_connectivity_upto3_bfs,
@@ -47,6 +48,7 @@ from oracles import (
     is_k_connected_cut_scan,
     min_st_edge_cut_residual,
     no_separation_pair_dfs1,
+    rarity_order,
 )
 
 
@@ -908,6 +910,32 @@ class TestIsomorphism:
             assert all(R.has_edge(f[u], f[v]) for u, v in G.edges)
 
 
+    def test_a_shuffled_cycle_against_the_cycle(self):
+        # the relabelled copy first: its search order follows its edges, so
+        # each vertex after the first has a mapped neighbour, where the
+        # order by key alone backtracked exponentially (15 s at n = 22 with
+        # this shuffle)
+        for n in (24, 1200):
+            C = cat.cycle_graph(n)
+            R = relabelled(C, random.Random(12))
+            start = time.perf_counter()
+            f = find_isomorphism(R, C)
+            assert time.perf_counter() - start < 2
+            assert f is not None and sorted(f.values()) == list(range(n))
+            assert all(C.has_edge(f[u], f[v]) for u, v in R.edges)
+
+    def test_base_searches_keep_the_old_mappings(self):
+        # `reduce` reads a mapping only at K5- or B1: against every
+        # relabelling of either, both ways, the connected order finds the
+        # mapping the order by key alone found
+        for base in (cat.k5_minus(), cat.b1()):
+            for perm in itertools.permutations(range(base.n)):
+                R = Graph.from_edges(base.n, [(perm[u], perm[v]) for u, v in base.edges])
+                for A, B in ((R, base), (base, R)):
+                    cg, ch = A._colouring[0], B._colouring[0]
+                    old = graphs._extend_isomorphism(A, B, cg, ch, {}, rarity_order(A, cg, {}))
+                    assert old is not None and find_isomorphism(A, B) == old
+
     def test_neighbour_candidates_match_the_recursion_at_scale(self):
         # past the small corpus: reduction walks against relabelled copies,
         # both ways, and a cycle and a wheel matched in their own label
@@ -978,20 +1006,58 @@ class TestTransitivity:
                 find_isomorphism(G, H)
         assert sorted(map(id, calls)) == sorted(map(id, pool))
 
-    def test_pinned_search_matches_the_old_automorphism_search(self):
-        # pins of the shapes the transitivity tests use: one vertex onto any
-        # vertex, and an edge onto either orientation of an edge; on six
-        # vertices every edge pair is pinned, on the corpus the first edge
-        # onto every edge, as is_edge_transitive pins them
+    @staticmethod
+    def pinned_searches():
+        """(G, pins) of the shapes the transitivity tests use: one vertex
+        onto any vertex, and an edge onto either orientation of an edge; on
+        six vertices every edge pair is pinned, on the corpus the first
+        edge onto every edge, as is_edge_transitive pins them."""
         small = graphs_up_to_iso(6)
-        checked = 0
         for G in small + decision_corpus(100, seed=61):
             pins = [{}] + [{u: v} for u in range(G.n) for v in range(G.n)]
             edges = G.sorted_edges()
             sources = edges if G in small else edges[:1]
             pins += [{a: x, b: y} for a, b in sources for e in edges for x, y in (e, e[::-1])]
             for pin in pins:
-                found = _isomorphism(G, G, pin)
-                assert found == automorphism_with_pins(G, pin)
-                checked += found is not None
+                yield G, pin
+
+    def test_pinned_search_matches_the_old_automorphism_search(self):
+        # in the old search's own order, the search gives its automorphism
+        checked = 0
+        for G, pin in self.pinned_searches():
+            cg = G._colouring[0]
+            found = graphs._extend_isomorphism(G, G, cg, cg, pin, rarity_order(G, cg, pin))
+            assert found == automorphism_with_pins(G, pin)
+            checked += found is not None
         assert checked > 1000
+
+    def test_connected_pinned_search_agrees_with_the_old_search(self, monkeypatch):
+        # in the connected order, the search finds a map exactly when the
+        # old one does, and each map is an automorphism extending its pins
+        # (on a few pins a different one); the order is that of its
+        # definition, and each vertex after the pins has a placed neighbour
+        # unless no unplaced vertex has one
+        orders = []
+        real = graphs._extend_isomorphism
+        monkeypatch.setattr(graphs, "_extend_isomorphism", lambda *a: orders.append(a[5]) or real(*a))
+        checked = searched = 0
+        for G, pin in self.pinned_searches():
+            orders.clear()
+            found = _isomorphism(G, G, pin)
+            assert (found is None) == (automorphism_with_pins(G, pin) is None)
+            if found is not None:
+                checked += 1
+                assert sorted(found.values()) == list(range(G.n))
+                assert all(found[v] == w for v, w in pin.items())
+                assert all(G.has_edge(found[u], found[v]) for u, v in G.edges)
+            if not orders:  # refused before the search
+                continue
+            searched += 1
+            (order,) = orders
+            assert order == connected_order(G, G._colouring[0], pin)
+            placed = set(pin)
+            for v in order[len(pin):]:
+                if placed.isdisjoint(G.adj[v]):
+                    assert all(placed.isdisjoint(G.adj[w]) for w in range(G.n) if w not in placed)
+                placed.add(v)
+        assert checked > 1000 and searched > checked

@@ -339,7 +339,7 @@ class TestWarmCheck:
         # circuit read as an edge set at the rejection, by a twin game
         twin = PebbleGame(n_child, k)
         twin.seed(parent, relabel, frozenset(edges))
-        game, regions = sparsity._play(sorted(edges.difference(seeds)), k, game)
+        game, regions = sparsity._play(sorted(edges.difference(seeds)), game)
         basis = game.accepted
         assert basis[:len(seeds)] == seeds
         assert is_sparse_brute(basis, k)
@@ -371,7 +371,7 @@ class TestWarmCheck:
         for G in graphs:
             edges = G.sorted_edges()
             order = rng.sample(edges, len(edges))
-            _, regions = sparsity._play(order, 2)
+            _, regions = sparsity._play(order, PebbleGame(G.n, 2))
             classes = sorted(sparsity._edge_classes(G.n, edges, regions.values()), key=sorted)
             assert classes == components_multipass(G)
             split += bool(regions) and len(classes) > 1
@@ -524,6 +524,21 @@ class TestM22Connected:
             assert is_m22_connected(G)
             assert rank2k(G.edges, 2) == 2 * G.n - 2
             assert G.min_degree() >= 3
+
+    def test_the_warm_check_stops_at_the_rank(self, monkeypatch):
+        # two K5s joined by the edge 0-5 pass the degree and edge-count
+        # filters but have rank 17 < 2n - 2 = 18: the unseeded warm check
+        # answers at the rank, before it merges a region, as the cold
+        # check does
+        k5 = cat.complete_graph(5).edges
+        H = Graph.from_edges(10, [*k5, *((u + 5, v + 5) for u, v in k5), (0, 5)])
+        assert (H.n, H.m, H.min_degree(), rank2k(H, 2)) == (10, 21, 4, 17)
+        merged = []
+        real = sparsity._region_classes
+        monkeypatch.setattr(sparsity, "_region_classes", lambda r: merged.append(1) or real(r))
+        assert not is_m22_connected(Graph(H.n, H.edges), seed=(None, None))
+        assert merged == []
+        assert not is_m22_connected(Graph(H.n, H.edges))
 
     def test_a_cold_check_plays_the_sorted_game_once(self, monkeypatch):
         # the rank and the components are read off one game, which inserts
@@ -876,7 +891,7 @@ class TestRegionsAgainstEdgeCircuits:
         n = data.draw(st.integers(4, 7))
         pairs = list(itertools.combinations(range(n), 2))
         order = data.draw(st.permutations(pairs))[:data.draw(st.integers(2 * n - k, len(pairs)))]
-        game, regions = sparsity._play(order, k)
+        game, regions = sparsity._play(order, PebbleGame(n, k))
         basis = game.accepted
         tight = _tight_sets(n, basis, k)
         assert set(regions.values()) <= set(tight)
