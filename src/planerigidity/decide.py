@@ -138,6 +138,15 @@ def is_globally_rigid_analytic(G: Graph) -> RigidityReport:
     witness for failure (cut vertex / an edge in no circuit).  Every stage
     reads G's one lowpoint DFS (Graph._lowpoint_dfs) and its one sorted
     (2,2) game (sparsity._sorted_game), each computed once per graph.
+
+    The sufficient conditions run only on a positive verdict.  Sound,
+    because each condition that `sufficient_checks` fires implies global
+    rigidity in every analytic normed plane, which at n >= 5 is the
+    verdict: on a negative one none of them can fire, and the list stays
+    empty, as evaluating them would leave it.  Their one notice, that the
+    transitivity test was skipped, does not depend on the verdict, so
+    both paths read it from _transitivity_notices.  A negative verdict so
+    costs no O(n*m) condition.
     """
     if G.n < 2:
         raise ValueError("decision defined for graphs on at least 2 vertices")
@@ -171,8 +180,11 @@ def is_globally_rigid_analytic(G: Graph) -> RigidityReport:
                 report.reasons["edge_in_no_circuit"] = f"{e[0]}-{e[1]}"
             else:
                 report.reasons["matroid_disconnected"] = f"{len(comps)} components"
-    report.sufficient_conditions_hit, notes = sufficient_checks(G)
-    report.notices.extend(notes)
+    if report.globally_rigid_analytic:
+        report.sufficient_conditions_hit, notes = sufficient_checks(G)
+        report.notices.extend(notes)
+    else:
+        report.notices.extend(_transitivity_notices(G, G.min_degree()))
     report.euclidean_verdict = is_globally_rigid_euclidean(G)
     return report
 
@@ -230,9 +242,8 @@ def sufficient_checks(G: Graph) -> tuple[list[str], list[str]]:
     notice rather than guessed.
     """
     fired: list[str] = []
-    notes: list[str] = []
     if G.n < 3 or G.m == 0:
-        return fired, notes
+        return fired, []
     degs = [G.degree(v) for v in range(G.n)]
     delta, Delta = min(degs), max(degs)
     two_conn = is_k_connected(G, 2)
@@ -246,14 +257,9 @@ def sufficient_checks(G: Graph) -> tuple[list[str], list[str]]:
     # needs m - Delta >= 2n - 4; without it some G - v fails
     if G.m - Delta >= 2 * G.n - 4 and _vertex_deletion_rigid(G):
         fired.append("vertex_deletion_rigid")
-    if delta >= 4 and G.is_connected():
-        if G.n <= TRANSITIVITY_CAP:
-            if is_vertex_transitive(G) or is_edge_transitive(G):
-                fired.append("vertex_or_edge_transitive")
-        else:
-            notes.append(
-                f"transitivity check skipped (n > {TRANSITIVITY_CAP})"
-            )
+    if delta >= 4 and G.n <= TRANSITIVITY_CAP and G.is_connected():
+        if is_vertex_transitive(G) or is_edge_transitive(G):
+            fired.append("vertex_or_edge_transitive")
     # graph-or-complement window landing on G (lam >= 4 gives delta >= 4)
     if Delta <= G.n - 5 and two_conn and lam >= 4:
         fired.append("complement_window")
@@ -262,7 +268,16 @@ def sufficient_checks(G: Graph) -> tuple[list[str], list[str]]:
         mu = _algebraic_connectivity(G)
         if mu > 4.0 / (delta + 1) + 1e-9:
             fired.append("spectral_gap")
-    return fired, notes
+    return fired, _transitivity_notices(G, delta)
+
+
+def _transitivity_notices(G: Graph, delta: int) -> list[str]:
+    """The notice that the transitivity test was skipped: it would run, G
+    being connected with least degree delta >= 4, but n is past
+    TRANSITIVITY_CAP."""
+    if delta >= 4 and G.n > TRANSITIVITY_CAP and G.is_connected():
+        return [f"transitivity check skipped (n > {TRANSITIVITY_CAP})"]
+    return []
 
 
 def _algebraic_connectivity(G: Graph) -> float:

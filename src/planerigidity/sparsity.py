@@ -93,6 +93,16 @@ class PebbleGame:
           circuit is f + B[R] as an edge set, and a game seeded from this
           one (seed) takes the basis edges it keeps, in whatever
           orientation they have.
+
+        The accepted edge leaves v if v holds a free pebble, and u
+        otherwise.  Either end may pay: u and v hold at least k + 1 >= 1
+        pebbles together, so the one charged holds one, and the edge
+        becomes its out-edge, which keeps pebbles + outdeg == 2 at both
+        ends.  Which end pays is a choice of orientation only, so by the
+        last point above it changes no answer, region or output.  It is
+        the later end on purpose: every game inserts normalised edges in
+        sorted order, so u's next edges (u, x) come right after this one,
+        and a pebble left on u is one their inserts need not pull back.
         """
         if u == v:
             raise ValueError("loops are not allowed")
@@ -138,7 +148,7 @@ class PebbleGame:
                     pv += 1
             self._stamp = stamp
             pebbles[u], pebbles[v] = pu, pv
-        tail, head = (u, v) if pebbles[u] > 0 else (v, u)
+        tail, head = (v, u) if pebbles[v] > 0 else (u, v)
         pebbles[tail] -= 1
         self.out[tail].append(head)
         self.accepted.append(_norm_edge(u, v))

@@ -47,7 +47,10 @@ past the brute-force caps.  The edge-set circuit routines keep each
 fundamental circuit as its set of edges and merge circuits that meet,
 where the library keeps each circuit's vertex region and merges regions
 that share two vertices; they are the oracles of its warm M(2,2) check,
-components, coloops and circuit test.
+components, coloops and circuit test.  Its report is the library's
+earlier single-pass decision, which evaluated every sufficient condition
+whatever the verdict (the library evaluates them only on a positive
+verdict).
 """
 
 import itertools
@@ -58,13 +61,20 @@ from functools import lru_cache
 import numpy as np
 
 from planerigidity import geometry
+from planerigidity.decide import (
+    RigidityReport, _ears_text, is_globally_rigid_euclidean, sufficient_checks,
+)
 from planerigidity.geometry import RigidityOperator, _bareiss_rank, rank_of, support_functional
 from planerigidity.graphs import (
     Edge, Graph, Separation, _bipartitions, _is_k4_part, _lowpoint_dfs, _norm_edge, _part,
-    _min_st_edge_cut, _wl_colors, enumerate_separations, find_isomorphism, is_k_connected,
+    _min_st_edge_cut, _wl_colors, enumerate_separations, find_isomorphism, first_cut_vertex,
+    is_k_connected,
 )
 from planerigidity.moves import Move, MoveError, ReductionTrace, base_graph
-from planerigidity.sparsity import EarDecomposition, PebbleGame, _circuit
+from planerigidity.sparsity import (
+    EarDecomposition, PebbleGame, _circuit, ear_decomposition, is_m22_connected,
+    m22_components,
+)
 
 
 def vertices_of(edges):
@@ -1506,3 +1516,48 @@ def edge_cuts_triple_scan(G: Graph) -> list[Separation]:
                 Separation("edge-cut-3", (_part(G, v1), _part(G, v2)), cut, nontriv)
             )
     return out
+
+
+# ---------------------------------------------------------------------------
+# the single-pass decision
+
+
+def report_single_pass(G: Graph) -> RigidityReport:
+    """The library's earlier `decide.is_globally_rigid_analytic`, which
+    evaluated every sufficient condition whatever the verdict."""
+    if G.n < 2:
+        raise ValueError("decision defined for graphs on at least 2 vertices")
+    report = RigidityReport(
+        globally_rigid_analytic=False,
+        two_connected=is_k_connected(G, 2),
+        m22_connected=False,
+    )
+    if G.n < 5:
+        report.reasons["small_graph"] = (
+            "fewer than 5 vertices; the smallest M(2,2)-connected graph is K5-"
+        )
+        report.euclidean_verdict = is_globally_rigid_euclidean(G)
+        return report
+    report.m22_connected = is_m22_connected(G)
+    report.globally_rigid_analytic = report.two_connected and report.m22_connected
+    if not report.two_connected:
+        # not None at n >= 5: a cut vertex if G is connected, else 0 or a vertex with a neighbour
+        report.reasons["cut_vertex"] = str(first_cut_vertex(G))
+    if report.m22_connected:
+        report.ear_certificate = ear_decomposition(G)  # not None: see there
+        report.reasons["ear_decomposition"] = _ears_text(report.ear_certificate)
+    else:
+        if G.min_degree() == 0 or G.m < 2:
+            report.reasons["degenerate"] = "isolated vertex or fewer than 2 edges"
+        else:
+            comps = m22_components(G)
+            singleton = next((c for c in comps if len(c) == 1), None)
+            if singleton is not None:
+                (e,) = singleton
+                report.reasons["edge_in_no_circuit"] = f"{e[0]}-{e[1]}"
+            else:
+                report.reasons["matroid_disconnected"] = f"{len(comps)} components"
+    report.sufficient_conditions_hit, notes = sufficient_checks(G)
+    report.notices.extend(notes)
+    report.euclidean_verdict = is_globally_rigid_euclidean(G)
+    return report

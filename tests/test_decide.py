@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planerigidity import catalog as cat
-from planerigidity import geometry, graphs
+from planerigidity import decide, geometry, graphs
 from planerigidity.decide import (
     _vertex_deletion_rigid,
     certify,
@@ -32,7 +32,7 @@ from planerigidity.sparsity import (
     take_m22_game,
 )
 
-from corpus import decision_corpus, experiment_graphs, named_graphs
+from corpus import benchmark_graphs, decision_corpus, experiment_graphs, named_graphs
 from oracles import (
     coloops_leave_one_out,
     components_multipass,
@@ -40,9 +40,11 @@ from oracles import (
     ear_decomposition_games,
     euclidean_by_stopped_game,
     first_cut_vertex_scan,
+    graphs_up_to_iso,
     is_circuit22_leave_one_out,
     is_k_connected_cut_scan,
     rank_and_coloops,
+    report_single_pass,
     vertex_deletion_rigid_games,
 )
 
@@ -112,6 +114,73 @@ class TestMainDecision:
             assert r.globally_rigid_analytic == (
                 r.two_connected and r.m22_connected
             )
+
+
+def _antiprisms_sharing_a_vertex(k: int) -> Graph:
+    """Two k-vertex antiprisms (edges i-(i+1) and i-(i+2) mod k) sharing
+    vertex k - 1: n = 2k - 1, least degree 4, one cut vertex."""
+    ring = [(i, (i + d) % k) for i in range(k) for d in (1, 2)]
+    return Graph.from_edges(2 * k - 1, ring + [(u + k - 1, v + k - 1) for u, v in ring])
+
+
+class TestSufficientOnlyOnAPositiveVerdict:
+    """The sufficient conditions run only on a positive verdict; the
+    earlier report, which ran them on every graph, is the oracle
+    `report_single_pass`."""
+
+    def test_reports_equal_the_single_pass_report(self, monkeypatch):
+        corpora = {
+            "decision_corpus(300, seed=5)": decision_corpus(300, seed=5),
+            "decision_corpus(500, seed=31)": decision_corpus(500, seed=31),
+            "graphs up to six vertices": [G for n in (5, 6) for G in graphs_up_to_iso(n)],
+            "check-m22 inputs": list(benchmark_graphs("check-m22").values()),
+            "certify-lp inputs": list(benchmark_graphs("certify-lp").values()),
+            "experiment-gnp samples": experiment_graphs(),
+        }
+        assert len(corpora["experiment-gnp samples"]) == 200
+        calls = []
+        real = sufficient_checks
+        monkeypatch.setattr(
+            decide, "sufficient_checks", lambda G: calls.append(G) or real(G)
+        )
+        for name, members in corpora.items():
+            verdicts = []
+            for G in members:
+                if G.n < 2:
+                    continue
+                calls.clear()
+                got = is_globally_rigid_analytic(Graph(G.n, G.edges))
+                assert got == report_single_pass(Graph(G.n, G.edges)), (name, sorted(G.edges))
+                # the oracle calls the condition itself, not the patched name
+                assert len(calls) == (1 if got.globally_rigid_analytic else 0), name
+                verdicts.append(got.globally_rigid_analytic)
+            assert True in verdicts and False in verdicts, name
+
+    def test_a_negative_verdict_keeps_the_transitivity_notice(self):
+        # connected, least degree 4 and n > TRANSITIVITY_CAP, so the notice
+        # is due, and a cut vertex makes the verdict negative
+        for k in (7, 8, 20):
+            G = _antiprisms_sharing_a_vertex(k)
+            got = is_globally_rigid_analytic(G)
+            assert got == report_single_pass(Graph(G.n, G.edges)), k
+            assert not got.globally_rigid_analytic
+            assert got.sufficient_conditions_hit == []
+            assert got.notices == [
+                f"transitivity check skipped (n > {decide.TRANSITIVITY_CAP})"
+            ]
+
+    def test_the_notice_rule_against_its_cases(self):
+        # below the cap, least degree 3, or disconnected: no notice
+        K7 = cat.complete_graph(7)
+        two_k7s = Graph.from_edges(14, list(K7.edges) + [(u + 7, v + 7) for u, v in K7.edges])
+        for G, want in (
+            (_antiprisms_sharing_a_vertex(6), []),  # n = 11
+            (two_k7s, []),
+            (cat.wheel_graph(14), []),
+            (cat.complete_bipartite(7, 7), ["transitivity check skipped (n > 12)"]),
+        ):
+            assert is_globally_rigid_analytic(G).notices == want
+            assert report_single_pass(Graph(G.n, G.edges)).notices == want
 
 
 class TestTripleEquivalence:

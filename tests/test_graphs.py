@@ -528,7 +528,11 @@ class TestOneSpanningSearch:
         # when `_no_separation_pair` lists the arcs of its vertex: a second
         # spanning search would read every set again.  The graphs have
         # least degree 3, so no flow and no transitivity search runs, and
-        # the path search runs on each (to its end on the 3-connected ones)
+        # the path search runs on each (to its end on the 3-connected ones).
+        # The edge-connectivity cut labels serve the sufficient conditions,
+        # which run only on a positive verdict: the two wheels and K5- run
+        # them once, from the tree kept on G, and the three cubic graphs,
+        # negative, not at all
         from planerigidity.decide import is_globally_rigid_analytic
 
         calls = {"dfs": 0, "pairs": 0, "labels": 0}
@@ -556,14 +560,16 @@ class TestOneSpanningSearch:
         monkeypatch.setattr(graphs, "_no_separation_pair", counted("pairs"))
         monkeypatch.setattr(graphs, "_edge_connectivity_upto3", counted("labels"))
         cases = [
-            (_prism(8), True), (_two_wheels(9), False),
-            (random_regular_graph(20, 3, 4), True), (random_regular_graph(14, 3, 8), True),
+            (_prism(8), True, False), (_two_wheels(9), False, True),
+            (random_regular_graph(20, 3, 4), True, False),
+            (random_regular_graph(14, 3, 8), True, False),
+            (cat.k5_minus(), True, True),
         ]
-        for G, three_connected in cases:
+        for G, three_connected, positive in cases:
             G = Graph(G.n, G.edges)  # fresh: no DFS kept on it
             calls.update(dfs=0, pairs=0, labels=0)
-            is_globally_rigid_analytic(G)
-            assert calls == {"dfs": 1, "pairs": 1, "labels": 1}
+            assert is_globally_rigid_analytic(G).globally_rigid_analytic == positive
+            assert calls == {"dfs": 1, "pairs": 1, "labels": int(positive)}
             assert [s.reads for s in G.adj] == [1] * G.n
             # the k = 3 answer is read from the tree kept on G
             assert is_k_connected(G, 3) == three_connected

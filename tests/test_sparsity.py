@@ -225,6 +225,54 @@ class TestSearchAgainstTheDictSearch:
         assert rejected > 1000
 
 
+class _UFirstGame(PebbleGame):
+    """The game with the earlier tail rule: an accepted edge leaves u
+    whenever u holds a free pebble.  The edge just accepted is v -> u only
+    if it left v, so turning it back charges u, as that rule did."""
+
+    def insert(self, u, v):
+        accepted = super().insert(u, v)
+        if accepted and self.out[v] and self.out[v][-1] == u and self.pebbles[u]:
+            self.out[v].pop()
+            self.pebbles[v] += 1
+            self.out[u].append(v)
+            self.pebbles[u] -= 1
+        return accepted
+
+
+class TestTailRule:
+    """An accepted edge leaves its later end v if v holds a free pebble."""
+
+    def test_a_fresh_edge_leaves_v(self):
+        game = PebbleGame(2, 2)
+        assert game.insert(0, 1)
+        assert game.out[1] == [0] and game.out[0] == []
+        assert game.pebbles == [2, 1]
+
+    def test_u_pays_when_v_holds_no_pebble(self):
+        # at k = 0 one pebble suffices, so no search runs: vertex 3 spends
+        # both of its pebbles on (0, 3) and (1, 3), and (2, 3) leaves 2
+        game = PebbleGame(4, 0)
+        for e in ((0, 3), (1, 3), (2, 3)):
+            assert game.insert(*e)
+        assert game.out == [[], [], [3], [0, 1]]
+        assert game.pebbles == [2, 2, 1, 0]
+
+    def test_no_more_searches_than_charging_u(self):
+        # the sorted games of the check-m22 inputs: the same basis and
+        # regions as the earlier rule, and no game makes more searches (a
+        # search is one stamp); in all they make fewer
+        ours = theirs = 0
+        for name, G in benchmark_graphs("check-m22").items():
+            for k in (2, 3):
+                game, regions = sparsity._play(G.sorted_edges(), PebbleGame(G.n, k))
+                old, old_regions = sparsity._play(G.sorted_edges(), _UFirstGame(G.n, k))
+                assert (game.accepted, regions) == (old.accepted, old_regions), (name, k)
+                assert game._stamp <= old._stamp, (name, k)
+                ours, theirs = ours + game._stamp, theirs + old._stamp
+        assert ours < theirs
+
+
 class TestCircuitRecord:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
