@@ -82,6 +82,13 @@ class Graph(FrozenRecord):
         return {}
 
     @cached_property
+    def _m22_parts(self) -> list:
+        """The components of the (2,2) matroid on the edges, sorted, once
+        `sparsity.m22_components` has built them, else []; read only, as
+        that function hands out copies of the list."""
+        return []
+
+    @cached_property
     def _m22_game(self) -> list:
         """[the game that found this graph M(2,2)-connected], or [] if none
         did or the game was taken: filled by `sparsity.is_m22_connected`,
@@ -895,13 +902,30 @@ def is_isomorphic(G: Graph, H: Graph) -> bool:
 
 
 def is_vertex_transitive(G: Graph) -> bool:
+    """Whether the automorphisms of G map vertex 0 to every vertex.
+
+    An automorphism keeps degrees, so a graph that is not regular is not
+    vertex-transitive, and it is refuted before any colouring or search.
+    """
+    if len(set(map(len, G.adj))) > 1:
+        return False
     return all(_isomorphism(G, G, {0: v}) is not None for v in range(1, G.n))
 
 
 def is_edge_transitive(G: Graph) -> bool:
+    """Whether the automorphisms of G map the least edge to every edge, in
+    one orientation or the other.
+
+    An automorphism keeps degrees, so it maps an edge to one with the same
+    sorted pair of end degrees; a graph whose edges have two such pairs is
+    not edge-transitive, and it is refuted before any colouring or search.
+    """
     edges = G.sorted_edges()
     if not edges:
         return True
+    deg = list(map(len, G.adj))
+    if len({(deg[u], deg[v]) if deg[u] <= deg[v] else (deg[v], deg[u]) for u, v in edges}) > 1:
+        return False
     a, b = edges[0]
     for e in edges[1:]:
         if _isomorphism(G, G, {a: e[0], b: e[1]}) is None and \

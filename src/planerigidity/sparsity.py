@@ -7,9 +7,9 @@ gathered on its endpoints by reversing directed paths.
 Every matroid question is answered from a single game: the basis B it
 accepts and, for each rejected edge f, the vertex region R of its
 fundamental circuit: the vertices that the two searches which rejected f
-visited.  R is tight and C(f,B) = f + B[R] (see
-PebbleGame.fundamental_circuit_of_rejected), so circuits are kept as
-these regions and expanded to edge sets only where the ears print them.
+visited.  R is tight and C(f,B) = f + B[R] (see _play), so circuits
+are kept as these regions and expanded to edge sets only where the ears
+print them.
 Two fundamental circuits share an edge iff their regions share two
 vertices (_region_classes), so the components are the classes of
 regions merged by that test (the single-basis component rule), the
@@ -66,7 +66,8 @@ class PebbleGame:
 
     def insert(self, u: int, v: int) -> bool:
         """Try to accept edge uv; return whether it stays independent.  A
-        rejection is recorded for fundamental_circuit_of_rejected.
+        rejection is recorded in `rejected` as (uv, seen_u, seen_v), the
+        vertices that its two failed searches reached (see _play).
 
         While u and v hold fewer than k + 1 pebbles, a breadth-first search
         from a root, u until its search fails and then v, pulls one pebble
@@ -82,7 +83,7 @@ class PebbleGame:
           graphs", 2008), so no search order changes them.
         - A failed search moves nothing and visits every vertex reachable
           from its root, in whatever order, so the two failed searches of a
-          rejection visit R = V(C(f,B)) (see fundamental_circuit_of_rejected).
+          rejection visit R = V(C(f,B)) (see _play).
         - A root whose search failed is not searched again in the same
           insert: its reach R_u is closed (no out-edge leaves it) and holds
           no free pebble off u and v.  A later pull to v ends at a free
@@ -167,10 +168,10 @@ class PebbleGame:
         image keeps its orientation, so outdeg(v) here is at most outdeg of
         v's preimage in parent, at most 2, and pebbles = 2 - outdeg keeps
         the invariant with no negative count.  The accept and reject proofs
-        of insert() and fundamental_circuit_of_rejected() use only that
-        invariant and the independence of the accepted set, so the game
-        played on from here is as sound as one played from empty (Lee and
-        Streinu, "Pebble game algorithms and sparse graphs", 2008).
+        of insert() and _play() use only that invariant and the
+        independence of the accepted set, so the game played on from here
+        is as sound as one played from empty (Lee and Streinu, "Pebble game
+        algorithms and sparse graphs", 2008).
         """
         pebbles, out, accepted = self.pebbles, self.out, self.accepted
         self.rejected = None
@@ -198,28 +199,6 @@ class PebbleGame:
                     pebbles[fx] -= 1
                     accepted.append(e)
 
-    def fundamental_circuit_of_rejected(self, u: int, v: int) -> frozenset[Edge]:
-        """Circuit created by the edge uv that the last insert() rejected.
-
-        A failed search moves no pebble and stops early only at a free
-        one, so each of the two searches that rejected uv visited every
-        vertex reachable from its root.  The search from u may have failed
-        before the last pulls to v, which left its reach as it was (see
-        insert), so their union is the region R reachable from u and v in
-        the final state.  u and v hold k pebbles and no other
-        pebble is reachable from them, so R has no out-edge leaving it: its
-        accepted edges are the out-edges of its vertices, 2|R| - k of them,
-        and R is tight.  A tight T that contains u and v holds those k
-        pebbles, so no out-edge leaves it either, and R is a subset of T.
-        So R is the minimal tight set spanning uv, which is V(C), and C is
-        uv plus the out-edges of R.  Later inserts can enlarge R, so each
-        replaces the record, and a read of any other edge raises ValueError.
-        """
-        uv, seen_u, seen_v = self.rejected or (None, (), ())
-        if uv != _norm_edge(u, v):
-            raise ValueError(f"({u},{v}) is not the edge the last insert rejected")
-        return _circuit(self, uv, set(seen_u).union(seen_v))
-
     @property
     def rank(self) -> int:
         return len(self.accepted)
@@ -231,9 +210,24 @@ def _play(order, game: PebbleGame) -> tuple[PebbleGame, dict[Edge, frozenset[int
     Returns the game, whose accepted edges are its basis B in order, and a
     dict that maps each rejected edge f, in order, to the vertex region R
     of its fundamental circuit C(f,B): the vertices the two searches that
-    rejected f visited.  When f is rejected, R is the minimal tight set
-    spanning f, and the circuit inside the basis so far plus f is f plus
-    the accepted edges inside R (see fundamental_circuit_of_rejected).
+    rejected f visited.
+
+    When f = uv is rejected, R is the minimal tight set spanning f, and
+    the circuit C inside the basis so far plus f is f plus the accepted
+    edges inside R.  A failed search moves no pebble and stops early only
+    at a free one, so each of the two searches that rejected f visited
+    every vertex reachable from its root.  The search from u may have
+    failed before the last pulls to v, which left its reach as it was (see
+    PebbleGame.insert), so their union is the region R reachable from u
+    and v in the state at the rejection.  u and v hold k pebbles and no
+    other pebble is reachable from them, so R has no out-edge leaving it:
+    its accepted edges are the out-edges of its vertices, 2|R| - k of
+    them, and R is tight.  A tight T that contains u and v holds those k
+    pebbles, so no out-edge leaves it either, and R is a subset of T.  So
+    R is the minimal tight set spanning f, which is V(C), and C is f plus
+    the out-edges of R.  A later insert starts a new record, so R is read
+    right after the rejection.
+
     That basis lies in B, which is sparse, so no later basis edge lands
     inside the tight R: B[R] is the same set at the end, and C(f,B) is
     f + B[R] for the final B.
@@ -502,10 +496,20 @@ def m22_components(G: Graph) -> list[frozenset[Edge]]:
     whose union holds both its ends, and an edge in no class is a coloop,
     a component of its own.  The parts come ordered by their sorted edge
     lists, which for disjoint parts is the order of their least edges.
+
+    The parts are built once per Graph instance and kept on it beside its
+    sorted game (Graph._m22_parts), so the negative verdict's reason reads
+    the parts that its M(2,2) check built; each call returns a new list,
+    which the caller may change.  Sound as the kept game is (see
+    _sorted_game): the parts depend only on (n, E), which a frozen Graph
+    never changes, and a frozenset part cannot be changed.
     """
     if G.m < 1 or G.min_degree() == 0:
         raise ValueError("needs at least one edge and no isolated vertices")
-    return sorted(_edge_classes(G.n, G.edges, _sorted_game(G)[1].values()), key=min)
+    parts = G._m22_parts
+    if not parts:  # at least one part once built, as E is not empty
+        parts[:] = sorted(_edge_classes(G.n, G.edges, _sorted_game(G)[1].values()), key=min)
+    return list(parts)
 
 
 def _edge_classes(n: int, edges, regions) -> list[frozenset[Edge]]:
@@ -666,6 +670,22 @@ def ear_decomposition(G: Graph) -> EarDecomposition | None:
     is D minus the ears' rejected edges, and no C(g,B0) of an uncovered g
     holds one of those, so K_g = C(g,B0) - D and C(g,B0) qualifies iff it
     meets D.
+
+    The loop keeps K_g current in place instead of forming C(g,B0) - D for
+    every circuit on every ear: rest[g] starts as C(g,B0), and when an ear
+    is taken its rest, the edges it adds to D, is popped as `added`; every
+    other rest that meets `added` drops those edges and marks g as meeting
+    D.  Proof that the candidates and keys are those of that rescan:
+    - each rest[g] starts at C(g,B0) with D empty, and the edges D gains
+      at an ear are exactly that ear's `added`, which every rest sheds (a
+      rest disjoint from `added` holds none of them), so rest[g] stays
+      C(g,B0) - D;
+    - g meets D iff some edge of D lies in C(g,B0), iff some `added`
+      shared an edge with rest[g] when it came, iff g is marked;
+    - so the marked g are the qualifying circuits, rest[g] is K_g, and the
+      key (len, sorted) of each is the rescan's, with the same tie-break
+      on the least size.
+    D grows by `added` alone, so |D| is the sum of their sizes.
     """
     if G.n > 0 and G.min_degree() == 0:
         raise ValueError("no isolated vertices allowed")
@@ -675,22 +695,23 @@ def ear_decomposition(G: Graph) -> EarDecomposition | None:
     circuits = {f: _circuit(game, f, region) for f, region in regions.items()}
     if not circuits:
         return None  # independent: no circuits at all
-    f, ear = next(iter(circuits.items()))
-    ears, covered = [], set()
+    rest = {g: set(circ) for g, circ in circuits.items()}
+    f = next(iter(circuits))
+    ears, covered, meeting = [], 0, set()
     while True:
-        ears.append(ear)
-        del circuits[f]
-        covered |= ear
-        qualifying = [
-            (g, circ - covered) for g, circ in circuits.items() if not circ.isdisjoint(covered)
-        ]
-        if not qualifying:
+        ears.append(circuits[f])
+        added = rest.pop(f)
+        meeting.discard(f)
+        covered += len(added)
+        for g, left in rest.items():
+            if not left.isdisjoint(added):
+                left -= added
+                meeting.add(g)
+        if not meeting:
             break
         # the key (len, sorted): sort only the candidates of the least size
-        size = min(len(new) for _, new in qualifying)
-        tied = [item for item in qualifying if len(item[1]) == size]
-        f, _ = min(tied, key=lambda item: sorted(item[1]))
-        ear = circuits[f]
-    if len(covered) < G.m:
+        size = min(len(rest[g]) for g in meeting)
+        f = min((g for g in meeting if len(rest[g]) == size), key=lambda g: sorted(rest[g]))
+    if covered < G.m:
         return None  # matroid disconnected
     return EarDecomposition(tuple(ears))

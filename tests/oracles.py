@@ -12,7 +12,9 @@ each graph's sorted game), its Euclidean verdict by a (2,3) game of its
 own that stops once the rank is 2n - 3 and every basis edge lies in a
 circuit read (the library reads each graph's sorted (2,3) game), its ear
 decomposition with one game per ear (the library now reads every ear off
-the one game over the sorted edges), its earlier m + 1 eliminations for
+the one game over the sorted edges) and, after that, with C - D formed
+anew for every circuit C on every ear (the library keeps each C - D
+current in place), its earlier m + 1 eliminations for
 the deletion ranks of a rigidity operator, its split of an exact rank
 at the bridges and into the pieces between them (the library now splits
 at blocks), its dense modular elimination (the library now eliminates
@@ -32,7 +34,10 @@ connectivity without the bound on each flow, and with bounded flows but no
 spanning-tree cut labels first, its unit flow with a residual
 map over every arc (the library keeps only the arcs the flow uses), its
 circuit read by walking the reachable region again after a rejected insert
-(the library keeps what the rejecting searches visited), its pebble
+(the library keeps what the rejecting searches visited), its read of
+the circuit of the last rejected edge of a game as an edge set (the
+library keeps the region and expands it only where the ears print it),
+its pebble
 game whose every search builds a map and a stack of its own, depth
 first, and searches again from a root that already failed (the library
 searches breadth first with visit stamps kept on the game), its
@@ -72,7 +77,7 @@ from planerigidity.graphs import (
 )
 from planerigidity.moves import Move, MoveError, ReductionTrace, base_graph
 from planerigidity.sparsity import (
-    EarDecomposition, PebbleGame, _circuit, ear_decomposition, is_m22_connected,
+    EarDecomposition, PebbleGame, _circuit, _sorted_game, ear_decomposition, is_m22_connected,
     m22_components,
 )
 
@@ -332,6 +337,19 @@ class PebbleGameDictSearch:
         return len(self.accepted)
 
 
+def fundamental_circuit_of_rejected(game: PebbleGame, u: int, v: int) -> frozenset[Edge]:
+    """The library's earlier `PebbleGame.fundamental_circuit_of_rejected`:
+    the circuit created by the edge uv that the last game.insert()
+    rejected, uv plus the basis edges inside the region that its two
+    failed searches reached (`sparsity._play` proves it).  Later inserts
+    can enlarge the region, so each replaces the record, and a read of any
+    other edge raises ValueError."""
+    uv, seen_u, seen_v = game.rejected or (None, (), ())
+    if uv != _norm_edge(u, v):
+        raise ValueError(f"({u},{v}) is not the edge the last insert rejected")
+    return _circuit(game, uv, set(seen_u).union(seen_v))
+
+
 # ---------------------------------------------------------------------------
 # many-game reference routines
 
@@ -348,7 +366,7 @@ def basis_and_circuits(order, k, game=None):
     circuits = {}
     for e in order:
         if e not in seeded and not game.insert(*e):
-            circuits[e] = game.fundamental_circuit_of_rejected(*e)
+            circuits[e] = fundamental_circuit_of_rejected(game, *e)
     return game.accepted, circuits
 
 
@@ -421,7 +439,7 @@ def components_multipass(G: Graph):
         merged = False
         for u, v in order:
             if not game.insert(u, v):
-                circ = list(game.fundamental_circuit_of_rejected(u, v))
+                circ = list(fundamental_circuit_of_rejected(game, u, v))
                 for f in circ[1:]:
                     rx, ry = find(circ[0]), find(f)
                     if rx != ry:
@@ -481,6 +499,39 @@ def ear_decomposition_games(G: Graph):
     return EarDecomposition(tuple(ears))
 
 
+def ear_decomposition_rescan(G: Graph):
+    """The library's earlier loop of `sparsity.ear_decomposition`: the
+    circuits of G's sorted game expanded once, and on every ear C - D
+    formed anew for every remaining circuit C."""
+    if G.n > 0 and G.min_degree() == 0:
+        raise ValueError("no isolated vertices allowed")
+    if G.m < 2:
+        return None
+    game, regions = _sorted_game(G)
+    circuits = {f: _circuit(game, f, region) for f, region in regions.items()}
+    if not circuits:
+        return None  # independent: no circuits at all
+    f, ear = next(iter(circuits.items()))
+    ears, covered = [], set()
+    while True:
+        ears.append(ear)
+        del circuits[f]
+        covered |= ear
+        qualifying = [
+            (g, circ - covered) for g, circ in circuits.items() if not circ.isdisjoint(covered)
+        ]
+        if not qualifying:
+            break
+        # the key (len, sorted): sort only the candidates of the least size
+        size = min(len(new) for _, new in qualifying)
+        tied = [item for item in qualifying if len(item[1]) == size]
+        f, _ = min(tied, key=lambda item: sorted(item[1]))
+        ear = circuits[f]
+    if len(covered) < G.m:
+        return None  # matroid disconnected
+    return EarDecomposition(tuple(ears))
+
+
 def rank_and_coloops(edges, k):
     """The (2,k) rank of an edge list and its coloops, from one game in the
     list's order: the coloops are the basis edges in no fundamental circuit
@@ -537,7 +588,7 @@ def euclidean_by_stopped_game(G: Graph) -> bool:
         if game.insert(*e):
             uncovered.add(e)
         else:
-            uncovered -= game.fundamental_circuit_of_rejected(*e)
+            uncovered -= fundamental_circuit_of_rejected(game, *e)
             if game.rank == target and not uncovered:
                 return True
     return False
@@ -1116,6 +1167,24 @@ def automorphism_with_pins(G: Graph, pins: dict[int, int]):
             if u < v and G.has_edge(u, v) != G.has_edge(pins[u], pins[v]):
                 return None
     return _extend_automorphism(G, c, mapping, used, order)
+
+
+def is_vertex_transitive_by_search(G: Graph) -> bool:
+    """Vertex-transitivity by the old automorphism search alone: an
+    automorphism maps vertex 0 to every vertex."""
+    return all(automorphism_with_pins(G, {0: v}) is not None for v in range(1, G.n))
+
+
+def is_edge_transitive_by_search(G: Graph) -> bool:
+    """Edge-transitivity by the old automorphism search alone: an
+    automorphism maps the least edge to every edge, in one orientation or
+    the other."""
+    edges = G.sorted_edges()
+    return all(
+        automorphism_with_pins(G, {edges[0][0]: x, edges[0][1]: y}) is not None
+        or automorphism_with_pins(G, {edges[0][0]: y, edges[0][1]: x}) is not None
+        for x, y in edges[1:]
+    )
 
 
 def rarity_order(G: Graph, colours, pins) -> list[int]:

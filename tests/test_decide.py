@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planerigidity import catalog as cat
-from planerigidity import decide, geometry, graphs
+from planerigidity import decide, geometry, graphs, sparsity
 from planerigidity.decide import (
     _vertex_deletion_rigid,
     certify,
@@ -35,6 +35,7 @@ from planerigidity.sparsity import (
 from corpus import benchmark_graphs, decision_corpus, experiment_graphs, named_graphs
 from oracles import (
     coloops_leave_one_out,
+    components_brute,
     components_multipass,
     components_search,
     ear_decomposition_games,
@@ -88,6 +89,35 @@ class TestMainDecision:
         assert "reason.cut_vertex: 4\n" in text
         assert "reason.matroid_disconnected: 2 components\n" in text
         assert "edge_in_no_circuit" not in text
+
+    def test_negative_matroid_reasons_against_the_oracles(self):
+        # the reason reads the parts that the cold check built; the circuit
+        # enumeration of components_brute is affordable up to 8 vertices
+        # (over a minute for some graphs on 10), the many-game oracle
+        # checks the rest and two K5s on one vertex
+        K5 = cat.complete_graph(5).edges
+        graphs = decision_corpus(300, seed=5)
+        graphs.append(Graph.from_edges(9, [*K5, *((u + 4, v + 4) for u, v in K5)]))
+        found = []
+        for G in graphs:
+            if G.n < 5:
+                continue
+            got = {
+                k: v for k, v in is_globally_rigid_analytic(G).reasons.items()
+                if k in ("edge_in_no_circuit", "matroid_disconnected")
+            }
+            if not got:
+                continue
+            comps = components_brute(G) if G.n <= 8 else components_multipass(G)
+            singleton = next((c for c in comps if len(c) == 1), None)
+            if singleton is not None:
+                (e,) = singleton
+                want = {"edge_in_no_circuit": f"{e[0]}-{e[1]}"}
+            else:
+                want = {"matroid_disconnected": f"{len(comps)} components"}
+            assert got == want, G.sorted_edges()
+            found += want
+        assert len(found) > 100 and set(found) == {"edge_in_no_circuit", "matroid_disconnected"}
 
     def test_cut_vertex_reason_on_corpus(self):
         # past n = 4 a graph that is not 2-connected always has a cut
@@ -680,11 +710,44 @@ class TestPerGraphFacts:
         assert G.components() == [{0, 1, 2, 3, 4}]
         assert is_k_connected(G, 1) and first_cut_vertex(G) == 0
 
+    def test_m22_components_hands_out_copies(self):
+        G = cat.two_k4_shared_vertex()
+        want = m22_components(G)
+        got = m22_components(G)
+        assert got == want and got is not want
+        got.clear()
+        want.append(frozenset({(0, 1)}))
+        assert m22_components(G) == m22_components(Graph(G.n, G.edges))
+        assert len(m22_components(G)) == 12
+
+    def test_a_negative_reason_builds_the_parts_once(self, monkeypatch):
+        # 20 of the 30 check-m22 negatives reach full rank in the cold
+        # check, which asks for the parts, and the reason asks again; each
+        # negative builds them once, and no decision builds them twice
+        built, asked = [], []
+        real_build, real_ask = sparsity._edge_classes, sparsity.m22_components
+        monkeypatch.setattr(sparsity, "_edge_classes", lambda *a: built.append(1) or real_build(*a))
+        for module in (sparsity, decide):
+            monkeypatch.setattr(module, "m22_components", lambda G: asked.append(1) or real_ask(G))
+        negatives = twice = 0
+        for G in benchmark_graphs("check-m22").values():
+            G = Graph(G.n, G.edges)
+            built.clear()
+            asked.clear()
+            report = is_globally_rigid_analytic(G)
+            if {"edge_in_no_circuit", "matroid_disconnected"} & report.reasons.keys():
+                assert built == [1]
+                negatives += 1
+                twice += len(asked) == 2
+            else:
+                assert len(built) == len(asked) <= 1
+        assert (negatives, twice) == (30, 20)
+
     def test_equality_and_hash_ignore_the_facts(self):
         G = cat.complete_bipartite(3, 6)
         H = Graph(G.n, G.edges)
         certify(G, NormedPlane(4), 3)
-        facts = {"_lowpoint_dfs", "_sorted_games", "_m22_game"}
+        facts = {"_lowpoint_dfs", "_sorted_games", "_m22_game", "_m22_parts"}
         assert facts <= vars(G).keys() and G._m22_game
         assert not facts & vars(H).keys()
         assert G == H and hash(G) == hash(H) and {H: 1}[G] == 1

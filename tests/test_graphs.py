@@ -45,7 +45,9 @@ from oracles import (
     first_cut_vertex_scan,
     graphs_up_to_iso,
     is_3_connected_by_deletions,
+    is_edge_transitive_by_search,
     is_k_connected_cut_scan,
+    is_vertex_transitive_by_search,
     min_st_edge_cut_residual,
     no_separation_pair_dfs1,
     rarity_order,
@@ -991,6 +993,51 @@ class TestTransitivity:
         # triangle edges sit in triangles, matching edges do not
         assert not is_edge_transitive(cat.prism_graph())
         assert is_edge_transitive(cat.complete_graph(5))
+
+    def test_against_the_automorphism_search(self):
+        # the degree refutations answer as the search would, on every graph
+        # of at most six vertices
+        graphs = [G for n in range(1, 7) for G in graphs_up_to_iso(n)]
+        vertex = [is_vertex_transitive(G) for G in graphs]
+        edge = [is_edge_transitive(G) for G in graphs]
+        assert vertex == [is_vertex_transitive_by_search(G) for G in graphs]
+        assert edge == [is_edge_transitive_by_search(G) for G in graphs]
+        assert 10 < sum(vertex) < len(graphs) - 10
+        assert 10 < sum(edge) < len(graphs) - 10
+
+    @staticmethod
+    def _searches(monkeypatch):
+        calls = []
+        real = graphs._isomorphism
+        monkeypatch.setattr(graphs, "_isomorphism", lambda *a: calls.append(1) or real(*a))
+        return calls
+
+    def test_degrees_refute_before_any_search(self, monkeypatch):
+        # the wheel is not regular and its rim and spokes have end degrees
+        # (3, 3) and (3, 5), so neither test colours it or searches
+        calls = self._searches(monkeypatch)
+        W = cat.wheel_graph(5)
+        assert not is_vertex_transitive(W) and not is_edge_transitive(W)
+        assert calls == [] and "_colouring" not in W.__dict__
+
+    def test_k34_stays_edge_transitive(self, monkeypatch):
+        # every edge of K3,4 has end degrees 3 and 4: one sorted pair, so
+        # the search decides, and it maps the least edge onto every edge
+        calls = self._searches(monkeypatch)
+        K = cat.complete_bipartite(3, 4)
+        assert not is_vertex_transitive(K)
+        assert calls == []
+        assert is_edge_transitive(K)
+        assert len(calls) == K.m - 1
+
+    def test_a_regular_graph_is_refuted_by_the_search(self, monkeypatch):
+        # C3 + C4 is 2-regular and all its colours agree, yet no
+        # automorphism maps a triangle vertex into the square
+        calls = self._searches(monkeypatch)
+        G = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+        assert len(set(G._colouring[0])) == 1
+        assert not is_vertex_transitive(G) and not is_vertex_transitive_by_search(G)
+        assert calls
 
     def test_one_colouring_per_graph(self, monkeypatch):
         # the colours are a cached fact of each Graph instance: both

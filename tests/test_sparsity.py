@@ -39,6 +39,8 @@ from oracles import (
     components_by_edge_circuits,
     components_multipass,
     ear_decomposition_games,
+    ear_decomposition_rescan,
+    fundamental_circuit_of_rejected,
     is_circuit_brute,
     is_circuit22_by_edge_circuit,
     is_circuit22_leave_one_out,
@@ -141,7 +143,7 @@ class TestPebbleSearch:
                 if brute is None:
                     brute = circuits_brute(Graph.from_edges(n, order))
                 inside = set(greedy) | {f}
-                circ = game.fundamental_circuit_of_rejected(*f)
+                circ = fundamental_circuit_of_rejected(game, *f)
                 assert [c for c in brute if c <= inside] == [circ]
 
 
@@ -206,7 +208,7 @@ class TestSearchAgainstTheDictSearch:
             assert got == oracle.insert(*e)
             if not got:
                 assert _region(game) == _region(oracle)
-                assert game.fundamental_circuit_of_rejected(*e) == (
+                assert fundamental_circuit_of_rejected(game, *e) == (
                     oracle.fundamental_circuit_of_rejected(*e)
                 )
             assert game.accepted == oracle.accepted
@@ -295,7 +297,7 @@ class TestCircuitRecord:
         for e in data.draw(st.permutations(pairs)):
             if e in game.accepted or game.insert(*e):
                 continue
-            circ = game.fundamental_circuit_of_rejected(*e)
+            circ = fundamental_circuit_of_rejected(game, *e)
             assert circ == circuit_by_reach(game, *e)
             assert e in circ and circ - {e} <= set(game.accepted)
             assert is_circuit_brute(sorted(circ), k)
@@ -313,34 +315,34 @@ class TestCircuitRecord:
     def test_read_of_the_rejected_edge(self):
         game = self._k5_minus_rejected()
         K5_minus = frozenset(itertools.combinations(range(5), 2)) - {(3, 4)}
-        assert game.fundamental_circuit_of_rejected(2, 4) == K5_minus
-        assert game.fundamental_circuit_of_rejected(4, 2) == K5_minus
+        assert fundamental_circuit_of_rejected(game, 2, 4) == K5_minus
+        assert fundamental_circuit_of_rejected(game, 4, 2) == K5_minus
 
     def test_read_on_a_fresh_game_raises(self):
         with pytest.raises(ValueError, match="not the edge the last insert rejected"):
-            PebbleGame(4, 2).fundamental_circuit_of_rejected(0, 1)
+            fundamental_circuit_of_rejected(PebbleGame(4, 2), 0, 1)
 
     def test_read_of_an_accepted_edge_raises(self):
         game = PebbleGame(4, 2)
         assert game.insert(0, 1)
         with pytest.raises(ValueError, match="not the edge the last insert rejected"):
-            game.fundamental_circuit_of_rejected(0, 1)
+            fundamental_circuit_of_rejected(game, 0, 1)
         game = self._k5_minus_rejected()
         with pytest.raises(ValueError, match="not the edge the last insert rejected"):
-            game.fundamental_circuit_of_rejected(1, 4)
+            fundamental_circuit_of_rejected(game, 1, 4)
 
     def test_read_after_a_later_accepted_insert_raises(self):
         game = self._k5_minus_rejected()
         assert game.insert(4, 5)
         with pytest.raises(ValueError, match="not the edge the last insert rejected"):
-            game.fundamental_circuit_of_rejected(2, 4)
+            fundamental_circuit_of_rejected(game, 2, 4)
 
     def test_read_after_a_later_rejected_insert_raises(self):
         game = self._k5_minus_rejected()
         assert not game.insert(3, 4)
         with pytest.raises(ValueError, match="not the edge the last insert rejected"):
-            game.fundamental_circuit_of_rejected(2, 4)
-        circ = game.fundamental_circuit_of_rejected(3, 4)
+            fundamental_circuit_of_rejected(game, 2, 4)
+        circ = fundamental_circuit_of_rejected(game, 3, 4)
         assert circ == circuit_by_reach(game, 3, 4) and is_circuit_brute(sorted(circ))
 
 
@@ -670,11 +672,16 @@ class TestM22VerdictOnInstance:
         graphs = decision_corpus(40, seed=58)
         want = [is_m22_connected(Graph(G.n, G.edges)) for G in graphs]
         assert 0 < sum(want) < len(want)
+        parts = [
+            m22_components(Graph(G.n, G.edges)) if G.m >= 1 and G.min_degree() > 0 else None
+            for G in graphs
+        ]
         errors = []
 
         def work(seed):
             # every thread decides the same instances, and takes their games
-            # now and then, so that some are decided again while others read
+            # now and then, so that some are decided again while others read;
+            # each empties the parts it is handed
             rng = random.Random(seed)
             try:
                 for _ in range(150):
@@ -682,6 +689,11 @@ class TestM22VerdictOnInstance:
                     G = graphs[j]
                     if is_m22_connected(G) != want[j]:
                         errors.append(j)
+                    if parts[j] is not None:  # the kept parts, handed out as copies
+                        got = m22_components(G)
+                        if got != parts[j]:
+                            errors.append((j, "parts"))
+                        got.clear()
                     if rng.random() < 0.3:
                         game = take_m22_game(G)
                         if game is not None and not (want[j] and game.rank == 2 * G.n - 2):
@@ -880,6 +892,44 @@ class TestOneGameEars:
             ed = ear_decomposition(G)
             assert games == [(G.n, 2)]
             assert (ed is None) == (G == cat.wheel_graph(5))
+
+
+class TestEarsInPlace:
+    """The ears with each C - D kept current in place against the loop
+    that formed C - D anew for every circuit on every ear
+    (oracles.ear_decomposition_rescan)."""
+
+    @staticmethod
+    def _agree(graphs):
+        ears = 0
+        for G in graphs:
+            if G.n > 0 and G.min_degree() == 0:  # isolated vertices: both refuse
+                continue
+            ed = ear_decomposition(G)
+            assert ed == ear_decomposition_rescan(G), G.sorted_edges()
+            ears += 0 if ed is None else ed.t
+        return ears
+
+    def test_decision_corpus(self):
+        assert self._agree(decision_corpus(300, seed=5)) > 400
+
+    def test_benchmark_inputs(self):
+        graphs = list(benchmark_graphs("check-m22").values()) + experiment_graphs()
+        assert self._agree(graphs) > 1000
+
+    def test_large_graphs(self):
+        # hundreds of ears each, where the in-place loop pays off most
+        graphs = [cat.complete_graph(40), gnp_graph(100, 0.2, 1), random_m22_graph(640, 7)]
+        assert [ear_decomposition(G).t for G in graphs] == [702, 792, 128]
+        assert self._agree(graphs) == 702 + 792 + 128
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(5, 14), st.sampled_from((0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
+        st.integers(0, 2**32),
+    )
+    def test_dense_gnp(self, n, p, seed):
+        self._agree([gnp_graph(n, p, seed)])
 
 
 def check_ear_axioms(G, ed, circuits=None):
