@@ -27,7 +27,8 @@ can be deleted without losing rank iff some self-stress is nonzero on it.
 So `deletion_ranks` answers the rank of the operator and of the operator
 minus each row from those eliminations (exact mode) or one SVD (float
 mode): a row of a block of full row rank is a coloop, and only the rows
-that the modular answer cannot settle are eliminated again.
+that the modular answer cannot settle are eliminated again, each one
+within its own block.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ class RigidityOperator(FrozenRecord):
         """The graph of the rows' edges, a cached fact and not a field: the
         G that `rigidity_operator` built the operator from, so an exact rank
         reads the blocks of G's own lowpoint DFS, or else one built from
-        `edges` (after `_without_row`, say)."""
+        `edges`."""
         return Graph.from_edges(self.n, self.edges)
 
     def as_array(self):
@@ -424,9 +425,12 @@ def _modular_profile(rows, cols: int) -> tuple[int, frozenset[int]]:
     )
 
 
-def _exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int], frozenset[int]]:
-    """The exact rank of an integer operator, rows known to be stressed,
-    and rows known to be coloops.
+def _exact_blocks(
+    op: RigidityOperator,
+) -> list[tuple[list[int], list[int], int, frozenset[int]]]:
+    """The blocks of an integer operator: for each, its vertices, its row
+    indices, its exact rank and the positions (in its row list) of the rows
+    known to be stressed.
 
     The operator is split at the blocks of its edge graph
     (`RigidityOperator._graph`, from that graph's cached lowpoint DFS):
@@ -485,7 +489,7 @@ def _exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int], frozenset
     for i, (u, v) in enumerate(op.edges):
         b = own.get(v)
         block_rows[b if b is not None and blocks[b][0] == u else own[u]].append(i)
-    rank, stressed, coloops = 0, set(), set()
+    out = []
     for block, rows in zip(blocks, block_rows):
         pick = itemgetter(*(c for v in block for c in (2 * v, 2 * v + 1)))
         sub = [pick(op.matrix[i]) for i in rows]
@@ -494,11 +498,21 @@ def _exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int], frozenset
         rank_q = rank_p
         if rank_p < min(len(rows), cols - op.trivial_flex_dim):
             rank_q = _bareiss_rank(sub)
-        rank += rank_q
-        if rank_q == len(rows):
+        out.append((block, rows, rank_q, sub_stressed if rank_q == rank_p else frozenset()))
+    return out
+
+
+def _exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int], frozenset[int]]:
+    """The exact rank of an integer operator, rows known to be stressed,
+    and rows known to be coloops, summed over its blocks (`_exact_blocks`):
+    the rows of a block of full row rank are coloops."""
+    rank, stressed, coloops = 0, set(), set()
+    for _, rows, rank_b, known in _exact_blocks(op):
+        rank += rank_b
+        if rank_b == len(rows):
             coloops.update(rows)
-        elif rank_q == rank_p:
-            stressed.update(rows[j] for j in sub_stressed)
+        else:
+            stressed.update(rows[j] for j in known)
     return rank, frozenset(stressed), frozenset(coloops)
 
 
@@ -531,16 +545,6 @@ def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int
     raise ValueError(f"unknown rank mode {mode!r}")
 
 
-def _without_row(op: RigidityOperator, i: int) -> RigidityOperator:
-    return RigidityOperator(
-        op.matrix[:i] + op.matrix[i + 1:],
-        op.edges[:i] + op.edges[i + 1:],
-        op.n,
-        op.exact,
-        op.trivial_flex_dim,
-    )
-
-
 def deletion_ranks(
     op: RigidityOperator, mode: str = "exact", tol: float = 1e-9
 ) -> tuple[int, tuple[int, ...]]:
@@ -552,14 +556,19 @@ def deletion_ranks(
     float mode too: the singular values of A - row interlace those of A,
     so its m - 1 largest stay above tol times its largest).
 
-    Exact mode takes the rank, the stressed rows and the coloops from
-    `_exact_profile`: a stressed row keeps the rank, and a coloop, a row of
-    a block of full row rank (a bridge, say), drops it by one.  Any other
-    row lies in a dependent block and is confirmed by `rank_of` on the
-    operator without it, which splits that operator into blocks again and
-    eliminates every one of them modulo the prime, the blocks the deleted
-    row never touched included.  It falls back to Bareiss only for a
-    block whose modular rank stays below its bound.
+    Exact mode reads the blocks of `_exact_blocks`: a stressed row keeps
+    the rank, and a coloop, a row of a block of full row rank (a bridge,
+    say), drops it by one.  Any other row i lies in a dependent block B,
+    and only B - row i is ranked again, by `rank_of` on its rows alone
+    (`_rank_without`): the rank without row i is r - rank B + rank(B - i).
+    Deleting an edge of B leaves the graph's other blocks blocks of G - e
+    and splits B into the blocks of B - e, any two of all these sharing
+    at most one vertex; so the 1-sum additivity of `_exact_blocks` gives
+    the formula, and `rank_of` on B - row i splits it at exactly the
+    blocks of B - e, each under its own bound min(m_C, 2n_C - f).  That is
+    the split of the whole operator without row i, less the blocks the row
+    never touched: Bareiss runs on the same blocks, and no untouched block
+    is eliminated again.
 
     Float mode takes the rank from `rank_of` and runs one full SVD of the
     same row-scaled array DA (`RigidityOperator.as_array`; a self-stress w
@@ -570,7 +579,8 @@ def deletion_ranks(
     _check_tol(tol)
     m = len(op.matrix)
     if mode == "exact":
-        rank, stressed, coloops = _exact_profile(op)
+        blocks = _exact_blocks(op)
+        rank = sum(rank_b for _, _, rank_b, _ in blocks)
     else:
         rank = rank_of(op, mode, tol)
     if rank == m:
@@ -581,11 +591,31 @@ def deletion_ranks(
         U = np.linalg.svd(op.as_array())[0]
         weight = np.linalg.norm(U[:, rank:], axis=1)
         return rank, tuple(rank if w > tol else rank - 1 for w in weight)
-    return rank, tuple(
-        rank if i in stressed else rank - 1 if i in coloops
-        else rank_of(_without_row(op, i), mode, tol)
-        for i in range(m)
-    )
+    ranks = [rank - 1] * m
+    for block, rows, rank_b, known in blocks:
+        if rank_b == len(rows):
+            continue
+        for j, i in enumerate(rows):
+            ranks[i] = rank if j in known else (
+                rank - rank_b + _rank_without(op, block, rows, j)
+            )
+    return rank, tuple(ranks)
+
+
+def _rank_without(op: RigidityOperator, block, rows, j: int) -> int:
+    """The exact rank of the block B of the operator with the row list
+    `rows`, without its row j: `rank_of` on those rows alone, on B's
+    vertices relabelled in increasing order, so the rows stay those of
+    sorted edges with u < v (see `deletion_ranks`)."""
+    verts = sorted(block)
+    index = {v: k for k, v in enumerate(verts)}
+    pick = itemgetter(*(c for v in verts for c in (2 * v, 2 * v + 1)))
+    rest = rows[:j] + rows[j + 1:]
+    return rank_of(RigidityOperator(
+        tuple(pick(op.matrix[i]) for i in rest),
+        tuple((index[u], index[v]) for u, v in map(op.edges.__getitem__, rest)),
+        len(verts), op.exact, op.trivial_flex_dim,
+    ))
 
 
 def is_inf_rigid(

@@ -141,12 +141,14 @@ def _apply_full(G: Graph, move: Move) -> tuple[Graph, dict[int, int] | None]:
     if kind == "generalized-vertex-split":
         v, x = p[0], p[1]
         n2 = set(p[2:])
-        if not n2 <= G.adj[v]:
+        # read against the edge set, so a split builds no adjacency: n2 is
+        # in N(v) (v itself is not, as G has no loops), and x is not in
+        # N(v) - n2, the part kept at v
+        if not all(G.has_edge(v, w) for w in n2):
             raise MoveError("generalized-vertex-split: n2 must be neighbours of v")
-        n1 = G.adj[v] - n2
         if x == v:
             raise MoveError("generalized-vertex-split: x must be another existing vertex")
-        if x in n1:
+        if x not in n2 and G.has_edge(v, x):
             raise MoveError("generalized-vertex-split: x must avoid the part kept at v")
         v2 = G.n
         moved = [(w, v2) for w in n2] + [(v, v2), (v, x)]
@@ -416,24 +418,38 @@ class ReductionTrace(Record):
         so the extended τ is one from prev.  The two new vertices of a
         K4--extension are adjacent to each other and to the same pair, so
         they are interchangeable and either order works.
+
+        σ is a list indexed by the current graph's labels, so a step builds
+        no map of prev vertex by vertex: its only work over all of prev is
+        one set difference and the list inserts.  `relabel` sends prev's kept
+        vertices, in order, to 0, 1, ..., so inserting a placeholder at each
+        deleted vertex, in increasing order, shifts every later entry up by
+        the deleted vertices below it, and σ∘rel becomes a list indexed by
+        prev's labels with the placeholders exactly at the deleted ones.
+        `_undo` names kept vertices only, so it reads no placeholder; the
+        placeholders then take the next rebuild labels in increasing order,
+        as the deleted vertices did with a dict τ.
         """
         base = base_graph(self.base)
-        sigma = find_isomorphism(self.final, base)
-        if sigma is None:
+        iso = find_isomorphism(self.final, base)
+        if iso is None:
             raise MoveError("trace does not end at its base graph")
+        sigma = [iso[v] for v in range(self.final.n)]
         n_re = base.n
         out = []
         for i in range(len(self.steps) - 1, -1, -1):
             step = self.steps[i]
             prev = self.graph_before(i)
-            rel = dict(step.relabel) if step.relabel else {v: v for v in range(prev.n)}
-            tau = {w: sigma[rel[w]] for w in rel}
-            out.append(_mapped(_undo(prev, step.move), tau))
-            for w in range(prev.n):
-                if w not in tau:
-                    tau[w] = n_re
-                    n_re += 1
-            sigma = tau
+            deleted = (
+                sorted(set(range(prev.n)).difference(dict(step.relabel)))
+                if step.relabel else ()
+            )
+            for w in deleted:
+                sigma.insert(w, None)
+            out.append(_mapped(_undo(prev, step.move), sigma))
+            for w in deleted:
+                sigma[w] = n_re
+                n_re += 1
         return out
 
 
@@ -489,7 +505,13 @@ def find_admissible_reduction(G: Graph) -> TraceStep | None:
 def _reduction_candidates(G: Graph):
     """The reductions find_admissible_reduction tries, in its order, after
     the degree filters; the degrees are looked up once.  A Graph has no
-    loops, so neither end of an edge is a common neighbour of its ends."""
+    loops, so neither end of an edge is a common neighbour of its ends.
+
+    An edge-reduction (a, b, c) needs deg a + deg b - 3 >= 3 and
+    |N(a) ∩ N(b)| <= 1, and both hold or fail for (a, b) and (b, a)
+    alike; so each edge uv is tested once, the degree sum first, and only
+    then tried in both directions, uv before vu: the moves and their
+    order are those of testing each direction alone."""
     adj = G.adj
     deg = [len(nbrs) for nbrs in adj]
     edges = G.sorted_edges()
@@ -507,10 +529,12 @@ def _reduction_candidates(G: Graph):
             yield Move("k4minus-reduction", (u1, u2))
 
     for u, v in edges:
+        if deg[u] + deg[v] < 6:
+            continue
+        common = adj[u] & adj[v]
+        if len(common) > 1:
+            continue
         for a, b in ((u, v), (v, u)):
-            common = adj[a] & adj[b]
-            if len(common) > 1 or deg[a] + deg[b] - 3 < 3:
-                continue
             for c in sorted(common) if common else sorted(adj[a] - {b}):
                 if deg[c] - 1 >= 3:
                     yield Move("edge-reduction", (a, b, c))

@@ -44,7 +44,9 @@ searches breadth first with visit stamps kept on the game), its
 vertex-deletion test without the edge-count filter, its automorphism search
 with its own pin setup, its isomorphism backtracking by recursion (the
 library keeps an explicit stack), its forward scripts with one rule per reduction
-kind, its moves with one construction and relabelling per kind, its joins
+kind, its reduction candidates with the edge-reduction tests made once per
+direction of each edge (the library tests each edge once), its moves with
+one construction and relabelling per kind, its joins
 and separations with one relabel-and-union or completion rule per kind, its
 2-vertex-separation scan (one subgraph per vertex pair) and its
 3-edge-separation scan (one graph per edge triple); they run on graphs far
@@ -1304,6 +1306,37 @@ def forward_script_per_kind(trace: ReductionTrace) -> list[Move]:
         else:
             raise MoveError(f"unexpected reduction kind {m.kind!r}")
     return out
+
+
+def reduction_candidates_both_ways(G: Graph):
+    """The library's earlier `moves._reduction_candidates`: the same
+    deletions and K4--reductions, and the edge-reductions with the common
+    neighbours and the degree sum of each edge tested once per direction,
+    the intersection first."""
+    adj = G.adj
+    deg = [len(nbrs) for nbrs in adj]
+    edges = G.sorted_edges()
+
+    if G.m >= 2 * G.n:
+        for u, v in edges:
+            if deg[u] >= 4 and deg[v] >= 4:
+                yield Move("edge-deletion", (u, v))
+
+    for u1, u2 in edges:
+        if deg[u1] != 3 or deg[u2] != 3:
+            continue
+        common = sorted(adj[u1] & adj[u2])
+        if len(common) == 2 and not G.has_edge(*common):
+            yield Move("k4minus-reduction", (u1, u2))
+
+    for u, v in edges:
+        for a, b in ((u, v), (v, u)):
+            common = adj[a] & adj[b]
+            if len(common) > 1 or deg[a] + deg[b] - 3 < 3:
+                continue
+            for c in sorted(common) if common else sorted(adj[a] - {b}):
+                if deg[c] - 1 >= 3:
+                    yield Move("edge-reduction", (a, b, c))
 
 
 def _remove_vertices(G: Graph, drop):

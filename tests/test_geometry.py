@@ -29,6 +29,7 @@ from planerigidity.geometry import (
     z_reflection,
 )
 from planerigidity.graphs import Graph
+from planerigidity.randomgraphs import gnp_graph
 from planerigidity.sparsity import rank2k
 
 from corpus import BENCHMARK_INPUTS, decision_corpus
@@ -658,6 +659,30 @@ class TestDeletionRanks:
         assert deletion_ranks(op, "exact") == (9, (8,) * 9)
         assert len(calls) == 1
 
+    def test_unsettled_rows_are_confirmed_within_their_block(self, monkeypatch):
+        # blocks of 1, 1 and 19 rows; 2 rows of the 19-row block are neither
+        # stressed mod p nor coloops, and each is confirmed by ranking the
+        # other 18 rows of its block alone, split at their own 2 blocks (1
+        # and 17 rows), not every block of the operator without it (4
+        # eliminations each, the untouched 1-row blocks included).  Each
+        # block reaches its bound, so, as on the split of the whole
+        # operator, Bareiss never runs
+        rows, bareiss = [], []
+        profile, rank_q = geometry._modular_profile, geometry._bareiss_rank
+        monkeypatch.setattr(
+            geometry, "_modular_profile", lambda sub, *a: rows.append(len(sub)) or profile(sub, *a)
+        )
+        monkeypatch.setattr(
+            geometry, "_bareiss_rank", lambda sub: bareiss.append(len(sub)) or rank_q(sub)
+        )
+        G = gnp_graph(12, 0.3, 1)
+        op = rigidity_operator(G, random_regular_placement(G, L4, 0), L4)
+        got = deletion_ranks(op, "exact")
+        assert rows == [1, 1, 19, 1, 17, 17, 1]
+        assert bareiss == []
+        assert got == deletion_ranks_loop(op, "exact")
+        assert got[1].count(got[0] - 1) == 4
+
     def test_empty_operator(self):
         op = rigidity_operator(Graph.from_edges(3, []), Placement(((0, 0),) * 3), L4)
         assert deletion_ranks(op, "exact") == (0, ())
@@ -770,8 +795,8 @@ class TestSplitProfile:
 
     def test_k8_plus_a_path_confirms_no_row(self, monkeypatch):
         # each bridge is a block of one row, of full row rank, so a coloop:
-        # no row is left for a rank_of confirmation
-        calls = _counted(monkeypatch, "rank_of")
+        # no row is left to confirm by eliminating its block without it
+        calls = _counted(monkeypatch, "_rank_without")
         op = _k8_plus_a_path()
         assert deletion_ranks(op, "exact") == deletion_ranks_loop(op, "exact")
         assert geometry._exact_profile(op)[2] == frozenset(range(28, 50))

@@ -3,6 +3,7 @@ import io
 import itertools
 import random
 import runpy
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,12 @@ from planerigidity.moves import (
     ReductionTrace,
     TraceStep,
     _apply_full,
+    _reduction_candidates,
     apply,
+    base_graph,
     base_name_of,
     find_admissible_reduction,
+    graph_hash,
     inverse,
     join,
     random_m22_graph,
@@ -30,10 +34,36 @@ from planerigidity.moves import (
 )
 from planerigidity.sparsity import is_circuit22, is_m22_connected
 
-from corpus import decision_corpus, join_pool, joined_graphs, k4_ring_graph, random_gluing
-from oracles import (
-    apply_per_kind, forward_script_per_kind, join_per_kind, separations_of_per_kind,
+from corpus import (
+    benchmark_graphs, decision_corpus, join_pool, joined_graphs, k4_ring_graph, random_gluing,
 )
+from oracles import (
+    apply_per_kind, forward_script_per_kind, join_per_kind, reduction_candidates_both_ways,
+    separations_of_per_kind,
+)
+
+
+@lru_cache(maxsize=None)
+def _benchmark_traces() -> tuple[ReductionTrace, ...]:
+    """The traces of the 100 committed `reduce-m22` inputs, reduced once."""
+    return tuple(reduce_to_base(G) for G in benchmark_graphs("reduce-m22").values())
+
+
+@lru_cache(maxsize=None)
+def _reduced_walk(steps: int) -> ReductionTrace:
+    """The trace of `random_m22_graph(steps, 7)`, the walk that
+    `planerigidity random --model m22 --steps <steps> --seed 7` prints:
+    n = 90, 173 and 344 at 80, 160 and 320 steps."""
+    return reduce_to_base(random_m22_graph(steps, 7))
+
+
+def _replay(base: str, script) -> list[Graph]:
+    """The graphs a forward script builds from its base, in order."""
+    out, G = [], base_graph(base)
+    for move in script:
+        G = apply(G, move)
+        out.append(G)
+    return out
 
 
 def _one_move_of_each_kind():
@@ -88,6 +118,31 @@ class TestApply:
             apply(cat.b1(), Move("edge-addition", (0, 1)))
         with pytest.raises(MoveError, match="no neighbour besides"):
             apply(cat.complete_graph(4), Move("edge-reduction", (0, 1, 2)))
+
+    # K5- lacks the edge 34, so N(3) = {0, 1, 2}
+    @pytest.mark.parametrize("params, message", [
+        ((3, 4, 0, 4), "n2 must be neighbours of v"),  # 4 is no neighbour
+        ((3, 4, 0, 3), "n2 must be neighbours of v"),  # nor is v itself
+        ((3, 3, 0, 1), "x must be another existing vertex"),
+        ((3, 2, 0, 1), "x must avoid the part kept at v"),  # N(3) - n2 = {2}
+        # the checks run in this order
+        ((3, 3, 0, 4), "n2 must be neighbours of v"),
+        ((3, 2, 0, 4), "n2 must be neighbours of v"),
+        ((3, 0, 0, 1), None),  # x in n2 is allowed
+        ((3, 4, 0, 1), None),  # and so is a non-neighbour
+        ((1, 0, 0, 2, 3), None),
+    ])
+    def test_split_checks_read_the_edge_set(self, params, message):
+        K = cat.k5_minus()
+        G = Graph(K.n, K.edges)  # a fresh copy, with no adjacency built
+        move = Move("generalized-vertex-split", params)
+        if message is None:
+            assert _apply_full(G, move) == apply_per_kind(G, move)
+        else:
+            with pytest.raises(MoveError) as err:
+                apply(G, move)
+            assert str(err.value) == f"generalized-vertex-split: {message}"
+        assert "adj" not in G.__dict__
 
     @pytest.mark.parametrize("kind, params, message", [
         ("edge-addition", (0,), "needs 2 parameters, got 1"),
@@ -166,6 +221,36 @@ class TestOneEdit:
             _apply_full(G, mv)
             assert len(built) == 1, mv.kind
         assert {mv.kind for _, mv in cases} == set(KINDS)
+
+
+class TestReplay:
+    """Replaying forward scripts: each move against the earlier per-kind
+    construction, with no adjacency built on the way."""
+
+    @staticmethod
+    def _scripts():
+        traces = (*_benchmark_traces(), _reduced_walk(160))
+        return [(trace.base, trace.forward_script()) for trace in traces]
+
+    def test_every_move_matches_per_kind_oracle(self):
+        moves_seen = 0
+        for base, script in self._scripts():
+            G = base_graph(base)
+            for move in script:
+                H = _apply_full(G, move)
+                assert H == apply_per_kind(G, move), move
+                G = H[0]
+                moves_seen += 1
+        assert moves_seen > 2000
+
+    def test_replay_builds_no_adjacency(self):
+        # each move reads the edge set only, so no graph the replay builds
+        # gains the `adj` cache; a split that read N(v) from `adj` built it
+        # on 144 of the 192 graphs of the n = 173 walk's replay
+        for base, script in self._scripts():
+            built = _replay(base, script)
+            assert not [H for H in built if "adj" in H.__dict__], base
+        assert len(built) == 192
 
 
 class TestJoins:
@@ -449,6 +534,22 @@ class TestReductionEngine:
         edges, played = map(sum, zip(*seeded))
         assert played * 4 < edges
 
+    def test_candidates_match_both_ways_oracle(self):
+        # every graph of the 100 `reduce-m22` traces and of the n = 90 and
+        # n = 173 walks' traces: testing each edge once, then trying both
+        # directions, yields the moves of testing each direction alone, in
+        # the same order
+        traces = (*_benchmark_traces(), _reduced_walk(80), _reduced_walk(160))
+        kinds, graphs = set(), 0
+        for trace in traces:
+            for G in (trace.start, *(step.result for step in trace.steps)):
+                got = list(_reduction_candidates(G))
+                assert got == list(reduction_candidates_both_ways(G)), graph_hash(G)
+                kinds |= {move.kind for move in got}
+                graphs += 1
+        assert graphs > 2000
+        assert kinds == {"edge-deletion", "k4minus-reduction", "edge-reduction"}
+
     def test_each_search_hands_back_its_move_applied(self):
         # the step a search returns is the move applied to the graph it
         # searched, with the relabelling of that application
@@ -664,6 +765,13 @@ class TestForwardScript:
         for seed in range(100):
             trace = reduce_to_base(random_m22_graph(seed % 10 + 1, 900 + seed))
             assert trace.forward_script() == forward_script_per_kind(trace), seed
+
+    def test_matches_per_kind_oracle_on_benchmark_inputs_and_large_walks(self):
+        # the 100 `reduce-m22` inputs and the n = 173 and n = 344 walks
+        walks = [_reduced_walk(160), _reduced_walk(320)]
+        assert [trace.start.n for trace in walks] == [173, 344]
+        for trace in (*_benchmark_traces(), *walks):
+            assert trace.forward_script() == forward_script_per_kind(trace), trace.start.n
 
     def test_matches_per_kind_oracle_on_hand_built_traces(self):
         kinds = set()
