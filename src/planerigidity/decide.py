@@ -31,10 +31,10 @@ from .records import Record
 from .sparsity import (
     EarDecomposition,
     _rank_and_coloops,
+    _sorted_game,
     _vertex_deletion_rigid,
     ear_decomposition,
     is_m22_connected,
-    m22_components,
 )
 
 TRANSITIVITY_CAP = 12  # brute-force automorphism search beyond this is skipped
@@ -147,6 +147,17 @@ def is_globally_rigid_analytic(G: Graph) -> RigidityReport:
     transitivity test was skipped, does not depend on the verdict, so
     both paths read it from _transitivity_notices.  A negative verdict so
     costs no O(n*m) condition.
+
+    A negative reason names a split of the (2,2) matroid: the least
+    coloop, else the number of components, both read off the sorted
+    game's coloops and kept classes with no edge part built.  They are
+    the reasons the sorted parts of `m22_components` give (its first
+    singleton part, else its part count).  Every class holds a circuit,
+    and a (2,2) circuit of a simple graph has at least 9 edges (2|V| - 1
+    edges on |V| >= 5 vertices, as K4 has only 6), so the singleton parts
+    are exactly the coloops; the parts are ordered by their least edges,
+    so the first singleton is the least coloop.  With no coloop the parts
+    are the classes, one each.
     """
     if G.n < 2:
         raise ValueError("decision defined for graphs on at least 2 vertices")
@@ -173,13 +184,12 @@ def is_globally_rigid_analytic(G: Graph) -> RigidityReport:
         if G.min_degree() == 0 or G.m < 2:
             report.reasons["degenerate"] = "isolated vertex or fewer than 2 edges"
         else:
-            comps = m22_components(G)
-            singleton = next((c for c in comps if len(c) == 1), None)
-            if singleton is not None:
-                (e,) = singleton
+            _, cols = _rank_and_coloops(G, 2)
+            if cols:
+                e = min(cols)
                 report.reasons["edge_in_no_circuit"] = f"{e[0]}-{e[1]}"
             else:
-                report.reasons["matroid_disconnected"] = f"{len(comps)} components"
+                report.reasons["matroid_disconnected"] = f"{len(_sorted_game(G)[2])} components"
     if report.globally_rigid_analytic:
         report.sufficient_conditions_hit, notes = sufficient_checks(G)
         report.notices.extend(notes)

@@ -188,7 +188,7 @@ class RigidityOperator(FrozenRecord):
     the lcm of all coordinate denominators, so every row is the rational
     one times the same D^(p-1), and one elimination per block of these
     rows gives the rank, the stressed rows and the coloops
-    (`_exact_profile`).  An entry may have at most EXACT_ENTRY_BITS bits,
+    (`_exact_blocks`).  An entry may have at most EXACT_ENTRY_BITS bits,
     so an even p such as 1e20 is refused.
     Otherwise the entries are floats.  `trivial_flex_dim` is that of the
     plane it was built in (2 unless set); it bounds the rank by
@@ -332,7 +332,7 @@ def rigidity_operator(
 
 # 2^30 - 35, the largest prime below 2^30: every residue is one 30-bit
 # digit of a Python int, which keeps the elimination's arithmetic cheap.  Any
-# prime gives exact answers (see _exact_profile); a small one only falls back
+# prime gives exact answers (see _exact_blocks); a small one only falls back
 # to Bareiss more often.  perfbench/reference.py checks ranks modulo
 # 2^31 - 1, so the program and its checker cannot share a prime's blind spot
 _PRIME = (1 << 30) - 35
@@ -502,20 +502,6 @@ def _exact_blocks(
     return out
 
 
-def _exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int], frozenset[int]]:
-    """The exact rank of an integer operator, rows known to be stressed,
-    and rows known to be coloops, summed over its blocks (`_exact_blocks`):
-    the rows of a block of full row rank are coloops."""
-    rank, stressed, coloops = 0, set(), set()
-    for _, rows, rank_b, known in _exact_blocks(op):
-        rank += rank_b
-        if rank_b == len(rows):
-            coloops.update(rows)
-        else:
-            stressed.update(rows[j] for j in known)
-    return rank, frozenset(stressed), frozenset(coloops)
-
-
 def _check_tol(tol: float) -> None:
     """A relative tolerance must be finite and strictly between 0 and 1:
     NaN or tol >= 1 counts no singular value above tol times the largest,
@@ -525,7 +511,8 @@ def _check_tol(tol: float) -> None:
 
 
 def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int:
-    """Rank of the operator; exact (`_exact_profile`) or SVD.
+    """Rank of the operator; exact (the sum of the block ranks of
+    `_exact_blocks`) or SVD.
 
     Exact mode requires an exact operator (integer rows, see
     `rigidity_operator`).  Float mode counts the singular values of
@@ -536,7 +523,7 @@ def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int
     if not op.matrix:
         return 0
     if mode == "exact":
-        return _exact_profile(op)[0]
+        return sum(rank_b for _, _, rank_b, _ in _exact_blocks(op))
     if mode == "float":
         import numpy as np
 

@@ -76,17 +76,11 @@ class Graph(FrozenRecord):
 
     @cached_property
     def _sorted_games(self) -> dict:
-        """k -> the game over the sorted edges and its regions (the vertex
-        set of each rejected edge's circuit), filled by
-        `sparsity._sorted_game`."""
+        """k -> the game over the sorted edges, its regions (the vertex set
+        of each rejected edge's circuit) and the classes they merge into
+        (the vertex sets of the matroid's components but its coloops),
+        filled by `sparsity._sorted_game`; read only."""
         return {}
-
-    @cached_property
-    def _m22_parts(self) -> list:
-        """The components of the (2,2) matroid on the edges, sorted, once
-        `sparsity.m22_components` has built them, else []; read only, as
-        that function hands out copies of the list."""
-        return []
 
     @cached_property
     def _m22_game(self) -> list:

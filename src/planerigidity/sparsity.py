@@ -17,10 +17,13 @@ coloops are the basis edges with both ends in no class, G is a circuit
 when exactly one edge is rejected and its region is V, and each ear of
 an ear decomposition is one of the fundamental circuits of the game over
 the sorted edges, expanded.  That game is played once per Graph instance
-and kept on it with its regions (_sorted_game), so the rank, the
-components, the circuit test, the ear decomposition, the cold M(2,2)
-check, the vertex-deletion condition (_vertex_deletion_rigid) and the
-callers in `decide` all read the same game.  A game may also start from
+and kept on it with its regions and their classes, merged once
+(_sorted_game), so the rank, the components, the coloops, the circuit
+test, the ear decomposition, the cold M(2,2) check, the vertex-deletion
+condition (_vertex_deletion_rigid) and the callers in `decide`, the
+negative verdict's reason among them, all read the same game and the
+same merge; edge parts are built only where the cold check counts them
+(m22_components).  A game may also start from
 the final orientation of another game (PebbleGame.seed), which is how
 the reduction engine checks each candidate from its parent's game (the
 warm check merges the regions of that game's rejections and never builds
@@ -259,22 +262,29 @@ def _circuit(game: PebbleGame, f: Edge, region) -> frozenset[Edge]:
     return frozenset(circ)
 
 
-def _sorted_game(G: Graph, k: int = 2) -> tuple[PebbleGame, dict[Edge, frozenset[int]]]:
-    """The (2,k) game over G.sorted_edges() and the region of the circuit
-    C(f,B) of each edge f it rejects (see _play), played once per Graph
+def _sorted_game(
+    G: Graph, k: int = 2
+) -> tuple[PebbleGame, dict[Edge, frozenset[int]], list[set[int]]]:
+    """The (2,k) game over G.sorted_edges(), the region of the circuit
+    C(f,B) of each edge f it rejects (see _play), and the classes those
+    regions merge into (_region_classes), played and merged once per Graph
     instance and kept on it (Graph._sorted_games).
 
-    Every reader of the sorted-order game of G shares this pair, so no
-    caller may mutate either: a reader that edits the regions copies the
-    dict first, and PebbleGame.seed only reads the game it seeds from.
-    Sound, because the pair depends only on (n, E) and k, which a frozen
-    Graph never changes; it is kept on the instance, not keyed by graph
-    equality, so each command's work still depends only on the graphs it
-    builds.
+    Every reader of the sorted-order game of G shares this triple, so no
+    caller may mutate any of it: a reader that edits the regions or the
+    classes copies them first, and PebbleGame.seed only reads the game it
+    seeds from.  Sound, because the triple depends only on (n, E) and k,
+    which a frozen Graph never changes; it is kept on the instance, not
+    keyed by graph equality, so each command's work still depends only on
+    the graphs it builds.  The classes are merged with the game, not when
+    first asked for: every decision that plays a sorted game reads its
+    classes anyway (in the cold M(2,2) check, the coloops or a negative
+    reason), so the eager merge adds no work there.
     """
     games = G._sorted_games
     if k not in games:
-        games[k] = _play(G.sorted_edges(), PebbleGame(G.n, k))
+        game, regions = _play(G.sorted_edges(), PebbleGame(G.n, k))
+        games[k] = game, regions, _region_classes(regions.values())
     return games[k]
 
 
@@ -373,7 +383,7 @@ def is_circuit22(G: Graph) -> bool:
         raise ValueError("needs at least one edge and no isolated vertices")
     if G.m != 2 * G.n - 1:
         return False
-    _, regions = _sorted_game(G)
+    regions = _sorted_game(G)[1]
     return len(regions) == 1 and len(next(iter(regions.values()))) == G.n
 
 
@@ -388,10 +398,11 @@ def _rank_and_coloops(G: Graph, k: int) -> tuple[int, frozenset[Edge]]:
     is a coloop.  b lies in C(f,B) = f + B[R] iff R holds both its ends,
     and some region does iff some class of _region_classes does, since
     B[U] is the union of the B[R] of the class; the classes at each end
-    (_classes_at) answer that in the time of the smaller set.
+    (_classes_at) of the game's kept classes answer that in the time of
+    the smaller set.
     """
-    game, regions = _sorted_game(G, k)
-    at = _classes_at(G.n, _region_classes(regions.values()))
+    game, _, classes = _sorted_game(G, k)
+    at = _classes_at(G.n, classes)
     return game.rank, frozenset(b for b in game.accepted if at[b[0]].isdisjoint(at[b[1]]))
 
 
@@ -434,7 +445,7 @@ def _vertex_deletion_rigid(G: Graph) -> bool:
     left without an edge, and no Graph is built.
     """
     n = G.n
-    game, regions = _sorted_game(G)
+    game, regions, _ = _sorted_game(G)
     basis = game.accepted
     if len(basis) < 2 * n - 2:
         return False
@@ -469,14 +480,16 @@ def _vertex_deletion_rigid(G: Graph) -> bool:
 def fundamental_circuit(base, e: Edge, k: int = 2) -> frozenset[Edge]:
     """The unique circuit inside base + e, given base independent.
 
-    Raises if base is dependent or if base + e stays independent.
+    `base` is read as `rank2k` reads an edge list: a repeated or reversed
+    pair counts once.  Raises if base is dependent or if base + e stays
+    independent, as it does when e is in base.
     """
-    base, e = [_norm_edge(u, v) for u, v in base], _norm_edge(*e)
+    base, e = list(dict.fromkeys(_norm_edge(u, v) for u, v in base)), _norm_edge(*e)
     order = base + [e]
     game, regions = _play(order, PebbleGame(1 + max(v for f in order for v in f), k))
     if game.accepted[:len(base)] != base:
         raise ValueError("base edge set is not independent")
-    if e not in regions:
+    if e in base or e not in regions:
         raise ValueError("base + e is independent; no circuit")
     return _circuit(game, e, regions[e])
 
@@ -492,30 +505,21 @@ def m22_components(G: Graph) -> list[frozenset[Edge]]:
     classes of the relation "lies in a common fundamental circuit C(f,B)",
     so the fundamental circuits of one game, G's sorted game, give them
     (Krogdahl 1977; Oxley, Matroid Theory, section 4.3).  Their regions
-    merge into the classes (_region_classes); each edge goes to the class
-    whose union holds both its ends, and an edge in no class is a coloop,
-    a component of its own.  The parts come ordered by their sorted edge
-    lists, which for disjoint parts is the order of their least edges.
-
-    The parts are built once per Graph instance and kept on it beside its
-    sorted game (Graph._m22_parts), so the negative verdict's reason reads
-    the parts that its M(2,2) check built; each call returns a new list,
-    which the caller may change.  Sound as the kept game is (see
-    _sorted_game): the parts depend only on (n, E), which a frozen Graph
-    never changes, and a frozenset part cannot be changed.
+    merge into the classes that the game keeps (_sorted_game,
+    _region_classes); each edge goes to the class whose union holds both
+    its ends, and an edge in no class is a coloop, a component of its own.
+    The parts come ordered by their sorted edge lists, which for disjoint
+    parts is the order of their least edges.
     """
     if G.m < 1 or G.min_degree() == 0:
         raise ValueError("needs at least one edge and no isolated vertices")
-    parts = G._m22_parts
-    if not parts:  # at least one part once built, as E is not empty
-        parts[:] = sorted(_edge_classes(G.n, G.edges, _sorted_game(G)[1].values()), key=min)
-    return list(parts)
+    return sorted(_edge_classes(G.n, G.edges, _sorted_game(G)[2]), key=min)
 
 
-def _edge_classes(n: int, edges, regions) -> list[frozenset[Edge]]:
+def _edge_classes(n: int, edges, classes) -> list[frozenset[Edge]]:
     """The components of the matroid on `edges`, the edges of a game over
-    labels 0..n-1 whose rejections read `regions` (see _region_classes)."""
-    classes = _region_classes(regions)
+    labels 0..n-1 whose rejections' regions merge into `classes` (see
+    _region_classes)."""
     at = _classes_at(n, classes)
     parts: list[set[Edge]] = [set() for _ in classes]
     coloops = []
@@ -547,8 +551,8 @@ def is_m22_connected(
     this sits on the reduction engine's hot path.
 
     Cold path (no seed): `rank2k`, then `m22_components`, both read off G's
-    sorted game (_sorted_game), which is played once, by `rank2k`; that
-    game is the one G keeps.
+    sorted game (_sorted_game), which is played and merged once, by
+    `rank2k`; that game is the one G keeps.
 
     Warm path: `seed` is (parent, relabel), with `parent` the final game of
     a graph G was derived from (or None) and `relabel` the map of its kept
@@ -691,7 +695,7 @@ def ear_decomposition(G: Graph) -> EarDecomposition | None:
         raise ValueError("no isolated vertices allowed")
     if G.m < 2:
         return None
-    game, regions = _sorted_game(G)
+    game, regions, _ = _sorted_game(G)
     circuits = {f: _circuit(game, f, region) for f, region in regions.items()}
     if not circuits:
         return None  # independent: no circuits at all

@@ -15,7 +15,9 @@ decomposition with one game per ear (the library now reads every ear off
 the one game over the sorted edges) and, after that, with C - D formed
 anew for every circuit C on every ear (the library keeps each C - D
 current in place), its earlier m + 1 eliminations for
-the deletion ranks of a rigidity operator, its split of an exact rank
+the deletion ranks of a rigidity operator, its exact profile (the rank
+with the rows known to be stressed and the coloops; the library's exact
+rank now sums the block ranks alone), its split of an exact rank
 at the bridges and into the pieces between them (the library now splits
 at blocks), its dense modular elimination (the library now eliminates
 a sparse transpose), its float operator rows from Fraction differences
@@ -57,7 +59,8 @@ that share two vertices; they are the oracles of its warm M(2,2) check,
 components, coloops and circuit test.  Its report is the library's
 earlier single-pass decision, which evaluated every sufficient condition
 whatever the verdict (the library evaluates them only on a positive
-verdict).
+verdict), and its negative reason, read off the sorted edge parts (the
+library reads the coloops and classes of the sorted game).
 """
 
 import itertools
@@ -509,7 +512,7 @@ def ear_decomposition_rescan(G: Graph):
         raise ValueError("no isolated vertices allowed")
     if G.m < 2:
         return None
-    game, regions = _sorted_game(G)
+    game, regions, _ = _sorted_game(G)
     circuits = {f: _circuit(game, f, region) for f, region in regions.items()}
     if not circuits:
         return None  # independent: no circuits at all
@@ -688,6 +691,22 @@ def exact_profile_by_pieces(op: RigidityOperator):
         if rank_q == rank_p:
             stressed.update(rows[j] for j in piece_stressed)
     return rank, frozenset(stressed)
+
+
+def exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int], frozenset[int]]:
+    """The exact rank of an integer operator, rows known to be stressed,
+    and rows known to be coloops, summed over its blocks
+    (`geometry._exact_blocks`): the rows of a block of full row rank are
+    coloops.  The library's earlier exact `rank_of` built all three, where
+    it now sums the block ranks alone."""
+    rank, stressed, coloops = 0, set(), set()
+    for _, rows, rank_b, known in geometry._exact_blocks(op):
+        rank += rank_b
+        if rank_b == len(rows):
+            coloops.update(rows)
+        else:
+            stressed.update(rows[j] for j in known)
+    return rank, frozenset(stressed), frozenset(coloops)
 
 
 def float_rows_by_fractions(G: Graph, placement, plane):
@@ -1652,14 +1671,21 @@ def report_single_pass(G: Graph) -> RigidityReport:
         if G.min_degree() == 0 or G.m < 2:
             report.reasons["degenerate"] = "isolated vertex or fewer than 2 edges"
         else:
-            comps = m22_components(G)
-            singleton = next((c for c in comps if len(c) == 1), None)
-            if singleton is not None:
-                (e,) = singleton
-                report.reasons["edge_in_no_circuit"] = f"{e[0]}-{e[1]}"
-            else:
-                report.reasons["matroid_disconnected"] = f"{len(comps)} components"
+            report.reasons.update(negative_reason_from_parts(G))
     report.sufficient_conditions_hit, notes = sufficient_checks(G)
     report.notices.extend(notes)
     report.euclidean_verdict = is_globally_rigid_euclidean(G)
     return report
+
+
+def negative_reason_from_parts(G: Graph) -> dict[str, str]:
+    """The library's earlier reason for a negative M(2,2) verdict, read off
+    the sorted edge parts of `m22_components`: its first singleton part,
+    an edge in no circuit, or else the number of parts.  G has an edge and
+    no isolated vertex."""
+    comps = m22_components(G)
+    singleton = next((c for c in comps if len(c) == 1), None)
+    if singleton is not None:
+        (e,) = singleton
+        return {"edge_in_no_circuit": f"{e[0]}-{e[1]}"}
+    return {"matroid_disconnected": f"{len(comps)} components"}

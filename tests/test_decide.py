@@ -1,5 +1,6 @@
 import copy
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,7 @@ from oracles import (
     graphs_up_to_iso,
     is_circuit22_leave_one_out,
     is_k_connected_cut_scan,
+    negative_reason_from_parts,
     rank_and_coloops,
     report_single_pass,
     vertex_deletion_rigid_games,
@@ -639,8 +641,8 @@ class TestPerGraphFacts:
         monkeypatch.setattr(PebbleGame, "seed", record)
         for G in self.positives()[2:]:  # K5- and B1 are base graphs: no search
             G = Graph(G.n, G.edges)
-            game, circuits = _sorted_game(G)
-            before = copy.deepcopy((vars(game), circuits))
+            game, regions, classes = _sorted_game(G)
+            before = copy.deepcopy((vars(game), regions, classes))
             ear_decomposition(G)
             ear_decomposition(G)
             m22_components(G)
@@ -651,7 +653,7 @@ class TestPerGraphFacts:
             assert take_m22_game(G) is None  # the search took it
             assert parents and all(p is game for p in parents)
             assert _sorted_game(G)[0] is game
-            assert (vars(game), _sorted_game(G)[1]) == before
+            assert (vars(game), *_sorted_game(G)[1:]) == before
 
     @staticmethod
     def readers(G):
@@ -720,34 +722,67 @@ class TestPerGraphFacts:
         assert m22_components(G) == m22_components(Graph(G.n, G.edges))
         assert len(m22_components(G)) == 12
 
-    def test_a_negative_reason_builds_the_parts_once(self, monkeypatch):
-        # 20 of the 30 check-m22 negatives reach full rank in the cold
-        # check, which asks for the parts, and the reason asks again; each
-        # negative builds them once, and no decision builds them twice
-        built, asked = [], []
-        real_build, real_ask = sparsity._edge_classes, sparsity.m22_components
-        monkeypatch.setattr(sparsity, "_edge_classes", lambda *a: built.append(1) or real_build(*a))
-        for module in (sparsity, decide):
-            monkeypatch.setattr(module, "m22_components", lambda G: asked.append(1) or real_ask(G))
-        negatives = twice = 0
-        for G in benchmark_graphs("check-m22").values():
-            G = Graph(G.n, G.edges)
-            built.clear()
-            asked.clear()
-            report = is_globally_rigid_analytic(G)
-            if {"edge_in_no_circuit", "matroid_disconnected"} & report.reasons.keys():
-                assert built == [1]
-                negatives += 1
-                twice += len(asked) == 2
-            else:
-                assert len(built) == len(asked) <= 1
-        assert (negatives, twice) == (30, 20)
+    def test_each_sorted_game_merges_its_regions_once(self, monkeypatch):
+        # check, certify at p = 2 and certify at p = 4 read the classes of
+        # each sorted game they play, the (2,2) game and at p = 2 or on a
+        # 3-connected graph the (2,3) game, for the cold check, the
+        # coloops and a negative reason; the classes are merged once, with
+        # the game, so the merges are as many as the kept games
+        merged = []
+        real = sparsity._region_classes
+        monkeypatch.setattr(sparsity, "_region_classes", lambda r: merged.append(1) or real(r))
+        runs = (
+            is_globally_rigid_analytic,
+            lambda G: certify(G, NormedPlane(2), 1),
+            lambda G: certify(G, NormedPlane(4), 1),
+        )
+        kept = []
+        for G in benchmark_graphs().values():
+            for run in runs:
+                G = Graph(G.n, G.edges)
+                merged.clear()
+                run(G)
+                assert len(merged) == len(G._sorted_games), G
+                kept.append(len(G._sorted_games))
+        assert set(kept) == {1, 2}
+
+    def test_negative_reasons_match_the_parts_oracle(self):
+        # the least coloop, else the number of classes, against the rule
+        # on the sorted edge parts: its first singleton part, else the
+        # part count; the degenerate test comes first on both sides
+        reasons = {"degenerate", "edge_in_no_circuit", "matroid_disconnected"}
+        corpora = {
+            "corpus": decision_corpus(300, seed=5),
+            "check-m22": list(benchmark_graphs("check-m22").values()),
+            "certify-lp": list(benchmark_graphs("certify-lp").values()),
+            "experiment-gnp": experiment_graphs(),
+        }
+        negatives = Counter()
+        for name, graphs in corpora.items():
+            for G in graphs:
+                report = is_globally_rigid_analytic(Graph(G.n, G.edges))
+                if G.n < 5 or report.m22_connected:
+                    continue
+                got = {k: v for k, v in report.reasons.items() if k in reasons}
+                if G.min_degree() == 0 or G.m < 2:
+                    assert got.keys() == {"degenerate"}
+                else:
+                    assert got == negative_reason_from_parts(Graph(G.n, G.edges)), G
+                (reason,) = got
+                negatives[name, reason] += 1
+        # every negative of the three workloads: 30, 73 and 89 of them
+        assert negatives == {
+            ("corpus", "edge_in_no_circuit"): 118, ("corpus", "degenerate"): 16,
+            ("check-m22", "edge_in_no_circuit"): 20, ("check-m22", "matroid_disconnected"): 10,
+            ("certify-lp", "edge_in_no_circuit"): 55, ("certify-lp", "matroid_disconnected"): 18,
+            ("experiment-gnp", "edge_in_no_circuit"): 85, ("experiment-gnp", "degenerate"): 4,
+        }
 
     def test_equality_and_hash_ignore_the_facts(self):
         G = cat.complete_bipartite(3, 6)
         H = Graph(G.n, G.edges)
         certify(G, NormedPlane(4), 3)
-        facts = {"_lowpoint_dfs", "_sorted_games", "_m22_game", "_m22_parts"}
+        facts = {"_lowpoint_dfs", "_sorted_games", "_m22_game"}
         assert facts <= vars(G).keys() and G._m22_game
         assert not facts & vars(H).keys()
         assert G == H and hash(G) == hash(H) and {H: 1}[G] == 1

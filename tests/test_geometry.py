@@ -34,8 +34,8 @@ from planerigidity.sparsity import rank2k
 
 from corpus import BENCHMARK_INPUTS, decision_corpus
 from oracles import (
-    deletion_ranks_loop, exact_profile_by_pieces, float_rank_unscaled, float_rows_by_fractions,
-    float_rows_by_support_functional, modular_profile_dense,
+    deletion_ranks_loop, exact_profile, exact_profile_by_pieces, float_rank_unscaled,
+    float_rows_by_fractions, float_rows_by_support_functional, modular_profile_dense,
 )
 
 L2 = NormedPlane(2)
@@ -746,7 +746,7 @@ class TestSplitProfile:
         op = rigidity_operator(G, pl, NormedPlane(p))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "_PRIME", prime)
-            rank, stressed, coloops = geometry._exact_profile(op)
+            rank, stressed, coloops = exact_profile(op)
             ranks = deletion_ranks(op, "exact")
         rows = op.matrix
         assert rank == _bareiss_rank(rows)
@@ -764,7 +764,7 @@ class TestSplitProfile:
         # a coloop drops the rank by one
         monkeypatch.setattr(geometry, "_PRIME", prime)
         for op in _corpus_frameworks(p):
-            rank, stressed, coloops = geometry._exact_profile(op)
+            rank, stressed, coloops = exact_profile(op)
             old_rank, old_stressed = exact_profile_by_pieces(op)
             assert rank == old_rank and stressed >= old_stressed, op.edges
             rows = op.matrix
@@ -799,7 +799,7 @@ class TestSplitProfile:
         calls = _counted(monkeypatch, "_rank_without")
         op = _k8_plus_a_path()
         assert deletion_ranks(op, "exact") == deletion_ranks_loop(op, "exact")
-        assert geometry._exact_profile(op)[2] == frozenset(range(28, 50))
+        assert exact_profile(op)[2] == frozenset(range(28, 50))
         assert calls == []
 
     def test_euclidean_one_sum_needs_no_bareiss(self, monkeypatch):

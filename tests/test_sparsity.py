@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 import sys
 import threading
 
@@ -221,8 +222,9 @@ class TestSearchAgainstTheDictSearch:
         rejected = 0
         for G in graphs:
             for k in (2, 3):
-                game, regions = _sorted_game(G, k)
+                game, regions, classes = _sorted_game(G, k)
                 assert (game.accepted, regions) == _oracle_sorted_game(G, k)
+                assert classes == sparsity._region_classes(regions.values())
                 rejected += len(regions)
         assert rejected > 1000
 
@@ -412,7 +414,8 @@ class TestWarmCheck:
         assert sparsity._region_classes([a, b, x]) == [{0, 1, 2, 3, 4}]
         # 34 lies in no class, so it is a coloop
         edges = [(0, 1), (1, 2), (3, 4)]
-        assert sorted(sparsity._edge_classes(5, edges, [a]), key=sorted) == [
+        classes = sparsity._region_classes([a])
+        assert sorted(sparsity._edge_classes(5, edges, classes), key=sorted) == [
             {(0, 1), (1, 2)}, {(3, 4)}
         ]
         rng = random.Random(59)
@@ -422,7 +425,8 @@ class TestWarmCheck:
             edges = G.sorted_edges()
             order = rng.sample(edges, len(edges))
             _, regions = sparsity._play(order, PebbleGame(G.n, 2))
-            classes = sorted(sparsity._edge_classes(G.n, edges, regions.values()), key=sorted)
+            merged = sparsity._region_classes(regions.values())
+            classes = sorted(sparsity._edge_classes(G.n, edges, merged), key=sorted)
             assert classes == components_multipass(G)
             split += bool(regions) and len(classes) > 1
         assert split > 10 and sum(len(m22_components(G)) == 1 for G in graphs) > 10
@@ -502,6 +506,22 @@ class TestFundamentalCircuit:
         with pytest.raises(ValueError):
             fundamental_circuit(cat.k5_minus().sorted_edges(), (3, 4))
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_base_reads_a_repeated_pair_once(self, k):
+        # base + e, with e already in base, is base: independent, whatever
+        # orientation or repetition names e
+        no_circuit = "base + e is independent; no circuit"
+        for base, e in [
+            ([(0, 1), (1, 0)], (0, 1)), ([(0, 1)], (1, 0)), ([(0, 1), (0, 1)], (1, 0)),
+            ([(1, 2), (0, 1), (2, 1)], (2, 1)),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(no_circuit)):
+                fundamental_circuit(base, e, k)
+        # a repeated pair of a base adds no edge to its circuit
+        edges = cat.k5_minus().sorted_edges()
+        base = edges[:-1] + [(v, u) for u, v in edges[:3]]
+        assert fundamental_circuit(base, edges[-1]) == frozenset(edges)
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_matches_bruteforce_minimal_circuit(self, data):
@@ -578,8 +598,8 @@ class TestM22Connected:
     def test_the_warm_check_stops_at_the_rank(self, monkeypatch):
         # two K5s joined by the edge 0-5 pass the degree and edge-count
         # filters but have rank 17 < 2n - 2 = 18: the unseeded warm check
-        # answers at the rank, before it merges a region, as the cold
-        # check does
+        # answers at the rank, before it merges a region (the cold check
+        # reads the sorted game, whose regions are merged as it is played)
         k5 = cat.complete_graph(5).edges
         H = Graph.from_edges(10, [*k5, *((u + 5, v + 5) for u, v in k5), (0, 5)])
         assert (H.n, H.m, H.min_degree(), rank2k(H, 2)) == (10, 21, 4, 17)
@@ -865,7 +885,7 @@ class TestOneGameEars:
         if G.min_degree() == 0:
             return
         basis, circuits = basis_and_circuits(edges, 2)
-        game, regions = _sorted_game(G)
+        game, regions, _ = _sorted_game(G)
         assert {f: sparsity._circuit(game, f, R) for f, R in regions.items()} == circuits
         ed = ear_decomposition(G)
         unions = [] if ed is None else list(itertools.accumulate(ed.circuits, frozenset.union))
