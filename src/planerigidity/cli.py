@@ -95,7 +95,7 @@ def _cmd_rank(args) -> int:
     G = _load_graph(args.graph, args.format)
     plane = NormedPlane(args.p)
     placement = _placement_for(args, G, plane)
-    op = rigidity_operator(G, placement, plane, exact=args.mode == "exact" or None)
+    op = rigidity_operator(G, placement, plane, exact=args.mode == "exact")
     mode = ("exact" if op.exact else "float") if args.mode == "auto" else args.mode
     print(rank_of(op, mode, args.tol))
     return 0

@@ -72,18 +72,16 @@ def _g6_size_bytes(n: int) -> list[int]:
 
 
 def emit_graph6(G: Graph) -> str:
+    """Encode graph6 in one pass over the edges: the edge (u, v), u < v,
+    sets bit i = v(v - 1)/2 + u of a zeroed data list (high bit of each
+    byte first), the index `parse_graph6` reads, and the padding bits past
+    n(n - 1)/2 stay zero."""
     out = _g6_size_bytes(G.n)
-    bits = []
-    for v in range(1, G.n):
-        for u in range(v):
-            bits.append(1 if G.has_edge(u, v) else 0)
-    for i in range(0, len(bits), 6):
-        chunk = bits[i:i + 6] + [0] * (6 - len(bits[i:i + 6]))
-        val = 0
-        for b in chunk:
-            val = val << 1 | b
-        out.append(val + 63)
-    return "".join(chr(c) for c in out)
+    data = [0] * ((G.n * (G.n - 1) // 2 + 5) // 6)
+    for u, v in G.edges:
+        i = v * (v - 1) // 2 + u
+        data[i // 6] |= 32 >> i % 6
+    return "".join(chr(c) for c in out) + "".join(chr(val + 63) for val in data)
 
 
 # the offsets of the set bits of a 6-bit graph6 data value, high bit first

@@ -257,18 +257,17 @@ EXACT_ENTRY_BITS = 1 << 12
 
 
 def rigidity_operator(
-    G: Graph, placement: Placement, plane: NormedPlane, exact: bool | None = None
+    G: Graph, placement: Placement, plane: NormedPlane, exact: bool = False
 ) -> RigidityOperator:
     """The row-scaled operator (see `RigidityOperator`); exact entries past
     EXACT_ENTRY_BITS bits and float rows out of range raise ValueError.
 
-    `exact` picks the rows.  True builds integer rows, and raises
-    ValueError unless p is an integer and the placement rational; False
-    builds float rows.  None, the default, builds integer rows at an even
-    integer p with a rational placement and float rows otherwise: at an
-    odd p the float rank is the cheaper one, and `certify` rechecks
-    with integer rows any float answer that disagrees with the
-    combinatorial verdict.
+    The rows are integer at an even integer p with a rational placement
+    and float otherwise: at an odd p the float rank is the cheaper one,
+    and `certify` rechecks with integer rows any float answer that
+    disagrees with the combinatorial verdict.  `exact=True` asks for
+    integer rows at an odd p too, and raises ValueError unless p is an
+    integer and the placement rational.
 
     A rational placement is first scaled by D, the lcm of its coordinate
     denominators, to integer coordinates, and every edge difference d is
@@ -287,10 +286,9 @@ def rigidity_operator(
     edges = tuple(G.sorted_edges())
     coords, D = placement.coords, 1
     rational = placement.exact
-    if exact is None:
-        exact = rational and plane.exactable and int(plane.p) % 2 == 0
-    elif exact and not (rational and plane.exactable):
+    if exact and not (rational and plane.exactable):
         raise ValueError("exact rank needs an integer p and a rational placement; use float mode")
+    exact = exact or rational and plane.exactable and int(plane.p) % 2 == 0
     if rational:
         D = math.lcm(*(c.denominator for xy in coords for c in xy))
         coords = [tuple(c.numerator * (D // c.denominator) for c in xy) for xy in coords]
@@ -612,7 +610,7 @@ def is_inf_rigid(
     """Rank test for infinitesimal rigidity: 2n-3 Euclidean, 2n-2 otherwise."""
     if G.n < 2:
         raise ValueError("needs at least two vertices")
-    op = rigidity_operator(G, placement, plane, exact=mode == "exact" or None)
+    op = rigidity_operator(G, placement, plane, exact=mode == "exact")
     mode = mode or ("exact" if op.exact else "float")
     return rank_of(op, mode, tol) == 2 * G.n - plane.trivial_flex_dim
 
@@ -625,7 +623,7 @@ def is_redundantly_rigid(
     if G.n < 2 or G.m < 1:
         raise ValueError("needs at least two vertices and one edge")
     target = 2 * G.n - plane.trivial_flex_dim
-    op = rigidity_operator(G, placement, plane, exact=mode == "exact" or None)
+    op = rigidity_operator(G, placement, plane, exact=mode == "exact")
     _, ranks = deletion_ranks(op, mode or ("exact" if op.exact else "float"), tol)
     return all(r == target for r in ranks)
 

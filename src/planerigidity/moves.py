@@ -508,10 +508,14 @@ def _reduction_candidates(G: Graph):
     loops, so neither end of an edge is a common neighbour of its ends.
 
     An edge-reduction (a, b, c) needs deg a + deg b - 3 >= 3 and
-    |N(a) ∩ N(b)| <= 1, and both hold or fail for (a, b) and (b, a)
-    alike; so each edge uv is tested once, the degree sum first, and only
-    then tried in both directions, uv before vu: the moves and their
-    order are those of testing each direction alone."""
+    |N(a) ∩ N(b)| <= 1.  The search runs on M(2,2)-connected graphs only,
+    which are 2-connected and redundantly rigid and so have minimum
+    degree 3 (the first filter of `is_m22_connected`): the degree sum is
+    at least 6 on every edge, and is not tested.  The
+    common-neighbour bound holds or fails for (a, b) and (b, a) alike, so
+    each edge uv is tested once and only then tried in both directions,
+    uv before vu: the moves and their order are those of testing each
+    direction alone."""
     adj = G.adj
     deg = [len(nbrs) for nbrs in adj]
     edges = G.sorted_edges()
@@ -529,8 +533,6 @@ def _reduction_candidates(G: Graph):
             yield Move("k4minus-reduction", (u1, u2))
 
     for u, v in edges:
-        if deg[u] + deg[v] < 6:
-            continue
         common = adj[u] & adj[v]
         if len(common) > 1:
             continue
@@ -612,19 +614,24 @@ def random_m22_graph(steps: int, seed: int) -> Graph:
 
 
 def _random_split(G: Graph, rng: random.Random) -> Graph:
+    """A random generalized vertex split of G that keeps it
+    M(2,2)-connected, re-rolled up to 40 times, else a K4--extension.
+
+    G is M(2,2)-connected, so every vertex has degree at least 3: the
+    walk starts at K5- or B1, an edge-addition, 1-extension or
+    K4--extension lowers no degree and gives a new vertex degree 3, and a
+    split is kept only when `is_m22_connected` accepts it.  So n2 (at
+    least 2 neighbours) and n1 (at least 1) can always be drawn, and the
+    new neighbour x can always be drawn too: n2 lies in the candidates,
+    which are the vertices other than v outside n1."""
     for _ in range(40):
         v = rng.randrange(G.n)
         nbrs = sorted(G.adj[v])
-        if len(nbrs) < 3:
-            continue
         # both pieces must keep degree >= 3: |n2| >= 2 and |n1| >= 1
         size = rng.randint(2, len(nbrs) - 1)
         n2 = sorted(rng.sample(nbrs, size))
         n1 = set(nbrs) - set(n2)
-        cands = [x for x in range(G.n) if x != v and x not in n1]
-        if not cands:
-            continue
-        x = rng.choice(cands)
+        x = rng.choice([x for x in range(G.n) if x != v and x not in n1])
         H = apply(G, Move("generalized-vertex-split", (v, x, *n2)))
         if is_m22_connected(H):
             return H

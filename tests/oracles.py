@@ -60,7 +60,8 @@ components, coloops and circuit test.  Its report is the library's
 earlier single-pass decision, which evaluated every sufficient condition
 whatever the verdict (the library evaluates them only on a positive
 verdict), and its negative reason, read off the sorted edge parts (the
-library reads the coloops and classes of the sorted game).
+library reads the coloops and classes of the sorted game).  Its graph6
+writer probes every vertex pair (the library sets each edge's bit).
 """
 
 import itertools
@@ -74,6 +75,7 @@ from planerigidity import geometry
 from planerigidity.decide import (
     RigidityReport, _ears_text, is_globally_rigid_euclidean, sufficient_checks,
 )
+from planerigidity.formats import _g6_size_bytes
 from planerigidity.geometry import RigidityOperator, _bareiss_rank, rank_of, support_functional
 from planerigidity.graphs import (
     Edge, Graph, Separation, _bipartitions, _is_k4_part, _lowpoint_dfs, _norm_edge, _part,
@@ -1689,3 +1691,20 @@ def negative_reason_from_parts(G: Graph) -> dict[str, str]:
         (e,) = singleton
         return {"edge_in_no_circuit": f"{e[0]}-{e[1]}"}
     return {"matroid_disconnected": f"{len(comps)} components"}
+
+
+def emit_graph6_by_pairs(G: Graph) -> str:
+    """The library's earlier graph6 writer: one `has_edge` probe per vertex
+    pair, columnwise over the upper triangle, packed six bits a byte."""
+    out = _g6_size_bytes(G.n)
+    bits = []
+    for v in range(1, G.n):
+        for u in range(v):
+            bits.append(1 if G.has_edge(u, v) else 0)
+    for i in range(0, len(bits), 6):
+        chunk = bits[i:i + 6] + [0] * (6 - len(bits[i:i + 6]))
+        val = 0
+        for b in chunk:
+            val = val << 1 | b
+        out.append(val + 63)
+    return "".join(chr(c) for c in out)

@@ -257,6 +257,11 @@ class TestHendrickson:
         rep = hendrickson_check(cat.bowtie())
         assert not rep.two_connected
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_vertices_refused(self, n):
+        with pytest.raises(ValueError, match="^needs at least 2 vertices$"):
+            hendrickson_check(Graph(n, frozenset()))
+
     def test_necessity_on_corpus(self):
         for G in decision_corpus(80, seed=4):
             if G.n < 2:
@@ -412,6 +417,18 @@ class TestEuclidean:
         assert is_globally_rigid_euclidean(cat.complete_graph(4))
         assert is_globally_rigid_euclidean(cat.complete_graph(3))
         assert not is_globally_rigid_euclidean(cat.path_graph(3))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_vertices_refused(self, n):
+        for decision in (is_globally_rigid_euclidean, euclidean_transfer):
+            with pytest.raises(ValueError, match="^needs at least 2 vertices$"):
+                decision(Graph(n, frozenset()))
+
+    def test_transfer_needs_a_euclidean_globally_rigid_graph(self):
+        with pytest.raises(
+            ValueError, match="^precondition: G must be globally rigid in the Euclidean plane$"
+        ):
+            euclidean_transfer(cat.b1())
 
     def test_transfer_values(self):
         assert not euclidean_transfer(cat.wheel_graph(5))

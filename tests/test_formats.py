@@ -11,6 +11,7 @@ from planerigidity.formats import (
     FormatError,
     MoveScript,
     emit_edgelist,
+    emit_graph,
     emit_graph6,
     emit_move_script,
     emit_placement,
@@ -24,6 +25,9 @@ from planerigidity.geometry import Placement
 from planerigidity.graphs import Graph
 from planerigidity.moves import Move
 from planerigidity.randomgraphs import gnp_graph
+
+from corpus import BENCHMARK_INPUTS, decision_corpus
+from oracles import emit_graph6_by_pairs
 
 
 class TestGraph6:
@@ -97,6 +101,24 @@ class TestGraph6:
         G = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
         assert parse_graph6(emit_graph6(G)) == G
 
+    def test_writer_matches_pair_probing_oracle(self):
+        # each edge's bit set at v(v - 1)/2 + u gives the bytes of probing
+        # every pair: the decision corpus and G(n, p) for n = 0-80, 200 and
+        # 500, through both size forms
+        graphs = decision_corpus(300, seed=5)
+        rng = random.Random(39)
+        for n in (*range(81), 200, 500):
+            graphs.append(gnp_graph(n, rng.random(), rng.randrange(2**32)))
+        for G in graphs:
+            assert emit_graph6(G) == emit_graph6_by_pairs(G), (G.n, G.sorted_edges())
+
+    def test_benchmark_inputs_are_written_back_unchanged(self):
+        paths = sorted(BENCHMARK_INPUTS.glob("**/*.g6"))
+        assert len(paths) >= 300
+        for path in paths:
+            text = path.read_text()
+            assert emit_graph6(parse_graph6(text)) == text.strip(), path.name
+
 
 class TestEdgelist:
     def test_path(self):
@@ -123,6 +145,12 @@ class TestEdgelist:
     def test_auto_detection(self):
         assert parse_graph("3\n0 1\n1 2\n").n == 3
         assert parse_graph("C~").n == 4
+
+    def test_unknown_format_refused(self):
+        with pytest.raises(FormatError, match="^unknown graph format 'dot'$"):
+            parse_graph("C~", "dot")
+        with pytest.raises(FormatError, match="^unknown graph format 'dot'$"):
+            emit_graph(cat.complete_graph(4), "dot")
 
 
 class TestPlacement:

@@ -185,6 +185,11 @@ class TestOperator:
         op = rigidity_operator(G, pl, L2)
         assert op.matrix == ((Fraction(-1), 0, Fraction(1), 0),)
 
+    def test_placement_of_the_wrong_size_refused(self):
+        pl = Placement(((0, 0), (1, 0), (0, 1)))
+        with pytest.raises(ValueError, match="^placement size does not match the graph$"):
+            rigidity_operator(cat.complete_graph(4), pl, L4)
+
     def test_p4_scaled_cubes(self):
         G = Graph.from_edges(2, [(0, 1)])
         pl = Placement(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))))
@@ -409,6 +414,12 @@ class TestRank:
         for seed, G in enumerate([cat.k5_minus(), cat.wheel_graph(5), cat.b1()]):
             op = rigidity_operator(G, random_regular_placement(G, L4, seed), L4)
             assert rank_of(op, "float") == rank_of(op, "exact")
+
+    def test_unknown_mode_refused(self):
+        G = cat.complete_graph(4)
+        op = rigidity_operator(G, random_regular_placement(G, L4, 5), L4)
+        with pytest.raises(ValueError, match="^unknown rank mode 'svd'$"):
+            rank_of(op, "svd")
 
     def test_exact_mode_rejects_floats(self):
         G = Graph.from_edges(2, [(0, 1)])
@@ -898,6 +909,11 @@ class TestZReflection:
         y = z_reflection((1, 1), (2, 2), L4)
         assert y == pytest.approx((2.0, 2.0))
 
+    @pytest.mark.parametrize("z", [(0, 0), (0.0, -0.0)])
+    def test_zero_z_refused(self, z):
+        with pytest.raises(ValueError, match="^z must be non-zero$"):
+            z_reflection(z, (1, 2), L4)
+
     def test_euclidean_reflection(self):
         y = z_reflection((1, 0), (3, 4), L2)
         assert y == pytest.approx((3.0, -4.0), abs=1e-8)
@@ -997,6 +1013,23 @@ class TestCongruence:
     def test_translation(self):
         pl = random_regular_placement(cat.bowtie(), L4, 3)
         assert is_congruent(pl, pl.translated(5, 7), L4)
+
+    def test_sizes_that_differ_refused(self):
+        pl = random_regular_placement(cat.bowtie(), L4, 3)
+        with pytest.raises(ValueError, match="^placements must cover the same vertex set$"):
+            is_congruent(pl, Placement(pl.coords[:-1]), L4)
+
+    def test_exact_equivalence_sees_a_rational_move(self):
+        # rational placements at an integer p compare p-th powers exactly:
+        # a vertex moved by 10^-30, far below any float tolerance, changes
+        # the lengths of its edges
+        G = cat.bowtie()
+        pl = random_regular_placement(G, L4, 3)
+        assert pl.exact
+        (x, y), rest = pl.coords[1], pl.coords[2:]
+        moved = Placement((pl.coords[0], (x + Fraction(1, 10**30), y)) + rest)
+        assert equivalent_exactly(G, pl, pl.translated(5, 7), L4)
+        assert not equivalent_exactly(G, pl, moved, L4)
 
     def test_coordinate_swap_is_lp_isometry(self):
         pl = random_regular_placement(cat.bowtie(), L4, 3)

@@ -117,6 +117,16 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(0, 3)])
 
+    def test_add_and_remove_edge_refusals(self):
+        # K5- lacks the edge 34 alone
+        G = cat.k5_minus()
+        with pytest.raises(ValueError, match=r"^edge \(1,0\) already present$"):
+            G.add_edge(1, 0)
+        with pytest.raises(ValueError, match=r"^edge \(4,3\) not present$"):
+            G.remove_edge(4, 3)
+        assert G.add_edge(4, 3) == cat.complete_graph(5)
+        assert G.remove_edge(1, 0).m == G.m - 1
+
     def test_remove_vertices_relabels(self):
         G = cat.k5_minus()
         H, relabel = G.remove_vertices([2])
@@ -171,6 +181,11 @@ class TestEdit:
 
 
 class TestConnectivity:
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_bad_k_refused(self, k):
+        with pytest.raises(ValueError, match="^k must be 1, 2 or 3$"):
+            is_k_connected(cat.k5_minus(), k)
+
     def test_named_examples(self):
         assert not is_k_connected(cat.two_k4_shared_vertex(), 2)
         assert is_k_connected(cat.b1(), 2)
@@ -730,6 +745,11 @@ class TestSeparations:
         seps = enumerate_separations(cat.b1(), "vertex-cut-2")
         assert len(seps) == 1
         assert seps[0].cut == (0, 1)  # endpoints of the shared edge
+
+    @pytest.mark.parametrize("kind", ["vertex-cut-2", "edge-cut-3"])
+    def test_fewer_than_four_vertices_refused(self, kind):
+        with pytest.raises(ValueError, match="^separation enumeration needs n >= 4$"):
+            enumerate_separations(cat.complete_graph(3), kind)
 
     def test_k5_minus_has_none(self):
         assert enumerate_separations(cat.k5_minus(), "vertex-cut-2") == []

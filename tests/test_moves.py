@@ -119,6 +119,33 @@ class TestApply:
         with pytest.raises(MoveError, match="no neighbour besides"):
             apply(cat.complete_graph(4), Move("edge-reduction", (0, 1, 2)))
 
+    # K5- lacks the edge 34, so 3 and 4 have degree 3 and the rest degree
+    # 4; B1 is the K4s on 0123 and 0145; the 3-prism is the triangles 012
+    # and 345 joined by 03, 14 and 25, so 0 and 1 share the neighbour 2 only
+    @pytest.mark.parametrize("graph, kind, params, message", [
+        ("K5-", "1-reduction", (0, 1, 2), "v must have degree 3"),
+        ("K5-", "1-reduction", (3, 4, 0), "x and y must be distinct neighbours of v"),
+        ("K5-", "1-reduction", (3, 0, 0), "x and y must be distinct neighbours of v"),
+        ("K5-", "1-reduction", (3, 0, 1), "xy must not already be an edge"),
+        ("K5-", "k4minus-reduction", (3, 4), "u1u2 must be an edge"),
+        ("B1", "k4minus-reduction", (0, 2), "u1 and u2 must have degree 3"),
+        ("prism", "k4minus-reduction", (0, 1), "|N(u1) ∩ N(u2)| must be 2"),
+        ("B1", "k4minus-reduction", (2, 3), "completing edge already present"),
+        ("K5-", "edge-reduction", (3, 4, 0), "ab must be an edge"),
+        ("K5-", "edge-reduction", (0, 1, 1), "c must be a neighbour of a other than b"),
+        ("K5-", "edge-reduction", (3, 0, 4), "c must be a neighbour of a other than b"),
+    ])
+    def test_reduction_preconditions(self, graph, kind, params, message):
+        G = {
+            "K5-": cat.k5_minus(),
+            "B1": cat.b1(),
+            "prism": Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
+                                          (0, 3), (1, 4), (2, 5)]),
+        }[graph]
+        with pytest.raises(MoveError) as err:
+            apply(G, Move(kind, params))
+        assert str(err.value) == f"{kind}: {message}"
+
     # K5- lacks the edge 34, so N(3) = {0, 1, 2}
     @pytest.mark.parametrize("params, message", [
         ((3, 4, 0, 4), "n2 must be neighbours of v"),  # 4 is no neighbour
@@ -270,6 +297,17 @@ class TestJoins:
         G = join(cat.k5_minus(), cat.k5_minus(), 3, ((3, (0, 1, 2)), (3, (0, 1, 2))))
         assert (G.n, G.m) == (8, 15)
         assert is_circuit22(G)
+
+    def test_degree_checks(self):
+        # in K5- the K4 0123 has the degree-4 vertices 0 and 1; in B1 the
+        # K4 0123 has the degree-3 vertices 2 and 3
+        k5m, b1 = cat.k5_minus(), cat.b1()
+        with pytest.raises(MoveError, match="^1-join: c and d must have degree 3 in G2$"):
+            join(b1, k5m, 1, ((0, 1), (2, 3, 0, 1)))
+        with pytest.raises(MoveError, match="^2-join: c and d must have degree 3 in G1$"):
+            join(k5m, b1, 2, ((2, 3, 0, 1), (0, 1, 2, 3)))
+        with pytest.raises(MoveError, match="^2-join: c and d must have degree 3 in G2$"):
+            join(b1, k5m, 2, ((0, 1, 2, 3), (2, 3, 0, 1)))
 
     def test_circuit_preservation_seeded(self):
         # Joining circuits gives circuits; M(2,2)-connected pieces glue too.
@@ -602,6 +640,23 @@ class TestReductionEngine:
         trace = reduce_to_base(cat.b2())
         assert len(trace.steps) == 1 and trace.base == "B1"
 
+    def test_unknown_base_graph_refused(self):
+        with pytest.raises(MoveError, match="^unknown base graph 'K5'$"):
+            base_graph("K5")
+
+    def test_every_searched_graph_has_minimum_degree_three(self, monkeypatch):
+        # the candidates test no degree sum: every graph a search sees is
+        # M(2,2)-connected, so each of its vertices has degree 3 or more
+        searched = []
+        real = moves._reduction_candidates
+        monkeypatch.setattr(
+            moves, "_reduction_candidates", lambda G: searched.append(G) or real(G)
+        )
+        for G in benchmark_graphs("reduce-m22").values():
+            reduce_to_base(G)
+        assert len(searched) > 1000
+        assert min(G.min_degree() for G in searched) == 3
+
     def test_base_graphs_have_no_reduction(self):
         assert find_admissible_reduction(cat.k5_minus()) is None
         assert find_admissible_reduction(cat.b1()) is None
@@ -814,6 +869,24 @@ class TestRandomGenerator:
             G = random_m22_graph(seed % 5 + 1, seed)
             # fresh: the generator's last accepted split may be G, deciding it
             assert is_m22_connected(Graph(G.n, G.edges))
+
+    def test_every_walk_step_has_minimum_degree_three(self, monkeypatch):
+        # a split draws n2, 2 to deg v - 1 neighbours of v, and x from a
+        # list that holds n2, with no re-roll for a vertex of degree below
+        # 3 or an empty list: every graph the walk builds, and every graph
+        # a split is drawn on, keeps minimum degree 3
+        built, split = [], []
+        real_apply, real_split = moves.apply, moves._random_split
+        monkeypatch.setattr(
+            moves, "apply", lambda G, mv: built.append(real_apply(G, mv)) or built[-1]
+        )
+        monkeypatch.setattr(
+            moves, "_random_split", lambda G, rng: split.append(G) or real_split(G, rng)
+        )
+        G = random_m22_graph(160, 7)
+        assert G.n == 173 and built[-1] == G
+        assert len(built) >= 160 and len(split) > 30
+        assert min(H.min_degree() for H in built + split) == 3
 
     def test_move_preservation_seeded(self):
         # 1-extensions, edge additions, K4--extensions and accepted splits

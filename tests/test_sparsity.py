@@ -121,6 +121,17 @@ class TestRank:
 
 
 class TestPebbleSearch:
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_bad_k_refused(self, k):
+        with pytest.raises(ValueError, match=r"^k must be in 0\.\.3$"):
+            PebbleGame(5, k)
+
+    def test_loop_insert_refused(self):
+        game = PebbleGame(3, 2)
+        with pytest.raises(ValueError, match="^loops are not allowed$"):
+            game.insert(1, 1)
+        assert game.accepted == [] and game.pebbles == [2, 2, 2]
+
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_every_insert_against_brute_force(self, data):
