@@ -96,8 +96,7 @@ def _cmd_rank(args) -> int:
     plane = NormedPlane(args.p)
     placement = _placement_for(args, G, plane)
     op = rigidity_operator(G, placement, plane, exact=args.mode == "exact")
-    mode = ("exact" if op.exact else "float") if args.mode == "auto" else args.mode
-    print(rank_of(op, mode, args.tol))
+    print(rank_of(op, op.mode if args.mode == "auto" else args.mode, args.tol))
     return 0
 
 

@@ -369,8 +369,7 @@ def certify(
     spanning_tight = comb_rank == target
 
     def agreement(op) -> NumericAgreement:
-        mode = "exact" if op.exact else "float"
-        rank, row_ranks = deletion_ranks(op, mode)
+        rank, row_ranks = deletion_ranks(op, op.mode)
         edge_ranks = dict(zip(op.edges, row_ranks))
         inf_rigid_num = rank == target
         redundant_num = inf_rigid_num and all(r == target for r in edge_ranks.values())
@@ -384,7 +383,7 @@ def certify(
         return NumericAgreement(
             p=plane.p,
             seed=seed,
-            mode=mode,
+            mode=op.mode,
             rank=rank,
             target=target,
             edge_ranks=edge_ranks,

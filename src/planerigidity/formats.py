@@ -22,6 +22,7 @@ without '_'.
 from __future__ import annotations
 
 import math
+import re
 
 from .geometry import Placement
 from .graphs import Graph
@@ -90,8 +91,16 @@ _G6_SET_BITS = tuple(
 )
 
 
+# the first byte outside graph6's range '?'..'~' (63..126), and the data
+# bytes that hold a set bit: every byte but '?'
+_G6_INVALID = re.compile("[^?-~]")
+_G6_NONZERO = re.compile("[^?]")
+
+
 def parse_graph6(text: str) -> Graph:
-    """Decode graph6; only the set bits of the data are visited.
+    """Decode graph6 at the cost of its set bits: one pattern search finds
+    the first invalid byte, and the decode visits only the data bytes that
+    are not '?' (value 0), found at C speed.
 
     Bit i of the data (high bit of each byte first) is the pair (u, v),
     u < v, with i = v(v - 1)/2 + u, so v is the largest integer with
@@ -103,32 +112,31 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise FormatError("graph6: empty input")
-    data = [ord(ch) - 63 for ch in s]
-    for pos, val in enumerate(data):
-        if not 0 <= val <= 63:
-            raise FormatError(f"graph6: invalid byte at position {pos}")
-    if data[0] == 63:
-        if len(data) > 1 and data[1] == 63:
+    bad = _G6_INVALID.search(s)
+    if bad:
+        raise FormatError(f"graph6: invalid byte at position {bad.start()}")
+    head = 1
+    n = ord(s[0]) - 63
+    if n == 63:
+        if s[1:2] == "~":
             raise FormatError(
                 f"graph6: the 8-byte size form '~~' names n above {MAX_VERTICES}, "
                 "the most vertices a graph file holds"
             )
-        if len(data) < 4:
+        if len(s) < 4:
             raise FormatError("graph6: truncated long-form size")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
-    else:
-        n = data[0]
-        body = data[1:]
+        head = 4
+        n = (ord(s[1]) - 63 << 12) | (ord(s[2]) - 63 << 6) | ord(s[3]) - 63
     total = n * (n - 1) // 2
     need = (total + 5) // 6
-    if len(body) != need:
+    if len(s) - head != need:
         raise FormatError(
-            f"graph6: expected {need} data bytes for n={n}, got {len(body)}"
+            f"graph6: expected {need} data bytes for n={n}, got {len(s) - head}"
         )
     edges = []
-    for pos, val in enumerate(body):
-        for k in _G6_SET_BITS[val]:
+    for byte in _G6_NONZERO.finditer(s, head):
+        pos = byte.start() - head
+        for k in _G6_SET_BITS[ord(byte.group()) - 63]:
             i = 6 * pos + k
             if i >= total:
                 break

@@ -24,11 +24,14 @@ larger entry is below the smallest normal float.
 
 The same eliminations give the self-stresses (the left kernel), and a row
 can be deleted without losing rank iff some self-stress is nonzero on it.
-So `deletion_ranks` answers the rank of the operator and of the operator
-minus each row from those eliminations (exact mode) or one SVD (float
-mode): a row of a block of full row rank is a coloop, and only the rows
-that the modular answer cannot settle are eliminated again, each one
-within its own block.
+So `deletion_ranks` takes the rank r from `rank_of` in either mode and
+gives each row r if it is stressed and r - 1 otherwise; a mode only finds
+the stressed rows.  Exact mode reads the blocks `rank_of` eliminated,
+which the operator keeps (a row of a block of full row rank is a coloop),
+and ranks again, each within its own block, only the rows that the
+modular answer cannot settle; float mode reads one full SVD.  An
+operator's `mode` is the one its rows take when no caller names one:
+exact for integer rows, float otherwise.
 """
 
 from __future__ import annotations
@@ -206,8 +209,10 @@ class RigidityOperator(FrozenRecord):
         )
 
     @property
-    def shape(self):
-        return (len(self.matrix), 2 * self.n)
+    def mode(self) -> str:
+        """The rank mode of its rows when no caller names one: "exact" for
+        integer rows, "float" otherwise."""
+        return "exact" if self.exact else "float"
 
     @cached_property
     def _graph(self) -> Graph:
@@ -240,6 +245,80 @@ class RigidityOperator(FrozenRecord):
             A = A / np.abs(A).max(axis=1, keepdims=True)
         A.setflags(write=False)
         return A
+
+    @cached_property
+    def _exact_blocks(self) -> list[tuple[list[int], list[int], int, frozenset[int]]]:
+        """The blocks of an integer operator, a cached fact and not a field, so
+        that `rank_of` and `deletion_ranks` eliminate each block once: for each
+        block, its vertices, its row indices, its exact rank and the positions
+        (in its row list) of the rows known to be stressed.
+
+        The operator is split at the blocks of its edge graph
+        (`RigidityOperator._graph`, from that graph's cached lowpoint DFS): its
+        maximal 2-connected subgraphs and its bridges.  The row of edge uv is
+        nonzero only in the columns of u and v (see `RigidityOperator`). Ranks
+        add over a 1-sum, over any field: let G be the union of G1 and G2, which
+        share at most one vertex c.  A velocity field is a flex (kernel vector)
+        of G iff its restrictions z1, z2 are flexes of G1 and G2.  Any such pair
+        glues once z1(c) = z2(c), and subtracting from z2 the translation by
+        z2(c) - z1(c), a flex of every row, meets those two conditions.  So they
+        are independent, dim ker G = dim ker G1 + dim ker G2 - 2 with
+        2n = 2n1 + 2n2 - 2, and rank G = rank G1 + rank G2 (with no shared
+        vertex the columns are disjoint, and the same holds).  The self-stresses of G1 and
+        G2 are self-stresses of G, independent, and m - rank G of them, so they
+        span all of them.  Splitting off one leaf block after another: the rank
+        is the sum over the blocks, a row is stressed iff it is in its block B
+        alone, and if B has full row rank m_B, each of its rows is a coloop
+        (deleting it drops the rank by one).  A bridge is the case m_B = 1, as
+        its row is nonzero (the endpoints differ).
+
+        Each block B (m_B rows on n_B vertices) is eliminated alone, modulo
+        p = _PRIME (`_modular_profile`), on its own columns.  rank_p <= rank_Q,
+        since a nonzero minor mod p is a nonzero integer minor; and
+        rank_Q <= min(m_B, 2n_B - f), with f the operator's `trivial_flex_dim`.  The two
+        translations of B always lie in its kernel (f = 2).  In the Euclidean
+        plane (f = 3) so does the rotation field v_i = (-y_i, x_i): the row of
+        edge uv is d = p_v - p_u, and d . (J p_v - J p_u) = d . J d = 0.  It is
+        not a translation, because the endpoints of an edge never coincide.  So
+        a modular rank that reaches min(m_B, 2n_B - f) is the exact rank of B; a
+        lower one is recomputed by fraction-free elimination (`_bareiss_rank`)
+        of B alone. Whenever rank_p equals B's exact rank r, a row stressed mod
+        p keeps it, since r >= rank_Q(B - row) >= rank_p(B - row) = r; otherwise
+        no row of B is known to be stressed.  None of this depends on which
+        prime p is, so p is 2^30 - 35, the largest prime below 2^30, for speed:
+        every residue is one 30-bit Python digit.  A smaller prime can only make
+        the fallback run more often, never change an answer.
+
+        Edges are assigned to blocks in O(n + m).  Every vertex v but a DFS root
+        follows the head of exactly one block, own(v), the block of the tree
+        edge above v.  One end of an edge uv is an ancestor of the other (a DFS
+        leaves no cross edges), and the edge lies in the block of the tree edge
+        above the lower end.  So it lies in own(v) if u heads that block, and
+        otherwise in own(u): u is then the lower end, or u follows the head of
+        own(v), and own(u) = own(v).
+        """
+        if not self.exact:
+            raise ValueError(
+                "exact rank needs integer rows: an integer p, a rational placement and, at odd p,"
+                " rigidity_operator(..., exact=True); use float mode"
+            )
+        blocks = self._graph._lowpoint_dfs[2]
+        own = {v: b for b, block in enumerate(blocks) for v in block[1:]}
+        block_rows = [[] for _ in blocks]
+        for i, (u, v) in enumerate(self.edges):
+            b = own.get(v)
+            block_rows[b if b is not None and blocks[b][0] == u else own[u]].append(i)
+        out = []
+        for block, rows in zip(blocks, block_rows):
+            pick = itemgetter(*(c for v in block for c in (2 * v, 2 * v + 1)))
+            sub = [pick(self.matrix[i]) for i in rows]
+            cols = 2 * len(block)
+            rank_p, sub_stressed = _modular_profile(sub, cols)
+            rank_q = rank_p
+            if rank_p < min(len(rows), cols - self.trivial_flex_dim):
+                rank_q = _bareiss_rank(sub)
+            out.append((block, rows, rank_q, sub_stressed if rank_q == rank_p else frozenset()))
+        return out
 
     def apply(self, vector):
         """Apply to a velocity assignment given as a flat length-2n vector."""
@@ -423,83 +502,6 @@ def _modular_profile(rows, cols: int) -> tuple[int, frozenset[int]]:
     )
 
 
-def _exact_blocks(
-    op: RigidityOperator,
-) -> list[tuple[list[int], list[int], int, frozenset[int]]]:
-    """The blocks of an integer operator: for each, its vertices, its row
-    indices, its exact rank and the positions (in its row list) of the rows
-    known to be stressed.
-
-    The operator is split at the blocks of its edge graph
-    (`RigidityOperator._graph`, from that graph's cached lowpoint DFS):
-    its maximal 2-connected subgraphs and its bridges.  The row of edge uv
-    is nonzero only in the columns of u and v (see `RigidityOperator`).
-    Ranks add over a 1-sum, over any field: let
-    G be the union of G1 and G2, which share at most one vertex c.  A
-    velocity field is a flex (kernel vector) of G iff its restrictions z1,
-    z2 are flexes of G1 and G2.  Any such pair glues once z1(c) = z2(c),
-    and subtracting from z2 the translation by z2(c) - z1(c), a flex of
-    every row, meets those two conditions.  So they are independent,
-    dim ker G = dim ker G1 + dim ker G2 - 2 with 2n = 2n1 + 2n2 - 2, and
-    rank G = rank G1 + rank G2 (with no shared vertex the columns are
-    disjoint, and the same holds).  The self-stresses of G1 and G2 are
-    self-stresses of G, independent, and m - rank G of them, so they span
-    all of them.  Splitting off one leaf block after another: the rank is
-    the sum over the blocks, a row is stressed iff it is in its block B
-    alone, and if B has full row rank m_B, each of its rows is a coloop
-    (deleting it drops the rank by one).  A bridge is the case m_B = 1,
-    as its row is nonzero (the endpoints differ).
-
-    Each block B (m_B rows on n_B vertices) is eliminated alone, modulo
-    p = _PRIME (`_modular_profile`), on its own columns.
-    rank_p <= rank_Q, since a nonzero minor mod p is a nonzero integer
-    minor; and rank_Q <= min(m_B, 2n_B - f), with f the operator's
-    `trivial_flex_dim`.  The two translations of B always lie in its
-    kernel (f = 2).  In the Euclidean plane (f = 3) so does the rotation
-    field v_i = (-y_i, x_i): the row of edge uv is d = p_v - p_u, and
-    d . (J p_v - J p_u) = d . J d = 0.  It is not a translation, because
-    the endpoints of an edge never coincide.  So a modular rank that
-    reaches min(m_B, 2n_B - f) is the exact rank of B; a lower one is
-    recomputed by fraction-free elimination (`_bareiss_rank`) of B alone.
-    Whenever rank_p equals B's exact rank r, a row stressed mod p keeps
-    it, since r >= rank_Q(B - row) >= rank_p(B - row) = r; otherwise no
-    row of B is known to be stressed.  None of this depends on which prime
-    p is, so p is 2^30 - 35, the largest prime below 2^30, for speed: every
-    residue is one 30-bit Python digit.  A smaller prime can only make the
-    fallback run more often, never change an answer.
-
-    Edges are assigned to blocks in O(n + m).  Every vertex v but a DFS
-    root follows the head of exactly one block, own(v), the block of the
-    tree edge above v.  One end of an edge uv is an ancestor of the other
-    (a DFS leaves no cross edges), and the edge lies in the block of the
-    tree edge above the lower end.  So it lies in own(v) if u heads that
-    block, and otherwise in own(u): u is then the lower end, or u follows
-    the head of own(v), and own(u) = own(v).
-    """
-    if not op.exact:
-        raise ValueError(
-            "exact rank needs integer rows: an integer p, a rational placement and, at odd p,"
-            " rigidity_operator(..., exact=True); use float mode"
-        )
-    blocks = op._graph._lowpoint_dfs[2]
-    own = {v: b for b, block in enumerate(blocks) for v in block[1:]}
-    block_rows = [[] for _ in blocks]
-    for i, (u, v) in enumerate(op.edges):
-        b = own.get(v)
-        block_rows[b if b is not None and blocks[b][0] == u else own[u]].append(i)
-    out = []
-    for block, rows in zip(blocks, block_rows):
-        pick = itemgetter(*(c for v in block for c in (2 * v, 2 * v + 1)))
-        sub = [pick(op.matrix[i]) for i in rows]
-        cols = 2 * len(block)
-        rank_p, sub_stressed = _modular_profile(sub, cols)
-        rank_q = rank_p
-        if rank_p < min(len(rows), cols - op.trivial_flex_dim):
-            rank_q = _bareiss_rank(sub)
-        out.append((block, rows, rank_q, sub_stressed if rank_q == rank_p else frozenset()))
-    return out
-
-
 def _check_tol(tol: float) -> None:
     """A relative tolerance must be finite and strictly between 0 and 1:
     NaN or tol >= 1 counts no singular value above tol times the largest,
@@ -510,18 +512,19 @@ def _check_tol(tol: float) -> None:
 
 def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int:
     """Rank of the operator; exact (the sum of the block ranks of
-    `_exact_blocks`) or SVD.
+    `RigidityOperator._exact_blocks`, eliminated once per operator) or SVD.
 
     Exact mode requires an exact operator (integer rows, see
     `rigidity_operator`).  Float mode counts the singular values of
     `as_array` above tol times the largest, which is at least 1, as every
-    row holds an entry ±1.  Raises ValueError unless 0 < tol < 1 (finite).
+    row holds an entry ±1.  An operator with no rows has rank 0 in either
+    mode.  Raises ValueError unless 0 < tol < 1 (finite).
     """
     _check_tol(tol)
     if not op.matrix:
         return 0
     if mode == "exact":
-        return sum(rank_b for _, _, rank_b, _ in _exact_blocks(op))
+        return sum(rank_b for _, _, rank_b, _ in op._exact_blocks)
     if mode == "float":
         import numpy as np
 
@@ -533,58 +536,50 @@ def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int
 def deletion_ranks(
     op: RigidityOperator, mode: str = "exact", tol: float = 1e-9
 ) -> tuple[int, tuple[int, ...]]:
-    """The rank of the operator and the rank with each row deleted.
-
-    Deleting row i keeps the rank r iff some self-stress (left-kernel
-    vector) is nonzero on it; otherwise the rank drops to r - 1.  When
-    r = m the rows are independent and every deletion rank is m - 1 (in
+    """The rank r of the operator (`rank_of`, in either mode) and the rank
+    with each row deleted: r for a stressed row, one that some
+    self-stress (left-kernel vector) is nonzero on, and r - 1 for any
+    other.  Each mode only finds the stressed rows, and only below full
+    row rank: at r = m the rows are independent and none is stressed (in
     float mode too: the singular values of A - row interlace those of A,
     so its m - 1 largest stay above tol times its largest).
 
-    Exact mode reads the blocks of `_exact_blocks`: a stressed row keeps
-    the rank, and a coloop, a row of a block of full row rank (a bridge,
-    say), drops it by one.  Any other row i lies in a dependent block B,
-    and only B - row i is ranked again, by `rank_of` on its rows alone
-    (`_rank_without`): the rank without row i is r - rank B + rank(B - i).
-    Deleting an edge of B leaves the graph's other blocks blocks of G - e
-    and splits B into the blocks of B - e, any two of all these sharing
-    at most one vertex; so the 1-sum additivity of `_exact_blocks` gives
-    the formula, and `rank_of` on B - row i splits it at exactly the
-    blocks of B - e, each under its own bound min(m_C, 2n_C - f).  That is
-    the split of the whole operator without row i, less the blocks the row
-    never touched: Bareiss runs on the same blocks, and no untouched block
-    is eliminated again.
+    Exact mode reads the blocks of `RigidityOperator._exact_blocks`, which
+    `rank_of` eliminated: a row of a block of full row rank (a bridge,
+    say) is a coloop, and a row known to be stressed is stressed.  Any
+    other row i lies in a dependent block B, and is stressed iff
+    B - row i keeps the rank of B, which `_rank_without` finds by ranking
+    B - row i alone.  Deleting an edge of B leaves the graph's other
+    blocks blocks of G - e and splits B into the blocks of B - e, any two
+    of all these sharing at most one vertex; so by the 1-sum additivity
+    of `_exact_blocks` the rank without row i is r - rank B + rank(B - i),
+    and `rank_of` on B - row i splits it at exactly the blocks of B - e,
+    each under its own bound min(m_C, 2n_C - f).  That is the split of the
+    whole operator without row i, less the blocks the row never touched:
+    Bareiss runs on the same blocks, and no untouched block is eliminated
+    again.
 
-    Float mode takes the rank from `rank_of` and runs one full SVD of the
-    same row-scaled array DA (`RigidityOperator.as_array`; a self-stress w
-    of A is the self-stress D^-1 w of DA): row i counts as stressed iff row
-    i of U[:, r:], the left singular vectors beyond the rank, has norm
-    above tol.  Raises ValueError unless 0 < tol < 1, as rank_of does.
+    Float mode runs one full SVD of the same row-scaled array DA
+    (`RigidityOperator.as_array`; a self-stress w of A is the self-stress
+    D^-1 w of DA): row i is stressed iff row i of U[:, r:], the left
+    singular vectors beyond the rank, has norm above tol.  Raises
+    ValueError unless 0 < tol < 1, as rank_of does.
     """
-    _check_tol(tol)
-    m = len(op.matrix)
-    if mode == "exact":
-        blocks = _exact_blocks(op)
-        rank = sum(rank_b for _, _, rank_b, _ in blocks)
-    else:
-        rank = rank_of(op, mode, tol)
-    if rank == m:
-        return rank, (rank - 1,) * m
-    if mode == "float":
+    rank, m = rank_of(op, mode, tol), len(op.matrix)
+    stressed = set()
+    if rank < m and mode == "float":
         import numpy as np
 
         U = np.linalg.svd(op.as_array())[0]
-        weight = np.linalg.norm(U[:, rank:], axis=1)
-        return rank, tuple(rank if w > tol else rank - 1 for w in weight)
-    ranks = [rank - 1] * m
-    for block, rows, rank_b, known in blocks:
-        if rank_b == len(rows):
-            continue
-        for j, i in enumerate(rows):
-            ranks[i] = rank if j in known else (
-                rank - rank_b + _rank_without(op, block, rows, j)
-            )
-    return rank, tuple(ranks)
+        stressed.update(np.flatnonzero(np.linalg.norm(U[:, rank:], axis=1) > tol).tolist())
+    elif rank < m:
+        for block, rows, rank_b, known in op._exact_blocks:
+            if rank_b < len(rows):
+                stressed.update(
+                    i for j, i in enumerate(rows)
+                    if j in known or _rank_without(op, block, rows, j) == rank_b
+                )
+    return rank, tuple(rank if i in stressed else rank - 1 for i in range(m))
 
 
 def _rank_without(op: RigidityOperator, block, rows, j: int) -> int:
@@ -611,8 +606,7 @@ def is_inf_rigid(
     if G.n < 2:
         raise ValueError("needs at least two vertices")
     op = rigidity_operator(G, placement, plane, exact=mode == "exact")
-    mode = mode or ("exact" if op.exact else "float")
-    return rank_of(op, mode, tol) == 2 * G.n - plane.trivial_flex_dim
+    return rank_of(op, mode or op.mode, tol) == 2 * G.n - plane.trivial_flex_dim
 
 
 def is_redundantly_rigid(
@@ -624,7 +618,7 @@ def is_redundantly_rigid(
         raise ValueError("needs at least two vertices and one edge")
     target = 2 * G.n - plane.trivial_flex_dim
     op = rigidity_operator(G, placement, plane, exact=mode == "exact")
-    _, ranks = deletion_ranks(op, mode or ("exact" if op.exact else "float"), tol)
+    _, ranks = deletion_ranks(op, mode or op.mode, tol)
     return all(r == target for r in ranks)
 
 

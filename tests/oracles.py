@@ -61,7 +61,9 @@ earlier single-pass decision, which evaluated every sufficient condition
 whatever the verdict (the library evaluates them only on a positive
 verdict), and its negative reason, read off the sorted edge parts (the
 library reads the coloops and classes of the sorted game).  Its graph6
-writer probes every vertex pair (the library sets each edge's bit).
+writer probes every vertex pair (the library sets each edge's bit), and
+its graph6 reader visits every data byte (the library visits only the
+bytes that hold a set bit).
 """
 
 import itertools
@@ -75,7 +77,7 @@ from planerigidity import geometry
 from planerigidity.decide import (
     RigidityReport, _ears_text, is_globally_rigid_euclidean, sufficient_checks,
 )
-from planerigidity.formats import _g6_size_bytes
+from planerigidity.formats import MAX_VERTICES, FormatError, _G6_SET_BITS, _g6_size_bytes
 from planerigidity.geometry import RigidityOperator, _bareiss_rank, rank_of, support_functional
 from planerigidity.graphs import (
     Edge, Graph, Separation, _bipartitions, _is_k4_part, _lowpoint_dfs, _norm_edge, _part,
@@ -698,11 +700,11 @@ def exact_profile_by_pieces(op: RigidityOperator):
 def exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int], frozenset[int]]:
     """The exact rank of an integer operator, rows known to be stressed,
     and rows known to be coloops, summed over its blocks
-    (`geometry._exact_blocks`): the rows of a block of full row rank are
-    coloops.  The library's earlier exact `rank_of` built all three, where
-    it now sums the block ranks alone."""
+    (`RigidityOperator._exact_blocks`): the rows of a block of full row
+    rank are coloops.  The library's earlier exact `rank_of` built all
+    three, where it now sums the block ranks alone."""
     rank, stressed, coloops = 0, set(), set()
-    for _, rows, rank_b, known in geometry._exact_blocks(op):
+    for _, rows, rank_b, known in op._exact_blocks:
         rank += rank_b
         if rank_b == len(rows):
             coloops.update(rows)
@@ -1708,3 +1710,45 @@ def emit_graph6_by_pairs(G: Graph) -> str:
             val = val << 1 | b
         out.append(val + 63)
     return "".join(chr(c) for c in out)
+
+
+def parse_graph6_by_bytes(text: str) -> Graph:
+    """The library's earlier graph6 reader: every data byte, set bits or
+    not, is visited in a Python loop after a per-byte range check."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise FormatError("graph6: empty input")
+    data = [ord(ch) - 63 for ch in s]
+    for pos, val in enumerate(data):
+        if not 0 <= val <= 63:
+            raise FormatError(f"graph6: invalid byte at position {pos}")
+    if data[0] == 63:
+        if len(data) > 1 and data[1] == 63:
+            raise FormatError(
+                f"graph6: the 8-byte size form '~~' names n above {MAX_VERTICES}, "
+                "the most vertices a graph file holds"
+            )
+        if len(data) < 4:
+            raise FormatError("graph6: truncated long-form size")
+        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        body = data[4:]
+    else:
+        n = data[0]
+        body = data[1:]
+    total = n * (n - 1) // 2
+    need = (total + 5) // 6
+    if len(body) != need:
+        raise FormatError(
+            f"graph6: expected {need} data bytes for n={n}, got {len(body)}"
+        )
+    edges = []
+    for pos, val in enumerate(body):
+        for k in _G6_SET_BITS[val]:
+            i = 6 * pos + k
+            if i >= total:
+                break
+            v = (1 + math.isqrt(8 * i + 1)) >> 1
+            edges.append((i - v * (v - 1) // 2, v))
+    return Graph.from_edges(n, edges)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planerigidity import catalog as cat
+from planerigidity import catalog as cat, formats
 from planerigidity.formats import (
     MAX_VERTICES,
     FormatError,
@@ -27,7 +27,7 @@ from planerigidity.moves import Move
 from planerigidity.randomgraphs import gnp_graph
 
 from corpus import BENCHMARK_INPUTS, decision_corpus
-from oracles import emit_graph6_by_pairs
+from oracles import emit_graph6_by_pairs, parse_graph6_by_bytes
 
 
 class TestGraph6:
@@ -83,6 +83,11 @@ class TestGraph6:
         with pytest.raises(FormatError, match="truncated long-form size"):
             parse_graph6("~}")
 
+    def test_writer_refuses_more_vertices_than_graph6_holds(self):
+        # refused at the size bytes, before a data list of 5.5e9 entries
+        with pytest.raises(FormatError, match="^graph6: vertex count too large$"):
+            emit_graph6(Graph.from_edges(MAX_VERTICES + 1, []))
+
     def test_size_form_boundary(self):
         for n in (62, 63):
             for G in (Graph.from_edges(n, []), cat.complete_graph(n)):
@@ -118,6 +123,52 @@ class TestGraph6:
         for path in paths:
             text = path.read_text()
             assert emit_graph6(parse_graph6(text)) == text.strip(), path.name
+
+    @staticmethod
+    def _both_readers(text):
+        out = []
+        for read in (parse_graph6, parse_graph6_by_bytes):
+            try:
+                G = read(text)
+            except FormatError as e:
+                out.append(("error", str(e)))
+            else:
+                out.append((G.n, G.sorted_edges()))
+        return out
+
+    def test_reader_matches_byte_oracle(self):
+        # the same graph or the same error message as the byte-by-byte
+        # reader: every benchmark input, random strings over graph6's bytes
+        # and a few others, and G(n, 0.3) through both size forms with a
+        # prefix, a byte short, a byte over and only the size bytes
+        texts = [path.read_text() for path in sorted(BENCHMARK_INPUTS.glob("**/*.g6"))]
+        rng = random.Random(40)
+        alphabet = "?@A_}~!> \n\t\x7f\xe9" + "".join(map(chr, range(63, 127)))
+        texts += ["".join(rng.choices(alphabet, k=rng.randint(0, 12))) for _ in range(3000)]
+        for n in (*range(70), 200, 500):
+            t = emit_graph6(gnp_graph(n, 0.3, n))
+            texts += [t, ">>graph6<<" + t, t[:-1], t + "?", t + "A", t[:1 if n < 63 else 4]]
+        for text in texts:
+            new, old = self._both_readers(text)
+            assert new == old, repr(text[:40])
+
+    def test_reader_decodes_only_the_bytes_with_a_set_bit(self, monkeypatch):
+        # a cycle's data bytes are mostly '?': only the others are looked
+        # up (the byte-by-byte reader looks up all 527 of an 80-cycle's)
+        looked_up = []
+        set_bits = formats._G6_SET_BITS
+
+        class Counted:
+            def __getitem__(self, val):
+                looked_up.append(val)
+                return set_bits[val]
+
+        monkeypatch.setattr(formats, "_G6_SET_BITS", Counted())
+        text = emit_graph6(cat.cycle_graph(80))
+        assert parse_graph6(text) == cat.cycle_graph(80)
+        data = text[4:]
+        assert len(data) == 527
+        assert len(looked_up) == len(data) - data.count("?") and 0 not in looked_up
 
 
 class TestEdgelist:

@@ -57,6 +57,10 @@ class TestPlane:
         with pytest.raises(ValueError):
             NormedPlane(p)
 
+    def test_euclidean_isometries_are_not_listed(self):
+        with pytest.raises(ValueError, match="^the Euclidean isometry group is not finite$"):
+            L2.isometry_linear_parts()
+
 
 class TestSupportFunctional:
     def test_euclidean_is_identity(self):
@@ -247,6 +251,38 @@ class TestOperator:
         pl = Placement(((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))))
         with pytest.raises(ValueError):
             rigidity_operator(G, pl, L4)
+
+    def test_mode_is_read_off_the_rows(self):
+        # the mode a rank takes when none is named: exact for integer rows
+        G = cat.b1()
+        for p, exact, mode in [(4, False, "exact"), (2, False, "exact"), (3, False, "float"),
+                               (3, True, "exact"), (4.5, False, "float")]:
+            plane = NormedPlane(p)
+            op = rigidity_operator(G, random_regular_placement(G, plane, 1), plane, exact=exact)
+            assert op.mode == mode and op.exact == (mode == "exact")
+        rational = random_regular_placement(G, L4, 1)
+        floats = Placement(tuple((float(x), float(y)) for x, y in rational.coords))
+        assert rigidity_operator(G, floats, L4).mode == "float"
+        assert not hasattr(op, "shape")
+
+    def test_the_auto_mode_rule_is_written_once(self):
+        # `"exact" if ... else "float"` is the operator's `mode` and appears
+        # nowhere else in the package
+        import ast
+        from pathlib import Path
+
+        found = []
+        for path in sorted(Path(geometry.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    for child in ast.walk(node):
+                        child.owner = getattr(child, "owner", ()) + (node.name,)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.IfExp) and isinstance(node.body, ast.Constant) \
+                        and node.body.value == "exact":
+                    found.append((path.name, node.owner))
+        assert found == [("geometry.py", ("RigidityOperator", "mode"))]
 
 
 def _distinct_pairs(coords):
@@ -695,9 +731,52 @@ class TestDeletionRanks:
         assert got[1].count(got[0] - 1) == 4
 
     def test_empty_operator(self):
-        op = rigidity_operator(Graph.from_edges(3, []), Placement(((0, 0),) * 3), L4)
-        assert deletion_ranks(op, "exact") == (0, ())
-        assert deletion_ranks(op, "float") == (0, ())
+        # no rows: rank 0 and no deletion in either mode, as rank_of
+        # answers, whether the rows would have been integer (p = 4) or
+        # float (p = 3)
+        for p, mode in [(4, "exact"), (3, "float")]:
+            op = rigidity_operator(Graph.from_edges(3, []), Placement(((0, 0),) * 3), NormedPlane(p))
+            assert op.mode == mode
+            assert rank_of(op, "exact") == rank_of(op, "float") == 0
+            assert deletion_ranks(op, "exact") == deletion_ranks(op, "float") == (0, ())
+
+    def test_an_exact_operator_is_eliminated_once(self, monkeypatch):
+        # the operator keeps its blocks: rank_of and deletion_ranks, in
+        # either order, run the modular eliminations of deletion_ranks alone
+        # (one per block, of 1, 1, 19 and 1 rows, then those of the two
+        # confirmations), and not the four blocks a second time
+        rows = []
+        profile = geometry._modular_profile
+        monkeypatch.setattr(
+            geometry, "_modular_profile", lambda sub, *a: rows.append(len(sub)) or profile(sub, *a)
+        )
+        G = gnp_graph(12, 0.3, 1)
+        pl = random_regular_placement(G, L4, 0)
+        alone = deletion_ranks(rigidity_operator(G, pl, L4), "exact")
+        once = list(rows)
+        assert once == [1, 1, 19, 1, 17, 17, 1]
+        for first, second in ((rank_of, deletion_ranks), (deletion_ranks, rank_of)):
+            rows.clear()
+            op = rigidity_operator(G, pl, L4)
+            answers = {first.__name__: first(op, "exact"), second.__name__: second(op, "exact")}
+            assert rows == once
+            assert answers == {"rank_of": alone[0], "deletion_ranks": alone}
+
+    @pytest.mark.parametrize("p, mode", [(4, "exact"), (3, "float")])
+    def test_the_rank_is_rank_ofs(self, monkeypatch, p, mode):
+        # deletion_ranks asks rank_of for the rank of its operator, once, in
+        # its own mode and at its own tolerance
+        asked = []
+        real = geometry.rank_of
+        monkeypatch.setattr(
+            geometry, "rank_of",
+            lambda op, mode="exact", tol=1e-9: asked.append((op, mode, tol)) or real(op, mode, tol),
+        )
+        for op in _corpus_frameworks(p, count=20):
+            asked.clear()
+            rank, _ = deletion_ranks(op, mode, 1e-8)
+            assert [(mode_, tol) for o, mode_, tol in asked if o is op] == [(mode, 1e-8)]
+            assert rank == real(op, mode, 1e-8)
 
 
 @st.composite
@@ -851,6 +930,37 @@ class TestRigidityPredicates:
         pl = random_regular_placement(G, L4, 31)
         assert is_inf_rigid(G, pl, L4)
         assert not is_redundantly_rigid(G, pl, L4)
+
+    def test_one_vertex_refused(self):
+        G = Graph.from_edges(1, [])
+        with pytest.raises(ValueError, match="^needs at least two vertices$"):
+            is_inf_rigid(G, Placement(((0, 0),)), L4)
+
+    def test_no_edge_refused(self):
+        G = Graph.from_edges(3, [])
+        pl = Placement(((0, 0), (1, 2), (3, 5)))
+        with pytest.raises(ValueError, match="^needs at least two vertices and one edge$"):
+            is_redundantly_rigid(G, pl, L4)
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_default_mode_is_the_operators(self, monkeypatch, p):
+        # with no mode named, both predicates rank in the mode of the rows
+        asked = []
+        real_rank, real_deletion = geometry.rank_of, geometry.deletion_ranks
+        monkeypatch.setattr(
+            geometry, "rank_of",
+            lambda op, mode="exact", tol=1e-9: asked.append(mode) or real_rank(op, mode, tol),
+        )
+        monkeypatch.setattr(
+            geometry, "deletion_ranks",
+            lambda op, mode="exact", tol=1e-9: asked.append(mode) or real_deletion(op, mode, tol),
+        )
+        G, plane = cat.b1(), NormedPlane(p)
+        pl = random_regular_placement(G, plane, 29)
+        assert is_inf_rigid(G, pl, plane) and is_redundantly_rigid(G, pl, plane)
+        mode = rigidity_operator(G, pl, plane).mode
+        assert mode == ("exact" if p == 4 else "float")
+        assert asked[0] == asked[1] == mode
 
 
 class TestPlacementSampling:
@@ -1059,3 +1169,7 @@ class TestCongruence:
         assert is_congruent(pl, rot, L2)
         stretched = Placement(tuple((2 * x, y) for x, y in pl.coords))
         assert not is_congruent(pl, stretched, L2)
+
+    @pytest.mark.parametrize("plane", [L2, L4])
+    def test_two_empty_placements(self, plane):
+        assert is_congruent(Placement(()), Placement(()), plane)

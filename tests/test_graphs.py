@@ -214,6 +214,11 @@ class TestConnectivity:
                         expect = False
         assert is_k_connected(G, k) == expect
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_empty_graph_refused(self, k):
+        with pytest.raises(ValueError, match="^empty graph$"):
+            is_k_connected(Graph.from_edges(0, []), k)
+
 
 def _glued(W: Graph, H: Graph, rng: random.Random) -> Graph:
     """W and H identified at a random vertex of W and vertex 0 of H, then
@@ -774,6 +779,10 @@ class TestSeparations:
                     assert edges == set(G.edges)
                     assert set(p1.vertices) | set(p2.vertices) == set(range(G.n))
 
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="^unknown separation kind 'edge-cut-2'$"):
+            enumerate_separations(cat.k5_minus(), "edge-cut-2")
+
 
 class TestSeparationsAgainstScan:
     def test_vertex_cuts_match_the_pair_scan(self):
@@ -1000,6 +1009,12 @@ class TestIsomorphism:
         f = graphs._extend_isomorphism(C, R, cg, ch, {}, list(range(C.n)))
         assert f is not None and all(R.has_edge(f[u], f[v]) for u, v in C.edges)
         assert Reads.count <= C.n + 2 * (C.n - 1)
+
+    def test_two_empty_graphs(self):
+        # the empty map is the one bijection between two graphs on no vertex
+        empty = Graph.from_edges(0, [])
+        assert find_isomorphism(empty, Graph.from_edges(0, [])) == {}
+        assert find_isomorphism(empty, Graph.from_edges(1, [])) is None
 
 
 class TestTransitivity:

@@ -857,6 +857,14 @@ class TestForwardScript:
             runpy.run_path(str(demo), run_name="__main__")
         assert out.getvalue() == DEMO_02_GOLDEN
 
+    def test_trace_that_does_not_end_at_its_base_refused(self):
+        with pytest.raises(MoveError, match="^trace does not end at its base graph$"):
+            ReductionTrace(cat.b1(), "K5-").forward_script()
+
+    def test_a_construction_move_has_no_undo(self):
+        with pytest.raises(MoveError, match="^unexpected reduction kind 'edge-addition'$"):
+            moves._undo(cat.b1(), Move("edge-addition", (0, 1)))
+
 
 class TestRandomGenerator:
     def test_zero_steps_is_base(self):
@@ -914,3 +922,17 @@ class TestRandomGenerator:
                 H = apply(G, Move("k4minus-extension", rng.choice(G.sorted_edges())))
             assert is_m22_connected(H)
             checked += 1
+
+    def test_negative_steps_refused(self):
+        with pytest.raises(MoveError, match="^steps must be non-negative$"):
+            random_m22_graph(-1, 0)
+
+    def test_split_falls_back_to_a_k4minus_extension(self, monkeypatch):
+        # when all 40 drawn splits are refused, the split step is a
+        # K4--extension on a drawn edge
+        refused = []
+        monkeypatch.setattr(moves, "is_m22_connected", lambda H: refused.append(H) or False)
+        G = cat.b1()
+        H = moves._random_split(G, random.Random(4))
+        assert len(refused) == 40
+        assert any(H == apply(G, Move("k4minus-extension", e)) for e in G.sorted_edges())

@@ -1,7 +1,7 @@
 import pytest
 
 from planerigidity import catalog as cat
-from planerigidity.moves import Move
+from planerigidity.moves import Move, ReductionTrace
 
 
 class TestFrozenRecord:
@@ -17,3 +17,13 @@ class TestFrozenRecord:
         with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
             delattr(record, field)
         assert getattr(record, field) == before
+
+
+class TestRecordEquality:
+    @pytest.mark.parametrize("record", [
+        cat.k5_minus(), Move("edge-addition", (0, 1)), ReductionTrace(cat.b1(), "B1"),
+    ])
+    def test_another_type_is_never_equal(self, record):
+        for other in (None, 5, "B1", (0, 1), Move("edge-deletion", (0, 1))):
+            assert record != other and not record == other
+        assert record == record

@@ -456,6 +456,11 @@ class TestSparseTight:
     def test_k5_minus_not_sparse(self):
         assert not is_sparse(cat.k5_minus(), 2)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_no_edge_refused(self, k):
+        with pytest.raises(ValueError, match="^needs at least one edge$"):
+            is_sparse(Graph.from_edges(4, []), k)
+
 
 class TestCircuits:
     def test_small_circuits(self):
@@ -474,6 +479,15 @@ class TestCircuits:
                 for i in range(G.m)
             )
             assert is_circuit22(G) == cond
+
+    def test_isolated_vertex_refused(self):
+        # K5- with a sixth, isolated vertex
+        G = Graph.from_edges(6, cat.k5_minus().edges)
+        msg = "^needs at least one edge and no isolated vertices$"
+        with pytest.raises(ValueError, match=msg):
+            is_circuit22(G)
+        with pytest.raises(ValueError, match=msg):
+            m22_components(G)
 
 
 class TestFundamentalCircuit:
