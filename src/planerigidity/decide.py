@@ -354,12 +354,14 @@ def certify(
 
     The ranks are those of `rigidity_operator`'s default rows: exact at an
     even integer p with a rational placement, float otherwise.  A float
-    answer that disagrees is not reported as it stands when p is an
-    integer and the placement rational: the float rank can lose a row
-    whose stress weights fall below its tolerance (K5- at p = 41 reads
-    rank 2 of 8), so the ranks are taken again from integer rows and
-    those are reported.  A float answer that agrees is kept, and so is a
-    disagreeing one whose integer rows would pass EXACT_ENTRY_BITS.
+    answer that disagrees is not reported as it stands if the operator
+    has integer rows too: the float rank can lose a row whose stress
+    weights fall below its tolerance (K5- at p = 41 reads rank 2 of 8),
+    so the ranks are taken again from `rigidity_operator(..., exact=True)`
+    and those are reported.  That call alone decides which rows can be
+    integer, and refuses the others with a ValueError (a non-integer p, a
+    float placement, entries past EXACT_ENTRY_BITS); the float answer
+    then stands, as does one that agrees.
     """
     report = is_globally_rigid_analytic(G)
     if placement is None:
@@ -394,10 +396,10 @@ def certify(
         )
 
     na = agreement(rigidity_operator(G, placement, plane))
-    if not na.matches_combinatorial and na.mode == "float" and plane.exactable and placement.exact:
+    if not na.matches_combinatorial and na.mode == "float":
         try:
             op = rigidity_operator(G, placement, plane, exact=True)
-        except ValueError:  # entries past EXACT_ENTRY_BITS: the float answer stands
+        except ValueError:  # no integer rows: the float answer stands
             pass
         else:
             na = agreement(op)

@@ -25,13 +25,14 @@ larger entry is below the smallest normal float.
 The same eliminations give the self-stresses (the left kernel), and a row
 can be deleted without losing rank iff some self-stress is nonzero on it.
 So `deletion_ranks` takes the rank r from `rank_of` in either mode and
-gives each row r if it is stressed and r - 1 otherwise; a mode only finds
-the stressed rows.  Exact mode reads the blocks `rank_of` eliminated,
-which the operator keeps (a row of a block of full row rank is a coloop),
-and ranks again, each within its own block, only the rows that the
-modular answer cannot settle; float mode reads one full SVD.  An
-operator's `mode` is the one its rows take when no caller names one:
-exact for integer rows, float otherwise.
+gives each row r if it is stressed and r - 1 otherwise; a mode only
+finds the stressed rows.  Exact mode reads the blocks `rank_of` eliminated,
+which the operator keeps, each sliced once as an operator of its own on
+its vertices in increasing order (a row of a block of full row rank is a
+coloop); a row that the modular answer cannot settle is confirmed by
+`rank_of` on its block's operator without that row.  Float mode reads one
+full SVD.  An operator's `mode` is the one its rows take when no caller
+names one: exact for integer rows, float otherwise.
 """
 
 from __future__ import annotations
@@ -247,11 +248,27 @@ class RigidityOperator(FrozenRecord):
         return A
 
     @cached_property
-    def _exact_blocks(self) -> list[tuple[list[int], list[int], int, frozenset[int]]]:
+    def _exact_blocks(self) -> list[tuple[RigidityOperator, list[int], int, frozenset[int]]]:
         """The blocks of an integer operator, a cached fact and not a field, so
         that `rank_of` and `deletion_ranks` eliminate each block once: for each
-        block, its vertices, its row indices, its exact rank and the positions
+        block, its operator, its row indices, its exact rank and the positions
         (in its row list) of the rows known to be stressed.
+
+        A block's operator is sliced once, here: its vertices relabelled
+        0..n_B-1 in increasing order, its rows those of `rows` on the
+        columns of those vertices, with the same `exact` and
+        `trivial_flex_dim`.  A relabelling that keeps the order keeps every
+        edge (u, v) with u < v and the sorted order of the edges, so these
+        rows have the form of `RigidityOperator` for B's own graph, and
+        `deletion_ranks` ranks B without a row by `rank_of` on that operator
+        with the row sliced out.  Taking the columns in increasing vertex
+        order, and not in the order the DFS lists the block, changes no
+        answer: the two orders differ by a permutation matrix P, invertible
+        over every field, so rank(AP) = rank(A) over Q and modulo p, and
+        w^T A P = 0 iff w^T A = 0, so the left kernel, and with it the
+        stressed rows, is the same.  The eliminations may pick other
+        pivots, but neither their ranks nor their stressed rows depend on
+        that (see `_modular_profile`).
 
         The operator is split at the blocks of its edge graph
         (`RigidityOperator._graph`, from that graph's cached lowpoint DFS): its
@@ -273,7 +290,7 @@ class RigidityOperator(FrozenRecord):
         its row is nonzero (the endpoints differ).
 
         Each block B (m_B rows on n_B vertices) is eliminated alone, modulo
-        p = _PRIME (`_modular_profile`), on its own columns.  rank_p <= rank_Q,
+        p = _PRIME (`_modular_profile`), as its own operator.  rank_p <= rank_Q,
         since a nonzero minor mod p is a nonzero integer minor; and
         rank_Q <= min(m_B, 2n_B - f), with f the operator's `trivial_flex_dim`.  The two
         translations of B always lie in its kernel (f = 2).  In the Euclidean
@@ -310,14 +327,19 @@ class RigidityOperator(FrozenRecord):
             block_rows[b if b is not None and blocks[b][0] == u else own[u]].append(i)
         out = []
         for block, rows in zip(blocks, block_rows):
-            pick = itemgetter(*(c for v in block for c in (2 * v, 2 * v + 1)))
-            sub = [pick(self.matrix[i]) for i in rows]
-            cols = 2 * len(block)
-            rank_p, sub_stressed = _modular_profile(sub, cols)
+            verts = sorted(block)
+            index = {v: k for k, v in enumerate(verts)}
+            pick = itemgetter(*(c for v in verts for c in (2 * v, 2 * v + 1)))
+            sub = RigidityOperator(
+                tuple(pick(self.matrix[i]) for i in rows),
+                tuple((index[u], index[v]) for u, v in map(self.edges.__getitem__, rows)),
+                len(verts), True, self.trivial_flex_dim,
+            )
+            rank_p, sub_stressed = _modular_profile(sub.matrix, 2 * sub.n)
             rank_q = rank_p
-            if rank_p < min(len(rows), cols - self.trivial_flex_dim):
-                rank_q = _bareiss_rank(sub)
-            out.append((block, rows, rank_q, sub_stressed if rank_q == rank_p else frozenset()))
+            if rank_p < min(len(rows), 2 * sub.n - self.trivial_flex_dim):
+                rank_q = _bareiss_rank(sub.matrix)
+            out.append((sub, rows, rank_q, sub_stressed if rank_q == rank_p else frozenset()))
         return out
 
     def apply(self, vector):
@@ -518,19 +540,21 @@ def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int
     `rigidity_operator`).  Float mode counts the singular values of
     `as_array` above tol times the largest, which is at least 1, as every
     row holds an entry ±1.  An operator with no rows has rank 0 in either
-    mode.  Raises ValueError unless 0 < tol < 1 (finite).
+    mode, its rows float or not.  Raises ValueError unless 0 < tol < 1
+    (finite), and for a mode other than "exact" and "float", with rows or
+    without.
     """
     _check_tol(tol)
+    if mode not in ("exact", "float"):
+        raise ValueError(f"unknown rank mode {mode!r}")
     if not op.matrix:
         return 0
     if mode == "exact":
         return sum(rank_b for _, _, rank_b, _ in op._exact_blocks)
-    if mode == "float":
-        import numpy as np
+    import numpy as np
 
-        sv = np.linalg.svd(op.as_array(), compute_uv=False)
-        return int(np.sum(sv > tol * sv[0]))
-    raise ValueError(f"unknown rank mode {mode!r}")
+    sv = np.linalg.svd(op.as_array(), compute_uv=False)
+    return int(np.sum(sv > tol * sv[0]))
 
 
 def deletion_ranks(
@@ -548,13 +572,15 @@ def deletion_ranks(
     `rank_of` eliminated: a row of a block of full row rank (a bridge,
     say) is a coloop, and a row known to be stressed is stressed.  Any
     other row i lies in a dependent block B, and is stressed iff
-    B - row i keeps the rank of B, which `_rank_without` finds by ranking
-    B - row i alone.  Deleting an edge of B leaves the graph's other
-    blocks blocks of G - e and splits B into the blocks of B - e, any two
-    of all these sharing at most one vertex; so by the 1-sum additivity
-    of `_exact_blocks` the rank without row i is r - rank B + rank(B - i),
-    and `rank_of` on B - row i splits it at exactly the blocks of B - e,
-    each under its own bound min(m_C, 2n_C - f).  That is the split of the
+    B - row i keeps the rank of B, found by `rank_of` on B's own operator
+    (kept by `_exact_blocks`) with row i sliced out: its rows and edges
+    less one, on the same vertices.  Deleting an edge of B leaves the
+    graph's other blocks blocks of G - e and splits B into the blocks of
+    B - e, any two of all these sharing at most one vertex; so by the
+    1-sum additivity of `_exact_blocks` the rank without row i is
+    r - rank B + rank(B - i), and `rank_of` on B - row i splits it at
+    exactly the blocks of B - e, each under its own bound
+    min(m_C, 2n_C - f).  That is the split of the
     whole operator without row i, less the blocks the row never touched:
     Bareiss runs on the same blocks, and no untouched block is eliminated
     again.
@@ -573,29 +599,16 @@ def deletion_ranks(
         U = np.linalg.svd(op.as_array())[0]
         stressed.update(np.flatnonzero(np.linalg.norm(U[:, rank:], axis=1) > tol).tolist())
     elif rank < m:
-        for block, rows, rank_b, known in op._exact_blocks:
+        for B, rows, rank_b, known in op._exact_blocks:
             if rank_b < len(rows):
                 stressed.update(
                     i for j, i in enumerate(rows)
-                    if j in known or _rank_without(op, block, rows, j) == rank_b
+                    if j in known or rank_of(RigidityOperator(
+                        B.matrix[:j] + B.matrix[j + 1:], B.edges[:j] + B.edges[j + 1:],
+                        B.n, True, B.trivial_flex_dim,
+                    )) == rank_b
                 )
     return rank, tuple(rank if i in stressed else rank - 1 for i in range(m))
-
-
-def _rank_without(op: RigidityOperator, block, rows, j: int) -> int:
-    """The exact rank of the block B of the operator with the row list
-    `rows`, without its row j: `rank_of` on those rows alone, on B's
-    vertices relabelled in increasing order, so the rows stay those of
-    sorted edges with u < v (see `deletion_ranks`)."""
-    verts = sorted(block)
-    index = {v: k for k, v in enumerate(verts)}
-    pick = itemgetter(*(c for v in verts for c in (2 * v, 2 * v + 1)))
-    rest = rows[:j] + rows[j + 1:]
-    return rank_of(RigidityOperator(
-        tuple(pick(op.matrix[i]) for i in rest),
-        tuple((index[u], index[v]) for u, v in map(op.edges.__getitem__, rest)),
-        len(verts), op.exact, op.trivial_flex_dim,
-    ))
 
 
 def is_inf_rigid(
@@ -765,8 +778,22 @@ def is_congruent(
     Non-Euclidean planes: try each signed coordinate permutation with the
     translation pinned by the first vertex, comparing each coordinate
     exactly when both placements are rational and within tol otherwise.
-    Euclidean: best-fit rotation or reflection plus translation, a
-    documented heuristic with residual threshold tol.
+
+    Euclidean: a best-fit orthogonal map plus translation, a documented
+    heuristic with residual threshold tol times max(1, the largest
+    centred coordinate of q).  The best translation moves the centroid
+    of p onto that of q, so Pc and Qc are centred, and for an orthogonal
+    R, ||Pc R^T - Qc||_F^2 = ||Pc||^2 + ||Qc||^2 - 2 tr(R^T M) with
+    M = Qc^T Pc.  With the SVD M = U S V^T, tr(R^T U S V^T) =
+    tr(S V^T R^T U) <= tr(S), as V^T R^T U is orthogonal and so has no
+    diagonal entry above 1, with equality at R = U V^T (Schoenemann's
+    orthogonal Procrustes solution).  So U V^T minimises the residual over
+    every orthogonal map, rotations and reflections alike: it is the
+    better of the two minimisers within the rotations and within the
+    reflections, and no determinant needs fixing.  An exact congruence
+    has residual 0, the least possible, so U V^T finds it in either
+    coset; only a near-congruence whose smaller Frobenius residual is the
+    one with the larger entry could tell the two fits apart.
     """
     if p.n != q.n:
         raise ValueError("placements must cover the same vertex set")
@@ -784,7 +811,6 @@ def is_congruent(
             ):
                 return True
         return False
-    # Euclidean: orthogonal Procrustes over the rotation and reflection cosets
     import numpy as np
 
     P = np.array([[float(x), float(y)] for x, y in p.coords])
@@ -792,16 +818,5 @@ def is_congruent(
     Pc = P - P.mean(axis=0)
     Qc = Q - Q.mean(axis=0)
     scale = max(1.0, float(np.abs(Qc).max()))
-    for reflect in (False, True):
-        Pr = Pc.copy()
-        if reflect:
-            Pr[:, 1] = -Pr[:, 1]
-        M = Qc.T @ Pr
-        U, _, Vt = np.linalg.svd(M)
-        R = U @ Vt
-        if np.linalg.det(R) < 0:
-            U[:, -1] = -U[:, -1]
-            R = U @ Vt
-        if float(np.abs(Pr @ R.T - Qc).max()) <= tol * scale:
-            return True
-    return False
+    U, _, Vt = np.linalg.svd(Qc.T @ Pc)
+    return float(np.abs(Pc @ (U @ Vt).T - Qc).max()) <= tol * scale

@@ -63,7 +63,9 @@ verdict), and its negative reason, read off the sorted edge parts (the
 library reads the coloops and classes of the sorted game).  Its graph6
 writer probes every vertex pair (the library sets each edge's bit), and
 its graph6 reader visits every data byte (the library visits only the
-bytes that hold a set bit).
+bytes that hold a set bit).  Its Euclidean congruence fits the best
+rotation and the best reflection apart, each with a determinant fix (the
+library takes the one orthogonal Procrustes solution U V^T).
 """
 
 import itertools
@@ -753,6 +755,32 @@ def float_rank_unscaled(op: RigidityOperator, tol: float = 1e-9) -> int:
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > tol * sv[0]))
+
+
+def is_congruent_two_cosets(p, q, tol: float = 1e-9) -> bool:
+    """Euclidean congruence as the library tested it before: the best
+    rotation of p, and then of p reflected in the x-axis, onto q after
+    both are centred (an SVD each, with the last left singular vector
+    negated when U V^T is a reflection), each passing when its largest
+    residual entry is at most tol times max(1, the largest centred
+    coordinate of q)."""
+    P = np.array([[float(x), float(y)] for x, y in p.coords])
+    Q = np.array([[float(x), float(y)] for x, y in q.coords])
+    Pc = P - P.mean(axis=0)
+    Qc = Q - Q.mean(axis=0)
+    scale = max(1.0, float(np.abs(Qc).max()))
+    for reflect in (False, True):
+        Pr = Pc.copy()
+        if reflect:
+            Pr[:, 1] = -Pr[:, 1]
+        U, _, Vt = np.linalg.svd(Qc.T @ Pr)
+        R = U @ Vt
+        if np.linalg.det(R) < 0:
+            U[:, -1] = -U[:, -1]
+            R = U @ Vt
+        if float(np.abs(Pr @ R.T - Qc).max()) <= tol * scale:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

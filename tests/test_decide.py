@@ -557,6 +557,30 @@ class TestCertify:
             "numeric.disagreeing_edges: 0-1 0-2 0-3 0-4 1-2 1-3 1-4 2-3 2-4 3-4"
         )
 
+    @pytest.mark.parametrize("p, floats", [(40.5, False), (41, True)], ids=["p40.5", "p41-floats"])
+    def test_a_disagreement_without_integer_rows_stands(self, monkeypatch, p, floats):
+        # K5- loses rows to the float tolerance at a large p.  certify asks
+        # for integer rows; at a non-integer p, or on a float placement,
+        # rigidity_operator refuses them, and the float answer is reported
+        asked = []
+        real = decide.rigidity_operator
+        monkeypatch.setattr(
+            decide, "rigidity_operator",
+            lambda *a, exact=False: asked.append(exact) or real(*a, exact=exact),
+        )
+        G, plane = cat.k5_minus(), NormedPlane(p)
+        pl = geometry.random_regular_placement(G, plane, 0)
+        if floats:
+            pl = Placement(tuple((float(x), float(y)) for x, y in pl.coords))
+        text = certify(G, plane, 0, placement=pl).to_text()
+        assert asked == [False, True]
+        assert text.endswith(
+            f"numeric.plane_p: {p:g}\nnumeric.seed: 0\nnumeric.mode: float\nnumeric.rank: 8/8\n"
+            "numeric.inf_rigid: true\nnumeric.redundant: false\n"
+            "numeric.matches_combinatorial: false\n"
+            "numeric.disagreeing_edges: 0-1 0-2 0-3 0-4 1-3 2-3"
+        )
+
     def test_no_disagreement_line_when_agreeing(self):
         for i, G in enumerate(decision_corpus(30, seed=78, max_n=8)):
             if G.n < 2 or G.m == 0:

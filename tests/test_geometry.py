@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +36,8 @@ from planerigidity.sparsity import rank2k
 from corpus import BENCHMARK_INPUTS, decision_corpus
 from oracles import (
     deletion_ranks_loop, exact_profile, exact_profile_by_pieces, float_rank_unscaled,
-    float_rows_by_fractions, float_rows_by_support_functional, modular_profile_dense,
+    float_rows_by_fractions, float_rows_by_support_functional, is_congruent_two_cosets,
+    modular_profile_dense,
 )
 
 L2 = NormedPlane(2)
@@ -740,6 +742,17 @@ class TestDeletionRanks:
             assert rank_of(op, "exact") == rank_of(op, "float") == 0
             assert deletion_ranks(op, "exact") == deletion_ranks(op, "float") == (0, ())
 
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("p", [4, 3])
+    def test_an_unknown_mode_is_refused_with_no_rows_too(self, m, p):
+        # the mode is checked before an empty operator answers 0, so an
+        # operator with no rows refuses it as one with rows does
+        G = Graph.from_edges(3, list(cat.complete_graph(3).edges)[:m])
+        op = rigidity_operator(G, Placement(((0, 0), (1, 2), (3, 7))), NormedPlane(p))
+        for f in (rank_of, deletion_ranks):
+            with pytest.raises(ValueError, match="^unknown rank mode 'bogus'$"):
+                f(op, "bogus")
+
     def test_an_exact_operator_is_eliminated_once(self, monkeypatch):
         # the operator keeps its blocks: rank_of and deletion_ranks, in
         # either order, run the modular eliminations of deletion_ranks alone
@@ -885,12 +898,34 @@ class TestSplitProfile:
 
     def test_k8_plus_a_path_confirms_no_row(self, monkeypatch):
         # each bridge is a block of one row, of full row rank, so a coloop:
-        # no row is left to confirm by eliminating its block without it
-        calls = _counted(monkeypatch, "_rank_without")
+        # no row is left to confirm by ranking its block without it, and
+        # rank_of runs once, for the rank
         op = _k8_plus_a_path()
-        assert deletion_ranks(op, "exact") == deletion_ranks_loop(op, "exact")
+        calls = _counted(monkeypatch, "rank_of")
+        got = deletion_ranks(op, "exact")
+        assert len(calls) == 1
+        assert got == deletion_ranks_loop(op, "exact")
         assert exact_profile(op)[2] == frozenset(range(28, 50))
-        assert calls == []
+
+    def test_each_block_is_an_operator_on_its_sorted_vertices(self):
+        # a block's operator holds its rows on the columns of its vertices
+        # in increasing order, relabelled 0..n_B-1, so its edges stay
+        # sorted with u < v
+        G = gnp_graph(12, 0.3, 1)
+        op = rigidity_operator(G, random_regular_placement(G, L4, 0), L4)
+        blocks = op._exact_blocks
+        assert sorted(i for _, rows, _, _ in blocks for i in rows) == list(range(G.m))
+        assert [len(rows) for _, rows, _, _ in blocks] == [1, 1, 19]
+        for B, rows, rank_b, _ in blocks:
+            verts = sorted({v for i in rows for v in op.edges[i]})
+            cols = [c for v in verts for c in (2 * v, 2 * v + 1)]
+            assert (B.n, B.exact, B.trivial_flex_dim) == (len(verts), True, 2)
+            assert B.matrix == tuple(tuple(op.matrix[i][c] for c in cols) for i in rows)
+            assert B.edges == tuple(
+                (verts.index(u), verts.index(v)) for u, v in map(op.edges.__getitem__, rows)
+            )
+            assert list(B.edges) == sorted(B.edges) and all(u < v for u, v in B.edges)
+            assert rank_b == _bareiss_rank(B.matrix)
 
     def test_euclidean_one_sum_needs_no_bareiss(self, monkeypatch):
         # two K4s sharing a vertex are two blocks, each of rank 5 = 2 * 4 - 3
@@ -968,6 +1003,25 @@ class TestPlacementSampling:
         G = cat.b1()
         assert random_regular_placement(G, L4, 9).coords == \
             random_regular_placement(G, L4, 9).coords
+
+    def test_refused_after_200_draws(self, monkeypatch):
+        # a generator whose every draw is the same number places all
+        # vertices on one point, so each of the 200 draws is refused
+        draws = []
+
+        class Constant:
+            def __init__(self, seed):
+                pass
+
+            def randint(self, a, b):
+                draws.append(1)
+                return 7
+
+        monkeypatch.setattr(geometry.random, "Random", Constant)
+        G = cat.k5_minus()
+        with pytest.raises(RuntimeError, match="^could not sample a well-positioned placement$"):
+            random_regular_placement(G, L4, 1)
+        assert len(draws) == 200 * 2 * G.n
 
     def test_well_positioned_and_off_axis(self):
         for seed in range(10):
@@ -1075,6 +1129,24 @@ class TestZReflection:
         assert abs(back[0] - x1) <= 1e-6 * max(1.0, abs(x1))
         assert abs(back[1] - x2) <= 1e-6 * max(1.0, abs(x2))
 
+    def test_a_flat_distance_fails_the_bracket(self, monkeypatch):
+        # every point of the circle at z: the distance to z is -|x - z| at
+        # both ends of the sweep, so no sign change brackets a root
+        monkeypatch.setattr(geometry, "_circle_point", lambda theta, r, plane: (1.0, 0.0))
+        with pytest.raises(RuntimeError, match="^z-reflection bracket failed; placement degenerate$"):
+            z_reflection((1, 0), (0, 1), L4)
+
+    def test_a_jump_in_the_distance_does_not_converge(self, monkeypatch):
+        # the circle point jumps from z to -z halfway along the sweep: the
+        # bracket holds, but bisection closes in on the jump, where the
+        # distance never comes near |x - z|
+        monkeypatch.setattr(
+            geometry, "_circle_point",
+            lambda theta, r, plane: (1.0, 0.0) if theta > -math.pi / 2 else (-1.0, 0.0),
+        )
+        with pytest.raises(RuntimeError, match="^z-reflection did not converge$"):
+            z_reflection((1, 0), (0, 1), L4)
+
     def test_preserves_both_distances(self):
         z, x = (2, 1), (-1, 3)
         y = z_reflection(z, x, L4)
@@ -1169,6 +1241,47 @@ class TestCongruence:
         assert is_congruent(pl, rot, L2)
         stretched = Placement(tuple((2 * x, y) for x, y in pl.coords))
         assert not is_congruent(pl, stretched, L2)
+
+    def test_euclidean_reflection_rotation_and_translation(self):
+        pl = Placement(((0.0, 0.0), (1.0, 0.0), (0.0, 2.0), (3.0, 1.0)))
+        c, s = math.cos(0.7), math.sin(0.7)
+        image = Placement(tuple((c * x + s * y + 3, s * x - c * y - 1) for x, y in pl.coords))
+        assert is_congruent(pl, image, L2)
+        (x, y), rest = image.coords[-1], image.coords[:-1]
+        assert not is_congruent(pl, Placement(rest + ((x + 1e-6, y),)), L2)
+
+    def test_euclidean_collinear_mirror_image(self):
+        # points on one line: the reflection in that line fixes them, so
+        # the mirror image in any other line is a rotated copy too
+        pl = Placement(tuple((0.5 + t, -1.0 + 2 * t) for t in (0.0, 1.0, 2.5, -3.0)))
+        assert is_congruent(pl, Placement(tuple((-x, y) for x, y in pl.coords)), L2)
+
+    def test_euclidean_one_svd_matches_the_two_coset_fit(self):
+        # seeded placements on up to 7 vertices, a fifth of them collinear,
+        # each against a rotated and translated copy, half of them
+        # reflected, with no vertex moved or one moved by 1e-12 to 1e-3
+        rng = random.Random(41)
+        answers = Counter()
+        for case in range(2000):
+            n = rng.randint(1, 7)
+            if rng.random() < 0.2:
+                (x0, y0), a = (rng.uniform(-5, 5), rng.uniform(-5, 5)), rng.uniform(0, math.pi)
+                ts = [rng.uniform(-5, 5) for _ in range(n)]
+                pts = [(x0 + t * math.cos(a), y0 + t * math.sin(a)) for t in ts]
+            else:
+                pts = [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)]
+            theta, f = rng.uniform(0, 2 * math.pi), rng.choice([1, -1])
+            c, s = math.cos(theta), math.sin(theta)
+            tx, ty = rng.uniform(-10, 10), rng.uniform(-10, 10)
+            image = [(c * x - s * f * y + tx, s * x + c * f * y + ty) for x, y in pts]
+            eps = rng.choice([0.0, 10 ** rng.uniform(-12, -3)])
+            k, a = rng.randrange(n), rng.uniform(0, 2 * math.pi)
+            image[k] = (image[k][0] + eps * math.cos(a), image[k][1] + eps * math.sin(a))
+            p, q = Placement(tuple(pts)), Placement(tuple(image))
+            got = is_congruent(p, q, L2)
+            assert got == is_congruent_two_cosets(p, q), (case, pts, image)
+            answers[got, f] += 1
+        assert min(answers.values()) > 200, answers
 
     @pytest.mark.parametrize("plane", [L2, L4])
     def test_two_empty_placements(self, plane):

@@ -509,6 +509,14 @@ class TestGluingRule:
 
 
 class TestReductionEngine:
+    def test_a_reduced_graph_that_is_no_base_is_refused(self, monkeypatch):
+        # the search hands back None only on K5- and B1, so base_name_of
+        # always names the graph the loop ends on; with it patched to name
+        # nothing, the "cannot happen" refusal is what reduce_to_base raises
+        monkeypatch.setattr(moves, "base_name_of", lambda G: None)
+        with pytest.raises(MoveError, match="^no admissible reduction found$"):
+            reduce_to_base(cat.k5_minus())
+
     def test_entry_checks_after_the_first_are_free(self, monkeypatch):
         # every search starts by checking the graph the previous search
         # accepted; only the first one (the input) plays a game, its sorted
