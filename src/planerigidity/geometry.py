@@ -2,25 +2,30 @@
 rank, rigidity predicates, reflections and counterexample placements.
 
 Exponents p with 1 < p < infinity keep the plane smooth and strictly
-convex.  The operator is built row-scaled, with entries
-sign(d_i) |d_i|^(p-1).  For an even integer p and a rational placement
-its rows are Python ints by default, and on request at an odd integer p
-too (`rigidity_operator`), built once with one common denominator
-cleared, and capped at EXACT_ENTRY_BITS bits per entry.  Their rank is
-split at the blocks of the graph (its
-maximal 2-connected subgraphs and its bridges): ranks add over a 1-sum,
-as a translation, which lies in every kernel, matches two flexes at the
-shared vertex.  A block's rank is certified by one sparse Gauss-Jordan
-elimination modulo the prime 2^30 - 35 whenever its modular rank reaches
-its bound min(m, 2n - f), f the plane's trivial flex dimension (3
-Euclidean, 2 otherwise); a lower modular rank falls back to
-fraction-free (Bareiss) elimination of that block over the integers.
-2^30 - 35 is the largest prime below 2^30, so every residue is a single
-30-bit digit of a Python int.  Every other entry is the float sign(x_i) |x_i|^(p-1), x the edge
-difference rounded to floats once (for a rational placement, from the
-same integer differences), and its rank uses numpy SVD with a relative
-tolerance.  A float row is refused when an entry is not finite or its
-larger entry is below the smallest normal float.
+convex.  The operator is built row-scaled and stored as one pair per
+edge, phi = (sign(d_i) |d_i|^(p-1))_i for the edge difference d: the
+edge's row holds phi in the columns of one end and -phi in those of the
+other, and the dense rows are a derived view that only the float array
+and the Bareiss fallback read.  For an even integer p and a rational
+placement the pairs are Python ints by default, and on request at an odd
+integer p too (`rigidity_operator`), built once with one common
+denominator cleared, and capped at EXACT_ENTRY_BITS bits per entry.
+Their rank is split at the blocks of the graph (its maximal 2-connected
+subgraphs and its bridges): ranks add over a 1-sum, as a translation,
+which lies in every kernel, matches two flexes at the shared vertex.  A
+block's rank is certified by one sparse Gauss-Jordan elimination modulo
+the prime 2^30 - 35, which reads the pairs alone, so its memory starts
+at O(|E|) residues and grows only with fill-in, whenever its modular
+rank reaches its bound min(m, 2n - f), f the plane's trivial flex
+dimension (3 Euclidean, 2 otherwise); a lower modular rank falls back to
+fraction-free (Bareiss) elimination of that block's dense rows over the
+integers.  2^30 - 35 is the largest prime below 2^30, so every residue
+is a single 30-bit digit of a Python int.  Every other entry is the
+float sign(x_i) |x_i|^(p-1), x the edge difference rounded to floats
+once (for a rational placement, from the same integer differences), and
+its rank uses numpy SVD with a relative tolerance.  A float row is
+refused when an entry is not finite or its larger entry is below the
+smallest normal float.
 
 The same eliminations give the self-stresses (the left kernel), and a row
 can be deleted without losing rank iff some self-stress is nonzero on it.
@@ -41,7 +46,7 @@ import math
 import random
 import sys
 from functools import cached_property
-from operator import eq, itemgetter
+from operator import eq
 
 from .graphs import Edge, Graph, _lowpoint_dfs, first_cut_vertex
 from .records import FrozenRecord
@@ -130,6 +135,13 @@ class Placement(FrozenRecord):
         return all(self.coords[u] != self.coords[v] for u, v in G.edges)
 
 
+def _check_size(G: Graph, *placements: Placement) -> None:
+    """Every placement must hold one point per vertex of G, no fewer (an
+    edge would read past its end) and no more (points no edge reads)."""
+    if any(pl.n != G.n for pl in placements):
+        raise ValueError("placement size does not match the graph")
+
+
 def support_functional(x, plane: NormedPlane):
     """The unique support functional of x: phi_x(x) = |x|^2, |phi_x|* = |x|.
 
@@ -177,36 +189,40 @@ def _signed_powers(x, p) -> tuple[float, float]:
 
 
 class RigidityOperator(FrozenRecord):
-    """|E| x 2n matrix of row-scaled support functionals of edge vectors.
+    """The row-scaled support functionals of the edge vectors, one pair
+    per edge.
 
-    Row order is the sorted edge list.  For the row of edge (u, v) with
-    u < v and d = p_v - p_u, the support functional of d times |d|^(p-2),
-    that is (sign(d_i) |d_i|^(p-1))_i, lands in v's columns and its
-    negative in u's columns, so uniform translations are always in the
-    kernel.  Positive row scalings change neither the rank of any set of
-    rows nor which rows a self-stress is nonzero on.
+    `edges` is the sorted edge list, and `phis[i]` the pair phi of edge
+    i = (u, v), u < v: with d = p_v - p_u, the support functional of d
+    times |d|^(p-2), that is (sign(d_i) |d_i|^(p-1))_i.  The row of edge i
+    in the |E| x 2n operator holds phi in v's two columns, -phi in u's and
+    zeros elsewhere, so uniform translations are always in the kernel.
+    Only these pairs are stored: the exact path reads them alone, and the
+    dense rows are a derived view (`matrix`).  Positive row scalings change
+    neither the rank of any set of rows nor which rows a self-stress is
+    nonzero on.
 
     `exact` is set when the rows are exact (see `rigidity_operator`, which
-    needs an integer p and a rational placement for them).  The entries
+    needs an integer p and a rational placement for them).  The pairs
     are then Python ints: every coordinate is multiplied by D,
     the lcm of all coordinate denominators, so every row is the rational
     one times the same D^(p-1), and one elimination per block of these
     rows gives the rank, the stressed rows and the coloops
     (`_exact_blocks`).  An entry may have at most EXACT_ENTRY_BITS bits,
     so an even p such as 1e20 is refused.
-    Otherwise the entries are floats.  `trivial_flex_dim` is that of the
+    Otherwise the pairs are floats.  `trivial_flex_dim` is that of the
     plane it was built in (2 unless set); it bounds the rank by
     2n - trivial_flex_dim.
     """
 
-    _fields = ("matrix", "edges", "n", "exact", "trivial_flex_dim")
+    _fields = ("phis", "edges", "n", "exact", "trivial_flex_dim")
 
     def __init__(
-        self, matrix: tuple[tuple, ...], edges: tuple[Edge, ...], n: int, exact: bool,
+        self, phis: tuple[tuple, ...], edges: tuple[Edge, ...], n: int, exact: bool,
         trivial_flex_dim: int = 2,
     ):
         self.__dict__.update(
-            matrix=matrix, edges=edges, n=n, exact=exact, trivial_flex_dim=trivial_flex_dim
+            phis=phis, edges=edges, n=n, exact=exact, trivial_flex_dim=trivial_flex_dim
         )
 
     @property
@@ -214,6 +230,18 @@ class RigidityOperator(FrozenRecord):
         """The rank mode of its rows when no caller names one: "exact" for
         integer rows, "float" otherwise."""
         return "exact" if self.exact else "float"
+
+    @cached_property
+    def matrix(self) -> tuple[tuple, ...]:
+        """The dense |E| x 2n rows, a cached view and not a field: row i
+        holds phis[i] in the columns of v and its negative in those of u,
+        edges[i] = (u, v), and zeros elsewhere.  Only the float array
+        (`as_array`) and the Bareiss fallback read it."""
+        zeros = (0,) * (2 * self.n)
+        return tuple(
+            zeros[:2 * u] + (-a, -b) + zeros[2 * u + 2:2 * v] + (a, b) + zeros[2 * v + 2:]
+            for (a, b), (u, v) in zip(self.phis, self.edges)
+        )
 
     @cached_property
     def _graph(self) -> Graph:
@@ -255,13 +283,13 @@ class RigidityOperator(FrozenRecord):
         (in its row list) of the rows known to be stressed.
 
         A block's operator is sliced once, here: its vertices relabelled
-        0..n_B-1 in increasing order, its rows those of `rows` on the
-        columns of those vertices, with the same `exact` and
-        `trivial_flex_dim`.  A relabelling that keeps the order keeps every
-        edge (u, v) with u < v and the sorted order of the edges, so these
-        rows have the form of `RigidityOperator` for B's own graph, and
-        `deletion_ranks` ranks B without a row by `rank_of` on that operator
-        with the row sliced out.  Taking the columns in increasing vertex
+        0..n_B-1 in increasing order, its pairs those of its edges, with the
+        same `exact` and `trivial_flex_dim`, so its rows are those of the
+        block on the columns of its vertices.  A relabelling that keeps the
+        order keeps every edge (u, v) with u < v and the sorted order of the
+        edges, so these pairs have the form of `RigidityOperator` for B's
+        own graph, and `deletion_ranks` ranks B without a row by `rank_of`
+        on that operator with the row's pair sliced out.  Taking the columns in increasing vertex
         order, and not in the order the DFS lists the block, changes no
         answer: the two orders differ by a permutation matrix P, invertible
         over every field, so rank(AP) = rank(A) over Q and modulo p, and
@@ -329,13 +357,12 @@ class RigidityOperator(FrozenRecord):
         for block, rows in zip(blocks, block_rows):
             verts = sorted(block)
             index = {v: k for k, v in enumerate(verts)}
-            pick = itemgetter(*(c for v in verts for c in (2 * v, 2 * v + 1)))
             sub = RigidityOperator(
-                tuple(pick(self.matrix[i]) for i in rows),
+                tuple(map(self.phis.__getitem__, rows)),
                 tuple((index[u], index[v]) for u, v in map(self.edges.__getitem__, rows)),
                 len(verts), True, self.trivial_flex_dim,
             )
-            rank_p, sub_stressed = _modular_profile(sub.matrix, 2 * sub.n)
+            rank_p, sub_stressed = _modular_profile(sub)
             rank_q = rank_p
             if rank_p < min(len(rows), 2 * sub.n - self.trivial_flex_dim):
                 rank_q = _bareiss_rank(sub.matrix)
@@ -343,10 +370,15 @@ class RigidityOperator(FrozenRecord):
         return out
 
     def apply(self, vector):
-        """Apply to a velocity assignment given as a flat length-2n vector."""
+        """Apply to a velocity assignment given as a flat length-2n vector
+        (x_0, y_0, x_1, y_1, ...); a vector of any other length is refused
+        with ValueError."""
+        if len(vector) != 2 * self.n:
+            raise ValueError(f"velocity vector of length {len(vector)}, needs 2n = {2 * self.n}")
+        x, y = vector[0::2], vector[1::2]
         return tuple(
-            sum(row[i] * vector[i] for i in range(2 * self.n))
-            for row in self.matrix
+            sum((-a * x[u], -b * y[u], a * x[v], b * y[v]))
+            for (a, b), (u, v) in zip(self.phis, self.edges)
         )
 
 
@@ -381,9 +413,8 @@ def rigidity_operator(
     not finite or its larger entry is below sys.float_info.min, being zero
     or rounded into the subnormal range, where few bits are kept.
     """
-    if placement.n != G.n:
-        raise ValueError("placement size does not match the graph")
-    rows = []
+    _check_size(G, placement)
+    phis = []
     edges = tuple(G.sorted_edges())
     coords, D = placement.coords, 1
     rational = placement.exact
@@ -417,11 +448,8 @@ def rigidity_operator(
                 raise ValueError(
                     f"p = {plane.p:g}: operator entries out of floating-point range"
                 )
-        row = [0] * (2 * G.n)
-        row[2 * u], row[2 * u + 1] = -phi[0], -phi[1]
-        row[2 * v], row[2 * v + 1] = phi[0], phi[1]
-        rows.append(tuple(row))
-    op = RigidityOperator(tuple(rows), edges, G.n, exact, plane.trivial_flex_dim)
+        phis.append(phi)
+    op = RigidityOperator(tuple(phis), edges, G.n, exact, plane.trivial_flex_dim)
     op.__dict__["_graph"] = G  # filled as the cached property fills it
     return op
 
@@ -462,10 +490,10 @@ def _bareiss_rank(rows) -> int:
     return rank
 
 
-def _modular_profile(rows, cols: int) -> tuple[int, frozenset[int]]:
-    """Rank of an integer matrix modulo _PRIME, and its stressed rows.
+def _modular_profile(op: RigidityOperator) -> tuple[int, frozenset[int]]:
+    """Rank of an integer operator modulo _PRIME, and its stressed rows.
 
-    Gauss-Jordan on the transpose: its columns are the rows of the matrix,
+    Gauss-Jordan on the transpose: its columns are the rows of the operator,
     and each free column j gives the self-stress e_j - sum_k R[k][j] e_pk
     (pk the pivot column of reduced row k).  These stresses span the left
     kernel mod p, so a free column is always stressed and a pivot column
@@ -473,7 +501,11 @@ def _modular_profile(rows, cols: int) -> tuple[int, frozenset[int]]:
     stressed iff deleting it keeps the rank mod p.
 
     The transpose is kept sparse: row c of it is a dict {row index:
-    residue} of column c's nonzeros.  Each pivot updates only the rows
+    residue} of column c's nonzeros, filled from the pairs alone, in
+    O(|E| + n): edge j = (u, v) with residues (a, b) of phis[j] puts a and b
+    in v's columns and -a and -b in u's, at key j, and skips a zero
+    residue.  Every dict so gets its keys in increasing row order, as a
+    scan of the dense rows would give them.  Each pivot updates only the rows
     that hold its column, and only at the pivot row's keys, and a residue
     that cancels is removed.  The rank mod p and the stressed rows do not
     depend on which row holding column j becomes its pivot, so the
@@ -483,13 +515,13 @@ def _modular_profile(rows, cols: int) -> tuple[int, frozenset[int]]:
     is stressed iff R[k] has more than one key.
     """
     P = _PRIME
-    m = len(rows)
+    m, cols = len(op.edges), 2 * op.n
     T = [{} for _ in range(cols)]
-    for j, row in enumerate(rows):
-        for c, a in enumerate(row):
+    for j, (phi, (u, v)) in enumerate(zip(op.phis, op.edges)):
+        for k, a in enumerate(phi):
             a %= P
             if a:
-                T[c][j] = a
+                T[2 * u + k][j], T[2 * v + k][j] = P - a, a
     free = set(range(m))
     unused = set(range(cols))
     pivot_rows = []
@@ -547,7 +579,7 @@ def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int
     _check_tol(tol)
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown rank mode {mode!r}")
-    if not op.matrix:
+    if not op.edges:
         return 0
     if mode == "exact":
         return sum(rank_b for _, _, rank_b, _ in op._exact_blocks)
@@ -573,7 +605,7 @@ def deletion_ranks(
     say) is a coloop, and a row known to be stressed is stressed.  Any
     other row i lies in a dependent block B, and is stressed iff
     B - row i keeps the rank of B, found by `rank_of` on B's own operator
-    (kept by `_exact_blocks`) with row i sliced out: its rows and edges
+    (kept by `_exact_blocks`) with row i sliced out: its pairs and edges
     less one, on the same vertices.  Deleting an edge of B leaves the
     graph's other blocks blocks of G - e and splits B into the blocks of
     B - e, any two of all these sharing at most one vertex; so by the
@@ -591,7 +623,7 @@ def deletion_ranks(
     singular vectors beyond the rank, has norm above tol.  Raises
     ValueError unless 0 < tol < 1, as rank_of does.
     """
-    rank, m = rank_of(op, mode, tol), len(op.matrix)
+    rank, m = rank_of(op, mode, tol), len(op.edges)
     stressed = set()
     if rank < m and mode == "float":
         import numpy as np
@@ -604,7 +636,7 @@ def deletion_ranks(
                 stressed.update(
                     i for j, i in enumerate(rows)
                     if j in known or rank_of(RigidityOperator(
-                        B.matrix[:j] + B.matrix[j + 1:], B.edges[:j] + B.edges[j + 1:],
+                        B.phis[:j] + B.phis[j + 1:], B.edges[:j] + B.edges[j + 1:],
                         B.n, True, B.trivial_flex_dim,
                     )) == rank_b
                 )
@@ -725,6 +757,7 @@ def cut_vertex_counterexample(
     so the cut vertex sits at the origin; x -> -x preserves all edge lengths
     within each side and through the cut vertex.
     """
+    _check_size(G, placement)
     cut = first_cut_vertex(G)
     if cut is None:
         return None
@@ -739,6 +772,7 @@ def cut_vertex_counterexample(
 
 
 def framework_edge_lengths(G: Graph, placement: Placement, plane: NormedPlane):
+    _check_size(G, placement)
     return {
         (u, v): plane.norm(
             (
@@ -755,6 +789,7 @@ def equivalent_exactly(G: Graph, p: Placement, q: Placement, plane: NormedPlane)
     placements are rational and p is an integer (including p = 2), else
     within 1e-12 relative.  Public as the acceptance suite's exact
     length check on equivalent frameworks."""
+    _check_size(G, p, q)
     if p.exact and q.exact and plane.exactable:
         k = int(plane.p)
         for u, v in G.edges:

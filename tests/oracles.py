@@ -622,7 +622,7 @@ def is_circuit22_leave_one_out(G: Graph):
     return all(rank_by_stopped_game(edges[:i] + edges[i + 1:], 2) == G.m - 1 for i in range(G.m))
 
 
-def modular_profile_dense(rows, cols: int, prime: int):
+def modular_profile_gauss_jordan(rows, cols: int, prime: int):
     """Rank of an integer matrix modulo prime and its stressed rows, by dense
     Gauss-Jordan on the transpose: every pivot updates whole list rows, and
     the first unused row holding the column is its pivot.  A free column j
@@ -654,6 +654,64 @@ def modular_profile_dense(rows, cols: int, prime: int):
     )
 
 
+def modular_profile_dense(rows, cols: int) -> tuple[int, frozenset[int]]:
+    """The library's earlier `geometry._modular_profile`, which took dense
+    rows: the same sparse Gauss-Jordan elimination modulo
+    `geometry._PRIME`, its sparse transpose built by a scan of every entry
+    of the rows, zeros included.  The library now builds that transpose
+    from the two residues of each edge's pair, which gives every column
+    dict the same keys in the same order, and so the same pivots.
+
+    Gauss-Jordan on the transpose: its columns are the rows of the matrix,
+    and each free column j gives the self-stress e_j - sum_k R[k][j] e_pk
+    (pk the pivot column of reduced row k).  These stresses span the left
+    kernel mod p, so a free column is always stressed and a pivot column
+    pk is stressed iff R[k] is nonzero on some free column.  The shortest
+    unused row holding column j becomes its pivot, and after the last
+    pivot pk is stressed iff R[k] has more than one key.
+    """
+    P = geometry._PRIME
+    m = len(rows)
+    T = [{} for _ in range(cols)]
+    for j, row in enumerate(rows):
+        for c, a in enumerate(row):
+            a %= P
+            if a:
+                T[c][j] = a
+    free = set(range(m))
+    unused = set(range(cols))
+    pivot_rows = []
+    for j in range(m):
+        if not unused:
+            break
+        holders = [i for i, row in enumerate(T) if j in row]
+        candidates = unused.intersection(holders)
+        if not candidates:
+            continue
+        k = min(candidates, key=lambda i: len(T[i]))
+        prow = T[k]
+        inv = pow(prow[j], -1, P)
+        items = [(key, b * inv % P) for key, b in prow.items()]
+        prow.update(items)
+        for i in holders:
+            if i != k:
+                row = T[i]
+                f = row[j]
+                for key, b in items:
+                    # f * b is nonzero mod p, so a cancelled key was present
+                    x = (row.get(key, 0) - f * b) % P
+                    if x:
+                        row[key] = x
+                    else:
+                        del row[key]
+        unused.remove(k)
+        free.remove(j)
+        pivot_rows.append((j, prow))
+    return len(pivot_rows), frozenset(free).union(
+        j for j, prow in pivot_rows if len(prow) > 1
+    )
+
+
 def deletion_ranks_loop(op: RigidityOperator, mode: str, tol: float = 1e-9):
     """Rank of the operator and of each single-row deletion, one elimination
     per row: fraction-free (`_bareiss_rank`) in exact mode, SVD in float."""
@@ -663,13 +721,13 @@ def deletion_ranks_loop(op: RigidityOperator, mode: str, tol: float = 1e-9):
             return _bareiss_rank(sub.matrix) if sub.matrix else 0
         return rank_of(sub, "float", tol)
 
-    rows, edges = op.matrix, op.edges
+    phis, edges = op.phis, op.edges
     return rank(op), tuple(
         rank(RigidityOperator(
-            rows[:i] + rows[i + 1:], edges[:i] + edges[i + 1:], op.n, op.exact,
+            phis[:i] + phis[i + 1:], edges[:i] + edges[i + 1:], op.n, op.exact,
             op.trivial_flex_dim,
         ))
-        for i in range(len(rows))
+        for i in range(len(edges))
     )
 
 
@@ -689,7 +747,7 @@ def exact_profile_by_pieces(op: RigidityOperator):
             continue
         cols = [c for v in sorted(comp) for c in (2 * v, 2 * v + 1)]
         piece = [[op.matrix[i][c] for c in cols] for i in rows]
-        rank_p, piece_stressed = geometry._modular_profile(piece, len(cols))
+        rank_p, piece_stressed = modular_profile_dense(piece, len(cols))
         rank_q = rank_p
         if rank_p < min(len(rows), len(cols) - op.trivial_flex_dim):
             rank_q = _bareiss_rank(piece)

@@ -37,7 +37,7 @@ from corpus import BENCHMARK_INPUTS, decision_corpus
 from oracles import (
     deletion_ranks_loop, exact_profile, exact_profile_by_pieces, float_rank_unscaled,
     float_rows_by_fractions, float_rows_by_support_functional, is_congruent_two_cosets,
-    modular_profile_dense,
+    modular_profile_dense, modular_profile_gauss_jordan,
 )
 
 L2 = NormedPlane(2)
@@ -247,6 +247,36 @@ class TestOperator:
             ty = [0, 1] * G.n
             assert all(v == 0 for v in op.apply(tx))
             assert all(v == 0 for v in op.apply(ty))
+
+    def test_apply_refuses_a_vector_of_the_wrong_length(self):
+        # a velocity vector holds two entries per vertex: K5- has 2n = 10,
+        # so a longer vector is not read as its first ten entries, and a
+        # shorter one is not read past its end
+        G = cat.k5_minus()
+        op = rigidity_operator(G, random_regular_placement(G, L4, 17), L4)
+        assert op.apply([1, 0] * 5) == (0,) * G.m
+        for length in (110, 11, 9, 3, 0):
+            message = f"^velocity vector of length {length}, needs 2n = 10$"
+            with pytest.raises(ValueError, match=message):
+                op.apply([1] * length)
+
+    def test_one_pair_per_edge_and_a_derived_matrix(self):
+        # the fields are the pairs and the edges; the dense rows are a
+        # cached view, built on first read, read-only and no field
+        G = cat.cycle_graph(3)
+        op = rigidity_operator(G, Placement(((0, 0), (2, 1), (1, 3))), L4)
+        assert op._fields == ("phis", "edges", "n", "exact", "trivial_flex_dim")
+        assert op.phis == ((8, 1), (1, 27), (-1, 8)) and op.edges == ((0, 1), (0, 2), (1, 2))
+        assert "matrix" not in vars(op)
+        assert op.matrix == (
+            (-8, -1, 8, 1, 0, 0),
+            (-1, -27, 0, 0, 1, 27),
+            (0, 0, 1, -8, -1, 8),
+        )
+        assert op.matrix is op.matrix
+        with pytest.raises(AttributeError):
+            op.matrix = ()
+        assert op == RigidityOperator(op.phis, op.edges, 3, True) and "matrix" not in repr(op)
 
     def test_coincident_endpoints_rejected(self):
         G = Graph.from_edges(2, [(0, 1)])
@@ -518,7 +548,7 @@ class TestRowScaledFloatRank:
         assert op.as_array() is A and not A.flags.writeable
         with pytest.raises(ValueError):
             A[0, 0] = 2.0
-        fresh = RigidityOperator(op.matrix, op.edges, op.n, op.exact, op.trivial_flex_dim)
+        fresh = RigidityOperator(op.phis, op.edges, op.n, op.exact, op.trivial_flex_dim)
         assert fresh == op and hash(fresh) == hash(op)
         assert fresh.as_array() is not A and np.array_equal(fresh.as_array(), A)
         assert deletion_ranks(op, "float") == deletion_ranks(fresh, "float")
@@ -556,21 +586,20 @@ def _is_prime_miller_rabin(n: int) -> bool:
 
 
 @st.composite
-def _integer_matrices(draw):
-    """Rows of small, huge and mostly zero ints, with one row and one
-    column zeroed when drawn; m and cols range past each other."""
-    m, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+def _integer_operators(draw):
+    """Exact operators on up to seven vertices, their pairs of small, huge
+    and mostly zero ints and of multiples of `_PRIME`, zero residues; a
+    pair may be zero, as may a vertex's columns (an isolated vertex), and
+    m and 2n range past each other."""
+    n = draw(st.integers(0, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=15)) if pairs else []
     entry = st.one_of(
-        st.just(0), st.just(0), st.integers(-10, 10), st.integers(-2**70, 2**70)
+        st.just(0), st.just(0), st.integers(-10, 10), st.integers(-2**70, 2**70),
+        st.integers(-3, 3).map(lambda k: k * geometry._PRIME),
     )
-    rows = [[draw(entry) for _ in range(cols)] for _ in range(m)]
-    if m and draw(st.booleans()):
-        rows[draw(st.integers(0, m - 1))] = [0] * cols
-    if cols and draw(st.booleans()):
-        c = draw(st.integers(0, cols - 1))
-        for row in rows:
-            row[c] = 0
-    return tuple(tuple(row) for row in rows), cols
+    phis = tuple((draw(entry), draw(entry)) for _ in edges)
+    return RigidityOperator(phis, tuple(sorted(edges)), n, True)
 
 
 class TestModularProfile:
@@ -585,22 +614,34 @@ class TestModularProfile:
         ]
 
     @settings(max_examples=400, deadline=None)
-    @given(_integer_matrices(), st.sampled_from([3, 5, 7, geometry._PRIME]))
-    def test_sparse_equals_dense(self, matrix, prime):
-        rows, cols = matrix
+    @given(_integer_operators(), st.sampled_from([3, 5, 7, geometry._PRIME]))
+    def test_sparse_equals_dense(self, op, prime):
+        # the transpose filled from each edge's two residues eliminates as
+        # the earlier scan of the dense rows did, with the same answer as
+        # dense Gauss-Jordan
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "_PRIME", prime)
-            got = geometry._modular_profile(rows, cols)
-        assert got == modular_profile_dense(rows, cols, prime)
+            got = geometry._modular_profile(op)
+            assert got == modular_profile_dense(op.matrix, 2 * op.n)
+        assert got == modular_profile_gauss_jordan(op.matrix, 2 * op.n, prime)
 
     @pytest.mark.parametrize("p", [2, 4, 6])
     def test_sparse_equals_dense_on_operators(self, monkeypatch, p):
         for prime in (geometry._PRIME, 3):
             monkeypatch.setattr(geometry, "_PRIME", prime)
             for op in _corpus_frameworks(p):
-                rows, cols = op.matrix, 2 * op.n
-                expect = modular_profile_dense(rows, cols, prime)
-                assert geometry._modular_profile(rows, cols) == expect, op.edges
+                expect = modular_profile_gauss_jordan(op.matrix, 2 * op.n, prime)
+                assert geometry._modular_profile(op) == expect, op.edges
+
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_every_block_equals_the_dense_scan(self, p):
+        plane, blocks = NormedPlane(p), 0
+        for i, G in enumerate(decision_corpus(300, seed=5)):
+            op = rigidity_operator(G, random_regular_placement(G, plane, i), plane)
+            for B, _, _, _ in op._exact_blocks:
+                assert geometry._modular_profile(B) == modular_profile_dense(B.matrix, 2 * B.n)
+                blocks += 1
+        assert blocks > 300
 
 
 class TestDeletionRanks:
@@ -655,7 +696,7 @@ class TestDeletionRanks:
         # with the bound 2n - 2 of any plane (trivial_flex_dim 2), every
         # exact p = 2 rank fell back to Bareiss; rank and certify must agree
         def flex_dim_2(op):
-            return RigidityOperator(op.matrix, op.edges, op.n, op.exact, 2)
+            return RigidityOperator(op.phis, op.edges, op.n, op.exact, 2)
 
         for op in _corpus_frameworks(2):
             assert op.trivial_flex_dim == 3
@@ -719,7 +760,7 @@ class TestDeletionRanks:
         rows, bareiss = [], []
         profile, rank_q = geometry._modular_profile, geometry._bareiss_rank
         monkeypatch.setattr(
-            geometry, "_modular_profile", lambda sub, *a: rows.append(len(sub)) or profile(sub, *a)
+            geometry, "_modular_profile", lambda sub: rows.append(len(sub.edges)) or profile(sub)
         )
         monkeypatch.setattr(
             geometry, "_bareiss_rank", lambda sub: bareiss.append(len(sub)) or rank_q(sub)
@@ -761,7 +802,7 @@ class TestDeletionRanks:
         rows = []
         profile = geometry._modular_profile
         monkeypatch.setattr(
-            geometry, "_modular_profile", lambda sub, *a: rows.append(len(sub)) or profile(sub, *a)
+            geometry, "_modular_profile", lambda sub: rows.append(len(sub.edges)) or profile(sub)
         )
         G = gnp_graph(12, 0.3, 1)
         pl = random_regular_placement(G, L4, 0)
@@ -888,6 +929,23 @@ class TestSplitProfile:
         got = [deletion_ranks(op, "exact") for op in ops]
         assert calls == []
         assert got == [deletion_ranks_loop(op, "exact") for op in ops]
+
+    def test_exact_path_builds_no_dense_rows_on_the_benchmark_p4_inputs(self):
+        # rank_of and deletion_ranks read the pairs alone: neither the
+        # operator nor any block operator builds its dense rows
+        d = BENCHMARK_INPUTS / "certify-lp"
+        ops = []
+        for line in (d / "requests.txt").read_text().splitlines():
+            graph, placement, p = line.split()
+            if p == "4":
+                G = parse_graph6((d / graph).read_text())
+                ops.append(rigidity_operator(G, parse_placement((d / placement).read_text()), L4))
+        assert len(ops) == 40
+        for op in ops:
+            rank_of(op, "exact")
+            deletion_ranks(op, "exact")
+            blocks = [B for B, _, _, _ in op._exact_blocks]
+            assert [B for B in [op] + blocks if "matrix" in vars(B)] == [], op.edges
 
     def test_no_bareiss_on_k8_plus_a_path(self, monkeypatch):
         # the 22 path edges are bridges and K8 reaches 2n - 2 = 14: rank 36
@@ -1189,6 +1247,30 @@ class TestCutVertexCounterexample:
         q = cut_vertex_counterexample(G, pl, L4)
         assert equivalent_exactly(G, pl, q, L4)
         assert is_congruent(pl, q, L4)
+
+
+class TestPlacementSize:
+    """Every function of a graph and a placement refuses a placement with
+    fewer points than vertices (an edge would read past its end) or more
+    (points that no edge reads), with the message of rigidity_operator."""
+
+    @pytest.mark.parametrize("size", [3, 6])
+    def test_refused_on_the_bowtie(self, size):
+        G = cat.bowtie()
+        ok = random_regular_placement(G, L4, 1)
+        bad = Placement(tuple((Fraction(v), Fraction(v * v + 1)) for v in range(size)))
+        calls = [
+            lambda: rigidity_operator(G, bad, L4),
+            lambda: geometry.framework_edge_lengths(G, bad, L4),
+            lambda: cut_vertex_counterexample(G, bad, L4),
+            lambda: equivalent_exactly(G, bad, ok, L4),
+            lambda: equivalent_exactly(G, ok, bad, L4),
+            lambda: equivalent_exactly(G, bad, bad, L4),
+            lambda: equivalent_exactly(G, bad, ok, NormedPlane(3.5)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^placement size does not match the graph$"):
+                call()
 
 
 class TestCongruence:
