@@ -5,27 +5,27 @@ Exponents p with 1 < p < infinity keep the plane smooth and strictly
 convex.  The operator is built row-scaled and stored as one pair per
 edge, phi = (sign(d_i) |d_i|^(p-1))_i for the edge difference d: the
 edge's row holds phi in the columns of one end and -phi in those of the
-other, and the dense rows are a derived view that only the float array
-and the Bareiss fallback read.  For an even integer p and a rational
-placement the pairs are Python ints by default, and on request at an odd
-integer p too (`rigidity_operator`), built once with one common
-denominator cleared, and capped at EXACT_ENTRY_BITS bits per entry.
-Their rank is split at the blocks of the graph (its maximal 2-connected
-subgraphs and its bridges): ranks add over a 1-sum, as a translation,
-which lies in every kernel, matches two flexes at the shared vertex.  A
-block's rank is certified by one sparse Gauss-Jordan elimination modulo
-the prime 2^30 - 35, which reads the pairs alone, so its memory starts
-at O(|E|) residues and grows only with fill-in, whenever its modular
-rank reaches its bound min(m, 2n - f), f the plane's trivial flex
-dimension (3 Euclidean, 2 otherwise); a lower modular rank falls back to
-fraction-free (Bareiss) elimination of that block's dense rows over the
-integers.  2^30 - 35 is the largest prime below 2^30, so every residue
-is a single 30-bit digit of a Python int.  Every other entry is the
-float sign(x_i) |x_i|^(p-1), x the edge difference rounded to floats
-once (for a rational placement, from the same integer differences), and
-its rank uses numpy SVD with a relative tolerance.  A float row is
-refused when an entry is not finite or its larger entry is below the
-smallest normal float.
+other, and no dense rows are built: the exact eliminations read the
+pairs, and the float array is written from them.  For an even integer p
+and a rational placement the pairs are Python ints by default, and on
+request at an odd integer p too (`rigidity_operator`), built once with
+one common denominator cleared, and capped at EXACT_ENTRY_BITS bits per
+entry.  Their rank is split at the blocks of the graph (its maximal
+2-connected subgraphs and its bridges): ranks add over a 1-sum, as a
+translation, which lies in every kernel, matches two flexes at the shared
+vertex.  A block's rank is certified by one sparse Gauss-Jordan
+elimination modulo the prime 2^30 - 35, which reads the pairs alone, so
+its memory starts at O(|E|) residues and grows only with fill-in,
+whenever its modular rank reaches its bound min(m, 2n - f), f the
+plane's trivial flex dimension (3 Euclidean, 2 otherwise); a lower
+modular rank falls back to the same elimination of that block over Q, in
+Fractions, which gives its exact rank and stressed rows.  2^30 - 35 is
+the largest prime below 2^30, so every residue is a single 30-bit digit
+of a Python int.  Every other entry is the float sign(x_i) |x_i|^(p-1),
+x the edge difference rounded to floats once (for a rational placement,
+from the same integer differences), and its rank uses numpy SVD with a
+relative tolerance.  A float row is refused when an entry is not finite
+or its larger entry is below the smallest normal float.
 
 The same eliminations give the self-stresses (the left kernel), and a row
 can be deleted without losing rank iff some self-stress is nonzero on it.
@@ -34,10 +34,11 @@ gives each row r if it is stressed and r - 1 otherwise; a mode only
 finds the stressed rows.  Exact mode reads the blocks `rank_of` eliminated,
 which the operator keeps, each sliced once as an operator of its own on
 its vertices in increasing order (a row of a block of full row rank is a
-coloop); a row that the modular answer cannot settle is confirmed by
-`rank_of` on its block's operator without that row.  Float mode reads one
-full SVD.  An operator's `mode` is the one its rows take when no caller
-names one: exact for integer rows, float otherwise.
+coloop); any other row of a dependent block that its elimination did not
+find stressed is confirmed by `rank_of` on its block's operator without
+that row.  Float mode reads one full SVD.  An operator's `mode` is the
+one its rows take when no caller names one: exact for integer rows,
+float otherwise.
 """
 
 from __future__ import annotations
@@ -197,10 +198,10 @@ class RigidityOperator(FrozenRecord):
     times |d|^(p-2), that is (sign(d_i) |d_i|^(p-1))_i.  The row of edge i
     in the |E| x 2n operator holds phi in v's two columns, -phi in u's and
     zeros elsewhere, so uniform translations are always in the kernel.
-    Only these pairs are stored: the exact path reads them alone, and the
-    dense rows are a derived view (`matrix`).  Positive row scalings change
-    neither the rank of any set of rows nor which rows a self-stress is
-    nonzero on.
+    Only these pairs are stored, and no dense rows are built: the exact
+    path reads the pairs alone, and the float array (`as_array`) is written
+    from them.  Positive row scalings change neither the rank of any set of
+    rows nor which rows a self-stress is nonzero on.
 
     `exact` is set when the rows are exact (see `rigidity_operator`, which
     needs an integer p and a rational placement for them).  The pairs
@@ -232,18 +233,6 @@ class RigidityOperator(FrozenRecord):
         return "exact" if self.exact else "float"
 
     @cached_property
-    def matrix(self) -> tuple[tuple, ...]:
-        """The dense |E| x 2n rows, a cached view and not a field: row i
-        holds phis[i] in the columns of v and its negative in those of u,
-        edges[i] = (u, v), and zeros elsewhere.  Only the float array
-        (`as_array`) and the Bareiss fallback read it."""
-        zeros = (0,) * (2 * self.n)
-        return tuple(
-            zeros[:2 * u] + (-a, -b) + zeros[2 * u + 2:2 * v] + (a, b) + zeros[2 * v + 2:]
-            for (a, b), (u, v) in zip(self.phis, self.edges)
-        )
-
-    @cached_property
     def _graph(self) -> Graph:
         """The graph of the rows' edges, a cached fact and not a field: the
         G that `rigidity_operator` built the operator from, so an exact rank
@@ -259,15 +248,22 @@ class RigidityOperator(FrozenRecord):
         row whose larger entry is below the smallest normal float
         (`rigidity_operator`).  Scaling after the float conversion keeps an
         exact entry past the largest float (a large even p) a ValueError.
-        The array is built once per operator and handed out read-only."""
+        The array is written from the pairs into a zeroed |E| x 2n array:
+        each row gets its pair in v's columns and the pair negated in u's,
+        negated as Python numbers before the conversion, so a zero int entry
+        stays +0.0 and a float 0.0 turns -0.0, the bits of the dense rows.
+        It is built once per operator and handed out read-only."""
         return self._float_array
 
     @cached_property
     def _float_array(self):
         import numpy as np
 
+        A = np.zeros((len(self.edges), 2 * self.n))
         try:
-            A = np.array(self.matrix, dtype=float)
+            for i, ((a, b), (u, v)) in enumerate(zip(self.phis, self.edges)):
+                A[i, 2 * u:2 * u + 2] = -a, -b
+                A[i, 2 * v:2 * v + 2] = a, b
         except OverflowError:
             raise ValueError("operator entries out of floating-point range") from None
         if A.size:
@@ -296,7 +292,7 @@ class RigidityOperator(FrozenRecord):
         w^T A P = 0 iff w^T A = 0, so the left kernel, and with it the
         stressed rows, is the same.  The eliminations may pick other
         pivots, but neither their ranks nor their stressed rows depend on
-        that (see `_modular_profile`).
+        that (see `_profile`).
 
         The operator is split at the blocks of its edge graph
         (`RigidityOperator._graph`, from that graph's cached lowpoint DFS): its
@@ -318,21 +314,23 @@ class RigidityOperator(FrozenRecord):
         its row is nonzero (the endpoints differ).
 
         Each block B (m_B rows on n_B vertices) is eliminated alone, modulo
-        p = _PRIME (`_modular_profile`), as its own operator.  rank_p <= rank_Q,
+        p = _PRIME (`_profile`), as its own operator.  rank_p <= rank_Q,
         since a nonzero minor mod p is a nonzero integer minor; and
         rank_Q <= min(m_B, 2n_B - f), with f the operator's `trivial_flex_dim`.  The two
         translations of B always lie in its kernel (f = 2).  In the Euclidean
         plane (f = 3) so does the rotation field v_i = (-y_i, x_i): the row of
         edge uv is d = p_v - p_u, and d . (J p_v - J p_u) = d . J d = 0.  It is
         not a translation, because the endpoints of an edge never coincide.  So
-        a modular rank that reaches min(m_B, 2n_B - f) is the exact rank of B; a
-        lower one is recomputed by fraction-free elimination (`_bareiss_rank`)
-        of B alone. Whenever rank_p equals B's exact rank r, a row stressed mod
-        p keeps it, since r >= rank_Q(B - row) >= rank_p(B - row) = r; otherwise
-        no row of B is known to be stressed.  None of this depends on which
-        prime p is, so p is 2^30 - 35, the largest prime below 2^30, for speed:
-        every residue is one 30-bit Python digit.  A smaller prime can only make
-        the fallback run more often, never change an answer.
+        a modular rank that reaches min(m_B, 2n_B - f) is the exact rank r of B,
+        and a row stressed mod p keeps it, since r >= rank_Q(B - row) >=
+        rank_p(B - row) = r; a row not stressed mod p may still be stressed
+        over Q, so it is not settled here.  A lower modular rank is recomputed
+        by the same elimination of B over Q (`_profile(B, over_q=True)`), which
+        gives the exact rank and exactly the stressed rows.  None of this
+        depends on which prime p is, so p is 2^30 - 35, the largest prime below
+        2^30, for speed: every residue is one 30-bit Python digit.  A smaller
+        prime can only make the elimination over Q run more often, never change
+        an answer.
 
         Edges are assigned to blocks in O(n + m).  Every vertex v but a DFS root
         follows the head of exactly one block, own(v), the block of the tree
@@ -362,11 +360,10 @@ class RigidityOperator(FrozenRecord):
                 tuple((index[u], index[v]) for u, v in map(self.edges.__getitem__, rows)),
                 len(verts), True, self.trivial_flex_dim,
             )
-            rank_p, sub_stressed = _modular_profile(sub)
-            rank_q = rank_p
-            if rank_p < min(len(rows), 2 * sub.n - self.trivial_flex_dim):
-                rank_q = _bareiss_rank(sub.matrix)
-            out.append((sub, rows, rank_q, sub_stressed if rank_q == rank_p else frozenset()))
+            rank, stressed = _profile(sub)
+            if rank < min(len(rows), 2 * sub.n - self.trivial_flex_dim):
+                rank, stressed = _profile(sub, over_q=True)
+            out.append((sub, rows, rank, stressed))
         return out
 
     def apply(self, vector):
@@ -382,10 +379,11 @@ class RigidityOperator(FrozenRecord):
         )
 
 
-# exact entries are capped at this many bits: the Bareiss fallback grows
-# with the entry size (one rank of a 40 x 40 rank-deficient operator took
-# 2 s at 2000 bits and 8 s at 4000 on a 2-core Xeon), and an even p such
-# as 1e20 would never finish building its rows
+# exact entries are capped at this many bits: the elimination over Q of a
+# rank-deficient block grows with the entry size (the rank of a ring of
+# four K5- joined by paths, one 52 x 64 block of rank 48, took 0.15 s at
+# 2000 bits and 0.4 s at 4000 on a 2-core Xeon), and an even p such as
+# 1e20 would never finish building its rows
 EXACT_ENTRY_BITS = 1 << 12
 
 
@@ -459,69 +457,57 @@ def rigidity_operator(
 
 # 2^30 - 35, the largest prime below 2^30: every residue is one 30-bit
 # digit of a Python int, which keeps the elimination's arithmetic cheap.  Any
-# prime gives exact answers (see _exact_blocks); a small one only falls back
-# to Bareiss more often.  perfbench/reference.py checks ranks modulo
-# 2^31 - 1, so the program and its checker cannot share a prime's blind spot
+# prime gives exact answers (see _exact_blocks); a small one only makes the
+# elimination over Q run more often.  perfbench/reference.py checks ranks
+# modulo 2^31 - 1, so the program and its checker cannot share a prime's
+# blind spot.  _profile reads it at call time
 _PRIME = (1 << 30) - 35
 
 
-def _bareiss_rank(rows) -> int:
-    """Rank of integer rows by fraction-free elimination in Python bigints."""
-    mat = [list(row) for row in rows]
-    m = len(mat)
-    cols = len(mat[0]) if m else 0
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, m) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        for i in range(r + 1, m):
-            for j in range(c + 1, cols):
-                mat[i][j] = (mat[r][c] * mat[i][j] - mat[i][c] * mat[r][j]) // prev
-            mat[i][c] = 0
-        prev = mat[r][c]
-        rank += 1
-        r += 1
-        if r == m:
-            break
-    return rank
-
-
-def _modular_profile(op: RigidityOperator) -> tuple[int, frozenset[int]]:
-    """Rank of an integer operator modulo _PRIME, and its stressed rows.
+def _profile(op: RigidityOperator, over_q: bool = False) -> tuple[int, frozenset[int]]:
+    """Rank of an integer operator and its stressed rows, modulo _PRIME, or
+    over Q with over_q.
 
     Gauss-Jordan on the transpose: its columns are the rows of the operator,
     and each free column j gives the self-stress e_j - sum_k R[k][j] e_pk
     (pk the pivot column of reduced row k).  These stresses span the left
-    kernel mod p, so a free column is always stressed and a pivot column
-    pk is stressed iff R[k] is nonzero on some free column.  A row is
-    stressed iff deleting it keeps the rank mod p.
+    kernel, so a free column is always stressed and a pivot column pk is
+    stressed iff R[k] is nonzero on some free column.  A row is stressed
+    iff deleting it keeps the rank.  Nothing here uses more than the field
+    axioms, so the argument holds over any field: modulo p it gives the
+    rank and stressed rows of the residues, and over Q, where the entries
+    are Fractions and every step is exact arithmetic, the exact rank and
+    stressed rows.
 
     The transpose is kept sparse: row c of it is a dict {row index:
-    residue} of column c's nonzeros, filled from the pairs alone, in
-    O(|E| + n): edge j = (u, v) with residues (a, b) of phis[j] puts a and b
-    in v's columns and -a and -b in u's, at key j, and skips a zero
-    residue.  Every dict so gets its keys in increasing row order, as a
-    scan of the dense rows would give them.  Each pivot updates only the rows
-    that hold its column, and only at the pivot row's keys, and a residue
-    that cancels is removed.  The rank mod p and the stressed rows do not
-    depend on which row holding column j becomes its pivot, so the
+    entry} of column c's nonzeros, filled from the pairs alone, in
+    O(|E| + n): edge j = (u, v) with entries (a, b) of phis[j] (their
+    residues modulo p) puts a and b in v's columns and -a and -b in u's, at
+    key j, and skips a zero.  Every dict so gets its keys in increasing row
+    order, as a scan of the dense rows would give them.  Each pivot updates
+    only the rows that hold its column, and only at the pivot row's keys,
+    and an entry that cancels is removed.  The rank and the stressed rows
+    do not depend on which row holding column j becomes its pivot, so the
     shortest unused one is taken, which keeps the fill-in small.  After
     the last pivot every pivot column is zero outside its own pivot row,
     so a pivot row's keys are its pivot column and free columns only: pk
     is stressed iff R[k] has more than one key.
     """
-    P = _PRIME
+    # P is the field's characteristic, and reduce maps an int into the field
+    if over_q:
+        from fractions import Fraction as reduce
+
+        P = 0
+    else:
+        P = _PRIME
+        reduce = P.__rmod__
     m, cols = len(op.edges), 2 * op.n
     T = [{} for _ in range(cols)]
     for j, (phi, (u, v)) in enumerate(zip(op.phis, op.edges)):
         for k, a in enumerate(phi):
-            a %= P
+            a = reduce(a)
             if a:
-                T[2 * u + k][j], T[2 * v + k][j] = P - a, a
+                T[2 * u + k][j], T[2 * v + k][j] = reduce(-a), a
     free = set(range(m))
     unused = set(range(cols))
     pivot_rows = []
@@ -534,16 +520,18 @@ def _modular_profile(op: RigidityOperator) -> tuple[int, frozenset[int]]:
             continue
         k = min(candidates, key=lambda i: len(T[i]))
         prow = T[k]
-        inv = pow(prow[j], -1, P)
-        items = [(key, b * inv % P) for key, b in prow.items()]
+        inv = pow(prow[j], -1, P) if P else 1 / prow[j]
+        items = [(key, reduce(b * inv)) for key, b in prow.items()]
         prow.update(items)
         for i in holders:
             if i != k:
                 row = T[i]
                 f = row[j]
                 for key, b in items:
-                    # f * b is nonzero mod p, so a cancelled key was present
-                    x = (row.get(key, 0) - f * b) % P
+                    # f * b is nonzero in the field, so a cancelled key was present
+                    x = row.get(key, 0) - f * b
+                    if P:
+                        x %= P
                     if x:
                         row[key] = x
                     else:
@@ -602,8 +590,9 @@ def deletion_ranks(
 
     Exact mode reads the blocks of `RigidityOperator._exact_blocks`, which
     `rank_of` eliminated: a row of a block of full row rank (a bridge,
-    say) is a coloop, and a row known to be stressed is stressed.  Any
-    other row i lies in a dependent block B, and is stressed iff
+    say) is a coloop, and a row its block's elimination found stressed (all
+    of them, where that elimination ran over Q) is stressed.  Any other
+    row i lies in a dependent block B, and is stressed iff
     B - row i keeps the rank of B, found by `rank_of` on B's own operator
     (kept by `_exact_blocks`) with row i sliced out: its pairs and edges
     less one, on the same vertices.  Deleting an edge of B leaves the
@@ -614,8 +603,8 @@ def deletion_ranks(
     exactly the blocks of B - e, each under its own bound
     min(m_C, 2n_C - f).  That is the split of the
     whole operator without row i, less the blocks the row never touched:
-    Bareiss runs on the same blocks, and no untouched block is eliminated
-    again.
+    an elimination over Q runs on the same blocks, and no untouched block
+    is eliminated again.
 
     Float mode runs one full SVD of the same row-scaled array DA
     (`RigidityOperator.as_array`; a self-stress w of A is the self-stress

@@ -48,6 +48,22 @@ def k4_ring_graph() -> Graph:
     return Graph.from_edges(12, edges)
 
 
+def k5_minus_ring(r: int) -> Graph:
+    """Ring of r copies of K5- (5 vertices each), copy i joined by a path
+    of 3 new vertices from its vertex 0 to vertex 1 of copy i + 1 mod r:
+    n = 8r, m = 13r, one block (2-connected for r >= 1).  Each K5- is one
+    (2,2) circuit and each path edge lies in none, so in a generic lp
+    plane the rank is 8r + 4r = 12r, below min(m, 2n - 2), the K5- rows
+    are stressed and the 4r path rows are coloops."""
+    edges = []
+    for i in range(r):
+        base, path = 5 * i, 5 * r + 3 * i
+        edges += [(base + u, base + v) for u, v in cat.k5_minus().edges]
+        nxt = 5 * ((i + 1) % r) + 1
+        edges += [(base, path), (path, path + 1), (path + 1, path + 2), (path + 2, nxt)]
+    return Graph.from_edges(8 * r, edges)
+
+
 def named_graphs() -> dict[str, Graph]:
     return {
         "K4": cat.complete_graph(4),

@@ -20,7 +20,10 @@ with the rows known to be stressed and the coloops; the library's exact
 rank now sums the block ranks alone), its split of an exact rank
 at the bridges and into the pieces between them (the library now splits
 at blocks), its dense modular elimination (the library now eliminates
-a sparse transpose), its float operator rows from Fraction differences
+a sparse transpose), its dense operator rows (the library keeps one pair
+per edge and writes its float array from the pairs), its exact fallback
+by fraction-free (Bareiss) elimination of the dense rows (the library now
+runs its sparse elimination over Q), its float operator rows from Fraction differences
 (the library now divides
 integer differences of the scaled coordinates) and, before that, through
 the support functional and a second norm (the library now takes each entry
@@ -80,7 +83,7 @@ from planerigidity.decide import (
     RigidityReport, _ears_text, is_globally_rigid_euclidean, sufficient_checks,
 )
 from planerigidity.formats import MAX_VERTICES, FormatError, _G6_SET_BITS, _g6_size_bytes
-from planerigidity.geometry import RigidityOperator, _bareiss_rank, rank_of, support_functional
+from planerigidity.geometry import RigidityOperator, rank_of, support_functional
 from planerigidity.graphs import (
     Edge, Graph, Separation, _bipartitions, _is_k4_part, _lowpoint_dfs, _norm_edge, _part,
     _min_st_edge_cut, _wl_colors, enumerate_separations, find_isomorphism, first_cut_vertex,
@@ -622,6 +625,46 @@ def is_circuit22_leave_one_out(G: Graph):
     return all(rank_by_stopped_game(edges[:i] + edges[i + 1:], 2) == G.m - 1 for i in range(G.m))
 
 
+def dense_rows(op: RigidityOperator) -> tuple[tuple, ...]:
+    """The library's earlier dense view `RigidityOperator.matrix`: the
+    |E| x 2n rows, row i holding phis[i] in the columns of v and its
+    negative in those of u, edges[i] = (u, v), and zeros elsewhere.  The
+    library now reads the pairs alone and writes its float array from
+    them."""
+    zeros = (0,) * (2 * op.n)
+    return tuple(
+        zeros[:2 * u] + (-a, -b) + zeros[2 * u + 2:2 * v] + (a, b) + zeros[2 * v + 2:]
+        for (a, b), (u, v) in zip(op.phis, op.edges)
+    )
+
+
+def bareiss_rank(rows) -> int:
+    """Rank of integer rows by fraction-free elimination in Python bigints:
+    the library's earlier exact fallback, which now eliminates the block
+    over Q in the sparse Gauss-Jordan of its modular ranks."""
+    mat = [list(row) for row in rows]
+    m = len(mat)
+    cols = len(mat[0]) if m else 0
+    rank = 0
+    prev = 1
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, m) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        for i in range(r + 1, m):
+            for j in range(c + 1, cols):
+                mat[i][j] = (mat[r][c] * mat[i][j] - mat[i][c] * mat[r][j]) // prev
+            mat[i][c] = 0
+        prev = mat[r][c]
+        rank += 1
+        r += 1
+        if r == m:
+            break
+    return rank
+
+
 def modular_profile_gauss_jordan(rows, cols: int, prime: int):
     """Rank of an integer matrix modulo prime and its stressed rows, by dense
     Gauss-Jordan on the transpose: every pivot updates whole list rows, and
@@ -714,11 +757,11 @@ def modular_profile_dense(rows, cols: int) -> tuple[int, frozenset[int]]:
 
 def deletion_ranks_loop(op: RigidityOperator, mode: str, tol: float = 1e-9):
     """Rank of the operator and of each single-row deletion, one elimination
-    per row: fraction-free (`_bareiss_rank`) in exact mode, SVD in float."""
+    per row: fraction-free (`bareiss_rank`) in exact mode, SVD in float."""
 
     def rank(sub):
         if mode == "exact":
-            return _bareiss_rank(sub.matrix) if sub.matrix else 0
+            return bareiss_rank(dense_rows(sub)) if sub.edges else 0
         return rank_of(sub, "float", tol)
 
     phis, edges = op.phis, op.edges
@@ -740,17 +783,17 @@ def exact_profile_by_pieces(op: RigidityOperator):
     G = Graph.from_edges(op.n, op.edges)
     base = len(components_search(G))
     bridges = {e for e in G.edges if len(components_search(G.remove_edge(*e))) > base}
-    rank, stressed = len(bridges), set()
+    rank, stressed, dense = len(bridges), set(), dense_rows(op)
     for comp in components_search(Graph(op.n, G.edges - bridges)):
         rows = [i for i, (u, v) in enumerate(op.edges) if u in comp and (u, v) not in bridges]
         if not rows:
             continue
         cols = [c for v in sorted(comp) for c in (2 * v, 2 * v + 1)]
-        piece = [[op.matrix[i][c] for c in cols] for i in rows]
+        piece = [[dense[i][c] for c in cols] for i in rows]
         rank_p, piece_stressed = modular_profile_dense(piece, len(cols))
         rank_q = rank_p
         if rank_p < min(len(rows), len(cols) - op.trivial_flex_dim):
-            rank_q = _bareiss_rank(piece)
+            rank_q = bareiss_rank(piece)
         rank += rank_q
         if rank_q == rank_p:
             stressed.update(rows[j] for j in piece_stressed)
@@ -808,7 +851,7 @@ def _float_rows(G: Graph, placement, entries):
 def float_rank_unscaled(op: RigidityOperator, tol: float = 1e-9) -> int:
     """The float rank of the raw rows: singular values above tol times the
     largest, with no row scaled."""
-    A = np.array([[float(c) for c in row] for row in op.matrix], dtype=float)
+    A = np.array([[float(c) for c in row] for row in dense_rows(op)], dtype=float)
     sv = np.linalg.svd(A, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0

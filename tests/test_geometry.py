@@ -16,7 +16,6 @@ from planerigidity.geometry import (
     NormedPlane,
     Placement,
     RigidityOperator,
-    _bareiss_rank,
     cut_vertex_counterexample,
     deletion_ranks,
     equivalent_exactly,
@@ -33,11 +32,11 @@ from planerigidity.graphs import Graph
 from planerigidity.randomgraphs import gnp_graph
 from planerigidity.sparsity import rank2k
 
-from corpus import BENCHMARK_INPUTS, decision_corpus
+from corpus import BENCHMARK_INPUTS, decision_corpus, k5_minus_ring
 from oracles import (
-    deletion_ranks_loop, exact_profile, exact_profile_by_pieces, float_rank_unscaled,
-    float_rows_by_fractions, float_rows_by_support_functional, is_congruent_two_cosets,
-    modular_profile_dense, modular_profile_gauss_jordan,
+    bareiss_rank, deletion_ranks_loop, dense_rows, exact_profile, exact_profile_by_pieces,
+    float_rank_unscaled, float_rows_by_fractions, float_rows_by_support_functional,
+    is_congruent_two_cosets, modular_profile_dense, modular_profile_gauss_jordan,
 )
 
 L2 = NormedPlane(2)
@@ -189,7 +188,7 @@ class TestOperator:
         G = Graph.from_edges(2, [(0, 1)])
         pl = Placement(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))))
         op = rigidity_operator(G, pl, L2)
-        assert op.matrix == ((Fraction(-1), 0, Fraction(1), 0),)
+        assert dense_rows(op) == ((Fraction(-1), 0, Fraction(1), 0),)
 
     def test_placement_of_the_wrong_size_refused(self):
         pl = Placement(((0, 0), (1, 0), (0, 1)))
@@ -200,7 +199,7 @@ class TestOperator:
         G = Graph.from_edges(2, [(0, 1)])
         pl = Placement(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))))
         op = rigidity_operator(G, pl, L4)
-        assert op.matrix == ((Fraction(-1), Fraction(-8), Fraction(1), Fraction(8)),)
+        assert dense_rows(op) == ((Fraction(-1), Fraction(-8), Fraction(1), Fraction(8)),)
 
     def test_exact_rows_clear_one_common_denominator(self):
         # D = lcm(2, 3, 4) = 12 turns the coordinates into (0, 0), (6, 4)
@@ -211,12 +210,12 @@ class TestOperator:
         ))
         op = rigidity_operator(G, pl, L4)
         assert op.exact
-        assert op.matrix == (
+        assert dense_rows(op) == (
             (-216, -64, 216, 64, 0, 0),
             (-27, -1728, 0, 0, 27, 1728),
             (0, 0, 27, -512, -27, 512),
         )
-        assert all(type(c) is int for row in op.matrix for c in row)
+        assert all(type(c) is int for row in dense_rows(op) for c in row)
 
     def test_exact_entry_cap(self):
         # coordinates of one bit: differences of at most two bits, so the
@@ -225,7 +224,7 @@ class TestOperator:
         G = Graph.from_edges(2, [(0, 1)])
         pl = Placement(((0, 0), (1, 1)))
         assert geometry.EXACT_ENTRY_BITS == 4096
-        assert rigidity_operator(G, pl, NormedPlane(2048)).matrix == ((-1, -1, 1, 1),)
+        assert dense_rows(rigidity_operator(G, pl, NormedPlane(2048))) == ((-1, -1, 1, 1),)
         with pytest.raises(ValueError, match="p = 2050: exact operator entries"):
             rigidity_operator(G, pl, NormedPlane(2050))
 
@@ -261,19 +260,21 @@ class TestOperator:
                 op.apply([1] * length)
 
     def test_one_pair_per_edge_and_a_derived_matrix(self):
-        # the fields are the pairs and the edges; the dense rows are a
-        # cached view, built on first read, read-only and no field
+        # the fields are the pairs and the edges; the dense rows derive from
+        # them (the test oracle `dense_rows`), and the operator, frozen,
+        # neither keeps nor builds them, not for its ranks or float array
         G = cat.cycle_graph(3)
         op = rigidity_operator(G, Placement(((0, 0), (2, 1), (1, 3))), L4)
         assert op._fields == ("phis", "edges", "n", "exact", "trivial_flex_dim")
         assert op.phis == ((8, 1), (1, 27), (-1, 8)) and op.edges == ((0, 1), (0, 2), (1, 2))
-        assert "matrix" not in vars(op)
-        assert op.matrix == (
+        assert dense_rows(op) == (
             (-8, -1, 8, 1, 0, 0),
             (-1, -27, 0, 0, 1, 27),
             (0, 0, 1, -8, -1, 8),
         )
-        assert op.matrix is op.matrix
+        assert np.array_equal(op.as_array() * [[8], [27], [8]], dense_rows(op))
+        assert deletion_ranks(op, "exact") == (3, (2, 2, 2))
+        assert "matrix" not in vars(op) and not hasattr(op, "matrix")
         with pytest.raises(AttributeError):
             op.matrix = ()
         assert op == RigidityOperator(op.phis, op.edges, 3, True) and "matrix" not in repr(op)
@@ -343,7 +344,7 @@ class TestFloatRows:
         pl = Placement(tuple(coords))
         op = rigidity_operator(G, pl, plane)
         assert not op.exact
-        assert op.matrix == float_rows_by_fractions(G, pl, plane)
+        assert dense_rows(op) == float_rows_by_fractions(G, pl, plane)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -364,7 +365,7 @@ class TestFloatRows:
         if all(max(map(abs, row)) >= sys.float_info.min for row in rows):
             op = rigidity_operator(G, pl, plane)
             assert not op.exact
-            assert op.matrix == rows
+            assert dense_rows(op) == rows
         else:
             with pytest.raises(ValueError, match="out of floating-point range"):
                 rigidity_operator(G, pl, plane)
@@ -387,7 +388,7 @@ class TestFloatRows:
         plane = NormedPlane(p)
         G = Graph.from_edges(len(coords), _distinct_pairs(coords))
         pl = Placement(tuple(coords))
-        rows = rigidity_operator(G, pl, plane).matrix
+        rows = dense_rows(rigidity_operator(G, pl, plane))
         for row, old in zip(rows, float_rows_by_support_functional(G, pl, plane), strict=True):
             scale = max(map(abs, row))
             assert all(
@@ -407,7 +408,7 @@ class TestFloatRows:
         x, y = (c ** (p - 1) for c in xy)
         assert max(x, y) >= sys.float_info.min
         op = rigidity_operator(G, Placement(((0.0, 0.0), xy)), NormedPlane(p))
-        assert op.matrix == ((-x, -y, x, y),)
+        assert dense_rows(op) == ((-x, -y, x, y),)
 
 
 class TestExactRowsAtEveryIntegerP:
@@ -434,8 +435,8 @@ class TestExactRowsAtEveryIntegerP:
             row[2 * u], row[2 * u + 1] = -phi[0], -phi[1]
             row[2 * v], row[2 * v + 1] = phi[0], phi[1]
             rows.append(tuple(row))
-        assert op.exact and op.matrix == tuple(rows)
-        assert all(type(c) is int for row in op.matrix for c in row)
+        assert op.exact and dense_rows(op) == tuple(rows)
+        assert all(type(c) is int for row in dense_rows(op) for c in row)
         if p % 2 == 0:
             assert rigidity_operator(G, pl, NormedPlane(p)) == op
         else:  # float rows stay the default at odd p
@@ -526,7 +527,7 @@ class TestRowScaledFloatRank:
             for k in range(2):
                 pl = random_regular_placement(G, plane, 300 + 1000 * k + i)
                 op = rigidity_operator(G, pl, plane)
-                exact = _bareiss_rank(_odd_p_integer_rows(G, pl, p))
+                exact = bareiss_rank(_odd_p_integer_rows(G, pl, p))
                 old, new = float_rank_unscaled(op), rank_of(op, "float")
                 if old == exact:
                     assert new == exact, (G.sorted_edges(), pl)
@@ -621,17 +622,17 @@ class TestModularProfile:
         # dense Gauss-Jordan
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "_PRIME", prime)
-            got = geometry._modular_profile(op)
-            assert got == modular_profile_dense(op.matrix, 2 * op.n)
-        assert got == modular_profile_gauss_jordan(op.matrix, 2 * op.n, prime)
+            got = geometry._profile(op)
+            assert got == modular_profile_dense(dense_rows(op), 2 * op.n)
+        assert got == modular_profile_gauss_jordan(dense_rows(op), 2 * op.n, prime)
 
     @pytest.mark.parametrize("p", [2, 4, 6])
     def test_sparse_equals_dense_on_operators(self, monkeypatch, p):
         for prime in (geometry._PRIME, 3):
             monkeypatch.setattr(geometry, "_PRIME", prime)
             for op in _corpus_frameworks(p):
-                expect = modular_profile_gauss_jordan(op.matrix, 2 * op.n, prime)
-                assert geometry._modular_profile(op) == expect, op.edges
+                expect = modular_profile_gauss_jordan(dense_rows(op), 2 * op.n, prime)
+                assert geometry._profile(op) == expect, op.edges
 
     @pytest.mark.parametrize("p", [2, 4, 6])
     def test_every_block_equals_the_dense_scan(self, p):
@@ -639,9 +640,61 @@ class TestModularProfile:
         for i, G in enumerate(decision_corpus(300, seed=5)):
             op = rigidity_operator(G, random_regular_placement(G, plane, i), plane)
             for B, _, _, _ in op._exact_blocks:
-                assert geometry._modular_profile(B) == modular_profile_dense(B.matrix, 2 * B.n)
+                assert geometry._profile(B) == modular_profile_dense(dense_rows(B), 2 * B.n)
                 blocks += 1
         assert blocks > 300
+
+
+def _assert_profile_over_q_is_bareiss(op):
+    """`_profile` over Q against the dense Bareiss rank: the same rank, and
+    as stressed rows exactly those whose deletion keeps that rank."""
+    rows = dense_rows(op)
+    rank, stressed = geometry._profile(op, over_q=True)
+    assert rank == bareiss_rank(rows), op.edges
+    assert stressed == frozenset(
+        i for i in range(len(rows)) if bareiss_rank(rows[:i] + rows[i + 1:]) == rank
+    ), op.edges
+
+
+class TestProfileOverQ:
+    @settings(max_examples=300, deadline=None)
+    @given(_integer_operators())
+    def test_equals_bareiss(self, op):
+        _assert_profile_over_q_is_bareiss(op)
+
+    @pytest.mark.parametrize("r, p", [(3, 2), (3, 4), (2, 40)])
+    def test_equals_bareiss_on_the_k5_minus_ring(self, r, p):
+        # one rank-deficient block: the K5- rows are stressed, the path rows
+        # are coloops
+        G, plane = k5_minus_ring(r), NormedPlane(p)
+        op = rigidity_operator(G, random_regular_placement(G, plane, 1), plane)
+        assert len(op._exact_blocks) == 1
+        _assert_profile_over_q_is_bareiss(op)
+        assert geometry._profile(op, over_q=True) == (
+            (10 - plane.trivial_flex_dim) * r + 4 * r,
+            frozenset(i for i, (u, v) in enumerate(op.edges) if v < 5 * r),
+        )
+
+    def test_equals_bareiss_on_collinear_k5(self):
+        G = cat.complete_graph(5)
+        pl = Placement(tuple((Fraction(v), Fraction(v)) for v in range(5)))
+        op = rigidity_operator(G, pl, L4)
+        _assert_profile_over_q_is_bareiss(op)
+        assert geometry._profile(op, over_q=True) == (4, frozenset(range(10)))
+
+    def test_equals_bareiss_on_two_k4s_joined_by_two_edges(self):
+        k4 = list(cat.complete_graph(4).edges)
+        G = Graph.from_edges(8, k4 + [(u + 4, v + 4) for u, v in k4] + [(0, 4), (1, 5)])
+        op = rigidity_operator(G, random_regular_placement(G, L2, 1), L2)
+        _assert_profile_over_q_is_bareiss(op)
+        assert geometry._profile(op, over_q=True)[0] == 12
+
+    def test_the_prime_is_not_read(self, monkeypatch):
+        # over Q the residues play no part: a prime of 2 loses no rank
+        G = cat.complete_graph(6)
+        op = rigidity_operator(G, random_regular_placement(G, L4, 3), L4)
+        monkeypatch.setattr(geometry, "_PRIME", 2)
+        assert geometry._profile(op, over_q=True) == (10, frozenset(range(15)))
 
 
 class TestDeletionRanks:
@@ -653,40 +706,43 @@ class TestDeletionRanks:
     @pytest.mark.parametrize("p", [2, 4])
     def test_small_prime_falls_back_to_exact(self, monkeypatch, p):
         # mod 3 the elimination loses rank on most frameworks, so the
-        # Bareiss fallbacks answer; the results must still be exact
-        calls = []
-        bareiss = geometry._bareiss_rank
+        # eliminations over Q answer; the results must still be exact
         monkeypatch.setattr(geometry, "_PRIME", 3)
-        monkeypatch.setattr(
-            geometry, "_bareiss_rank", lambda rows: calls.append(1) or bareiss(rows)
-        )
+        calls = _profiles(monkeypatch, over_q_only=True)
         for op in _corpus_frameworks(p, count=40):
             assert deletion_ranks(op, "exact") == deletion_ranks_loop(op, "exact"), op.edges
         assert len(calls) > 40
 
+    def test_the_fallback_settles_every_stressed_row(self, monkeypatch):
+        # K6 modulo 3: the modular rank falls below 2n - 2 = 10, so its one
+        # block is eliminated over Q, which finds all fifteen rows stressed:
+        # rank_of runs once, for the rank, with no row left to confirm by
+        # ranking its block without it (one rank_of per row, fifteen more,
+        # when no row was known to be stressed after the fallback)
+        monkeypatch.setattr(geometry, "_PRIME", 3)
+        G = cat.complete_graph(6)
+        op = rigidity_operator(G, random_regular_placement(G, L4, 3), L4)
+        assert geometry._profile(op)[0] < 10
+        calls = _counted(monkeypatch, "rank_of")
+        got = deletion_ranks(op, "exact")
+        assert len(calls) == 1
+        assert got == deletion_ranks_loop(op, "exact") == (10, (10,) * 15)
+
     def test_stressed_rows_are_not_eliminated_again(self, monkeypatch):
         # K6 at a generic placement: the modular rank reaches 2n - 2 and
         # every row lies in a self-stress, so one modular elimination and
-        # no Bareiss elimination answer the rank and all fifteen deletions
-        calls = []
-        profile = geometry._modular_profile
-        monkeypatch.setattr(geometry, "_bareiss_rank", None)
-        monkeypatch.setattr(
-            geometry, "_modular_profile", lambda *a: calls.append(a) or profile(*a)
-        )
+        # no elimination over Q answer the rank and all fifteen deletions
+        calls = _profiles(monkeypatch)
         G = cat.complete_graph(6)
         op = rigidity_operator(G, random_regular_placement(G, L4, 3), L4)
         assert deletion_ranks(op, "exact") == (10, (10,) * 15)
         assert len(calls) == 1
+        assert calls == [(15, False)]
 
     def test_euclidean_rank_needs_no_bareiss(self, monkeypatch):
         # the rotation field bounds the Euclidean rank by 2n - 3, which K6
-        # reaches; certify at p = 2 then makes no Bareiss elimination
-        calls = []
-        bareiss = geometry._bareiss_rank
-        monkeypatch.setattr(
-            geometry, "_bareiss_rank", lambda rows: calls.append(1) or bareiss(rows)
-        )
+        # reaches; certify at p = 2 then makes no elimination over Q
+        calls = _profiles(monkeypatch, over_q_only=True)
         G = cat.complete_graph(6)
         na = certify(G, L2, 3).numeric_agreement
         assert na.mode == "exact" and na.rank == 9 and na.redundant_numeric
@@ -694,7 +750,8 @@ class TestDeletionRanks:
 
     def test_euclidean_results_unchanged_by_the_flex_bound(self, monkeypatch):
         # with the bound 2n - 2 of any plane (trivial_flex_dim 2), every
-        # exact p = 2 rank fell back to Bareiss; rank and certify must agree
+        # exact p = 2 rank fell back to the elimination over Q; rank and certify
+        # must agree
         def flex_dim_2(op):
             return RigidityOperator(op.phis, op.edges, op.n, op.exact, 2)
 
@@ -721,29 +778,18 @@ class TestDeletionRanks:
             assert deletion_ranks(op, mode) == deletion_ranks_loop(op, mode) == (4, (4,) * 10)
 
     def test_stresses_kept_when_the_fallback_confirms_the_modular_rank(self, monkeypatch):
-        # collinear K5: the modular rank 4 is below 2n - 2, so Bareiss runs
-        # once; it confirms 4, so every row stays stressed and none is
-        # eliminated again
-        calls = []
-        profile, bareiss = geometry._modular_profile, geometry._bareiss_rank
-        monkeypatch.setattr(
-            geometry, "_modular_profile", lambda *a: calls.append("p") or profile(*a)
-        )
-        monkeypatch.setattr(
-            geometry, "_bareiss_rank", lambda rows: calls.append("b") or bareiss(rows)
-        )
+        # collinear K5: the modular rank 4 is below 2n - 2, so the
+        # elimination over Q runs once; it finds rank 4 with every row
+        # stressed, so none is eliminated again
+        calls = _profiles(monkeypatch)
         G = cat.complete_graph(5)
         pl = Placement(tuple((Fraction(v), Fraction(v)) for v in range(5)))
         assert deletion_ranks(rigidity_operator(G, pl, L4), "exact") == (4, (4,) * 10)
-        assert calls == ["p", "b"]
+        assert calls == [(10, False), (10, True)]
 
     def test_independent_rows_drop_by_one(self, monkeypatch):
         # the modular rank reaches m, so its one elimination answers all
-        calls = []
-        profile = geometry._modular_profile
-        monkeypatch.setattr(
-            geometry, "_modular_profile", lambda *a: calls.append(a) or profile(*a)
-        )
+        calls = _profiles(monkeypatch)
         G = cat.complete_bipartite(3, 3)
         op = rigidity_operator(G, random_regular_placement(G, L4, 5), L4)
         assert deletion_ranks(op, "exact") == (9, (8,) * 9)
@@ -756,20 +802,15 @@ class TestDeletionRanks:
         # and 17 rows), not every block of the operator without it (4
         # eliminations each, the untouched 1-row blocks included).  Each
         # block reaches its bound, so, as on the split of the whole
-        # operator, Bareiss never runs
-        rows, bareiss = [], []
-        profile, rank_q = geometry._modular_profile, geometry._bareiss_rank
-        monkeypatch.setattr(
-            geometry, "_modular_profile", lambda sub: rows.append(len(sub.edges)) or profile(sub)
-        )
-        monkeypatch.setattr(
-            geometry, "_bareiss_rank", lambda sub: bareiss.append(len(sub)) or rank_q(sub)
-        )
+        # operator, no elimination over Q runs
+        calls = _profiles(monkeypatch)
         G = gnp_graph(12, 0.3, 1)
         op = rigidity_operator(G, random_regular_placement(G, L4, 0), L4)
         got = deletion_ranks(op, "exact")
+        rows = [m for m, q in calls if not q]
+        over_q = [m for m, q in calls if q]
         assert rows == [1, 1, 19, 1, 17, 17, 1]
-        assert bareiss == []
+        assert over_q == []
         assert got == deletion_ranks_loop(op, "exact")
         assert got[1].count(got[0] - 1) == 4
 
@@ -799,16 +840,12 @@ class TestDeletionRanks:
         # either order, run the modular eliminations of deletion_ranks alone
         # (one per block, of 1, 1, 19 and 1 rows, then those of the two
         # confirmations), and not the four blocks a second time
-        rows = []
-        profile = geometry._modular_profile
-        monkeypatch.setattr(
-            geometry, "_modular_profile", lambda sub: rows.append(len(sub.edges)) or profile(sub)
-        )
+        rows = _profiles(monkeypatch)
         G = gnp_graph(12, 0.3, 1)
         pl = random_regular_placement(G, L4, 0)
         alone = deletion_ranks(rigidity_operator(G, pl, L4), "exact")
         once = list(rows)
-        assert once == [1, 1, 19, 1, 17, 17, 1]
+        assert once == [(m, False) for m in [1, 1, 19, 1, 17, 17, 1]]
         for first, second in ((rank_of, deletion_ranks), (deletion_ranks, rank_of)):
             rows.clear()
             op = rigidity_operator(G, pl, L4)
@@ -870,6 +907,21 @@ def _counted(monkeypatch, name):
     return calls
 
 
+def _profiles(monkeypatch, over_q_only=False):
+    """Record each call of `_profile`, or only each one over Q (the exact
+    fallback), as (the rows of its operator, over_q)."""
+    calls = []
+    profile = geometry._profile
+
+    def counted(op, over_q=False):
+        if over_q or not over_q_only:
+            calls.append((len(op.edges), over_q))
+        return profile(op, over_q)
+
+    monkeypatch.setattr(geometry, "_profile", counted)
+    return calls
+
+
 def _k8_plus_a_path():
     G = Graph.from_edges(
         30, list(cat.complete_graph(8).edges) + [(7 + i, 8 + i) for i in range(22)]
@@ -892,12 +944,12 @@ class TestSplitProfile:
             mp.setattr(geometry, "_PRIME", prime)
             rank, stressed, coloops = exact_profile(op)
             ranks = deletion_ranks(op, "exact")
-        rows = op.matrix
-        assert rank == _bareiss_rank(rows)
+        rows = dense_rows(op)
+        assert rank == bareiss_rank(rows)
         for i in stressed:
-            assert _bareiss_rank(rows[:i] + rows[i + 1:]) == rank, (op.edges, i)
+            assert bareiss_rank(rows[:i] + rows[i + 1:]) == rank, (op.edges, i)
         for i in coloops:
-            assert _bareiss_rank(rows[:i] + rows[i + 1:]) == rank - 1, (op.edges, i)
+            assert bareiss_rank(rows[:i] + rows[i + 1:]) == rank - 1, (op.edges, i)
         assert ranks == deletion_ranks_loop(op, "exact")
 
     @pytest.mark.parametrize("p", [2, 4, 6])
@@ -911,12 +963,12 @@ class TestSplitProfile:
             rank, stressed, coloops = exact_profile(op)
             old_rank, old_stressed = exact_profile_by_pieces(op)
             assert rank == old_rank and stressed >= old_stressed, op.edges
-            rows = op.matrix
+            rows = dense_rows(op)
             for i in coloops:
-                assert _bareiss_rank(rows[:i] + rows[i + 1:]) == rank - 1, (op.edges, i)
+                assert bareiss_rank(rows[:i] + rows[i + 1:]) == rank - 1, (op.edges, i)
 
     def test_no_bareiss_on_the_benchmark_p4_inputs(self, monkeypatch):
-        calls = _counted(monkeypatch, "_bareiss_rank")
+        calls = _profiles(monkeypatch, over_q_only=True)
         d = BENCHMARK_INPUTS / "certify-lp"
         ops = []
         for line in (d / "requests.txt").read_text().splitlines():
@@ -946,10 +998,11 @@ class TestSplitProfile:
             deletion_ranks(op, "exact")
             blocks = [B for B, _, _, _ in op._exact_blocks]
             assert [B for B in [op] + blocks if "matrix" in vars(B)] == [], op.edges
+        assert not hasattr(RigidityOperator, "matrix")
 
     def test_no_bareiss_on_k8_plus_a_path(self, monkeypatch):
         # the 22 path edges are bridges and K8 reaches 2n - 2 = 14: rank 36
-        calls = _counted(monkeypatch, "_bareiss_rank")
+        calls = _profiles(monkeypatch, over_q_only=True)
         op = _k8_plus_a_path()
         assert deletion_ranks(op, "exact") == (36, (36,) * 28 + (35,) * 22)
         assert calls == []
@@ -978,16 +1031,16 @@ class TestSplitProfile:
             verts = sorted({v for i in rows for v in op.edges[i]})
             cols = [c for v in verts for c in (2 * v, 2 * v + 1)]
             assert (B.n, B.exact, B.trivial_flex_dim) == (len(verts), True, 2)
-            assert B.matrix == tuple(tuple(op.matrix[i][c] for c in cols) for i in rows)
+            assert dense_rows(B) == tuple(tuple(dense_rows(op)[i][c] for c in cols) for i in rows)
             assert B.edges == tuple(
                 (verts.index(u), verts.index(v)) for u, v in map(op.edges.__getitem__, rows)
             )
             assert list(B.edges) == sorted(B.edges) and all(u < v for u, v in B.edges)
-            assert rank_b == _bareiss_rank(B.matrix)
+            assert rank_b == bareiss_rank(dense_rows(B))
 
     def test_euclidean_one_sum_needs_no_bareiss(self, monkeypatch):
         # two K4s sharing a vertex are two blocks, each of rank 5 = 2 * 4 - 3
-        calls = _counted(monkeypatch, "_bareiss_rank")
+        calls = _profiles(monkeypatch, over_q_only=True)
         G = cat.two_k4_shared_vertex()
         op = rigidity_operator(G, random_regular_placement(G, L2, 1), L2)
         assert deletion_ranks(op, "exact") == (10, (10,) * 12)
@@ -995,8 +1048,9 @@ class TestSplitProfile:
 
     def test_euclidean_bridgeless_block_still_falls_back(self, monkeypatch):
         # two K4s joined by the disjoint edges 0-4 and 1-5: one block of
-        # rank 12 below its bound min(14, 2n - 3 = 13), so Bareiss answers
-        calls = _counted(monkeypatch, "_bareiss_rank")
+        # rank 12 below its bound min(14, 2n - 3 = 13), so the elimination over
+        # Q answers
+        calls = _profiles(monkeypatch, over_q_only=True)
         k4 = list(cat.complete_graph(4).edges)
         G = Graph.from_edges(8, k4 + [(u + 4, v + 4) for u, v in k4] + [(0, 4), (1, 5)])
         op = rigidity_operator(G, random_regular_placement(G, L2, 1), L2)
