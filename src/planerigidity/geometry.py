@@ -13,13 +13,14 @@ one common denominator cleared, and capped at EXACT_ENTRY_BITS bits per
 entry.  Their rank is split at the blocks of the graph (its maximal
 2-connected subgraphs and its bridges): ranks add over a 1-sum, as a
 translation, which lies in every kernel, matches two flexes at the shared
-vertex.  A block's rank is certified by one sparse Gauss-Jordan
-elimination modulo the prime 2^30 - 35, which reads the pairs alone, so
-its memory starts at O(|E|) residues and grows only with fill-in,
-whenever its modular rank reaches its bound min(m, 2n - f), f the
-plane's trivial flex dimension (3 Euclidean, 2 otherwise); a lower
-modular rank falls back to the same elimination of that block over Q, in
-Fractions, which gives its exact rank and stressed rows.  2^30 - 35 is
+vertex.  A block's rows are eliminated in place, on the operator's own
+labels, and its rank is certified by one sparse Gauss-Jordan elimination
+modulo the prime 2^30 - 35, which reads their pairs alone, so its memory
+starts at O(|E|) residues and grows only with fill-in, whenever its
+modular rank reaches its bound min(m, 2n - f), f the plane's trivial
+flex dimension (3 Euclidean, 2 otherwise); a lower modular rank falls
+back to the same elimination of that block over Q, in Fractions, which
+gives its exact rank and stressed rows.  2^30 - 35 is
 the largest prime below 2^30, so every residue is a single 30-bit digit
 of a Python int.  Every other entry is the float sign(x_i) |x_i|^(p-1),
 x the edge difference rounded to floats once (for a rational placement,
@@ -32,11 +33,12 @@ can be deleted without losing rank iff some self-stress is nonzero on it.
 So `deletion_ranks` takes the rank r from `rank_of` in either mode and
 gives each row r if it is stressed and r - 1 otherwise; a mode only
 finds the stressed rows.  Exact mode reads the blocks `rank_of` eliminated,
-which the operator keeps, each sliced once as an operator of its own on
-its vertices in increasing order (a row of a block of full row rank is a
-coloop); any other row of a dependent block that its elimination did not
-find stressed is confirmed by `rank_of` on its block's operator without
-that row.  Float mode reads one full SVD.  An operator's `mode` is the
+which the operator keeps as lists of its rows.  A block is settled when
+its elimination found exactly its stressed rows, so that every other row
+is a coloop: it has full row rank, or it was eliminated over Q.  Only a
+row of an unsettled block that its modular elimination did not find
+stressed is confirmed, by `rank_of` on its block's rows less that one.
+Float mode reads one full SVD.  An operator's `mode` is the
 one its rows take when no caller names one: exact for integer rows,
 float otherwise.
 """
@@ -208,7 +210,7 @@ class RigidityOperator(FrozenRecord):
     are then Python ints: every coordinate is multiplied by D,
     the lcm of all coordinate denominators, so every row is the rational
     one times the same D^(p-1), and one elimination per block of these
-    rows gives the rank, the stressed rows and the coloops
+    rows, in place, gives the rank, the stressed rows and the coloops
     (`_exact_blocks`).  An entry may have at most EXACT_ENTRY_BITS bits,
     so an even p such as 1e20 is refused.
     Otherwise the pairs are floats.  `trivial_flex_dim` is that of the
@@ -272,25 +274,26 @@ class RigidityOperator(FrozenRecord):
         return A
 
     @cached_property
-    def _exact_blocks(self) -> list[tuple[RigidityOperator, list[int], int, frozenset[int]]]:
+    def _exact_blocks(self) -> list[tuple[list[int], int, frozenset[int], bool]]:
         """The blocks of an integer operator, a cached fact and not a field, so
         that `rank_of` and `deletion_ranks` eliminate each block once: for each
-        block, its operator, its row indices, its exact rank and the positions
-        (in its row list) of the rows known to be stressed.
+        block, (rows, rank, stressed, settled): its row indices in increasing
+        order, its exact rank, the rows (by their index in the operator) known
+        to be stressed, and whether those are all its stressed rows, so that
+        every other row of the block is a coloop.
 
-        A block's operator is sliced once, here: its vertices relabelled
-        0..n_B-1 in increasing order, its pairs those of its edges, with the
-        same `exact` and `trivial_flex_dim`, so its rows are those of the
-        block on the columns of its vertices.  A relabelling that keeps the
-        order keeps every edge (u, v) with u < v and the sorted order of the
-        edges, so these pairs have the form of `RigidityOperator` for B's
-        own graph, and `deletion_ranks` ranks B without a row by `rank_of`
-        on that operator with the row's pair sliced out.  Taking the columns in increasing vertex
-        order, and not in the order the DFS lists the block, changes no
-        answer: the two orders differ by a permutation matrix P, invertible
-        over every field, so rank(AP) = rank(A) over Q and modulo p, and
-        w^T A P = 0 iff w^T A = 0, so the left kernel, and with it the
-        stressed rows, is the same.  The eliminations may pick other
+        A block's rows are eliminated in place (`_profile(self, rows)`), on
+        the operator's own columns, and no operator is built per block.  This
+        changes no answer against the block's matrix A_B on the columns of
+        its own vertices alone: a row of the block is nonzero only in the
+        columns of its edge's ends, which are the block's vertices, so the
+        rows on all 2n columns are [A_B 0] P, zero columns appended and the
+        columns permuted by a permutation matrix P.  P is invertible over
+        every field, and a zero column adds no pivot and no condition
+        w^T 0 = 0 on a left-kernel vector w, so rank([A_B 0] P) = rank(A_B)
+        over Q and modulo p, and w^T [A_B 0] P = 0 iff w^T A_B = 0: the left
+        kernel, and with it the stressed rows, is the same.  `_profile` holds
+        only the columns its rows fill, and the eliminations may pick other
         pivots, but neither their ranks nor their stressed rows depend on
         that (see `_profile`).
 
@@ -314,7 +317,7 @@ class RigidityOperator(FrozenRecord):
         its row is nonzero (the endpoints differ).
 
         Each block B (m_B rows on n_B vertices) is eliminated alone, modulo
-        p = _PRIME (`_profile`), as its own operator.  rank_p <= rank_Q,
+        p = _PRIME (`_profile`).  rank_p <= rank_Q,
         since a nonzero minor mod p is a nonzero integer minor; and
         rank_Q <= min(m_B, 2n_B - f), with f the operator's `trivial_flex_dim`.  The two
         translations of B always lie in its kernel (f = 2).  In the Euclidean
@@ -324,9 +327,14 @@ class RigidityOperator(FrozenRecord):
         a modular rank that reaches min(m_B, 2n_B - f) is the exact rank r of B,
         and a row stressed mod p keeps it, since r >= rank_Q(B - row) >=
         rank_p(B - row) = r; a row not stressed mod p may still be stressed
-        over Q, so it is not settled here.  A lower modular rank is recomputed
-        by the same elimination of B over Q (`_profile(B, over_q=True)`), which
-        gives the exact rank and exactly the stressed rows.  None of this
+        over Q, so such a block is not settled unless r = m_B (then no row is
+        stressed).  A lower modular rank is recomputed by the same elimination
+        of B over Q (`_profile(self, rows, over_q=True)`), which gives the
+        exact rank and exactly the stressed rows, so B is settled: each of its
+        other rows is a coloop.  A block of full row rank is settled too, all
+        its rows coloops.  So only a dependent block whose modular rank
+        reached its bound can leave a row open, one it did not find stressed,
+        for `deletion_ranks` to confirm.  None of this
         depends on which prime p is, so p is 2^30 - 35, the largest prime below
         2^30, for speed: every residue is one 30-bit Python digit.  A smaller
         prime can only make the elimination over Q run more often, never change
@@ -353,17 +361,11 @@ class RigidityOperator(FrozenRecord):
             block_rows[b if b is not None and blocks[b][0] == u else own[u]].append(i)
         out = []
         for block, rows in zip(blocks, block_rows):
-            verts = sorted(block)
-            index = {v: k for k, v in enumerate(verts)}
-            sub = RigidityOperator(
-                tuple(map(self.phis.__getitem__, rows)),
-                tuple((index[u], index[v]) for u, v in map(self.edges.__getitem__, rows)),
-                len(verts), True, self.trivial_flex_dim,
-            )
-            rank, stressed = _profile(sub)
-            if rank < min(len(rows), 2 * sub.n - self.trivial_flex_dim):
-                rank, stressed = _profile(sub, over_q=True)
-            out.append((sub, rows, rank, stressed))
+            rank, stressed = _profile(self, rows)
+            over_q = rank < min(len(rows), 2 * len(block) - self.trivial_flex_dim)
+            if over_q:
+                rank, stressed = _profile(self, rows, over_q=True)
+            out.append((rows, rank, stressed, over_q or rank == len(rows)))
         return out
 
     def apply(self, vector):
@@ -464,11 +466,13 @@ def rigidity_operator(
 _PRIME = (1 << 30) - 35
 
 
-def _profile(op: RigidityOperator, over_q: bool = False) -> tuple[int, frozenset[int]]:
-    """Rank of an integer operator and its stressed rows, modulo _PRIME, or
-    over Q with over_q.
+def _profile(op: RigidityOperator, rows: list[int], over_q: bool = False) -> tuple[int, frozenset[int]]:
+    """Rank of the rows `rows` (increasing indices) of an integer operator
+    and which of them are stressed, by their index in the operator, modulo
+    _PRIME, or over Q with over_q.  The rows are eliminated in place, on the
+    operator's own columns; `_exact_blocks` passes one block's rows.
 
-    Gauss-Jordan on the transpose: its columns are the rows of the operator,
+    Gauss-Jordan on the transpose: its columns are the given rows,
     and each free column j gives the self-stress e_j - sum_k R[k][j] e_pk
     (pk the pivot column of reduced row k).  These stresses span the left
     kernel, so a free column is always stressed and a pivot column pk is
@@ -479,12 +483,16 @@ def _profile(op: RigidityOperator, over_q: bool = False) -> tuple[int, frozenset
     are Fractions and every step is exact arithmetic, the exact rank and
     stressed rows.
 
-    The transpose is kept sparse: row c of it is a dict {row index:
-    entry} of column c's nonzeros, filled from the pairs alone, in
-    O(|E| + n): edge j = (u, v) with entries (a, b) of phis[j] (their
-    residues modulo p) puts a and b in v's columns and -a and -b in u's, at
-    key j, and skips a zero.  Every dict so gets its keys in increasing row
-    order, as a scan of the dense rows would give them.  Each pivot updates
+    The transpose is kept sparse: a dict keyed by the operator's column
+    c = 2v + k, whose row c is a dict {row index: entry} of column c's
+    nonzeros, filled from the pairs alone, in O(len(rows)): edge j = (u, v)
+    with entries (a, b) of phis[j] (their residues modulo p) puts a and b
+    in v's columns and -a and -b in u's, at key j, and skips a zero.  Every
+    dict so gets its keys in increasing row order, as a scan of the dense
+    rows would give them.  Only the columns so filled are held, and they
+    are the unused ones to start with: a column that is zero on the given
+    rows never pivots and adds no condition on a self-stress, so leaving it
+    out changes neither the rank nor the stressed rows.  Each pivot updates
     only the rows that hold its column, and only at the pivot row's keys,
     and an entry that cancels is removed.  The rank and the stressed rows
     do not depend on which row holding column j becomes its pivot, so the
@@ -501,20 +509,20 @@ def _profile(op: RigidityOperator, over_q: bool = False) -> tuple[int, frozenset
     else:
         P = _PRIME
         reduce = P.__rmod__
-    m, cols = len(op.edges), 2 * op.n
-    T = [{} for _ in range(cols)]
-    for j, (phi, (u, v)) in enumerate(zip(op.phis, op.edges)):
-        for k, a in enumerate(phi):
-            a = reduce(a)
+    T = {}
+    for j in rows:
+        (u, v), phi = op.edges[j], op.phis[j]
+        for k, a in enumerate(map(reduce, phi)):
             if a:
-                T[2 * u + k][j], T[2 * v + k][j] = reduce(-a), a
-    free = set(range(m))
-    unused = set(range(cols))
+                T.setdefault(2 * u + k, {})[j] = reduce(-a)
+                T.setdefault(2 * v + k, {})[j] = a
+    free = set(rows)
+    unused = set(T)
     pivot_rows = []
-    for j in range(m):
+    for j in rows:
         if not unused:
             break
-        holders = [i for i, row in enumerate(T) if j in row]
+        holders = [c for c, col in T.items() if j in col]
         candidates = unused.intersection(holders)
         if not candidates:
             continue
@@ -554,7 +562,8 @@ def _check_tol(tol: float) -> None:
 
 def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int:
     """Rank of the operator; exact (the sum of the block ranks of
-    `RigidityOperator._exact_blocks`, eliminated once per operator) or SVD.
+    `RigidityOperator._exact_blocks`, each block's rows eliminated once per
+    operator, in place) or SVD.
 
     Exact mode requires an exact operator (integer rows, see
     `rigidity_operator`).  Float mode counts the singular values of
@@ -570,7 +579,7 @@ def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int
     if not op.edges:
         return 0
     if mode == "exact":
-        return sum(rank_b for _, _, rank_b, _ in op._exact_blocks)
+        return sum(rank_b for _, rank_b, _, _ in op._exact_blocks)
     import numpy as np
 
     sv = np.linalg.svd(op.as_array(), compute_uv=False)
@@ -589,13 +598,15 @@ def deletion_ranks(
     so its m - 1 largest stay above tol times its largest).
 
     Exact mode reads the blocks of `RigidityOperator._exact_blocks`, which
-    `rank_of` eliminated: a row of a block of full row rank (a bridge,
-    say) is a coloop, and a row its block's elimination found stressed (all
-    of them, where that elimination ran over Q) is stressed.  Any other
-    row i lies in a dependent block B, and is stressed iff
-    B - row i keeps the rank of B, found by `rank_of` on B's own operator
-    (kept by `_exact_blocks`) with row i sliced out: its pairs and edges
-    less one, on the same vertices.  Deleting an edge of B leaves the
+    `rank_of` eliminated: a row its block's elimination found stressed is
+    stressed, and any other row of a settled block is a coloop (every row
+    of a block of full row rank, a bridge say, and every unstressed row of
+    a block eliminated over Q).  Any other row i lies in an unsettled block
+    B, dependent with its modular rank at its bound, and is stressed iff
+    B - row i keeps the rank of B, found by `rank_of` on the pairs and edges
+    of B's rows less row i, on the operator's own labels and n: the other
+    vertices are isolated there and lie in no block, so they add only zero
+    columns, which change no rank.  Deleting an edge of B leaves the
     graph's other blocks blocks of G - e and splits B into the blocks of
     B - e, any two of all these sharing at most one vertex; so by the
     1-sum additivity of `_exact_blocks` the rank without row i is
@@ -620,15 +631,15 @@ def deletion_ranks(
         U = np.linalg.svd(op.as_array())[0]
         stressed.update(np.flatnonzero(np.linalg.norm(U[:, rank:], axis=1) > tol).tolist())
     elif rank < m:
-        for B, rows, rank_b, known in op._exact_blocks:
-            if rank_b < len(rows):
-                stressed.update(
-                    i for j, i in enumerate(rows)
-                    if j in known or rank_of(RigidityOperator(
-                        B.phis[:j] + B.phis[j + 1:], B.edges[:j] + B.edges[j + 1:],
-                        B.n, True, B.trivial_flex_dim,
-                    )) == rank_b
-                )
+        for rows, rank_b, known, settled in op._exact_blocks:
+            stressed.update(
+                i for i in rows
+                if i in known or not settled and rank_of(RigidityOperator(
+                    tuple(op.phis[k] for k in rows if k != i),
+                    tuple(op.edges[k] for k in rows if k != i),
+                    op.n, True, op.trivial_flex_dim,
+                )) == rank_b
+            )
     return rank, tuple(rank if i in stressed else rank - 1 for i in range(m))
 
 

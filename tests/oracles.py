@@ -638,6 +638,24 @@ def dense_rows(op: RigidityOperator) -> tuple[tuple, ...]:
     )
 
 
+def block_operator(op: RigidityOperator, rows) -> RigidityOperator:
+    """The library's earlier operator of one block of an integer operator,
+    which `RigidityOperator._exact_blocks` sliced once per block: the
+    pairs of `rows` (one block's rows, in increasing order), their edges
+    with the block's vertices relabelled 0..n_B-1 in increasing order, and
+    the operator's `exact` and `trivial_flex_dim`, so its rows are those
+    of the block on the columns of its vertices (the ends of its edges).
+    The library now eliminates the rows in place, on the operator's own
+    columns."""
+    verts = sorted({v for i in rows for v in op.edges[i]})
+    index = {v: k for k, v in enumerate(verts)}
+    return RigidityOperator(
+        tuple(map(op.phis.__getitem__, rows)),
+        tuple((index[u], index[v]) for u, v in map(op.edges.__getitem__, rows)),
+        len(verts), True, op.trivial_flex_dim,
+    )
+
+
 def bareiss_rank(rows) -> int:
     """Rank of integer rows by fraction-free elimination in Python bigints:
     the library's earlier exact fallback, which now eliminates the block
@@ -807,12 +825,12 @@ def exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int], frozenset[
     rank are coloops.  The library's earlier exact `rank_of` built all
     three, where it now sums the block ranks alone."""
     rank, stressed, coloops = 0, set(), set()
-    for _, rows, rank_b, known in op._exact_blocks:
+    for rows, rank_b, known, _ in op._exact_blocks:
         rank += rank_b
         if rank_b == len(rows):
             coloops.update(rows)
         else:
-            stressed.update(rows[j] for j in known)
+            stressed.update(known)
     return rank, frozenset(stressed), frozenset(coloops)
 
 

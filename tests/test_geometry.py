@@ -34,9 +34,10 @@ from planerigidity.sparsity import rank2k
 
 from corpus import BENCHMARK_INPUTS, decision_corpus, k5_minus_ring
 from oracles import (
-    bareiss_rank, deletion_ranks_loop, dense_rows, exact_profile, exact_profile_by_pieces,
-    float_rank_unscaled, float_rows_by_fractions, float_rows_by_support_functional,
-    is_congruent_two_cosets, modular_profile_dense, modular_profile_gauss_jordan,
+    bareiss_rank, block_operator, deletion_ranks_loop, dense_rows, exact_profile,
+    exact_profile_by_pieces, float_rank_unscaled, float_rows_by_fractions,
+    float_rows_by_support_functional, is_congruent_two_cosets, modular_profile_dense,
+    modular_profile_gauss_jordan,
 )
 
 L2 = NormedPlane(2)
@@ -622,7 +623,7 @@ class TestModularProfile:
         # dense Gauss-Jordan
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "_PRIME", prime)
-            got = geometry._profile(op)
+            got = _whole(op)
             assert got == modular_profile_dense(dense_rows(op), 2 * op.n)
         assert got == modular_profile_gauss_jordan(dense_rows(op), 2 * op.n, prime)
 
@@ -632,24 +633,40 @@ class TestModularProfile:
             monkeypatch.setattr(geometry, "_PRIME", prime)
             for op in _corpus_frameworks(p):
                 expect = modular_profile_gauss_jordan(dense_rows(op), 2 * op.n, prime)
-                assert geometry._profile(op) == expect, op.edges
+                assert _whole(op) == expect, op.edges
 
     @pytest.mark.parametrize("p", [2, 4, 6])
-    def test_every_block_equals_the_dense_scan(self, p):
-        plane, blocks = NormedPlane(p), 0
-        for i, G in enumerate(decision_corpus(300, seed=5)):
-            op = rigidity_operator(G, random_regular_placement(G, plane, i), plane)
-            for B, _, _, _ in op._exact_blocks:
-                assert geometry._profile(B) == modular_profile_dense(dense_rows(B), 2 * B.n)
-                blocks += 1
-        assert blocks > 300
+    def test_every_block_equals_the_dense_scan(self, monkeypatch, p):
+        # a block's rows eliminated in place, on the operator's columns, give
+        # the rank and stressed rows of the earlier block operator on its
+        # sorted vertices and of the dense-row scan, modulo the prime,
+        # modulo 3 and over Q; a block is settled iff it has full row rank
+        # or its modular rank fell below its bound
+        plane, graphs = NormedPlane(p), decision_corpus(300, seed=5)
+        for prime in (geometry._PRIME, 3):
+            monkeypatch.setattr(geometry, "_PRIME", prime)
+            blocks = 0
+            for i, G in enumerate(graphs):
+                op = rigidity_operator(G, random_regular_placement(G, plane, i), plane)
+                for rows, rank_b, _, settled in op._exact_blocks:
+                    B = block_operator(op, rows)
+                    for over_q in (False, True):
+                        got = geometry._profile(op, rows, over_q)
+                        assert got == _lifted(rows, _whole(B, over_q)), (op.edges, rows)
+                    modular = geometry._profile(op, rows)
+                    dense = modular_profile_dense(dense_rows(B), 2 * B.n)
+                    assert modular == _lifted(rows, dense), (op.edges, rows)
+                    bound = min(len(rows), 2 * B.n - plane.trivial_flex_dim)
+                    assert settled == (rank_b == len(rows) or modular[0] < bound), (op.edges, rows)
+                    blocks += 1
+            assert blocks > 300
 
 
 def _assert_profile_over_q_is_bareiss(op):
     """`_profile` over Q against the dense Bareiss rank: the same rank, and
     as stressed rows exactly those whose deletion keeps that rank."""
     rows = dense_rows(op)
-    rank, stressed = geometry._profile(op, over_q=True)
+    rank, stressed = _whole(op, over_q=True)
     assert rank == bareiss_rank(rows), op.edges
     assert stressed == frozenset(
         i for i in range(len(rows)) if bareiss_rank(rows[:i] + rows[i + 1:]) == rank
@@ -670,7 +687,7 @@ class TestProfileOverQ:
         op = rigidity_operator(G, random_regular_placement(G, plane, 1), plane)
         assert len(op._exact_blocks) == 1
         _assert_profile_over_q_is_bareiss(op)
-        assert geometry._profile(op, over_q=True) == (
+        assert _whole(op, over_q=True) == (
             (10 - plane.trivial_flex_dim) * r + 4 * r,
             frozenset(i for i, (u, v) in enumerate(op.edges) if v < 5 * r),
         )
@@ -680,21 +697,21 @@ class TestProfileOverQ:
         pl = Placement(tuple((Fraction(v), Fraction(v)) for v in range(5)))
         op = rigidity_operator(G, pl, L4)
         _assert_profile_over_q_is_bareiss(op)
-        assert geometry._profile(op, over_q=True) == (4, frozenset(range(10)))
+        assert _whole(op, over_q=True) == (4, frozenset(range(10)))
 
     def test_equals_bareiss_on_two_k4s_joined_by_two_edges(self):
         k4 = list(cat.complete_graph(4).edges)
         G = Graph.from_edges(8, k4 + [(u + 4, v + 4) for u, v in k4] + [(0, 4), (1, 5)])
         op = rigidity_operator(G, random_regular_placement(G, L2, 1), L2)
         _assert_profile_over_q_is_bareiss(op)
-        assert geometry._profile(op, over_q=True)[0] == 12
+        assert _whole(op, over_q=True)[0] == 12
 
     def test_the_prime_is_not_read(self, monkeypatch):
         # over Q the residues play no part: a prime of 2 loses no rank
         G = cat.complete_graph(6)
         op = rigidity_operator(G, random_regular_placement(G, L4, 3), L4)
         monkeypatch.setattr(geometry, "_PRIME", 2)
-        assert geometry._profile(op, over_q=True) == (10, frozenset(range(15)))
+        assert _whole(op, over_q=True) == (10, frozenset(range(15)))
 
 
 class TestDeletionRanks:
@@ -706,12 +723,15 @@ class TestDeletionRanks:
     @pytest.mark.parametrize("p", [2, 4])
     def test_small_prime_falls_back_to_exact(self, monkeypatch, p):
         # mod 3 the elimination loses rank on most frameworks, so the
-        # eliminations over Q answer; the results must still be exact
+        # eliminations over Q answer; the results must still be exact.  A
+        # block eliminated over Q is settled, so no row of it is confirmed
+        # by ranking the block without it (74 and 43 eliminations over Q at
+        # p = 2 and 4 when those rows were confirmed)
         monkeypatch.setattr(geometry, "_PRIME", 3)
         calls = _profiles(monkeypatch, over_q_only=True)
         for op in _corpus_frameworks(p, count=40):
             assert deletion_ranks(op, "exact") == deletion_ranks_loop(op, "exact"), op.edges
-        assert len(calls) > 40
+        assert len(calls) == {2: 70, 4: 37}[p]
 
     def test_the_fallback_settles_every_stressed_row(self, monkeypatch):
         # K6 modulo 3: the modular rank falls below 2n - 2 = 10, so its one
@@ -722,11 +742,29 @@ class TestDeletionRanks:
         monkeypatch.setattr(geometry, "_PRIME", 3)
         G = cat.complete_graph(6)
         op = rigidity_operator(G, random_regular_placement(G, L4, 3), L4)
-        assert geometry._profile(op)[0] < 10
+        assert _whole(op)[0] < 10
         calls = _counted(monkeypatch, "rank_of")
         got = deletion_ranks(op, "exact")
         assert len(calls) == 1
         assert got == deletion_ranks_loop(op, "exact") == (10, (10,) * 15)
+
+    def test_a_block_eliminated_over_q_confirms_no_row(self, monkeypatch):
+        # the ring of six K5- joined by paths of three new vertices at
+        # p = 100 is one block whose modular rank falls below its bound, so
+        # it is eliminated over Q, which settles every row: its 54 K5- rows
+        # are stressed and its 24 path rows coloops.  deletion_ranks after
+        # rank_of then runs its own rank_of and no elimination (24 more
+        # rank_of calls, one per path row, each eliminating the block
+        # without that row, when such a block was not settled)
+        G, plane = k5_minus_ring(6), NormedPlane(100)
+        op = rigidity_operator(G, random_regular_placement(G, plane, 1), plane)
+        assert rank_of(op, "exact") == 72
+        ranks_of, profiles = _counted(monkeypatch, "rank_of"), _profiles(monkeypatch)
+        rank, ranks = deletion_ranks(op, "exact")
+        assert len(ranks_of) == 1 and profiles == []
+        k5 = [r for r, (u, v) in zip(ranks, op.edges) if v < 30]
+        paths = [r for r, (u, v) in zip(ranks, op.edges) if v >= 30]
+        assert (rank, k5, paths) == (72, [72] * 54, [71] * 24)
 
     def test_stressed_rows_are_not_eliminated_again(self, monkeypatch):
         # K6 at a generic placement: the modular rank reaches 2n - 2 and
@@ -907,16 +945,28 @@ def _counted(monkeypatch, name):
     return calls
 
 
+def _whole(op, over_q=False):
+    """`_profile` of all the rows of op."""
+    return geometry._profile(op, list(range(len(op.edges))), over_q)
+
+
+def _lifted(rows, profile):
+    """A profile of `block_operator(op, rows)` with its stressed rows
+    renumbered as the rows of op."""
+    rank, stressed = profile
+    return rank, frozenset(rows[j] for j in stressed)
+
+
 def _profiles(monkeypatch, over_q_only=False):
     """Record each call of `_profile`, or only each one over Q (the exact
-    fallback), as (the rows of its operator, over_q)."""
+    fallback), as (the number of rows it eliminates, over_q)."""
     calls = []
     profile = geometry._profile
 
-    def counted(op, over_q=False):
+    def counted(op, rows, over_q=False):
         if over_q or not over_q_only:
-            calls.append((len(op.edges), over_q))
-        return profile(op, over_q)
+            calls.append((len(rows), over_q))
+        return profile(op, rows, over_q)
 
     monkeypatch.setattr(geometry, "_profile", counted)
     return calls
@@ -983,8 +1033,8 @@ class TestSplitProfile:
         assert got == [deletion_ranks_loop(op, "exact") for op in ops]
 
     def test_exact_path_builds_no_dense_rows_on_the_benchmark_p4_inputs(self):
-        # rank_of and deletion_ranks read the pairs alone: neither the
-        # operator nor any block operator builds its dense rows
+        # rank_of and deletion_ranks read the pairs alone: the operator
+        # builds no dense rows, and its blocks are row lists, no operators
         d = BENCHMARK_INPUTS / "certify-lp"
         ops = []
         for line in (d / "requests.txt").read_text().splitlines():
@@ -996,8 +1046,10 @@ class TestSplitProfile:
         for op in ops:
             rank_of(op, "exact")
             deletion_ranks(op, "exact")
-            blocks = [B for B, _, _, _ in op._exact_blocks]
-            assert [B for B in [op] + blocks if "matrix" in vars(B)] == [], op.edges
+            assert "matrix" not in vars(op), op.edges
+            assert not [
+                x for block in op._exact_blocks for x in block if isinstance(x, RigidityOperator)
+            ], op.edges
         assert not hasattr(RigidityOperator, "matrix")
 
     def test_no_bareiss_on_k8_plus_a_path(self, monkeypatch):
@@ -1018,16 +1070,22 @@ class TestSplitProfile:
         assert got == deletion_ranks_loop(op, "exact")
         assert exact_profile(op)[2] == frozenset(range(28, 50))
 
-    def test_each_block_is_an_operator_on_its_sorted_vertices(self):
-        # a block's operator holds its rows on the columns of its vertices
-        # in increasing order, relabelled 0..n_B-1, so its edges stay
-        # sorted with u < v
+    def test_each_block_is_an_operator_on_its_sorted_vertices(self, monkeypatch):
+        # rank_of slices no operator per block: it eliminates each block's
+        # rows in place.  The earlier block operator (`block_operator`)
+        # holds those rows on the columns of the block's vertices in
+        # increasing order, relabelled 0..n_B-1, so its edges stay sorted
+        # with u < v, and has the rank that the in-place elimination gives
         G = gnp_graph(12, 0.3, 1)
         op = rigidity_operator(G, random_regular_placement(G, L4, 0), L4)
+        built = _counted(monkeypatch, "RigidityOperator")
+        rank_of(op, "exact")
+        assert built == []
         blocks = op._exact_blocks
-        assert sorted(i for _, rows, _, _ in blocks for i in rows) == list(range(G.m))
-        assert [len(rows) for _, rows, _, _ in blocks] == [1, 1, 19]
-        for B, rows, rank_b, _ in blocks:
+        assert sorted(i for rows, _, _, _ in blocks for i in rows) == list(range(G.m))
+        assert [len(rows) for rows, _, _, _ in blocks] == [1, 1, 19]
+        for rows, rank_b, stressed, settled in blocks:
+            B = block_operator(op, rows)
             verts = sorted({v for i in rows for v in op.edges[i]})
             cols = [c for v in verts for c in (2 * v, 2 * v + 1)]
             assert (B.n, B.exact, B.trivial_flex_dim) == (len(verts), True, 2)
@@ -1037,6 +1095,7 @@ class TestSplitProfile:
             )
             assert list(B.edges) == sorted(B.edges) and all(u < v for u, v in B.edges)
             assert rank_b == bareiss_rank(dense_rows(B))
+            assert stressed <= set(rows) and settled == (rank_b == len(rows))
 
     def test_euclidean_one_sum_needs_no_bareiss(self, monkeypatch):
         # two K4s sharing a vertex are two blocks, each of rank 5 = 2 * 4 - 3
