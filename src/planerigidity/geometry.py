@@ -14,13 +14,15 @@ entry.  Their rank is split at the blocks of the graph (its maximal
 2-connected subgraphs and its bridges): ranks add over a 1-sum, as a
 translation, which lies in every kernel, matches two flexes at the shared
 vertex.  A block's rows are eliminated in place, on the operator's own
-labels, and its rank is certified by one sparse Gauss-Jordan elimination
-modulo the prime 2^30 - 35, which reads their pairs alone, so its memory
-starts at O(|E|) residues and grows only with fill-in, whenever its
-modular rank reaches its bound min(m, 2n - f), f the plane's trivial
-flex dimension (3 Euclidean, 2 otherwise); a lower modular rank falls
-back to the same elimination of that block over Q, in Fractions, which
-gives its exact rank and stressed rows.  2^30 - 35 is
+labels, by one sparse Gauss-Jordan elimination modulo the prime
+2^30 - 35, which reads their pairs alone, so its memory starts at O(|E|)
+residues and grows only with fill-in.  One rule settles every block: its
+modular answer is exact when its modular rank equals its rank in the
+(2,f) count matroid (f the plane's trivial flex dimension, 3 Euclidean,
+2 otherwise), which bounds the rank at every placement, and every row it
+did not find stressed is a coloop of that matroid; any other block is
+eliminated once more, over Q, in Fractions, which gives its exact rank
+and stressed rows.  2^30 - 35 is
 the largest prime below 2^30, so every residue is a single 30-bit digit
 of a Python int.  Every other entry is the float sign(x_i) |x_i|^(p-1),
 x the edge difference rounded to floats once (for a rational placement,
@@ -33,12 +35,10 @@ can be deleted without losing rank iff some self-stress is nonzero on it.
 So `deletion_ranks` takes the rank r from `rank_of` in either mode and
 gives each row r if it is stressed and r - 1 otherwise; a mode only
 finds the stressed rows.  Exact mode reads the blocks `rank_of` eliminated,
-which the operator keeps as lists of its rows.  A block is settled when
-its elimination found exactly its stressed rows, so that every other row
-is a coloop: it has full row rank, or it was eliminated over Q.  Only a
-row of an unsettled block that its modular elimination did not find
-stressed is confirmed, by `rank_of` on its block's rows less that one.
-Float mode reads one full SVD.  An operator's `mode` is the
+which the operator keeps as lists of its rows with their stressed rows:
+the union of those is the answer, as each block's elimination found
+exactly its stressed rows.  Float mode reads one full SVD.  An
+operator's `mode` is the
 one its rows take when no caller names one: exact for integer rows,
 float otherwise.
 """
@@ -53,6 +53,7 @@ from operator import eq
 
 from .graphs import Edge, Graph, _lowpoint_dfs, first_cut_vertex
 from .records import FrozenRecord
+from .sparsity import _rank_and_coloops, _sorted_game
 
 Coord = tuple  # (x, y) of Fractions or floats
 
@@ -214,8 +215,10 @@ class RigidityOperator(FrozenRecord):
     (`_exact_blocks`).  An entry may have at most EXACT_ENTRY_BITS bits,
     so an even p such as 1e20 is refused.
     Otherwise the pairs are floats.  `trivial_flex_dim` is that of the
-    plane it was built in (2 unless set); it bounds the rank by
-    2n - trivial_flex_dim.
+    plane it was built in (2 unless set), f: the rank of any set of rows
+    is at most its rank in the (2,f) count matroid (see `_exact_blocks`),
+    so a ValueError refuses an f other than 2 or 3, the only two for which
+    that count matroid splits at the blocks.
     """
 
     _fields = ("phis", "edges", "n", "exact", "trivial_flex_dim")
@@ -224,6 +227,8 @@ class RigidityOperator(FrozenRecord):
         self, phis: tuple[tuple, ...], edges: tuple[Edge, ...], n: int, exact: bool,
         trivial_flex_dim: int = 2,
     ):
+        if trivial_flex_dim not in (2, 3):
+            raise ValueError(f"trivial_flex_dim = {trivial_flex_dim!r}: needs 2 or 3")
         self.__dict__.update(
             phis=phis, edges=edges, n=n, exact=exact, trivial_flex_dim=trivial_flex_dim
         )
@@ -274,13 +279,12 @@ class RigidityOperator(FrozenRecord):
         return A
 
     @cached_property
-    def _exact_blocks(self) -> list[tuple[list[int], int, frozenset[int], bool]]:
+    def _exact_blocks(self) -> list[tuple[list[int], int, frozenset[int]]]:
         """The blocks of an integer operator, a cached fact and not a field, so
         that `rank_of` and `deletion_ranks` eliminate each block once: for each
-        block, (rows, rank, stressed, settled): its row indices in increasing
-        order, its exact rank, the rows (by their index in the operator) known
-        to be stressed, and whether those are all its stressed rows, so that
-        every other row of the block is a coloop.
+        block, (rows, rank, stressed): its row indices in increasing order, its
+        exact rank and its stressed rows (by their index in the operator).
+        Every other row of the block is a coloop.
 
         A block's rows are eliminated in place (`_profile(self, rows)`), on
         the operator's own columns, and no operator is built per block.  This
@@ -311,30 +315,42 @@ class RigidityOperator(FrozenRecord):
         vertex the columns are disjoint, and the same holds).  The self-stresses of G1 and
         G2 are self-stresses of G, independent, and m - rank G of them, so they
         span all of them.  Splitting off one leaf block after another: the rank
-        is the sum over the blocks, a row is stressed iff it is in its block B
-        alone, and if B has full row rank m_B, each of its rows is a coloop
-        (deleting it drops the rank by one).  A bridge is the case m_B = 1, as
-        its row is nonzero (the endpoints differ).
+        is the sum over the blocks, and a row is stressed iff it is in its
+        block B alone.
 
-        Each block B (m_B rows on n_B vertices) is eliminated alone, modulo
-        p = _PRIME (`_profile`).  rank_p <= rank_Q,
-        since a nonzero minor mod p is a nonzero integer minor; and
-        rank_Q <= min(m_B, 2n_B - f), with f the operator's `trivial_flex_dim`.  The two
-        translations of B always lie in its kernel (f = 2).  In the Euclidean
-        plane (f = 3) so does the rotation field v_i = (-y_i, x_i): the row of
-        edge uv is d = p_v - p_u, and d . (J p_v - J p_u) = d . J d = 0.  It is
-        not a translation, because the endpoints of an edge never coincide.  So
-        a modular rank that reaches min(m_B, 2n_B - f) is the exact rank r of B,
-        and a row stressed mod p keeps it, since r >= rank_Q(B - row) >=
-        rank_p(B - row) = r; a row not stressed mod p may still be stressed
-        over Q, so such a block is not settled unless r = m_B (then no row is
-        stressed).  A lower modular rank is recomputed by the same elimination
-        of B over Q (`_profile(self, rows, over_q=True)`), which gives the
-        exact rank and exactly the stressed rows, so B is settled: each of its
-        other rows is a coloop.  A block of full row rank is settled too, all
-        its rows coloops.  So only a dependent block whose modular rank
-        reached its bound can leave a row open, one it did not find stressed,
-        for `deletion_ranks` to confirm.  None of this
+        Each block B (m_B rows) is eliminated alone, modulo p = _PRIME
+        (`_profile`), and its answer is checked against M, the (2,f) count
+        matroid of the operator's graph, f its `trivial_flex_dim`: an edge set
+        is independent when each nonempty subset F spans at least
+        (|F| + f) / 2 vertices.  Its basis and coloops are read once per
+        operator off the graph's sorted game (`sparsity._sorted_game`,
+        `_rank_and_coloops`), which is cached on the graph.
+        (i) Weak map: rank_Q(F) <= r_M(F) for every set F of rows.  The rows of
+        a circuit C of M, |C| = 2|V(C)| - f + 1, lie in the 2|V(C)| columns of
+        its vertices and vanish on the two translations, and for f = 3 also on
+        the rotation v_i = (-y_i, x_i): the row of edge uv is d = p_v - p_u, and
+        d . (J p_v - J p_u) = d . J d = 0.  The rotation is independent of the
+        translations, because the two ends of an edge differ.  So
+        rank_Q(C) <= 2|V(C)| - f < |C|: every circuit of M is dependent over Q,
+        so a set of rows independent over Q is independent in M.
+        (ii) Direct sum: for f = 2, 3, two independent sets I1, I2 whose vertex
+        sets share at most one vertex have an independent union, as a subset F
+        of it that meets both splits into F1 and F2 with
+        |F| <= 2|V(F1)| + 2|V(F2)| - 2f <= 2|V(F)| + 2 - 2f <= 2|V(F)| - f.
+        Splitting off leaf blocks, M is the direct sum of its restrictions to
+        the blocks, so r_M(B) is the number of basis edges in B, and the
+        coloops of B are the coloops of G in B.
+        (iii) Settling: rank_p <= rank_Q, since a nonzero minor mod p is a
+        nonzero integer minor, so rank_p <= rank_Q <= r_M(B).  At
+        rank_p = r_M(B) = r, rank_Q = r as well; a row stressed mod p keeps it,
+        since r >= rank_Q(B - e) >= rank_p(B - e) = r, and a coloop e of M
+        drops it, since rank_Q(B - e) <= r_M(B - e) = r - 1.  So when each row
+        not stressed mod p is a coloop of M, the modular answer is the rank
+        and the stressed rows over Q.  A block of full modular row rank always
+        passes: m_B = rank_p <= r_M(B) <= m_B, so B is independent in M, and
+        each of its edges is a coloop.  Any other block is eliminated once more
+        over Q (`_profile(self, rows, over_q=True)`), which gives its exact
+        rank and exactly its stressed rows.  None of this
         depends on which prime p is, so p is 2^30 - 35, the largest prime below
         2^30, for speed: every residue is one 30-bit Python digit.  A smaller
         prime can only make the elimination over Q run more often, never change
@@ -359,13 +375,16 @@ class RigidityOperator(FrozenRecord):
         for i, (u, v) in enumerate(self.edges):
             b = own.get(v)
             block_rows[b if b is not None and blocks[b][0] == u else own[u]].append(i)
-        out = []
-        for block, rows in zip(blocks, block_rows):
+        f, out = self.trivial_flex_dim, []
+        basis = set(_sorted_game(self._graph, f)[0].accepted)
+        coloops = _rank_and_coloops(self._graph, f)[1]
+        for rows in block_rows:
             rank, stressed = _profile(self, rows)
-            over_q = rank < min(len(rows), 2 * len(block) - self.trivial_flex_dim)
-            if over_q:
+            if rank != sum(self.edges[i] in basis for i in rows) or any(
+                i not in stressed and self.edges[i] not in coloops for i in rows
+            ):
                 rank, stressed = _profile(self, rows, over_q=True)
-            out.append((rows, rank, stressed, over_q or rank == len(rows)))
+            out.append((rows, rank, stressed))
         return out
 
     def apply(self, vector):
@@ -382,10 +401,10 @@ class RigidityOperator(FrozenRecord):
 
 
 # exact entries are capped at this many bits: the elimination over Q of a
-# rank-deficient block grows with the entry size (the rank of a ring of
-# four K5- joined by paths, one 52 x 64 block of rank 48, took 0.15 s at
-# 2000 bits and 0.4 s at 4000 on a 2-core Xeon), and an even p such as
-# 1e20 would never finish building its rows
+# block grows with the entry size (a ring of four K5- joined by paths, one
+# 52 x 64 block of rank 48, took 0.15 s over Q at 2000 bits and 0.4 s at
+# 4000 on a 2-core Xeon), and an even p such as 1e20 would never finish
+# building its rows
 EXACT_ENTRY_BITS = 1 << 12
 
 
@@ -579,7 +598,7 @@ def rank_of(op: RigidityOperator, mode: str = "exact", tol: float = 1e-9) -> int
     if not op.edges:
         return 0
     if mode == "exact":
-        return sum(rank_b for _, rank_b, _, _ in op._exact_blocks)
+        return sum(rank_b for _, rank_b, _ in op._exact_blocks)
     import numpy as np
 
     sv = np.linalg.svd(op.as_array(), compute_uv=False)
@@ -598,24 +617,9 @@ def deletion_ranks(
     so its m - 1 largest stay above tol times its largest).
 
     Exact mode reads the blocks of `RigidityOperator._exact_blocks`, which
-    `rank_of` eliminated: a row its block's elimination found stressed is
-    stressed, and any other row of a settled block is a coloop (every row
-    of a block of full row rank, a bridge say, and every unstressed row of
-    a block eliminated over Q).  Any other row i lies in an unsettled block
-    B, dependent with its modular rank at its bound, and is stressed iff
-    B - row i keeps the rank of B, found by `rank_of` on the pairs and edges
-    of B's rows less row i, on the operator's own labels and n: the other
-    vertices are isolated there and lie in no block, so they add only zero
-    columns, which change no rank.  Deleting an edge of B leaves the
-    graph's other blocks blocks of G - e and splits B into the blocks of
-    B - e, any two of all these sharing at most one vertex; so by the
-    1-sum additivity of `_exact_blocks` the rank without row i is
-    r - rank B + rank(B - i), and `rank_of` on B - row i splits it at
-    exactly the blocks of B - e, each under its own bound
-    min(m_C, 2n_C - f).  That is the split of the
-    whole operator without row i, less the blocks the row never touched:
-    an elimination over Q runs on the same blocks, and no untouched block
-    is eliminated again.
+    `rank_of` eliminated: each block's elimination found exactly its
+    stressed rows, so the stressed rows are their union, and every other
+    row is a coloop.
 
     Float mode runs one full SVD of the same row-scaled array DA
     (`RigidityOperator.as_array`; a self-stress w of A is the self-stress
@@ -631,15 +635,7 @@ def deletion_ranks(
         U = np.linalg.svd(op.as_array())[0]
         stressed.update(np.flatnonzero(np.linalg.norm(U[:, rank:], axis=1) > tol).tolist())
     elif rank < m:
-        for rows, rank_b, known, settled in op._exact_blocks:
-            stressed.update(
-                i for i in rows
-                if i in known or not settled and rank_of(RigidityOperator(
-                    tuple(op.phis[k] for k in rows if k != i),
-                    tuple(op.edges[k] for k in rows if k != i),
-                    op.n, True, op.trivial_flex_dim,
-                )) == rank_b
-            )
+        stressed.update(*(known for _, _, known in op._exact_blocks))
     return rank, tuple(rank if i in stressed else rank - 1 for i in range(m))
 
 

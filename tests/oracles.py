@@ -819,18 +819,16 @@ def exact_profile_by_pieces(op: RigidityOperator):
 
 
 def exact_profile(op: RigidityOperator) -> tuple[int, frozenset[int], frozenset[int]]:
-    """The exact rank of an integer operator, rows known to be stressed,
-    and rows known to be coloops, summed over its blocks
-    (`RigidityOperator._exact_blocks`): the rows of a block of full row
-    rank are coloops.  The library's earlier exact `rank_of` built all
-    three, where it now sums the block ranks alone."""
+    """The exact rank of an integer operator, its stressed rows and its
+    coloops, summed over its blocks (`RigidityOperator._exact_blocks`):
+    each block's stressed rows are exact, and its other rows coloops.  The
+    library's earlier exact `rank_of` built all three, where it now sums
+    the block ranks alone."""
     rank, stressed, coloops = 0, set(), set()
-    for rows, rank_b, known, _ in op._exact_blocks:
+    for rows, rank_b, known in op._exact_blocks:
         rank += rank_b
-        if rank_b == len(rows):
-            coloops.update(rows)
-        else:
-            stressed.update(known)
+        stressed.update(known)
+        coloops.update(set(rows) - known)
     return rank, frozenset(stressed), frozenset(coloops)
 
 

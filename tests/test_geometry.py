@@ -30,7 +30,7 @@ from planerigidity.geometry import (
 )
 from planerigidity.graphs import Graph
 from planerigidity.randomgraphs import gnp_graph
-from planerigidity.sparsity import rank2k
+from planerigidity.sparsity import _rank_and_coloops, rank2k
 
 from corpus import BENCHMARK_INPUTS, decision_corpus, k5_minus_ring
 from oracles import (
@@ -247,6 +247,17 @@ class TestOperator:
             ty = [0, 1] * G.n
             assert all(v == 0 for v in op.apply(tx))
             assert all(v == 0 for v in op.apply(ty))
+
+    @pytest.mark.parametrize("f", [0, 1, 4, 5])
+    def test_a_trivial_flex_dim_other_than_2_or_3_is_refused(self, f):
+        # the count matroid that bounds each block's rank splits at the
+        # blocks only for f = 2, 3, and no plane has another; f = 4 would
+        # bound K4's rank by 2n - 4 = 4, below its true rank 6
+        G = cat.complete_graph(4)
+        op = rigidity_operator(G, random_regular_placement(G, L4, 0), L4)
+        with pytest.raises(ValueError, match=f"^trivial_flex_dim = {f}: needs 2 or 3$"):
+            RigidityOperator(op.phis, op.edges, op.n, op.exact, f)
+        assert rank_of(RigidityOperator(op.phis, op.edges, op.n, op.exact, 2), "exact") == 6
 
     def test_apply_refuses_a_vector_of_the_wrong_length(self):
         # a velocity vector holds two entries per vertex: K5- has 2n = 10,
@@ -640,15 +651,20 @@ class TestModularProfile:
         # a block's rows eliminated in place, on the operator's columns, give
         # the rank and stressed rows of the earlier block operator on its
         # sorted vertices and of the dense-row scan, modulo the prime,
-        # modulo 3 and over Q; a block is settled iff it has full row rank
-        # or its modular rank fell below its bound
+        # modulo 3 and over Q; a block keeps its modular answer iff its
+        # modular rank is its (2,f) count rank and each row it did not find
+        # stressed is a count coloop, both counted on the block's own edges
+        # alone (`rank2k`), and else takes its answer over Q.  At the real
+        # prime every corpus block keeps its modular answer; modulo 3 some
+        # fall back
         plane, graphs = NormedPlane(p), decision_corpus(300, seed=5)
+        f = plane.trivial_flex_dim
         for prime in (geometry._PRIME, 3):
             monkeypatch.setattr(geometry, "_PRIME", prime)
-            blocks = 0
+            blocks = kept = 0
             for i, G in enumerate(graphs):
                 op = rigidity_operator(G, random_regular_placement(G, plane, i), plane)
-                for rows, rank_b, _, settled in op._exact_blocks:
+                for rows, rank_b, stressed in op._exact_blocks:
                     B = block_operator(op, rows)
                     for over_q in (False, True):
                         got = geometry._profile(op, rows, over_q)
@@ -656,10 +672,39 @@ class TestModularProfile:
                     modular = geometry._profile(op, rows)
                     dense = modular_profile_dense(dense_rows(B), 2 * B.n)
                     assert modular == _lifted(rows, dense), (op.edges, rows)
-                    bound = min(len(rows), 2 * B.n - plane.trivial_flex_dim)
-                    assert settled == (rank_b == len(rows) or modular[0] < bound), (op.edges, rows)
+                    edges = [op.edges[i] for i in rows]
+                    count = rank2k(edges, f)
+                    coloops = {
+                        i for i, e in zip(rows, edges)
+                        if rank2k([x for x in edges if x != e], f) < count
+                    }
+                    settled = modular[0] == count and set(rows) - modular[1] <= coloops
+                    expect = modular if settled else geometry._profile(op, rows, over_q=True)
+                    assert (rank_b, stressed) == expect, (op.edges, rows)
                     blocks += 1
-            assert blocks > 300
+                    kept += settled
+            assert blocks > 300 and (kept == blocks) == (prime != 3)
+
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_every_block_is_its_elimination_over_q(self, monkeypatch, p):
+        # whatever rule settled a block, its rank and stressed rows are
+        # those of its rows eliminated over Q, at the real prime and
+        # modulo 3, at generic placements and at small integer ones, where
+        # collinear points and parallel edges are common
+        plane, graphs = NormedPlane(p), decision_corpus(300, seed=5)
+        profile = geometry._profile
+        over_q = _profiles(monkeypatch, over_q_only=True)
+        for prime in (geometry._PRIME, 3):
+            monkeypatch.setattr(geometry, "_PRIME", prime)
+            for i, G in enumerate(graphs):
+                for pl in (
+                    random_regular_placement(G, plane, i),
+                    _small_placement(G, 2, i), _small_placement(G, 5, i),
+                ):
+                    op = rigidity_operator(G, pl, plane)
+                    for rows, rank_b, stressed in op._exact_blocks:
+                        assert (rank_b, stressed) == profile(op, rows, True), (op.edges, pl, rows)
+        assert over_q
 
 
 def _assert_profile_over_q_is_bareiss(op):
@@ -724,17 +769,19 @@ class TestDeletionRanks:
     def test_small_prime_falls_back_to_exact(self, monkeypatch, p):
         # mod 3 the elimination loses rank on most frameworks, so the
         # eliminations over Q answer; the results must still be exact.  A
-        # block eliminated over Q is settled, so no row of it is confirmed
-        # by ranking the block without it (74 and 43 eliminations over Q at
-        # p = 2 and 4 when those rows were confirmed)
+        # block is eliminated over Q at most once, and only when its modular
+        # rank falls short of its count rank or a row it did not find
+        # stressed is no count coloop (70 eliminations over Q at p = 2 when
+        # the bound was min(m, 2n - f) and each row a block at that bound
+        # left open was confirmed by ranking the block without it)
         monkeypatch.setattr(geometry, "_PRIME", 3)
         calls = _profiles(monkeypatch, over_q_only=True)
         for op in _corpus_frameworks(p, count=40):
             assert deletion_ranks(op, "exact") == deletion_ranks_loop(op, "exact"), op.edges
-        assert len(calls) == {2: 70, 4: 37}[p]
+        assert len(calls) == {2: 31, 4: 37}[p]
 
     def test_the_fallback_settles_every_stressed_row(self, monkeypatch):
-        # K6 modulo 3: the modular rank falls below 2n - 2 = 10, so its one
+        # K6 modulo 3: the modular rank falls below its count rank 10, so its one
         # block is eliminated over Q, which finds all fifteen rows stressed:
         # rank_of runs once, for the rank, with no row left to confirm by
         # ranking its block without it (one rank_of per row, fifteen more,
@@ -750,16 +797,19 @@ class TestDeletionRanks:
 
     def test_a_block_eliminated_over_q_confirms_no_row(self, monkeypatch):
         # the ring of six K5- joined by paths of three new vertices at
-        # p = 100 is one block whose modular rank falls below its bound, so
-        # it is eliminated over Q, which settles every row: its 54 K5- rows
-        # are stressed and its 24 path rows coloops.  deletion_ranks after
-        # rank_of then runs its own rank_of and no elimination (24 more
-        # rank_of calls, one per path row, each eliminating the block
-        # without that row, when such a block was not settled)
+        # p = 100 is one block of rank 72, below min(m, 2n - 2) = 78 but at
+        # its (2,2) count rank: its 54 K5- rows are stressed mod p and its
+        # 24 path rows count coloops, so its one modular elimination settles
+        # every row and none runs over Q (under the bound min(m, 2n - 2) it
+        # was eliminated over Q).  deletion_ranks after rank_of then runs its
+        # own rank_of and no elimination
         G, plane = k5_minus_ring(6), NormedPlane(100)
         op = rigidity_operator(G, random_regular_placement(G, plane, 1), plane)
+        profiles = _profiles(monkeypatch)
         assert rank_of(op, "exact") == 72
-        ranks_of, profiles = _counted(monkeypatch, "rank_of"), _profiles(monkeypatch)
+        assert profiles == [(78, False)]
+        profiles.clear()
+        ranks_of = _counted(monkeypatch, "rank_of")
         rank, ranks = deletion_ranks(op, "exact")
         assert len(ranks_of) == 1 and profiles == []
         k5 = [r for r, (u, v) in zip(ranks, op.edges) if v < 30]
@@ -787,9 +837,10 @@ class TestDeletionRanks:
         assert calls == []
 
     def test_euclidean_results_unchanged_by_the_flex_bound(self, monkeypatch):
-        # with the bound 2n - 2 of any plane (trivial_flex_dim 2), every
-        # exact p = 2 rank fell back to the elimination over Q; rank and certify
-        # must agree
+        # with the (2,2) count matroid of any plane (trivial_flex_dim 2) in
+        # place of the (2,3) one, which bounds the Euclidean rank more
+        # tightly, most exact p = 2 ranks fall back to the elimination over
+        # Q; rank and certify must agree
         def flex_dim_2(op):
             return RigidityOperator(op.phis, op.edges, op.n, op.exact, 2)
 
@@ -816,7 +867,7 @@ class TestDeletionRanks:
             assert deletion_ranks(op, mode) == deletion_ranks_loop(op, mode) == (4, (4,) * 10)
 
     def test_stresses_kept_when_the_fallback_confirms_the_modular_rank(self, monkeypatch):
-        # collinear K5: the modular rank 4 is below 2n - 2, so the
+        # collinear K5: the modular rank 4 is below its count rank 8, so the
         # elimination over Q runs once; it finds rank 4 with every row
         # stressed, so none is eliminated again
         calls = _profiles(monkeypatch)
@@ -824,6 +875,26 @@ class TestDeletionRanks:
         pl = Placement(tuple((Fraction(v), Fraction(v)) for v in range(5)))
         assert deletion_ranks(rigidity_operator(G, pl, L4), "exact") == (4, (4,) * 10)
         assert calls == [(10, False), (10, True)]
+
+    def test_a_block_at_its_count_rank_with_an_open_row_falls_back(self, monkeypatch):
+        # K5- at p = 4 on (0,1), (2,1), (2,0), (2,2), (1,2): the modular
+        # rank 8 equals the (2,2) count rank 2 * 5 - 2, but 6 rows are not
+        # stressed mod p and none is a count coloop (K5- is a count
+        # circuit), so that rank leaves them open and the block is
+        # eliminated once over Q, which finds those 6 rows coloops
+        G = cat.k5_minus()
+        pl = Placement(tuple(
+            (Fraction(x), Fraction(y)) for x, y in [(0, 1), (2, 1), (2, 0), (2, 2), (1, 2)]
+        ))
+        op = rigidity_operator(G, pl, L4)
+        modular = _whole(op)
+        assert modular[0] == rank2k(G, 2) == 8 and len(modular[1]) == 3
+        assert not _rank_and_coloops(G, 2)[1]
+        calls = _profiles(monkeypatch)
+        got = deletion_ranks(op, "exact")
+        assert calls == [(9, False), (9, True)]
+        assert got == deletion_ranks_loop(op, "exact")
+        assert got[0] == 8 and got[1].count(7) == 6
 
     def test_independent_rows_drop_by_one(self, monkeypatch):
         # the modular rank reaches m, so its one elimination answers all
@@ -833,24 +904,25 @@ class TestDeletionRanks:
         assert deletion_ranks(op, "exact") == (9, (8,) * 9)
         assert len(calls) == 1
 
-    def test_unsettled_rows_are_confirmed_within_their_block(self, monkeypatch):
-        # blocks of 1, 1 and 19 rows; 2 rows of the 19-row block are neither
-        # stressed mod p nor coloops, and each is confirmed by ranking the
-        # other 18 rows of its block alone, split at their own 2 blocks (1
-        # and 17 rows), not every block of the operator without it (4
-        # eliminations each, the untouched 1-row blocks included).  Each
-        # block reaches its bound, so, as on the split of the whole
-        # operator, no elimination over Q runs
+    def test_unstressed_rows_of_a_dependent_block_are_count_coloops(self, monkeypatch):
+        # blocks of 1, 1 and 19 rows; the 19-row block has rank 18, its
+        # (2,2) count rank, and the 2 rows its modular elimination did not
+        # find stressed are coloops of the count matroid, so that one
+        # elimination per block answers every deletion, and none runs over
+        # Q (each of those 2 rows was confirmed by ranking the other 18 rows
+        # of its block, split at their own 2 blocks of 1 and 17 rows, when
+        # the bound was min(m, 2n - f))
         calls = _profiles(monkeypatch)
         G = gnp_graph(12, 0.3, 1)
         op = rigidity_operator(G, random_regular_placement(G, L4, 0), L4)
         got = deletion_ranks(op, "exact")
-        rows = [m for m, q in calls if not q]
-        over_q = [m for m, q in calls if q]
-        assert rows == [1, 1, 19, 1, 17, 17, 1]
-        assert over_q == []
+        assert calls == [(1, False), (1, False), (19, False)]
         assert got == deletion_ranks_loop(op, "exact")
         assert got[1].count(got[0] - 1) == 4
+        rows, rank_b, stressed = op._exact_blocks[2]
+        _, coloops = _rank_and_coloops(G, 2)
+        open_rows = [op.edges[i] for i in rows if i not in stressed]
+        assert rank_b == 18 and len(open_rows) == 2 and set(open_rows) <= coloops
 
     def test_empty_operator(self):
         # no rows: rank 0 and no deletion in either mode, as rank_of
@@ -875,15 +947,15 @@ class TestDeletionRanks:
 
     def test_an_exact_operator_is_eliminated_once(self, monkeypatch):
         # the operator keeps its blocks: rank_of and deletion_ranks, in
-        # either order, run the modular eliminations of deletion_ranks alone
-        # (one per block, of 1, 1, 19 and 1 rows, then those of the two
-        # confirmations), and not the four blocks a second time
+        # either order, run the modular eliminations of deletion_ranks alone,
+        # one per block, of 1, 1 and 19 rows, and not the three blocks a
+        # second time
         rows = _profiles(monkeypatch)
         G = gnp_graph(12, 0.3, 1)
         pl = random_regular_placement(G, L4, 0)
         alone = deletion_ranks(rigidity_operator(G, pl, L4), "exact")
         once = list(rows)
-        assert once == [(m, False) for m in [1, 1, 19, 1, 17, 17, 1]]
+        assert once == [(m, False) for m in [1, 1, 19]]
         for first, second in ((rank_of, deletion_ranks), (deletion_ranks, rank_of)):
             rows.clear()
             op = rigidity_operator(G, pl, L4)
@@ -945,6 +1017,16 @@ def _counted(monkeypatch, name):
     return calls
 
 
+def _small_placement(G, r, seed):
+    """A placement of G on the integer points of [-r, r]^2, drawn again
+    while an edge has coincident ends."""
+    rng = random.Random(seed)
+    while True:
+        coords = tuple((rng.randint(-r, r), rng.randint(-r, r)) for _ in range(G.n))
+        if all(coords[u] != coords[v] for u, v in G.edges):
+            return Placement(tuple((Fraction(x), Fraction(y)) for x, y in coords))
+
+
 def _whole(op, over_q=False):
     """`_profile` of all the rows of op."""
     return geometry._profile(op, list(range(len(op.edges))), over_q)
@@ -986,7 +1068,7 @@ class TestSplitProfile:
         st.sampled_from([2, 4, 6]), st.sampled_from([geometry._PRIME, 3]),
     )
     def test_matches_whole_matrix_bareiss(self, framework, p, prime):
-        # mod 3 many blocks fall short of their bound, so the per-block
+        # mod 3 many blocks fall short of their count rank, so the per-block
         # fallback runs too
         G, pl = framework
         op = rigidity_operator(G, pl, NormedPlane(p))
@@ -1082,9 +1164,9 @@ class TestSplitProfile:
         rank_of(op, "exact")
         assert built == []
         blocks = op._exact_blocks
-        assert sorted(i for rows, _, _, _ in blocks for i in rows) == list(range(G.m))
-        assert [len(rows) for rows, _, _, _ in blocks] == [1, 1, 19]
-        for rows, rank_b, stressed, settled in blocks:
+        assert sorted(i for rows, _, _ in blocks for i in rows) == list(range(G.m))
+        assert [len(rows) for rows, _, _ in blocks] == [1, 1, 19]
+        for rows, rank_b, stressed in blocks:
             B = block_operator(op, rows)
             verts = sorted({v for i in rows for v in op.edges[i]})
             cols = [c for v in verts for c in (2 * v, 2 * v + 1)]
@@ -1094,8 +1176,11 @@ class TestSplitProfile:
                 (verts.index(u), verts.index(v)) for u, v in map(op.edges.__getitem__, rows)
             )
             assert list(B.edges) == sorted(B.edges) and all(u < v for u, v in B.edges)
-            assert rank_b == bareiss_rank(dense_rows(B))
-            assert stressed <= set(rows) and settled == (rank_b == len(rows))
+            dense = dense_rows(B)
+            assert rank_b == bareiss_rank(dense)
+            assert stressed == {
+                i for j, i in enumerate(rows) if bareiss_rank(dense[:j] + dense[j + 1:]) == rank_b
+            }
 
     def test_euclidean_one_sum_needs_no_bareiss(self, monkeypatch):
         # two K4s sharing a vertex are two blocks, each of rank 5 = 2 * 4 - 3
@@ -1105,18 +1190,21 @@ class TestSplitProfile:
         assert deletion_ranks(op, "exact") == (10, (10,) * 12)
         assert calls == []
 
-    def test_euclidean_bridgeless_block_still_falls_back(self, monkeypatch):
+    def test_euclidean_bridgeless_block_is_settled_by_its_count_rank(self, monkeypatch):
         # two K4s joined by the disjoint edges 0-4 and 1-5: one block of
-        # rank 12 below its bound min(14, 2n - 3 = 13), so the elimination over
-        # Q answers
+        # rank 12, below min(14, 2n - 3 = 13) but at its (2,3) count rank
+        # (each K4 holds one edge past 2 * 4 - 3), and its two rows not
+        # stressed mod p, 0-4 and 1-5, are count coloops, so no elimination
+        # over Q runs (one did under the bound min(m, 2n - f))
         calls = _profiles(monkeypatch, over_q_only=True)
         k4 = list(cat.complete_graph(4).edges)
         G = Graph.from_edges(8, k4 + [(u + 4, v + 4) for u, v in k4] + [(0, 4), (1, 5)])
         op = rigidity_operator(G, random_regular_placement(G, L2, 1), L2)
         got = deletion_ranks(op, "exact")
-        assert len(calls) == 1
+        assert calls == []
         assert got == deletion_ranks_loop(op, "exact")
-        assert got[0] == 12
+        assert got[0] == rank2k(G, 3) == 12
+        assert [e for e, r in zip(op.edges, got[1]) if r == 11] == [(0, 4), (1, 5)]
 
 
 class TestRigidityPredicates:
